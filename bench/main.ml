@@ -492,7 +492,7 @@ let validator_scale ~full () =
       Table.add_row t
         [ Printf.sprintf "%.0f" r.vs_rate;
           string_of_int r.vs_shards;
-          string_of_int r.vs_decided;
+          string_of_int r.vs_verdicts;
           Printf.sprintf "%.0f" r.vs_verdicts_per_s;
           string_of_int r.vs_batches;
           (if r.vs_batches = 0 then "0"
@@ -530,8 +530,8 @@ let validator_scale ~full () =
                (if base.vs_verdicts_per_s > 0. then
                   best.vs_verdicts_per_s /. base.vs_verdicts_per_s
                 else 0.)
-               best.vs_shards best.vs_decided base.vs_decided
-               (if best.vs_decided = base.vs_decided then ", identical"
+               best.vs_shards best.vs_verdicts base.vs_verdicts
+               (if best.vs_verdicts = base.vs_verdicts then ", identical"
                 else " -- MISMATCH")
          | _ -> ())
 
@@ -758,9 +758,6 @@ type record = {
   r_name : string;
   r_wall_s : float;
   r_events : int;  (** simulator events executed, summed over domains *)
-  r_verdicts : int;  (** validator verdicts decided, summed over domains *)
-  r_batches : int;  (** per-shard response batches delivered *)
-  r_overloads : int;  (** triggers force-expired at max_inflight *)
 }
 
 let json_escape s =
@@ -795,10 +792,8 @@ let write_json path ~jobs ~full records =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d, \
-            \"events_per_sec\": %.1f, \"verdicts\": %d, \"batches\": %d, \
-            \"overloads\": %d}%s\n"
-           (json_escape r.r_name) r.r_wall_s r.r_events rate r.r_verdicts
-           r.r_batches r.r_overloads
+            \"events_per_sec\": %.1f}%s\n"
+           (json_escape r.r_name) r.r_wall_s r.r_events rate
            (if i = List.length records - 1 then "" else ",")))
     records;
   Buffer.add_string buf "  ],\n";
@@ -879,22 +874,15 @@ let run_selected names full jobs json =
   let records =
     List.map
       (fun (name, f) ->
-        (* Process-wide counters never reset; per-experiment figures
-           are deltas around the run, so back-to-back experiments (and
-           repeated bench invocations in one process) report their own
-           work, not the cumulative total. *)
+        (* The process-wide event counter never resets; the figure is a
+           delta around the run, so back-to-back experiments report
+           their own work, not the cumulative total. *)
         let events0 = Jury_sim.Engine.total_executed () in
-        let verdicts0 = Jury.Validator.total_decided () in
-        let batches0 = Jury.Validator.total_batches () in
-        let overloads0 = Jury.Validator.total_overloads () in
         let t0 = Unix.gettimeofday () in
         f ~full ();
         { r_name = name;
           r_wall_s = Unix.gettimeofday () -. t0;
-          r_events = Jury_sim.Engine.total_executed () - events0;
-          r_verdicts = Jury.Validator.total_decided () - verdicts0;
-          r_batches = Jury.Validator.total_batches () - batches0;
-          r_overloads = Jury.Validator.total_overloads () - overloads0 })
+          r_events = Jury_sim.Engine.total_executed () - events0 })
       to_run
   in
   print_newline ();
@@ -928,7 +916,8 @@ let jobs_arg =
 let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
          ~doc:"Write machine-readable results (per-experiment wall-clock, \
-               events/sec, verdict counts, micro-bench ns/op) to PATH.")
+               events/sec, firehose verdict counts, micro-bench ns/op) \
+               to PATH.")
 
 let cmd =
   let term = Term.(const (fun names full jobs json ->

@@ -324,11 +324,11 @@ let simulate_cmd =
       Printf.printf
         "validator: %d retransmit request(s), %d duplicate(s) discarded, %d \
          late, %d straggler slot(s), %d degraded verdict(s)\n"
-        (Jury.Validator.retransmit_count validator)
+        (Jury.Validator.count validator Retransmit)
         (Jury.Validator.duplicate_count validator)
         (Jury.Validator.late_count validator)
         (Jury.Validator.straggler_count validator)
-        (Jury.Validator.degraded_count validator)
+        (Jury.Validator.count validator Degraded)
     end;
     if
       tuning.Common.shards > 1
@@ -340,14 +340,13 @@ let simulate_cmd =
          overload verdict(s)\n"
         (Jury.Validator.shard_count validator)
         (Jury.Validator.batch_count validator)
-        (Jury.Validator.batched_response_count validator)
-        (Jury.Validator.overload_count validator);
-      List.iter
-        (fun (s : Jury.Validator.shard_stats) ->
-          Printf.printf "  shard %d: decided %d, batches %d, overloads %d\n"
-            s.Jury.Validator.shard_index s.Jury.Validator.shard_decided
-            s.Jury.Validator.shard_batches s.Jury.Validator.shard_overloads)
-        (Jury.Validator.shard_stats validator)
+        (Jury.Validator.count validator Batch_response)
+        (Jury.Validator.count validator Overload);
+      for shard = 0 to Jury.Validator.shard_count validator - 1 do
+        let count = Jury.Validator.count ~shard validator in
+        Printf.printf "  shard %d: decided %d, batches %d, overloads %d\n"
+          shard (count Decided) (count Batch) (count Overload)
+      done
     end
   in
   Cmd.v
@@ -558,7 +557,7 @@ let validator_scale_cmd =
       (fun (r : Jury_experiments.Figures.scale_row) ->
         Printf.printf "%-8.0f %-7d %-8d %-11.0f %-8d %s\n"
           r.Jury_experiments.Figures.vs_rate r.Jury_experiments.Figures.vs_shards
-          r.Jury_experiments.Figures.vs_decided
+          r.Jury_experiments.Figures.vs_verdicts
           r.Jury_experiments.Figures.vs_verdicts_per_s
           r.Jury_experiments.Figures.vs_batches
           (String.concat "/"
@@ -860,13 +859,12 @@ let mc_cmd =
             exit 2
         | Ok trace -> (
             let outcome, div = Explorer.replay ~oracles case trace in
+            let count = Jury_check.Run.count outcome in
             Printf.printf
               "replayed schedule %s: %d decided, %d fault(s), %d \
                unverifiable, %d degraded\n"
-              (Trace.to_string trace) outcome.Jury_check.Run.fp.decided
-              outcome.Jury_check.Run.fp.faults
-              outcome.Jury_check.Run.fp.unverifiable
-              outcome.Jury_check.Run.fp.degraded;
+              (Trace.to_string trace) (count Decided) (count Faulty)
+              (count Unverifiable) (count Degraded);
             match div with
             | None ->
                 Printf.printf
@@ -884,6 +882,7 @@ let mc_cmd =
             ~oracles case
         in
         let s = r.Explorer.rep_stats in
+        let count = Jury_check.Run.count r.Explorer.rep_reference in
         Printf.printf
           "%s%d schedule(s) explored (%d choice points, deepest %d): %d \
            branch(es) taken, %d pruned as independent\n"
@@ -893,9 +892,7 @@ let mc_cmd =
         Printf.printf
           "reference schedule: %d decided, %d fault(s), %d oracle(s) per \
            schedule\n"
-          r.Explorer.rep_reference.Jury_check.Run.fp.decided
-          r.Explorer.rep_reference.Jury_check.Run.fp.faults
-          (List.length oracles);
+          (count Decided) (count Faulty) (List.length oracles);
         match r.Explorer.rep_divergences with
         | [] ->
             Printf.printf

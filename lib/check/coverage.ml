@@ -62,21 +62,24 @@ let of_run ?trace (case : Case.t) (o : Run.outcome) =
       add (Printf.sprintf "verdict:%s" c);
       add (Printf.sprintf "verdict:%s:b%d" c (bucket n)))
     classes;
-  (* Oracle-relevant counters that moved. *)
+  (* Oracle-relevant counters that moved. The feature names are part of
+     every saved corpus, so they are spelled out here rather than taken
+     from [Counter.name]. *)
+  let count = Run.count o in
   List.iter
     (fun (name, n) -> acc := counter !acc name n)
-    [ ("decided", o.Run.fp.Run.decided);
-      ("faults", o.Run.fp.Run.faults);
-      ("unverifiable", o.Run.fp.Run.unverifiable);
-      ("degraded", o.Run.fp.Run.degraded);
-      ("overload", o.Run.fp.Run.overload);
+    [ ("decided", count Decided);
+      ("faults", count Faulty);
+      ("unverifiable", count Unverifiable);
+      ("degraded", count Degraded);
+      ("overload", count Overload);
       ("pending", o.Run.pending_after_flush);
       ("alarms", o.Run.alarm_count);
-      ("duplicates", o.Run.duplicates);
-      ("late", o.Run.late);
-      ("retransmits", o.Run.retransmits);
-      ("stragglers", o.Run.stragglers);
-      ("batches", o.Run.batches);
+      ("duplicates", count Duplicate);
+      ("late", count Late);
+      ("retransmits", count Retransmit);
+      ("stragglers", count Straggler);
+      ("batches", count Batch);
       ("epoch", o.Run.epoch);
       ("channel-dropped", o.Run.totals.Jury.Channel.dropped);
       ("channel-duplicated", o.Run.totals.Jury.Channel.duplicated) ];

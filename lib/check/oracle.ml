@@ -44,19 +44,19 @@ let all_pass checks =
 let verdict_conservation { base; _ } =
   let o = Lazy.force base in
   let fp = o.Run.fp in
+  let decided = Run.count o Decided and faults = Run.count o Faulty in
   all_pass
     [ (o.Run.pending_after_flush = 0,
        Printf.sprintf "%d triggers still pending after flush"
          o.Run.pending_after_flush);
-      (List.length fp.Run.verdict_lines = fp.Run.decided,
-       Printf.sprintf "decided=%d but %d verdicts recorded" fp.Run.decided
+      (List.length fp.Run.verdict_lines = decided,
+       Printf.sprintf "decided=%d but %d verdicts recorded" decided
          (List.length fp.Run.verdict_lines));
-      (o.Run.detection_count = fp.Run.decided,
-       Printf.sprintf "decided=%d but %d detection-time samples"
-         fp.Run.decided o.Run.detection_count);
-      (o.Run.alarm_count = fp.Run.faults,
-       Printf.sprintf "fault_count=%d but %d alarms" fp.Run.faults
-         o.Run.alarm_count) ]
+      (o.Run.detection_count = decided,
+       Printf.sprintf "decided=%d but %d detection-time samples" decided
+         o.Run.detection_count);
+      (o.Run.alarm_count = faults,
+       Printf.sprintf "fault_count=%d but %d alarms" faults o.Run.alarm_count) ]
 
 let report_consistency { base; _ } =
   let o = Lazy.force base in
@@ -68,20 +68,19 @@ let report_consistency { base; _ } =
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
     go 0
   in
-  let header =
-    Printf.sprintf "validated %d responses" fp.Run.decided
-  in
+  let count = Run.count o in
+  let header = Printf.sprintf "validated %d responses" (count Decided) in
   all_pass
     [ (contains header fp.Run.report,
        Printf.sprintf "report does not state %S" header);
-      (fp.Run.faults <= fp.Run.decided, "more faults than verdicts");
-      (fp.Run.overload
+      (count Faulty <= count Decided, "more faults than verdicts");
+      (count Overload
        = List.length
            (List.filter
               (fun l -> contains "|overload|" l)
               fp.Run.verdict_lines),
        "overload counter disagrees with Overload verdicts");
-      (fp.Run.degraded
+      (count Degraded
        = List.length
            (List.filter
               (fun l -> contains "|ok-degraded|" l)
@@ -209,10 +208,12 @@ let batch_equivalence { case; _ } =
       registrations;
     deliver v;
     Validator.flush v;
+    (* Batch counters record how the stream was cut; every other
+       counter must not notice. *)
     ( Run.fingerprint_of_validator v,
-      Validator.duplicate_count v,
-      Validator.late_count v,
-      Validator.straggler_count v )
+      List.filter
+        (fun (c, _) -> c <> Jury.Counter.Batch && c <> Batch_response)
+        (Validator.counters v) )
   in
   let per_event =
     drive ~shards:1 (fun v -> List.iter (Validator.deliver v) stream)
@@ -224,18 +225,14 @@ let batch_equivalence { case; _ } =
         List.iter (Validator.deliver_batch v) (chunk rng stream))
   in
   let sharded = drive ~shards:4 (fun v -> Validator.deliver_batch v stream) in
-  let compare_to label (fp', d', l', s') =
-    let fp, d, l, s = per_event in
+  let compare_to label (fp', counters') =
+    let fp, counters = per_event in
     match Run.diff_fingerprint fp fp' with
     | Some diff -> Some (Printf.sprintf "%s: %s" label diff)
     | None ->
-        if (d, l, s) <> (d', l', s') then
-          Some
-            (Printf.sprintf
-               "%s: dedup counters diverged (dup %d vs %d, late %d vs %d, \
-                stragglers %d vs %d)"
-               label d d' l l' s s')
-        else None
+        Option.map
+          (Printf.sprintf "%s: counters diverged: %s" label)
+          (Run.diff_counters counters counters')
   in
   match
     List.filter_map Fun.id
@@ -313,10 +310,8 @@ let pipeline_jobs_independence { case; execute; _ } =
   in
   let strip (o : Run.outcome) = { o.Run.fp with Run.report = "" } in
   let conserved (o : Run.outcome) =
-    ( o.Run.pending_after_flush, o.Run.duplicates, o.Run.late,
-      o.Run.stragglers, o.Run.batches, o.Run.batched_responses,
-      o.Run.epoch, o.Run.totals, o.Run.obs_decided, o.Run.obs_batches,
-      o.Run.obs_channel_sent )
+    ( o.Run.pending_after_flush, o.Run.counters, o.Run.epoch, o.Run.totals,
+      o.Run.obs_counters, o.Run.obs_channel_sent )
   in
   let serial = execute ~pipeline_jobs:1 trimmed in
   let against jobs =
@@ -359,7 +354,7 @@ let channel_conservation { case; base; _ } =
            "channel totals disagree with the per-link sum");
           (case.Case.retries > 0 || o.Run.totals.Jury.Channel.retransmitted = 0,
            "retransmissions recorded with retransmit disabled");
-          (case.Case.retries > 0 || o.Run.retransmits = 0,
+          (case.Case.retries > 0 || Run.count o Retransmit = 0,
            "validator retransmit count nonzero with retransmit disabled") ]
 
 let zero_loss_identity { case; base; execute } =
@@ -378,18 +373,10 @@ let zero_loss_identity { case; base; execute } =
 let obs_consistency { base; _ } =
   let o = Lazy.force base in
   all_pass
-    [ (o.Run.obs_decided = o.Run.fp.Run.decided,
-       Printf.sprintf "obs shard decided sum %d <> decided %d"
-         o.Run.obs_decided o.Run.fp.Run.decided);
-      (o.Run.obs_batches = o.Run.batches,
-       Printf.sprintf "obs batches sum %d <> batch count %d" o.Run.obs_batches
-         o.Run.batches);
-      (o.Run.obs_overloads = o.Run.fp.Run.overload,
-       Printf.sprintf "obs overload sum %d <> overload count %d"
-         o.Run.obs_overloads o.Run.fp.Run.overload);
-      (o.Run.obs_retransmits = o.Run.retransmits,
-       Printf.sprintf "obs retransmit sum %d <> retransmit count %d"
-         o.Run.obs_retransmits o.Run.retransmits);
+    [ (o.Run.obs_counters = o.Run.counters,
+       Printf.sprintf "obs shard sums disagree with the validator: %s"
+         (Option.value ~default:""
+            (Run.diff_counters o.Run.obs_counters o.Run.counters)));
       (o.Run.obs_epoch = o.Run.epoch,
        Printf.sprintf "obs epoch %d <> current epoch %d" o.Run.obs_epoch
          o.Run.epoch);

@@ -1,13 +1,10 @@
 open Jury_sim
 module Validator = Jury.Validator
+module Counter = Jury.Counter
 module Injector = Jury_faults.Injector
 
 type fingerprint = {
-  decided : int;
-  faults : int;
-  unverifiable : int;
-  degraded : int;
-  overload : int;
+  verdict_counts : (Counter.t * int) list;
   verdict_lines : string list;
   report : string;
 }
@@ -17,23 +14,20 @@ type outcome = {
   pending_after_flush : int;
   alarm_count : int;
   detection_count : int;
-  duplicates : int;
-  late : int;
-  retransmits : int;
-  stragglers : int;
-  batches : int;
-  batched_responses : int;
+  counters : (Counter.t * int) list;
   shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
-  obs_decided : int;
-  obs_batches : int;
-  obs_overloads : int;
-  obs_retransmits : int;
+  obs_counters : (Counter.t * int) list;
   obs_epoch : int;
   obs_channel_sent : int;
 }
+
+let verdict_counters =
+  Counter.[ Decided; Faulty; Unverifiable; Degraded; Overload ]
+
+let count o c = List.assoc c o.counters
 
 let verdict_line (a : Jury.Alarm.t) =
   Printf.sprintf "%s|%s|%s|%s|%d|%d"
@@ -46,29 +40,25 @@ let verdict_line (a : Jury.Alarm.t) =
 
 let fingerprint_of_validator v =
   let verdicts = Validator.verdicts v in
-  { decided = Validator.decided_count v;
-    faults = Validator.fault_count v;
-    unverifiable = Validator.unverifiable_count v;
-    degraded = Validator.degraded_count v;
-    overload = Validator.overload_count v;
+  { verdict_counts =
+      List.map (fun c -> (c, Validator.count v c)) verdict_counters;
     verdict_lines = List.sort compare (List.map verdict_line verdicts);
     report = Jury.Report.to_string (Jury.Report.of_validator v) }
 
 let fingerprint_equal a b = a = b
 
+let diff_counters a b =
+  List.find_map
+    (fun (c, n) ->
+      let m = List.assoc c b in
+      if n = m then None
+      else Some (Printf.sprintf "%s %d vs %d" (Counter.name c) n m))
+    a
+
 let diff_fingerprint a b =
   if a = b then None
-  else if a.decided <> b.decided then
-    Some (Printf.sprintf "decided %d vs %d" a.decided b.decided)
-  else if a.faults <> b.faults then
-    Some (Printf.sprintf "faults %d vs %d" a.faults b.faults)
-  else if a.unverifiable <> b.unverifiable then
-    Some
-      (Printf.sprintf "unverifiable %d vs %d" a.unverifiable b.unverifiable)
-  else if a.degraded <> b.degraded then
-    Some (Printf.sprintf "degraded %d vs %d" a.degraded b.degraded)
-  else if a.overload <> b.overload then
-    Some (Printf.sprintf "overload %d vs %d" a.overload b.overload)
+  else if a.verdict_counts <> b.verdict_counts then
+    diff_counters a.verdict_counts b.verdict_counts
   else if a.verdict_lines <> b.verdict_lines then
     let rec first_diff i xs ys =
       match (xs, ys) with
@@ -183,10 +173,13 @@ let run_workload (case : Case.t) network ~rng ~duration =
         ~dpid:slot.Jury_topo.Builder.dpid ~burst:25 ~burst_gap:(Time.ms 10)
         ~duration
 
-let metrics_sum metrics ~shards fmt =
+let metrics_sum metrics ~shards c =
   let total = ref 0 in
   for i = 0 to shards - 1 do
-    total := !total + Metrics.count metrics (Printf.sprintf fmt i)
+    total :=
+      !total
+      + Metrics.count metrics
+          (Printf.sprintf "validator/shard%d/%s" i (Counter.name c))
   done;
   !total
 
@@ -245,24 +238,15 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us
     pending_after_flush = Validator.pending_count validator;
     alarm_count = List.length (Validator.alarms validator);
     detection_count = Array.length (Validator.detection_times_ms validator);
-    duplicates = Validator.duplicate_count validator;
-    late = Validator.late_count validator;
-    retransmits = Validator.retransmit_count validator;
-    stragglers = Validator.straggler_count validator;
-    batches = Validator.batch_count validator;
-    batched_responses = Validator.batched_response_count validator;
+    counters = Validator.counters validator;
     shard_count;
     epoch = Validator.current_epoch validator;
     links;
     totals = Jury.Deployment.channel_totals deployment;
-    obs_decided =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/decided";
-    obs_batches =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/batches";
-    obs_overloads =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/overloads";
-    obs_retransmits =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/retransmits";
+    obs_counters =
+      List.map
+        (fun c -> (c, metrics_sum metrics ~shards:shard_count c))
+        Counter.all;
     obs_epoch = Metrics.count metrics "validator/epoch";
     obs_channel_sent =
       List.fold_left

@@ -13,11 +13,10 @@
     sorted so the comparison is insensitive to the order in which
     shards fold their tables at flush time. *)
 type fingerprint = {
-  decided : int;
-  faults : int;
-  unverifiable : int;
-  degraded : int;
-  overload : int;
+  verdict_counts : (Jury.Counter.t * int) list;
+      (** decided, faulty, unverifiable, degraded and overload — not the
+          ingestion counters, which shard count and batching legitimately
+          change; those are in {!outcome} *)
   verdict_lines : string list;
       (** one canonical line per verdict (taint, verdict, primary,
           suspects, trigger and decision times), sorted *)
@@ -30,25 +29,25 @@ type outcome = {
   pending_after_flush : int;
   alarm_count : int;       (** [Validator.alarms] length *)
   detection_count : int;   (** [Validator.detection_times_ms] length *)
-  duplicates : int;
-  late : int;
-  retransmits : int;
-  stragglers : int;
-  batches : int;
-  batched_responses : int;
+  counters : (Jury.Counter.t * int) list;  (** {!Jury.Validator.counters} *)
   shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
   (* Obs_bridge cross-checks: the same counters read back through the
      metrics series the bridge records. *)
-  obs_decided : int;
-  obs_batches : int;
-  obs_overloads : int;
-  obs_retransmits : int;
+  obs_counters : (Jury.Counter.t * int) list;  (** per-shard sums *)
   obs_epoch : int;
   obs_channel_sent : int;
 }
+
+val count : outcome -> Jury.Counter.t -> int
+(** One of the outcome's validator counters. *)
+
+val diff_counters :
+  (Jury.Counter.t * int) list -> (Jury.Counter.t * int) list -> string option
+(** First counter whose values differ, as ["<name> <a> vs <b>"]; both
+    lists must name the same counters. *)
 
 val fingerprint_of_validator : Jury.Validator.t -> fingerprint
 (** Distil a validator's verdict state (used both by {!execute} and by

@@ -102,6 +102,25 @@ let response_wire_size (r : Response.t) =
 
 let trace_enabled t = Jury_obs.Trace.enabled (Engine.trace t.engine)
 
+(* Every feature that feeds verdict state back into the capture/channel
+   stage, or reads live cluster state from a replica, keeps validation
+   inline: the staged pipeline replays each shard on a detached
+   replica, fed one batch window at a time. *)
+let pipeline_blockers cfg =
+  let wide_batch =
+    match cfg.batch_window with
+    | Some w -> not Time.(w < cfg.timeout)
+    | None -> false
+  in
+  List.filter_map
+    (fun (blocked, name) -> if blocked then Some name else None)
+    [ (cfg.retransmit <> None, "retransmit");
+      (cfg.adaptive_timeout, "adaptive_timeout");
+      (cfg.max_inflight <> None, "max_inflight");
+      (Jury_policy.Engine.rule_count cfg.policies > 0, "policy rules");
+      (cfg.election <> None, "election");
+      (wide_batch, "batch window >= timeout") ]
+
 let trace_channel_event t ~taint ~phase ~node ~link event =
   if trace_enabled t then
     Jury_obs.Trace.point (Engine.trace t.engine)
@@ -603,20 +622,16 @@ let install cluster cfg =
   let validator = Validator.create engine validator_cfg in
   let t = { t with validator } in
   (* Staged pipeline: only when the run can be replayed exactly on
-     detached shard replicas. [config] already rejects the feature
-     conflicts, but literal-record constructors bypass it, and the
-     trace sink is only known now — so gate again here; an ineligible
-     config silently stays on the inline (oracle) path. [ack_peers]
-     reads nothing but the static cluster size, so sharing the closure
-     with replicas is domain-safe. *)
+     detached shard replicas. [Jury_config.make] already rejects the
+     blockers, but literal-record constructors bypass it, and the trace
+     sink is only known now — so gate again here; an ineligible config
+     silently stays on the inline (oracle) path. [ack_peers] reads
+     nothing but the static cluster size, so sharing the closure with
+     replicas is domain-safe. *)
   if
     cfg.pipeline_jobs > 1
     && cfg.batch_window <> None
-    && cfg.retransmit = None
-    && (not cfg.adaptive_timeout)
-    && cfg.max_inflight = None
-    && cfg.election = None
-    && Jury_policy.Engine.rule_count cfg.policies = 0
+    && pipeline_blockers cfg = []
     && not (trace_enabled t)
   then
     Stage.attach ~pool:(Jury_par.Pool.default ())

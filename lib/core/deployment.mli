@@ -74,6 +74,14 @@ type config = {
           live cluster state) *)
 }
 
+val pipeline_blockers : config -> string list
+(** The configured features the staged pipeline ([pipeline_jobs > 1])
+    excludes — ["retransmit"], ["adaptive_timeout"], ["max_inflight"],
+    ["policy rules"], ["election"], ["batch window >= timeout"] — in
+    that order; [[]] when the config may pipeline. The one statement of the rule:
+    {!Jury_config.make} rejects a pipelined config listing all of
+    them, and {!install} keeps such a config inline. *)
+
 type t
 
 val install : Cluster.t -> config -> t

@@ -78,54 +78,43 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
   | _ -> ());
   if pipeline_jobs < 1 then
     invalid_arg "Jury_config.make: pipeline_jobs must be >= 1";
-  (* The staged pipeline runs validation off the main domain; every
-     feature that feeds verdict state back into the capture/channel
-     stage (or reads live cluster state from a replica) is rejected
-     up front rather than silently degraded. *)
+  (* The staged pipeline only ingests per-tick batches. *)
   let batch =
-    if pipeline_jobs > 1 then begin
-      if retransmit <> None then
-        invalid_arg "Jury_config.make: pipeline_jobs > 1 excludes retransmit";
-      if adaptive_timeout then
-        invalid_arg
-          "Jury_config.make: pipeline_jobs > 1 excludes adaptive_timeout";
-      if max_inflight <> None then
-        invalid_arg "Jury_config.make: pipeline_jobs > 1 excludes max_inflight";
-      if Jury_policy.Engine.rule_count policies > 0 then
-        invalid_arg "Jury_config.make: pipeline_jobs > 1 excludes policy rules";
-      if election <> None then
-        invalid_arg "Jury_config.make: pipeline_jobs > 1 excludes election";
-      let batch = match batch with None -> Time.us 200 | Some w -> w in
-      if not Time.(batch < timeout) then
-        invalid_arg
-          "Jury_config.make: pipeline batch window must be below the \
-           validation timeout";
-      Some batch
-    end
-    else batch
+    if pipeline_jobs > 1 && batch = None then Some (Time.us 200) else batch
   in
-  { Deployment.k;
-    timeout;
-    adaptive_timeout;
-    state_aware;
-    nondet_rule;
-    random_secondaries;
-    policies;
-    validator_latency = Time.us 120;
-    validator_jitter_us;
-    replication_latency = Time.us 200;
-    replication_jitter_us;
-    chatter_cost = Time.us 13;
-    chatter_bytes = 96;
-    encapsulation;
-    channel;
-    retransmit;
-    degraded_quorum;
-    shards = Validator.shards_of_hint shards;
-    max_inflight;
-    batch_window = batch;
-    pipeline_jobs;
-    election }
+  let cfg =
+    { Deployment.k;
+      timeout;
+      adaptive_timeout;
+      state_aware;
+      nondet_rule;
+      random_secondaries;
+      policies;
+      validator_latency = Time.us 120;
+      validator_jitter_us;
+      replication_latency = Time.us 200;
+      replication_jitter_us;
+      chatter_cost = Time.us 13;
+      chatter_bytes = 96;
+      encapsulation;
+      channel;
+      retransmit;
+      degraded_quorum;
+      shards = Validator.shards_of_hint shards;
+      max_inflight;
+      batch_window = batch;
+      pipeline_jobs;
+      election }
+  in
+  (* Rejected up front, every conflict at once, rather than silently
+     degraded to the inline path. *)
+  (match Deployment.pipeline_blockers cfg with
+  | _ :: _ as blockers when pipeline_jobs > 1 ->
+      invalid_arg
+        ("Jury_config.make: pipeline_jobs > 1 excludes "
+        ^ String.concat ", " blockers)
+  | _ -> ());
+  cfg
 
 let deployment t = t
 

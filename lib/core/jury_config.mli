@@ -66,11 +66,13 @@ val make :
 
     [pipeline_jobs] (default 1) > 1 runs validation as a staged
     pipeline over the domain pool (see {!Stage} and DESIGN.md
-    "Staged validation pipeline"): raises [Invalid_argument] when
-    combined with [retransmit], [adaptive_timeout], [max_inflight] or
-    a non-empty [policies] set; defaults [batch] to 200 µs when unset
-    and requires it below the timeout. [pipeline_jobs:1] is the serial
-    oracle path, byte-identical to the seed.
+    "Staged validation pipeline"). It defaults [batch] to 200 µs when
+    unset; combined with any of {!Deployment.pipeline_blockers}
+    ([retransmit], [adaptive_timeout], [max_inflight], a non-empty
+    [policies] set, [election], a [batch] window not below the
+    timeout) it raises one [Invalid_argument] naming every one of
+    them. [pipeline_jobs:1] is the serial oracle path, byte-identical
+    to the seed.
 
     [election] (default [None]) enables dynamic master election and
     mid-run failover re-attribution — see the [election] field of

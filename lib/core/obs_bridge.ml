@@ -18,21 +18,18 @@ let record_phase_series ?(prefix = "span/") trace metrics =
     roots
 
 let record_validator_shards ?(prefix = "validator/") v metrics =
-  List.iter
-    (fun (s : Validator.shard_stats) ->
-      let bump field v =
-        Metrics.incr metrics ~by:v
-          (Printf.sprintf "%sshard%d/%s" prefix s.Validator.shard_index field)
-      in
-      bump "pending" s.Validator.shard_pending;
-      bump "decided" s.Validator.shard_decided;
-      bump "faults" s.Validator.shard_faults;
-      bump "batches" s.Validator.shard_batches;
-      bump "batch-responses" s.Validator.shard_batch_responses;
-      bump "overloads" s.Validator.shard_overloads;
-      bump "retransmits" s.Validator.shard_retransmits;
-      bump "live-epochs" s.Validator.shard_live_epochs)
-    (Validator.shard_stats v);
+  for shard = 0 to Validator.shard_count v - 1 do
+    let bump field n =
+      Metrics.incr metrics ~by:n
+        (Printf.sprintf "%sshard%d/%s" prefix shard field)
+    in
+    let pending, live_epochs = Validator.shard_gauges v ~shard in
+    bump "pending" pending;
+    bump "live-epochs" live_epochs;
+    List.iter
+      (fun c -> bump (Counter.name c) (Validator.count ~shard v c))
+      Counter.all
+  done;
   Metrics.incr metrics ~by:(Validator.current_epoch v) (prefix ^ "epoch")
 
 let record_channel_counters ?(prefix = "channel/") stats metrics =

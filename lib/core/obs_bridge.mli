@@ -16,11 +16,10 @@ val record_phase_series :
 
 val record_validator_shards :
   ?prefix:string -> Validator.t -> Jury_sim.Metrics.t -> unit
-(** Bump one metrics counter per shard per field
-    ([prefix ^ "shard<i>/pending"], ["/decided"], ["/faults"],
-    ["/batches"], ["/batch-responses"], ["/overloads"],
-    ["/retransmits"], ["/live-epochs"]) plus the current registration
-    epoch under [prefix ^ "epoch"], from {!Validator.shard_stats}.
+(** Bump one metrics counter per shard per {!Counter.t}
+    ([prefix ^ "shard<i>/" ^ Counter.name c], e.g. ["/decided"],
+    ["/batches"]) and per shard gauge (["/pending"], ["/live-epochs"]),
+    plus the current registration epoch under [prefix ^ "epoch"].
     [prefix] defaults to ["validator/"]. *)
 
 val record_channel_counters :

@@ -25,8 +25,8 @@ let bump tbl key f init =
   | Some v -> Hashtbl.replace tbl key (f v)
   | None -> Hashtbl.replace tbl key (f init)
 
-let of_verdicts ~decided ~ok ~non_deterministic ~unverifiable ~degraded
-    ~overload verdicts =
+let of_validator v =
+  let verdicts = Validator.verdicts v in
   let faulty_alarms = List.filter Alarm.is_fault verdicts in
   let per_suspect = Hashtbl.create 8 in
   List.iter
@@ -71,46 +71,18 @@ let of_verdicts ~decided ~ok ~non_deterministic ~unverifiable ~degraded
                 (fun a -> Time.to_float_ms (Alarm.detection_time a))
                 vs))
   in
-  { decided;
-    ok;
-    non_deterministic;
-    unverifiable;
-    degraded;
-    overload;
+  let count verdict =
+    List.length (List.filter (fun a -> a.Alarm.verdict = verdict) verdicts)
+  in
+  { decided = Validator.decided_count v;
+    ok = count Alarm.Ok_valid;
+    non_deterministic = count Alarm.Ok_non_deterministic;
+    unverifiable = Validator.count v Unverifiable;
+    degraded = Validator.count v Degraded;
+    overload = Validator.count v Overload;
     faulty = List.length faulty_alarms;
     suspects;
     detection }
-
-let of_validator v =
-  let verdicts = Validator.verdicts v in
-  let count pred = List.length (List.filter pred verdicts) in
-  of_verdicts
-    ~decided:(Validator.decided_count v)
-    ~ok:(count (fun a -> a.Alarm.verdict = Alarm.Ok_valid))
-    ~non_deterministic:
-      (count (fun a -> a.Alarm.verdict = Alarm.Ok_non_deterministic))
-    ~unverifiable:(Validator.unverifiable_count v)
-    ~degraded:(Validator.degraded_count v)
-    ~overload:(Validator.overload_count v)
-    verdicts
-
-let of_alarms ~decided ~unverifiable alarms =
-  let faulty = List.length (List.filter Alarm.is_fault alarms) in
-  let degraded =
-    List.length
-      (List.filter
-         (fun (a : Alarm.t) -> a.Alarm.verdict = Alarm.Ok_degraded)
-         alarms)
-  in
-  let overload =
-    List.length
-      (List.filter
-         (fun (a : Alarm.t) -> a.Alarm.verdict = Alarm.Overload)
-         alarms)
-  in
-  of_verdicts ~decided
-    ~ok:(decided - faulty - unverifiable - degraded - overload)
-    ~non_deterministic:0 ~unverifiable ~degraded ~overload alarms
 
 let healthy t = t.faulty = 0
 

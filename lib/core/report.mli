@@ -31,10 +31,6 @@ type t = {
 val of_validator : Validator.t -> t
 (** Roll up everything the validator has decided so far. *)
 
-val of_alarms : decided:int -> unverifiable:int -> Alarm.t list -> t
-(** Build from a pre-filtered alarm list (e.g. one experiment window).
-    [decided] is the total verdict count the alarms were drawn from. *)
-
 val healthy : t -> bool
 (** No faulty verdicts at all. *)
 

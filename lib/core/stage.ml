@@ -16,8 +16,9 @@
    answers result queries as if it had done the work itself.
 
    Correctness leans on the eligibility gate in {!Deployment.install}:
-   no retransmissions, no adaptive timeout, no inflight cap, no policy
-   rules and no trace. Under those gates a replica never calls back
+   no {!Deployment.pipeline_blockers} (retransmissions, adaptive
+   timeout, inflight cap, policy rules, election) and no trace. Under
+   those gates a replica never calls back
    into main-domain state (the policy engine's [master_lookup] is the
    one cross-domain read, and {!Validator.run_policy} short-circuits
    it when no rules are installed), never feeds anything back into the

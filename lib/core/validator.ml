@@ -14,21 +14,6 @@ type retransmit = {
   max_retries : int;
 }
 
-(* Process-wide verdict tally across every validator on every domain —
-   the bench's per-experiment verdict counts come from deltas of this.
-   Verdicts are orders of magnitude rarer than simulation events, so a
-   shared atomic per decision is noise. *)
-let global_decided = Atomic.make 0
-let total_decided () = Atomic.get global_decided
-
-(* Same contract for the sharded-ingestion counters: per-shard batches
-   handed to [deliver_batch] and triggers force-expired at the
-   [max_inflight] high-water mark. *)
-let global_batches = Atomic.make 0
-let total_batches () = Atomic.get global_batches
-let global_overloads = Atomic.make 0
-let total_overloads () = Atomic.get global_overloads
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
@@ -68,30 +53,17 @@ type pending = {
 }
 
 (* One shard of verdict state: its own pending table, retransmission
-   timer wheel (the retry timers of its pendings, tracked by
-   [s_retry_armed]), epoch buckets and verdict counters. Taints hash to
+   timer wheel (the retry timers of its pendings, tracked by the
+   [Retry_armed] counter), epoch buckets and counters. Taints hash to
    a shard; with [shards = 1] everything lands in shard 0 and the data
    structures behave byte-for-byte like the historical flat table. *)
 type shard = {
-  index : int;
   pending : (string, pending) Hashtbl.t;
   epochs : (int, string list ref) Hashtbl.t;
       (* epoch -> keys registered in it, newest first. Decided keys stay
          as tombstones until the whole bucket retires — removal is a
          bulk drop of the bucket, not a per-key scan. *)
-  mutable s_decided : int;
-  mutable s_faults : int;
-  mutable s_unverifiable : int;
-  mutable s_degraded : int;
-  mutable s_overloads : int;
-  mutable s_duplicates : int;
-  mutable s_late : int;
-  mutable s_retransmits : int;
-  mutable s_retry_armed : int;
-  mutable s_reattributed : int;
-  mutable s_stragglers : int;
-  mutable s_batches : int;
-  mutable s_batch_responses : int;
+  counts : int array;  (* indexed by [Counter.index] *)
 }
 
 (* Hooks a staged-pipeline front end (Stage) installs on a validator:
@@ -120,7 +92,6 @@ type t = {
   mutable epoch_now : int;
   mutable verdicts : Alarm.t list;  (* newest first *)
   mutable alarm_handler : Alarm.t -> unit;
-  mutable verdict_handler : Alarm.t -> unit;
   mutable response_observers : (Response.t -> unit) list;
       (* newest first; reversed at dispatch so observers run in
          registration order without quadratic appends *)
@@ -135,28 +106,19 @@ type t = {
   mutable pipeline : pipeline_hooks option;
 }
 
-let make_shard index =
-  { index;
-    pending = Hashtbl.create 256;
+let make_shard () =
+  { pending = Hashtbl.create 256;
     epochs = Hashtbl.create 16;
-    s_decided = 0;
-    s_faults = 0;
-    s_unverifiable = 0;
-    s_degraded = 0;
-    s_overloads = 0;
-    s_duplicates = 0;
-    s_late = 0;
-    s_retransmits = 0;
-    s_retry_armed = 0;
-    s_reattributed = 0;
-    s_stragglers = 0;
-    s_batches = 0;
-    s_batch_responses = 0 }
+    counts = Array.make Counter.cardinal 0 }
+
+let add sh c n =
+  let i = Counter.index c in
+  sh.counts.(i) <- sh.counts.(i) + n
 
 let create engine cfg =
   { engine;
     cfg;
-    shards = Array.init cfg.shards make_shard;
+    shards = Array.init cfg.shards (fun _ -> make_shard ());
     flow_mirror = Hashtbl.create 256;
     epoch_length =
       (* Small enough epochs that the high-water mark always has a few
@@ -168,7 +130,6 @@ let create engine cfg =
     epoch_now = 0;
     verdicts = [];
     alarm_handler = (fun _ -> ());
-    verdict_handler = (fun _ -> ());
     response_observers = [];
     verdict_observers = [];
     retransmit_handler = (fun _ ~secondary:_ -> ());
@@ -206,7 +167,6 @@ let observe_completion_latency t latency =
   t.rtt_samples <- t.rtt_samples + 1
 
 let set_alarm_handler t f = t.alarm_handler <- f
-let set_verdict_handler t f = t.verdict_handler <- f
 let set_retransmit_handler t f = t.retransmit_handler <- f
 let on_response t f = t.response_observers <- f :: t.response_observers
 let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
@@ -696,11 +656,11 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   (match p.retry_timer with
   | Some h ->
       Engine.cancel h;
-      sh.s_retry_armed <- sh.s_retry_armed - 1
+      add sh Retry_armed (-1)
   | None -> ());
   p.retry_timer <- None;
   let stragglers = stragglers p in
-  sh.s_stragglers <- sh.s_stragglers + List.length stragglers;
+  add sh Straggler (List.length stragglers);
   Hashtbl.remove sh.pending (Types.Taint.to_string p.taint);
   let alarm =
     { Alarm.taint = p.taint;
@@ -740,19 +700,15 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
        [ ("verdict", Alarm.verdict_name verdict) ]
    end);
   t.verdicts <- alarm :: t.verdicts;
-  sh.s_decided <- sh.s_decided + 1;
-  ignore (Atomic.fetch_and_add global_decided 1);
+  add sh Decided 1;
   (match verdict with
   | Alarm.Faulty _ ->
-      sh.s_faults <- sh.s_faults + 1;
+      add sh Faulty 1;
       t.alarm_handler alarm
-  | Alarm.Ok_unverifiable -> sh.s_unverifiable <- sh.s_unverifiable + 1
-  | Alarm.Ok_degraded -> sh.s_degraded <- sh.s_degraded + 1
-  | Alarm.Overload ->
-      sh.s_overloads <- sh.s_overloads + 1;
-      ignore (Atomic.fetch_and_add global_overloads 1)
+  | Alarm.Ok_unverifiable -> add sh Unverifiable 1
+  | Alarm.Ok_degraded -> add sh Degraded 1
+  | Alarm.Overload -> add sh Overload 1
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
-  t.verdict_handler alarm;
   List.iter (fun f -> f alarm) (List.rev t.verdict_observers)
 
 let evaluate t p ~timed_out =
@@ -967,7 +923,7 @@ let retry_delay t (rt : retransmit) round =
   Time.of_float_ms (theta *. rt.fraction *. (rt.backoff ** float_of_int round))
 
 let rec arm_retry t p rt =
-  t.shards.(p.shard).s_retry_armed <- t.shards.(p.shard).s_retry_armed + 1;
+  add t.shards.(p.shard) Retry_armed 1;
   p.retry_timer <-
     Some
       (Engine.schedule t.engine
@@ -977,14 +933,14 @@ let rec arm_retry t p rt =
 and fire_retry t p (rt : retransmit) =
   let sh = t.shards.(p.shard) in
   p.retry_timer <- None;
-  sh.s_retry_armed <- sh.s_retry_armed - 1;
+  add sh Retry_armed (-1);
   if not p.decided then begin
     match stragglers p with
     | [] -> () (* everyone answered; no more retries needed *)
     | missing ->
         List.iter
           (fun secondary ->
-            sh.s_retransmits <- sh.s_retransmits + 1;
+            add sh Retransmit 1;
             t.retransmit_handler p.taint ~secondary)
           missing;
         p.retry_round <- p.retry_round + 1;
@@ -1076,6 +1032,25 @@ let note_registration t shard key =
   | None -> Hashtbl.add sh.epochs epoch (ref [ key ]));
   epoch
 
+let add_pending t ~key ~shard ~taint ~at ~primary ~secondaries =
+  let epoch = note_registration t shard key in
+  let p =
+    { taint;
+      shard;
+      epoch;
+      trigger_at = at;
+      primary;
+      term = t.cfg.term_lookup ();
+      secondaries;
+      responses = [];
+      timer = None;
+      decided = false;
+      retry_round = 0;
+      retry_timer = None }
+  in
+  Hashtbl.add t.shards.(shard).pending key p;
+  p
+
 let get_pending t taint =
   let key = Types.Taint.to_string taint in
   let shard = shard_of t key in
@@ -1085,25 +1060,10 @@ let get_pending t taint =
       if Types.Taint.is_external taint then None
         (* external triggers must be registered by the replicator; a
            stray tainted response after decision is dropped *)
-      else begin
-        let epoch = note_registration t shard key in
-        let p =
-          { taint;
-            shard;
-            epoch;
-            trigger_at = Engine.now t.engine;
-            primary = None;
-            term = t.cfg.term_lookup ();
-            secondaries = [];
-            responses = [];
-            timer = None;
-            decided = false;
-            retry_round = 0;
-            retry_timer = None }
-        in
-        Hashtbl.add t.shards.(shard).pending key p;
-        Some p
-      end
+      else
+        Some
+          (add_pending t ~key ~shard ~taint ~at:(Engine.now t.engine)
+             ~primary:None ~secondaries:[])
 
 let register_external t ~taint ~at ~primary ~secondaries =
   match t.pipeline with
@@ -1112,22 +1072,10 @@ let register_external t ~taint ~at ~primary ~secondaries =
   let key = Types.Taint.to_string taint in
   let shard = shard_of t key in
   if not (Hashtbl.mem t.shards.(shard).pending key) then begin
-    let epoch = note_registration t shard key in
     let p =
-      { taint;
-        shard;
-        epoch;
-        trigger_at = at;
-        primary = Some primary;
-        term = t.cfg.term_lookup ();
-        secondaries;
-        responses = [];
-        timer = None;
-        decided = false;
-        retry_round = 0;
-        retry_timer = None }
+      add_pending t ~key ~shard ~taint ~at ~primary:(Some primary)
+        ~secondaries
     in
-    Hashtbl.add t.shards.(shard).pending key p;
     arm_timer t p;
     match t.cfg.retransmit with
     | Some rt when rt.max_retries > 0 && secondaries <> [] ->
@@ -1151,8 +1099,7 @@ let reattribute t ~taint ~primary ~term =
       (match p.timer with Some h -> Engine.cancel h | None -> ());
       p.timer <- None;
       arm_timer t p;
-      t.shards.(shard).s_reattributed <-
-        t.shards.(shard).s_reattributed + 1;
+      add t.shards.(shard) Reattributed 1;
       (let tr = Engine.trace t.engine in
        if Jury_obs.Trace.enabled tr then
          Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine) ~taint:key
@@ -1198,14 +1145,9 @@ let deliver_inline t (r : Response.t) =
   List.iter (fun f -> f r) (List.rev t.response_observers);
   update_flow_mirror t r;
   match get_pending t r.taint with
-  | None ->
-      let sh = t.shards.(shard_of t (Response.taint_key r)) in
-      sh.s_late <- sh.s_late + 1
+  | None -> add t.shards.(shard_of t (Response.taint_key r)) Late 1
   | Some p ->
-      if duplicate_response p r then begin
-        let sh = t.shards.(p.shard) in
-        sh.s_duplicates <- sh.s_duplicates + 1
-      end
+      if duplicate_response p r then add t.shards.(p.shard) Duplicate 1
       else if not p.decided then begin
         (if p.primary = None then
            match Types.Taint.primary_of r.taint with
@@ -1256,9 +1198,8 @@ let deliver_batch t rs =
           | bucket ->
               let sh = t.shards.(i) in
               let size = List.length bucket in
-              sh.s_batches <- sh.s_batches + 1;
-              sh.s_batch_responses <- sh.s_batch_responses + size;
-              ignore (Atomic.fetch_and_add global_batches 1);
+              add sh Batch 1;
+              add sh Batch_response size;
               (let tr = Engine.trace t.engine in
                if Jury_obs.Trace.enabled tr then
                  Jury_obs.Trace.global_point tr
@@ -1277,50 +1218,32 @@ let detection_times_ms t =
   |> List.map (fun a -> Time.to_float_ms (Alarm.detection_time a))
   |> Array.of_list
 
-let sum t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
-let decided_count t = sum t (fun sh -> sh.s_decided)
-let fault_count t = sum t (fun sh -> sh.s_faults)
+(* A loop, not a fold: reading a counter allocates nothing. *)
+let count ?shard t c =
+  let i = Counter.index c in
+  match shard with
+  | Some s -> t.shards.(s).counts.(i)
+  | None ->
+      let total = ref 0 in
+      for s = 0 to Array.length t.shards - 1 do
+        total := !total + t.shards.(s).counts.(i)
+      done;
+      !total
+
+let counters t = List.map (fun c -> (c, count t c)) Counter.all
+
+let shard_gauges t ~shard =
+  let sh = t.shards.(shard) in
+  (Hashtbl.length sh.pending, Hashtbl.length sh.epochs)
+
+let decided_count t = count t Decided
+let fault_count t = count t Faulty
 let pending_count t = inflight t
-let unverifiable_count t = sum t (fun sh -> sh.s_unverifiable)
-let degraded_count t = sum t (fun sh -> sh.s_degraded)
-let overload_count t = sum t (fun sh -> sh.s_overloads)
-let duplicate_count t = sum t (fun sh -> sh.s_duplicates)
-let late_count t = sum t (fun sh -> sh.s_late)
-let retransmit_count t = sum t (fun sh -> sh.s_retransmits)
-let reattributed_count t = sum t (fun sh -> sh.s_reattributed)
-let straggler_count t = sum t (fun sh -> sh.s_stragglers)
-let batch_count t = sum t (fun sh -> sh.s_batches)
-let batched_response_count t = sum t (fun sh -> sh.s_batch_responses)
+let batch_count t = count t Batch
+let late_count t = count t Late
+let duplicate_count t = count t Duplicate
+let straggler_count t = count t Straggler
 let current_epoch t = t.epoch_now
-
-type shard_stats = {
-  shard_index : int;
-  shard_pending : int;
-  shard_decided : int;
-  shard_faults : int;
-  shard_batches : int;
-  shard_batch_responses : int;
-  shard_overloads : int;
-  shard_retransmits : int;
-  shard_retry_armed : int;
-  shard_live_epochs : int;
-}
-
-let shard_stats t =
-  Array.to_list
-    (Array.map
-       (fun sh ->
-         { shard_index = sh.index;
-           shard_pending = Hashtbl.length sh.pending;
-           shard_decided = sh.s_decided;
-           shard_faults = sh.s_faults;
-           shard_batches = sh.s_batches;
-           shard_batch_responses = sh.s_batch_responses;
-           shard_overloads = sh.s_overloads;
-           shard_retransmits = sh.s_retransmits;
-           shard_retry_armed = sh.s_retry_armed;
-           shard_live_epochs = Hashtbl.length sh.epochs })
-       t.shards)
 
 (* --- staged-pipeline plumbing (see Stage) --- *)
 
@@ -1360,19 +1283,7 @@ let absorb_pipeline_shard t ~shard src =
   Hashtbl.iter
     (fun key p -> Hashtbl.replace dst.pending key { p with shard })
     s.pending;
-  dst.s_decided <- dst.s_decided + s.s_decided;
-  dst.s_faults <- dst.s_faults + s.s_faults;
-  dst.s_unverifiable <- dst.s_unverifiable + s.s_unverifiable;
-  dst.s_degraded <- dst.s_degraded + s.s_degraded;
-  dst.s_overloads <- dst.s_overloads + s.s_overloads;
-  dst.s_duplicates <- dst.s_duplicates + s.s_duplicates;
-  dst.s_late <- dst.s_late + s.s_late;
-  dst.s_retransmits <- dst.s_retransmits + s.s_retransmits;
-  dst.s_retry_armed <- dst.s_retry_armed + s.s_retry_armed;
-  dst.s_reattributed <- dst.s_reattributed + s.s_reattributed;
-  dst.s_stragglers <- dst.s_stragglers + s.s_stragglers;
-  dst.s_batches <- dst.s_batches + s.s_batches;
-  dst.s_batch_responses <- dst.s_batch_responses + s.s_batch_responses;
+  Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) s.counts;
   t.reg_count <- t.reg_count + src.reg_count;
   t.verdicts <- src.verdicts @ t.verdicts
 

@@ -113,9 +113,6 @@ val deliver_batch : t -> Response.t list -> unit
 val set_alarm_handler : t -> (Alarm.t -> unit) -> unit
 (** Called for every {e faulty} verdict, at decision time. *)
 
-val set_verdict_handler : t -> (Alarm.t -> unit) -> unit
-(** Called for every verdict, faulty or not. *)
-
 val set_retransmit_handler : t -> (Types.Taint.t -> secondary:int -> unit) -> unit
 (** Called once per straggling secondary per retry round when
     [config.retransmit] is set; the deployment re-replicates the stored
@@ -126,7 +123,7 @@ val on_response : t -> (Response.t -> unit) -> unit
     trail, metrics); observers never affect validation. *)
 
 val on_verdict : t -> (Alarm.t -> unit) -> unit
-(** Append a verdict observer (in addition to the handlers above). *)
+(** Append an observer called for every verdict, faulty or not. *)
 
 (** {1 Results} *)
 
@@ -139,61 +136,28 @@ val alarms : t -> Alarm.t list
 val detection_times_ms : t -> float array
 (** Detection time (trigger → decision) of every decided trigger, ms. *)
 
+val count : ?shard:int -> t -> Counter.t -> int
+(** A counter summed over shards, or one shard's value with [~shard].
+    Reading the sum allocates nothing. *)
+
+val counters : t -> (Counter.t * int) list
+(** Every counter, summed over shards, in {!Counter.all} order. *)
+
+(** Shorthands for {!count}, kept for existing callers. *)
+
 val decided_count : t -> int
 (** Verdicts reached so far ([= List.length (verdicts t)]). *)
-
-val total_decided : unit -> int
-(** Process-wide decided-verdict count, summed over every validator on
-    every domain (parallel experiment sweeps run one validator per pool
-    task). The bench records per-experiment deltas of this in its
-    [--json] output. *)
 
 val fault_count : t -> int
 (** Faulty verdicts ([= List.length (alarms t)]). *)
 
+val batch_count : t -> int
+val late_count : t -> int
+val duplicate_count : t -> int
+val straggler_count : t -> int
+
 val pending_count : t -> int
 (** Registered triggers not yet decided. *)
-
-val unverifiable_count : t -> int
-(** Verdicts decided [Ok_unverifiable] (identical-but-wrong k copies
-    cannot be distinguished from correct ones). *)
-
-val degraded_count : t -> int
-(** Triggers decided [Ok_degraded] (reduced quorum). *)
-
-val duplicate_count : t -> int
-(** Responses discarded as stale channel duplicates. *)
-
-val late_count : t -> int
-(** Responses that arrived after their trigger was already decided. *)
-
-val retransmit_count : t -> int
-(** Retransmission requests issued (per secondary, per round). *)
-
-val reattributed_count : t -> int
-(** In-flight triggers whose attribution moved to a new master after a
-    leadership change ({!reattribute}). *)
-
-val straggler_count : t -> int
-(** Secondary slots that never produced an execution response by
-    decision time, summed over all decided triggers. *)
-
-val overload_count : t -> int
-(** Triggers force-expired with an {!Alarm.Overload} verdict at the
-    [max_inflight] high-water mark, summed over shards. *)
-
-val batch_count : t -> int
-(** Per-shard batches ingested via {!deliver_batch}. *)
-
-val batched_response_count : t -> int
-(** Responses that arrived inside a {!deliver_batch} call. *)
-
-val total_batches : unit -> int
-(** Process-wide {!batch_count}, same contract as {!total_decided}. *)
-
-val total_overloads : unit -> int
-(** Process-wide {!overload_count}, same contract as
-    {!total_decided}. *)
 
 val current_epoch : t -> int
 (** The registration epoch currently being filled. *)
@@ -203,23 +167,10 @@ val current_epoch : t -> int
 val shard_count : t -> int
 (** Number of verdict-state shards ([config.shards]). *)
 
-type shard_stats = {
-  shard_index : int;
-  shard_pending : int;  (** in-flight triggers owned by this shard *)
-  shard_decided : int;
-  shard_faults : int;
-  shard_batches : int;
-  shard_batch_responses : int;
-  shard_overloads : int;
-  shard_retransmits : int;
-  shard_retry_armed : int;  (** retry timers live in this shard's wheel *)
-  shard_live_epochs : int;  (** epoch buckets not yet bulk-freed *)
-}
-
-val shard_stats : t -> shard_stats list
-(** One entry per shard, in shard order — the fan-out evidence the
-    bench's [--json] report and {!Obs_bridge.record_validator_shards}
-    surface. *)
+val shard_gauges : t -> shard:int -> int * int
+(** [(pending, live_epochs)] of one shard: its in-flight triggers and
+    its epoch buckets not yet bulk-freed. Its counters are
+    [count ~shard]. *)
 
 val flush : t -> unit
 (** Force-decide everything still pending (end of an experiment).

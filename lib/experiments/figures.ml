@@ -653,7 +653,7 @@ let lossy_channel ?pool ?(seed = 58) ?(duration = Time.sec 5) ?(rate = 3000.)
             a.Jury.Alarm.verdict = Jury.Alarm.Ok_unverifiable);
       c_degraded =
         count (fun a -> a.Jury.Alarm.verdict = Jury.Alarm.Ok_degraded);
-      c_retransmits = Jury.Validator.retransmit_count validator;
+      c_retransmits = Jury.Validator.count validator Retransmit;
       c_channel = Jury.Deployment.channel_totals deployment;
       c_detection =
         cdf_series_of ~label:mode (Setup.detection_times_since env ~since:t0) }
@@ -706,8 +706,7 @@ let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
 type scale_row = {
   vs_rate : float;
   vs_shards : int;
-  vs_decided : int;
-  vs_overloads : int;
+  vs_verdicts : int;
   vs_batches : int;
   vs_batched_responses : int;
   vs_shard_batches : int list;
@@ -740,15 +739,12 @@ let validator_scale ?pool ?(seed = 59) ?(duration = Time.sec 3)
       let decided, _, _ = Setup.verdict_stats_since env ~since:t0 in
       { vs_rate = rate;
         vs_shards = Jury.Validator.shard_count v;
-        vs_decided = decided;
-        vs_overloads = Jury.Validator.overload_count v;
+        vs_verdicts = decided;
         vs_batches = Jury.Validator.batch_count v;
-        vs_batched_responses = Jury.Validator.batched_response_count v;
+        vs_batched_responses = Jury.Validator.count v Batch_response;
         vs_shard_batches =
-          List.map
-            (fun (s : Jury.Validator.shard_stats) ->
-              s.Jury.Validator.shard_batches)
-            (Jury.Validator.shard_stats v);
+          List.init (Jury.Validator.shard_count v) (fun shard ->
+              Jury.Validator.count ~shard v Batch);
         vs_wall_s = wall;
         vs_verdicts_per_s =
           (if wall > 0. then float_of_int decided /. wall else 0.) })

@@ -207,8 +207,7 @@ val ablation_nondeterminism :
 type scale_row = {
   vs_rate : float;           (** offered PACKET_IN rate *)
   vs_shards : int;           (** normalised shard count *)
-  vs_decided : int;          (** verdicts decided during the window *)
-  vs_overloads : int;        (** triggers force-expired at [max_inflight] *)
+  vs_verdicts : int;          (** verdicts decided during the window *)
   vs_batches : int;          (** per-shard batches delivered *)
   vs_batched_responses : int;
   vs_shard_batches : int list;

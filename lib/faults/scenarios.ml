@@ -835,12 +835,15 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
      must strip (§IV-B) — keyed on the profile's decapsulation cost. *)
   let encapsulation = t.profile.Profile.decapsulation_cost_median_us > 0. in
   let channel = match channel with Some c -> c | None -> t.channel in
-  (* A scenario that ships policy rules or runs an election cannot
-     pipeline (T3 checks and live term lookups are excluded from the
-     staged path); keep such runs serial instead of rejecting a whole
-     matrix sweep over the flag. *)
+  (* A scenario whose own features block the staged path (policy
+     rules, an election) stays serial instead of rejecting a whole
+     matrix sweep over the flag; conflicts the caller passes in are
+     still rejected by [make]. *)
   let pipeline_jobs =
-    if t.policy = None && t.election = None then pipeline_jobs else None
+    let own = Jury.Jury_config.make ~policies ?election:t.election () in
+    if Jury.Deployment.pipeline_blockers (Jury.Jury_config.deployment own) = []
+    then pipeline_jobs
+    else None
   in
   Jury.Jury_config.make ~k ~random_secondaries ~policies ~encapsulation
     ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum ?shards

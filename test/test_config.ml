@@ -1,12 +1,13 @@
 (* Tests for the Jury_config builder facade and the sharded/bounded
    validator state behind it: facade defaults must reproduce the
    literal seed record byte-for-byte, shard count must not change
-   verdicts, max_inflight must shed load as Overload verdicts, and the
-   process-wide counters must support per-run deltas. *)
+   verdicts, max_inflight must shed load as Overload verdicts, and no
+   counter may depend on what ran before or on the staged pipeline. *)
 
 open Jury_sim
 module Types = Jury_controller.Types
 module Validator = Jury.Validator
+module Counter = Jury.Counter
 module Response = Jury.Response
 module Snapshot = Jury.Snapshot
 
@@ -104,12 +105,11 @@ let test_batching_fans_out_across_shards () =
   check_int "faults identical under batching" f1 f4;
   check_bool "batches delivered" true (Validator.batch_count v4 > 0);
   check_int "every response batched"
-    (Validator.batched_response_count v1)
-    (Validator.batched_response_count v4);
+    (Validator.count v1 Batch_response)
+    (Validator.count v4 Batch_response);
   let busy_shards =
-    Validator.shard_stats v4
-    |> List.filter (fun (s : Validator.shard_stats) ->
-           s.Validator.shard_batches > 0)
+    List.init 4 (fun shard -> Validator.count ~shard v4 Batch)
+    |> List.filter (fun n -> n > 0)
     |> List.length
   in
   check_bool "batches spread over several shards" true (busy_shards > 1)
@@ -121,15 +121,15 @@ let register v ~serial =
     ~taint:(Types.Taint.external_trigger ~primary:0 ~serial)
     ~at:Time.zero ~primary:0 ~secondaries:[ 1; 2 ]
 
+let validator_cfg ?shards ?max_inflight () =
+  Jury.Jury_config.validator
+    ~ack_peers_of:(fun _ -> [])
+    (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?shards ?max_inflight
+       ())
+
 let bare_validator ?shards ?max_inflight () =
   let engine = Engine.create () in
-  let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?shards
-         ?max_inflight ())
-  in
-  (engine, Validator.create engine cfg)
+  (engine, Validator.create engine (validator_cfg ?shards ?max_inflight ()))
 
 let test_max_inflight_sheds_as_overload () =
   let _, v = bare_validator ~max_inflight:8 () in
@@ -138,35 +138,32 @@ let test_max_inflight_sheds_as_overload () =
   done;
   check_bool "inflight bounded near the high-water mark" true
     (Validator.pending_count v <= 16);
-  check_bool "overloads recorded" true (Validator.overload_count v > 0);
+  check_bool "overloads recorded" true (Validator.count v Overload > 0);
   let overload_verdicts =
     Validator.verdicts v
     |> List.filter (fun (a : Jury.Alarm.t) ->
            a.Jury.Alarm.verdict = Jury.Alarm.Overload)
   in
   check_int "counter matches Overload verdicts"
-    (Validator.overload_count v)
+    (Validator.count v Overload)
     (List.length overload_verdicts);
   check_int "everything is either pending, decided ok, or shed" 40
     (Validator.pending_count v + Validator.decided_count v)
 
+let response serial controller =
+  { Response.controller;
+    taint = Types.Taint.external_trigger ~primary:0 ~serial;
+    snapshot = Snapshot.pristine;
+    sent_at = Time.zero;
+    term = 0;
+    body =
+      Response.Execution
+        { role = (if controller = 0 then `Primary else `Secondary);
+          actions = [] } }
+
 let responses n =
-  List.concat_map
-    (fun serial ->
-      let taint = Types.Taint.external_trigger ~primary:0 ~serial in
-      List.map
-        (fun controller ->
-          { Response.controller;
-            taint;
-            snapshot = Snapshot.pristine;
-            sent_at = Time.zero;
-            term = 0;
-            body =
-              Response.Execution
-                { role = (if controller = 0 then `Primary else `Secondary);
-                  actions = [] } })
-        [ 0; 1; 2 ])
-    (List.init n (fun i -> i))
+  List.concat_map (fun serial -> List.map (response serial) [ 0; 1; 2 ])
+    (List.init n Fun.id)
 
 let test_deliver_batch_matches_per_event () =
   let run ~batched ~shards =
@@ -191,31 +188,83 @@ let test_deliver_batch_matches_per_event () =
   check_int "one batch per non-empty shard, single shard" 1
     (Validator.batch_count b);
   check_int "all responses counted as batched" 30
-    (Validator.batched_response_count b);
+    (Validator.count b Batch_response);
   check_bool "sharded batch split into per-shard sub-batches" true
     (Validator.batch_count c > 1)
 
-let test_process_counters_support_per_run_deltas () =
-  (* The bench's --json report computes per-experiment deltas of the
-     process-wide counters; two back-to-back runs must each account for
-     exactly their own work. *)
+let test_backtoback_runs_count_identically () =
+  (* Counters live in the validator, not the process: a second run
+     counts exactly what the first did. *)
   let run_once () =
     let _, v = bare_validator () in
     for serial = 0 to 4 do
       register v ~serial
     done;
     Validator.deliver_batch v (responses 5);
-    (Validator.decided_count v, Validator.batch_count v)
+    Validator.counters v
   in
-  let d0 = Validator.total_decided () and b0 = Validator.total_batches () in
-  let decided1, batches1 = run_once () in
-  let d1 = Validator.total_decided () and b1 = Validator.total_batches () in
-  check_int "first run's decided delta" decided1 (d1 - d0);
-  check_int "first run's batch delta" batches1 (b1 - b0);
-  let decided2, batches2 = run_once () in
-  let d2 = Validator.total_decided () and b2 = Validator.total_batches () in
-  check_int "second run's decided delta" decided2 (d2 - d1);
-  check_int "second run's batch delta" batches2 (b2 - b1)
+  let first = run_once () in
+  check_bool "batches counted" true (List.assoc Counter.Batch first > 0);
+  check_bool "identical counters" true (first = run_once ())
+
+let test_counter_slots () =
+  List.iteri
+    (fun i c -> check_int (Counter.name c) i (Counter.index c))
+    Counter.all
+
+let test_count_allocates_nothing () =
+  let _, v = bare_validator ~shards:4 () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Validator.count v Decided + Validator.decided_count v)
+  done;
+  check_bool "no words per read" true (Gc.minor_words () -. before < 100.)
+
+let test_pipeline_merge_keeps_every_counter () =
+  (* Every trigger hears from its primary (twice when even) and from
+     secondary 1; every third also hears from secondary 2, is decided at
+     once, and hears from it again a tick later (late). The rest time
+     out with secondary 2 straggling. The staged pipeline's merge must
+     carry every counter, not only the verdict counts. *)
+  let serials = List.init 12 Fun.id in
+  let every k s = s mod k = 0 in
+  let first_tick =
+    List.concat_map
+      (fun s ->
+        [ response s 0; response s 1 ]
+        @ (if every 2 s then [ response s 0 ] else [])
+        @ if every 3 s then [ response s 2 ] else [])
+      serials
+  in
+  let second_tick =
+    List.map (fun s -> response s 2) (List.filter (every 3) serials)
+  in
+  let run ~staged =
+    let engine = Engine.create () and cfg = validator_cfg ~shards:2 () in
+    let v = Validator.create engine cfg in
+    let pool = Jury_par.Pool.create ~jobs:2 () in
+    if staged then Jury.Stage.attach ~pool ~jobs:2 cfg v;
+    List.iter (fun serial -> register v ~serial) serials;
+    List.iter
+      (fun (ms, rs) ->
+        ignore
+          (Engine.schedule engine ~after:(Time.ms ms) (fun () ->
+               Validator.deliver_batch v rs)))
+      [ (1, first_tick); (2, second_tick) ];
+    Engine.run engine ~until:(Time.sec 1);
+    Validator.flush v;
+    Jury_par.Pool.shutdown pool;
+    Validator.counters v
+  in
+  let serial = run ~staged:false in
+  let staged = run ~staged:true in
+  List.iter
+    (fun c ->
+      check_bool (Counter.name c ^ " exercised") true (List.assoc c serial > 0))
+    Counter.[ Late; Duplicate; Straggler; Batch ];
+  List.iter2
+    (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
+    serial staged
 
 let test_obs_bridge_exports_shard_counters () =
   let _, v = bare_validator ~shards:2 () in
@@ -250,7 +299,16 @@ let test_make_validates () =
   check_bool "zero max_inflight rejected" true
     (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()));
   check_bool "shard hint rounded up" true
-    (Jury.Jury_config.shards (Jury.Jury_config.make ~shards:3 ()) = 4)
+    (Jury.Jury_config.shards (Jury.Jury_config.make ~shards:3 ()) = 4);
+  match
+    Jury.Jury_config.make ~pipeline_jobs:2
+      ~retransmit:(Jury.Jury_config.retransmit ())
+      ~election:(Jury.Jury_config.election ()) ()
+  with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "one error naming every pipeline blocker"
+        "Jury_config.make: pipeline_jobs > 1 excludes retransmit, election" msg
+  | _ -> Alcotest.fail "pipelined retransmit + election accepted"
 
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
@@ -263,8 +321,14 @@ let suite =
       test_max_inflight_sheds_as_overload;
     Alcotest.test_case "deliver_batch = per-event deliver" `Quick
       test_deliver_batch_matches_per_event;
-    Alcotest.test_case "process counters give per-run deltas" `Quick
-      test_process_counters_support_per_run_deltas;
+    Alcotest.test_case "back-to-back runs count identically" `Quick
+      test_backtoback_runs_count_identically;
+    Alcotest.test_case "counter slots follow Counter.all" `Quick
+      test_counter_slots;
+    Alcotest.test_case "count allocates nothing" `Quick
+      test_count_allocates_nothing;
+    Alcotest.test_case "pipeline merge keeps every counter" `Quick
+      test_pipeline_merge_keeps_every_counter;
     Alcotest.test_case "obs bridge exports shard counters" `Quick
       test_obs_bridge_exports_shard_counters;
     Alcotest.test_case "make validates its arguments" `Quick

@@ -164,8 +164,8 @@ let test_blind_fingerprints_pinned () =
               (String.concat "\n"
                  (Printf.sprintf
                     "decided=%d faults=%d overload=%d degraded=%d"
-                    fp.Run.decided fp.Run.faults fp.Run.overload
-                    fp.Run.degraded
+                    (Run.count o Decided) (Run.count o Faulty)
+                    (Run.count o Overload) (Run.count o Degraded)
                  :: fp.Run.verdict_lines)))))
     blind_pins
 

@@ -221,7 +221,7 @@ let test_validator_state_aware_excuses () =
   feed_cache_and_network v ~actions:good ~dpid:(Dpid.of_int 1);
   Engine.run engine;
   check_int "no fault" 0 (Validator.fault_count v);
-  check_int "counted unverifiable" 1 (Validator.unverifiable_count v)
+  check_int "counted unverifiable" 1 (Validator.count v Unverifiable)
 
 let test_validator_naive_majority_false_alarm () =
   (* Same scenario with state_aware=false: the naive engine flags the
@@ -505,7 +505,7 @@ let test_degraded_instead_of_timeout () =
   feed v;
   Engine.run engine;
   check_int "no faults" 0 (Validator.fault_count v);
-  check_int "decided degraded" 1 (Validator.degraded_count v);
+  check_int "decided degraded" 1 (Validator.count v Degraded);
   (match Validator.verdicts v with
   | [ a ] ->
       check_bool "ok-degraded verdict" true
@@ -527,7 +527,7 @@ let test_degraded_instead_of_timeout () =
   feed_cache_and_network v ~actions ~dpid;
   Engine.run engine;
   check_int "no faults (straggler)" 0 (Validator.fault_count v);
-  check_int "decided degraded (straggler)" 1 (Validator.degraded_count v);
+  check_int "decided degraded (straggler)" 1 (Validator.count v Degraded);
   check_int "straggler accounted" 1 (Validator.straggler_count v)
 
 let test_duplicate_response_not_double_counted () =
@@ -546,7 +546,7 @@ let test_duplicate_response_not_double_counted () =
     (Response.Execution { role = `Secondary; actions });
   Engine.run engine;
   check_int "stale duplicate discarded" 1 (Validator.duplicate_count v);
-  check_int "not decided degraded" 0 (Validator.degraded_count v);
+  check_int "not decided degraded" 0 (Validator.count v Degraded);
   check_bool "quorum not met by duplicate" true
     (match Validator.alarms v with
     | [ a ] -> (
@@ -576,7 +576,7 @@ let test_retransmit_backoff_and_cap () =
      backoff doubles the gap (60 ms), then the retry cap stops it. *)
   Alcotest.(check (list (pair (float 1e-6) int)))
     "backoff schedule" [ (20., 2); (60., 2) ] (List.rev !calls);
-  check_int "retransmit count" 2 (Validator.retransmit_count v)
+  check_int "retransmit count" 2 (Validator.count v Retransmit)
 
 let test_channel_counters_reconcile () =
   let module Channel = Jury.Channel in
@@ -782,7 +782,7 @@ let test_validator_reattribute () =
        ~primary:1 ~term:2);
   check_bool "reattributed" true
     (Validator.reattribute v ~taint ~primary:1 ~term:2);
-  check_int "counted" 1 (Validator.reattributed_count v);
+  check_int "counted" 1 (Validator.count v Reattributed);
   (* Node 1 answered as secondary before the failover, then again as
      the new primary; both must count (dedup is per role). *)
   deliver v ~controller:1 ~snapshot:snap
