@@ -52,7 +52,6 @@ module Common = struct
     shards : int;
     max_inflight : int option;
     batch : Time.t option;
-    pipeline_jobs : int;
   }
 
   let shards =
@@ -76,18 +75,11 @@ module Common = struct
 
   let batch_of_us = Option.map Time.of_float_us
 
-  let pipeline_jobs =
-    Arg.(value & opt int 1
-         & info [ "pipeline-jobs" ] ~docv:"N"
-             ~doc:"Intra-run parallelism: run validation as a staged \
-                   pipeline over N-1 consumer domains (1 = serial, seed \
-                   behaviour; results are identical whatever the value).")
-
   let tuning =
-    let mk shards max_inflight batch_us pipeline_jobs =
-      { shards; max_inflight; batch = batch_of_us batch_us; pipeline_jobs }
+    let mk shards max_inflight batch_us =
+      { shards; max_inflight; batch = batch_of_us batch_us }
     in
-    Term.(const mk $ shards $ max_inflight $ batch_us $ pipeline_jobs)
+    Term.(const mk $ shards $ max_inflight $ batch_us)
 
   (* Oracle selection is shared by `check --oracle` and `mc --oracle`;
      both resolve through the same name table, so the two subcommands
@@ -99,9 +91,9 @@ module Common = struct
          & info [ "oracle" ] ~docv:"SELECTOR"
              ~doc:"Restrict the battery to one oracle family \
                    ($(b,conservation), $(b,sharding), $(b,batching), \
-                   $(b,parallel), $(b,pipeline), $(b,channel), $(b,obs), \
-                   $(b,policy)) or one oracle by name; $(b,--oracle) with \
-                   an unknown selector lists every valid choice.")
+                   $(b,parallel), $(b,channel), $(b,obs), $(b,policy)) or \
+                   one oracle by name; $(b,--oracle) with an unknown \
+                   selector lists every valid choice.")
 
   let resolve_oracles = function
     | None -> Jury_check.Registry.all ()
@@ -146,8 +138,7 @@ let scenario_cmd =
           Jury_faults.Runner.run ~seed ~nodes ~k ~faulty ~switches
             ~shards:tuning.Common.shards
             ?max_inflight:tuning.Common.max_inflight
-            ?batch:tuning.Common.batch
-            ~pipeline_jobs:tuning.Common.pipeline_jobs scenario
+            ?batch:tuning.Common.batch scenario
         in
         Format.printf "%a@." Jury_faults.Runner.pp_report report;
         List.iter
@@ -289,7 +280,7 @@ let simulate_cmd =
         (Jury.Jury_config.make ~k ~channel ?retransmit ?degraded_quorum
            ~shards:tuning.Common.shards
            ?max_inflight:tuning.Common.max_inflight ?batch:tuning.Common.batch
-           ~pipeline_jobs:tuning.Common.pipeline_jobs ?election ())
+           ?election ())
     in
     let validator = Jury.Deployment.validator deployment in
     Jury_controller.Cluster.converge cluster;
@@ -301,7 +292,6 @@ let simulate_cmd =
       ~duration:(Time.sec duration);
     Jury_sim.Engine.run engine
       ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec (duration + 2)));
-    Jury.Validator.drain_pipeline validator;
     let report = Jury.Report.of_validator validator in
     print_string (Jury.Report.to_string report);
     if Jury_controller.Cluster.election_enabled cluster then
@@ -765,9 +755,8 @@ let check_cmd =
                channel and validator configuration), runs each through the \
                full deployment, and checks the oracle battery: verdict \
                conservation, shard-count independence, batching and \
-               serial/parallel equivalence, pipeline-job independence, \
-               channel counter conservation and observability \
-               consistency.";
+               serial/parallel equivalence, channel counter conservation \
+               and observability consistency.";
            `P "Case $(i,i) of a run with --seed $(i,s) is generated from \
                seed $(i,s+i); every failure report prints that per-case \
                seed, and $(b,check --cases 1 --seed) $(i,s+i) replays the \

@@ -128,7 +128,7 @@ let channel t =
   Jury.Jury_config.lossy_channel ~drop:t.drop ~duplicate:t.duplicate
     ~jitter_us:t.jitter_us ()
 
-let jury_config ?shards ?batch_us ?pipeline_jobs ?policies
+let jury_config ?shards ?batch_us ?policies
     ?(force_reliable = false) ?(deterministic = false) t =
   let shards = Option.value shards ~default:t.shards in
   let batch_us = Option.value batch_us ~default:t.batch_us in
@@ -144,20 +144,10 @@ let jury_config ?shards ?batch_us ?pipeline_jobs ?policies
       Some (Jury.Jury_config.retransmit ~max_retries:t.retries ())
     else None
   in
-  (* Asking for an explicit job count — including 1 — projects the case
-     onto the pipeline-eligible feature set, so that jobs=1 and jobs=N
-     runs of the same case are apples-to-apples: retransmission and the
-     in-flight cap are dropped, and batching is forced on (the staged
-     pipeline only ingests per-tick batches). *)
-  let retransmit, max_inflight, batch_us =
-    match pipeline_jobs with
-    | None -> (retransmit, t.max_inflight, batch_us)
-    | Some _ -> (None, None, Some (Option.value batch_us ~default:200))
-  in
   Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~channel ?retransmit
-    ?degraded_quorum:t.degraded_quorum ~shards ?max_inflight
+    ?degraded_quorum:t.degraded_quorum ~shards ?max_inflight:t.max_inflight
     ?batch:(Option.map Jury_sim.Time.us batch_us)
-    ?pipeline_jobs ?policies ~deterministic_latencies:deterministic ()
+    ?policies ~deterministic_latencies:deterministic ()
 
 (* --- rendering --- *)
 

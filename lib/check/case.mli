@@ -103,7 +103,7 @@ val channel : t -> Jury.Channel.profile
     [Jury_config.lossy_channel], so the knobs are validated). *)
 
 val jury_config :
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?shards:int -> ?batch_us:int option ->
   ?policies:Jury_policy.Engine.t ->
   ?force_reliable:bool -> ?deterministic:bool -> t ->
   Jury.Jury_config.t
@@ -115,11 +115,7 @@ val jury_config :
     explorer's jitter-free mode, see {!Jury.Jury_config.make}).
     [policies] supplies the (initially empty) live policy engine the
     [Add_rule] fault mutates mid-run; the default is an empty engine,
-    identical to the historical behaviour. [pipeline_jobs] —
-    {e including} [Some 1] — additionally projects the case onto the
-    staged pipeline's eligible feature set (retransmission off, no
-    in-flight cap, batching on, default 200 µs) so runs differing only
-    in the job count compare like for like. *)
+    identical to the historical behaviour. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary for failure reports. *)

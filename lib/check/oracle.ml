@@ -9,8 +9,7 @@ module Names = Jury_store.Cache_names
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
-  ?force_reliable:bool -> Case.t ->
+  ?shards:int -> ?batch_us:int option -> ?force_reliable:bool -> Case.t ->
   Run.outcome
 
 type ctx = { case : Case.t; execute : executor; base : Run.outcome Lazy.t }
@@ -19,8 +18,8 @@ let ctx_with ~execute case = { case; execute; base = lazy (execute case) }
 
 let ctx case =
   ctx_with case
-    ~execute:(fun ?shards ?batch_us ?pipeline_jobs ?force_reliable c ->
-      Run.execute ?shards ?batch_us ?pipeline_jobs ?force_reliable c)
+    ~execute:(fun ?shards ?batch_us ?force_reliable c ->
+      Run.execute ?shards ?batch_us ?force_reliable c)
 
 type t = {
   name : string;
@@ -112,10 +111,11 @@ let shard_independence { case; base; execute } =
 (* --- batching (synthetic stream against a bare validator) --------- *)
 
 (* A randomised but deterministic response stream: [case.triggers]
-   registered external triggers; per participant a response that may be
-   omitted or duplicated, with snapshots and planned actions drawn from
-   small pools so the consensus, non-determinism, unverifiable and
-   timeout paths all get exercised. *)
+   external triggers; per participant a response that may be omitted or
+   duplicated, with snapshots and planned actions drawn from small pools
+   so the consensus, non-determinism, unverifiable and timeout paths all
+   get exercised. Every seventh trigger is never registered, so its
+   responses find no pending record and count as late. *)
 let synthetic_stream (case : Case.t) =
   let rng = Rng.create (case.Case.case_seed lxor 0x5eed_beef) in
   let nodes = max 3 case.Case.nodes in
@@ -146,7 +146,8 @@ let synthetic_stream (case : Case.t) =
       Rng.sample_without_replacement rng (min case.Case.k (nodes - 1)) others
       |> List.sort compare
     in
-    registrations := (taint, primary, secondaries) :: !registrations;
+    if serial mod 7 <> 3 then
+      registrations := (taint, primary, secondaries) :: !registrations;
     let respond controller role =
       if Rng.bernoulli rng 0.85 then begin
         let snapshot = Rng.choice rng snapshots in
@@ -169,7 +170,9 @@ let synthetic_stream (case : Case.t) =
   Rng.shuffle rng stream;
   (List.rev !registrations, Array.to_list stream)
 
-let bare_validator (case : Case.t) ~shards =
+(* With [stage], a {!Jury.Stage} runs validation on shard replicas
+   owned by [stage]'s domains. *)
+let bare_validator ?stage (case : Case.t) ~shards =
   let engine = Engine.create ~seed:case.Case.case_seed () in
   let max_inflight =
     Option.map (fun _ -> max 2 (case.Case.triggers / 2)) case.Case.max_inflight
@@ -180,7 +183,9 @@ let bare_validator (case : Case.t) ~shards =
       (Jury.Jury_config.make ~k:case.Case.k ~timeout:(Time.ms 100) ~shards
          ?max_inflight ())
   in
-  Validator.create engine cfg
+  let v = Validator.create engine cfg in
+  Option.iter (fun pool -> Jury.Stage.attach ~pool ~jobs:2 cfg v) stage;
+  v
 
 let chunk sizes_rng stream =
   let rec go acc = function
@@ -199,8 +204,8 @@ let chunk sizes_rng stream =
 
 let batch_equivalence { case; _ } =
   let registrations, stream = synthetic_stream case in
-  let drive ~shards deliver =
-    let v = bare_validator case ~shards in
+  let drive ?stage ~shards deliver =
+    let v = bare_validator ?stage case ~shards in
     List.iter
       (fun (taint, primary, secondaries) ->
         Validator.register_external v ~taint ~at:Time.zero ~primary
@@ -225,6 +230,19 @@ let batch_equivalence { case; _ } =
         List.iter (Validator.deliver_batch v) (chunk rng stream))
   in
   let sharded = drive ~shards:4 (fun v -> Validator.deliver_batch v stream) in
+  (* Overload epochs are global, which the stage does not support. *)
+  let staged =
+    if case.Case.max_inflight <> None then None
+    else
+      (* Throwaway pool, shut down as in [parallel_identity]. *)
+      let pool = Jury_par.Pool.create ~jobs:2 () in
+      Fun.protect
+        ~finally:(fun () -> Jury_par.Pool.shutdown pool)
+        (fun () ->
+          Some
+            (drive ~stage:pool ~shards:4 (fun v ->
+                 Validator.deliver_batch v stream)))
+  in
   let compare_to label (fp', counters') =
     let fp, counters = per_event in
     match Run.diff_fingerprint fp fp' with
@@ -238,7 +256,8 @@ let batch_equivalence { case; _ } =
     List.filter_map Fun.id
       [ compare_to "one-batch" one_batch;
         compare_to "chunked" chunked;
-        compare_to "sharded-batch" sharded ]
+        compare_to "sharded-batch" sharded;
+        Option.bind staged (compare_to "staged-batch") ]
   with
   | [] -> Pass
   | msg :: _ -> Fail msg
@@ -278,56 +297,6 @@ let parallel_identity { case; execute; _ } =
     | _ -> Fail "sweep result lists have different lengths"
   in
   first_diff 0 (serial, parallel)
-
-(* --- pipeline ----------------------------------------------------- *)
-
-(* The staged pipeline's contract is that the job count is
-   unobservable: the same case at jobs 1 (the serial oracle path), 2
-   and 4 must yield the same verdict multiset and conserve every
-   channel and ingestion counter. [Run.execute ~pipeline_jobs]
-   projects the case onto the pipeline-eligible feature set — jobs=1
-   included, so all three runs share one configuration and differ only
-   in where validation executes. The rendered report is excluded from
-   the comparison: its suspect ranking breaks alarm-count ties in hash
-   order, which the shard merge may legitimately permute. *)
-let pipeline_jobs_independence { case; execute; _ } =
-  let trimmed =
-    { case with
-      Case.duration_ms = min case.Case.duration_ms 400;
-      rate = Float.min case.Case.rate 400.;
-      faults =
-        (* Add_rule is also dropped: the staged path excludes policy
-           rules by construction (the install-time gate sees an empty
-           engine), and a mid-run [add_rule] would mutate an engine
-           shared with detached shard replicas. The invariant under
-           test — job count unobservable — is about the pipeline, not
-           policy churn. *)
-        List.filter
-          (fun (f : Case.fault_event) ->
-            f.Case.at_ms <= 400
-            && match f.Case.action with Case.Add_rule _ -> false | _ -> true)
-          case.Case.faults }
-  in
-  let strip (o : Run.outcome) = { o.Run.fp with Run.report = "" } in
-  let conserved (o : Run.outcome) =
-    ( o.Run.pending_after_flush, o.Run.counters, o.Run.epoch, o.Run.totals,
-      o.Run.obs_counters, o.Run.obs_channel_sent )
-  in
-  let serial = execute ~pipeline_jobs:1 trimmed in
-  let against jobs =
-    let o = execute ~pipeline_jobs:jobs trimmed in
-    match Run.diff_fingerprint (strip serial) (strip o) with
-    | Some d -> Some (Printf.sprintf "jobs=1 vs jobs=%d: %s" jobs d)
-    | None ->
-        if conserved serial <> conserved o then
-          Some
-            (Printf.sprintf
-               "jobs=1 vs jobs=%d: channel/ingestion counters diverged" jobs)
-        else None
-  in
-  match List.filter_map against [ 2; 4 ] with
-  | [] -> Pass
-  | msg :: _ -> Fail msg
 
 (* --- channel ------------------------------------------------------ *)
 

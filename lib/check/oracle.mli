@@ -1,8 +1,7 @@
 (** The machine-checkable invariants each generated case is held to.
 
-    Oracles are grouped into eight families, one per soundness claim
-    the codebase accumulated over PR 1–4, the policy compiler and the
-    staged validation pipeline:
+    Oracles are grouped into seven families, one per soundness claim
+    the codebase accumulated over PR 1–4 and the policy compiler:
 
     - [conservation] — every registered trigger reaches exactly one
       verdict (or a counted retirement): after flush nothing is
@@ -16,17 +15,13 @@
     - [batching] — [deliver_batch] is equivalent to per-event
       [deliver]: a synthetic response stream (random registrations,
       omissions, duplicates, divergent snapshots and actions) drives a
-      bare validator to the same verdicts however it is chunked, and
-      whatever the shard count.
+      bare validator to the same verdicts however it is chunked,
+      whatever the shard count, and when a {!Jury.Stage} runs it on
+      shard replicas (skipped for cases with an in-flight cap, which
+      the stage does not support).
     - [parallel] — a mini-sweep of the case fanned out on a
       {!Jury_par.Pool} returns byte-identical results at [jobs = 1] and
       [jobs = 2].
-    - [pipeline] — intra-run parallelism is unobservable: the case
-      (projected onto the pipeline-eligible feature set, see
-      {!Case.jury_config}) yields the same verdict multiset and
-      conserved channel/ingestion counters at [pipeline_jobs] 1, 2
-      and 4; only the rendered report (whose suspect ranking breaks
-      ties in hash order) is outside the comparison.
     - [channel] — per-link counter conservation
       ([sent = delivered + dropped], retransmits only when configured),
       and on zero-loss cases, bit-identity with an explicit
@@ -56,8 +51,7 @@
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
-  ?force_reliable:bool -> Case.t ->
+  ?shards:int -> ?batch_us:int option -> ?force_reliable:bool -> Case.t ->
   Run.outcome
 (** How this battery run turns a case into an outcome; the optional
     axes mirror {!Run.execute}. *)
@@ -78,7 +72,7 @@ val ctx_with : execute:executor -> Case.t -> ctx
 
 type t = {
   name : string;    (** stable identifier, e.g. ["verdict-conservation"] *)
-  family : string;  (** one of the eight families above *)
+  family : string;  (** one of the seven families above *)
   doc : string;     (** one-line description, surfaced by the CLI *)
   check : ctx -> result;
 }
@@ -94,7 +88,6 @@ val replay_determinism : ctx -> result
 val shard_independence : ctx -> result
 val batch_equivalence : ctx -> result
 val parallel_identity : ctx -> result
-val pipeline_jobs_independence : ctx -> result
 val channel_conservation : ctx -> result
 val zero_loss_identity : ctx -> result
 val obs_consistency : ctx -> result

@@ -60,16 +60,11 @@ let () =
   register ~family:"batching" ~name:"batch-equivalence"
     ~doc:
       "deliver_batch is equivalent to per-event deliver on a synthetic \
-       response stream, however chunked and sharded"
+       response stream, however chunked, sharded or staged"
     Oracle.batch_equivalence;
   register ~family:"parallel" ~name:"serial-parallel-identity"
     ~doc:"a mini-sweep on the domain pool is byte-identical at jobs 1 and 2"
     Oracle.parallel_identity;
-  register ~family:"pipeline" ~name:"pipeline-jobs-independence"
-    ~doc:
-      "the staged pipeline's job count is unobservable: same verdict \
-       multiset and conserved counters at pipeline_jobs 1, 2 and 4"
-    Oracle.pipeline_jobs_independence;
   register ~family:"channel" ~name:"channel-conservation"
     ~doc:"per-link sent = delivered + dropped, retransmits only when configured"
     Oracle.channel_conservation;

@@ -184,14 +184,14 @@ let metrics_sum metrics ~shards c =
   !total
 
 let execute ?chooser ?(deterministic = false) ?shards ?batch_us
-    ?pipeline_jobs ?force_reliable ?trace (case : Case.t) =
+    ?force_reliable ?trace (case : Case.t) =
   (* Every run gets its own policy engine so [Add_rule] fault events
      mutate run-local state; an empty engine is what [Case.jury_config]
      would have built anyway, so blind runs are unaffected. *)
   let policies = Jury_policy.Engine.create [] in
   let config =
-    Case.jury_config ?shards ?batch_us ?pipeline_jobs ?force_reliable
-      ~policies ~deterministic case
+    Case.jury_config ?shards ?batch_us ?force_reliable ~policies
+      ~deterministic case
   in
   let engine = Engine.create ~seed:case.Case.case_seed () in
   Option.iter (fun tr -> Engine.set_trace engine tr) trace;

@@ -74,7 +74,7 @@ val diff_schedule_blind : fingerprint -> fingerprint -> string option
 
 val execute :
   ?chooser:Jury_sim.Engine.chooser -> ?deterministic:bool ->
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?shards:int -> ?batch_us:int option ->
   ?force_reliable:bool -> ?trace:Jury_obs.Trace.t -> Case.t ->
   outcome
 (** Run the case (optionally with one axis overridden, see
@@ -87,10 +87,7 @@ val execute :
     [deterministic] (default false) collapses every stochastic latency:
     {!Jury_controller.Profile.deterministic} on the controller profile
     and [deterministic_latencies] on the deployment. The explorer
-    requires both together. [pipeline_jobs] forwards to
-    {!Case.jury_config}, which also projects the case onto the
-    pipeline-eligible feature set — pass it on {e every} run being
-    compared, [1] included. [trace] attaches a causal-trace sink to
+    requires both together. [trace] attaches a causal-trace sink to
     the run's engine before anything is scheduled; trace emission draws
     no randomness, so an attached trace never perturbs the run —
     coverage extraction reads span phases from it without disturbing

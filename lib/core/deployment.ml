@@ -29,7 +29,6 @@ type config = {
   shards : int;
   max_inflight : int option;
   batch_window : Time.t option;
-  pipeline_jobs : int;
   election : Cluster.election_config option;
 }
 
@@ -80,10 +79,10 @@ let validator t = t.validator
 let cluster t = t.cluster
 let cfg t = t.cfg
 
-let ack_peers t origin =
-  let n = Cluster.nodes t.cluster in
-  let k = min t.cfg.k (n - 1) in
-  List.init k (fun i -> (origin + i + 1) mod n)
+let peers_of ~n ~k origin =
+  List.init (min k (n - 1)) (fun i -> (origin + i + 1) mod n)
+
+let ack_peers t origin = peers_of ~n:(Cluster.nodes t.cluster) ~k:t.cfg.k origin
 
 (* Bytes a response adds to JURY's own out-of-band traffic. Cache
    updates cost nothing here: the validator hosts a cache instance and
@@ -101,25 +100,6 @@ let response_wire_size (r : Response.t) =
   | Response.Write_failure { reason; _ } -> String.length reason
 
 let trace_enabled t = Jury_obs.Trace.enabled (Engine.trace t.engine)
-
-(* Every feature that feeds verdict state back into the capture/channel
-   stage, or reads live cluster state from a replica, keeps validation
-   inline: the staged pipeline replays each shard on a detached
-   replica, fed one batch window at a time. *)
-let pipeline_blockers cfg =
-  let wide_batch =
-    match cfg.batch_window with
-    | Some w -> not Time.(w < cfg.timeout)
-    | None -> false
-  in
-  List.filter_map
-    (fun (blocked, name) -> if blocked then Some name else None)
-    [ (cfg.retransmit <> None, "retransmit");
-      (cfg.adaptive_timeout, "adaptive_timeout");
-      (cfg.max_inflight <> None, "max_inflight");
-      (Jury_policy.Engine.rule_count cfg.policies > 0, "policy rules");
-      (cfg.election <> None, "election");
-      (wide_batch, "batch window >= timeout") ]
 
 let trace_channel_event t ~taint ~phase ~node ~link event =
   if trace_enabled t then
@@ -533,8 +513,7 @@ let install cluster cfg =
   let n = Cluster.nodes cluster in
   let profile = Cluster.profile cluster in
   let clustered = profile.Jury_controller.Profile.clustered in
-  (* Built as a record literal: the smart constructor is the deprecated
-     public entry point, and [cfg.shards] is already normalised. *)
+  (* Built as a record literal: [cfg.shards] is already normalised. *)
   let validator_cfg =
     { Validator.k = cfg.k;
       timeout = cfg.timeout;
@@ -550,7 +529,10 @@ let install cluster cfg =
       policies = cfg.policies;
       master_lookup = (fun dpid -> Some (Cluster.master_of cluster dpid));
       term_lookup = (fun () -> Cluster.current_term cluster);
-      ack_peers_of = (fun _ -> []);
+      (* Standalone fabrics never replicate, so no peer ack can ever
+         arrive — completeness would deadlock waiting for them. *)
+      ack_peers_of =
+        (if clustered then peers_of ~n ~k:cfg.k else fun _ -> []);
       retransmit = cfg.retransmit;
       degraded_quorum = cfg.degraded_quorum;
       shards = cfg.shards;
@@ -610,32 +592,6 @@ let install cluster cfg =
       replicated_triggers = 0;
       decap_samples = [] }
   in
-  (* ack_peers_of closes over t, so rebuild the validator config now
-     that t exists. Standalone fabrics never replicate, so no peer ack
-     can ever arrive — completeness would deadlock waiting for them;
-     the trivial ack set stays. *)
-  let validator_cfg =
-    if clustered then
-      { validator_cfg with Validator.ack_peers_of = (fun o -> ack_peers t o) }
-    else validator_cfg
-  in
-  let validator = Validator.create engine validator_cfg in
-  let t = { t with validator } in
-  (* Staged pipeline: only when the run can be replayed exactly on
-     detached shard replicas. [Jury_config.make] already rejects the
-     blockers, but literal-record constructors bypass it, and the trace
-     sink is only known now — so gate again here; an ineligible config
-     silently stays on the inline (oracle) path. [ack_peers] reads
-     nothing but the static cluster size, so sharing the closure with
-     replicas is domain-safe. *)
-  if
-    cfg.pipeline_jobs > 1
-    && cfg.batch_window <> None
-    && pipeline_blockers cfg = []
-    && not (trace_enabled t)
-  then
-    Stage.attach ~pool:(Jury_par.Pool.default ())
-      ~jobs:cfg.pipeline_jobs validator_cfg t.validator;
   (* The retransmission loop only exists when asked for: registering the
      handler and verdict observer is gated so a default configuration
      keeps the validator byte-for-byte on the seed's event schedule. *)

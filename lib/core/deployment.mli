@@ -53,14 +53,6 @@ type config = {
           accumulated for this long and handed to the validator as one
           per-shard batch; [None] = one {!Validator.deliver} per
           response (seed behaviour) *)
-  pipeline_jobs : int;
-      (** intra-run parallelism: when > 1, validation runs as a staged
-          pipeline over the {!Jury_par.Pool} domain pool ({!Stage}),
-          with up to [pipeline_jobs - 1] consumer domains draining
-          per-shard SPSC rings into shard-replica validators; 1 = the
-          serial (oracle) path, byte-identical to the seed. Pipelined
-          runs must call {!Validator.drain_pipeline} (or
-          {!Validator.flush}) before reading results *)
   election : Cluster.election_config option;
       (** when set, {!install} starts the cluster's deterministic
           master election ({!Cluster.enable_election}) and subscribes
@@ -69,18 +61,8 @@ type config = {
           master ({!Validator.reattribute}) and re-drives it there with
           the same taint, so validation continues across the leadership
           change instead of timing out. [None] = no election timer, no
-          listener — churn-free runs stay byte-identical to the seed.
-          Incompatible with [pipeline_jobs > 1] (the term lookup reads
-          live cluster state) *)
+          listener — churn-free runs stay byte-identical to the seed *)
 }
-
-val pipeline_blockers : config -> string list
-(** The configured features the staged pipeline ([pipeline_jobs > 1])
-    excludes — ["retransmit"], ["adaptive_timeout"], ["max_inflight"],
-    ["policy rules"], ["election"], ["batch window >= timeout"] — in
-    that order; [[]] when the config may pipeline. The one statement of the rule:
-    {!Jury_config.make} rejects a pipelined config listing all of
-    them, and {!install} keeps such a config inline. *)
 
 type t
 

@@ -32,8 +32,24 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?(nondet_rule = true) ?random_secondaries ?policies
     ?(encapsulation = false) ?channel ?drop ?duplicate ?jitter_us ?retransmit
     ?degraded_quorum ?(shards = 1) ?max_inflight ?batch
-    ?(deterministic_latencies = false) ?(pipeline_jobs = 1) ?election () =
-  if k < 0 then invalid_arg "Jury_config.make: k must be >= 0";
+    ?(deterministic_latencies = false) ?election () =
+  let below lo = Option.fold ~none:false ~some:(fun v -> v < lo) in
+  let inline_channel = drop <> None || duplicate <> None || jitter_us <> None in
+  (* Every range error at once, in one [Invalid_argument]. *)
+  (match
+     List.filter_map
+       (fun (bad, msg) -> if bad then Some msg else None)
+       [ (k < 0, "k must be >= 0");
+         (shards < 1, "shards must be >= 1");
+         (below 1 max_inflight, "max_inflight must be >= 1");
+         ( Option.fold ~none:false ~some:(fun w -> not Time.(w > zero)) batch,
+           "batch window must be positive" );
+         (below 1 degraded_quorum, "degraded_quorum must be >= 1");
+         ( Option.is_some channel && inline_channel,
+           "pass either ~channel or ~drop/~duplicate/~jitter_us, not both" ) ]
+   with
+  | [] -> ()
+  | errors -> invalid_arg ("Jury_config.make: " ^ String.concat "; " errors));
   let policies =
     match policies with Some p -> p | None -> Jury_policy.Engine.create []
   in
@@ -43,13 +59,10 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
      racing to build it). *)
   ignore (Jury_policy.Engine.compiled policies);
   let channel =
-    match (channel, drop, duplicate, jitter_us) with
-    | Some c, None, None, None -> c
-    | Some _, _, _, _ ->
-        invalid_arg
-          "Jury_config.make: pass either ~channel or ~drop/~duplicate/~jitter_us, not both"
-    | None, None, None, None -> Channel.reliable
-    | None, _, _, _ -> Channel.lossy ?drop ?duplicate ?jitter_us ()
+    match channel with
+    | Some c -> c
+    | None when inline_channel -> Channel.lossy ?drop ?duplicate ?jitter_us ()
+    | None -> Channel.reliable
   in
   (* Deterministic latencies pin both out-of-band links to their base
      delays (and skip their RNG draws entirely) and replace randomly
@@ -67,63 +80,32 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     | Some t -> t
     | None -> if encapsulation then Time.ms 800 else Time.ms 150
   in
-  if shards < 1 then invalid_arg "Jury_config.make: shards must be >= 1";
-  (match max_inflight with
-  | Some m when m < 1 ->
-      invalid_arg "Jury_config.make: max_inflight must be >= 1"
-  | _ -> ());
-  (match batch with
-  | Some w when not Time.(w > zero) ->
-      invalid_arg "Jury_config.make: batch window must be positive"
-  | _ -> ());
-  if pipeline_jobs < 1 then
-    invalid_arg "Jury_config.make: pipeline_jobs must be >= 1";
-  (* The staged pipeline only ingests per-tick batches. *)
-  let batch =
-    if pipeline_jobs > 1 && batch = None then Some (Time.us 200) else batch
-  in
-  let cfg =
-    { Deployment.k;
-      timeout;
-      adaptive_timeout;
-      state_aware;
-      nondet_rule;
-      random_secondaries;
-      policies;
-      validator_latency = Time.us 120;
-      validator_jitter_us;
-      replication_latency = Time.us 200;
-      replication_jitter_us;
-      chatter_cost = Time.us 13;
-      chatter_bytes = 96;
-      encapsulation;
-      channel;
-      retransmit;
-      degraded_quorum;
-      shards = Validator.shards_of_hint shards;
-      max_inflight;
-      batch_window = batch;
-      pipeline_jobs;
-      election }
-  in
-  (* Rejected up front, every conflict at once, rather than silently
-     degraded to the inline path. *)
-  (match Deployment.pipeline_blockers cfg with
-  | _ :: _ as blockers when pipeline_jobs > 1 ->
-      invalid_arg
-        ("Jury_config.make: pipeline_jobs > 1 excludes "
-        ^ String.concat ", " blockers)
-  | _ -> ());
-  cfg
+  { Deployment.k;
+    timeout;
+    adaptive_timeout;
+    state_aware;
+    nondet_rule;
+    random_secondaries;
+    policies;
+    validator_latency = Time.us 120;
+    validator_jitter_us;
+    replication_latency = Time.us 200;
+    replication_jitter_us;
+    chatter_cost = Time.us 13;
+    chatter_bytes = 96;
+    encapsulation;
+    channel;
+    retransmit;
+    degraded_quorum;
+    shards = Validator.shards_of_hint shards;
+    max_inflight;
+    batch_window = batch;
+    election }
 
 let deployment t = t
 
 let validator ?(min_timeout = Time.ms 10) ?(master_lookup = fun _ -> None)
     ?(term_lookup = fun () -> 0) ?(ack_peers_of = fun _ -> []) (t : t) =
-  (match t.Deployment.degraded_quorum with
-  | Some q when q < 1 ->
-      invalid_arg "Jury_config.validator: degraded_quorum must be >= 1"
-  | _ -> ());
   { Validator.k = t.Deployment.k;
     timeout = t.Deployment.timeout;
     adaptive_timeout = t.Deployment.adaptive_timeout;
@@ -147,5 +129,4 @@ let shards (t : t) = t.Deployment.shards
 let max_inflight (t : t) = t.Deployment.max_inflight
 let batch_window (t : t) = t.Deployment.batch_window
 let channel (t : t) = t.Deployment.channel
-let pipeline_jobs (t : t) = t.Deployment.pipeline_jobs
 let election_of (t : t) = t.Deployment.election

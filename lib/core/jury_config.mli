@@ -36,7 +36,6 @@ val make :
   ?max_inflight:int ->
   ?batch:Jury_sim.Time.t ->
   ?deterministic_latencies:bool ->
-  ?pipeline_jobs:int ->
   ?election:Jury_controller.Cluster.election_config ->
   unit -> t
 (** Defaults match the seed: k 2, timeout 150 ms (800 ms when
@@ -48,8 +47,10 @@ val make :
     The channel may be given either as a prebuilt [?channel] profile or
     inline via [?drop]/[?duplicate]/[?jitter_us] (validated through
     {!Channel.lossy}); passing both is an error. [shards] is a hint,
-    rounded up to the next power of two. Raises [Invalid_argument] on
-    any out-of-range value.
+    rounded up to the next power of two. Out-of-range [k], [shards],
+    [max_inflight], [batch] or [degraded_quorum] values and the
+    channel conflict are all reported together, in one
+    [Invalid_argument] naming every one.
 
     A [?policies] rule set is compiled here, once, into the
     {!Jury_policy.Compiled} decision structure the validator consults
@@ -64,20 +65,9 @@ val make :
     jitter-free; the [Jury_mc] schedule explorer requires such a
     configuration (see DESIGN.md).
 
-    [pipeline_jobs] (default 1) > 1 runs validation as a staged
-    pipeline over the domain pool (see {!Stage} and DESIGN.md
-    "Staged validation pipeline"). It defaults [batch] to 200 µs when
-    unset; combined with any of {!Deployment.pipeline_blockers}
-    ([retransmit], [adaptive_timeout], [max_inflight], a non-empty
-    [policies] set, [election], a [batch] window not below the
-    timeout) it raises one [Invalid_argument] naming every one of
-    them. [pipeline_jobs:1] is the serial oracle path, byte-identical
-    to the seed.
-
     [election] (default [None]) enables dynamic master election and
     mid-run failover re-attribution — see the [election] field of
-    {!Deployment.config} and {!election}. Rejected with
-    [pipeline_jobs > 1]. *)
+    {!Deployment.config} and {!election}. *)
 
 val retransmit :
   ?fraction:float -> ?backoff:float -> ?max_retries:int -> unit ->
@@ -136,9 +126,6 @@ val batch_window : t -> Jury_sim.Time.t option
 
 val channel : t -> Channel.profile
 (** Out-of-band channel profile the deployment will use. *)
-
-val pipeline_jobs : t -> int
-(** Intra-run pipeline parallelism (1 = serial oracle path). *)
 
 val election_of : t -> Jury_controller.Cluster.election_config option
 (** Election tuning, [None] when leadership is static. *)

@@ -3,7 +3,7 @@
    replicas owned by consumer domains, connected by one bounded SPSC
    ring per shard.
 
-   The facade validator the deployment created keeps receiving
+   The facade validator its caller created keeps receiving
    registrations and deliveries, but with hooks installed they are
    turned into queue items instead of touching its state. Each shard's
    items drain, in push order, into a single-shard replica validator
@@ -15,11 +15,10 @@
    merges every replica back into the facade, which from then on
    answers result queries as if it had done the work itself.
 
-   Correctness leans on the eligibility gate in {!Deployment.install}:
-   no {!Deployment.pipeline_blockers} (retransmissions, adaptive
-   timeout, inflight cap, policy rules, election) and no trace. Under
-   those gates a replica never calls back
-   into main-domain state (the policy engine's [master_lookup] is the
+   Correctness leans on the facade's config: no retransmissions,
+   adaptive timeout, inflight cap or policy rules, a constant term
+   lookup, and no trace. Under those conditions a replica never calls
+   back into main-domain state (the policy engine's [master_lookup] is the
    one cross-domain read, and {!Validator.run_policy} short-circuits
    it when no rules are installed), never feeds anything back into the
    channel, and never needs another shard's pending table. The only

@@ -69,7 +69,7 @@ type shard = {
 (* Hooks a staged-pipeline front end (Stage) installs on a validator:
    when set, registrations/deliveries/flushes are diverted to per-shard
    queues instead of touching this validator's own state, and the
-   pipeline merges its shard replicas back at [pl_flush]. *)
+   pipeline merges its shard replicas back at [pl_drain]. *)
 type pipeline_hooks = {
   pl_register :
     taint:Types.Taint.t -> at:Time.t -> primary:int ->
@@ -607,7 +607,7 @@ let run_policy t p ~origin ~external_ actions =
   (* With no rules installed no query can match; skip building the
      query records entirely. Besides being a hot-path win, this keeps
      the policy-free validator from consulting [master_lookup] — which
-     reads live cluster mastership — so pipelined shard replicas never
+     reads live cluster mastership — so staged shard replicas never
      touch main-domain state. *)
   if Jury_policy.Engine.rule_count t.cfg.policies = 0 then (ignore p; [])
   else
@@ -1251,18 +1251,15 @@ let set_pipeline_hooks t h = t.pipeline <- Some h
 let observe_mirror = update_flow_mirror
 let shard_of_key t key = shard_of t key
 
-let drain_pipeline t =
-  match t.pipeline with
+let flush t =
+  (match t.pipeline with
   | Some h ->
       (* Detach first: the stage merges its replicas back into [t] via
          {!absorb_pipeline_shard}, after which [t] answers result
          queries — and any further ingestion runs inline. *)
       t.pipeline <- None;
       h.pl_drain ~at:(Engine.now t.engine)
-  | None -> ()
-
-let flush t =
-  drain_pipeline t;
+  | None -> ());
   (* Shard 0 first, each shard folded like the seed's single table,
      so [shards = 1] flushes in the historical order. *)
   Array.iter

@@ -175,16 +175,18 @@ val shard_gauges : t -> shard:int -> int * int
 val flush : t -> unit
 (** Force-decide everything still pending (end of an experiment).
     Shards flush in index order; each shard's table is folded exactly
-    like the seed's single flat table. *)
+    like the seed's single flat table. On a staged validator it first
+    drains the stage and merges its replicas back (see
+    {!set_pipeline_hooks}). *)
 
 val current_timeout_value : t -> Jury_sim.Time.t
 (** The θτ a trigger registered now would get (adaptive or fixed). *)
 
 (** {1 Staged-pipeline plumbing}
 
-    Used by {!Stage} to run validation on shard-replica validators
-    owned by consumer domains while this validator stays the facade
-    the deployment and the experiment layer talk to. Not a general
+    Used by {!Stage} to run a bare validator's validation on
+    shard-replica validators owned by consumer domains while this
+    validator stays the facade its caller talks to. Not a general
     extension point: the hooks divert {!register_external},
     {!deliver}/{!deliver_batch} and {!flush} wholesale, and the stage
     merges replica state back with {!absorb_pipeline_shard} +
@@ -202,20 +204,13 @@ val set_pipeline_hooks : t -> pipeline_hooks -> unit
 (** Divert ingestion into the hooks. While they are installed the
     alarm/verdict handlers and response observers of this validator do
     {e not} fire (replica verdicts surface only through the merged
-    result accessors) — deployments gate the pipeline on
-    configurations that install none.
+    result accessors), so a staged validator must install none.
 
-    {!drain_pipeline} (or {!flush}, which starts with it) clears the
-    hooks so the facade's own state, once merged, is read out through
-    the normal accessors. *)
-
-val drain_pipeline : t -> unit
-(** End-of-run barrier for a pipelined validator: stop the consumers
-    via [pl_drain], which merges every shard replica back into this
-    facade — decided verdicts, counters, and still-pending triggers
-    alike, with {e no} forced decisions (the serial validator's state
-    at the same instant). No-op when no hooks are installed, so
-    callers may invoke it unconditionally before reading results. *)
+    {!flush} is the end-of-run barrier: it clears the hooks and calls
+    [pl_drain], which stops the consumers and merges every shard
+    replica back into this facade — decided verdicts, counters and
+    still-pending triggers alike — before force-deciding what is left;
+    the merged state is then read out through the normal accessors. *)
 
 val observe_mirror : t -> Response.t -> unit
 (** Apply a response's FLOWSDB cache update (if any) to this

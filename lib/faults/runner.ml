@@ -23,7 +23,7 @@ type env = {
 let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
     ?(extra_slow = []) ?(switches = 24) ?(random_secondaries = true) ?trace
     ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
-    ?pipeline_jobs (scenario : Scenarios.t) =
+    (scenario : Scenarios.t) =
   let engine = Engine.create ~seed () in
   Option.iter (Engine.set_trace engine) trace;
   let plan = Builder.linear ~switches ~hosts_per_switch:1 in
@@ -38,8 +38,7 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   let deployment =
     Jury.Jury_config.install cluster
       (Scenarios.jury_config scenario ~k ~random_secondaries ?channel
-         ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
-         ?pipeline_jobs ())
+         ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch ())
   in
   let ctx =
     { Scenarios.cluster;
@@ -61,9 +60,6 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   Engine.run engine
     ~until:(Time.add (Engine.now engine) scenario.Scenarios.settle);
   let validator = Jury.Deployment.validator deployment in
-  (* No-op on the serial path; a pipelined run merges its shard
-     replicas here (undecided triggers stay undecided). *)
-  Jury.Validator.drain_pipeline validator;
   let alarms = Jury.Validator.alarms validator in
   let matches (a : Jury.Alarm.t) =
     Time.(a.Jury.Alarm.decided_at >= t0)
@@ -89,11 +85,11 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
 
 let run ?seed ?nodes ?k ?faulty ?extra_slow ?switches ?random_secondaries
     ?trace ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
-    ?pipeline_jobs scenario =
+    scenario =
   fst
     (run_env ?seed ?nodes ?k ?faulty ?extra_slow ?switches
        ?random_secondaries ?trace ?channel ?retransmit ?degraded_quorum
-       ?shards ?max_inflight ?batch ?pipeline_jobs scenario)
+       ?shards ?max_inflight ?batch scenario)
 
 let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
     ?k ?faulty ?extra_slow ?switches ?random_secondaries scenarios =

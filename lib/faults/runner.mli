@@ -31,7 +31,6 @@ val run :
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
   ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
-  ?pipeline_jobs:int ->
   Scenarios.t -> report
 (** Defaults match the paper's worst case: 7 nodes, full replication
     (k = 6), faulty replica 2, a linear 24-switch topology. [extra_slow]
@@ -39,7 +38,7 @@ val run :
     [trace], when given, is attached to the engine before anything is
     scheduled, so it observes the full run. [channel] overrides the
     scenario's loss model; [retransmit], [degraded_quorum], [shards],
-    [max_inflight], [batch] and [pipeline_jobs] pass through to
+    [max_inflight] and [batch] pass through to
     {!Jury.Jury_config.make} via {!Scenarios.jury_config}. *)
 
 val run_matrix :
@@ -63,7 +62,6 @@ val run_env :
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
   ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
-  ?pipeline_jobs:int ->
   Scenarios.t -> report * env
 (** Like {!run} but also returns the live environment for inspection. *)
 

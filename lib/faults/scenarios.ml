@@ -820,8 +820,7 @@ let names = List.map (fun s -> s.name) all
 (* --- JURY configuration for a scenario --- *)
 
 let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
-    ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch ?pipeline_jobs
-    () =
+    ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch () =
   let policies =
     match t.policy with
     | None -> Jury_policy.Engine.create []
@@ -835,16 +834,6 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
      must strip (§IV-B) — keyed on the profile's decapsulation cost. *)
   let encapsulation = t.profile.Profile.decapsulation_cost_median_us > 0. in
   let channel = match channel with Some c -> c | None -> t.channel in
-  (* A scenario whose own features block the staged path (policy
-     rules, an election) stays serial instead of rejecting a whole
-     matrix sweep over the flag; conflicts the caller passes in are
-     still rejected by [make]. *)
-  let pipeline_jobs =
-    let own = Jury.Jury_config.make ~policies ?election:t.election () in
-    if Jury.Deployment.pipeline_blockers (Jury.Jury_config.deployment own) = []
-    then pipeline_jobs
-    else None
-  in
   Jury.Jury_config.make ~k ~random_secondaries ~policies ~encapsulation
     ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum ?shards
-    ?max_inflight ?batch ?pipeline_jobs ?election:t.election ()
+    ?max_inflight ?batch ?election:t.election ()

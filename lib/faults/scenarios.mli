@@ -110,13 +110,10 @@ val jury_config :
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
   ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
-  ?pipeline_jobs:int ->
   unit -> Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} a scenario calls for: its policy DSL
     compiled, encapsulation chosen from the controller profile, and the
     scenario's channel loss model (overridable with [?channel]).
     Defaults to the paper's worst case, k = 6. The remaining knobs pass
     straight through to {!Jury.Jury_config.make} (along with the
-    scenario's [election] tuning), except that [pipeline_jobs] is
-    dropped (serial path) for scenarios carrying a policy rule set or
-    an election, both of which the staged pipeline excludes. *)
+    scenario's [election] tuning). *)

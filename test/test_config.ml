@@ -64,7 +64,6 @@ let seed_record () =
     shards = 1;
     max_inflight = None;
     batch_window = None;
-    pipeline_jobs = 1;
     election = None }
 
 let test_facade_defaults_match_literal_record () =
@@ -298,17 +297,17 @@ let test_make_validates () =
          Jury.Jury_config.make ~channel:Jury.Channel.reliable ~drop:0.1 ()));
   check_bool "zero max_inflight rejected" true
     (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()));
+  check_bool "zero degraded_quorum rejected" true
+    (raises (fun () -> Jury.Jury_config.make ~degraded_quorum:0 ()));
   check_bool "shard hint rounded up" true
     (Jury.Jury_config.shards (Jury.Jury_config.make ~shards:3 ()) = 4);
-  match
-    Jury.Jury_config.make ~pipeline_jobs:2
-      ~retransmit:(Jury.Jury_config.retransmit ())
-      ~election:(Jury.Jury_config.election ()) ()
-  with
+  match Jury.Jury_config.make ~k:(-1) ~shards:0 ~degraded_quorum:0 () with
   | exception Invalid_argument msg ->
-      Alcotest.(check string) "one error naming every pipeline blocker"
-        "Jury_config.make: pipeline_jobs > 1 excludes retransmit, election" msg
-  | _ -> Alcotest.fail "pipelined retransmit + election accepted"
+      Alcotest.(check string) "one error naming every bad argument"
+        "Jury_config.make: k must be >= 0; shards must be >= 1; \
+         degraded_quorum must be >= 1"
+        msg
+  | _ -> Alcotest.fail "k -1, shards 0 and degraded_quorum 0 accepted"
 
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
