@@ -5,6 +5,7 @@ module Fabric = Jury_store.Fabric
 module Event = Jury_store.Event
 module Graph = Jury_topo.Graph
 module Names = Jury_store.Cache_names
+module DpidMap = Map.Make (Of_types.Dpid)
 
 type observer = {
   on_response : Types.Taint.t option -> Types.trigger -> Types.action list -> unit;
@@ -35,6 +36,12 @@ type t = {
   (* Cached topology view, rebuilt lazily when LINKSDB/SWITCHDB move. *)
   mutable view : Graph.t;
   mutable view_dirty : bool;
+  (* Routes read off [view], each computed on first use and dropped
+     with the view by [rebuild_view]. They live here, not in [Graph.t],
+     so that reading a graph never writes to it. *)
+  mutable trees : Graph.tree DpidMap.t;  (* BFS tree per root *)
+  mutable floods : int list DpidMap.t;
+      (* per switch: spanning-tree plus host ports, sorted, unique *)
 }
 
 (* Forward reference: the proactive host-rule app needs planning and
@@ -69,7 +76,9 @@ let rec create engine ~id ~profile ~fabric =
       response_delay = Time.zero;
       omit_probability = 0.;
       view = Graph.create ();
-      view_dirty = true }
+      view_dirty = true;
+      trees = DpidMap.empty;
+      floods = DpidMap.empty }
   in
   Fabric.subscribe fabric ~node:id (fun ~local ev ->
       if not local then begin
@@ -184,7 +193,9 @@ let rebuild_view t =
         | None -> ())
     (entries t Names.linksdb);
   t.view <- g;
-  t.view_dirty <- false
+  t.view_dirty <- false;
+  t.trees <- DpidMap.empty;
+  t.floods <- DpidMap.empty
 
 let view t =
   if t.view_dirty then rebuild_view t;
@@ -203,7 +214,26 @@ let liveness_master_for_link t d1 d2 =
   | Some m, None | None, Some m -> Some m
   | None, None -> None
 
-(* --- Planning --- *)
+(* --- Routes, memoized per view --- *)
+
+(* [view] comes first in each reader: a dirty view rebuilds and drops
+   the memo before it is consulted. *)
+let tree t root =
+  let g = view t in
+  match DpidMap.find_opt root t.trees with
+  | Some tree -> tree
+  | None ->
+      let tree = Graph.bfs_tree g root in
+      t.trees <- DpidMap.add root tree t.trees;
+      tree
+
+let shortest_path t src dst =
+  let g = view t in
+  Graph.path g (tree t src) dst
+
+let next_hop_choices t src dst =
+  let g = view t in
+  Graph.next_hops g (tree t dst) src
 
 let flood_ports t dpid ~in_port =
   (* Loop-free flood: ports on the cluster-wide spanning tree plus all
@@ -212,22 +242,25 @@ let flood_ports t dpid ~in_port =
      differently-rooted trees disagree on which cycle edge to cut and
      broadcasts loop. *)
   let g = view t in
-  let tree =
-    match Graph.switches g with
-    | [] -> []
-    | root :: _ when Graph.has_switch g dpid -> (
-        (* Graph.switches is sorted, so the head is the lowest dpid. *)
-        match
-          List.find_opt
-            (fun (d, _) -> Of_types.Dpid.equal d dpid)
-            (Graph.spanning_tree_ports g root)
-        with
-        | Some (_, ps) -> ps
-        | None -> [])
-    | _ -> []
+  let ports =
+    match DpidMap.find_opt dpid t.floods with
+    | Some ports -> ports
+    | None ->
+        let tree_ports =
+          match Graph.switches g with
+          | root :: _ when Graph.has_switch g dpid ->
+              (* Graph.switches is sorted, so the head is the lowest
+                 dpid. *)
+              Graph.tree_ports (tree t root) dpid
+          | _ -> []
+        in
+        let ports = List.sort_uniq compare (tree_ports @ host_ports t dpid) in
+        t.floods <- DpidMap.add dpid ports t.floods;
+        ports
   in
-  List.sort_uniq compare (tree @ host_ports t dpid)
-  |> List.filter (fun p -> p <> in_port)
+  List.filter (fun p -> p <> in_port) ports
+
+(* --- Planning --- *)
 
 let plan_flood t dpid ~in_port ~buffer_id frame =
   match flood_ports t dpid ~in_port with
@@ -282,7 +315,7 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
 
 let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     (dst_dpid, dst_port) =
-  match Graph.shortest_path (view t) src_dpid dst_dpid with
+  match shortest_path t src_dpid dst_dpid with
   | None -> plan_flood t src_dpid ~in_port ~buffer_id frame
   | Some hops ->
       (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
@@ -304,7 +337,7 @@ let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
             if t.profile.Profile.ecmp then
               (* Load-balance across equal-cost next hops: an
                  intentionally non-deterministic application. *)
-              match Graph.next_hop_choices (view t) src_dpid dst_dpid with
+              match next_hop_choices t src_dpid dst_dpid with
               | [] -> out
               | choices -> fst (Rng.choice t.rng (Array.of_list choices))
             else out
@@ -512,7 +545,7 @@ let plan_proactive_host_rules t ~mac ~host_dpid ~host_port =
          let out_port =
            if Of_types.Dpid.equal dpid host_dpid then Some host_port
            else
-             match Graph.next_hop_choices (view t) dpid host_dpid with
+             match next_hop_choices t dpid host_dpid with
              | (port, _) :: _ -> Some port
              | [] -> None
          in

@@ -113,6 +113,29 @@ val invalidate_view : t -> unit
     state transfer ({!Jury_store.Fabric.resync}) that bypasses the
     listener path ordinarily keeping the view fresh. *)
 
+(** {1 Topology view}
+
+    The replica's graph of switches and live links, rebuilt from
+    SWITCHDB and LINKSDB on the first read after either changes or
+    after {!invalidate_view}. The routes below are computed once per
+    view and reused until it is rebuilt. *)
+
+val view : t -> Jury_topo.Graph.t
+
+val shortest_path :
+  t -> Of_types.Dpid.t -> Of_types.Dpid.t ->
+  (Of_types.Dpid.t * int * int) list option
+(** {!Jury_topo.Graph.shortest_path} on {!view}. *)
+
+val next_hop_choices :
+  t -> Of_types.Dpid.t -> Of_types.Dpid.t -> (int * Of_types.Dpid.t) list
+(** {!Jury_topo.Graph.next_hop_choices} on {!view}. *)
+
+val flood_ports : t -> Of_types.Dpid.t -> in_port:int -> int list
+(** Where a flood out of this switch goes, sorted: its ports on the
+    spanning tree rooted at the lowest dpid, plus its host ports (those
+    SWITCHDB lists that carry no link), minus [in_port]. *)
+
 val raw_network_send : t -> Of_types.Dpid.t -> Of_message.payload -> unit
 (** Send to the network {e bypassing} the cache — only a misbehaving
     controller does this (§II-A.3); exposed for fault scenarios. Still

@@ -101,14 +101,13 @@ let pp_action fmt = function
 
 let action_fingerprint = function
   | Cache_write { cache; op; key; value } ->
-      Printf.sprintf "C|%s|%s|%s|%s" cache
-        (Jury_store.Event.op_to_string op)
-        key value
+      String.concat "|"
+        [ "C"; cache; Jury_store.Event.op_to_string op; key; value ]
   | Network_send { dpid; payload } ->
       let wire = Of_wire.encode (Of_message.make ~xid:0 payload) in
-      Printf.sprintf "N|%s|%s"
-        (Of_types.Dpid.to_string dpid)
-        (Digest.to_hex (Digest.string wire))
+      String.concat "|"
+        [ "N"; Of_types.Dpid.to_string dpid;
+          Digest.to_hex (Digest.string wire) ]
 
 let fingerprint_response actions =
   actions

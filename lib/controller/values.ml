@@ -1,22 +1,58 @@
 open Jury_openflow
 module Addr = Jury_packet.Addr
 
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let b = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let c = Char.code c in
+      Bytes.set b (2 * i) hex_digits.[c lsr 4];
+      Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xF])
+    s;
+  Bytes.unsafe_to_string b
 
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* Accepts what [int_of_string ("0x" ^ pair)] accepted per byte, which
+   includes a second character of '_': that reads as the first digit
+   alone ("a_" is 0x0a). *)
 let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with Failure _ -> None
+  let n = String.length s / 2 in
+  if String.length s mod 2 <> 0 then None
+  else begin
+    let b = Bytes.create n in
+    let rec go i =
+      if i = n then Some (Bytes.unsafe_to_string b)
+      else
+        let hi = hex_value s.[2 * i] and lo = s.[(2 * i) + 1] in
+        let byte =
+          if hi < 0 then -1
+          else if lo = '_' then hi
+          else
+            let lo = hex_value lo in
+            if lo < 0 then -1 else (hi * 16) + lo
+        in
+        if byte < 0 then None
+        else begin
+          Bytes.set b i (Char.chr byte);
+          go (i + 1)
+        end
+    in
+    go 0
+  end
 
-let dpid_to_key d = Printf.sprintf "%Lx" (Of_types.Dpid.to_int64 d)
+(* "%Lx": the dpid's hex digits without the "of:" and leading zeros. *)
+let dpid_to_key d =
+  let s = Of_types.Dpid.to_string d in
+  let rec first i = if i < 18 && s.[i] = '0' then first (i + 1) else i in
+  let i = first 3 in
+  String.sub s i (String.length s - i)
 
 let dpid_of_key s =
   match Int64.of_string_opt ("0x" ^ s) with

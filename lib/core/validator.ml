@@ -173,18 +173,20 @@ let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
 
 (* --- Response-set inspection helpers --- *)
 
+(* The primary's earliest execution report: the last one in the
+   newest-first [responses]. *)
 let primary_execution p =
   match p.primary with
   | None -> None
   | Some primary ->
-      List.find_map
-        (fun (r : Response.t) ->
+      List.fold_left
+        (fun found (r : Response.t) ->
           match r.body with
           | Response.Execution { role = `Primary; actions }
             when r.controller = primary ->
               Some (r, actions)
-          | _ -> None)
-        (List.rev p.responses)
+          | _ -> found)
+        None p.responses
 
 let secondary_executions p =
   List.filter_map
@@ -209,23 +211,6 @@ let distinct_cache_events p =
           end
       | _ -> None)
     (List.rev p.responses)
-
-(* Acks are counted per distinct controller: a duplicated delivery of
-   the same peer's ack must not satisfy the quorum twice. *)
-let ack_count p (ev : Event.t) =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Cache_update e ->
-          if
-            e.Event.origin = ev.Event.origin
-            && e.Event.seq = ev.Event.seq
-            && r.controller <> ev.Event.origin
-          then Hashtbl.replace seen r.controller ()
-      | _ -> ())
-    p.responses;
-  Hashtbl.length seen
 
 (* Secondaries that never produced an Execution response. *)
 let stragglers p =
@@ -283,39 +268,120 @@ let cache_writes actions =
       | Types.Network_send _ -> None)
     actions
 
+(* [complete] runs on every delivery, so it scans the newest-first
+   [responses] in place instead of building the deduplicated lists
+   above; each helper below answers exactly as its list-building
+   counterpart would. *)
+
+let same_event (a : Event.t) (b : Event.t) =
+  a.Event.origin = b.Event.origin && a.Event.seq = b.Event.seq
+
+(* Does an [older] response from [controller] (any, if [None]) report
+   the same cache event? *)
+let rec reported ?controller ev = function
+  | [] -> false
+  | (r : Response.t) :: older -> (
+      match r.body with
+      | Response.Cache_update e
+        when same_event e ev
+             && (match controller with None -> true | Some c -> c = r.controller)
+        ->
+          true
+      | _ -> reported ?controller ev older)
+
+(* The earliest event in [distinct_cache_events] (first reports only)
+   that [origin] wrote to [cache]/[key]. *)
+let rec written_event ~origin ~cache ~key found = function
+  | [] -> found
+  | (r : Response.t) :: older ->
+      let found =
+        match r.body with
+        | Response.Cache_update e
+          when e.Event.cache = cache && e.Event.key = key
+               && e.Event.origin = origin && not (reported e older) ->
+            Some e
+        | _ -> found
+      in
+      written_event ~origin ~cache ~key found older
+
+(* Acks are counted per distinct controller: a duplicated delivery of
+   the same peer's ack must not satisfy the quorum twice, so each peer
+   counts at its earliest report only. *)
+let rec ack_count (ev : Event.t) n = function
+  | [] -> n
+  | (r : Response.t) :: older ->
+      let n =
+        match r.body with
+        | Response.Cache_update e
+          when same_event e ev
+               && r.controller <> ev.Event.origin
+               && not (reported ~controller:r.controller ev older) ->
+            n + 1
+        | _ -> n
+      in
+      ack_count ev n older
+
+(* Is no [older] intercepted FLOW_MOD at [dpid] encoded like [flow]?
+   [network_writes] keeps only the first of each encoding. *)
+let rec first_encoding dpid flow = function
+  | [] -> true
+  | (r : Response.t) :: older -> (
+      match r.body with
+      | Response.Network_write { dpid = d; flow = f }
+        when Dpid.equal d dpid
+             && (f == flow || f = flow
+                || String.equal (Values.Flow.value f) (Values.Flow.value flow))
+        ->
+          false
+      | _ -> first_encoding dpid flow older)
+
+(* Some FLOW_MOD in [network_writes] installs the same rule as [fm]. *)
+let rec on_wire dpid (fm : Of_message.flow_mod) = function
+  | [] -> false
+  | (r : Response.t) :: older -> (
+      match r.body with
+      | Response.Network_write { dpid = d; flow = f }
+        when Dpid.equal d dpid
+             && Of_match.equal f.fm_match fm.fm_match
+             && f.priority = fm.priority && f.command = fm.command
+             && first_encoding d f older ->
+          true
+      | _ -> on_wire dpid fm older)
+
 let complete t p =
   match primary_execution p with
   | None -> false
   | Some (prim_r, actions) ->
       let primary = prim_r.Response.controller in
-      List.length (secondary_executions p) >= List.length p.secondaries
-      && (let writes = cache_writes actions in
-          let events = distinct_cache_events p in
-          let peers = List.length (t.cfg.ack_peers_of primary) in
+      let executions =
+        List.fold_left
+          (fun n (r : Response.t) ->
+            match r.body with
+            | Response.Execution { role = `Secondary; _ } -> n + 1
+            | _ -> n)
+          0 p.responses
+      in
+      executions >= List.length p.secondaries
+      && (let peers = List.length (t.cfg.ack_peers_of primary) in
           List.for_all
-            (fun (cache, _, key, _) ->
-              match
-                List.find_opt
-                  (fun (ev : Event.t) ->
-                    ev.Event.cache = Names.normalize cache
-                    && ev.Event.key = key && ev.Event.origin = primary)
-                  events
-              with
-              | None -> false
-              | Some ev -> ack_count p ev >= peers)
-            writes)
-      &&
-      let sends = flow_mod_sends actions in
-      let nets = network_writes p in
-      List.for_all
-        (fun (dpid, (fm : Of_message.flow_mod)) ->
-          List.exists
-            (fun (_, d, (f : Of_message.flow_mod)) ->
-              Dpid.equal d dpid
-              && Of_match.equal f.fm_match fm.fm_match
-              && f.priority = fm.priority && f.command = fm.command)
-            nets)
-        sends
+            (fun (a : Types.action) ->
+              match a with
+              | Types.Cache_write { cache; key; _ } -> (
+                  match
+                    written_event ~origin:primary
+                      ~cache:(Names.normalize cache) ~key None p.responses
+                  with
+                  | None -> false
+                  | Some ev -> ack_count ev 0 p.responses >= peers)
+              | Types.Network_send _ -> true)
+            actions)
+      && List.for_all
+           (fun (a : Types.action) ->
+             match a with
+             | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } ->
+                 on_wire dpid fm p.responses
+             | _ -> true)
+           actions
 
 (* --- Consensus --- *)
 
@@ -393,9 +459,12 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     | [] -> Unverifiable
     | _ -> (
         let fps =
-          List.map (fun (_, actions) -> response_fingerprint actions) comparable
+          List.map
+            (fun ((r : Response.t), actions) ->
+              (r.controller, response_fingerprint actions))
+            comparable
         in
-        let all = prim_fp :: fps in
+        let all = prim_fp :: List.map snd fps in
         let distinct = List.sort_uniq String.compare all in
         if
           t.cfg.nondet_rule
@@ -411,11 +480,9 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
                 (* Primary agrees; flag dissenting secondaries. *)
                 let dissenters =
                   List.filter_map
-                    (fun ((r : Response.t), actions) ->
-                      if String.equal (response_fingerprint actions) winner
-                      then None
-                      else Some r.controller)
-                    comparable
+                    (fun (controller, fp) ->
+                      if String.equal fp winner then None else Some controller)
+                    fps
                 in
                 if dissenters = [] then Agrees (1 + List.length comparable)
                 else Disagrees dissenters
@@ -452,21 +519,16 @@ let secondary_quorum t p =
       List.fold_left
         (fun best members ->
           let fps =
-            List.map (fun (_, actions) -> response_fingerprint actions) members
+            List.map
+              (fun (_, actions) -> (response_fingerprint actions, actions))
+              members
           in
-          match majority_fingerprint fps with
+          match majority_fingerprint (List.map fst fps) with
           | None -> best
           | Some (fp, n) -> (
               match best with
               | Some (_, bn) when bn >= n -> best
-              | _ ->
-                  let _, actions =
-                    List.find
-                      (fun (_, a) ->
-                        String.equal (response_fingerprint a) fp)
-                      members
-                  in
-                  Some (actions, n)))
+              | _ -> Some (List.assoc fp fps, n)))
         None groups
 
 (* --- Sanity check: cache vs network consistency for flow rules --- *)
@@ -740,7 +802,8 @@ let evaluate t p ~timed_out =
             finish t p
               (Alarm.Faulty [ Alarm.Network_without_cache ])
               ~suspects:(List.map (fun (sender, _, _) -> sender) stray)
-              ~detail:"FLOW_MOD on the wire with no cache backing and no                        response"
+              ~detail:
+                "FLOW_MOD on the wire with no cache backing and no response"
           else begin
             let quorum =
               match t.cfg.degraded_quorum with

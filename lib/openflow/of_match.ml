@@ -198,4 +198,50 @@ let pp fmt t =
   if !first then Format.pp_print_string fmt "*";
   Format.pp_print_string fmt "}"
 
-let to_string t = Format.asprintf "%a" pp t
+(* [pp]'s string, built without Format: [Values.Flow.key] renders every
+   flow rule through here. *)
+let to_string t =
+  let b = Buffer.create 96 in
+  let first = ref true in
+  let field name add = function
+    | None -> ()
+    | Some v ->
+        if not !first then Buffer.add_char b ',';
+        first := false;
+        Buffer.add_string b name;
+        Buffer.add_char b '=';
+        add v
+  in
+  let str s = Buffer.add_string b s in
+  let int v = str (string_of_int v) in
+  let prefix (p, bits) =
+    str (Addr.Ipv4.to_string p);
+    Buffer.add_char b '/';
+    int bits
+  in
+  Buffer.add_char b '{';
+  field "in_port" (fun p -> str (Of_types.Port.to_string p)) t.in_port;
+  field "dl_src" (fun m -> str (Addr.Mac.to_string m)) t.dl_src;
+  field "dl_dst" (fun m -> str (Addr.Mac.to_string m)) t.dl_dst;
+  field "dl_vlan"
+    (function None -> str "untagged" | Some v -> int v)
+    t.dl_vlan;
+  field "dl_type"
+    (fun v ->
+      if v >= 0 && v <= 0xFFFF then begin
+        str "0x";
+        for shift = 3 downto 0 do
+          Buffer.add_char b "0123456789abcdef".[(v lsr (4 * shift)) land 0xF]
+        done
+      end
+      else str (Printf.sprintf "0x%04x" v))
+    t.dl_type;
+  field "nw_src" prefix t.nw_src;
+  field "nw_dst" prefix t.nw_dst;
+  field "nw_proto" int t.nw_proto;
+  field "nw_tos" int t.nw_tos;
+  field "tp_src" int t.tp_src;
+  field "tp_dst" int t.tp_dst;
+  if !first then Buffer.add_char b '*';
+  Buffer.add_char b '}';
+  Buffer.contents b

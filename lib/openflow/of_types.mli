@@ -38,6 +38,11 @@ module Port : sig
   (** 0xfff8 — send back out the ingress port *)
 
   val is_physical : t -> bool
+
+  val to_string : t -> string
+  (** The virtual ports by name (["CONTROLLER"], ["FLOOD"], ...), any
+      other port as its number. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

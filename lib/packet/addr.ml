@@ -22,10 +22,16 @@ module Mac = struct
         (acc lsl 8) lor v)
       0 parts
 
+  let hex_digits = "0123456789abcdef"
+
   let to_string t =
-    Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
-      ((t lsr 40) land 0xFF) ((t lsr 32) land 0xFF) ((t lsr 24) land 0xFF)
-      ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)
+    let b = Bytes.make 17 ':' in
+    for i = 0 to 5 do
+      let octet = (t lsr (40 - (8 * i))) land 0xFF in
+      Bytes.set b (3 * i) hex_digits.[octet lsr 4];
+      Bytes.set b ((3 * i) + 1) hex_digits.[octet land 0xF]
+    done;
+    Bytes.unsafe_to_string b
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare
@@ -56,9 +62,11 @@ module Ipv4 = struct
       0 parts
 
   let to_string t =
-    Printf.sprintf "%d.%d.%d.%d"
-      ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF)
-      (t land 0xFF)
+    String.concat "."
+      [ string_of_int ((t lsr 24) land 0xFF);
+        string_of_int ((t lsr 16) land 0xFF);
+        string_of_int ((t lsr 8) land 0xFF);
+        string_of_int (t land 0xFF) ]
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare

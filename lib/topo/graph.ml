@@ -72,118 +72,90 @@ let switch_count t = DpidMap.cardinal t.adj
 let edge_count t = List.length (edges t)
 let copy t = { adj = t.adj }
 
-let bfs_parents t src =
-  (* parent map: dpid -> (parent dpid, parent's local port, our in port) *)
-  let parents = Hashtbl.create 64 in
-  let visited = Hashtbl.create 64 in
-  Hashtbl.add visited src ();
+(* How BFS reached a switch: from [parent], leaving it on [parent_port]
+   and entering on [in_port], [depth] hops from the root. *)
+type hop = { parent : Dpid.t; parent_port : int; in_port : int; depth : int }
+type tree = { root : Dpid.t; hops : hop DpidMap.t }
+
+let bfs_tree t root =
+  let hops = ref DpidMap.empty in
   let q = Queue.create () in
-  Queue.push src q;
+  Queue.push (root, 0) q;
   while not (Queue.is_empty q) do
-    let u = Queue.pop q in
+    let u, du = Queue.pop q in
     List.iter
       (fun (local_port, remote) ->
-        if not (Hashtbl.mem visited remote.dpid) then begin
-          Hashtbl.add visited remote.dpid ();
-          Hashtbl.add parents remote.dpid (u, local_port, remote.port);
-          Queue.push remote.dpid q
+        if
+          not (Dpid.equal remote.dpid root || DpidMap.mem remote.dpid !hops)
+        then begin
+          hops :=
+            DpidMap.add remote.dpid
+              { parent = u;
+                parent_port = local_port;
+                in_port = remote.port;
+                depth = du + 1 }
+              !hops;
+          Queue.push (remote.dpid, du + 1) q
         end)
       (neighbors t u)
   done;
-  (parents, visited)
+  { root; hops = !hops }
 
-let shortest_path t src dst =
+let depth tree dpid =
+  if Dpid.equal dpid tree.root then Some 0
+  else Option.map (fun h -> h.depth) (DpidMap.find_opt dpid tree.hops)
+
+let path t tree dst =
+  let src = tree.root in
   if not (has_switch t src && has_switch t dst) then None
   else if Dpid.equal src dst then Some [ (src, 0, 0) ]
+  else if not (DpidMap.mem dst tree.hops) then None
   else begin
-    let parents, visited = bfs_parents t src in
-    if not (Hashtbl.mem visited dst) then None
-    else begin
-      (* Walk back from dst, collecting (dpid, in_port) and the parent's
-         out_port. *)
-      let rec walk dpid acc =
-        match Hashtbl.find_opt parents dpid with
-        | None -> (dpid, acc) (* reached src *)
-        | Some (parent, parent_out, our_in) ->
-            walk parent ((dpid, our_in, parent_out) :: acc)
-      in
-      let _, hops = walk dst [] in
-      (* hops are (dpid, in_port, parent_out_port); convert to the
-         (dpid, in_port, out_port) convention. *)
-      let rec assemble = function
-        | [] -> []
-        | (dpid, in_port, _) :: rest ->
-            let out_port =
-              match rest with
-              | [] -> 0
-              | (_, _, next_parent_out) :: _ -> next_parent_out
-            in
-            (dpid, in_port, out_port) :: assemble rest
-      in
-      let tail = assemble hops in
-      let first_out =
-        match hops with [] -> 0 | (_, _, parent_out) :: _ -> parent_out
-      in
-      Some ((src, 0, first_out) :: tail)
-    end
+    (* Walk back from dst: each hop enters on its [in_port] and leaves
+       on the next hop's [parent_port]; the last hop leaves on 0. *)
+    let rec walk dpid out acc =
+      match DpidMap.find_opt dpid tree.hops with
+      | None -> (dpid, 0, out) :: acc (* reached src *)
+      | Some h -> walk h.parent h.parent_port ((dpid, h.in_port, out) :: acc)
+    in
+    Some (walk dst 0 [])
   end
 
-let distances_to t dst =
-  let dist = Hashtbl.create 64 in
-  Hashtbl.add dist dst 0;
-  let q = Queue.create () in
-  Queue.push dst q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    List.iter
-      (fun (_, remote) ->
-        if not (Hashtbl.mem dist remote.dpid) then begin
-          Hashtbl.add dist remote.dpid (du + 1);
-          Queue.push remote.dpid q
-        end)
-      (neighbors t u)
-  done;
-  dist
+let next_hops t tree src =
+  match depth tree src with
+  | None | Some 0 -> []
+  | Some dsrc ->
+      List.filter_map
+        (fun (port, remote) ->
+          match depth tree remote.dpid with
+          | Some d when d = dsrc - 1 -> Some (port, remote.dpid)
+          | _ -> None)
+        (neighbors t src)
 
-let next_hop_choices t src dst =
-  if Dpid.equal src dst then []
-  else begin
-    let dist = distances_to t dst in
-    match Hashtbl.find_opt dist src with
+let tree_ports tree dpid =
+  let own =
+    match DpidMap.find_opt dpid tree.hops with
+    | Some h -> [ h.in_port ]
     | None -> []
-    | Some dsrc ->
-        List.filter_map
-          (fun (port, remote) ->
-            match Hashtbl.find_opt dist remote.dpid with
-            | Some d when d = dsrc - 1 -> Some (port, remote.dpid)
-            | _ -> None)
-          (neighbors t src)
-  end
+  in
+  DpidMap.fold
+    (fun _ h acc ->
+      if Dpid.equal h.parent dpid && not (List.mem h.parent_port acc) then
+        h.parent_port :: acc
+      else acc)
+    tree.hops own
+
+let shortest_path t src dst = path t (bfs_tree t src) dst
+let next_hop_choices t src dst = next_hops t (bfs_tree t dst) src
 
 let connected t =
   match switches t with
   | [] -> true
-  | s :: _ ->
-      let _, visited = bfs_parents t s in
-      Hashtbl.length visited = switch_count t
+  | s :: _ -> DpidMap.cardinal (bfs_tree t s).hops + 1 = switch_count t
 
 let spanning_tree_ports t root =
-  let parents, _ = bfs_parents t root in
-  let ports = Hashtbl.create 64 in
-  let add dpid port =
-    let cur = Option.value (Hashtbl.find_opt ports dpid) ~default:[] in
-    if not (List.mem port cur) then Hashtbl.replace ports dpid (port :: cur)
-  in
-  Hashtbl.iter
-    (fun child (parent, parent_out, child_in) ->
-      add parent parent_out;
-      add child child_in)
-    parents;
-  List.map
-    (fun dpid ->
-      (dpid, Option.value (Hashtbl.find_opt ports dpid) ~default:[]))
-    (switches t)
+  let tree = bfs_tree t root in
+  List.map (fun dpid -> (dpid, tree_ports tree dpid)) (switches t)
 
 let pp fmt t =
   Format.fprintf fmt "graph(%d switches, %d links)@." (switch_count t)

@@ -34,6 +34,32 @@ val switch_count : t -> int
 val edge_count : t -> int
 val copy : t -> t
 
+(** {1 Routing}
+
+    Every route comes from one breadth-first search. {!bfs_tree} runs
+    it; the readers below answer from a tree, so a caller that keeps
+    the tree of an unchanged graph answers repeated queries without
+    searching again. A tree read never writes to the graph. *)
+
+type tree
+(** The BFS tree rooted at one switch: for every reachable switch, the
+    parent it was reached from, the ports on both ends of that link
+    and its hop distance from the root. *)
+
+val bfs_tree : t -> Dpid.t -> tree
+(** Neighbors are visited in {!neighbors} order, which fixes the
+    parent chosen among equal-cost ones. *)
+
+val path : t -> tree -> Dpid.t -> (Dpid.t * int * int) list option
+(** [path t tree dst] is {!shortest_path} from the tree's root. *)
+
+val next_hops : t -> tree -> Dpid.t -> (int * Dpid.t) list
+(** [next_hops t tree src] is {!next_hop_choices} from [src] toward the
+    tree's root. *)
+
+val tree_ports : tree -> Dpid.t -> int list
+(** Ports of one switch that lie on the tree, in no fixed order. *)
+
 val shortest_path : t -> Dpid.t -> Dpid.t -> (Dpid.t * int * int) list option
 (** BFS hop-count path. Returns per-hop [(dpid, in_port, out_port)]
     triples: the packet enters switch [dpid] on [in_port] (0 for the

@@ -68,6 +68,95 @@ let test_values_switch_master () =
   Alcotest.(check (option int)) "master value" (Some 6)
     (Values.Master.parse (Values.Master.value 6))
 
+(* The decoder before it went table-driven, kept as the reference the
+   new one must agree with. *)
+let reference_hex_decode s =
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else
+    try
+      Some
+        (String.init (n / 2) (fun i ->
+             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
+    with Failure _ -> None
+
+let test_hex_decode_matches_reference () =
+  let accepted = ref 0 in
+  for hi = 0 to 255 do
+    for lo = 0 to 255 do
+      let s = String.init 2 (fun i -> Char.chr (if i = 0 then hi else lo)) in
+      let want = reference_hex_decode s in
+      if Values.hex_decode s <> want then Alcotest.failf "hex_decode %S" s;
+      if want <> None then incr accepted
+    done
+  done;
+  (* 22 hex digits each way, plus the 22 "<digit>_" pairs that
+     int_of_string reads as the digit alone. *)
+  check_int "accepted pairs" ((22 * 22) + 22) !accepted;
+  Alcotest.(check (option string)) "digit-underscore" (Some "\x0a")
+    (Values.hex_decode "a_")
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex_decode (hex_encode s) = Some s" ~count:500
+    QCheck.string (fun s ->
+      let hex = Values.hex_encode s in
+      Values.hex_decode hex = Some s
+      && hex
+         = String.concat ""
+             (List.init (String.length s) (fun i ->
+                  Printf.sprintf "%02x" (Char.code s.[i]))))
+
+let prop_dpid_strings =
+  QCheck.Test.make ~name:"dpid strings = Printf" ~count:500
+    QCheck.(
+      make ~print:Int64.to_string
+        Gen.(
+          oneof
+            [ oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int ];
+              ui64;
+              map Int64.of_int (int_bound 0xFFFF) ]))
+    (fun d ->
+      let dpid = Dpid.of_int64 d in
+      Dpid.to_string dpid = Printf.sprintf "of:%016Lx" d
+      && Values.Switch.key dpid = Printf.sprintf "%Lx" d)
+
+let gen_match st =
+  let opt g = if Random.State.bool st then Some (g ()) else None in
+  let int n = Random.State.int st n in
+  let port () =
+    match int 3 with
+    | 0 ->
+        List.nth
+          Jury_openflow.Of_types.Port.
+            [ controller; flood; all; local; none; in_port ]
+          (int 6)
+    | 1 -> 1 + int 64
+    | _ -> int 0x10000
+  in
+  let mac () = Mac.of_int ((int 0x1000000 lsl 24) lor int 0x1000000) in
+  let prefix () = (Ipv4.of_int ((int 0x10000 lsl 16) lor int 0x10000), int 33) in
+  { Of_match.in_port = opt port;
+    dl_src = opt mac;
+    dl_dst = opt mac;
+    dl_vlan = opt (fun () -> if int 3 = 0 then None else Some (int 4096));
+    dl_type =
+      opt (fun () ->
+          match int 3 with
+          | 0 -> 0x0800
+          | 1 -> int 0x10000
+          | _ -> int 0x20000 (* wider than the four digits [pp] pads to *));
+    nw_src = opt prefix;
+    nw_dst = opt prefix;
+    nw_proto = opt (fun () -> int 256);
+    nw_tos = opt (fun () -> int 256);
+    tp_src = opt (fun () -> int 0x10000);
+    tp_dst = opt (fun () -> int 0x10000) }
+
+let prop_match_to_string_is_pp =
+  QCheck.Test.make ~name:"Of_match.to_string = asprintf pp" ~count:2000
+    (QCheck.make ~print:Of_match.to_string gen_match) (fun m ->
+      Of_match.to_string m = Format.asprintf "%a" Of_match.pp m)
+
 (* --- Taints --- *)
 
 let test_taint () =
@@ -515,11 +604,201 @@ let test_election_rejoin_fresh_term () =
     (List.rev !terms);
   check_int "leader stays 0" 0 (Cluster.leader cluster)
 
+(* --- Topology view and its route memo --- *)
+
+(* Write [plan]'s switches (mastered by 0), links and hosts straight
+   into one node's tables, as discovery and host learning would. *)
+let write_topology fabric ~node (plan : Builder.plan) =
+  let write cache key value =
+    ignore (Fabric.write fabric ~node ~cache Jury_store.Event.Create ~key ~value)
+  in
+  let g = plan.Builder.graph in
+  List.iter
+    (fun dpid ->
+      let host_ports =
+        List.filter_map
+          (fun (h : Builder.host_slot) ->
+            if Dpid.equal h.dpid dpid then Some h.port else None)
+          plan.Builder.hosts
+      in
+      let link_ports = List.map fst (Jury_topo.Graph.neighbors g dpid) in
+      write Names.switchdb (Values.Switch.key dpid)
+        (Values.Switch.value_connected ~master:0
+           ~ports:(host_ports @ link_ports));
+      write Names.masterdb (Values.Master.key dpid) (Values.Master.value 0))
+    (Jury_topo.Graph.switches g);
+  List.iter
+    (fun (e : Jury_topo.Graph.edge) ->
+      write Names.linksdb
+        (Values.Link.key (e.a.dpid, e.a.port) (e.b.dpid, e.b.port))
+        Values.Link.value_up)
+    (Jury_topo.Graph.edges g);
+  List.iter
+    (fun (h : Builder.host_slot) ->
+      write Names.hostdb
+        (Values.Host.key (Mac.of_host_index h.host_index))
+        (Values.Host.value ~dpid:h.dpid ~port:h.port
+           ~ip:(Ipv4.of_host_index h.host_index)))
+    plan.Builder.hosts
+
+(* A controller that has never planned anything, on a copy of [node]'s
+   tables. *)
+let fresh_controller fabric ~node =
+  let engine = Engine.create ~seed:5 () in
+  let copy = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:1 () in
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun (key, value) ->
+          ignore
+            (Fabric.write copy ~node:0 ~cache Jury_store.Event.Create ~key
+               ~value))
+        (Fabric.entries fabric ~node ~cache))
+    Names.all;
+  Controller.create engine ~id:0 ~profile:Profile.onos ~fabric:copy
+
+(* Everything the memo serves, plus the plans built from it: every
+   route and next hop between two switches, every flood set, and a
+   PACKET_IN toward every host plus a broadcast ARP at every switch. *)
+let observe c (plan : Builder.plan) =
+  let switches = Jury_topo.Graph.switches plan.Builder.graph in
+  let pairs =
+    List.concat_map (fun s -> List.map (fun d -> (s, d)) switches) switches
+  in
+  let ports dpid = 0 :: Controller.flood_ports c dpid ~in_port:0 in
+  let src_mac = Mac.of_host_index 9999 and src_ip = Ipv4.of_host_index 9999 in
+  let packet_in dpid frame =
+    Types.Packet_in
+      ( dpid,
+        { Of_message.buffer_id = None; in_port = 1;
+          reason = Of_message.No_match; frame } )
+  in
+  ( List.map (fun (s, d) -> Controller.shortest_path c s d) pairs,
+    List.map (fun (s, d) -> Controller.next_hop_choices c s d) pairs,
+    List.concat_map
+      (fun dpid ->
+        List.map (fun in_port -> Controller.flood_ports c dpid ~in_port)
+          (ports dpid))
+      switches,
+    List.concat_map
+      (fun dpid ->
+        Controller.plan c
+          (packet_in dpid
+             (Jury_packet.Frame.arp_request ~sender:(src_mac, src_ip)
+                ~target:(Ipv4.of_host_index 0)))
+        :: List.map
+             (fun (h : Builder.host_slot) ->
+               Controller.plan c
+                 (packet_in dpid
+                    (Jury_packet.Frame.tcp_packet ~src:(src_mac, src_ip)
+                       ~dst:
+                         ( Mac.of_host_index h.host_index,
+                           Ipv4.of_host_index h.host_index )
+                       ~src_port:7 ~dst_port:80 ())))
+             plan.Builder.hosts)
+      switches )
+
+let memo_plans =
+  [ Builder.linear ~switches:5 ~hosts_per_switch:1;
+    Builder.three_tier ~hosts_per_edge:1 ();
+    Builder.fat_tree ~k:4 ]
+
+let test_route_memo_matches_graph () =
+  List.iter
+    (fun (plan : Builder.plan) ->
+      let engine = Engine.create ~seed:5 () in
+      let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:1 () in
+      write_topology fabric ~node:0 plan;
+      let c = Controller.create engine ~id:0 ~profile:Profile.onos ~fabric in
+      let g = Controller.view c in
+      check_int (plan.Builder.name ^ ": view edges")
+        (Jury_topo.Graph.edge_count plan.Builder.graph)
+        (Jury_topo.Graph.edge_count g);
+      let switches = Jury_topo.Graph.switches g in
+      let root = List.hd switches in
+      let tree = Jury_topo.Graph.spanning_tree_ports g root in
+      (* Twice: the first pass fills the memo, the second reads it. *)
+      for _ = 1 to 2 do
+        List.iter
+          (fun s ->
+            List.iter
+              (fun d ->
+                check_bool "memoized path" true
+                  (Controller.shortest_path c s d
+                  = Jury_topo.Graph.shortest_path g s d);
+                check_bool "memoized next hops" true
+                  (Controller.next_hop_choices c s d
+                  = Jury_topo.Graph.next_hop_choices g s d))
+              switches;
+            let host_ports =
+              List.filter_map
+                (fun (h : Builder.host_slot) ->
+                  if Dpid.equal h.dpid s then Some h.port else None)
+                plan.Builder.hosts
+            in
+            let all = List.sort_uniq compare (List.assoc s tree @ host_ports) in
+            List.iter
+              (fun in_port ->
+                Alcotest.(check (list int))
+                  "memoized flood set"
+                  (List.filter (fun p -> p <> in_port) all)
+                  (Controller.flood_ports c s ~in_port))
+              (0 :: all))
+          switches
+      done)
+    memo_plans
+
+let test_route_memo_invalidation () =
+  (* Node 1 is partitioned, so its tables change only by direct writes
+     and the final state transfer. Its controller plans everything once
+     (filling the memo) before each change, and must then plan exactly
+     like a controller built fresh on the changed tables. *)
+  let plan = Builder.three_tier ~hosts_per_edge:1 () in
+  let engine = Engine.create ~seed:5 () in
+  let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:2 () in
+  Fabric.set_partitioned fabric ~node:1 true;
+  write_topology fabric ~node:0 plan;
+  write_topology fabric ~node:1 plan;
+  let c = Controller.create engine ~id:1 ~profile:Profile.onos ~fabric in
+  let same_as_fresh what =
+    check_bool what true
+      (observe c plan = observe (fresh_controller fabric ~node:1) plan)
+  in
+  same_as_fresh "before any change";
+  let g = plan.Builder.graph in
+  let e = List.hd (Jury_topo.Graph.edges g) in
+  ignore
+    (Fabric.write fabric ~node:1 ~cache:Names.linksdb Jury_store.Event.Delete
+       ~key:(Values.Link.key (e.a.dpid, e.a.port) (e.b.dpid, e.b.port))
+       ~value:"");
+  same_as_fresh "after a LINKSDB delete";
+  let dpid = List.hd (Jury_topo.Graph.switches g) in
+  let ports = Controller.flood_ports c dpid ~in_port:0 in
+  ignore
+    (Fabric.write fabric ~node:1 ~cache:Names.switchdb Jury_store.Event.Update
+       ~key:(Values.Switch.key dpid)
+       ~value:(Values.Switch.value_connected ~master:0 ~ports:(99 :: ports)));
+  check_bool "new host port floods" true
+    (List.mem 99 (Controller.flood_ports c dpid ~in_port:0));
+  same_as_fresh "after a SWITCHDB update";
+  (* Crash-rejoin: node 0's intact tables overwrite node 1's without
+     any event reaching its listeners. *)
+  Fabric.resync fabric ~from:0 ~node:1;
+  Controller.invalidate_view c;
+  check_int "link restored" (Jury_topo.Graph.edge_count g)
+    (Jury_topo.Graph.edge_count (Controller.view c));
+  same_as_fresh "after a state transfer"
+
 let suite =
   [ ("values: host", `Quick, test_values_host);
     ("values: link", `Quick, test_values_link);
     ("values: flow", `Quick, test_values_flow);
     ("values: switch/master", `Quick, test_values_switch_master);
+    ("hex_decode = int_of_string decoder", `Quick,
+     test_hex_decode_matches_reference);
+    QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_match_to_string_is_pp;
+    QCheck_alcotest.to_alcotest prop_dpid_strings;
     ("taints", `Quick, test_taint);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);
@@ -543,4 +822,7 @@ let suite =
      test_election_deterministic);
     ("election rejoin starts fresh term", `Quick,
      test_election_rejoin_fresh_term);
-    ("northbound flow query", `Quick, test_query_flows) ]
+    ("northbound flow query", `Quick, test_query_flows);
+    ("route memo = fresh graph", `Quick, test_route_memo_matches_graph);
+    ("route memo dropped with the view", `Quick,
+     test_route_memo_invalidation) ]

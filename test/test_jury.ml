@@ -336,6 +336,50 @@ let test_validator_network_without_cache () =
         | _ -> false)
   | _ -> Alcotest.fail "expected bypass alarm"
 
+let test_validator_bypass_detail () =
+  (* The same bypass seen through an external trigger whose primary
+     response never arrived: decided at the timeout, with a detail that
+     names both halves of the evidence. *)
+  let engine, v = mk_validator ~k:0 () in
+  let dpid, fmv = flow_for (Dpid.of_int 1) in
+  Validator.register_external v ~taint ~at:Time.zero ~primary:0 ~secondaries:[];
+  deliver v ~controller:0 ~snapshot:Snapshot.pristine
+    (Response.Network_write { dpid; flow = fmv });
+  Engine.run engine;
+  match Validator.alarms v with
+  | [ a ] ->
+      check_bool "network-without-cache" true
+        (a.Alarm.verdict = Alarm.Faulty [ Alarm.Network_without_cache ]);
+      Alcotest.(check string)
+        "detail" "FLOW_MOD on the wire with no cache backing and no response"
+        a.Alarm.detail
+  | _ -> Alcotest.fail "expected bypass alarm"
+
+let test_completeness_counts_each_ack_once () =
+  (* Controller 0's write needs acks from peers 1 and 2. Neither the
+     origin's own report nor a second, re-stamped report from peer 1
+     may stand in for peer 2. *)
+  let engine, v = mk_validator ~k:0 () in
+  let dpid = Dpid.of_int 1 in
+  let actions = response_actions dpid in
+  let snap = Snapshot.pristine in
+  let _, fmv = flow_for dpid in
+  let cache_ev = cache_event_of_action ~origin:0 (List.hd actions) in
+  Validator.register_external v ~taint ~at:Time.zero ~primary:0 ~secondaries:[];
+  deliver v ~controller:0 ~snapshot:snap
+    (Response.Execution { role = `Primary; actions });
+  deliver v ~controller:0 ~snapshot:snap
+    (Response.Network_write { dpid; flow = fmv });
+  deliver v ~controller:0 ~snapshot:snap (Response.Cache_update cache_ev);
+  deliver v ~controller:1 ~snapshot:snap (Response.Cache_update cache_ev);
+  deliver v ~controller:1 ~snapshot:snap
+    (Response.Cache_update { cache_ev with Event.taint = None });
+  check_int "one peer ack is not a quorum" 0 (Validator.decided_count v);
+  deliver v ~controller:2 ~snapshot:snap (Response.Cache_update cache_ev);
+  check_int "complete once both peers acked" 1 (Validator.decided_count v);
+  Engine.run engine;
+  check_int "valid" 0 (Validator.fault_count v)
+
 let test_validator_cache_network_mismatch () =
   let engine, v = mk_validator ~k:0 () in
   let dpid = Dpid.of_int 1 in
@@ -911,6 +955,9 @@ let suite =
     ("validator timeout missing primary", `Quick, test_validator_timeout_missing_primary);
     ("validator cache-without-network", `Quick, test_validator_cache_without_network);
     ("validator network-without-cache", `Quick, test_validator_network_without_cache);
+    ("validator bypass verdict detail", `Quick, test_validator_bypass_detail);
+    ("completeness counts each ack once", `Quick,
+     test_completeness_counts_each_ack_once);
     ("validator cache/network mismatch", `Quick, test_validator_cache_network_mismatch);
     ("validator write failure", `Quick, test_validator_write_failure);
     ("validator policy check", `Quick, test_validator_policy_check);

@@ -153,6 +153,108 @@ let test_next_hop_choices () =
   let choices = Graph.next_hop_choices tt.Builder.graph (d 100) (d 104) in
   check_bool "multipath in three-tier" true (List.length choices >= 2)
 
+(* The per-query searches the shared BFS tree replaced: a fresh
+   parent-table BFS per path, a fresh distance-table BFS per next-hop
+   query. Kept as the reference the tree readers must reproduce. *)
+let reference_parents g src =
+  let parents = Hashtbl.create 64 and visited = Hashtbl.create 64 in
+  Hashtbl.add visited src ();
+  let q = Queue.create () in
+  Queue.push src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (local_port, (remote : Graph.endpoint)) ->
+        if not (Hashtbl.mem visited remote.dpid) then begin
+          Hashtbl.add visited remote.dpid ();
+          Hashtbl.add parents remote.dpid (u, local_port, remote.port);
+          Queue.push remote.dpid q
+        end)
+      (Graph.neighbors g u)
+  done;
+  (parents, visited)
+
+let reference_path g src dst =
+  if not (Graph.has_switch g src && Graph.has_switch g dst) then None
+  else if Dpid.equal src dst then Some [ (src, 0, 0) ]
+  else
+    let parents, visited = reference_parents g src in
+    if not (Hashtbl.mem visited dst) then None
+    else
+      let rec walk dpid out acc =
+        match Hashtbl.find_opt parents dpid with
+        | None -> (dpid, 0, out) :: acc
+        | Some (parent, parent_out, our_in) ->
+            walk parent parent_out ((dpid, our_in, out) :: acc)
+      in
+      Some (walk dst 0 [])
+
+let reference_next_hops g src dst =
+  let dist = Hashtbl.create 64 in
+  Hashtbl.add dist dst 0;
+  let q = Queue.create () in
+  Queue.push dst q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (_, (remote : Graph.endpoint)) ->
+        if not (Hashtbl.mem dist remote.dpid) then begin
+          Hashtbl.add dist remote.dpid (Hashtbl.find dist u + 1);
+          Queue.push remote.dpid q
+        end)
+      (Graph.neighbors g u)
+  done;
+  match Hashtbl.find_opt dist src with
+  | Some dsrc when not (Dpid.equal src dst) ->
+      List.filter_map
+        (fun (port, (remote : Graph.endpoint)) ->
+          if Hashtbl.find_opt dist remote.dpid = Some (dsrc - 1) then
+            Some (port, remote.dpid)
+          else None)
+        (Graph.neighbors g src)
+  | _ -> []
+
+let test_tree_readers_match_reference () =
+  List.iter
+    (fun (plan : Builder.plan) ->
+      let g = plan.Builder.graph in
+      (* One link down, so some pairs take a detour and the tree is not
+         the builder's. *)
+      let e = List.hd (Graph.edges g) in
+      Graph.remove_link g e.a e.b;
+      let switches = Graph.switches g in
+      List.iter
+        (fun root ->
+          (* One tree per root answers every query against it. *)
+          let tree = Graph.bfs_tree g root in
+          let parents, _ = reference_parents g root in
+          List.iter
+            (fun other ->
+              check_bool "path" true
+                (Graph.path g tree other = reference_path g root other);
+              check_bool "shortest_path" true
+                (Graph.shortest_path g root other = reference_path g root other);
+              check_bool "next hops" true
+                (Graph.next_hops g tree other
+                = reference_next_hops g other root);
+              let tree_ports =
+                Hashtbl.fold
+                  (fun child (parent, parent_out, child_in) acc ->
+                    (if Dpid.equal child other then [ child_in ] else [])
+                    @ (if Dpid.equal parent other then [ parent_out ] else [])
+                    @ acc)
+                  parents []
+              in
+              Alcotest.(check (list int))
+                "tree ports"
+                (List.sort_uniq compare tree_ports)
+                (List.sort compare (Graph.tree_ports tree other)))
+            switches)
+        switches)
+    [ Builder.linear ~switches:5 ~hosts_per_switch:1;
+      Builder.three_tier ~hosts_per_edge:1 ();
+      Builder.fat_tree ~k:4 ]
+
 module Weighted = Jury_topo.Weighted
 
 let test_weighted_uniform_matches_bfs () =
@@ -225,6 +327,7 @@ let suite =
     ("builder fat-tree", `Quick, test_builder_fat_tree);
     ("host slots", `Quick, test_host_slots);
     ("next hop choices", `Quick, test_next_hop_choices);
+    ("tree readers = per-query BFS", `Quick, test_tree_readers_match_reference);
     ("weighted uniform = bfs", `Quick, test_weighted_uniform_matches_bfs);
     ("weighted avoids heavy link", `Quick, test_weighted_avoids_heavy_link);
     ("weighted path weight", `Quick, test_weighted_path_weight);
