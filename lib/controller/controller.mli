@@ -129,7 +129,8 @@ val shortest_path :
 
 val next_hop_choices :
   t -> Of_types.Dpid.t -> Of_types.Dpid.t -> (int * Of_types.Dpid.t) list
-(** {!Jury_topo.Graph.next_hop_choices} on {!view}. *)
+(** [next_hop_choices t src dst]: {!Jury_topo.Graph.next_hops} from
+    [src] on {!view}'s tree rooted at [dst]. *)
 
 val flood_ports : t -> Of_types.Dpid.t -> in_port:int -> int list
 (** Where a flood out of this switch goes, sorted: its ports on the

@@ -1,16 +1,9 @@
 open Jury_openflow
 module Addr = Jury_packet.Addr
 
-let hex_digits = "0123456789abcdef"
-
 let hex_encode s =
   let b = Bytes.create (2 * String.length s) in
-  String.iteri
-    (fun i c ->
-      let c = Char.code c in
-      Bytes.set b (2 * i) hex_digits.[c lsr 4];
-      Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xF])
-    s;
+  String.iteri (fun i c -> Addr.set_hex_byte b (2 * i) (Char.code c)) s;
   Bytes.unsafe_to_string b
 
 let hex_value = function

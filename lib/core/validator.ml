@@ -196,21 +196,59 @@ let secondary_executions p =
       | _ -> None)
     (List.rev p.responses)
 
+(* The deduplication rules, shared by the list builders below and by
+   [complete], which scans [responses] in place. Each takes [older],
+   the responses that arrived before the one being judged (the tail of
+   the newest-first [responses]). *)
+
+let same_event (a : Event.t) (b : Event.t) =
+  a.Event.origin = b.Event.origin && a.Event.seq = b.Event.seq
+
+(* Does an [older] response from [controller] (any, if [None]) report
+   the same cache event? A cache event counts at its first report. *)
+let rec reported ?controller ev = function
+  | [] -> false
+  | (r : Response.t) :: older -> (
+      match r.body with
+      | Response.Cache_update e
+        when same_event e ev
+             && (match controller with None -> true | Some c -> c = r.controller)
+        ->
+          true
+      | _ -> reported ?controller ev older)
+
+(* Is no [older] intercepted FLOW_MOD at [dpid] encoded like [flow]? A
+   network write counts at the first delivery of its encoding. *)
+let rec first_encoding dpid flow = function
+  | [] -> true
+  | (r : Response.t) :: older -> (
+      match r.body with
+      | Response.Network_write { dpid = d; flow = f }
+        when Dpid.equal d dpid
+             && (f == flow || f = flow
+                || String.equal (Values.Flow.value f) (Values.Flow.value flow))
+        ->
+          false
+      | _ -> first_encoding dpid flow older)
+
+(* [f r older] over the responses, keeping its results in arrival
+   order. *)
+let filter_arrivals f p =
+  let rec go acc = function
+    | [] -> acc
+    | r :: older ->
+        go (match f r older with Some x -> x :: acc | None -> acc) older
+  in
+  go [] p.responses
+
 (* Cache events deduplicated by (origin, seq); keeps the first report. *)
 let distinct_cache_events p =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (r : Response.t) ->
+  filter_arrivals
+    (fun (r : Response.t) older ->
       match r.body with
-      | Response.Cache_update ev ->
-          let key = (ev.Event.origin, ev.Event.seq) in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some ev
-          end
+      | Response.Cache_update ev when not (reported ev older) -> Some ev
       | _ -> None)
-    (List.rev p.responses)
+    p
 
 (* Secondaries that never produced an Execution response. *)
 let stragglers p =
@@ -224,20 +262,17 @@ let stragglers p =
   in
   List.filter (fun s -> not (List.mem s execs)) p.secondaries
 
+(* Intercepted FLOW_MODs deduplicated by (dpid, encoding); keeps the
+   first delivery. *)
 let network_writes p =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (r : Response.t) ->
+  filter_arrivals
+    (fun (r : Response.t) older ->
       match r.body with
-      | Response.Network_write { dpid; flow } ->
-          let key = (dpid, Values.Flow.value flow) in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some (r.controller, dpid, flow)
-          end
+      | Response.Network_write { dpid; flow } when first_encoding dpid flow older
+        ->
+          Some (r.controller, dpid, flow)
       | _ -> None)
-    (List.rev p.responses)
+    p
 
 let write_failures p =
   List.filter_map
@@ -269,25 +304,8 @@ let cache_writes actions =
     actions
 
 (* [complete] runs on every delivery, so it scans the newest-first
-   [responses] in place instead of building the deduplicated lists
-   above; each helper below answers exactly as its list-building
-   counterpart would. *)
-
-let same_event (a : Event.t) (b : Event.t) =
-  a.Event.origin = b.Event.origin && a.Event.seq = b.Event.seq
-
-(* Does an [older] response from [controller] (any, if [None]) report
-   the same cache event? *)
-let rec reported ?controller ev = function
-  | [] -> false
-  | (r : Response.t) :: older -> (
-      match r.body with
-      | Response.Cache_update e
-        when same_event e ev
-             && (match controller with None -> true | Some c -> c = r.controller)
-        ->
-          true
-      | _ -> reported ?controller ev older)
+   [responses] in place with the rules above instead of building the
+   deduplicated lists. *)
 
 (* The earliest event in [distinct_cache_events] (first reports only)
    that [origin] wrote to [cache]/[key]. *)
@@ -320,20 +338,6 @@ let rec ack_count (ev : Event.t) n = function
         | _ -> n
       in
       ack_count ev n older
-
-(* Is no [older] intercepted FLOW_MOD at [dpid] encoded like [flow]?
-   [network_writes] keeps only the first of each encoding. *)
-let rec first_encoding dpid flow = function
-  | [] -> true
-  | (r : Response.t) :: older -> (
-      match r.body with
-      | Response.Network_write { dpid = d; flow = f }
-        when Dpid.equal d dpid
-             && (f == flow || f = flow
-                || String.equal (Values.Flow.value f) (Values.Flow.value flow))
-        ->
-          false
-      | _ -> first_encoding dpid flow older)
 
 (* Some FLOW_MOD in [network_writes] installs the same rule as [fm]. *)
 let rec on_wire dpid (fm : Of_message.flow_mod) = function

@@ -166,40 +166,8 @@ let compare = Stdlib.compare
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-let pp fmt t =
-  let first = ref true in
-  let field name pp_v = function
-    | None -> ()
-    | Some v ->
-        if not !first then Format.pp_print_string fmt ",";
-        first := false;
-        Format.fprintf fmt "%s=%a" name pp_v v
-  in
-  Format.pp_print_string fmt "{";
-  field "in_port" Of_types.Port.pp t.in_port;
-  field "dl_src" Addr.Mac.pp t.dl_src;
-  field "dl_dst" Addr.Mac.pp t.dl_dst;
-  field "dl_vlan"
-    (fun fmt -> function
-      | None -> Format.pp_print_string fmt "untagged"
-      | Some v -> Format.pp_print_int fmt v)
-    t.dl_vlan;
-  field "dl_type" (fun fmt v -> Format.fprintf fmt "0x%04x" v) t.dl_type;
-  field "nw_src"
-    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" Addr.Ipv4.pp p b)
-    t.nw_src;
-  field "nw_dst"
-    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" Addr.Ipv4.pp p b)
-    t.nw_dst;
-  field "nw_proto" Format.pp_print_int t.nw_proto;
-  field "nw_tos" Format.pp_print_int t.nw_tos;
-  field "tp_src" Format.pp_print_int t.tp_src;
-  field "tp_dst" Format.pp_print_int t.tp_dst;
-  if !first then Format.pp_print_string fmt "*";
-  Format.pp_print_string fmt "}"
-
-(* [pp]'s string, built without Format: [Values.Flow.key] renders every
-   flow rule through here. *)
+(* Built without Format: [Values.Flow.key] renders every flow rule
+   through here. *)
 let to_string t =
   let b = Buffer.create 96 in
   let first = ref true in
@@ -229,10 +197,10 @@ let to_string t =
   field "dl_type"
     (fun v ->
       if v >= 0 && v <= 0xFFFF then begin
-        str "0x";
-        for shift = 3 downto 0 do
-          Buffer.add_char b "0123456789abcdef".[(v lsr (4 * shift)) land 0xF]
-        done
+        let hex = Bytes.of_string "0x0000" in
+        Addr.set_hex_byte hex 2 (v lsr 8);
+        Addr.set_hex_byte hex 4 v;
+        Buffer.add_bytes b hex
       end
       else str (Printf.sprintf "0x%04x" v))
     t.dl_type;
@@ -245,3 +213,5 @@ let to_string t =
   if !first then Buffer.add_char b '*';
   Buffer.add_char b '}';
   Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -12,10 +12,9 @@ module Dpid = struct
   let to_string t =
     let b = Bytes.create 19 in
     Bytes.blit_string "of:" 0 b 0 3;
-    for i = 0 to 15 do
-      let nibble = Int64.shift_right_logical t (4 * (15 - i)) in
-      Bytes.set b (3 + i)
-        "0123456789abcdef".[Int64.to_int (Int64.logand nibble 0xFL)]
+    for i = 0 to 7 do
+      Jury_packet.Addr.set_hex_byte b (3 + (2 * i))
+        (Int64.to_int (Int64.shift_right_logical t (8 * (7 - i))))
     done;
     Bytes.unsafe_to_string b
 

@@ -1,3 +1,7 @@
+let set_hex_byte b pos v =
+  Bytes.set b pos "0123456789abcdef".[(v lsr 4) land 0xF];
+  Bytes.set b (pos + 1) "0123456789abcdef".[v land 0xF]
+
 module Mac = struct
   type t = int
 
@@ -22,14 +26,10 @@ module Mac = struct
         (acc lsl 8) lor v)
       0 parts
 
-  let hex_digits = "0123456789abcdef"
-
   let to_string t =
     let b = Bytes.make 17 ':' in
     for i = 0 to 5 do
-      let octet = (t lsr (40 - (8 * i))) land 0xFF in
-      Bytes.set b (3 * i) hex_digits.[octet lsr 4];
-      Bytes.set b ((3 * i) + 1) hex_digits.[octet land 0xF]
+      set_hex_byte b (3 * i) (t lsr (40 - (8 * i)))
     done;
     Bytes.unsafe_to_string b
 

@@ -1,5 +1,10 @@
 (** Link- and network-layer addresses. *)
 
+val set_hex_byte : Bytes.t -> int -> int -> unit
+(** [set_hex_byte b pos v] writes the low byte of [v] as two lowercase
+    hex digits at [pos] and [pos + 1] — ["%02x"] without Printf, for
+    the address and flow-rule strings built on every trigger. *)
+
 module Mac : sig
   type t = private int
   (** 48-bit MAC address stored in the low bits of a native int. *)

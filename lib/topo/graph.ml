@@ -146,16 +146,11 @@ let tree_ports tree dpid =
     tree.hops own
 
 let shortest_path t src dst = path t (bfs_tree t src) dst
-let next_hop_choices t src dst = next_hops t (bfs_tree t dst) src
 
 let connected t =
   match switches t with
   | [] -> true
   | s :: _ -> DpidMap.cardinal (bfs_tree t s).hops + 1 = switch_count t
-
-let spanning_tree_ports t root =
-  let tree = bfs_tree t root in
-  List.map (fun dpid -> (dpid, tree_ports tree dpid)) (switches t)
 
 let pp fmt t =
   Format.fprintf fmt "graph(%d switches, %d links)@." (switch_count t)

@@ -54,11 +54,15 @@ val path : t -> tree -> Dpid.t -> (Dpid.t * int * int) list option
 (** [path t tree dst] is {!shortest_path} from the tree's root. *)
 
 val next_hops : t -> tree -> Dpid.t -> (int * Dpid.t) list
-(** [next_hops t tree src] is {!next_hop_choices} from [src] toward the
-    tree's root. *)
+(** [next_hops t tree src] are the equal-cost first hops from [src]
+    toward the tree's root: every (out_port, neighbor) whose hop
+    distance to the root is exactly one less than [src]'s. Empty if
+    [src] is unreachable or is the root. *)
 
 val tree_ports : tree -> Dpid.t -> int list
-(** Ports of one switch that lie on the tree, in no fixed order. *)
+(** Ports of one switch that lie on the tree, in no fixed order. A
+    tree rooted at the same switch everywhere gives loop-free
+    flooding. *)
 
 val shortest_path : t -> Dpid.t -> Dpid.t -> (Dpid.t * int * int) list option
 (** BFS hop-count path. Returns per-hop [(dpid, in_port, out_port)]
@@ -68,14 +72,6 @@ val shortest_path : t -> Dpid.t -> Dpid.t -> (Dpid.t * int * int) list option
     disconnected, [Some []] never occurs; a path from a switch to
     itself is [Some [(s, 0, 0)]]. *)
 
-val next_hop_choices : t -> Dpid.t -> Dpid.t -> (int * Dpid.t) list
-(** Equal-cost first hops from src toward dst: every (out_port,
-    neighbor) whose hop distance to dst is exactly one less than
-    src's. Empty if unreachable or src = dst. *)
-
 val connected : t -> bool
-val spanning_tree_ports : t -> Dpid.t -> (Dpid.t * int list) list
-(** Per-switch list of ports on a BFS spanning tree rooted at the given
-    switch — used for loop-free flooding. *)
 
 val pp : Format.formatter -> t -> unit

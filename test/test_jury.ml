@@ -339,17 +339,22 @@ let test_validator_network_without_cache () =
 let test_validator_bypass_detail () =
   (* The same bypass seen through an external trigger whose primary
      response never arrived: decided at the timeout, with a detail that
-     names both halves of the evidence. *)
+     names both halves of the evidence. The FLOW_MOD arrives a second
+     time under another sender; only its first delivery counts. *)
   let engine, v = mk_validator ~k:0 () in
   let dpid, fmv = flow_for (Dpid.of_int 1) in
   Validator.register_external v ~taint ~at:Time.zero ~primary:0 ~secondaries:[];
-  deliver v ~controller:0 ~snapshot:Snapshot.pristine
-    (Response.Network_write { dpid; flow = fmv });
+  List.iter
+    (fun controller ->
+      deliver v ~controller ~snapshot:Snapshot.pristine
+        (Response.Network_write { dpid; flow = fmv }))
+    [ 0; 1 ];
   Engine.run engine;
   match Validator.alarms v with
   | [ a ] ->
       check_bool "network-without-cache" true
         (a.Alarm.verdict = Alarm.Faulty [ Alarm.Network_without_cache ]);
+      Alcotest.(check (list int)) "one suspect entry" [ 0 ] a.Alarm.suspects;
       Alcotest.(check string)
         "detail" "FLOW_MOD on the wire with no cache backing and no response"
         a.Alarm.detail

@@ -93,9 +93,12 @@ let test_spanning_tree () =
   let g = plan.Builder.graph in
   check_bool "three-tier has cycles" true
     (Graph.edge_count g >= Graph.switch_count g);
-  let tree = Graph.spanning_tree_ports g (d 100) in
+  let tree = Graph.bfs_tree g (d 100) in
   let tree_edge_count =
-    List.fold_left (fun acc (_, ports) -> acc + List.length ports) 0 tree / 2
+    List.fold_left
+      (fun acc dpid -> acc + List.length (Graph.tree_ports tree dpid))
+      0 (Graph.switches g)
+    / 2
   in
   check_int "tree edges = nodes - 1" (Graph.switch_count g - 1) tree_edge_count
 
@@ -141,16 +144,17 @@ let test_host_slots () =
       ignore (Builder.find_host_slot plan 99))
 
 let test_next_hop_choices () =
+  let next_hop_choices g src dst = Graph.next_hops g (Graph.bfs_tree g dst) src in
   let plan = Builder.linear ~switches:5 ~hosts_per_switch:1 in
-  (match Graph.next_hop_choices plan.Builder.graph (d 1) (d 5) with
+  (match next_hop_choices plan.Builder.graph (d 1) (d 5) with
   | [ (_, next) ] -> check_bool "single choice on a line" true (Dpid.equal next (d 2))
   | l -> Alcotest.failf "expected one choice, got %d" (List.length l));
   check_int "no choice to self" 0
-    (List.length (Graph.next_hop_choices plan.Builder.graph (d 3) (d 3)));
+    (List.length (next_hop_choices plan.Builder.graph (d 3) (d 3)));
   (* three-tier: an edge switch reaches a far edge through either of its
      two aggregates. *)
   let tt = Builder.three_tier ~hosts_per_edge:1 () in
-  let choices = Graph.next_hop_choices tt.Builder.graph (d 100) (d 104) in
+  let choices = next_hop_choices tt.Builder.graph (d 100) (d 104) in
   check_bool "multipath in three-tier" true (List.length choices >= 2)
 
 (* The per-query searches the shared BFS tree replaced: a fresh
