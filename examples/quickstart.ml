@@ -27,8 +27,9 @@ let () =
     Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
   in
   let validator = Jury.Deployment.validator deployment in
-  Jury.Validator.set_alarm_handler validator (fun alarm ->
-      Format.printf "  !! ALARM %a@." Jury.Alarm.pp alarm);
+  Jury.Validator.on_verdict validator (fun alarm ->
+      if Jury.Alarm.is_fault alarm then
+        Format.printf "  !! ALARM %a@." Jury.Alarm.pp alarm);
 
   (* 3. Boot: mastership assignment, switch connection, LLDP topology
      discovery, host announcement. *)

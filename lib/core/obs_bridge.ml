@@ -23,9 +23,7 @@ let record_validator_shards ?(prefix = "validator/") v metrics =
       Metrics.incr metrics ~by:n
         (Printf.sprintf "%sshard%d/%s" prefix shard field)
     in
-    let pending, live_epochs = Validator.shard_gauges v ~shard in
-    bump "pending" pending;
-    bump "live-epochs" live_epochs;
+    bump "pending" (Validator.pending_count ~shard v);
     List.iter
       (fun c -> bump (Counter.name c) (Validator.count ~shard v c))
       Counter.all

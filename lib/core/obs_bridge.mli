@@ -18,8 +18,8 @@ val record_validator_shards :
   ?prefix:string -> Validator.t -> Jury_sim.Metrics.t -> unit
 (** Bump one metrics counter per shard per {!Counter.t}
     ([prefix ^ "shard<i>/" ^ Counter.name c], e.g. ["/decided"],
-    ["/batches"]) and per shard gauge (["/pending"], ["/live-epochs"]),
-    plus the current registration epoch under [prefix ^ "epoch"].
+    ["/batches"]) and its in-flight trigger gauge (["/pending"]), plus
+    the current registration epoch under [prefix ^ "epoch"].
     [prefix] defaults to ["validator/"]. *)
 
 val record_channel_counters :

@@ -37,15 +37,34 @@ type config = {
   max_inflight : int option;
 }
 
+(* One accepted Cache_update. [first] marks the first report of its
+   (origin, seq): the copy the checks read. [ack] marks a peer of the
+   origin reporting the event for the first time: what completeness
+   counts toward the origin's ack quorum. *)
+type report = { reporter : int; event : Event.t; first : bool; ack : bool }
+
+(* One accepted intercepted FLOW_MOD. [first] marks the first delivery
+   of its (dpid, encoding). *)
+type write = {
+  sender : int;
+  dpid : Dpid.t;
+  flow : Of_message.flow_mod;
+  first : bool;
+}
+
 type pending = {
   taint : Types.Taint.t;
   shard : int;  (* owning shard, fixed by hash(taint) at creation *)
-  epoch : int;  (* registration epoch, for bulk retirement *)
+  epoch : int;  (* registration epoch, the unit [max_inflight] sheds *)
   mutable trigger_at : Time.t;
   mutable primary : int option;
   mutable term : int;  (* leadership term; bumped when re-attributed *)
   mutable secondaries : int list;
-  mutable responses : Response.t list;  (* newest first *)
+  (* The accepted responses, filed by [record], each list newest first. *)
+  mutable executions : Response.t list;
+  mutable reports : report list;
+  mutable writes : write list;
+  mutable failures : (int * Types.action * string) list;
   mutable timer : Engine.handle option;
   mutable decided : bool;
   mutable retry_round : int;
@@ -54,15 +73,11 @@ type pending = {
 
 (* One shard of verdict state: its own pending table, retransmission
    timer wheel (the retry timers of its pendings, tracked by the
-   [Retry_armed] counter), epoch buckets and counters. Taints hash to
-   a shard; with [shards = 1] everything lands in shard 0 and the data
-   structures behave byte-for-byte like the historical flat table. *)
+   [Retry_armed] counter) and counters. Taints hash to a shard; with
+   [shards = 1] everything lands in shard 0 and the data structures
+   behave byte-for-byte like the historical flat table. *)
 type shard = {
   pending : (string, pending) Hashtbl.t;
-  epochs : (int, string list ref) Hashtbl.t;
-      (* epoch -> keys registered in it, newest first. Decided keys stay
-         as tombstones until the whole bucket retires — removal is a
-         bulk drop of the bucket, not a per-key scan. *)
   counts : int array;  (* indexed by [Counter.index] *)
 }
 
@@ -89,9 +104,12 @@ type t = {
          mirror is FLOWSDB replica state, not per-trigger state. *)
   epoch_length : int;  (* registrations per epoch *)
   mutable reg_count : int;
-  mutable epoch_now : int;
+  admitted : pending Queue.t;
+      (* Under [max_inflight] only: every registered record in
+         registration order. Each registration pops the decided ones off
+         the front, so the queue never holds more than the registrations
+         made since the oldest undecided trigger. *)
   mutable verdicts : Alarm.t list;  (* newest first *)
-  mutable alarm_handler : Alarm.t -> unit;
   mutable response_observers : (Response.t -> unit) list;
       (* newest first; reversed at dispatch so observers run in
          registration order without quadratic appends *)
@@ -107,9 +125,7 @@ type t = {
 }
 
 let make_shard () =
-  { pending = Hashtbl.create 256;
-    epochs = Hashtbl.create 16;
-    counts = Array.make Counter.cardinal 0 }
+  { pending = Hashtbl.create 256; counts = Array.make Counter.cardinal 0 }
 
 let add sh c n =
   let i = Counter.index c in
@@ -121,15 +137,14 @@ let create engine cfg =
     shards = Array.init cfg.shards (fun _ -> make_shard ());
     flow_mirror = Hashtbl.create 256;
     epoch_length =
-      (* Small enough epochs that the high-water mark always has a few
-         retired-candidate buckets behind the current one. *)
+      (* Short enough that the high-water mark always finds triggers of
+         an older epoch to shed behind the current one. *)
       (match cfg.max_inflight with
       | Some m -> max 1 (m / 4)
       | None -> 1024);
     reg_count = 0;
-    epoch_now = 0;
+    admitted = Queue.create ();
     verdicts = [];
-    alarm_handler = (fun _ -> ());
     response_observers = [];
     verdict_observers = [];
     retransmit_handler = (fun _ ~secondary:_ -> ());
@@ -166,122 +181,111 @@ let observe_completion_latency t latency =
   end;
   t.rtt_samples <- t.rtt_samples + 1
 
-let set_alarm_handler t f = t.alarm_handler <- f
 let set_retransmit_handler t f = t.retransmit_handler <- f
 let on_response t f = t.response_observers <- f :: t.response_observers
 let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
 
-(* --- Response-set inspection helpers --- *)
+(* --- Filing responses --- *)
 
-(* The primary's earliest execution report: the last one in the
-   newest-first [responses]. *)
+(* File an arriving response in its list, the one place the duplicate
+   and counting rules live. Returns [false] for a stale channel
+   duplicate: a second Execution from the same (controller, role), or
+   the same body again from the same controller. The first delivery
+   wins, so a duplicate can never satisfy consensus or a quorum twice. *)
+let record p (r : Response.t) =
+  let from = r.controller in
+  match r.body with
+  | Response.Execution { role; _ } ->
+      let same (q : Response.t) =
+        q.controller = from
+        && match q.body with Response.Execution e -> e.role = role | _ -> false
+      in
+      let fresh = not (List.exists same p.executions) in
+      if fresh then p.executions <- r :: p.executions;
+      fresh
+  | Response.Cache_update event ->
+      let same (c : report) =
+        c.event.Event.origin = event.Event.origin
+        && c.event.Event.seq = event.Event.seq
+      in
+      let mine (c : report) = c.reporter = from in
+      let fresh =
+        not (List.exists (fun c -> mine c && c.event = event) p.reports)
+      in
+      if fresh then
+        p.reports <-
+          { reporter = from;
+            event;
+            first = not (List.exists same p.reports);
+            ack =
+              from <> event.Event.origin
+              && not (List.exists (fun c -> mine c && same c) p.reports) }
+          :: p.reports;
+      fresh
+  | Response.Network_write { dpid; flow } ->
+      let same (w : write) =
+        Dpid.equal w.dpid dpid
+        && (w.flow == flow || w.flow = flow
+           || String.equal (Values.Flow.value w.flow) (Values.Flow.value flow))
+      in
+      let fresh =
+        not
+          (List.exists
+             (fun w -> w.sender = from && w.dpid = dpid && w.flow = flow)
+             p.writes)
+      in
+      if fresh then
+        p.writes <-
+          { sender = from; dpid; flow; first = not (List.exists same p.writes) }
+          :: p.writes;
+      fresh
+  | Response.Write_failure { action; reason } ->
+      let failure = (from, action, reason) in
+      let fresh = not (List.mem failure p.failures) in
+      if fresh then p.failures <- failure :: p.failures;
+      fresh
+
+(* --- Reading the filed responses --- *)
+
+(* The current primary's execution report (one per controller and
+   role: [record] drops the rest). *)
 let primary_execution p =
   match p.primary with
   | None -> None
   | Some primary ->
-      List.fold_left
-        (fun found (r : Response.t) ->
+      List.find_map
+        (fun (r : Response.t) ->
           match r.body with
           | Response.Execution { role = `Primary; actions }
             when r.controller = primary ->
               Some (r, actions)
-          | _ -> found)
-        None p.responses
+          | _ -> None)
+        p.executions
 
+(* Secondary execution reports, in arrival order. *)
 let secondary_executions p =
-  List.filter_map
-    (fun (r : Response.t) ->
+  List.fold_left
+    (fun acc (r : Response.t) ->
       match r.body with
-      | Response.Execution { role = `Secondary; actions } -> Some (r, actions)
-      | _ -> None)
-    (List.rev p.responses)
-
-(* The deduplication rules, shared by the list builders below and by
-   [complete], which scans [responses] in place. Each takes [older],
-   the responses that arrived before the one being judged (the tail of
-   the newest-first [responses]). *)
-
-let same_event (a : Event.t) (b : Event.t) =
-  a.Event.origin = b.Event.origin && a.Event.seq = b.Event.seq
-
-(* Does an [older] response from [controller] (any, if [None]) report
-   the same cache event? A cache event counts at its first report. *)
-let rec reported ?controller ev = function
-  | [] -> false
-  | (r : Response.t) :: older -> (
-      match r.body with
-      | Response.Cache_update e
-        when same_event e ev
-             && (match controller with None -> true | Some c -> c = r.controller)
-        ->
-          true
-      | _ -> reported ?controller ev older)
-
-(* Is no [older] intercepted FLOW_MOD at [dpid] encoded like [flow]? A
-   network write counts at the first delivery of its encoding. *)
-let rec first_encoding dpid flow = function
-  | [] -> true
-  | (r : Response.t) :: older -> (
-      match r.body with
-      | Response.Network_write { dpid = d; flow = f }
-        when Dpid.equal d dpid
-             && (f == flow || f = flow
-                || String.equal (Values.Flow.value f) (Values.Flow.value flow))
-        ->
-          false
-      | _ -> first_encoding dpid flow older)
-
-(* [f r older] over the responses, keeping its results in arrival
-   order. *)
-let filter_arrivals f p =
-  let rec go acc = function
-    | [] -> acc
-    | r :: older ->
-        go (match f r older with Some x -> x :: acc | None -> acc) older
-  in
-  go [] p.responses
-
-(* Cache events deduplicated by (origin, seq); keeps the first report. *)
-let distinct_cache_events p =
-  filter_arrivals
-    (fun (r : Response.t) older ->
-      match r.body with
-      | Response.Cache_update ev when not (reported ev older) -> Some ev
-      | _ -> None)
-    p
+      | Response.Execution { role = `Secondary; actions } -> (r, actions) :: acc
+      | _ -> acc)
+    [] p.executions
 
 (* Secondaries that never produced an Execution response. *)
 let stragglers p =
-  let execs =
-    List.filter_map
-      (fun (r : Response.t) ->
-        match r.body with
-        | Response.Execution { role = `Secondary; _ } -> Some r.controller
-        | _ -> None)
-      p.responses
-  in
-  List.filter (fun s -> not (List.mem s execs)) p.secondaries
+  let answered = secondary_executions p in
+  List.filter
+    (fun s ->
+      not
+        (List.exists (fun ((r : Response.t), _) -> r.controller = s) answered))
+    p.secondaries
 
-(* Intercepted FLOW_MODs deduplicated by (dpid, encoding); keeps the
-   first delivery. *)
-let network_writes p =
-  filter_arrivals
-    (fun (r : Response.t) older ->
-      match r.body with
-      | Response.Network_write { dpid; flow } when first_encoding dpid flow older
-        ->
-          Some (r.controller, dpid, flow)
-      | _ -> None)
-    p
-
-let write_failures p =
-  List.filter_map
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Write_failure { action; reason } ->
-          Some (r.controller, action, reason)
-      | _ -> None)
-    (List.rev p.responses)
+(* The first copies of a trigger's FLOW_MODs that [keep] selects, in
+   arrival order. *)
+let first_writes keep p =
+  List.fold_left
+    (fun acc (w : write) -> if w.first && keep w then w :: acc else acc)
+    [] p.writes
 
 (* --- Completeness: can we decide before the timer? --- *)
 
@@ -303,55 +307,10 @@ let cache_writes actions =
       | Types.Network_send _ -> None)
     actions
 
-(* [complete] runs on every delivery, so it scans the newest-first
-   [responses] in place with the rules above instead of building the
-   deduplicated lists. *)
-
-(* The earliest event in [distinct_cache_events] (first reports only)
-   that [origin] wrote to [cache]/[key]. *)
-let rec written_event ~origin ~cache ~key found = function
-  | [] -> found
-  | (r : Response.t) :: older ->
-      let found =
-        match r.body with
-        | Response.Cache_update e
-          when e.Event.cache = cache && e.Event.key = key
-               && e.Event.origin = origin && not (reported e older) ->
-            Some e
-        | _ -> found
-      in
-      written_event ~origin ~cache ~key found older
-
-(* Acks are counted per distinct controller: a duplicated delivery of
-   the same peer's ack must not satisfy the quorum twice, so each peer
-   counts at its earliest report only. *)
-let rec ack_count (ev : Event.t) n = function
-  | [] -> n
-  | (r : Response.t) :: older ->
-      let n =
-        match r.body with
-        | Response.Cache_update e
-          when same_event e ev
-               && r.controller <> ev.Event.origin
-               && not (reported ~controller:r.controller ev older) ->
-            n + 1
-        | _ -> n
-      in
-      ack_count ev n older
-
-(* Some FLOW_MOD in [network_writes] installs the same rule as [fm]. *)
-let rec on_wire dpid (fm : Of_message.flow_mod) = function
-  | [] -> false
-  | (r : Response.t) :: older -> (
-      match r.body with
-      | Response.Network_write { dpid = d; flow = f }
-        when Dpid.equal d dpid
-             && Of_match.equal f.fm_match fm.fm_match
-             && f.priority = fm.priority && f.command = fm.command
-             && first_encoding d f older ->
-          true
-      | _ -> on_wire dpid fm older)
-
+(* There are as many secondary executions as secondaries, each of the
+   primary's cache writes has arrived (its earliest first report counts)
+   and been acked by all of the origin's peers, and each of its FLOW_MODs
+   is on the wire. *)
 let complete t p =
   match primary_execution p with
   | None -> false
@@ -363,7 +322,7 @@ let complete t p =
             match r.body with
             | Response.Execution { role = `Secondary; _ } -> n + 1
             | _ -> n)
-          0 p.responses
+          0 p.executions
       in
       executions >= List.length p.secondaries
       && (let peers = List.length (t.cfg.ack_peers_of primary) in
@@ -371,21 +330,41 @@ let complete t p =
             (fun (a : Types.action) ->
               match a with
               | Types.Cache_write { cache; key; _ } -> (
-                  match
-                    written_event ~origin:primary
-                      ~cache:(Names.normalize cache) ~key None p.responses
-                  with
+                  let cache = Names.normalize cache in
+                  let written =
+                    List.fold_left
+                      (fun found (c : report) ->
+                        let e = c.event in
+                        if
+                          c.first && e.Event.cache = cache && e.Event.key = key
+                          && e.Event.origin = primary
+                        then Some e
+                        else found)
+                      None p.reports
+                  in
+                  match written with
                   | None -> false
-                  | Some ev -> ack_count ev 0 p.responses >= peers)
+                  | Some ev ->
+                      List.fold_left
+                        (fun n (c : report) ->
+                          if
+                            c.ack && c.event.Event.origin = ev.Event.origin
+                            && c.event.Event.seq = ev.Event.seq
+                          then n + 1
+                          else n)
+                        0 p.reports
+                      >= peers)
+              | Types.Network_send
+                  { dpid; payload = Of_message.Flow_mod fm } ->
+                  List.exists
+                    (fun (w : write) ->
+                      w.first && Dpid.equal w.dpid dpid
+                      && Of_match.equal w.flow.fm_match fm.fm_match
+                      && w.flow.priority = fm.priority
+                      && w.flow.command = fm.command)
+                    p.writes
               | Types.Network_send _ -> true)
             actions)
-      && List.for_all
-           (fun (a : Types.action) ->
-             match a with
-             | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } ->
-                 on_wire dpid fm p.responses
-             | _ -> true)
-           actions
 
 (* --- Consensus --- *)
 
@@ -551,12 +530,15 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
    the caller can either degrade the verdict or, if no quorum backs the
    plan, reinstate them as faults. *)
 let run_sanity ~mirror ?plan p ~origin =
-  let events = distinct_cache_events p in
+  (* The origin's FLOWSDB installs, at their first report, in arrival
+     order. *)
   let cache_flows =
-    List.filter_map
-      (fun (ev : Event.t) ->
+    List.fold_left
+      (fun acc (c : report) ->
+        let ev = c.event in
         if
-          ev.Event.cache = Names.flowsdb
+          c.first
+          && ev.Event.cache = Names.flowsdb
           && ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
         then
@@ -564,17 +546,17 @@ let run_sanity ~mirror ?plan p ~origin =
             (Values.Flow.dpid_of_key ev.Event.key,
              Values.Flow.parse ev.Event.value)
           with
-          | Some dpid, Some fm -> Some (dpid, fm)
-          | _ -> None
-        else None)
-      events
+          | Some dpid, Some fm -> (dpid, fm) :: acc
+          | _ -> acc
+        else acc)
+      [] p.reports
   in
   let nets =
-    List.filter
-      (fun (_, _, (fm : Of_message.flow_mod)) ->
-        fm.command = Of_message.Add || fm.command = Of_message.Modify
-        || fm.command = Of_message.Modify_strict)
-      (network_writes p)
+    first_writes
+      (fun w ->
+        w.flow.command = Of_message.Add || w.flow.command = Of_message.Modify
+        || w.flow.command = Of_message.Modify_strict)
+      p
   in
   let planned_sends =
     match plan with Some actions -> flow_mod_sends actions | None -> []
@@ -601,13 +583,13 @@ let run_sanity ~mirror ?plan p ~origin =
   List.iter
     (fun (dpid, cfm) ->
       let same_switch =
-        List.filter (fun (_, d, _) -> Dpid.equal d dpid) nets
+        List.filter (fun (w : write) -> Dpid.equal w.dpid dpid) nets
       in
       let same_match =
         List.filter
-          (fun (_, _, (nfm : Of_message.flow_mod)) ->
-            Of_match.equal nfm.fm_match cfm.Of_message.fm_match
-            && nfm.priority = cfm.Of_message.priority)
+          (fun (w : write) ->
+            Of_match.equal w.flow.fm_match cfm.Of_message.fm_match
+            && w.flow.priority = cfm.Of_message.priority)
           same_switch
       in
       match same_match with
@@ -625,15 +607,14 @@ let run_sanity ~mirror ?plan p ~origin =
       | writes ->
           if
             not
-              (List.exists (fun (_, _, nfm) -> flows_equal nfm cfm) writes)
+              (List.exists (fun (w : write) -> flows_equal w.flow cfm) writes)
           then
             add Alarm.Cache_network_mismatch
               (Format.asprintf "cache and wire disagree for %a@%a"
                  Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid))
     cache_flows;
   List.iter
-    (fun (sender, dpid, (nfm : Of_message.flow_mod)) ->
-      ignore sender;
+    (fun ({ dpid; flow = nfm; _ } : write) ->
       let in_trigger =
         List.exists
           (fun (d, cfm) ->
@@ -768,9 +749,7 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   t.verdicts <- alarm :: t.verdicts;
   add sh Decided 1;
   (match verdict with
-  | Alarm.Faulty _ ->
-      add sh Faulty 1;
-      t.alarm_handler alarm
+  | Alarm.Faulty _ -> add sh Faulty 1
   | Alarm.Ok_unverifiable -> add sh Unverifiable 1
   | Alarm.Ok_degraded -> add sh Degraded 1
   | Alarm.Overload -> add sh Overload 1
@@ -780,7 +759,7 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
 let evaluate t p ~timed_out =
   if not p.decided then begin
     let external_ = Types.Taint.is_external p.taint in
-    let failures = write_failures p in
+    let failures = List.rev p.failures in
     match primary_execution p with
     | None ->
         if timed_out then begin
@@ -792,20 +771,21 @@ let evaluate t p ~timed_out =
              the lossy channel ate the primary's report and the trigger
              is decided with a reduced quorum. *)
           let stray =
-            List.filter
-              (fun (_, dpid, (nfm : Of_message.flow_mod)) ->
+            first_writes
+              (fun w ->
                 let key =
-                  Values.Flow.key dpid nfm.fm_match ~priority:nfm.priority
+                  Values.Flow.key w.dpid w.flow.fm_match
+                    ~priority:w.flow.priority
                 in
                 match Hashtbl.find_opt t.flow_mirror key with
-                | Some cfm -> not (flows_equal cfm nfm)
+                | Some cfm -> not (flows_equal cfm w.flow)
                 | None -> true)
-              (network_writes p)
+              p
           in
           if stray <> [] then
             finish t p
               (Alarm.Faulty [ Alarm.Network_without_cache ])
-              ~suspects:(List.map (fun (sender, _, _) -> sender) stray)
+              ~suspects:(List.map (fun (w : write) -> w.sender) stray)
               ~detail:
                 "FLOW_MOD on the wire with no cache backing and no response"
           else begin
@@ -862,16 +842,17 @@ let evaluate t p ~timed_out =
         (* Timed-out evaluation with missing externalisation: the plan
            says a write should exist; did its cache event arrive? *)
         if timed_out && failures = [] then begin
-          let events = distinct_cache_events p in
           List.iter
             (fun (cache, _, key, _) ->
               if
                 not
                   (List.exists
-                     (fun (ev : Event.t) ->
-                       ev.Event.cache = Names.normalize cache
-                       && ev.Event.key = key && ev.Event.origin = origin)
-                     events)
+                     (fun (c : report) ->
+                       c.first
+                       && c.event.Event.cache = Names.normalize cache
+                       && c.event.Event.key = key
+                       && c.event.Event.origin = origin)
+                     p.reports)
               then begin
                 omissions :=
                   (Alarm.Response_timeout, origin) :: !omissions;
@@ -966,9 +947,9 @@ let evaluate t p ~timed_out =
 (* A trigger-scoped event: decides/updates only this trigger's entry
    (shard counters it bumps are commutative). The two per-validator
    couplings that break that — the adaptive-timeout estimator, which
-   every decision feeds and every later timer reads, and the admission
-   epochs of [max_inflight], where one verdict releases the next queued
-   trigger — force the conservative opaque footprint instead. *)
+   every decision feeds and every later timer reads, and the
+   [max_inflight] admission queue, where one verdict releases the next
+   queued trigger — force the conservative opaque footprint instead. *)
 let entry_footprint t (p : pending) =
   if t.cfg.adaptive_timeout || t.cfg.max_inflight <> None then
     Footprint.opaque
@@ -1014,108 +995,68 @@ and fire_retry t p (rt : retransmit) =
         if p.retry_round < rt.max_retries then arm_retry t p rt
   end
 
-(* --- Epoch bookkeeping and the in-flight high-water mark --- *)
+(* --- The in-flight high-water mark --- *)
 
-let inflight t =
-  Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.pending) 0 t.shards
-
-(* Bulk-free retired epochs: a bucket at least two epochs old whose keys
-   are all decided (tombstones) is dropped wholesale; one with live
-   stragglers is compacted down to them. *)
-let retire_decided_epochs t =
-  Array.iter
-    (fun sh ->
-      let stale =
-        Hashtbl.fold
-          (fun e keys acc ->
-            if e <= t.epoch_now - 2 then (e, keys) :: acc else acc)
-          sh.epochs []
-      in
-      List.iter
-        (fun (e, keys) ->
-          let live = List.filter (Hashtbl.mem sh.pending) !keys in
-          if live = [] then Hashtbl.remove sh.epochs e else keys := live)
-        stale)
-    t.shards
-
-let oldest_epoch t =
-  Array.fold_left
-    (fun acc sh ->
-      Hashtbl.fold
-        (fun e _ acc ->
-          match acc with Some b when b <= e -> acc | _ -> Some e)
-        sh.epochs acc)
-    None t.shards
+let pending_count ?shard t =
+  match shard with
+  | Some s -> Hashtbl.length t.shards.(s).pending
+  | None ->
+      Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.pending) 0 t.shards
 
 (* Force-decide every still-undecided trigger registered in epoch [e],
-   oldest registration first, then drop the epoch's buckets. *)
+   the front of [admitted]: shard by shard, oldest registration first. *)
 let force_expire_epoch t e =
-  Array.iter
-    (fun sh ->
-      match Hashtbl.find_opt sh.epochs e with
-      | None -> ()
-      | Some keys ->
-          let ks = List.rev !keys in
-          Hashtbl.remove sh.epochs e;
-          List.iter
-            (fun key ->
-              match Hashtbl.find_opt sh.pending key with
-              | Some p when not p.decided ->
-                  finish t p Alarm.Overload ~suspects:[]
-                    ~detail:
-                      (Printf.sprintf
-                         "epoch %d force-expired at max_inflight high-water \
-                          mark"
-                         e)
-              | _ -> ())
-            ks)
-    t.shards
+  let rec take acc =
+    match Queue.peek_opt t.admitted with
+    | Some p when p.epoch = e -> take (Queue.pop t.admitted :: acc)
+    | _ -> List.rev acc
+  in
+  let detail =
+    Printf.sprintf "epoch %d force-expired at max_inflight high-water mark" e
+  in
+  List.iter
+    (fun p ->
+      if not p.decided then finish t p Alarm.Overload ~suspects:[] ~detail)
+    (List.stable_sort (fun a b -> compare a.shard b.shard) (take []))
 
 (* Called before each registration. Expiring the oldest epoch first
    mirrors the paper's argument that a verdict delayed past several
-   epochs of newer traffic has lost its diagnostic value anyway. *)
-let enforce_inflight t =
-  match t.cfg.max_inflight with
-  | None -> ()
-  | Some m ->
-      let looping = ref true in
-      while !looping && inflight t >= m do
-        match oldest_epoch t with
-        | Some e when e < t.epoch_now -> force_expire_epoch t e
-        | _ -> looping := false (* never eat the epoch being filled *)
-      done
-
-let note_registration t shard key =
-  enforce_inflight t;
-  t.reg_count <- t.reg_count + 1;
-  let epoch = t.reg_count / t.epoch_length in
-  if epoch > t.epoch_now then begin
-    t.epoch_now <- epoch;
-    retire_decided_epochs t
-  end;
-  let sh = t.shards.(shard) in
-  (match Hashtbl.find_opt sh.epochs epoch with
-  | Some keys -> keys := key :: !keys
-  | None -> Hashtbl.add sh.epochs epoch (ref [ key ]));
-  epoch
+   epoch lengths of newer traffic has lost its diagnostic value anyway. *)
+let rec enforce_inflight t m =
+  match Queue.peek_opt t.admitted with
+  | Some p when p.decided ->
+      ignore (Queue.pop t.admitted);
+      enforce_inflight t m
+  | Some p
+    when pending_count t >= m
+         (* never eat the epoch being filled *)
+         && p.epoch < t.reg_count / t.epoch_length ->
+      force_expire_epoch t p.epoch;
+      enforce_inflight t m
+  | _ -> ()
 
 let add_pending t ~key ~shard ~taint ~at ~primary ~secondaries =
-  let epoch = note_registration t shard key in
+  (match t.cfg.max_inflight with Some m -> enforce_inflight t m | None -> ());
+  t.reg_count <- t.reg_count + 1;
   let p =
     { taint;
       shard;
-      epoch;
+      epoch = t.reg_count / t.epoch_length;
       trigger_at = at;
       primary;
       term = t.cfg.term_lookup ();
       secondaries;
-      responses = [];
+      executions = [];
+      reports = [];
+      writes = [];
+      failures = [];
       timer = None;
       decided = false;
       retry_round = 0;
       retry_timer = None }
   in
   Hashtbl.add t.shards.(shard).pending key p;
+  if t.cfg.max_inflight <> None then Queue.push p t.admitted;
   p
 
 let get_pending t taint =
@@ -1186,22 +1127,6 @@ let update_flow_mirror t (r : Response.t) =
           | None -> ()))
   | _ -> ()
 
-(* A second Execution record from the same (controller, role) — or an
-   exact duplicate of any other body — is a stale channel duplicate: the
-   first delivery wins so a duplicated response can never satisfy
-   consensus twice or double-count toward a quorum. *)
-let duplicate_response p (r : Response.t) =
-  List.exists
-    (fun (q : Response.t) ->
-      q.Response.controller = r.Response.controller
-      &&
-      match (q.Response.body, r.Response.body) with
-      | ( Response.Execution { role = qr; _ },
-          Response.Execution { role = rr; _ } ) ->
-          qr = rr
-      | qb, rb -> qb = rb)
-    p.responses
-
 let deliver_inline t (r : Response.t) =
   (let tr = Engine.trace t.engine in
    if Jury_obs.Trace.enabled tr then
@@ -1214,8 +1139,8 @@ let deliver_inline t (r : Response.t) =
   match get_pending t r.taint with
   | None -> add t.shards.(shard_of t (Response.taint_key r)) Late 1
   | Some p ->
-      if duplicate_response p r then add t.shards.(p.shard) Duplicate 1
-      else if not p.decided then begin
+      if not (record p r) then add t.shards.(p.shard) Duplicate 1
+      else begin
         (if p.primary = None then
            match Types.Taint.primary_of r.taint with
            | Some id -> p.primary <- Some id
@@ -1227,7 +1152,6 @@ let deliver_inline t (r : Response.t) =
                | Response.Write_failure _ ->
                    p.primary <- Some r.controller
                | _ -> ()));
-        p.responses <- r :: p.responses;
         arm_timer t p;
         if complete t p then begin
           observe_completion_latency t
@@ -1299,18 +1223,13 @@ let count ?shard t c =
 
 let counters t = List.map (fun c -> (c, count t c)) Counter.all
 
-let shard_gauges t ~shard =
-  let sh = t.shards.(shard) in
-  (Hashtbl.length sh.pending, Hashtbl.length sh.epochs)
-
 let decided_count t = count t Decided
 let fault_count t = count t Faulty
-let pending_count t = inflight t
 let batch_count t = count t Batch
 let late_count t = count t Late
 let duplicate_count t = count t Duplicate
 let straggler_count t = count t Straggler
-let current_epoch t = t.epoch_now
+let current_epoch t = t.reg_count / t.epoch_length
 
 (* --- staged-pipeline plumbing (see Stage) --- *)
 
@@ -1352,10 +1271,6 @@ let absorb_pipeline_shard t ~shard src =
   t.verdicts <- src.verdicts @ t.verdicts
 
 let finalize_pipeline_merge t =
-  (* [epoch_now] tracks [reg_count / epoch_length] exactly on the
-     inline path, so rebuilding it from the summed registration count
-     reproduces the serial value. *)
-  t.epoch_now <- t.reg_count / t.epoch_length;
   (* [t.verdicts] is newest-first; merge the per-replica streams into
      one deterministic newest-first order. Ties on [decided_at] (e.g.
      several decisions inside one batch tick) break by trigger time

@@ -63,14 +63,14 @@ type config = {
           response-timeout alarm; [None] = seed behaviour *)
   shards : int;
       (** verdict-state shards; taints hash to a shard, each shard owns
-          its pending table, retransmission timer wheel, epoch buckets
-          and verdict counters. Always a power of two; 1 = the seed's
-          flat table *)
+          its pending table, retransmission timer wheel and verdict
+          counters. Always a power of two; 1 = the seed's flat table *)
   max_inflight : int option;
       (** high-water mark on in-flight (undecided) triggers; when
-          registration would exceed it the oldest epoch is force-expired
-          with {!Alarm.Overload} verdicts instead of growing without
-          bound. [None] = unbounded (seed behaviour) *)
+          registration would exceed it the undecided triggers of the
+          oldest registration epoch are force-expired with
+          {!Alarm.Overload} verdicts instead of growing without bound.
+          [None] = unbounded (seed behaviour) *)
 }
 
 val shards_of_hint : int -> int
@@ -110,9 +110,6 @@ val deliver_batch : t -> Response.t list -> unit
     go, bumping that shard's batch counters. [deliver_batch t [r]] and
     [deliver t r] drive identical state transitions. *)
 
-val set_alarm_handler : t -> (Alarm.t -> unit) -> unit
-(** Called for every {e faulty} verdict, at decision time. *)
-
 val set_retransmit_handler : t -> (Types.Taint.t -> secondary:int -> unit) -> unit
 (** Called once per straggling secondary per retry round when
     [config.retransmit] is set; the deployment re-replicates the stored
@@ -123,7 +120,8 @@ val on_response : t -> (Response.t -> unit) -> unit
     trail, metrics); observers never affect validation. *)
 
 val on_verdict : t -> (Alarm.t -> unit) -> unit
-(** Append an observer called for every verdict, faulty or not. *)
+(** Append an observer called for every verdict, faulty or not, at
+    decision time; filter on {!Alarm.is_fault} for alarms only. *)
 
 (** {1 Results} *)
 
@@ -156,20 +154,20 @@ val late_count : t -> int
 val duplicate_count : t -> int
 val straggler_count : t -> int
 
-val pending_count : t -> int
-(** Registered triggers not yet decided. *)
+val pending_count : ?shard:int -> t -> int
+(** Registered triggers not yet decided, over all shards or in one
+    shard with [~shard]. *)
 
 val current_epoch : t -> int
-(** The registration epoch currently being filled. *)
+(** The registration epoch currently being filled: registrations so
+    far divided by the epoch length ([max 1 (max_inflight / 4)], or
+    1024 without a cap). *)
 
 (** {1 Shard introspection} *)
 
 val shard_count : t -> int
-(** Number of verdict-state shards ([config.shards]). *)
-
-val shard_gauges : t -> shard:int -> int * int
-(** [(pending, live_epochs)] of one shard: its in-flight triggers and
-    its epoch buckets not yet bulk-freed. Its counters are
+(** Number of verdict-state shards ([config.shards]). One shard's
+    in-flight triggers are [pending_count ~shard], its counters
     [count ~shard]. *)
 
 val flush : t -> unit
@@ -228,5 +226,5 @@ val absorb_pipeline_shard : t -> shard:int -> t -> unit
     replica after its consumer has finished. *)
 
 val finalize_pipeline_merge : t -> unit
-(** After all replicas are absorbed: rebuild the epoch cursor and sort
-    the merged verdict stream into a deterministic decision order. *)
+(** After all replicas are absorbed: sort the merged verdict stream
+    into a deterministic decision order. *)

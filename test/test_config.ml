@@ -130,6 +130,11 @@ let bare_validator ?shards ?max_inflight () =
   let engine = Engine.create () in
   (engine, Validator.create engine (validator_cfg ?shards ?max_inflight ()))
 
+let overloads v =
+  List.filter
+    (fun (a : Jury.Alarm.t) -> a.verdict = Jury.Alarm.Overload)
+    (Validator.verdicts v)
+
 let test_max_inflight_sheds_as_overload () =
   let _, v = bare_validator ~max_inflight:8 () in
   for serial = 0 to 39 do
@@ -138,16 +143,67 @@ let test_max_inflight_sheds_as_overload () =
   check_bool "inflight bounded near the high-water mark" true
     (Validator.pending_count v <= 16);
   check_bool "overloads recorded" true (Validator.count v Overload > 0);
-  let overload_verdicts =
-    Validator.verdicts v
-    |> List.filter (fun (a : Jury.Alarm.t) ->
-           a.Jury.Alarm.verdict = Jury.Alarm.Overload)
-  in
   check_int "counter matches Overload verdicts"
     (Validator.count v Overload)
-    (List.length overload_verdicts);
+    (List.length (overloads v));
   check_int "everything is either pending, decided ok, or shed" 40
     (Validator.pending_count v + Validator.decided_count v)
+
+(* Force-expiry sheds the oldest epoch shard by shard, in registration
+   order within a shard: at two shards the serials of one epoch can
+   come out swapped (8 before 7). *)
+let test_overload_order_pinned () =
+  let _, v = bare_validator ~shards:2 ~max_inflight:8 () in
+  for serial = 0 to 39 do
+    register v ~serial
+  done;
+  Alcotest.(check (list string))
+    "Overload verdicts in shedding order"
+    (List.map
+       (fun serial ->
+         Types.Taint.to_string (Types.Taint.external_trigger ~primary:0 ~serial))
+       [ 0; 1; 2; 3; 4; 5; 6; 8; 7; 9; 10; 12; 11; 14; 13; 15; 16; 17; 18;
+         19; 20; 21; 22; 23; 24; 26; 25; 28; 27; 29; 30; 31; 32 ])
+    (List.map
+       (fun (a : Jury.Alarm.t) -> Types.Taint.to_string a.taint)
+       (overloads v));
+  check_int "the newest registrations stay pending" 7
+    (Validator.pending_count v)
+
+(* An internal taint decided by timeout is registered again by a late
+   response. Force-expiry must shed the new record under the epoch it
+   was registered in, not the epoch of the first, decided record. *)
+let test_reregistered_trigger_expires_in_its_epoch () =
+  let engine, v = bare_validator ~max_inflight:4 () in
+  let taint = Types.Taint.internal_trigger ~origin:3 ~seq:7 in
+  let deliver () =
+    Validator.deliver v
+      { Response.controller = 3;
+        taint;
+        snapshot = Snapshot.pristine;
+        sent_at = Engine.now engine;
+        term = 0;
+        body =
+          Response.Cache_update
+            { Jury_store.Event.cache = "HOSTDB"; op = Jury_store.Event.Create;
+              key = "h"; value = "v"; origin = 3; seq = 7;
+              taint = Some (Types.Taint.to_string taint) } }
+  in
+  deliver ();
+  Engine.run engine;
+  check_int "decided by timeout" 1 (Validator.decided_count v);
+  deliver ();
+  check_int "late response registered it again" 1 (Validator.pending_count v);
+  for serial = 0 to 5 do
+    register v ~serial
+  done;
+  match overloads v with
+  | a :: _ ->
+      Alcotest.(check string) "shed first" (Types.Taint.to_string taint)
+        (Types.Taint.to_string a.taint);
+      Alcotest.(check string) "under its own registration epoch"
+        "epoch 2 force-expired at max_inflight high-water mark" a.detail
+  | [] -> Alcotest.fail "nothing shed"
 
 let response serial controller =
   { Response.controller;
@@ -271,8 +327,20 @@ let test_obs_bridge_exports_shard_counters () =
     register v ~serial
   done;
   Validator.deliver_batch v (responses 4);
+  for serial = 4 to 7 do
+    register v ~serial
+  done;
   let metrics = Jury_sim.Metrics.create () in
   Jury.Obs_bridge.record_validator_shards v metrics;
+  List.iter
+    (fun shard ->
+      check_int "pending gauge per shard"
+        (Validator.pending_count ~shard v)
+        (Jury_sim.Metrics.count metrics
+           (Printf.sprintf "validator/shard%d/pending" shard)))
+    [ 0; 1 ];
+  check_int "per-shard pending gauges sum to the total" 4
+    (Validator.pending_count ~shard:0 v + Validator.pending_count ~shard:1 v);
   check_int "per-shard decided counters sum to the total"
     (Validator.decided_count v)
     (Jury_sim.Metrics.count metrics "validator/shard0/decided"
@@ -318,6 +386,10 @@ let suite =
       test_batching_fans_out_across_shards;
     Alcotest.test_case "max_inflight sheds as Overload" `Quick
       test_max_inflight_sheds_as_overload;
+    Alcotest.test_case "Overload order pinned (2 shards)" `Quick
+      test_overload_order_pinned;
+    Alcotest.test_case "re-registered trigger expires in its epoch" `Quick
+      test_reregistered_trigger_expires_in_its_epoch;
     Alcotest.test_case "deliver_batch = per-event deliver" `Quick
       test_deliver_batch_matches_per_event;
     Alcotest.test_case "back-to-back runs count identically" `Quick

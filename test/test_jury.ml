@@ -604,6 +604,70 @@ let test_duplicate_response_not_double_counted () =
         | _ -> false)
     | _ -> false)
 
+(* The duplicate rule for each body kind: the same body again from the
+   same controller is one stale Duplicate; a second controller's copy
+   of a cache event is an ack, and of a FLOW_MOD the same write. Each
+   row is fed to a fresh trigger with no secondaries and timed out. *)
+let test_duplicate_rule_per_body_kind () =
+  let dpid = Dpid.of_int 1 in
+  let actions = response_actions dpid in
+  let _, fmv = flow_for dpid in
+  let execution c = (c, Response.Execution { role = `Primary; actions }) in
+  let cache c =
+    (c, Response.Cache_update (cache_event_of_action ~origin:0 (List.hd actions)))
+  in
+  let write c = (c, Response.Network_write { dpid; flow = fmv }) in
+  let failure c =
+    ( c,
+      Response.Write_failure
+        { action = List.hd actions; reason = "failed to obtain lock" } )
+  in
+  let details prefix (a : Alarm.t) =
+    String.split_on_char ';' a.Alarm.detail
+    |> List.filter (fun d -> String.starts_with ~prefix (String.trim d))
+    |> List.length
+  in
+  let rows =
+    [ ("Execution again", [ execution 0; execution 0 ], 1, ignore);
+      ("Cache_update again", [ cache 0; cache 0 ], 1, ignore);
+      ("Network_write again", [ write 0; write 0 ], 1, ignore);
+      ( "Write_failure again",
+        [ execution 0; failure 0; failure 0 ],
+        1,
+        fun a ->
+          check_int "one cache write failed detail" 1
+            (details "cache write failed" a) );
+      ( "cache event from a second controller",
+        [ execution 0; write 0; cache 0; cache 1; cache 2 ],
+        0,
+        fun a ->
+          check_bool "acks complete the trigger before its timer" true
+            (a.Alarm.verdict = Alarm.Ok_valid
+            && Time.equal a.Alarm.decided_at Time.zero) );
+      ( "FLOW_MOD from a second sender",
+        [ write 1; write 2 ],
+        0,
+        fun a ->
+          check_bool "one uncached write, blamed on its first sender" true
+            (a.Alarm.verdict = Alarm.Faulty [ Alarm.Network_without_cache ]
+            && a.Alarm.suspects = [ 1 ]) ) ]
+  in
+  List.iter
+    (fun (name, deliveries, duplicates, check_verdict) ->
+      let engine, v = mk_validator ~k:0 () in
+      Validator.register_external v ~taint ~at:Time.zero ~primary:0
+        ~secondaries:[];
+      List.iter
+        (fun (controller, body) ->
+          deliver v ~controller ~snapshot:Snapshot.pristine body)
+        deliveries;
+      Engine.run engine;
+      check_int (name ^ ": duplicates") duplicates (Validator.duplicate_count v);
+      match Validator.verdicts v with
+      | [ a ] -> check_verdict a
+      | _ -> Alcotest.fail (name ^ ": expected one verdict"))
+    rows
+
 let test_retransmit_backoff_and_cap () =
   let rt =
     Jury.Jury_config.retransmit ~fraction:0.2 ~backoff:2.0 ~max_retries:2 ()
@@ -973,6 +1037,7 @@ let suite =
      test_degraded_instead_of_timeout);
     ("duplicate response not double-counted", `Quick,
      test_duplicate_response_not_double_counted);
+    ("duplicate rule per body kind", `Quick, test_duplicate_rule_per_body_kind);
     ("retransmit backoff and cap", `Quick, test_retransmit_backoff_and_cap);
     ("channel counters reconcile", `Quick, test_channel_counters_reconcile);
     ("standalone verdict conservation", `Quick, test_standalone_conservation);
