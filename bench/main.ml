@@ -682,6 +682,66 @@ let micro ~full:_ () =
   in
   let d1 = Jury_openflow.Of_types.Dpid.of_int 1 in
   let d24 = Jury_openflow.Of_types.Dpid.of_int 24 in
+  let exact = Jury_openflow.Of_match.exact_of_frame ~in_port:1 probe_frame in
+  (* One k=6 decision: the primary and six secondaries report the same
+     FLOWSDB write, FLOW_MOD and PACKET_OUT (each list built on its
+     own, as the replicas do), then the cache event and the FLOW_MOD
+     arrive and the trigger completes. *)
+  let decide_k6 =
+    let module V = Jury.Validator in
+    let module R = Jury.Response in
+    let module Types = Jury_controller.Types in
+    let engine = Jury_sim.Engine.create () in
+    let v =
+      V.create engine
+        (Jury.Jury_config.validator ~ack_peers_of:(fun _ -> [])
+           (Jury.Jury_config.make ~k:6 ()))
+    in
+    let fm =
+      Jury_openflow.Of_message.flow_mod ~priority:40000 exact
+        [ Jury_openflow.Of_action.Output 2 ]
+    in
+    let key = Jury_controller.Values.Flow.key d1 exact ~priority:40000 in
+    let value = Jury_controller.Values.Flow.value fm in
+    let actions () =
+      [ Types.Cache_write
+          { cache = Jury_store.Cache_names.flowsdb;
+            op = Jury_store.Event.Create; key; value };
+        Types.Network_send
+          { dpid = d1; payload = Jury_openflow.Of_message.Flow_mod fm };
+        Types.Network_send
+          { dpid = d1;
+            payload =
+              Jury_openflow.Of_message.Packet_out
+                { po_buffer_id = None; po_in_port = 1;
+                  po_actions = [ Jury_openflow.Of_action.Output 2 ];
+                  po_frame = Some probe_frame } } ]
+    in
+    let responses = List.init 7 (fun _ -> actions ()) in
+    let serial = ref 0 in
+    fun () ->
+      incr serial;
+      let taint = Types.Taint.external_trigger ~primary:0 ~serial:!serial in
+      let send controller body =
+        V.deliver v
+          { R.controller; taint; snapshot = Jury.Snapshot.pristine;
+            sent_at = Jury_sim.Time.zero; term = 0; body }
+      in
+      V.register_external v ~taint ~at:Jury_sim.Time.zero ~primary:0
+        ~secondaries:[ 1; 2; 3; 4; 5; 6 ];
+      List.iteri
+        (fun i actions ->
+          send i
+            (R.Execution
+               { role = (if i = 0 then `Primary else `Secondary); actions }))
+        responses;
+      send 0
+        (R.Cache_update
+           { Jury_store.Event.cache = Jury_store.Cache_names.flowsdb;
+             op = Jury_store.Event.Create; key; value; origin = 0;
+             seq = !serial; taint = Some (Types.Taint.to_string taint) });
+      send 0 (R.Network_write { dpid = d1; flow = fm })
+  in
   let tests =
     [ Test.make ~name:"policy-check-1k"
         (Staged.stage (fun () -> Jury_policy.Engine.check policy_engine query));
@@ -696,7 +756,11 @@ let micro ~full:_ () =
       Test.make ~name:"shortest-path-linear24"
         (Staged.stage (fun () -> Jury_topo.Graph.shortest_path graph d1 d24));
       Test.make ~name:"frame-encode"
-        (Staged.stage (fun () -> Jury_packet.Frame.encode probe_frame)) ]
+        (Staged.stage (fun () -> Jury_packet.Frame.encode probe_frame));
+      Test.make ~name:"flow-key-exact"
+        (Staged.stage (fun () ->
+             Jury_controller.Values.Flow.key d1 exact ~priority:40000));
+      Test.make ~name:"consensus-fingerprint-k6" (Staged.stage decide_k6) ]
   in
   let grouped = Test.make_grouped ~name:"jury" tests in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -282,7 +282,13 @@ let learn_host_actions t dpid ~port ~mac ~ip =
   let arp_key = Values.Arp.key ip in
   let arp_value = Values.Arp.value mac in
   let edge_key = Values.Host.key mac in
-  let edge_value = Printf.sprintf "%s:%d" (Of_types.Dpid.to_string dpid) port in
+  let edge_value =
+    let b = Buffer.create 32 in
+    Buffer.add_string b (Of_types.Dpid.to_string dpid);
+    Buffer.add_char b ':';
+    Jury_packet.Addr.add_decimal b port;
+    Buffer.contents b
+  in
   let upsert cache key value =
     match read t cache key with
     | Some v when v = value -> []

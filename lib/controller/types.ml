@@ -108,10 +108,3 @@ let action_fingerprint = function
       String.concat "|"
         [ "N"; Of_types.Dpid.to_string dpid;
           Digest.to_hex (Digest.string wire) ]
-
-let fingerprint_response actions =
-  actions
-  |> List.map action_fingerprint
-  |> List.sort String.compare
-  |> String.concat "\n"
-  |> fun s -> Digest.to_hex (Digest.string s)

@@ -76,5 +76,3 @@ val action_fingerprint : action -> string
     fingerprints go through the wire codec with the xid zeroed, so
     per-controller xid counters don't break consensus. *)
 
-val fingerprint_response : action list -> string
-(** Order-insensitive fingerprint of a whole response. *)

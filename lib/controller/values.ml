@@ -52,11 +52,20 @@ let dpid_of_key s =
   | Some v -> Some (Of_types.Dpid.of_int64 v)
   | None -> None
 
+(* "<dpid key>:<port>", the attachment point in HOSTDB values and
+   LINKSDB keys. *)
+let endpoint_str (d, p) =
+  let b = Buffer.create 24 in
+  Buffer.add_string b (dpid_to_key d);
+  Buffer.add_char b ':';
+  Addr.add_decimal b p;
+  Buffer.contents b
+
 module Host = struct
   let key mac = Addr.Mac.to_string mac
 
   let value ~dpid ~port ~ip =
-    Printf.sprintf "%s:%d:%s" (dpid_to_key dpid) port (Addr.Ipv4.to_string ip)
+    String.concat ":" [ endpoint_str (dpid, port); Addr.Ipv4.to_string ip ]
 
   let parse v =
     match String.split_on_char ':' v with
@@ -78,8 +87,6 @@ module Arp = struct
 end
 
 module Link = struct
-  let endpoint_str (d, p) = Printf.sprintf "%s:%d" (dpid_to_key d) p
-
   let key e1 e2 =
     let s1 = endpoint_str e1 and s2 = endpoint_str e2 in
     if String.compare s1 s2 <= 0 then s1 ^ "--" ^ s2 else s2 ^ "--" ^ s1
@@ -113,9 +120,11 @@ end
 
 module Flow = struct
   let key dpid m ~priority =
-    Printf.sprintf "%s/%s" (dpid_to_key dpid)
-      (Digest.to_hex
-         (Digest.string (Of_match.to_string m ^ string_of_int priority)))
+    let b = Buffer.create 128 in
+    Of_match.add_to_buffer b m;
+    Addr.add_decimal b priority;
+    String.concat "/"
+      [ dpid_to_key dpid; Digest.to_hex (Digest.string (Buffer.contents b)) ]
 
   let value (fm : Of_message.flow_mod) =
     hex_encode (Of_wire.encode (Of_message.make ~xid:0 (Of_message.Flow_mod fm)))

@@ -97,11 +97,14 @@ type t = {
   engine : Engine.t;
   cfg : config;
   shards : shard array;  (* length = cfg.shards, a power of two *)
-  flow_mirror : (string, Of_message.flow_mod) Hashtbl.t;
+  flow_mirror : (string, string * Of_message.flow_mod) Hashtbl.t;
       (* validator-side FLOWSDB state, built from every cache update it
-         has seen; lets the sanity check accept a re-sent FLOW_MOD whose
-         cache entry predates this trigger. Shared across shards: the
-         mirror is FLOWSDB replica state, not per-trigger state. *)
+         has seen: key -> (value string, parsed rule); lets the sanity
+         check accept a re-sent FLOW_MOD whose cache entry predates this
+         trigger. Every replica reports the same update, so the value
+         string is kept and a rule is parsed only when it changes.
+         Shared across shards: the mirror is FLOWSDB replica state, not
+         per-trigger state. *)
   epoch_length : int;  (* registrations per epoch *)
   mutable reg_count : int;
   admitted : pending Queue.t;
@@ -402,6 +405,20 @@ let response_fingerprint actions =
   |> List.sort String.compare
   |> String.concat "\n"
 
+(* [response_fingerprint] for one decision, computed once per distinct
+   action list: the k+1 executions of a trigger mostly carry
+   structurally equal lists, and actions hold no closures or floats, so
+   [=] is exact. *)
+let fingerprinter () =
+  let seen = ref [] in
+  fun actions ->
+    match List.assoc_opt actions !seen with
+    | Some fp -> fp
+    | None ->
+        let fp = response_fingerprint actions in
+        seen := (actions, fp) :: !seen;
+        fp
+
 let majority_fingerprint fps =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -429,7 +446,8 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
     else Unverifiable
   else begin
-    let prim_fp = response_fingerprint prim_actions in
+    let fingerprint = fingerprinter () in
+    let prim_fp = fingerprint prim_actions in
     let comparable =
       if t.cfg.state_aware then
         List.filter
@@ -444,7 +462,7 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
         let fps =
           List.map
             (fun ((r : Response.t), actions) ->
-              (r.controller, response_fingerprint actions))
+              (r.controller, fingerprint actions))
             comparable
         in
         let all = prim_fp :: List.map snd fps in
@@ -499,12 +517,11 @@ let secondary_quorum t p =
           |> List.map snd
         else [ secs ]
       in
+      let fingerprint = fingerprinter () in
       List.fold_left
         (fun best members ->
           let fps =
-            List.map
-              (fun (_, actions) -> (response_fingerprint actions, actions))
-              members
+            List.map (fun (_, actions) -> (fingerprint actions, actions)) members
           in
           match majority_fingerprint (List.map fst fps) with
           | None -> best
@@ -629,7 +646,7 @@ let run_sanity ~mirror ?plan p ~origin =
            it matches the mirrored entry. *)
         let key = Values.Flow.key dpid nfm.fm_match ~priority:nfm.priority in
         match Hashtbl.find_opt mirror key with
-        | Some cfm -> flows_equal cfm nfm
+        | Some (_, cfm) -> flows_equal cfm nfm
         | None -> false
       in
       let in_plan () =
@@ -778,7 +795,7 @@ let evaluate t p ~timed_out =
                     ~priority:w.flow.priority
                 in
                 match Hashtbl.find_opt t.flow_mirror key with
-                | Some cfm -> not (flows_equal cfm w.flow)
+                | Some (_, cfm) -> not (flows_equal cfm w.flow)
                 | None -> true)
               p
           in
@@ -1122,9 +1139,13 @@ let update_flow_mirror t (r : Response.t) =
       match ev.Event.op with
       | Event.Delete -> Hashtbl.remove t.flow_mirror ev.Event.key
       | Event.Create | Event.Update -> (
-          match Values.Flow.parse ev.Event.value with
-          | Some fm -> Hashtbl.replace t.flow_mirror ev.Event.key fm
-          | None -> ()))
+          let key = ev.Event.key and value = ev.Event.value in
+          match Hashtbl.find_opt t.flow_mirror key with
+          | Some (v, _) when String.equal v value -> ()
+          | _ -> (
+              match Values.Flow.parse value with
+              | Some fm -> Hashtbl.replace t.flow_mirror key (value, fm)
+              | None -> ())))
   | _ -> ()
 
 let deliver_inline t (r : Response.t) =

@@ -166,10 +166,9 @@ let compare = Stdlib.compare
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-(* Built without Format: [Values.Flow.key] renders every flow rule
-   through here. *)
-let to_string t =
-  let b = Buffer.create 96 in
+(* Built without Format or C integer formatting: [Values.Flow.key]
+   renders every flow rule through here. *)
+let add_to_buffer b t =
   let first = ref true in
   let field name add = function
     | None -> ()
@@ -181,14 +180,18 @@ let to_string t =
         add v
   in
   let str s = Buffer.add_string b s in
-  let int v = str (string_of_int v) in
+  let int v = Addr.add_decimal b v in
   let prefix (p, bits) =
     str (Addr.Ipv4.to_string p);
     Buffer.add_char b '/';
     int bits
   in
   Buffer.add_char b '{';
-  field "in_port" (fun p -> str (Of_types.Port.to_string p)) t.in_port;
+  field "in_port"
+    (fun p ->
+      if Of_types.Port.is_physical p then int p
+      else str (Of_types.Port.to_string p))
+    t.in_port;
   field "dl_src" (fun m -> str (Addr.Mac.to_string m)) t.dl_src;
   field "dl_dst" (fun m -> str (Addr.Mac.to_string m)) t.dl_dst;
   field "dl_vlan"
@@ -211,7 +214,11 @@ let to_string t =
   field "tp_src" int t.tp_src;
   field "tp_dst" int t.tp_dst;
   if !first then Buffer.add_char b '*';
-  Buffer.add_char b '}';
+  Buffer.add_char b '}'
+
+let to_string t =
+  let b = Buffer.create 96 in
+  add_to_buffer b t;
   Buffer.contents b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -60,3 +60,7 @@ val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends [to_string t], for callers that build a longer string
+    around it. *)

@@ -173,11 +173,13 @@ let decode_action r : Of_action.t =
       ignore len;
       invalid_arg (Printf.sprintf "Of_wire: unknown action type %d" ty)
 
+(* The u16 length prefix is written as a placeholder and patched once
+   the actions are in. *)
 let encode_actions w actions =
-  let body = W.create () in
-  List.iter (encode_action body) actions;
-  W.u16 w (W.length body);
-  W.bytes w (W.contents body)
+  let at = W.length w in
+  W.u16 w 0;
+  List.iter (encode_action w) actions;
+  W.patch_u16 w ~pos:at (W.length w - at - 2)
 
 let decode_actions r =
   let len = R.u16 r "actions len" in
@@ -420,14 +422,13 @@ let decode_body r ty : Of_message.payload =
   | n -> invalid_arg (Printf.sprintf "Of_wire: unknown message type %d" n)
 
 let encode (msg : Of_message.t) =
-  let body = W.create () in
-  encode_body body msg.payload;
   let w = W.create () in
   W.u8 w version;
   W.u8 w (type_code msg.payload);
-  W.u16 w (header_size + W.length body);
+  W.u16 w 0; (* length: patched below *)
   W.u32 w msg.xid;
-  W.bytes w (W.contents body);
+  encode_body w msg.payload;
+  W.patch_u16 w ~pos:2 (W.length w);
   W.contents w
 
 let decode_one r : Of_message.t =

@@ -2,6 +2,17 @@ let set_hex_byte b pos v =
   Bytes.set b pos "0123456789abcdef".[(v lsr 4) land 0xF];
   Bytes.set b (pos + 1) "0123456789abcdef".[v land 0xF]
 
+let add_decimal b v =
+  let digit d = Buffer.add_char b (Char.unsafe_chr (48 + d)) in
+  if v < 0 || v > 99999 then Buffer.add_string b (string_of_int v)
+  else begin
+    if v >= 10000 then digit (v / 10000);
+    if v >= 1000 then digit (v / 1000 mod 10);
+    if v >= 100 then digit (v / 100 mod 10);
+    if v >= 10 then digit (v / 10 mod 10);
+    digit (v mod 10)
+  end
+
 module Mac = struct
   type t = int
 
@@ -62,11 +73,12 @@ module Ipv4 = struct
       0 parts
 
   let to_string t =
-    String.concat "."
-      [ string_of_int ((t lsr 24) land 0xFF);
-        string_of_int ((t lsr 16) land 0xFF);
-        string_of_int ((t lsr 8) land 0xFF);
-        string_of_int (t land 0xFF) ]
+    let b = Buffer.create 15 in
+    for i = 3 downto 0 do
+      add_decimal b ((t lsr (8 * i)) land 0xFF);
+      if i > 0 then Buffer.add_char b '.'
+    done;
+    Buffer.contents b
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare

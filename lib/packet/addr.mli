@@ -5,6 +5,10 @@ val set_hex_byte : Bytes.t -> int -> int -> unit
     hex digits at [pos] and [pos + 1] — ["%02x"] without Printf, for
     the address and flow-rule strings built on every trigger. *)
 
+val add_decimal : Buffer.t -> int -> unit
+(** [add_decimal b v] appends [v] in decimal — ["%d"] without Printf.
+    Values outside [0, 99999] go through [string_of_int]. *)
+
 module Mac : sig
   type t = private int
   (** 48-bit MAC address stored in the low bits of a native int. *)

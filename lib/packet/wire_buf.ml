@@ -1,15 +1,31 @@
 exception Truncated of string
 
 module Writer = struct
-  type t = Buffer.t
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create () = Buffer.create 64
-  let length = Buffer.length
-  let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))
+  let create () = { buf = Bytes.create 64; len = 0 }
+  let length t = t.len
+
+  (* Make room for [n] more bytes, doubling so appends stay O(1)
+     amortised. *)
+  let reserve t n =
+    let need = t.len + n in
+    if need > Bytes.length t.buf then begin
+      let buf = Bytes.create (max need (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 buf 0 t.len;
+      t.buf <- buf
+    end
+
+  let u8 t v =
+    reserve t 1;
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xFF));
+    t.len <- t.len + 1
 
   let u16 t v =
-    u8 t (v lsr 8);
-    u8 t v
+    reserve t 2;
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr ((v lsr 8) land 0xFF));
+    Bytes.unsafe_set t.buf (t.len + 1) (Char.unsafe_chr (v land 0xFF));
+    t.len <- t.len + 2
 
   let u32 t v =
     u16 t (v lsr 16);
@@ -23,19 +39,23 @@ module Writer = struct
     u32 t (Int64.to_int (Int64.shift_right_logical v 32));
     u32 t (Int64.to_int (Int64.logand v 0xFFFF_FFFFL))
 
-  let bytes = Buffer.add_string
-  let zeros t n = Buffer.add_string t (String.make n '\000')
-  let contents = Buffer.contents
+  let bytes t s =
+    let n = String.length s in
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
+
+  let zeros t n =
+    reserve t n;
+    Bytes.fill t.buf t.len n '\000';
+    t.len <- t.len + n
+
+  let contents t = Bytes.sub_string t.buf 0 t.len
 
   let patch_u16 t ~pos v =
-    (* Buffer has no random-access write; rebuild via to_bytes. To keep
-       this O(1) amortised we only use it for small packets, which is
-       all this codebase produces. *)
-    let b = Buffer.to_bytes t in
-    Bytes.set b pos (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set b (pos + 1) (Char.chr (v land 0xFF));
-    Buffer.clear t;
-    Buffer.add_bytes t b
+    if pos < 0 || pos + 2 > t.len then invalid_arg "Wire_buf.Writer.patch_u16";
+    Bytes.set t.buf pos (Char.unsafe_chr ((v lsr 8) land 0xFF));
+    Bytes.set t.buf (pos + 1) (Char.unsafe_chr (v land 0xFF))
 end
 
 module Reader = struct

@@ -21,7 +21,9 @@ module Writer : sig
 
   val patch_u16 : t -> pos:int -> int -> unit
   (** Overwrite two bytes at [pos] — used for length/checksum fields
-      known only after the body is written. *)
+      known only after the body is written. O(1): it writes the two
+      bytes in place and copies nothing. Raises [Invalid_argument] if
+      [pos + 2] is past what has been written. *)
 end
 
 module Reader : sig

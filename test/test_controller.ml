@@ -68,6 +68,32 @@ let test_values_switch_master () =
   Alcotest.(check (option int)) "master value" (Some 6)
     (Values.Master.parse (Values.Master.value 6))
 
+(* Store strings captured before the codecs dropped Printf; replicas
+   compare them byte for byte, so none may move. *)
+let test_values_golden () =
+  let check = Alcotest.(check string) in
+  let frame =
+    Jury_packet.Frame.tcp_packet
+      ~src:(Mac.of_host_index 2, Ipv4.of_host_index 2)
+      ~dst:(Mac.of_host_index 7, Ipv4.of_host_index 7)
+      ~src_port:40000 ~dst_port:443 ()
+  in
+  let m = Of_match.exact_of_frame ~in_port:3 frame in
+  let dpid = Dpid.of_int 0x1a2b in
+  check "flow key" "1a2b/f098fc8e6e800b8589bfcd4e136d3074"
+    (Values.Flow.key dpid m ~priority:40000);
+  check "flow value"
+    ("010e005000000000000000000003020000000002020000000007ffff0000"
+     ^ "0800000600000a0000030a0000089c4001bb00000000000000000000000a"
+     ^ "00009c4000000005ffff0001000000080002ffff")
+    (Values.Flow.value
+       (Of_message.flow_mod ~priority:40000 ~idle_timeout:10
+          ~buffer_id:(Some 5) m [ Of_action.Output 2 ]));
+  check "host value" "1a2b:12:192.168.10.254"
+    (Values.Host.value ~dpid ~port:12 ~ip:(Ipv4.of_string "192.168.10.254"));
+  check "link key" "12c:65534--1a2b:7"
+    (Values.Link.key (Dpid.of_int 300, 65534) (Dpid.of_int 0x1a2b, 7))
+
 (* The decoder before it went table-driven, kept as the reference the
    new one must agree with. *)
 let reference_hex_decode s =
@@ -119,6 +145,16 @@ let prop_dpid_strings =
       let dpid = Dpid.of_int64 d in
       Dpid.to_string dpid = Printf.sprintf "of:%016Lx" d
       && Values.Switch.key dpid = Printf.sprintf "%Lx" d)
+
+let prop_ipv4_strings =
+  QCheck.Test.make ~name:"Ipv4.to_string = Printf" ~count:500
+    QCheck.(make ~print:string_of_int Gen.(map Int32.to_int ui32))
+    (fun x ->
+      let ip = Ipv4.of_int x in
+      let t = Ipv4.to_int ip in
+      Ipv4.to_string ip
+      = Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xFF)
+          ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF))
 
 let gen_match st =
   let opt g = if Random.State.bool st then Some (g ()) else None in
@@ -212,6 +248,25 @@ let prop_match_to_string_is_pp =
       Of_match.to_string m = want
       && Format.asprintf "%a" Of_match.pp m = want)
 
+(* [gen_match] stays in range; these take [to_string]'s integer fields
+   through the [string_of_int] fallback. *)
+let test_match_to_string_out_of_range () =
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "reference pp"
+        (Format.asprintf "%a" reference_match_pp m)
+        (Of_match.to_string m))
+    [ { Of_match.wildcard_all with Of_match.in_port = Some (-3) };
+      { Of_match.wildcard_all with Of_match.tp_src = Some 123456 };
+      { Of_match.wildcard_all with
+        Of_match.dl_vlan = Some (Some (-1));
+        nw_proto = Some 100000;
+        nw_tos = Some (-42);
+        tp_dst = Some 99999 };
+      { Of_match.wildcard_all with
+        Of_match.nw_src = Some (Ipv4.of_int 0x0a000001, -8);
+        nw_dst = Some (Ipv4.of_int 0xc0a80001, 1_000_000) } ]
+
 (* --- Taints --- *)
 
 let test_taint () =
@@ -226,6 +281,11 @@ let test_taint () =
   | None -> Alcotest.fail "taint roundtrip");
   check_bool "garbage rejected" true (Types.Taint.of_string "nope" = None)
 
+(* A whole response compared as its sorted action fingerprints, the
+   way the validator's consensus compares replicas. *)
+let response_fingerprints actions =
+  List.sort String.compare (List.map Types.action_fingerprint actions)
+
 let test_fingerprints () =
   let a =
     Types.Cache_write
@@ -236,9 +296,9 @@ let test_fingerprints () =
       { dpid = Dpid.of_int 1; payload = Of_message.Hello }
   in
   check_bool "order insensitive" true
-    (Types.fingerprint_response [ a; b ] = Types.fingerprint_response [ b; a ]);
+    (response_fingerprints [ a; b ] = response_fingerprints [ b; a ]);
   check_bool "content sensitive" false
-    (Types.fingerprint_response [ a ] = Types.fingerprint_response [ b ])
+    (response_fingerprints [ a ] = response_fingerprints [ b ])
 
 (* --- Pipeline --- *)
 
@@ -428,7 +488,7 @@ let test_plan_determinism_across_replicas () =
     List.init 3 (fun i ->
         Controller.plan_as (Cluster.controller cluster i) ~as_id:primary trigger)
   in
-  let fps = List.map Types.fingerprint_response plans in
+  let fps = List.map response_fingerprints plans in
   check_bool "identical plans" true
     (List.for_all (fun fp -> fp = List.hd fps) fps);
   check_bool "plans act" true (List.for_all (fun p -> p <> []) plans)
@@ -849,11 +909,15 @@ let suite =
     ("values: link", `Quick, test_values_link);
     ("values: flow", `Quick, test_values_flow);
     ("values: switch/master", `Quick, test_values_switch_master);
+    ("values: golden strings", `Quick, test_values_golden);
     ("hex_decode = int_of_string decoder", `Quick,
      test_hex_decode_matches_reference);
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_match_to_string_is_pp;
     QCheck_alcotest.to_alcotest prop_dpid_strings;
+    QCheck_alcotest.to_alcotest prop_ipv4_strings;
+    ("Of_match.to_string out-of-range ints", `Quick,
+     test_match_to_string_out_of_range);
     ("taints", `Quick, test_taint);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);

@@ -202,6 +202,131 @@ let test_validator_dissenting_secondary () =
   | [ a ] -> Alcotest.(check (list int)) "dissenter suspected" [ 2 ] a.Alarm.suspects
   | _ -> Alcotest.fail "expected dissent alarm"
 
+(* One trigger's actions — a FLOWSDB write, its FLOW_MOD and a
+   PACKET_OUT — with the given buffer id and output port. Each call
+   builds a fresh list. *)
+let buffered_actions ~buffer ~port =
+  let dpid = Dpid.of_int 1 in
+  let m = Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index 1) in
+  let fmv =
+    Of_message.flow_mod ~priority:100 ~buffer_id:buffer m
+      [ Of_action.Output port ]
+  in
+  [ Types.Cache_write
+      { cache = Names.flowsdb;
+        op = Event.Create;
+        key = Values.Flow.key dpid m ~priority:100;
+        value = Values.Flow.value fmv };
+    Types.Network_send { dpid; payload = Of_message.Flow_mod fmv };
+    Types.Network_send
+      { dpid;
+        payload =
+          Of_message.Packet_out
+            { po_buffer_id = buffer; po_in_port = 3;
+              po_actions = [ Of_action.Output port ]; po_frame = None } } ]
+
+(* Consensus erases buffer ids (only the primary's switch allocated
+   one) and still tells a real difference apart, whichever lists its
+   fingerprints are shared between. *)
+let test_consensus_buffer_id_normalized () =
+  let run secondaries =
+    let engine, v = mk_validator ~k:(List.length secondaries) () in
+    let prim = buffered_actions ~buffer:(Some 7) ~port:2 in
+    let snap = Snapshot.pristine in
+    Validator.register_external v ~taint ~at:Time.zero ~primary:0
+      ~secondaries:(List.map fst secondaries);
+    deliver v ~controller:0 ~snapshot:snap
+      (Response.Execution { role = `Primary; actions = prim });
+    List.iter
+      (fun (controller, actions) ->
+        deliver v ~controller ~snapshot:snap
+          (Response.Execution { role = `Secondary; actions }))
+      secondaries;
+    let cache_ev = cache_event_of_action ~origin:0 (List.hd prim) in
+    List.iter
+      (fun controller ->
+        deliver v ~controller ~snapshot:snap (Response.Cache_update cache_ev))
+      [ 0; 1; 2 ];
+    (match List.nth prim 1 with
+    | Types.Network_send { dpid; payload = Of_message.Flow_mod flow } ->
+        deliver v ~controller:0 ~snapshot:snap
+          (Response.Network_write { dpid; flow })
+    | _ -> assert false);
+    Engine.run engine;
+    match Validator.verdicts v with
+    | [ a ] -> a
+    | _ -> Alcotest.fail "expected one verdict"
+  in
+  let unbuffered () = buffered_actions ~buffer:None ~port:2 in
+  let a = run [ (1, unbuffered ()); (2, unbuffered ()) ] in
+  check_bool "buffer ids ignored" true (a.Alarm.verdict = Alarm.Ok_valid);
+  let a =
+    run
+      [ (1, unbuffered ());
+        (2, unbuffered ());
+        (3, buffered_actions ~buffer:None ~port:5) ]
+  in
+  check_bool "consensus mismatch" true
+    (a.Alarm.verdict = Alarm.Faulty [ Alarm.Consensus_mismatch ]);
+  Alcotest.(check (list int)) "only the odd one out" [ 3 ] a.Alarm.suspects
+
+(* The flow mirror follows a rule's value across an Update of the same
+   key: afterwards a re-sent FLOW_MOD is backed only if it matches the
+   new rule. *)
+let test_flow_mirror_follows_update () =
+  let engine, v = mk_validator ~k:0 () in
+  let dpid = Dpid.of_int 1 in
+  let m = Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index 1) in
+  let rule port = Of_message.flow_mod ~priority:100 m [ Of_action.Output port ] in
+  let rule_a = rule 2 and rule_b = rule 3 in
+  let key = Values.Flow.key dpid m ~priority:100 in
+  List.iteri
+    (fun seq (op, fmv) ->
+      let internal = Types.Taint.internal_trigger ~origin:0 ~seq in
+      Validator.deliver v
+        { Response.controller = 0; taint = internal;
+          snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0;
+          body =
+            Response.Cache_update
+              { Event.cache = Names.flowsdb; op; key;
+                value = Values.Flow.value fmv; origin = 0; seq;
+                taint = Some (Types.Taint.to_string internal) } })
+    [ (Event.Create, rule_a); (Event.Update, rule_b) ];
+  let resend serial fmv =
+    let taint = Types.Taint.external_trigger ~primary:0 ~serial in
+    let send body =
+      Validator.deliver v
+        { Response.controller = 0; taint; snapshot = Snapshot.pristine;
+          sent_at = Time.zero; term = 0; body }
+    in
+    Validator.register_external v ~taint ~at:Time.zero ~primary:0
+      ~secondaries:[];
+    send
+      (Response.Execution
+         { role = `Primary;
+           actions =
+             [ Types.Network_send { dpid; payload = Of_message.Flow_mod fmv } ]
+         });
+    send (Response.Network_write { dpid; flow = fmv });
+    taint
+  in
+  let taint_b = resend 10 rule_b in
+  let taint_a = resend 11 rule_a in
+  Engine.run engine;
+  let verdict_of t =
+    match
+      List.find_opt
+        (fun (a : Alarm.t) -> Types.Taint.equal a.Alarm.taint t)
+        (Validator.verdicts v)
+    with
+    | Some a -> a.Alarm.verdict
+    | None -> Alcotest.fail "trigger undecided"
+  in
+  check_bool "new rule backed by the mirror" true
+    (verdict_of taint_b = Alarm.Ok_valid);
+  check_bool "replaced rule flagged" true
+    (verdict_of taint_a = Alarm.Faulty [ Alarm.Network_without_cache ])
+
 let test_validator_state_aware_excuses () =
   let engine, v = mk_validator () in
   let dpid = Dpid.of_int 1 in
@@ -1018,6 +1143,9 @@ let suite =
     ("validator happy path", `Quick, test_validator_happy_path);
     ("validator consensus mismatch", `Quick, test_validator_consensus_mismatch);
     ("validator dissenting secondary", `Quick, test_validator_dissenting_secondary);
+    ("consensus ignores buffer ids", `Quick,
+     test_consensus_buffer_id_normalized);
+    ("flow mirror follows an update", `Quick, test_flow_mirror_follows_update);
     ("validator state-aware excuse", `Quick, test_validator_state_aware_excuses);
     ("validator naive majority FP", `Quick, test_validator_naive_majority_false_alarm);
     ("validator non-determinism rule", `Quick, test_validator_nondet_rule);

@@ -183,6 +183,72 @@ let test_wire_stream () =
   check_int "count" 3 (List.length decoded);
   check_bool "all equal" true (List.for_all2 Of_message.equal msgs decoded)
 
+(* Encodings captured before the codec moved to one buffer per
+   message; every byte must stay put. The PACKET_OUT and PACKET_IN
+   carry IPv4 frames, so the IPv4 length and checksum patches are
+   pinned too. *)
+let test_wire_golden () =
+  let golden name want payload =
+    Alcotest.(check string) name want
+      (Jury_controller.Values.hex_encode
+         (Of_wire.encode (Of_message.make ~xid:0x1234 payload)))
+  in
+  let f = tcp_frame ~src:2 ~dst:5 ~sport:40000 ~dport:443 () in
+  golden "flow_mod"
+    ("010e005800001234000000000002020000000002020000000005ffff0000"
+    ^ "0800000600000a0000030a0000069c4001bb01020304050607080000000a"
+    ^ "001e002a00000003ffff0001000000080007ffff0001000800030000")
+    (Of_message.Flow_mod
+       (Of_message.flow_mod ~priority:42 ~idle_timeout:10 ~hard_timeout:30
+          ~cookie:0x0102030405060708L ~buffer_id:(Some 3)
+          (Of_match.exact_of_frame ~in_port:2 f)
+          [ Of_action.Output 7; Of_action.Set_vlan 3 ]));
+  golden "packet_out"
+    ("010d005000001234ffffffff0003000800000008fffbffff020000000005"
+    ^ "02000000000208004500002a00004000400626c60a0000030a0000069c40"
+    ^ "01bb00000000000000005002ffff000000000000")
+    (Of_message.Packet_out
+       { po_buffer_id = None; po_in_port = 3;
+         po_actions = [ Of_action.Output Of_types.Port.flood ];
+         po_frame = Some f });
+  golden "packet_in"
+    ("010a003c0000123400000007002a00040000020000000009020000000001"
+    ^ "08004500001c00004000401126c60a0000020a00000a14e9003500140000")
+    (Of_message.Packet_in
+       { buffer_id = Some 7; in_port = 4; reason = Of_message.No_match;
+         frame =
+           Frame.udp_packet ~payload_len:12 ~src:(host 1) ~dst:(host 9)
+             ~src_port:5353 ~dst_port:53 () });
+  golden "features_reply"
+    ("01060028000012340000000a0b0c0d0e0000010002000000000000000000"
+    ^ "0000000300010002fffe")
+    (Of_message.Features_reply
+       { datapath_id = Of_types.Dpid.of_int 0x0a0b0c0d0e;
+         n_buffers = 256; n_tables = 2; ports = [ 1; 2; 65534 ] });
+  golden "flow_stats_reply"
+    ("011100b000001234000100000002002820f3000002000000000102000000"
+    ^ "0002ffff0000000000000000000000000000000000000000006400000000"
+    ^ "0000000900000000000003e80010000000080002ffff0003000800000000"
+    ^ "0028104f0000000000000000000000000000ffff00000800000600000a01"
+    ^ "00000000000000000016000700000000000000000000000000000000001a"
+    ^ "00070008c0a80101000b00100003000000000000000000050000")
+    (Of_message.Stats_reply
+       (Of_message.Flow_stats_reply
+          [ { fs_match = Of_match.l2_pair ~src:(fst (host 1)) ~dst:(fst (host 2));
+              fs_priority = 100; fs_cookie = 9L;
+              fs_actions = [ Of_action.Output 2; Of_action.Strip_vlan ];
+              fs_packet_count = 1000L };
+            { fs_match =
+                { Of_match.wildcard_all with
+                  Of_match.dl_type = Some 0x0800;
+                  nw_src = Some (Ipv4.of_string "10.1.0.0", 16);
+                  nw_proto = Some 6; tp_dst = Some 22 };
+              fs_priority = 7; fs_cookie = 0L;
+              fs_actions =
+                [ Of_action.Set_nw_dst (Ipv4.of_string "192.168.1.1");
+                  Of_action.Enqueue (3, 5) ];
+              fs_packet_count = 0L } ]))
+
 (* --- Error codes --- *)
 
 let test_error_codes () =
@@ -424,6 +490,7 @@ let suite =
     ("wire packet in/out", `Quick, test_wire_packet_in_out);
     ("wire flow mod", `Quick, test_wire_flow_mod);
     ("wire stream deframing", `Quick, test_wire_stream);
+    ("wire golden bytes", `Quick, test_wire_golden);
     ("table priority", `Quick, test_table_priority);
     ("table add replaces", `Quick, test_table_add_replaces);
     ("table modify", `Quick, test_table_modify);
