@@ -742,6 +742,19 @@ let micro ~full:_ () =
              seq = !serial; taint = Some (Types.Taint.to_string taint) });
       send 0 (R.Network_write { dpid = d1; flow = fm })
   in
+  (* One engine step over a queue held at 1600 events, the median
+     queue depth of an onos-k6-steady run: each no-op event
+     reschedules itself at its own fixed delay, so the queue stays
+     full and every push lands at a different depth. *)
+  let step_q1600 =
+    let engine = Jury_sim.Engine.create () in
+    for i = 0 to 1599 do
+      let after = Jury_sim.Time.ns (1_000 + (i * 7_919 mod 100_000)) in
+      let rec tick () = ignore (Jury_sim.Engine.schedule engine ~after tick) in
+      ignore (Jury_sim.Engine.schedule engine ~after tick)
+    done;
+    fun () -> Jury_sim.Engine.step engine
+  in
   let tests =
     [ Test.make ~name:"policy-check-1k"
         (Staged.stage (fun () -> Jury_policy.Engine.check policy_engine query));
@@ -760,7 +773,8 @@ let micro ~full:_ () =
       Test.make ~name:"flow-key-exact"
         (Staged.stage (fun () ->
              Jury_controller.Values.Flow.key d1 exact ~priority:40000));
-      Test.make ~name:"consensus-fingerprint-k6" (Staged.stage decide_k6) ]
+      Test.make ~name:"consensus-fingerprint-k6" (Staged.stage decide_k6);
+      Test.make ~name:"engine-step-q1600" (Staged.stage step_q1600) ]
   in
   let grouped = Test.make_grouped ~name:"jury" tests in
   let instance = Toolkit.Instance.monotonic_clock in

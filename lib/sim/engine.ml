@@ -1,4 +1,17 @@
-type event = { mutable live : bool; action : unit -> unit; fp : Footprint.t }
+(* A scheduled event is its own cancellation handle. [action] is
+   mutable so that cancelling can swap it for the shared [noop]: a
+   cancelled event stays queued until its timestamp (so event counts
+   and the clock are unchanged) but retains nothing it captured. *)
+type event = {
+  mutable live : bool;
+  mutable action : unit -> unit;
+  fp : Footprint.t;
+}
+
+let noop () = ()
+
+(* Fills the heap's free payload slots. *)
+let dummy = { live = false; action = noop; fp = Footprint.opaque }
 
 type candidate = {
   cand_seq : int;
@@ -18,7 +31,7 @@ type t = {
   mutable chooser : chooser option;
 }
 
-type handle = { event : event; engine : t }
+type handle = event
 
 (* Process-wide executed-event tally across every engine (and every
    domain — experiment sweeps run one engine per pool task). Updated in
@@ -30,7 +43,7 @@ let total_executed () = Atomic.get global_executed
 let create ?(seed = 42) ?tie () =
   { clock = Time.zero;
     seq = 0;
-    queue = Heap.create ?tie ();
+    queue = Heap.create ?tie ~dummy ();
     root_rng = Rng.create seed;
     trace = Jury_obs.Trace.null ();
     executed = 0;
@@ -49,22 +62,21 @@ let schedule_at t ?(footprint = Footprint.opaque) ~at f =
   let event = { live = true; action = f; fp = footprint } in
   t.seq <- t.seq + 1;
   Heap.push t.queue ~key:at ~seq:t.seq event;
-  { event; engine = t }
+  event
 
 let schedule t ?footprint ~after f =
   schedule_at t ?footprint ~at:(Time.add t.clock after) f
 
 let cancel h =
-  ignore h.engine;
-  h.event.live <- false
+  h.live <- false;
+  h.action <- noop
 
-let is_pending h = h.event.live
+let is_pending h = h.live
 
 let every t ~period ?jitter ?footprint f =
   (* A recurrence is a chain of one-shot events; the caller's handle is
      kept pointing at the chain head so cancelling it stops the chain. *)
-  let chain = { live = true; action = (fun () -> ()); fp = Footprint.opaque } in
-  let handle = { event = chain; engine = t } in
+  let chain = { live = true; action = noop; fp = Footprint.opaque } in
   let rec arm () =
     let delay =
       match jitter with
@@ -81,7 +93,7 @@ let every t ~period ?jitter ?footprint f =
            end))
   in
   arm ();
-  handle
+  chain
 
 let execute _t event =
   if event.live then begin
@@ -132,14 +144,17 @@ let step_choose t choose =
 let step t =
   match t.chooser with
   | Some choose -> step_choose t choose
-  | None -> (
-      match Heap.pop t.queue with
-      | None -> false
-      | Some (at, _, event) ->
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          execute t event;
-          true)
+  | None ->
+      let q = t.queue in
+      if Heap.is_empty q then false
+      else begin
+        let at = Heap.min_key q and event = Heap.min_value q in
+        Heap.drop_min q;
+        t.clock <- at;
+        t.executed <- t.executed + 1;
+        execute t event;
+        true
+      end
 
 let run ?until t =
   let before = t.executed in
@@ -148,14 +163,12 @@ let run ?until t =
   | Some horizon ->
       let continue = ref true in
       while !continue do
-        match Heap.peek t.queue with
-        | None -> continue := false
-        | Some (at, _, _) ->
-            if Time.(at > horizon) then begin
-              t.clock <- horizon;
-              continue := false
-            end
-            else ignore (step t)
+        if Heap.is_empty t.queue then continue := false
+        else if Time.(Heap.min_key t.queue > horizon) then begin
+          t.clock <- horizon;
+          continue := false
+        end
+        else ignore (step t)
       done);
   ignore (Atomic.fetch_and_add global_executed (t.executed - before))
 

@@ -9,7 +9,8 @@
 type t
 
 type handle
-(** Cancellation handle for a scheduled event. *)
+(** Cancellation handle for a scheduled event — the queued event
+    itself, so scheduling allocates one record besides the closure. *)
 
 val create : ?seed:int -> ?tie:Heap.tie -> unit -> t
 (** [create ?seed ()] makes an engine whose root RNG is seeded with
@@ -51,7 +52,12 @@ val schedule_at :
     [Invalid_argument] if [at] is in the past. *)
 
 val cancel : handle -> unit
-(** Cancels a pending event; a no-op if it already ran or was cancelled. *)
+(** Cancels a pending event; a no-op if it already ran or was cancelled.
+    The event's closure is dropped at once, so everything it captured
+    becomes collectable even though the dead event stays queued until
+    its timestamp. It is popped there like any other event — advancing
+    the clock and counting in {!executed_events} — so cancelling never
+    changes event counts or the final clock. *)
 
 val is_pending : handle -> bool
 (** Whether the event is still queued (neither fired nor cancelled). *)
@@ -117,8 +123,8 @@ val pending_events : t -> int
     events; cancelled events are counted until they drain). *)
 
 val executed_events : t -> int
-(** Events this engine has executed so far (cancelled events drain
-    without being counted). *)
+(** Events this engine has popped so far, cancelled ones included
+    (they are counted where they drain, without running). *)
 
 val total_executed : unit -> int
 (** Process-wide executed-event count, summed over every engine on

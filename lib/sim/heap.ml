@@ -1,137 +1,183 @@
-type 'a cell = { key : Time.t; seq : int; value : 'a }
-
 type tie = int -> int -> bool
 
 let fifo : tie = ( < )
 let lifo : tie = ( > )
 
-(* Slots at indices >= [size] hold [None]. Keeping raw cells there (the
-   previous representation) pinned every popped payload until a later
-   push happened to overwrite its slot — a space leak proportional to
-   the heap's high-water mark. *)
+(* Struct-of-arrays binary heap. Heap position [i < size] holds the
+   priority [(keys.(i), seqs.(i))] and the payload slot [slots.(i)];
+   the payload itself sits at [vals.(slots.(i))] and never moves while
+   queued. Sifting therefore rewrites integers only, with no
+   allocation and no write barrier; a push or a removal stores one
+   payload pointer.
+
+   [slots] is always a permutation of [0 .. capacity - 1]: positions
+   [>= size] form the stack of free slots, so a push takes
+   [slots.(size)] and a removal writes its freed slot back at the new
+   [size]. A freed slot is reset to [dummy], so a popped payload is
+   never pinned by the heap. *)
 type 'a t = {
-  mutable data : 'a cell option array;
+  mutable keys : Time.t array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable vals : 'a array;
   mutable size : int;
   tie : tie;
+  is_fifo : bool;
+  dummy : 'a;
 }
 
-let create ?(tie = fifo) () = { data = [||]; size = 0; tie }
+let create ?(tie = fifo) ~dummy () =
+  { keys = [||];
+    seqs = [||];
+    slots = [||];
+    vals = [||];
+    size = 0;
+    tie;
+    is_fifo = tie == fifo;
+    dummy }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let less h a b =
-  let c = Time.compare a.key b.key in
-  if c <> 0 then c < 0 else h.tie a.seq b.seq
-
-let get h i =
-  match h.data.(i) with Some c -> c | None -> assert false
+(* Whether priority [(k, s)] pops strictly before [(k', s')]; the FIFO
+   tie is compared inline. *)
+let[@inline] before h (k : Time.t) s (k' : Time.t) s' =
+  (k :> int) < (k' :> int)
+  || (k = k' && if h.is_fifo then s < s' else h.tie s s')
 
 let grow h =
-  let cap = Array.length h.data in
+  let cap = Array.length h.keys in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  let ndata = Array.make ncap None in
-  Array.blit h.data 0 ndata 0 h.size;
-  h.data <- ndata
+  let keys = Array.make ncap Time.zero in
+  let seqs = Array.make ncap 0 in
+  let slots = Array.init ncap Fun.id in
+  let vals = Array.make ncap h.dummy in
+  Array.blit h.keys 0 keys 0 h.size;
+  Array.blit h.seqs 0 seqs 0 h.size;
+  Array.blit h.slots 0 slots 0 cap;
+  Array.blit h.vals 0 vals 0 cap;
+  h.keys <- keys;
+  h.seqs <- seqs;
+  h.slots <- slots;
+  h.vals <- vals
 
-let sift_up h i0 =
-  let cell = get h i0 in
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if less h cell (get h parent) then begin
-      h.data.(!i) <- h.data.(parent);
-      h.data.(parent) <- Some cell;
-      i := parent
-    end
-    else continue := false
-  done
+(* Moves a hole at [i] towards the root until [(k, s)] fits, then
+   writes [(k, s, slot)] there. *)
+let sift_up h i k s slot =
+  let keys = h.keys and seqs = h.seqs and slots = h.slots in
+  let i = ref i in
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    before h k s keys.(p) seqs.(p)
+  do
+    let p = (!i - 1) / 2 in
+    keys.(!i) <- keys.(p);
+    seqs.(!i) <- seqs.(p);
+    slots.(!i) <- slots.(p);
+    i := p
+  done;
+  keys.(!i) <- k;
+  seqs.(!i) <- s;
+  slots.(!i) <- slot
+
+(* Moves a hole at [i] down the path of smaller children to a leaf of
+   [0 .. size - 1] and returns the leaf's position. One comparison per
+   level: the element that will refill the hole is usually bottom-most,
+   so finding its place on the way back up ({!sift_up}) is cheaper than
+   comparing against it on the way down. *)
+let hole_down h i =
+  let keys = h.keys and seqs = h.seqs and slots = h.slots in
+  let n = h.size in
+  let i = ref i in
+  while (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c =
+      if r < n && before h keys.(r) seqs.(r) keys.(l) seqs.(l) then r else l
+    in
+    keys.(!i) <- keys.(c);
+    seqs.(!i) <- seqs.(c);
+    slots.(!i) <- slots.(c);
+    i := c
+  done;
+  !i
 
 let push h ~key ~seq value =
-  let cell = { key; seq; value } in
-  if h.size = Array.length h.data then grow h;
+  if h.size = Array.length h.keys then grow h;
   let i = h.size in
-  h.size <- h.size + 1;
-  h.data.(i) <- Some cell;
-  sift_up h i
+  let slot = h.slots.(i) in
+  h.vals.(slot) <- value;
+  h.size <- i + 1;
+  sift_up h i key seq slot
 
-let sift_down h i0 =
-  let n = h.size in
-  let cell = get h i0 in
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < n && less h (get h l) (get h !smallest) then smallest := l;
-    if r < n && less h (get h r) (get h !smallest) then smallest := r;
-    if !smallest <> !i then begin
-      h.data.(!i) <- h.data.(!smallest);
-      h.data.(!smallest) <- Some cell;
-      i := !smallest
-    end
-    else continue := false
-  done
+(* Removes heap position [i]: moves its hole to a leaf and refills it
+   with the last element, sifted up from there (it may end above [i]),
+   then returns the freed slot to the free stack. *)
+let remove_at h i =
+  let slot = h.slots.(i) in
+  let n = h.size - 1 in
+  h.size <- n;
+  if i < n then begin
+    let k = h.keys.(n) and s = h.seqs.(n) and last = h.slots.(n) in
+    sift_up h (hole_down h i) k s last
+  end;
+  h.slots.(n) <- slot;
+  h.vals.(slot) <- h.dummy
+
+let check_nonempty h fn = if h.size = 0 then invalid_arg fn
+
+let min_key h =
+  check_nonempty h "Heap.min_key";
+  h.keys.(0)
+
+let min_value h =
+  check_nonempty h "Heap.min_value";
+  h.vals.(h.slots.(0))
+
+let drop_min h =
+  check_nonempty h "Heap.drop_min";
+  remove_at h 0
+
+let entry h i = (h.keys.(i), h.seqs.(i), h.vals.(h.slots.(i)))
+
+let peek h = if h.size = 0 then None else Some (entry h 0)
 
 let pop h =
   if h.size = 0 then None
   else begin
-    let top = get h 0 in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- None;
-      sift_down h 0
-    end
-    else h.data.(0) <- None;
-    Some (top.key, top.seq, top.value)
+    let top = entry h 0 in
+    remove_at h 0;
+    Some top
   end
-
-let peek h =
-  if h.size = 0 then None
-  else
-    let top = get h 0 in
-    Some (top.key, top.seq, top.value)
 
 let tied_front h =
   if h.size = 0 then []
   else begin
-    let min_key = (get h 0).key in
+    let min_key = h.keys.(0) in
     let tied = ref [] in
     for i = h.size - 1 downto 0 do
-      let c = get h i in
-      if Time.compare c.key min_key = 0 then tied := c :: !tied
+      if h.keys.(i) = min_key then tied := entry h i :: !tied
     done;
-    List.map
-      (fun c -> (c.key, c.seq, c.value))
-      (List.sort (fun a b -> compare a.seq b.seq) !tied)
+    List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) !tied
   end
 
 let remove_seq h ~seq =
-  let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < h.size do
-    if (get h !i).seq = seq then found := !i;
-    incr i
-  done;
-  if !found < 0 then None
-  else begin
-    let c = get h !found in
-    h.size <- h.size - 1;
-    if !found < h.size then begin
-      h.data.(!found) <- h.data.(h.size);
-      h.data.(h.size) <- None;
-      (* The hole is refilled with the last element, which may need to
-         move either way relative to its new parent and children. *)
-      let moved = get h !found in
-      if !found > 0 && less h moved (get h ((!found - 1) / 2)) then
-        sift_up h !found
-      else sift_down h !found
+  let rec find i =
+    if i >= h.size then None
+    else if h.seqs.(i) = seq then begin
+      let e = entry h i in
+      remove_at h i;
+      Some e
     end
-    else h.data.(!found) <- None;
-    Some (c.key, c.seq, c.value)
-  end
+    else find (i + 1)
+  in
+  find 0
 
 let clear h =
-  h.data <- [||];
+  h.keys <- [||];
+  h.seqs <- [||];
+  h.slots <- [||];
+  h.vals <- [||];
   h.size <- 0

@@ -7,7 +7,12 @@
     with any strict total order on sequence numbers (the hook the
     schedule explorer builds on), and {!tied_front}/{!remove_seq} let a
     scheduler inspect and resolve a timestamp tie one event at a
-    time. *)
+    time.
+
+    Representation: the priorities live in unboxed [int] arrays and
+    each payload sits at a stable slot of a separate array, so {!push},
+    {!min_key}, {!min_value} and {!drop_min} allocate nothing (beyond
+    amortised growth) and a sift never touches a payload. *)
 
 type 'a t
 
@@ -26,8 +31,12 @@ val lifo : tie
 (** [( > )] — last inserted pops first; the exact reverse of {!fifo}
     on any set of equal-key elements. *)
 
-val create : ?tie:tie -> unit -> 'a t
-(** An empty heap breaking key ties with [tie] (default {!fifo}). *)
+val create : ?tie:tie -> dummy:'a -> unit -> 'a t
+(** An empty heap breaking key ties with [tie] (default {!fifo}).
+    [dummy] fills every payload slot that holds no queued element: a
+    slot is reset to it as soon as its element is removed, so the heap
+    never keeps a popped payload reachable. [dummy] itself stays
+    reachable for the heap's lifetime, so it should own nothing big. *)
 
 val length : 'a t -> int
 (** Number of queued elements. *)
@@ -37,6 +46,19 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> key:Time.t -> seq:int -> 'a -> unit
 (** [push h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
+
+val min_key : 'a t -> Time.t
+(** The minimum's key. Allocates nothing; raises [Invalid_argument] if
+    empty. *)
+
+val min_value : 'a t -> 'a
+(** The minimum's payload. Allocates nothing; raises
+    [Invalid_argument] if empty. *)
+
+val drop_min : 'a t -> unit
+(** Removes the minimum, releasing its slot to [dummy]. Allocates
+    nothing; raises [Invalid_argument] if empty. Together with
+    {!min_key} and {!min_value} this is the event loop's pop. *)
 
 val pop : 'a t -> (Time.t * int * 'a) option
 (** Removes and returns the minimum, or [None] if empty. *)

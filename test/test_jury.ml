@@ -106,14 +106,24 @@ let cache_event_of_action ~origin = function
         taint = Some (Types.Taint.to_string taint) }
   | Types.Network_send _ -> invalid_arg "not a cache write"
 
-let feed_happy_path engine v =
+(* Delivers a response built here and tracked by [weak]; not inlined,
+   so no stack slot of the caller keeps the response alive. *)
+let[@inline never] deliver_tracked weak v ~controller ~snapshot body =
+  let r =
+    { Response.controller; taint; snapshot; sent_at = Time.zero; term = 0;
+      body }
+  in
+  Weak.set weak 0 (Some r);
+  Validator.deliver v r
+
+let deliver_happy_path ?(track = Weak.create 1) v =
   (* primary 0, secondaries 1,2 all agree; cache event acked. *)
   let dpid = Dpid.of_int 1 in
   let actions = response_actions dpid in
   let snap = Snapshot.pristine in
   Validator.register_external v ~taint ~at:Time.zero ~primary:0
     ~secondaries:[ 1; 2 ];
-  deliver v ~controller:0 ~snapshot:snap
+  deliver_tracked track v ~controller:0 ~snapshot:snap
     (Response.Execution { role = `Primary; actions });
   deliver v ~controller:1 ~snapshot:snap
     (Response.Execution { role = `Secondary; actions });
@@ -125,8 +135,26 @@ let feed_happy_path engine v =
   deliver v ~controller:2 ~snapshot:snap (Response.Cache_update cache_ev);
   let _, fmv = flow_for dpid in
   deliver v ~controller:0 ~snapshot:snap
-    (Response.Network_write { dpid; flow = fmv });
+    (Response.Network_write { dpid; flow = fmv })
+
+let feed_happy_path engine v =
+  deliver_happy_path v;
   Engine.run engine
+
+(* A trigger decided by completeness cancels its validation timer; the
+   dead timer stays queued until its deadline but must no longer pin
+   the decided trigger's responses. *)
+let test_validator_decided_releases_responses () =
+  let engine, v = mk_validator ~timeout:(Time.sec 10) () in
+  let track = Weak.create 1 in
+  deliver_happy_path ~track v;
+  check_int "decided by completeness" 1 (Validator.decided_count v);
+  check_bool "timer still queued" true (Engine.pending_events engine > 0);
+  Gc.full_major ();
+  check_bool "primary response collectable before the deadline" false
+    (Weak.check track 0);
+  Engine.run engine;
+  check_int "still one verdict" 1 (Validator.decided_count v)
 
 let test_validator_happy_path () =
   let engine, v = mk_validator () in
@@ -1141,6 +1169,8 @@ let suite =
     ("snapshot content-sensitive", `Quick, test_snapshot_content_sensitive);
     ("encapsulation roundtrip", `Quick, test_encap_roundtrip);
     ("validator happy path", `Quick, test_validator_happy_path);
+    ("validator decided trigger releases its responses", `Quick,
+     test_validator_decided_releases_responses);
     ("validator consensus mismatch", `Quick, test_validator_consensus_mismatch);
     ("validator dissenting secondary", `Quick, test_validator_dissenting_secondary);
     ("consensus ignores buffer ids", `Quick,

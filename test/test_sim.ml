@@ -103,7 +103,7 @@ let test_rng_choice_shuffle () =
 (* --- Heap --- *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   let rng = Rng.create 23 in
   for i = 1 to 500 do
     Heap.push h ~key:(Time.us (Rng.int rng 1000)) ~seq:i i
@@ -124,7 +124,7 @@ let test_heap_ordering () =
   check_int "all popped" 500 !count
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   for i = 1 to 10 do
     Heap.push h ~key:(Time.ms 1) ~seq:i i
   done;
@@ -134,29 +134,37 @@ let test_heap_fifo_ties () =
     | None -> Alcotest.fail "heap empty early"
   done
 
-(* Popped payloads must become collectable even while the heap stays
-   live: the backing array must not pin them at vacated slots. *)
+(* Removed payloads must become collectable even while the heap stays
+   live: a vacated slot must not pin them, whether it was freed by
+   [pop], [drop_min] or [remove_seq]. *)
 let test_heap_pop_releases () =
-  let h = Heap.create () in
+  let dummy = ref (-1) in
+  let h = Heap.create ~dummy () in
   let weaks = Weak.create 64 in
   for i = 0 to 63 do
     let payload = ref i in
     Weak.set weaks i (Some payload);
     Heap.push h ~key:(Time.us i) ~seq:i payload
   done;
-  (* Drain half, then churn with fresh payloads so the heap keeps a
-     non-trivial live region the whole time. *)
-  for _ = 1 to 32 do
+  (* Drain a quarter each way, then churn with fresh payloads so the
+     heap keeps a non-trivial live region the whole time. *)
+  for _ = 1 to 16 do
     ignore (Heap.pop h)
+  done;
+  for _ = 1 to 16 do
+    Heap.drop_min h
   done;
   for i = 64 to 95 do
     Heap.push h ~key:(Time.us i) ~seq:i (ref i)
   done;
-  for _ = 1 to 16 do
-    ignore (Heap.pop h)
+  for seq = 40 to 47 do
+    check_bool "remove_seq finds it" true (Heap.remove_seq h ~seq <> None)
+  done;
+  for _ = 1 to 8 do
+    Heap.drop_min h
   done;
   Gc.full_major ();
-  (* Tracked payloads 0..47 were popped; 48..63 are still queued and
+  (* Tracked payloads 0..47 were removed; 48..63 are still queued and
      must stay pinned — exactly 16 weak refs survive. *)
   let pinned = ref 0 in
   for i = 0 to 63 do
@@ -164,7 +172,8 @@ let test_heap_pop_releases () =
   done;
   check_int "only queued payloads pinned" 16 !pinned;
   check_int "live region intact" 48 (Heap.length h);
-  (* Drain to empty: the array itself must be dropped. *)
+  check_int "minimum is the oldest queued" 48 !(Heap.min_value h);
+  (* Drain to empty: nothing may stay pinned. *)
   while Heap.pop h <> None do
     ()
   done;
@@ -196,6 +205,39 @@ let test_engine_cancel () =
   check_bool "not pending" false (Engine.is_pending h);
   Engine.run e;
   check_bool "cancelled never fires" false !fired
+
+(* Schedules an event whose closure alone captures a fresh payload,
+   tracked by [weak]; not inlined, so no stack slot of the caller keeps
+   the payload alive. *)
+let[@inline never] schedule_capturing e weak =
+  let payload = ref 0 in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule e ~after:(Time.ms 5) (fun () -> incr payload)
+
+(* A cancelled event stays queued until its timestamp, but what its
+   closure captured must be collectable at once. *)
+let test_engine_cancel_releases () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  let h = schedule_capturing e weak in
+  Gc.full_major ();
+  check_bool "queued event pins its payload" true (Weak.check weak 0);
+  Engine.cancel h;
+  Gc.full_major ();
+  check_bool "not pending" false (Engine.is_pending h);
+  check_int "still queued" 1 (Engine.pending_events e);
+  check_bool "cancelled payload collectable" false (Weak.check weak 0);
+  Engine.run e;
+  check_int "dead event drains where it sits" 1 (Engine.executed_events e);
+  check_int "clock advanced to it" 5_000_000 (Time.to_ns (Engine.now e));
+  (* Cancelling a recurrence's handle still stops its chain. *)
+  let fired = ref 0 in
+  let h = Engine.every e ~period:(Time.ms 10) (fun () -> incr fired) in
+  Engine.run e ~until:(Time.ms 35);
+  Engine.cancel h;
+  check_bool "every not pending" false (Engine.is_pending h);
+  Engine.run e ~until:(Time.ms 200);
+  check_int "every chain stopped" 3 !fired
 
 let test_engine_until () =
   let e = Engine.create () in
@@ -290,7 +332,7 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (int_bound 100_000))
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 () in
       List.iteri (fun i k -> Heap.push h ~key:(Time.ns k) ~seq:i k) keys;
       let rec drain acc =
         match Heap.pop h with
@@ -303,6 +345,105 @@ let prop_heap_sorted =
          && List.for_all2 ( <= )
               (List.filteri (fun i _ -> i < List.length popped - 1) popped)
               (List.tl popped))
+
+type heap_op =
+  | Push of int
+  | Drop_min
+  | Pop
+  | Remove of int
+  | Drain
+
+let gen_heap_ops =
+  let open QCheck.Gen in
+  (* Few distinct keys, so most pops resolve a tie; pushes outweigh
+     removals so runs cross the 16/32/64 growth points, and a rare
+     drain empties the heap for a refill. *)
+  list_size (int_range 0 500)
+    (frequency
+       [ (130, map (fun k -> Push k) (int_bound 7));
+         (35, return Drop_min);
+         (15, return Pop);
+         (15, map (fun i -> Remove i) (int_bound 1000));
+         (1, return Drain) ])
+
+let print_heap_op = function
+  | Push k -> Printf.sprintf "Push %d" k
+  | Drop_min -> "Drop_min"
+  | Pop -> "Pop"
+  | Remove i -> Printf.sprintf "Remove %d" i
+  | Drain -> "Drain"
+
+(* Replays [ops] on a heap and on a list of [(key, seq, value)] kept
+   sorted in pop order by [compare], checking every removed element
+   and the minimum after each step. *)
+let heap_matches_model ~tie ~compare ops =
+  let h = Heap.create ~tie ~dummy:(-1) () in
+  let model = ref [] and next = ref 0 and ok = ref true in
+  let expect b = if not b then ok := false in
+  let same got want =
+    match (got, want) with
+    | Some (k, s, v), Some (k', s', v') -> Time.to_ns k = k' && s = s' && v = v'
+    | None, None -> true
+    | _ -> false
+  in
+  let take () =
+    match !model with
+    | [] -> None
+    | e :: rest ->
+        model := rest;
+        Some e
+  in
+  let pop_one () =
+    let got = Heap.pop h in
+    expect (same got (take ()))
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Push k ->
+          incr next;
+          Heap.push h ~key:(Time.ns k) ~seq:!next (!next * 10);
+          model := List.merge compare [ (k, !next, !next * 10) ] !model
+      | Drop_min ->
+          if not (Heap.is_empty h) then begin
+            expect (same (Heap.peek h) (take ()));
+            Heap.drop_min h
+          end
+      | Pop -> pop_one ()
+      | Remove i ->
+          let seq = if !next = 0 then 0 else 1 + (i mod !next) in
+          let want = List.find_opt (fun (_, s, _) -> s = seq) !model in
+          model := List.filter (fun (_, s, _) -> s <> seq) !model;
+          expect (same (Heap.remove_seq h ~seq) want)
+      | Drain ->
+          while not (Heap.is_empty h) do
+            pop_one ()
+          done);
+      expect (Heap.length h = List.length !model);
+      match !model with
+      | [] -> expect (Heap.is_empty h)
+      | (k, _, v) :: _ ->
+          expect (Time.to_ns (Heap.min_key h) = k && Heap.min_value h = v))
+    ops;
+  while not (Heap.is_empty h) do
+    pop_one ()
+  done;
+  !ok && !model = []
+
+let prop_heap_model tie_name ~tie ~compare =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "heap matches sorted-list model (%s)" tie_name)
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op) gen_heap_ops)
+    (heap_matches_model ~tie ~compare)
+
+let prop_heap_model_fifo =
+  prop_heap_model "fifo" ~tie:Heap.fifo ~compare:(fun (k, s, _) (k', s', _) ->
+      if k <> k' then Int.compare k k' else Int.compare s s')
+
+let prop_heap_model_lifo =
+  prop_heap_model "lifo" ~tie:Heap.lifo ~compare:(fun (k, s, _) (k', s', _) ->
+      if k <> k' then Int.compare k k' else Int.compare s' s)
 
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int bounded" ~count:500
@@ -328,6 +469,7 @@ let suite =
     ("heap pop releases payloads", `Quick, test_heap_pop_releases);
     ("engine ordering", `Quick, test_engine_ordering);
     ("engine cancel", `Quick, test_engine_cancel);
+    ("engine cancel releases the closure", `Quick, test_engine_cancel_releases);
     ("engine run until", `Quick, test_engine_until);
     ("engine every", `Quick, test_engine_every);
     ("engine nested schedule", `Quick, test_engine_nested_schedule);
@@ -336,4 +478,6 @@ let suite =
     ("engine every with jitter", `Quick, test_engine_every_jitter);
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
     QCheck_alcotest.to_alcotest prop_heap_sorted;
+    QCheck_alcotest.to_alcotest prop_heap_model_fifo;
+    QCheck_alcotest.to_alcotest prop_heap_model_lifo;
     QCheck_alcotest.to_alcotest prop_rng_int_bounds ]
