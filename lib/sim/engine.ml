@@ -75,8 +75,10 @@ let is_pending h = h.live
 
 let every t ~period ?jitter ?footprint f =
   (* A recurrence is a chain of one-shot events; the caller's handle is
-     kept pointing at the chain head so cancelling it stops the chain. *)
-  let chain = { live = true; action = noop; fp = Footprint.opaque } in
+     kept pointing at the chain head so cancelling it stops the chain.
+     Each link runs the head's [action] rather than capturing [f], so
+     cancelling the head also drops [f]. *)
+  let chain = { live = true; action = f; fp = Footprint.opaque } in
   let rec arm () =
     let delay =
       match jitter with
@@ -88,7 +90,7 @@ let every t ~period ?jitter ?footprint f =
     ignore
       (schedule t ?footprint ~after:delay (fun () ->
            if chain.live then begin
-             f ();
+             chain.action ();
              if chain.live then arm ()
            end))
   in
@@ -107,39 +109,39 @@ let execute _t event =
    within a tie is unobservable — and the chooser only ever sees a tie
    of two or more live events. *)
 let step_choose t choose =
-  match Heap.peek t.queue with
-  | None -> false
-  | Some _ ->
-      let tied = Heap.tied_front t.queue in
-      let dead =
-        List.find_opt (fun (_, _, (e : event)) -> not e.live) tied
-      in
-      let at, seq =
-        match dead with
-        | Some (at, seq, _) -> (at, seq)
-        | None -> (
-            match tied with
-            | [ (at, seq, _) ] -> (at, seq)
-            | _ ->
-                let cands =
-                  Array.of_list
-                    (List.map
-                       (fun (at, seq, (e : event)) ->
-                         { cand_seq = seq; cand_at = at; cand_footprint = e.fp })
-                       tied)
-                in
-                let i = choose cands in
-                if i < 0 || i >= Array.length cands then
-                  invalid_arg "Engine: chooser index out of range";
-                (cands.(i).cand_at, cands.(i).cand_seq))
-      in
-      (match Heap.remove_seq t.queue ~seq with
-      | None -> assert false
-      | Some (_, _, event) ->
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          execute t event);
-      true
+  if Heap.is_empty t.queue then false
+  else begin
+    let tied = Heap.tied_front t.queue in
+    let dead =
+      List.find_opt (fun (_, _, (e : event)) -> not e.live) tied
+    in
+    let at, seq =
+      match dead with
+      | Some (at, seq, _) -> (at, seq)
+      | None -> (
+          match tied with
+          | [ (at, seq, _) ] -> (at, seq)
+          | _ ->
+              let cands =
+                Array.of_list
+                  (List.map
+                     (fun (at, seq, (e : event)) ->
+                       { cand_seq = seq; cand_at = at; cand_footprint = e.fp })
+                     tied)
+              in
+              let i = choose cands in
+              if i < 0 || i >= Array.length cands then
+                invalid_arg "Engine: chooser index out of range";
+              (cands.(i).cand_at, cands.(i).cand_seq))
+    in
+    (match Heap.remove_seq t.queue ~seq with
+    | None -> assert false
+    | Some (_, _, event) ->
+        t.clock <- at;
+        t.executed <- t.executed + 1;
+        execute t event);
+    true
+  end
 
 let step t =
   match t.chooser with

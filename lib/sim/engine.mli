@@ -68,7 +68,9 @@ val every :
 (** [every t ~period f] runs [f] every [period], starting one period
     from now, with optional uniform [jitter] added to each firing.
     Returns the handle of the {e next} occurrence chain; cancelling it
-    stops the recurrence.
+    stops the recurrence and, as for {!cancel} of a one-shot event,
+    drops [f] at once although the chain's next link stays queued until
+    its timestamp.
 
     RNG ownership: a jittered recurrence draws one [Rng.int] from the
     engine's {e root} RNG at every re-arm — i.e. at creation and again

@@ -22,7 +22,6 @@ type 'a t = {
   mutable vals : 'a array;
   mutable size : int;
   tie : tie;
-  is_fifo : bool;
   dummy : 'a;
 }
 
@@ -33,17 +32,14 @@ let create ?(tie = fifo) ~dummy () =
     vals = [||];
     size = 0;
     tie;
-    is_fifo = tie == fifo;
     dummy }
 
 let length h = h.size
 let is_empty h = h.size = 0
 
-(* Whether priority [(k, s)] pops strictly before [(k', s')]; the FIFO
-   tie is compared inline. *)
+(* Whether priority [(k, s)] pops strictly before [(k', s')]. *)
 let[@inline] before h (k : Time.t) s (k' : Time.t) s' =
-  (k :> int) < (k' :> int)
-  || (k = k' && if h.is_fifo then s < s' else h.tie s s')
+  (k :> int) < (k' :> int) || (k = k' && h.tie s s')
 
 let grow h =
   let cap = Array.length h.keys in

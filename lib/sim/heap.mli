@@ -61,7 +61,10 @@ val drop_min : 'a t -> unit
     {!min_key} and {!min_value} this is the event loop's pop. *)
 
 val pop : 'a t -> (Time.t * int * 'a) option
-(** Removes and returns the minimum, or [None] if empty. *)
+(** Removes and returns the minimum, or [None] if empty. Allocates the
+    tuple and the option; the engine pops through {!min_key},
+    {!min_value} and {!drop_min} instead, and [pop] and {!peek} remain
+    for callers that want an option (the heap's tests). *)
 
 val peek : 'a t -> (Time.t * int * 'a) option
 (** The minimum without removing it, or [None] if empty. *)

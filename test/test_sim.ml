@@ -214,6 +214,14 @@ let[@inline never] schedule_capturing e weak =
   Weak.set weak 0 (Some payload);
   Engine.schedule e ~after:(Time.ms 5) (fun () -> incr payload)
 
+(* Like [schedule_capturing], for a recurrence counting into [fired]. *)
+let[@inline never] every_capturing e weak fired =
+  let payload = ref 0 in
+  Weak.set weak 0 (Some payload);
+  Engine.every e ~period:(Time.ms 10) (fun () ->
+      incr payload;
+      incr fired)
+
 (* A cancelled event stays queued until its timestamp, but what its
    closure captured must be collectable at once. *)
 let test_engine_cancel_releases () =
@@ -230,12 +238,19 @@ let test_engine_cancel_releases () =
   Engine.run e;
   check_int "dead event drains where it sits" 1 (Engine.executed_events e);
   check_int "clock advanced to it" 5_000_000 (Time.to_ns (Engine.now e));
-  (* Cancelling a recurrence's handle still stops its chain. *)
+  (* Cancelling a recurrence's handle stops its chain and drops the
+     recurring closure, though the chain's next link is still queued. *)
   let fired = ref 0 in
-  let h = Engine.every e ~period:(Time.ms 10) (fun () -> incr fired) in
+  let h = every_capturing e weak fired in
   Engine.run e ~until:(Time.ms 35);
+  Gc.full_major ();
+  check_bool "recurrence pins its payload" true (Weak.check weak 0);
   Engine.cancel h;
+  Gc.full_major ();
   check_bool "every not pending" false (Engine.is_pending h);
+  check_int "next link still queued" 1 (Engine.pending_events e);
+  check_bool "cancelled recurrence payload collectable" false
+    (Weak.check weak 0);
   Engine.run e ~until:(Time.ms 200);
   check_int "every chain stopped" 3 !fired
 
