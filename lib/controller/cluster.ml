@@ -21,8 +21,6 @@ type northbound_hook =
 
 type election_config = { period : Time.t; timeout_beats : int }
 
-let default_election = { period = Time.ms 100; timeout_beats = 3 }
-
 (* Election state exists only once [enable_election] runs: with no
    election the cluster schedules zero extra events and draws no RNG,
    so churn-free deployments stay byte-identical to the seed. *)
@@ -394,4 +392,3 @@ let query_flows t ~node dpid =
 let set_southbound_hook t h = t.southbound_hook <- h
 let set_northbound_hook t h = t.northbound_hook <- h
 let southbound_bytes t = t.southbound_bytes
-let run_until t at = Engine.run t.engine ~until:at

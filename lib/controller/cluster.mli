@@ -37,9 +37,6 @@ type election_config = {
 (** Tuning for the deterministic master-election protocol
     ({!enable_election}). *)
 
-val default_election : election_config
-(** 100 ms beats, 3 missed beats to declare death. *)
-
 val create :
   Jury_sim.Engine.t -> profile:Profile.t -> nodes:int ->
   network:Jury_net.Network.t -> ?channel_latency:Jury_sim.Time.t -> unit -> t
@@ -141,6 +138,3 @@ val trigger_of_message :
 
 val southbound_bytes : t -> int
 (** Cumulative OpenFlow bytes on switch↔controller channels. *)
-
-val run_until : t -> Jury_sim.Time.t -> unit
-(** Convenience: run the engine to an absolute simulated time. *)

@@ -153,9 +153,6 @@ let omit_probability t = t.omit_probability
    so the next read rebuilds from the resynced caches. *)
 let invalidate_view t = t.view_dirty <- true
 
-let raw_network_send t dpid payload =
-  send_network t None dpid payload
-
 (* --- Shared-state reads --- *)
 
 let read t cache key = Fabric.read t.fabric ~node:t.id ~cache ~key

@@ -137,11 +137,6 @@ val flood_ports : t -> Of_types.Dpid.t -> in_port:int -> int list
     spanning tree rooted at the lowest dpid, plus its host ports (those
     SWITCHDB lists that carry no link), minus [in_port]. *)
 
-val raw_network_send : t -> Of_types.Dpid.t -> Of_message.payload -> unit
-(** Send to the network {e bypassing} the cache — only a misbehaving
-    controller does this (§II-A.3); exposed for fault scenarios. Still
-    visible to JURY's egress interception. *)
-
 val response_latency_sample : t -> Jury_sim.Time.t
 (** One sample of this replica's response latency towards the
     validator: channel base + load-scaled processing jitter. *)

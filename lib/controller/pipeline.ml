@@ -3,20 +3,19 @@ open Jury_sim
 type config = {
   base_service : Time.t;
   service_sigma : float;
-  extra_per_job : Time.t;
   overload_backlog : Time.t;
-  degraded_factor : int;
 }
 
-let config ?(service_sigma = 0.25) ?(extra_per_job = Time.zero)
-    ?(overload_backlog = Time.ms 1500) ?(degraded_factor = 200) ~base_service
-    () =
-  { base_service; service_sigma; extra_per_job; overload_backlog;
-    degraded_factor }
+let config ?(service_sigma = 0.25) ?(overload_backlog = Time.ms 1500)
+    ~base_service () =
+  { base_service; service_sigma; overload_backlog }
+
+(* Service-time multiplier in the collapsed regime. *)
+let degraded_factor = 200
 
 type t = {
   engine : Engine.t;
-  mutable cfg : config;
+  cfg : config;
   footprint : Footprint.t;
   rng : Rng.t;
   queue : (unit -> unit) Queue.t;
@@ -96,8 +95,7 @@ let sample_service t =
   let s =
     Time.of_float_us (Rng.lognormal t.rng ~mu ~sigma:t.cfg.service_sigma)
   in
-  let s = Time.add s t.cfg.extra_per_job in
-  if t.collapsed then Time.mul s t.cfg.degraded_factor else s
+  if t.collapsed then Time.mul s degraded_factor else s
 
 let rec start_next t =
   match Queue.take_opt t.queue with
@@ -162,4 +160,3 @@ let utilization_hint t =
 let overloaded t = t.overloaded || t.collapsed
 let completed t = t.completed
 let dropped t = t.dropped
-let set_extra_per_job t extra = t.cfg <- { t.cfg with extra_per_job = extra }

@@ -11,7 +11,7 @@
     backlog until TCP zero-window stalls and memory pressure make it
     stop emitting FLOW_MODs entirely. Here, when the backlog exceeds
     [overload_backlog] the server enters a degraded mode multiplying
-    service times by [degraded_factor] and dropping new arrivals; it
+    service times by 200 and dropping new arrivals; it
     recovers when the backlog drains below half the threshold. *)
 
 type t
@@ -19,16 +19,13 @@ type t
 type config = {
   base_service : Jury_sim.Time.t;   (** median service time *)
   service_sigma : float;           (** lognormal shape of service time *)
-  extra_per_job : Jury_sim.Time.t; (** deterministic per-job add-on (e.g.
-                                       the store's strong-sync cost) *)
   overload_backlog : Jury_sim.Time.t; (** backlog that trips overload *)
-  degraded_factor : int;
 }
 
 val config :
-  ?service_sigma:float -> ?extra_per_job:Jury_sim.Time.t ->
-  ?overload_backlog:Jury_sim.Time.t -> ?degraded_factor:int ->
+  ?service_sigma:float -> ?overload_backlog:Jury_sim.Time.t ->
   base_service:Jury_sim.Time.t -> unit -> config
+(** Defaults: [service_sigma] 0.25, [overload_backlog] 1.5 s. *)
 
 val create :
   ?footprint:Jury_sim.Footprint.t -> Jury_sim.Engine.t -> config -> t
@@ -58,4 +55,3 @@ val utilization_hint : t -> float
 val overloaded : t -> bool
 val completed : t -> int
 val dropped : t -> int
-val set_extra_per_job : t -> Jury_sim.Time.t -> unit

@@ -57,11 +57,6 @@ and action =
     }
   | Network_send of { dpid : Of_types.Dpid.t; payload : Of_message.payload }
 
-let trigger_is_external = function
-  | Packet_in _ | Port_status _ | Switch_join _ | Flow_removed _ | Rest _ ->
-      true
-  | Internal _ -> false
-
 let trigger_name = function
   | Packet_in (_, pi) -> (
       match pi.frame.payload with
@@ -76,28 +71,6 @@ let trigger_name = function
   | Rest (Delete_flow _) -> "REST/DELETE_FLOW"
   | Rest (Query_flows _) -> "REST/QUERY_FLOWS"
   | Internal { app; _ } -> "INTERNAL/" ^ app
-
-let pp_trigger fmt t =
-  Format.pp_print_string fmt (trigger_name t);
-  match t with
-  | Packet_in (dpid, pi) ->
-      Format.fprintf fmt "@%a:%a" Of_types.Dpid.pp dpid Of_types.Port.pp
-        pi.in_port
-  | Port_status (dpid, ps) ->
-      Format.fprintf fmt "@%a:%a up=%b" Of_types.Dpid.pp dpid Of_types.Port.pp
-        ps.ps_port ps.ps_link_up
-  | Switch_join (dpid, _) | Flow_removed (dpid, _) ->
-      Format.fprintf fmt "@%a" Of_types.Dpid.pp dpid
-  | Rest _ | Internal _ -> ()
-
-let pp_action fmt = function
-  | Cache_write { cache; op; key; value } ->
-      Format.fprintf fmt "C:%s/%s %s=%S" cache
-        (Jury_store.Event.op_to_string op)
-        key value
-  | Network_send { dpid; payload } ->
-      Format.fprintf fmt "N:%a %s" Of_types.Dpid.pp dpid
-        (Of_message.type_name payload)
 
 let action_fingerprint = function
   | Cache_write { cache; op; key; value } ->

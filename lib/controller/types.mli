@@ -65,10 +65,7 @@ and action =
     }
   | Network_send of { dpid : Of_types.Dpid.t; payload : Of_message.payload }
 
-val trigger_is_external : trigger -> bool
 val trigger_name : trigger -> string
-val pp_trigger : Format.formatter -> trigger -> unit
-val pp_action : Format.formatter -> action -> unit
 
 val action_fingerprint : action -> string
 (** Canonical string for consensus comparison: two replicas took "the

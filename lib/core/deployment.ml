@@ -10,27 +10,27 @@ module Of_wire = Jury_openflow.Of_wire
 
 type config = {
   k : int;
-  timeout : Time.t;
-  adaptive_timeout : bool;
-  state_aware : bool;
-  nondet_rule : bool;
+  validator : Validator.config;
   random_secondaries : bool;
-  policies : Jury_policy.Engine.t;
-  validator_latency : Time.t;
-  validator_jitter_us : float;
-  replication_latency : Time.t;
-  replication_jitter_us : float;
-  chatter_cost : Time.t;
-  chatter_bytes : int;
+  deterministic_latencies : bool;
   encapsulation : bool;
   channel : Channel.profile;
-  retransmit : Validator.retransmit option;
-  degraded_quorum : int option;
-  shards : int;
-  max_inflight : int option;
   batch_window : Time.t option;
   election : Cluster.election_config option;
 }
+
+(* The out-of-band links: one way to the validator and from the
+   interception point to a secondary, each plus an exponential jitter
+   of the given mean unless [deterministic_latencies]. *)
+let validator_latency = Time.us 120
+let validator_jitter_us = 60.
+let replication_latency = Time.us 200
+let replication_jitter_us = 80.
+
+(* Mastership-status chatter a secondary sends its trigger's primary
+   (Hazelcast, §VII-B2): pipeline time the primary pays, and bytes. *)
+let chatter_cost = Time.us 13
+let chatter_size = 96
 
 type node_module = {
   mutable snapshot : Snapshot.t;
@@ -131,7 +131,8 @@ let ingest t (r : Response.t) =
    adaptive-timeout estimator (every delivery feeds it) or admission
    epochs ([max_inflight]); those force opaque. *)
 let response_footprint t (r : Response.t) =
-  if t.cfg.adaptive_timeout || t.cfg.max_inflight <> None then
+  let v = t.cfg.validator in
+  if v.adaptive_timeout || v.max_inflight <> None then
     Footprint.opaque
   else
     Footprint.touches
@@ -155,16 +156,16 @@ let send_to_validator t ~delay (r : Response.t) =
         ~phase:Jury_obs.Trace.Validate ~node:r.Response.controller ~link
         "duplicate"
 
-(* Zero jitter must draw nothing: a deterministic-latency deployment
-   (Jury_config ~deterministic_latencies) leaves the replicator's RNG
-   stream untouched so equal-timestamp events cannot interfere through
-   it — the schedule explorer's dependence relation assumes as much. *)
+(* Deterministic latencies must draw nothing: such a deployment leaves
+   the replicator's RNG stream untouched so equal-timestamp events
+   cannot interfere through it — the schedule explorer's dependence
+   relation assumes as much. *)
 let jittered t base jitter_us =
-  if jitter_us <= 0. then base
+  if t.cfg.deterministic_latencies then base
   else Time.add base (Time.of_float_us (Rng.exponential t.rng jitter_us))
 
 let validator_link_delay t =
-  jittered t t.cfg.validator_latency t.cfg.validator_jitter_us
+  jittered t validator_latency validator_jitter_us
 
 let make_response t ~node ~taint body =
   { Response.controller = node;
@@ -312,8 +313,8 @@ let run_shadow t ~secondary ~primary ~taint trigger =
          primary's pipeline (the <11% of Fig. 4h). *)
       Pipeline.add_load
         (Controller.pipeline (Cluster.controller t.cluster primary))
-        t.cfg.chatter_cost;
-      t.chatter_bytes_total <- t.chatter_bytes_total + t.cfg.chatter_bytes;
+        chatter_cost;
+      t.chatter_bytes_total <- t.chatter_bytes_total + chatter_size;
       let actions = Controller.shadow_execute ctrl ~as_id:primary trigger in
       (* Standalone (Ryu-style) instances share no store: validation
          replicates the *action stream* instead. Each secondary applies
@@ -353,9 +354,7 @@ let pick_secondaries t ~primary =
    shadow executes twice — the validator deduplicates), but the causal
    span closes once, at the first arrival. *)
 let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
-  let delay =
-    jittered t t.cfg.replication_latency t.cfg.replication_jitter_us
-  in
+  let delay = jittered t replication_latency replication_jitter_us in
   (* Arrival submits to the secondary's shadow pipeline and (chatter)
      loads the primary's; with decapsulation it also draws the
      replicator's shared RNG, which only opaque declares honestly. *)
@@ -418,7 +417,7 @@ let replicate_trigger t ~primary ~taint ~wire_size
   t.replicated_triggers <- t.replicated_triggers + 1;
   (* The in-flight store also backs failover re-attribution, so it is
      kept whenever either consumer exists. *)
-  if t.cfg.retransmit <> None || t.cfg.election <> None then
+  if t.cfg.validator.retransmit <> None || t.cfg.election <> None then
     Hashtbl.replace t.inflight
       (Types.Taint.to_string taint)
       { inf_primary = primary;
@@ -494,7 +493,7 @@ let handle_failover t ~term ~failed ~leader =
                 (Engine.schedule t.engine
                    ~footprint:
                      (Footprint.touches [ Footprint.controller new_primary ])
-                   ~after:t.cfg.replication_latency
+                   ~after:replication_latency
                    (fun () ->
                      Controller.submit
                        (Cluster.controller t.cluster new_primary)
@@ -508,35 +507,25 @@ let mint_taint t ~primary =
 
 (* --- Install --- *)
 
-let install cluster cfg =
+let install cluster (cfg : config) =
   let engine = Cluster.engine cluster in
   let n = Cluster.nodes cluster in
   let profile = Cluster.profile cluster in
   let clustered = profile.Jury_controller.Profile.clustered in
-  (* Built as a record literal: [cfg.shards] is already normalised. *)
   let validator_cfg =
-    { Validator.k = cfg.k;
-      timeout = cfg.timeout;
-      adaptive_timeout = cfg.adaptive_timeout;
-      min_timeout = Time.ms 10;
+    { cfg.validator with
       (* Standalone instances never share state, so their snapshots can
          never be equal across nodes (each digests its own origin/seq
          history): state-aware consensus would excuse everything. The
          standalone mode is therefore always state-blind — the
          cross-instance response vote carries the verdict. *)
-      state_aware = cfg.state_aware && clustered;
-      nondet_rule = cfg.nondet_rule;
-      policies = cfg.policies;
+      Validator.state_aware = cfg.validator.state_aware && clustered;
       master_lookup = (fun dpid -> Some (Cluster.master_of cluster dpid));
       term_lookup = (fun () -> Cluster.current_term cluster);
       (* Standalone fabrics never replicate, so no peer ack can ever
          arrive — completeness would deadlock waiting for them. *)
       ack_peers_of =
-        (if clustered then peers_of ~n ~k:cfg.k else fun _ -> []);
-      retransmit = cfg.retransmit;
-      degraded_quorum = cfg.degraded_quorum;
-      shards = cfg.shards;
-      max_inflight = cfg.max_inflight }
+        (if clustered then peers_of ~n ~k:cfg.k else fun _ -> []) }
   in
   (* RNG-draw order is load-bearing: the shadow pipelines split the
      engine RNG per node, and the deployment's own split must come
@@ -595,10 +584,10 @@ let install cluster cfg =
   (* The retransmission loop only exists when asked for: registering the
      handler and verdict observer is gated so a default configuration
      keeps the validator byte-for-byte on the seed's event schedule. *)
-  if cfg.retransmit <> None then
+  if cfg.validator.retransmit <> None then
     Validator.set_retransmit_handler t.validator (fun taint ~secondary ->
         handle_retransmit t taint ~secondary);
-  if cfg.retransmit <> None || cfg.election <> None then
+  if cfg.validator.retransmit <> None || cfg.election <> None then
     Validator.on_verdict t.validator (fun alarm ->
         let key = Types.Taint.to_string alarm.Alarm.taint in
         Hashtbl.remove t.inflight key;

@@ -12,42 +12,25 @@ module Types = Jury_controller.Types
 module Cluster = Jury_controller.Cluster
 
 type config = {
-  k : int;                            (** replication factor *)
-  timeout : Jury_sim.Time.t;          (** validation timeout θτ *)
-  adaptive_timeout : bool;            (** §VIII-1: RTO-style adaptive θτ *)
-  state_aware : bool;
-  nondet_rule : bool;
+  k : int;
+      (** replication factor: secondaries per trigger, and the static
+          peers whose cache-event acks the validator expects *)
+  validator : Validator.config;
+      (** the validator's parameters; {!install} replaces its three
+          lookup closures with the cluster's and turns [state_aware]
+          off on a standalone (non-[clustered]) profile *)
   random_secondaries : bool;
       (** sample k fresh secondaries per trigger (paper default) vs the
           primary's static peer set (ablation) *)
-  policies : Jury_policy.Engine.t;
-  validator_latency : Jury_sim.Time.t;      (** out-of-band link, one way *)
-  validator_jitter_us : float;
-      (** exponential mean (µs) added to [validator_latency]; non-positive
-          = fixed latency, no RNG draw *)
-  replication_latency : Jury_sim.Time.t;    (** OVS → secondary *)
-  replication_jitter_us : float;
-      (** exponential mean (µs) added to [replication_latency];
-          non-positive = fixed latency, no RNG draw *)
-  chatter_cost : Jury_sim.Time.t;
-      (** pipeline time the primary pays per replicated trigger for the
-          secondaries' mastership-status chatter (Hazelcast, §VII-B2) *)
-  chatter_bytes : int;
+  deterministic_latencies : bool;
+      (** pin the replication (200 µs) and response-collection
+          (120 µs) links to their base latencies, drawing no jitter
+          (otherwise exponential, mean 80 µs and 60 µs) *)
   encapsulation : bool;               (** ODL-style OVS replication *)
   channel : Channel.profile;
       (** loss model applied to every replication and
           response-collection link; {!Channel.reliable} reproduces the
           seed bit-for-bit *)
-  retransmit : Validator.retransmit option;
-      (** re-replicate to straggling secondaries (bounded, with
-          exponential backoff); [None] = no retransmission *)
-  degraded_quorum : int option;
-      (** allow reduced-quorum [Ok_degraded] verdicts on timeout;
-          [None] = seed behaviour *)
-  shards : int;
-      (** validator verdict-state shards (power of two; 1 = seed) *)
-  max_inflight : int option;
-      (** validator in-flight high-water mark; [None] = unbounded *)
   batch_window : Jury_sim.Time.t option;
       (** when set, responses coming off the out-of-band links are
           accumulated for this long and handed to the validator as one
@@ -63,6 +46,9 @@ type config = {
           change instead of timing out. [None] = no election timer, no
           listener — churn-free runs stay byte-identical to the seed *)
 }
+(** Built by {!Jury_config.make}. Each secondary's shadow execution
+    also loads its trigger's primary with 13 µs of pipeline time and
+    96 bytes of mastership-status chatter (Hazelcast, §VII-B2). *)
 
 type t
 

@@ -1,13 +1,9 @@
 (* The sole construction path for deployment and validator configs:
-   the pre-facade smart constructors were deleted (deprecated PR 4,
-   removed PR 9), so their validation logic lives here and the records
-   are built as literals. Documented in DESIGN.md ("Deprecation
-   policy"). *)
+   [make] validates every knob and builds the one [Validator.config]
+   literal in lib/; everything else copies it. *)
 
 open Jury_sim
 
-(* Internal representation: the historical deployment record, so the
-   facade adds no translation layer and `deployment` is the identity. *)
 type t = Deployment.config
 
 let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
@@ -21,12 +17,9 @@ let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
 
 let lossy_channel = Channel.lossy
 
-let election ?(period = Time.ms 100) ?(timeout_beats = 3) () =
-  if not Time.(period > zero) then
-    invalid_arg "Jury_config.election: period must be positive";
-  if timeout_beats < 1 then
-    invalid_arg "Jury_config.election: timeout_beats must be >= 1";
-  { Jury_controller.Cluster.period; timeout_beats }
+let next_pow2 n =
+  let rec go p = if p >= n then p else go (p * 2) in
+  go 1
 
 let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?(nondet_rule = true) ?random_secondaries ?policies
@@ -34,6 +27,12 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?degraded_quorum ?(shards = 1) ?max_inflight ?batch
     ?(deterministic_latencies = false) ?election () =
   let below lo = Option.fold ~none:false ~some:(fun v -> v < lo) in
+  let bad_period, bad_beats =
+    match election with
+    | Some { Jury_controller.Cluster.period; timeout_beats } ->
+        (not Time.(period > zero), timeout_beats < 1)
+    | None -> (false, false)
+  in
   let inline_channel = drop <> None || duplicate <> None || jitter_us <> None in
   (* Every range error at once, in one [Invalid_argument]. *)
   (match
@@ -46,7 +45,9 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
            "batch window must be positive" );
          (below 1 degraded_quorum, "degraded_quorum must be >= 1");
          ( Option.is_some channel && inline_channel,
-           "pass either ~channel or ~drop/~duplicate/~jitter_us, not both" ) ]
+           "pass either ~channel or ~drop/~duplicate/~jitter_us, not both" );
+         (bad_period, "election period must be positive");
+         (bad_beats, "election timeout_beats must be >= 1") ]
    with
   | [] -> ()
   | errors -> invalid_arg ("Jury_config.make: " ^ String.concat "; " errors));
@@ -64,69 +65,47 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     | None when inline_channel -> Channel.lossy ?drop ?duplicate ?jitter_us ()
     | None -> Channel.reliable
   in
-  (* Deterministic latencies pin both out-of-band links to their base
-     delays (and skip their RNG draws entirely) and replace randomly
-     sampled secondaries with the static peer set — the replicator then
-     consumes no randomness at all, which the schedule explorer's
-     dependence relation relies on. *)
+  (* Deterministic latencies also replace randomly sampled secondaries
+     with the static peer set, so the replicator consumes no randomness
+     at all — which the schedule explorer's dependence relation relies
+     on. *)
   let random_secondaries =
-    if deterministic_latencies then false
-    else Option.value random_secondaries ~default:true
+    (not deterministic_latencies)
+    && Option.value random_secondaries ~default:true
   in
-  let validator_jitter_us = if deterministic_latencies then 0. else 60. in
-  let replication_jitter_us = if deterministic_latencies then 0. else 80. in
   let timeout =
     match timeout with
     | Some t -> t
     | None -> if encapsulation then Time.ms 800 else Time.ms 150
   in
   { Deployment.k;
-    timeout;
-    adaptive_timeout;
-    state_aware;
-    nondet_rule;
+    validator =
+      { Validator.timeout;
+        adaptive_timeout;
+        state_aware;
+        nondet_rule;
+        policies;
+        master_lookup = (fun _ -> None);
+        term_lookup = (fun () -> 0);
+        ack_peers_of = (fun _ -> []);
+        retransmit;
+        degraded_quorum;
+        shards = next_pow2 shards;
+        max_inflight };
     random_secondaries;
-    policies;
-    validator_latency = Time.us 120;
-    validator_jitter_us;
-    replication_latency = Time.us 200;
-    replication_jitter_us;
-    chatter_cost = Time.us 13;
-    chatter_bytes = 96;
+    deterministic_latencies;
     encapsulation;
     channel;
-    retransmit;
-    degraded_quorum;
-    shards = Validator.shards_of_hint shards;
-    max_inflight;
     batch_window = batch;
     election }
 
-let deployment t = t
+let validator ?master_lookup ?term_lookup ?ack_peers_of (t : t) =
+  let v = t.Deployment.validator in
+  { v with
+    master_lookup = Option.value master_lookup ~default:v.master_lookup;
+    term_lookup = Option.value term_lookup ~default:v.term_lookup;
+    ack_peers_of = Option.value ack_peers_of ~default:v.ack_peers_of }
 
-let validator ?(min_timeout = Time.ms 10) ?(master_lookup = fun _ -> None)
-    ?(term_lookup = fun () -> 0) ?(ack_peers_of = fun _ -> []) (t : t) =
-  { Validator.k = t.Deployment.k;
-    timeout = t.Deployment.timeout;
-    adaptive_timeout = t.Deployment.adaptive_timeout;
-    min_timeout;
-    state_aware = t.Deployment.state_aware;
-    nondet_rule = t.Deployment.nondet_rule;
-    policies = t.Deployment.policies;
-    master_lookup;
-    term_lookup;
-    ack_peers_of;
-    retransmit = t.Deployment.retransmit;
-    degraded_quorum = t.Deployment.degraded_quorum;
-    shards = Validator.shards_of_hint t.Deployment.shards;
-    max_inflight = t.Deployment.max_inflight }
-
-let install cluster t = Deployment.install cluster (deployment t)
-
-let k (t : t) = t.Deployment.k
-let timeout (t : t) = t.Deployment.timeout
-let shards (t : t) = t.Deployment.shards
-let max_inflight (t : t) = t.Deployment.max_inflight
-let batch_window (t : t) = t.Deployment.batch_window
-let channel (t : t) = t.Deployment.channel
-let election_of (t : t) = t.Deployment.election
+let install = Deployment.install
+let timeout (t : t) = t.Deployment.validator.timeout
+let shards (t : t) = t.Deployment.validator.shards

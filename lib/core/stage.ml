@@ -110,7 +110,10 @@ let is_flowsdb_write (r : Response.t) =
   | Response.Cache_update ev -> ev.Event.cache = Names.flowsdb
   | _ -> false
 
-let attach ?(queue_capacity = 1024) ~pool ~jobs cfg facade =
+(* Items per shard ring (a power of two). *)
+let queue_capacity = 1024
+
+let attach ~pool ~jobs cfg facade =
   let shards = Validator.shard_count facade in
   let queues =
     Array.init shards (fun _ -> Spsc.create ~capacity:queue_capacity)

@@ -17,7 +17,7 @@
 
     Rings apply back-pressure: a full ring makes the producer (the
     simulation) spin until the consumer catches up, bounding memory by
-    [shards * queue_capacity] items.
+    1024 items per shard.
 
     The facade's config must have no retransmit, adaptive timeout,
     inflight cap or policy rules, and its engine no trace — see the
@@ -25,7 +25,6 @@
     load-bearing. *)
 
 val attach :
-  ?queue_capacity:int ->
   pool:Jury_par.Pool.t ->
   jobs:int ->
   Validator.config ->
@@ -33,7 +32,6 @@ val attach :
   unit
 (** [attach ~pool ~jobs cfg facade] installs pipeline hooks on
     [facade], whose replicas are built from [cfg] (the same validated
-    config the facade was created with). [queue_capacity] (default
-    1024) is per-shard and rounded up to a power of two. [jobs] is the
+    config the facade was created with). [jobs] is the
     intra-run parallelism budget: [jobs - 1] consumer domains, floored
     at one so [jobs > 1] always pipelines. *)

@@ -14,17 +14,9 @@ type retransmit = {
   max_retries : int;
 }
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let shards_of_hint hint = max 1 (next_pow2 hint)
-
 type config = {
-  k : int;
   timeout : Time.t;
   adaptive_timeout : bool;
-  min_timeout : Time.t;
   state_aware : bool;
   nondet_rule : bool;
   policies : Jury_policy.Engine.t;
@@ -120,7 +112,7 @@ type t = {
   mutable retransmit_handler : Types.Taint.t -> secondary:int -> unit;
   (* Adaptive validation timeout (the paper's SVIII-1 extension): track
      recent completion latencies RTO-style and size theta-tau as
-     srtt + 4*rttvar, clamped to [min_timeout, timeout]. *)
+     srtt + 4*rttvar, clamped to [min_timeout, cfg.timeout]. *)
   mutable srtt_ms : float;
   mutable rttvar_ms : float;
   mutable rtt_samples : int;
@@ -162,12 +154,15 @@ let shard_of t key =
   let n = Array.length t.shards in
   if n = 1 then 0 else Hashtbl.hash key land (n - 1)
 
+(* The adaptive θτ's floor. *)
+let min_timeout = Time.ms 10
+
 let current_timeout t =
   if t.cfg.adaptive_timeout && t.rtt_samples >= 20 then begin
     (* Wider than TCP's classic 4x: completion latencies are heavy-
        tailed (lognormal), so the estimator keeps extra headroom. *)
     let rto = t.srtt_ms +. (8. *. t.rttvar_ms) in
-    Time.max t.cfg.min_timeout
+    Time.max min_timeout
       (Time.min t.cfg.timeout (Time.of_float_ms rto))
   end
   else t.cfg.timeout

@@ -27,15 +27,18 @@ type retransmit = {
   max_retries : int;  (** retry cap per straggling secondary *)
 }
 
+(** The validator's parameters. {!Jury_config.make} builds the one
+    record in [lib/] that is made from scratch; everything else copies
+    it and updates the three lookup closures (see
+    {!Jury_config.validator}). The validator reads no replication
+    factor: [k] is the replicator's business ({!Deployment.config}). *)
 type config = {
-  k : int;                     (** replication factor *)
   timeout : Jury_sim.Time.t;   (** validation timeout θτ (the maximum,
                                    when adaptive) *)
   adaptive_timeout : bool;
       (** size θτ from recent completion latencies, RTO-style
-          (srtt + 4·rttvar) — the §VIII-1 extension the paper leaves to
-          future work *)
-  min_timeout : Jury_sim.Time.t;
+          (srtt + 4·rttvar), clamped to at least 10 ms — the §VIII-1
+          extension the paper leaves to future work *)
   state_aware : bool;
       (** restrict consensus to equal-snapshot replicas; [false] gives
           the naive-majority ablation *)
@@ -64,7 +67,8 @@ type config = {
   shards : int;
       (** verdict-state shards; taints hash to a shard, each shard owns
           its pending table, retransmission timer wheel and verdict
-          counters. Always a power of two; 1 = the seed's flat table *)
+          counters. Always a power of two ({!Jury_config.make} rounds
+          its hint up); 1 = the seed's flat table *)
   max_inflight : int option;
       (** high-water mark on in-flight (undecided) triggers; when
           registration would exceed it the undecided triggers of the
@@ -72,10 +76,6 @@ type config = {
           {!Alarm.Overload} verdicts instead of growing without bound.
           [None] = unbounded (seed behaviour) *)
 }
-
-val shards_of_hint : int -> int
-(** [max 1 (next_pow2 hint)] — the normalisation {!config} applies to
-    its [shards] hint, exported so literal record constructors agree. *)
 
 type t
 

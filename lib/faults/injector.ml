@@ -95,10 +95,6 @@ let partition cluster ~node =
 let lock_cache cluster ~node ~cache =
   Jury_store.Fabric.set_cache_locked (Cluster.fabric cluster) ~node ~cache true
 
-let unlock_cache cluster ~node ~cache =
-  Jury_store.Fabric.set_cache_locked (Cluster.fabric cluster) ~node ~cache
-    false
-
 let heal cluster ~node =
   let ctrl = Cluster.controller cluster node in
   Controller.set_mutator ctrl None;

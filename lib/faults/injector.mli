@@ -66,8 +66,6 @@ val partition : Cluster.t -> node:int -> unit
 val lock_cache : Cluster.t -> node:int -> cache:string -> unit
 (** The ONOS "failed to obtain lock" fault. *)
 
-val unlock_cache : Cluster.t -> node:int -> cache:string -> unit
-
 val heal : Cluster.t -> node:int -> unit
 (** Remove every lever from the node (mutator, delays, omissions, store
     partition, cache locks). *)

@@ -653,7 +653,9 @@ let policy_churn =
     arm_before_start = false;
     arm =
       (fun ctx ->
-        let policies = (Jury.Deployment.cfg ctx.deployment).Jury.Deployment.policies in
+        let policies =
+          (Jury.Deployment.cfg ctx.deployment).validator.Jury.Validator.policies
+        in
         match Jury_policy.Parse.dsl_line churn_policy with
         | Ok rule -> Jury_policy.Engine.add_rule policies rule
         | Error msg -> failwith ("policy-churn: " ^ msg));

@@ -7,7 +7,6 @@ type t = {
   ip : Addr.Ipv4.t;
   tx : Frame.t -> unit;
   mutable received_count : int;
-  mutable rx_hook : Frame.t -> unit;
 }
 
 let create engine ~index ~tx =
@@ -16,8 +15,7 @@ let create engine ~index ~tx =
     mac = Addr.Mac.of_host_index index;
     ip = Addr.Ipv4.of_host_index index;
     tx;
-    received_count = 0;
-    rx_hook = (fun _ -> ()) }
+    received_count = 0 }
 
 let index t = t.index
 let mac t = t.mac
@@ -43,7 +41,6 @@ let send_udp t ~dst_mac ~dst_ip ?payload_len ~src_port ~dst_port () =
 
 let receive t (frame : Frame.t) =
   t.received_count <- t.received_count + 1;
-  t.rx_hook frame;
   match frame.payload with
   | Frame.Arp { op = Frame.Request; sha; spa; tpa; _ }
     when Addr.Ipv4.equal tpa t.ip && not (Addr.Mac.equal sha t.mac) ->
@@ -51,4 +48,3 @@ let receive t (frame : Frame.t) =
   | Frame.Arp _ | Frame.Ipv4 _ | Frame.Lldp _ | Frame.Raw _ -> ()
 
 let received_count t = t.received_count
-let set_rx_hook t f = t.rx_hook <- f

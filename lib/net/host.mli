@@ -32,5 +32,3 @@ val receive : t -> Jury_packet.Frame.t -> unit
     host's IP; counts everything else. *)
 
 val received_count : t -> int
-val set_rx_hook : t -> (Jury_packet.Frame.t -> unit) -> unit
-(** Extra observer for tests. *)

@@ -10,10 +10,12 @@ type attachment =
 
 module DpidMap = Map.Make (Of_types.Dpid)
 
+(* Propagation delay of every data-plane link. *)
+let link_latency = Time.us 50
+
 type t = {
   engine : Engine.t;
   plan : Builder.plan;
-  link_latency : Time.t;
   switches : Switch.t DpidMap.t;
   mutable hosts : Host.t array;
   attachments : (Of_types.Dpid.t * int, attachment) Hashtbl.t;
@@ -49,7 +51,7 @@ let deliver t ~from_dpid ~from_port frame =
         ignore
           (Engine.schedule t.engine
              ~footprint:(Footprint.touches [ Footprint.host hi ])
-             ~after:t.link_latency
+             ~after:link_latency
              (fun () -> Host.receive h frame))
     | Some (To_switch (peer, peer_port)) ->
         let sw = switch t peer in
@@ -57,12 +59,11 @@ let deliver t ~from_dpid ~from_port frame =
           (Engine.schedule t.engine
              ~footprint:
                (Footprint.touches [ Footprint.switch (Of_types.Dpid.hash peer) ])
-             ~after:t.link_latency
+             ~after:link_latency
              (fun () -> Switch.receive_frame sw ~in_port:peer_port frame))
   end
 
-let create engine (plan : Builder.plan) ?(link_latency = Time.us 50)
-    ?(lenient_tables = false) () =
+let create engine (plan : Builder.plan) ?(lenient_tables = false) () =
   let switches =
     List.fold_left
       (fun acc dpid ->
@@ -75,7 +76,6 @@ let create engine (plan : Builder.plan) ?(link_latency = Time.us 50)
   let t =
     { engine;
       plan;
-      link_latency;
       switches;
       hosts = [||];
       attachments = Hashtbl.create 64;

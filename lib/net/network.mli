@@ -1,5 +1,6 @@
 (** Instantiated data plane: switches and hosts wired per a
-    {!Jury_topo.Builder.plan}, with per-link propagation latency.
+    {!Jury_topo.Builder.plan}, with a 50 µs propagation latency on
+    every link.
 
     Control-plane wiring (switch → controller) is left to the cluster /
     JURY layers: each switch's control transmitter starts as a no-op
@@ -11,7 +12,7 @@ type t
 
 val create :
   Jury_sim.Engine.t -> Jury_topo.Builder.plan ->
-  ?link_latency:Jury_sim.Time.t -> ?lenient_tables:bool -> unit -> t
+  ?lenient_tables:bool -> unit -> t
 
 val engine : t -> Jury_sim.Engine.t
 val plan : t -> Jury_topo.Builder.plan

@@ -81,5 +81,3 @@ let pp_list fmt = function
       Format.pp_print_list
         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
         pp fmt actions
-
-let to_string_list actions = Format.asprintf "%a" pp_list actions

@@ -23,4 +23,3 @@ val equal : t -> t -> bool
 val equal_list : t list -> t list -> bool
 val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
-val to_string_list : t list -> string

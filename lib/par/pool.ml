@@ -118,7 +118,6 @@ let jobs t = t.jobs
    it. *)
 let default_pool = ref None
 
-let set_default t = default_pool := Some t
 let set_default_jobs jobs = default_pool := Some (create ~jobs ())
 
 let default () =

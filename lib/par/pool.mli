@@ -63,7 +63,6 @@ val default : unit -> t
 (** The ambient pool used by experiment entry points when no explicit
     pool is passed; created on first use with default [jobs]. *)
 
-val set_default : t -> unit
 val set_default_jobs : int -> unit
 (** Install the ambient pool — how [--jobs]/[JURY_JOBS] from
     [bench/main.exe] and [bin/jury_cli.exe] reach the experiment layer.

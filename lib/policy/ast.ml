@@ -80,14 +80,6 @@ let rule_matches_sans_cache r q =
      | Remote_only -> q.q_destination = `Remote)
   && entry_matches r.entry q
 
-let rule_matches r q =
-  (match r.cache with
-  | None -> true
-  | Some c ->
-      Jury_store.Cache_names.normalize c
-      = Jury_store.Cache_names.normalize q.q_cache)
-  && rule_matches_sans_cache r q
-
 let pp_query fmt q =
   Format.fprintf fmt "query[ctrl=%d trig=%s cache=%s op=%s %s=%S dest=%s]"
     q.q_controller

@@ -51,10 +51,6 @@ type query = {
   q_destination : [ `Local | `Remote ];
 }
 
-val rule_matches : rule -> query -> bool
-(** Full selector match; cache names are compared case-insensitively
-    (both sides normalised). *)
-
 val rule_matches_sans_cache : rule -> query -> bool
 (** Every selector except the cache name — for callers ({!Engine},
     {!Compiled}) that have already dispatched on the normalised cache. *)

@@ -36,7 +36,6 @@ let switch i = in_space 1 i
 let host i = in_space 2 i
 let controller i = in_space 3 i
 let store i = in_space 4 i
-let validator_shard i = in_space 5 i
 let trigger i = in_space 6 i
 let named s = in_space 7 (Hashtbl.hash s)
 let taint s = trigger (Hashtbl.hash s)

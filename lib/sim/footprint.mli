@@ -57,9 +57,6 @@ val controller : int -> int
 val store : int -> int
 (** The replicated-store shard/fabric state owned by node [i]. *)
 
-val validator_shard : int -> int
-(** One verdict-state shard of the validator. *)
-
 val trigger : int -> int
 (** The per-trigger validation entry for external-trigger serial [i]
     (response set, timer, verdict slot). *)

@@ -45,24 +45,23 @@ let drive deployment_of =
    below pins the two together. *)
 let seed_record () =
   { Jury.Deployment.k = 2;
-    timeout = Time.ms 150;
-    adaptive_timeout = false;
-    state_aware = true;
-    nondet_rule = true;
+    validator =
+      { Validator.timeout = Time.ms 150;
+        adaptive_timeout = false;
+        state_aware = true;
+        nondet_rule = true;
+        policies = Jury_policy.Engine.create [];
+        master_lookup = (fun _ -> None);
+        term_lookup = (fun () -> 0);
+        ack_peers_of = (fun _ -> []);
+        retransmit = None;
+        degraded_quorum = None;
+        shards = 1;
+        max_inflight = None };
     random_secondaries = true;
-    policies = Jury_policy.Engine.create [];
-    validator_latency = Time.us 120;
-    validator_jitter_us = 60.;
-    replication_latency = Time.us 200;
-    replication_jitter_us = 80.;
-    chatter_cost = Time.us 13;
-    chatter_bytes = 96;
+    deterministic_latencies = false;
     encapsulation = false;
     channel = Jury.Channel.reliable;
-    retransmit = None;
-    degraded_quorum = None;
-    shards = 1;
-    max_inflight = None;
     batch_window = None;
     election = None }
 
@@ -377,6 +376,51 @@ let test_make_validates () =
         msg
   | _ -> Alcotest.fail "k -1, shards 0 and degraded_quorum 0 accepted"
 
+let test_make_rejects_bad_election () =
+  match
+    Jury.Jury_config.make ~shards:0
+      ~election:{ Jury_controller.Cluster.period = Time.zero; timeout_beats = 0 }
+      ()
+  with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "election errors join the one list"
+        "Jury_config.make: shards must be >= 1; election period must be \
+         positive; election timeout_beats must be >= 1"
+        msg
+  | _ -> Alcotest.fail "shards 0 and a zero election period accepted"
+
+let test_timeout_defaults () =
+  let timeout ?timeout ?encapsulation () =
+    Time.to_ns
+      (Jury.Jury_config.timeout
+         (Jury.Jury_config.make ?timeout ?encapsulation ()))
+  in
+  let ms n = Time.to_ns (Time.ms n) in
+  check_int "150 ms by default" (ms 150) (timeout ());
+  check_int "800 ms when encapsulated" (ms 800)
+    (timeout ~encapsulation:true ());
+  check_int "explicit timeout wins" (ms 40)
+    (timeout ~timeout:(Time.ms 40) ());
+  check_int "explicit timeout wins when encapsulated" (ms 40)
+    (timeout ~timeout:(Time.ms 40) ~encapsulation:true ())
+
+let test_deterministic_latencies_pin_secondaries () =
+  let engine = Engine.create () in
+  let plan = Jury_topo.Builder.linear ~switches:2 ~hosts_per_switch:1 in
+  let network = Jury_net.Network.create engine plan () in
+  let cluster =
+    Jury_controller.Cluster.create engine
+      ~profile:Jury_controller.Profile.onos ~nodes:3 ~network ()
+  in
+  let cfg =
+    Jury.Deployment.cfg
+      (Jury.Jury_config.install cluster
+         (Jury.Jury_config.make ~deterministic_latencies:true
+            ~random_secondaries:true ()))
+  in
+  check_bool "static secondaries" false cfg.random_secondaries;
+  check_bool "fixed latencies" true cfg.deterministic_latencies
+
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
       test_facade_defaults_match_literal_record;
@@ -403,4 +447,9 @@ let suite =
     Alcotest.test_case "obs bridge exports shard counters" `Quick
       test_obs_bridge_exports_shard_counters;
     Alcotest.test_case "make validates its arguments" `Quick
-      test_make_validates ]
+      test_make_validates;
+    Alcotest.test_case "make lists election errors" `Quick
+      test_make_rejects_bad_election;
+    Alcotest.test_case "timeout defaults" `Quick test_timeout_defaults;
+    Alcotest.test_case "deterministic latencies pin secondaries" `Quick
+      test_deterministic_latencies_pin_secondaries ]

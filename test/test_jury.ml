@@ -902,43 +902,6 @@ let test_report () =
   | _ -> Alcotest.fail "one suspect row");
   check_bool "renders" true (String.length (Jury.Report.to_string r2) > 0)
 
-let test_audit_log () =
-  let engine, v = mk_validator () in
-  let audit = Jury.Audit.create ~capacity:100 () in
-  Jury.Audit.attach audit v;
-  feed_happy_path engine v;
-  check_bool "evidence + verdict recorded" true (Jury.Audit.length audit >= 8);
-  check_bool "chain verifies" true (Jury.Audit.verify_chain audit);
-  let tau_entries = Jury.Audit.for_taint audit taint in
-  check_bool "all entries concern tau" true
-    (List.length tau_entries = Jury.Audit.length audit);
-  check_bool "controller 1 reported" true
-    (Jury.Audit.by_controller audit 1 <> []);
-  (* verdict present *)
-  check_bool "verdict entry exists" true
-    (List.exists
-       (fun (e : Jury.Audit.entry) ->
-         match e.Jury.Audit.kind with
-         | Jury.Audit.Verdict _ -> true
-         | _ -> false)
-       (Jury.Audit.entries audit));
-  (* capacity bound *)
-  let tiny = Jury.Audit.create ~capacity:3 () in
-  for i = 1 to 10 do
-    Jury.Audit.record_verdict tiny
-      { Alarm.taint = Types.Taint.internal_trigger ~origin:0 ~seq:i;
-        trigger_at = Time.zero;
-        decided_at = Time.ms i;
-        primary = Some 0;
-        suspects = [];
-        term = 0;
-        verdict = Alarm.Ok_valid;
-        detail = "" }
-  done;
-  check_int "bounded" 3 (Jury.Audit.length tiny);
-  check_int "evicted" 7 (Jury.Audit.evicted tiny);
-  check_bool "suffix chain still verifies" true (Jury.Audit.verify_chain tiny)
-
 (* --- Deployment on a live cluster --- *)
 
 let test_deployment_benign_and_faulty () =
@@ -1203,6 +1166,5 @@ let suite =
     ("zero-churn byte identity (onos/odl)", `Quick,
      test_zero_churn_byte_identity);
     ("alarm report", `Quick, test_report);
-    ("audit log", `Quick, test_audit_log);
     ("deployment benign + faulty", `Slow, test_deployment_benign_and_faulty);
     QCheck_alcotest.to_alcotest prop_validator_total ]
