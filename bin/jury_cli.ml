@@ -15,6 +15,8 @@
 
 open Cmdliner
 module Time = Jury_sim.Time
+module Setup = Jury_experiments.Setup
+module Runner = Jury_experiments.Runner
 
 (* --- shared flag table ---------------------------------------------
 
@@ -112,10 +114,7 @@ let list_cmd =
     List.iter
       (fun (s : Jury_faults.Scenarios.t) ->
         Printf.printf "%-28s %s  %s\n" s.Jury_faults.Scenarios.name
-          (match s.Jury_faults.Scenarios.klass with
-          | `T1 -> "T1"
-          | `T2 -> "T2"
-          | `T3 -> "T3")
+          (Jury_faults.Scenarios.klass_name s)
           s.Jury_faults.Scenarios.expected_name)
       Jury_faults.Scenarios.all
   in
@@ -135,16 +134,16 @@ let scenario_cmd =
         exit 2
     | Some scenario ->
         let report =
-          Jury_faults.Runner.run ~seed ~nodes ~k ~faulty ~switches
+          Runner.run ~seed ~nodes ~k ~faulty ~switches
             ~shards:tuning.Common.shards
             ?max_inflight:tuning.Common.max_inflight
             ?batch:tuning.Common.batch scenario
         in
-        Format.printf "%a@." Jury_faults.Runner.pp_report report;
+        Format.printf "%a@." Runner.pp_report report;
         List.iter
           (fun a -> Format.printf "  %a@." Jury.Alarm.pp a)
-          report.Jury_faults.Runner.matching_alarms;
-        if not report.Jury_faults.Runner.detected then exit 1
+          report.Runner.matching_alarms;
+        if not report.Runner.detected then exit 1
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Inject one fault scenario and report detection")
@@ -161,22 +160,18 @@ let matrix_cmd =
   let run nodes k faulty seed switches repeats jobs =
     Option.iter Jury_par.Pool.set_default_jobs jobs;
     let results =
-      Jury_faults.Runner.run_matrix ~seed ~repeats ~nodes ~k ~faulty
-        ~switches Jury_faults.Scenarios.all
+      Runner.run_matrix ~seed ~repeats ~nodes ~k ~faulty ~switches
+        Jury_faults.Scenarios.all
     in
     let missed = ref 0 in
     List.iter
       (fun ((scenario : Jury_faults.Scenarios.t), reports) ->
         let detected =
-          List.length
-            (List.filter (fun r -> r.Jury_faults.Runner.detected) reports)
+          List.length (List.filter (fun r -> r.Runner.detected) reports)
         in
         if detected < repeats then incr missed;
         Printf.printf "%-28s %s  %d/%d  %s\n" scenario.Jury_faults.Scenarios.name
-          (match scenario.Jury_faults.Scenarios.klass with
-          | `T1 -> "T1"
-          | `T2 -> "T2"
-          | `T3 -> "T3")
+          (Jury_faults.Scenarios.klass_name scenario)
           detected repeats scenario.Jury_faults.Scenarios.expected_name)
       results;
     if !missed > 0 then begin
@@ -251,19 +246,6 @@ let simulate_cmd =
       | `Odl -> Jury_controller.Profile.odl
       | `Ryu -> Jury_controller.Profile.ryu
     in
-    let engine = Jury_sim.Engine.create ~seed () in
-    let plan =
-      Jury_topo.Builder.linear ~switches ~hosts_per_switch:1
-    in
-    let network = Jury_net.Network.create engine plan () in
-    let cluster =
-      Jury_controller.Cluster.create engine ~profile ~nodes ~network ()
-    in
-    let channel =
-      if drop = 0. && duplicate = 0. && jitter_us = 0. then
-        Jury.Channel.reliable
-      else Jury.Jury_config.lossy_channel ~drop ~duplicate ~jitter_us ()
-    in
     let retransmit =
       if retries > 0 then
         Some (Jury.Jury_config.retransmit ~max_retries:retries ())
@@ -275,23 +257,21 @@ let simulate_cmd =
           { Jury_controller.Cluster.period = Time.ms ms; timeout_beats = 2 })
         election_ms
     in
-    let deployment =
-      Jury.Jury_config.install cluster
-        (Jury.Jury_config.make ~k ~channel ?retransmit ?degraded_quorum
-           ~shards:tuning.Common.shards
-           ?max_inflight:tuning.Common.max_inflight ?batch:tuning.Common.batch
-           ?election ())
+    let env =
+      Setup.make ~seed ~switches
+        ~jury:
+          (Jury.Jury_config.make ~k ~drop ~duplicate ~jitter_us ?retransmit
+             ?degraded_quorum ~shards:tuning.Common.shards
+             ?max_inflight:tuning.Common.max_inflight
+             ?batch:tuning.Common.batch ?election ())
+        ~profile ~nodes ()
     in
+    let cluster = env.Setup.cluster in
+    let deployment = Option.get env.Setup.deployment in
     let validator = Jury.Deployment.validator deployment in
-    Jury_controller.Cluster.converge cluster;
-    List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
-    let rng = Jury_sim.Rng.split (Jury_sim.Engine.rng engine) in
-    Jury_workload.Flows.controlled_mix network ~rng ~packet_in_rate:rate
-      ~duration:(Time.sec duration);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec (duration + 2)));
+    Jury_workload.Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
+      ~packet_in_rate:rate ~duration:(Time.sec duration);
+    Setup.run_for env (Time.sec (duration + 2));
     let report = Jury.Report.of_validator validator in
     print_string (Jury.Report.to_string report);
     if Jury_controller.Cluster.election_enabled cluster then
@@ -308,7 +288,7 @@ let simulate_cmd =
          (Jury_controller.Cluster.fabric cluster))
       (Jury.Deployment.replication_bytes deployment)
       (Jury.Deployment.validator_bytes deployment);
-    if not (Jury.Channel.is_reliable channel) || retries > 0 then begin
+    if drop > 0. || duplicate > 0. || jitter_us > 0. || retries > 0 then begin
       Format.printf "channels (all links): %a@." Jury.Channel.pp_stats
         (Jury.Deployment.channel_totals deployment);
       Printf.printf
@@ -352,20 +332,16 @@ let simulate_cmd =
 
 let failover_cmd =
   let run nodes k seed switches =
-    let engine = Jury_sim.Engine.create ~seed () in
-    let plan = Jury_topo.Builder.linear ~switches ~hosts_per_switch:1 in
-    let network = Jury_net.Network.create engine plan () in
     let cluster =
-      Jury_controller.Cluster.create engine
-        ~profile:Jury_controller.Profile.onos ~nodes ~network ()
+      Setup.build ~seed ~switches
+        ~profile:Jury_controller.Profile.onos ~nodes ()
     in
+    let engine = Jury_controller.Cluster.engine cluster in
+    let network = Jury_controller.Cluster.network cluster in
     let deployment =
       Jury.Jury_config.install cluster (Jury.Jury_config.make ~k ())
     in
-    Jury_controller.Cluster.converge cluster;
-    List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
+    Setup.boot cluster;
     let victim = 1 in
     Printf.printf "crashing replica %d and failing over its switches...\n"
       victim;
@@ -437,35 +413,22 @@ let trace_cmd =
               Printf.eprintf "unknown scenario %S; try 'jury-cli list'\n" name;
               exit 2
           | Some sc ->
-              let report =
-                Jury_faults.Runner.run ~seed ~nodes ~k ~switches ~trace sc
-              in
-              Format.printf "%a@." Jury_faults.Runner.pp_report report;
-              (match report.Jury_faults.Runner.matching_alarms with
+              let report = Runner.run ~seed ~nodes ~k ~switches ~trace sc in
+              Format.printf "%a@." Runner.pp_report report;
+              (match report.Runner.matching_alarms with
               | a :: _ ->
                   Some
                     (Jury_controller.Types.Taint.to_string a.Jury.Alarm.taint)
               | [] -> None))
       | None ->
-          let engine = Jury_sim.Engine.create ~seed () in
-          Jury_sim.Engine.set_trace engine trace;
-          let plan = Jury_topo.Builder.linear ~switches ~hosts_per_switch:1 in
-          let network = Jury_net.Network.create engine plan () in
-          let cluster =
-            Jury_controller.Cluster.create engine
-              ~profile:Jury_controller.Profile.onos ~nodes ~network ()
+          let env =
+            Setup.make ~seed ~switches ~trace
+              ~jury:(Jury.Jury_config.make ~k ())
+              ~profile:Jury_controller.Profile.onos ~nodes ()
           in
-          ignore
-            (Jury.Jury_config.install cluster (Jury.Jury_config.make ~k ()));
-          Jury_controller.Cluster.converge cluster;
-          List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-          Jury_sim.Engine.run engine
-            ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
-          let rng = Jury_sim.Rng.split (Jury_sim.Engine.rng engine) in
-          Jury_workload.Flows.controlled_mix network ~rng ~packet_in_rate:500.
-            ~duration:(Time.sec 2);
-          Jury_sim.Engine.run engine
-            ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 3));
+          Jury_workload.Flows.controlled_mix env.Setup.network
+            ~rng:env.Setup.rng ~packet_in_rate:500. ~duration:(Time.sec 2);
+          Setup.run_for env (Time.sec 3);
           None
     in
     let events = Jury_obs.Trace.events trace in

@@ -14,10 +14,10 @@ let () =
   List.iter
     (fun scenario ->
       let trace = Jury_obs.Trace.create ~capacity:500_000 () in
-      let report = Jury_faults.Runner.run ~switches:12 ~trace scenario in
-      Format.printf "%a@." Jury_faults.Runner.pp_report report;
+      let report = Jury_experiments.Runner.run ~switches:12 ~trace scenario in
+      Format.printf "%a@." Jury_experiments.Runner.pp_report report;
       Printf.printf "     %s\n" scenario.Jury_faults.Scenarios.description;
-      (match report.Jury_faults.Runner.matching_alarms with
+      (match report.Jury_experiments.Runner.matching_alarms with
       | alarm :: _ ->
           Format.printf "     attribution: %a@.@." Jury.Alarm.pp alarm;
           (* Reconstruct how the flagged trigger travelled through the
@@ -32,7 +32,7 @@ let () =
           | None -> Printf.printf "     (trigger %s not in trace)\n" taint);
           print_newline ()
       | [] -> Format.printf "     (no matching alarm)@.@.");
-      if report.Jury_faults.Runner.detected then incr detected)
+      if report.Jury_experiments.Runner.detected then incr detected)
     Jury_faults.Scenarios.all;
   Printf.printf "detected %d/%d scenarios\n" !detected
     (List.length Jury_faults.Scenarios.all)

@@ -13,25 +13,22 @@ module Network = Jury_net.Network
 module Capture = Jury_net.Capture
 module Host = Jury_net.Host
 module Cluster = Jury_controller.Cluster
+module Setup = Jury_experiments.Setup
 module Dpid = Jury_openflow.Of_types.Dpid
 
 let () =
-  let engine = Engine.create ~seed:5 () in
   let plan = Builder.ring ~switches:5 ~hosts_per_switch:1 in
-  let network = Network.create engine plan () in
   let cluster =
-    Cluster.create engine ~profile:Jury_controller.Profile.onos ~nodes:3
-      ~network ()
+    Setup.build ~seed:5 ~plan ~profile:Jury_controller.Profile.onos ~nodes:3 ()
   in
+  let engine = Cluster.engine cluster and network = Cluster.network cluster in
   let deployment =
     Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
   in
   (* Tap every switch before any traffic flows. *)
   let capture = Capture.create ~capacity:5_000 engine in
   List.iter (Capture.tap_switch capture) (Network.switches network);
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
 
   (* 1. Weighted routing: on the ring, going clockwise or counter-
      clockwise differs once we weight a link as congested. *)

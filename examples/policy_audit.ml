@@ -11,6 +11,7 @@ module Builder = Jury_topo.Builder
 module Network = Jury_net.Network
 module Host = Jury_net.Host
 module Cluster = Jury_controller.Cluster
+module Setup = Jury_experiments.Setup
 module Controller = Jury_controller.Controller
 module Types = Jury_controller.Types
 module Values = Jury_controller.Values
@@ -55,20 +56,17 @@ let () =
     (fun r -> Format.printf "  %a@." Jury_policy.Ast.pp_rule r)
     (Jury_policy.Engine.rules policies);
 
-  let engine = Engine.create ~seed:7 () in
-  let plan = Builder.linear ~switches:6 ~hosts_per_switch:1 in
-  let network = Network.create engine plan () in
   let cluster =
-    Cluster.create engine ~profile:Jury_controller.Profile.onos ~nodes:5
-      ~network ()
+    Setup.build ~seed:7 ~switches:6 ~profile:Jury_controller.Profile.onos
+      ~nodes:5 ()
   in
+  let engine = Cluster.engine cluster in
+  let plan = Network.plan (Cluster.network cluster) in
   let deployment =
     Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ~policies ())
   in
   let validator = Jury.Deployment.validator deployment in
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
 
   (* A rogue proactive application on replica 3 marks a healthy link as
      down. Cache and network stay consistent — consensus and sanity

@@ -5,7 +5,7 @@
      dune exec examples/quickstart.exe *)
 
 open Jury_sim
-module Builder = Jury_topo.Builder
+module Setup = Jury_experiments.Setup
 module Network = Jury_net.Network
 module Host = Jury_net.Host
 module Cluster = Jury_controller.Cluster
@@ -13,16 +13,14 @@ module Controller = Jury_controller.Controller
 module Profile = Jury_controller.Profile
 
 let () =
-  (* 1. A deterministic simulation engine and a small data plane: eight
-     switches in a line, one host each. *)
-  let engine = Engine.create ~seed:2026 () in
-  let plan = Builder.linear ~switches:8 ~hosts_per_switch:1 in
-  let network = Network.create engine plan () in
-
-  (* 2. An ONOS-flavoured HA cluster of five replicas, and JURY on top:
-     every external trigger is replicated to k=2 random secondaries and
-     validated out-of-band. *)
-  let cluster = Cluster.create engine ~profile:Profile.onos ~nodes:5 ~network () in
+  (* 1. A deterministic simulation engine, a small data plane (eight
+     switches in a line, one host each) and an ONOS-flavoured HA
+     cluster of five replicas. JURY goes on top: every external trigger
+     is replicated to k=2 random secondaries and validated out-of-band. *)
+  let cluster =
+    Setup.build ~seed:2026 ~switches:8 ~profile:Profile.onos ~nodes:5 ()
+  in
+  let engine = Cluster.engine cluster and network = Cluster.network cluster in
   let deployment =
     Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
   in
@@ -31,18 +29,16 @@ let () =
       if Jury.Alarm.is_fault alarm then
         Format.printf "  !! ALARM %a@." Jury.Alarm.pp alarm);
 
-  (* 3. Boot: mastership assignment, switch connection, LLDP topology
+  (* 2. Boot: mastership assignment, switch connection, LLDP topology
      discovery, host announcement. *)
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
   Printf.printf "cluster up: %d switches, %d links discovered\n"
     (Jury_store.Fabric.entry_count (Cluster.fabric cluster) ~node:0
        ~cache:"SWITCHDB")
     (Jury_store.Fabric.entry_count (Cluster.fabric cluster) ~node:0
        ~cache:"LINKSDB");
 
-  (* 4. Benign traffic: host 0 talks to host 7 across the whole chain.
+  (* 3. Benign traffic: host 0 talks to host 7 across the whole chain.
      Reactive forwarding installs a rule per hop; JURY validates every
      PACKET_IN response along the way. *)
   let h0 = Network.host network 0 and h7 = Network.host network 7 in
@@ -53,7 +49,7 @@ let () =
     (Jury.Validator.decided_count validator)
     (Jury.Validator.fault_count validator);
 
-  (* 5. Now make replica 1 faulty: it silently turns every FLOW_MOD it
+  (* 4. Now make replica 1 faulty: it silently turns every FLOW_MOD it
      sends into a packet-dropping rule (the paper's "undesirable
      FLOW_MOD" T2 fault) while writing the correct rule to the cache. *)
   Printf.printf "\ninjecting fault: replica 1 blackholes FLOW_MODs...\n";

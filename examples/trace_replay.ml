@@ -6,33 +6,22 @@
      dune exec examples/trace_replay.exe *)
 
 open Jury_sim
-module Builder = Jury_topo.Builder
-module Network = Jury_net.Network
-module Host = Jury_net.Host
-module Cluster = Jury_controller.Cluster
+module Setup = Jury_experiments.Setup
 module Traces = Jury_workload.Traces
 module Summary = Jury_stats.Summary
 
 let run_trace (profile : Traces.profile) =
-  let engine = Engine.create ~seed:99 () in
-  let plan = Builder.linear ~switches:12 ~hosts_per_switch:2 in
-  let network = Network.create engine plan () in
-  let cluster =
-    Cluster.create engine ~profile:Jury_controller.Profile.onos ~nodes:7
-      ~network ()
+  let env =
+    Setup.make ~seed:99 ~switches:12 ~hosts_per_switch:2
+      ~jury:(Jury.Jury_config.make ~k:6 ())
+      ~profile:Jury_controller.Profile.onos ~nodes:7 ()
   in
-  let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:6 ())
-  in
-  let validator = Jury.Deployment.validator deployment in
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
-  let rng = Rng.split (Engine.rng engine) in
+  let rng = env.Setup.rng in
+  let validator = Setup.validator env in
   let before_decided = Jury.Validator.decided_count validator in
   let before_faults = Jury.Validator.fault_count validator in
-  Traces.replay network ~rng ~profile ~duration:(Time.sec 5);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 7));
+  Traces.replay env.Setup.network ~rng ~profile ~duration:(Time.sec 5);
+  Setup.run_for env (Time.sec 7);
   let decided = Jury.Validator.decided_count validator - before_decided in
   let faults = Jury.Validator.fault_count validator - before_faults in
   let times = Jury.Validator.detection_times_ms validator in

@@ -122,29 +122,16 @@ let gen : int -> t Gen.t =
 
 let generate ~seed = Gen.run ~seed (gen seed)
 
-let zero_loss t = t.drop = 0. && t.duplicate = 0. && t.jitter_us = 0.
-
-let channel t =
-  Jury.Jury_config.lossy_channel ~drop:t.drop ~duplicate:t.duplicate
-    ~jitter_us:t.jitter_us ()
-
-let jury_config ?shards ?batch_us ?policies
-    ?(force_reliable = false) ?(deterministic = false) t =
+let jury_config ?shards ?batch_us ?policies ?(deterministic = false) t =
   let shards = Option.value shards ~default:t.shards in
   let batch_us = Option.value batch_us ~default:t.batch_us in
-  let channel =
-    if force_reliable then (
-      if not (zero_loss t) then
-        invalid_arg "Case.jury_config: force_reliable on a lossy case";
-      Jury.Channel.reliable)
-    else channel t
-  in
   let retransmit =
     if t.retries > 0 then
       Some (Jury.Jury_config.retransmit ~max_retries:t.retries ())
     else None
   in
-  Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~channel ?retransmit
+  Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~drop:t.drop
+    ~duplicate:t.duplicate ~jitter_us:t.jitter_us ?retransmit
     ?degraded_quorum:t.degraded_quorum ~shards ?max_inflight:t.max_inflight
     ?batch:(Option.map Jury_sim.Time.us batch_us)
     ?policies ~deterministic_latencies:deterministic ()

@@ -94,24 +94,14 @@ val generate : seed:int -> t
 (** The case denoted by [seed] — deterministic, total, and independent
     of any ambient state. *)
 
-val zero_loss : t -> bool
-(** No drop, no duplication, no jitter — the channel profile is
-    required to behave bit-for-bit like {!Jury.Channel.reliable}. *)
-
-val channel : t -> Jury.Channel.profile
-(** The out-of-band channel profile the case prescribes (via
-    [Jury_config.lossy_channel], so the knobs are validated). *)
-
 val jury_config :
   ?shards:int -> ?batch_us:int option ->
   ?policies:Jury_policy.Engine.t ->
-  ?force_reliable:bool -> ?deterministic:bool -> t ->
+  ?deterministic:bool -> t ->
   Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} the case denotes. The optional arguments
     override single axes for the equivalence oracles: [shards] and
-    [batch_us] replace the case's values; [force_reliable] substitutes
-    {!Jury.Channel.reliable} for the case's (zero-loss) profile;
-    [deterministic] sets [deterministic_latencies] (the schedule
+    [batch_us] replace the case's values; [deterministic] sets [deterministic_latencies] (the schedule
     explorer's jitter-free mode, see {!Jury.Jury_config.make}).
     [policies] supplies the (initially empty) live policy engine the
     [Add_rule] fault mutates mid-run; the default is an empty engine,

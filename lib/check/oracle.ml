@@ -9,8 +9,7 @@ module Names = Jury_store.Cache_names
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?force_reliable:bool -> Case.t ->
-  Run.outcome
+  ?shards:int -> ?batch_us:int option -> Case.t -> Run.outcome
 
 type ctx = { case : Case.t; execute : executor; base : Run.outcome Lazy.t }
 
@@ -18,8 +17,7 @@ let ctx_with ~execute case = { case; execute; base = lazy (execute case) }
 
 let ctx case =
   ctx_with case
-    ~execute:(fun ?shards ?batch_us ?force_reliable c ->
-      Run.execute ?shards ?batch_us ?force_reliable c)
+    ~execute:(fun ?shards ?batch_us c -> Run.execute ?shards ?batch_us c)
 
 type t = {
   name : string;
@@ -325,17 +323,6 @@ let channel_conservation { case; base; _ } =
            "retransmissions recorded with retransmit disabled");
           (case.Case.retries > 0 || Run.count o Retransmit = 0,
            "validator retransmit count nonzero with retransmit disabled") ]
-
-let zero_loss_identity { case; base; execute } =
-  if not (Case.zero_loss case) then Pass
-  else
-    let o = Lazy.force base in
-    let reliable = execute ~force_reliable:true case in
-    match Run.diff_fingerprint o.Run.fp reliable.Run.fp with
-    | None ->
-        if o.Run.totals = reliable.Run.totals then Pass
-        else Fail "zero-loss vs reliable: channel totals differ"
-    | Some d -> failf "zero-loss vs reliable: %s" d
 
 (* --- obs ---------------------------------------------------------- *)
 

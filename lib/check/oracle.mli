@@ -23,9 +23,8 @@
       {!Jury_par.Pool} returns byte-identical results at [jobs = 1] and
       [jobs = 2].
     - [channel] — per-link counter conservation
-      ([sent = delivered + dropped], retransmits only when configured),
-      and on zero-loss cases, bit-identity with an explicit
-      {!Jury.Channel.reliable} profile.
+      ([sent = delivered + dropped], retransmits only when configured,
+      no drops or duplicates on a channel whose rates are zero).
     - [obs] — the counters {!Jury.Obs_bridge} exports as metrics series
       sum back to the validator's and channels' own totals.
     - [policy] — the {!Jury_policy.Compiled} decision structure agrees
@@ -51,8 +50,7 @@
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?force_reliable:bool -> Case.t ->
-  Run.outcome
+  ?shards:int -> ?batch_us:int option -> Case.t -> Run.outcome
 (** How this battery run turns a case into an outcome; the optional
     axes mirror {!Run.execute}. *)
 
@@ -89,7 +87,6 @@ val shard_independence : ctx -> result
 val batch_equivalence : ctx -> result
 val parallel_identity : ctx -> result
 val channel_conservation : ctx -> result
-val zero_loss_identity : ctx -> result
 val obs_consistency : ctx -> result
 val policy_equivalence : ctx -> result
 

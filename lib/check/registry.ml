@@ -68,9 +68,6 @@ let () =
   register ~family:"channel" ~name:"channel-conservation"
     ~doc:"per-link sent = delivered + dropped, retransmits only when configured"
     Oracle.channel_conservation;
-  register ~family:"channel" ~name:"zero-loss-identity"
-    ~doc:"zero-loss cases are bit-identical to an explicit reliable profile"
-    Oracle.zero_loss_identity;
   register ~family:"obs" ~name:"obs-consistency"
     ~doc:"Obs_bridge metric series sum back to the validator and channel totals"
     Oracle.obs_consistency;

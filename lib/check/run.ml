@@ -183,21 +183,15 @@ let metrics_sum metrics ~shards c =
   done;
   !total
 
-let execute ?chooser ?(deterministic = false) ?shards ?batch_us
-    ?force_reliable ?trace (case : Case.t) =
+let execute ?chooser ?(deterministic = false) ?shards ?batch_us ?trace
+    (case : Case.t) =
   (* Every run gets its own policy engine so [Add_rule] fault events
      mutate run-local state; an empty engine is what [Case.jury_config]
      would have built anyway, so blind runs are unaffected. *)
   let policies = Jury_policy.Engine.create [] in
   let config =
-    Case.jury_config ?shards ?batch_us ?force_reliable ~policies
-      ~deterministic case
+    Case.jury_config ?shards ?batch_us ~policies ~deterministic case
   in
-  let engine = Engine.create ~seed:case.Case.case_seed () in
-  Option.iter (fun tr -> Engine.set_trace engine tr) trace;
-  Option.iter (fun c -> Engine.set_chooser engine (Some c)) chooser;
-  let plan = plan_of case in
-  let network = Jury_net.Network.create engine plan () in
   let profile =
     if case.Case.odl then Jury_controller.Profile.odl
     else Jury_controller.Profile.onos
@@ -207,14 +201,16 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us
     else profile
   in
   let cluster =
-    Jury_controller.Cluster.create engine ~profile ~nodes:case.Case.nodes
-      ~network ()
+    Jury_experiments.Setup.build ~seed:case.Case.case_seed
+      ~plan:(plan_of case) ?trace ~profile ~nodes:case.Case.nodes ()
   in
+  let engine = Jury_controller.Cluster.engine cluster in
+  let network = Jury_controller.Cluster.network cluster in
+  (* [build] ran no event, so the chooser sees every tie-break. *)
+  Option.iter (fun c -> Engine.set_chooser engine (Some c)) chooser;
   let deployment = Jury.Jury_config.install cluster config in
   let validator = Jury.Deployment.validator deployment in
-  Jury_controller.Cluster.converge cluster;
-  List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Jury_experiments.Setup.boot cluster;
   let duration = Time.ms case.Case.duration_ms in
   let rng = Rng.split (Engine.rng engine) in
   run_workload case network ~rng ~duration;

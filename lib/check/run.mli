@@ -74,9 +74,8 @@ val diff_schedule_blind : fingerprint -> fingerprint -> string option
 
 val execute :
   ?chooser:Jury_sim.Engine.chooser -> ?deterministic:bool ->
-  ?shards:int -> ?batch_us:int option ->
-  ?force_reliable:bool -> ?trace:Jury_obs.Trace.t -> Case.t ->
-  outcome
+  ?shards:int -> ?batch_us:int option -> ?trace:Jury_obs.Trace.t ->
+  Case.t -> outcome
 (** Run the case (optionally with one axis overridden, see
     {!Case.jury_config}) and collect the outcome. Deterministic: equal
     arguments give equal outcomes, whatever ran before in the process.

@@ -40,7 +40,6 @@ type t = {
   fabric : Fabric.t;
   network : Network.t;
   controllers : Controller.t array;
-  channel_latency : Time.t;
   mutable masters : (Of_types.Dpid.t * int) list;
   mutable failed : int list;
   mutable election : election option;
@@ -109,8 +108,10 @@ let default_northbound ~node ~request
   ignore request;
   forward ()
 
-let create engine ~profile ~nodes:n ~network
-    ?(channel_latency = Time.us 150) () =
+(* One-way latency of every switch-controller control channel. *)
+let channel_latency = Time.us 150
+
+let create engine ~profile ~nodes:n ~network =
   if n <= 0 then invalid_arg "Cluster.create: need >= 1 node";
   let fabric =
     Fabric.create engine ~consistency:profile.Profile.consistency ~nodes:n
@@ -126,7 +127,6 @@ let create engine ~profile ~nodes:n ~network
       fabric;
       network;
       controllers;
-      channel_latency;
       masters = [];
       failed = [];
       election = None;
@@ -290,7 +290,7 @@ let fail_over t ~node =
                ~footprint:
                  (Footprint.touches
                     [ Footprint.switch (Of_types.Dpid.hash dpid) ])
-               ~after:t.channel_latency
+               ~after:channel_latency
                (fun () -> Switch.announce sw))
       | exception Not_found -> ())
     orphaned

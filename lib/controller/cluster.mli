@@ -39,10 +39,11 @@ type election_config = {
 
 val create :
   Jury_sim.Engine.t -> profile:Profile.t -> nodes:int ->
-  network:Jury_net.Network.t -> ?channel_latency:Jury_sim.Time.t -> unit -> t
+  network:Jury_net.Network.t -> t
 (** Builds the fabric (standalone when the profile is not
     [clustered]), the [nodes] controller replicas and the control
-    channels. Election is off until {!enable_election}. *)
+    channels (150 µs one way). Election is off until
+    {!enable_election}. *)
 
 val engine : t -> Jury_sim.Engine.t
 val fabric : t -> Jury_store.Fabric.t

@@ -126,24 +126,13 @@ let ingest t (r : Response.t) =
                  t.batch_buf <- [];
                  Validator.deliver_batch t.validator batch))
 
-(* A response delivery is confined to its trigger's validation entry —
-   except when validator-wide state couples triggers: the
-   adaptive-timeout estimator (every delivery feeds it) or admission
-   epochs ([max_inflight]); those force opaque. *)
-let response_footprint t (r : Response.t) =
-  let v = t.cfg.validator in
-  if v.adaptive_timeout || v.max_inflight <> None then
-    Footprint.opaque
-  else
-    Footprint.touches
-      [ Footprint.taint (Types.Taint.to_string r.Response.taint) ]
-
 let send_to_validator t ~delay (r : Response.t) =
   t.validator_bytes <- t.validator_bytes + response_wire_size r;
   let link = t.validator_links.(r.Response.controller) in
   match
     Channel.send link
-      ~footprint:(response_footprint t r)
+      ~footprint:
+        (Validator.trigger_footprint t.cfg.validator r.Response.taint)
       ~delay
       (fun () -> ingest t r)
   with

@@ -15,15 +15,13 @@ let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
     invalid_arg "Jury_config.retransmit: max_retries must be >= 0";
   { Validator.fraction; backoff; max_retries }
 
-let lossy_channel = Channel.lossy
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
 let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?(nondet_rule = true) ?random_secondaries ?policies
-    ?(encapsulation = false) ?channel ?drop ?duplicate ?jitter_us ?retransmit
+    ?(encapsulation = false) ?drop ?duplicate ?jitter_us ?retransmit
     ?degraded_quorum ?(shards = 1) ?max_inflight ?batch
     ?(deterministic_latencies = false) ?election () =
   let below lo = Option.fold ~none:false ~some:(fun v -> v < lo) in
@@ -33,7 +31,6 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
         (not Time.(period > zero), timeout_beats < 1)
     | None -> (false, false)
   in
-  let inline_channel = drop <> None || duplicate <> None || jitter_us <> None in
   (* Every range error at once, in one [Invalid_argument]. *)
   (match
      List.filter_map
@@ -44,8 +41,6 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
          ( Option.fold ~none:false ~some:(fun w -> not Time.(w > zero)) batch,
            "batch window must be positive" );
          (below 1 degraded_quorum, "degraded_quorum must be >= 1");
-         ( Option.is_some channel && inline_channel,
-           "pass either ~channel or ~drop/~duplicate/~jitter_us, not both" );
          (bad_period, "election period must be positive");
          (bad_beats, "election timeout_beats must be >= 1") ]
    with
@@ -59,12 +54,7 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
      across worker domains shares a read-only compiled view instead of
      racing to build it). *)
   ignore (Jury_policy.Engine.compiled policies);
-  let channel =
-    match channel with
-    | Some c -> c
-    | None when inline_channel -> Channel.lossy ?drop ?duplicate ?jitter_us ()
-    | None -> Channel.reliable
-  in
+  let channel = Channel.lossy ?drop ?duplicate ?jitter_us () in
   (* Deterministic latencies also replace randomly sampled secondaries
      with the static peer set, so the replicator consumes no randomness
      at all — which the schedule explorer's dependence relation relies

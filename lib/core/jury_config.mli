@@ -23,7 +23,6 @@ val make :
   ?random_secondaries:bool ->
   ?policies:Jury_policy.Engine.t ->
   ?encapsulation:bool ->
-  ?channel:Channel.profile ->
   ?drop:float ->
   ?duplicate:float ->
   ?jitter_us:float ->
@@ -42,13 +41,12 @@ val make :
     retransmission, no degraded quorum, 1 validator shard, unbounded
     in-flight state, per-event ingestion, jittered links, no election.
 
-    The channel may be given either as a prebuilt [?channel] profile or
-    inline via [?drop]/[?duplicate]/[?jitter_us] (validated through
-    {!Channel.lossy}); passing both is an error. [shards] is a hint,
-    rounded up to the next power of two. Out-of-range [k], [shards],
-    [max_inflight], [batch] or [degraded_quorum] values, the channel
-    conflict, and an [election] with a non-positive period or
-    [timeout_beats < 1] are all reported together, in one
+    The channel loss model is [?drop]/[?duplicate]/[?jitter_us],
+    validated by {!Channel.lossy}; all three zero (or omitted) is the
+    reliable channel. [shards] is a hint, rounded up to the next power
+    of two. Out-of-range [k], [shards], [max_inflight], [batch] or
+    [degraded_quorum] values and an [election] with a non-positive
+    period or [timeout_beats < 1] are all reported together, in one
     [Invalid_argument] naming every one.
 
     A [?policies] rule set is compiled here, once, into the
@@ -74,12 +72,6 @@ val retransmit :
 (** Validated retransmission policy (defaults: first retry at 0.4·θτ,
     backoff 2.0, 2 rounds). Raises [Invalid_argument] on a [fraction]
     outside (0, 1], a [backoff] below 1 or negative [max_retries]. *)
-
-val lossy_channel :
-  ?drop:float -> ?duplicate:float -> ?jitter_us:float -> unit ->
-  Channel.profile
-(** Re-export of {!Channel.lossy} so callers can build a profile
-    without leaving the facade. *)
 
 val validator :
   ?master_lookup:(Jury_openflow.Of_types.Dpid.t -> int option) ->

@@ -962,10 +962,11 @@ let evaluate t p ~timed_out =
    every decision feeds and every later timer reads, and the
    [max_inflight] admission queue, where one verdict releases the next
    queued trigger — force the conservative opaque footprint instead. *)
-let entry_footprint t (p : pending) =
-  if t.cfg.adaptive_timeout || t.cfg.max_inflight <> None then
-    Footprint.opaque
-  else Footprint.touches [ Footprint.taint (Types.Taint.to_string p.taint) ]
+let trigger_footprint (cfg : config) taint =
+  if cfg.adaptive_timeout || cfg.max_inflight <> None then Footprint.opaque
+  else Footprint.touches [ Footprint.taint (Types.Taint.to_string taint) ]
+
+let entry_footprint t (p : pending) = trigger_footprint t.cfg p.taint
 
 let arm_timer t p =
   if p.timer = None then

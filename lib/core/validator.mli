@@ -77,6 +77,12 @@ type config = {
           [None] = unbounded (seed behaviour) *)
 }
 
+val trigger_footprint : config -> Types.Taint.t -> Jury_sim.Footprint.t
+(** The schedule explorer's footprint for an event that touches only
+    one trigger's validation entry: that taint, unless [adaptive_timeout]
+    or [max_inflight] couples triggers validator-wide, which makes it
+    opaque. *)
+
 type t
 
 val create : Jury_sim.Engine.t -> config -> t

@@ -185,20 +185,15 @@ let fig4d ?pool ?(seed = 45) ?(duration = Time.sec 10) () =
       (cdf_series_of ~label:profile.Traces.name samples, fp_rate))
 
 let detection_matrix ?pool ?(seed = 46) ?(repeats = 10) () =
-  Jury_faults.Runner.run_matrix ?pool ~seed ~repeats ~seed_stride:13
-    ~switches:12 ~extra_slow:[ 5 ] Jury_faults.Scenarios.all
+  Runner.run_matrix ?pool ~seed ~repeats ~switches:12 ~extra_slow:[ 5 ]
+    Jury_faults.Scenarios.all
   |> List.map (fun ((scenario : Jury_faults.Scenarios.t), outcomes) ->
-      let detected = List.filter (fun r -> r.Jury_faults.Runner.detected) outcomes in
+      let detected = List.filter (fun r -> r.Runner.detected) outcomes in
       let times =
-        List.filter_map (fun r -> r.Jury_faults.Runner.detection_time_ms)
-          detected
+        List.filter_map (fun r -> r.Runner.detection_time_ms) detected
       in
       { scenario_name = scenario.Jury_faults.Scenarios.name;
-        klass =
-          (match scenario.Jury_faults.Scenarios.klass with
-          | `T1 -> "T1"
-          | `T2 -> "T2"
-          | `T3 -> "T3");
+        klass = Jury_faults.Scenarios.klass_name scenario;
         detected = List.length detected;
         repeats;
         mean_ms =
@@ -620,12 +615,13 @@ let lossy_channel ?pool ?(seed = 58) ?(duration = Time.sec 5) ?(rate = 3000.)
      response-timeout / unverifiable verdicts a lossy channel induces;
      "lossy+retx" adds bounded retransmission and degraded-quorum
      decisions, which should claw most of them back. *)
-  let run ~mode ~channel ~retransmit ~degraded_quorum =
+  let run ~mode ~loss:(drop, duplicate, jitter_us) ~retransmit
+      ~degraded_quorum =
     let env =
       Setup.make ~seed
         ~jury:
-          (Jury.Jury_config.make ~k:2 ~channel ?retransmit ?degraded_quorum
-             ())
+          (Jury.Jury_config.make ~k:2 ~drop ~duplicate ~jitter_us ?retransmit
+             ?degraded_quorum ())
         ~profile:Profile.onos ~nodes:7 ()
     in
     let t0 = Engine.now env.Setup.engine in
@@ -658,18 +654,16 @@ let lossy_channel ?pool ?(seed = 58) ?(duration = Time.sec 5) ?(rate = 3000.)
       c_detection =
         cdf_series_of ~label:mode (Setup.detection_times_since env ~since:t0) }
   in
-  let lossy =
-    Jury.Channel.lossy ~drop ~duplicate:0.02 ~jitter_us:150. ()
-  in
+  let lossy = (drop, 0.02, 150.) in
   par ?pool
-    [ ("clean", Jury.Channel.reliable, None, None);
+    [ ("clean", (0., 0., 0.), None, None);
       ("lossy", lossy, None, None);
       ( "lossy+retx",
         lossy,
         Some (Jury.Jury_config.retransmit ()),
         Some 2 ) ]
-    (fun (mode, channel, retransmit, degraded_quorum) ->
-      run ~mode ~channel ~retransmit ~degraded_quorum)
+    (fun (mode, loss, retransmit, degraded_quorum) ->
+      run ~mode ~loss ~retransmit ~degraded_quorum)
 
 let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
   (* With random per-trigger secondaries every replica eventually
@@ -686,7 +680,7 @@ let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
   in
   let reports =
     par ?pool cells (fun (random, _, i) ->
-        Jury_faults.Runner.run
+        Runner.run
           ~seed:(seed + (17 * i))
           ~switches:12 ~k:2 ~random_secondaries:random
           Jury_faults.Scenarios.link_failure)
@@ -694,8 +688,7 @@ let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
   List.map2
     (fun (_, label) outcomes ->
       let detected =
-        List.length
-          (List.filter (fun r -> r.Jury_faults.Runner.detected) outcomes)
+        List.length (List.filter (fun r -> r.Runner.detected) outcomes)
       in
       (label, detected, repeats))
     modes

@@ -1,8 +1,7 @@
 open Jury_sim
 module Cluster = Jury_controller.Cluster
-module Network = Jury_net.Network
-module Host = Jury_net.Host
-module Builder = Jury_topo.Builder
+module Scenarios = Jury_faults.Scenarios
+module Injector = Jury_faults.Injector
 
 type report = {
   scenario : Scenarios.t;
@@ -13,36 +12,26 @@ type report = {
   verdict_count : int;
 }
 
-type env = {
-  cluster : Cluster.t;
-  network : Network.t;
-  deployment : Jury.Deployment.t;
-  faulty : int;
-}
-
-let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
-    ?(extra_slow = []) ?(switches = 24) ?(random_secondaries = true) ?trace
-    ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
-    (scenario : Scenarios.t) =
-  let engine = Engine.create ~seed () in
-  Option.iter (Engine.set_trace engine) trace;
-  let plan = Builder.linear ~switches ~hosts_per_switch:1 in
-  let network =
-    Network.create engine plan
-      ~lenient_tables:scenario.Scenarios.needs_lenient_switches ()
-  in
+let run ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2) ?(extra_slow = [])
+    ?switches ?(random_secondaries = true) ?trace ?shards ?max_inflight
+    ?batch (scenario : Scenarios.t) =
   let cluster =
-    Cluster.create engine ~profile:scenario.Scenarios.profile ~nodes ~network
-      ()
+    Setup.build ~seed ?switches
+      ~lenient_tables:scenario.Scenarios.needs_lenient_switches ?trace
+      ~profile:scenario.Scenarios.profile ~nodes ()
   in
+  let engine = Cluster.engine cluster in
   let deployment =
     Jury.Jury_config.install cluster
-      (Scenarios.jury_config scenario ~k ~random_secondaries ?channel
-         ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch ())
+      (Scenarios.jury_config scenario ~k ~random_secondaries ?shards
+         ?max_inflight ?batch ())
   in
+  (* The context RNG splits before boot, not after as in [Setup.make]:
+     a scenario may arm during bootstrap, and moving the split would
+     shift every seeded scenario's schedule. *)
   let ctx =
     { Scenarios.cluster;
-      network;
+      network = Cluster.network cluster;
       deployment;
       faulty;
       rng = Rng.split (Engine.rng engine) }
@@ -51,9 +40,7 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
     (fun node -> Injector.make_slow cluster ~node ~delay:(Time.ms 40))
     extra_slow;
   if scenario.Scenarios.arm_before_start then scenario.Scenarios.arm ctx;
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
   if not scenario.Scenarios.arm_before_start then scenario.Scenarios.arm ctx;
   let t0 = Engine.now engine in
   scenario.Scenarios.provoke ctx;
@@ -70,29 +57,18 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
        | _ -> false)
   in
   let matching_alarms, other_alarms = List.partition matches alarms in
-  let report =
-    { scenario;
-      detected = matching_alarms <> [];
-      detection_time_ms =
-        (match matching_alarms with
-        | a :: _ -> Some (Time.to_float_ms (Jury.Alarm.detection_time a))
-        | [] -> None);
-      matching_alarms;
-      other_alarms;
-      verdict_count = Jury.Validator.decided_count validator }
-  in
-  (report, { cluster; network; deployment; faulty })
+  { scenario;
+    detected = matching_alarms <> [];
+    detection_time_ms =
+      (match matching_alarms with
+      | a :: _ -> Some (Time.to_float_ms (Jury.Alarm.detection_time a))
+      | [] -> None);
+    matching_alarms;
+    other_alarms;
+    verdict_count = Jury.Validator.decided_count validator }
 
-let run ?seed ?nodes ?k ?faulty ?extra_slow ?switches ?random_secondaries
-    ?trace ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
-    scenario =
-  fst
-    (run_env ?seed ?nodes ?k ?faulty ?extra_slow ?switches
-       ?random_secondaries ?trace ?channel ?retransmit ?degraded_quorum
-       ?shards ?max_inflight ?batch scenario)
-
-let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
-    ?k ?faulty ?extra_slow ?switches ?random_secondaries scenarios =
+let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?nodes ?k ?faulty
+    ?extra_slow ?switches scenarios =
   let pool =
     match pool with Some p -> p | None -> Jury_par.Pool.default ()
   in
@@ -106,8 +82,8 @@ let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
   in
   let reports =
     Jury_par.Pool.map_ordered pool cells (fun (scenario, i) ->
-        run ~seed:(seed + (i * seed_stride)) ?nodes ?k ?faulty ?extra_slow
-          ?switches ?random_secondaries scenario)
+        run ~seed:(seed + (i * 13)) ?nodes ?k ?faulty ?extra_slow ?switches
+          scenario)
   in
   let rec regroup scenarios reports =
     match scenarios with
@@ -129,10 +105,7 @@ let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
 
 let pp_report fmt r =
   Format.fprintf fmt "%-28s %-2s %-10s %s" r.scenario.Scenarios.name
-    (match r.scenario.Scenarios.klass with
-    | `T1 -> "T1"
-    | `T2 -> "T2"
-    | `T3 -> "T3")
+    (Scenarios.klass_name r.scenario)
     (if r.detected then "DETECTED" else "MISSED")
     (match r.detection_time_ms with
     | Some ms -> Printf.sprintf "in %.1fms (%s)" ms r.scenario.Scenarios.expected_name

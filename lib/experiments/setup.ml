@@ -12,8 +12,8 @@ type env = {
   rng : Rng.t;
 }
 
-let make ?(seed = 42) ?(switches = 24) ?(hosts_per_switch = 1) ?plan ?jury
-    ?trace ~profile ~nodes () =
+let build ?(seed = 42) ?(switches = 24) ?(hosts_per_switch = 1) ?plan
+    ?lenient_tables ?trace ~profile ~nodes () =
   let engine = Engine.create ~seed () in
   Option.iter (Engine.set_trace engine) trace;
   let plan =
@@ -21,13 +21,28 @@ let make ?(seed = 42) ?(switches = 24) ?(hosts_per_switch = 1) ?plan ?jury
     | Some p -> p
     | None -> Builder.linear ~switches ~hosts_per_switch
   in
-  let network = Network.create engine plan () in
-  let cluster = Cluster.create engine ~profile ~nodes ~network () in
-  let deployment = Option.map (Jury.Jury_config.install cluster) jury in
+  let network = Network.create engine plan ?lenient_tables () in
+  Cluster.create engine ~profile ~nodes ~network
+
+let boot cluster =
+  let engine = Cluster.engine cluster in
   Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
-  { engine; network; cluster; deployment; rng = Rng.split (Engine.rng engine) }
+  List.iter Host.join (Network.hosts (Cluster.network cluster));
+  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1))
+
+let make ?seed ?switches ?hosts_per_switch ?plan ?jury ?trace ~profile ~nodes
+    () =
+  let cluster =
+    build ?seed ?switches ?hosts_per_switch ?plan ?trace ~profile ~nodes ()
+  in
+  let deployment = Option.map (Jury.Jury_config.install cluster) jury in
+  boot cluster;
+  let engine = Cluster.engine cluster in
+  { engine;
+    network = Cluster.network cluster;
+    cluster;
+    deployment;
+    rng = Rng.split (Engine.rng engine) }
 
 let run_for env span =
   Engine.run env.engine ~until:(Time.add (Engine.now env.engine) span)

@@ -36,9 +36,6 @@ type t = {
   arm : context -> unit;
   provoke : context -> unit;
   settle : Time.t;
-  channel : Jury.Channel.profile;
-      (* loss model for the replication/response links; every catalog
-         scenario is reliable — runners override it for lossy studies *)
   election : Cluster.election_config option;
       (* when set, the run enables dynamic master election with this
          tuning; [None] keeps the seed's static leadership *)
@@ -124,7 +121,6 @@ let onos_database_locking =
         let dpid = a_switch_mastered_by ctx ctx.faulty in
         Switch.announce (Network.switch ctx.network dpid));
     settle = Time.sec 2;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -150,7 +146,6 @@ let onos_master_election =
           (Some (Injector.drop_cache_writes_to ~cache:Names.linksdb)));
     provoke = (fun ctx -> flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -177,7 +172,6 @@ let odl_flowmod_drop =
         let dpid = a_switch_mastered_by ctx ctx.faulty in
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "cache-without-network";
     expected_name = "cache-without-network" }
@@ -208,7 +202,6 @@ let odl_incorrect_flowmod =
         in
         rest_install ctx ~node:ctx.faulty ~dpid flow);
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_policy_violation "flow-field-hierarchy";
     expected_name = "policy-violation:flow-field-hierarchy" }
@@ -233,7 +226,6 @@ let link_failure =
                 ~value:Values.Link.value_down)));
     provoke = (fun ctx -> flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -260,7 +252,6 @@ let undesirable_flowmod =
         let dpid = a_switch_mastered_by ctx ctx.faulty in
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:2 ()));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "cache-network-mismatch";
     expected_name = "cache-network-mismatch" }
@@ -302,7 +293,6 @@ let faulty_proactive =
                        key;
                        value = Values.Link.value_down } ]));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_policy_violation "no-proactive-topology";
     expected_name = "policy-violation:no-proactive-topology" }
@@ -337,7 +327,6 @@ let flow_deletion_failure =
                Cluster.rest ctx.cluster ~node:ctx.faulty
                  (Types.Delete_flow { dpid; fm_match = flow.Of_message.fm_match }))));
     settle = Time.sec 4;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -367,7 +356,6 @@ let link_detection_inconsistent =
            roughly half will be lost. *)
         flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -394,7 +382,6 @@ let flow_instantiation_failure =
         rest_install ctx ~node:ctx.faulty ~dpid
           (sample_flow ~priority:350 ~out_port:1 ()));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "cache-without-network";
     expected_name = "cache-without-network" }
@@ -436,7 +423,6 @@ let pending_add_stuck =
                Types.Network_send
                  { dpid; payload = Of_message.Flow_mod flow } ]));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "cache-without-network";
     expected_name = "cache-without-network" }
@@ -472,7 +458,6 @@ let controller_crash =
         Host.send_tcp src ~dst_mac:(Host.mac dst) ~dst_ip:(Host.ip dst)
           ~src_port:4000 ~dst_port:80 ());
     settle = Time.sec 2;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -526,7 +511,6 @@ let controller_crash_rejoin =
           (Engine.schedule engine ~after:(Time.ms 2500) (fun () ->
                send_via_mastered_switch ctx ctx.faulty)));
     settle = Time.sec 5;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -554,7 +538,6 @@ let byzantine_secondary =
         let dpid = a_switch_mastered_by ctx ctx.faulty in
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -626,7 +609,6 @@ let store_partition =
                Host.send_tcp src ~dst_mac:(Host.mac dst) ~dst_ip:(Host.ip dst)
                  ~src_port:4000 ~dst_port:80 ())));
     settle = Time.sec 4;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -644,9 +626,8 @@ let policy_churn =
        after the churn is caught by the freshly-compiled rule.";
     profile = Profile.onos;
     (* [Some ""] compiles to an empty engine but routes through the
-       policy-carrying path: the staged pipeline is dropped (the churned
-       engine would otherwise be shared with detached shard replicas)
-       and the validator re-reads the rule count per verdict. *)
+       policy-carrying path: the validator re-reads the rule count per
+       verdict. *)
     policy = Some "";
     state_aware = true;
     needs_lenient_switches = false;
@@ -678,7 +659,6 @@ let policy_churn =
                        key;
                        value = Values.Link.value_down } ]));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_policy_violation "no-proactive-topology";
     expected_name = "policy-violation:no-proactive-topology" }
@@ -709,7 +689,6 @@ let master_failover =
           (Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 2)
              (fun () -> send_via_dpid ctx dpid)));
     settle = Time.sec 4;
-    channel = Jury.Channel.reliable;
     election = Some { Cluster.period = Time.ms 400; timeout_beats = 2 };
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -753,7 +732,6 @@ let election_storm =
                rest_install ctx ~node:ctx.faulty ~dpid
                  (sample_flow ~out_port:1 ()))));
     settle = Time.sec 5;
-    channel = Jury.Channel.reliable;
     election = Some { Cluster.period = Time.ms 30; timeout_beats = 2 };
     expected = is_fault "consensus-mismatch";
     expected_name = "consensus-mismatch" }
@@ -790,7 +768,6 @@ let ryu_standalone_hang =
         in
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
-    channel = Jury.Channel.reliable;
     election = None;
     expected = is_fault "response-timeout";
     expected_name = "response-timeout" }
@@ -819,10 +796,13 @@ let all =
 let find name = List.find_opt (fun s -> s.name = name) all
 let names = List.map (fun s -> s.name) all
 
+let klass_name t =
+  match t.klass with `T1 -> "T1" | `T2 -> "T2" | `T3 -> "T3"
+
 (* --- JURY configuration for a scenario --- *)
 
-let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
-    ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch () =
+let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?shards
+    ?max_inflight ?batch () =
   let policies =
     match t.policy with
     | None -> Jury_policy.Engine.create []
@@ -835,7 +815,6 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
      the ODL-style profiles wrap updates in an encapsulation layer JURY
      must strip (§IV-B) — keyed on the profile's decapsulation cost. *)
   let encapsulation = t.profile.Profile.decapsulation_cost_median_us > 0. in
-  let channel = match channel with Some c -> c | None -> t.channel in
   Jury.Jury_config.make ~k ~random_secondaries ~policies ~encapsulation
-    ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum ?shards
-    ?max_inflight ?batch ?election:t.election ()
+    ~state_aware:t.state_aware ?shards ?max_inflight ?batch
+    ?election:t.election ()

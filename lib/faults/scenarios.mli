@@ -2,8 +2,9 @@
     runnable scenarios.
 
     Each scenario arms a fault on one replica, provokes the triggering
-    event, and declares which JURY alarm should fire. {!Runner} drives
-    a scenario end-to-end. *)
+    event, and declares which JURY alarm should fire. Every scenario
+    runs over reliable replication and response-collection links.
+    [Jury_experiments.Runner] drives a scenario end-to-end. *)
 
 module Types = Jury_controller.Types
 module Cluster = Jury_controller.Cluster
@@ -36,9 +37,6 @@ type t = {
   arm : context -> unit;
   provoke : context -> unit;
   settle : Jury_sim.Time.t;  (** how long after provoking to run *)
-  channel : Jury.Channel.profile;
-      (** loss model for the replication and response-collection links;
-          [Jury.Channel.reliable] for every catalog scenario *)
   election : Cluster.election_config option;
       (** when set, the deployment enables dynamic master election and
           failover re-attribution with this tuning (the [election]
@@ -51,6 +49,9 @@ type t = {
 val all : t list
 val find : string -> t option
 val names : string list
+
+val klass_name : t -> string
+(** ["T1"], ["T2"] or ["T3"]. *)
 
 (** {1 Individual scenarios} *)
 
@@ -106,14 +107,10 @@ val ryu_standalone_hang : t
 val jury_config :
   t ->
   ?k:int -> ?random_secondaries:bool ->
-  ?channel:Jury.Channel.profile ->
-  ?retransmit:Jury.Validator.retransmit ->
-  ?degraded_quorum:int ->
   ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   unit -> Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} a scenario calls for: its policy DSL
-    compiled, encapsulation chosen from the controller profile, and the
-    scenario's channel loss model (overridable with [?channel]).
+    compiled and encapsulation chosen from the controller profile.
     Defaults to the paper's worst case, k = 6. The remaining knobs pass
     straight through to {!Jury.Jury_config.make} (along with the
     scenario's [election] tuning). *)

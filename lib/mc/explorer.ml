@@ -45,10 +45,10 @@ let run ?record case trace =
   Run.execute ~chooser:(trace_chooser ?record trace) ~deterministic:true case
 
 let executor trace : Oracle.executor =
- fun ?shards ?batch_us ?force_reliable case ->
+ fun ?shards ?batch_us case ->
   Run.execute
     ~chooser:(trace_chooser trace)
-    ~deterministic:true ?shards ?batch_us ?force_reliable case
+    ~deterministic:true ?shards ?batch_us case
 
 (* The per-schedule battery, with the schedule's own outcome as the
    memoised base run so oracles that only inspect one run cost

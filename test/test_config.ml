@@ -10,6 +10,7 @@ module Validator = Jury.Validator
 module Counter = Jury.Counter
 module Response = Jury.Response
 module Snapshot = Jury.Snapshot
+module Setup = Jury_experiments.Setup
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -19,17 +20,14 @@ let check_bool = Alcotest.(check bool)
    exact detection-time samples, which double as a byte-for-byte
    fingerprint of the run. *)
 let drive deployment_of =
-  let engine = Engine.create ~seed:42 () in
-  let plan = Jury_topo.Builder.linear ~switches:8 ~hosts_per_switch:1 in
-  let network = Jury_net.Network.create engine plan () in
   let cluster =
-    Jury_controller.Cluster.create engine
-      ~profile:Jury_controller.Profile.onos ~nodes:5 ~network ()
+    Setup.build ~seed:42 ~switches:8 ~profile:Jury_controller.Profile.onos
+      ~nodes:5 ()
   in
+  let engine = Jury_controller.Cluster.engine cluster in
+  let network = Jury_controller.Cluster.network cluster in
   let deployment = deployment_of cluster in
-  Jury_controller.Cluster.converge cluster;
-  List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
   let rng = Rng.split (Engine.rng engine) in
   Jury_workload.Flows.controlled_mix network ~rng ~packet_in_rate:800.
     ~duration:(Time.sec 2);
@@ -359,9 +357,6 @@ let test_make_validates () =
   in
   check_bool "negative k rejected" true
     (raises (fun () -> Jury.Jury_config.make ~k:(-1) ()));
-  check_bool "channel and drop together rejected" true
-    (raises (fun () ->
-         Jury.Jury_config.make ~channel:Jury.Channel.reliable ~drop:0.1 ()));
   check_bool "zero max_inflight rejected" true
     (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()));
   check_bool "zero degraded_quorum rejected" true
@@ -405,12 +400,8 @@ let test_timeout_defaults () =
     (timeout ~timeout:(Time.ms 40) ~encapsulation:true ())
 
 let test_deterministic_latencies_pin_secondaries () =
-  let engine = Engine.create () in
-  let plan = Jury_topo.Builder.linear ~switches:2 ~hosts_per_switch:1 in
-  let network = Jury_net.Network.create engine plan () in
   let cluster =
-    Jury_controller.Cluster.create engine
-      ~profile:Jury_controller.Profile.onos ~nodes:3 ~network ()
+    Setup.build ~switches:2 ~profile:Jury_controller.Profile.onos ~nodes:3 ()
   in
   let cfg =
     Jury.Deployment.cfg
@@ -420,6 +411,19 @@ let test_deterministic_latencies_pin_secondaries () =
   in
   check_bool "static secondaries" false cfg.random_secondaries;
   check_bool "fixed latencies" true cfg.deterministic_latencies
+
+(* An all-zero loss model is the reliable channel, so callers can pass
+   their loss flags through unconditionally. *)
+let test_zero_loss_installs_reliable_channel () =
+  let cluster =
+    Setup.build ~switches:2 ~profile:Jury_controller.Profile.onos ~nodes:3 ()
+  in
+  let cfg =
+    Jury.Deployment.cfg
+      (Jury.Jury_config.install cluster
+         (Jury.Jury_config.make ~drop:0. ~duplicate:0. ~jitter_us:0. ()))
+  in
+  check_bool "reliable" true (Jury.Channel.is_reliable cfg.channel)
 
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
@@ -452,4 +456,6 @@ let suite =
       test_make_rejects_bad_election;
     Alcotest.test_case "timeout defaults" `Quick test_timeout_defaults;
     Alcotest.test_case "deterministic latencies pin secondaries" `Quick
-      test_deterministic_latencies_pin_secondaries ]
+      test_deterministic_latencies_pin_secondaries;
+    Alcotest.test_case "zero loss installs a reliable channel" `Quick
+      test_zero_loss_installs_reliable_channel ]

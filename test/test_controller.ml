@@ -348,7 +348,7 @@ let mk_cluster ?(profile = Profile.onos) ?(nodes = 3) ?(switches = 4)
   let engine = Engine.create ~seed:5 () in
   let plan = Builder.linear ~switches ~hosts_per_switch in
   let network = Network.create engine plan () in
-  let cluster = Cluster.create engine ~profile ~nodes ~network () in
+  let cluster = Cluster.create engine ~profile ~nodes ~network in
   Cluster.converge cluster;
   (engine, network, cluster)
 

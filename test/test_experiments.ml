@@ -26,6 +26,17 @@ let test_setup_env () =
   check_bool "detection times recorded" true
     (Array.length (Setup.detection_times_since env ~since:t0) = decided)
 
+(* Runner arms faults and the model checker attaches its chooser
+   between [build] and [boot]; both need [build] to run nothing. *)
+let test_build_runs_no_event () =
+  let cluster =
+    Setup.build ~switches:4 ~profile:Jury_controller.Profile.onos ~nodes:3 ()
+  in
+  let engine = Jury_controller.Cluster.engine cluster in
+  check_bool "clock at zero" true
+    (Time.equal (Jury_sim.Engine.now engine) Time.zero);
+  check_int "no event executed" 0 (Jury_sim.Engine.executed_events engine)
+
 let test_throughput_point_tracks_offered_load () =
   let low =
     Figures.fig4f ~seed:5 ~duration:(Time.sec 1) ~rates:[ 500. ]
@@ -132,6 +143,7 @@ let test_ablation_nondeterminism_shape () =
 
 let suite =
   [ ("setup env", `Slow, test_setup_env);
+    ("build runs no event", `Quick, test_build_runs_no_event);
     ("throughput point", `Slow, test_throughput_point_tracks_offered_load);
     ("policy scaling linear", `Quick, test_policy_scaling_linear);
     ("detection run", `Slow, test_detection_run_exposed);

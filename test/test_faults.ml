@@ -2,7 +2,7 @@
    by JURY with the faulty replica among the suspects. *)
 
 module Scenarios = Jury_faults.Scenarios
-module Runner = Jury_faults.Runner
+module Runner = Jury_experiments.Runner
 module Injector = Jury_faults.Injector
 module Types = Jury_controller.Types
 

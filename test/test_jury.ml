@@ -876,6 +876,35 @@ let test_channel_counters_reconcile () =
   check_bool "loss exercised" true (s.Channel.dropped > 0);
   check_bool "duplication exercised" true (s.Channel.duplicated > 0)
 
+(* An all-zero loss profile must behave like a bare [Engine.schedule]:
+   one event at exactly the requested delay, and no draw from the
+   channel's RNG (a draw would shift every seeded run that shares it). *)
+let test_zero_loss_channel_is_bare_schedule () =
+  let module Channel = Jury.Channel in
+  let fire engine at () = at := Engine.now_ns engine :: !at in
+  let chan_engine = Engine.create ~seed:77 () in
+  let rng = Rng.split (Engine.rng chan_engine) in
+  let untouched = Rng.copy rng in
+  let ch =
+    Channel.create chan_engine ~rng
+      (Channel.lossy ~drop:0. ~duplicate:0. ~jitter_us:0. ())
+  in
+  let chan_at = ref [] in
+  check_bool "delivered" true
+    (Channel.send ch ~delay:(Time.ms 3) (fire chan_engine chan_at)
+     = `Delivered);
+  check_int "one event scheduled" 1 (Engine.pending_events chan_engine);
+  let bare_engine = Engine.create ~seed:77 () in
+  let bare_at = ref [] in
+  ignore
+    (Engine.schedule bare_engine ~after:(Time.ms 3) (fire bare_engine bare_at));
+  Engine.run chan_engine;
+  Engine.run bare_engine;
+  Alcotest.(check (list int)) "same firing times" !bare_at !chan_at;
+  check_int "at the requested delay" (Time.to_ns (Time.ms 3))
+    (List.hd !chan_at);
+  check_bool "no RNG draw" true (Rng.bits64 rng = Rng.bits64 untouched)
+
 let test_report () =
   let engine, v = mk_validator () in
   feed_happy_path engine v;
@@ -904,19 +933,23 @@ let test_report () =
 
 (* --- Deployment on a live cluster --- *)
 
-let test_deployment_benign_and_faulty () =
-  let engine = Engine.create ~seed:21 () in
-  let plan = Jury_topo.Builder.linear ~switches:6 ~hosts_per_switch:1 in
-  let network = Jury_net.Network.create engine plan () in
+(* A k=2 deployment on a 5-node cluster over six switches in a line,
+   booted and then settled one more second (2 s in all). *)
+let live_deployment profile =
   let cluster =
-    Jury_controller.Cluster.create engine
-      ~profile:Jury_controller.Profile.onos ~nodes:5 ~network ()
+    Jury_experiments.Setup.build ~seed:21 ~switches:6 ~profile ~nodes:5 ()
   in
   let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  Jury_experiments.Setup.boot cluster;
+  let engine = Jury_controller.Cluster.engine cluster in
+  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  (engine, Jury_controller.Cluster.network cluster, cluster, dep)
+
+let test_deployment_benign_and_faulty () =
+  let engine, network, cluster, dep =
+    live_deployment Jury_controller.Profile.onos
+  in
   let v = Jury.Deployment.validator dep in
-  Jury_controller.Cluster.converge cluster;
-  List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 2));
   let h0 = Jury_net.Network.host network 0 in
   let h5 = Jury_net.Network.host network 5 in
   Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h5)
@@ -959,18 +992,8 @@ let test_standalone_conservation () =
   (* A fault-free run on the standalone profile: every replicated
      trigger still gets exactly one verdict (state-blind voting changes
      what the consensus compares, never how many triggers decide). *)
-  let engine = Engine.create ~seed:21 () in
-  let plan = Jury_topo.Builder.linear ~switches:6 ~hosts_per_switch:1 in
-  let network = Jury_net.Network.create engine plan () in
-  let cluster =
-    Jury_controller.Cluster.create engine
-      ~profile:Jury_controller.Profile.ryu ~nodes:5 ~network ()
-  in
-  let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  let engine, network, _, dep = live_deployment Jury_controller.Profile.ryu in
   let v = Jury.Deployment.validator dep in
-  Jury_controller.Cluster.converge cluster;
-  List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 2));
   let h0 = Jury_net.Network.host network 0 in
   let h5 = Jury_net.Network.host network 5 in
   Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h5)
@@ -1047,17 +1070,8 @@ let test_validator_reattribute () =
    a digest mismatch here (print the report and re-pin only if the
    change is intentional). *)
 let zero_churn_report profile =
-  let engine = Engine.create ~seed:21 () in
-  let plan = Jury_topo.Builder.linear ~switches:6 ~hosts_per_switch:1 in
-  let network = Jury_net.Network.create engine plan () in
-  let cluster =
-    Jury_controller.Cluster.create engine ~profile ~nodes:5 ~network ()
-  in
-  let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  let engine, network, _, dep = live_deployment profile in
   let v = Jury.Deployment.validator dep in
-  Jury_controller.Cluster.converge cluster;
-  List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 2));
   let h0 = Jury_net.Network.host network 0 in
   let h5 = Jury_net.Network.host network 5 in
   Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h5)
@@ -1161,6 +1175,9 @@ let suite =
     ("duplicate rule per body kind", `Quick, test_duplicate_rule_per_body_kind);
     ("retransmit backoff and cap", `Quick, test_retransmit_backoff_and_cap);
     ("channel counters reconcile", `Quick, test_channel_counters_reconcile);
+    ( "zero-loss channel is a bare schedule",
+      `Quick,
+      test_zero_loss_channel_is_bare_schedule );
     ("standalone verdict conservation", `Quick, test_standalone_conservation);
     ("validator failover re-attribution", `Quick, test_validator_reattribute);
     ("zero-churn byte identity (onos/odl)", `Quick,

@@ -4,10 +4,10 @@
 
 module Engine = Jury_sim.Engine
 module Time = Jury_sim.Time
-module Builder = Jury_topo.Builder
 module Network = Jury_net.Network
 module Host = Jury_net.Host
 module Cluster = Jury_controller.Cluster
+module Setup = Jury_experiments.Setup
 module Profile = Jury_controller.Profile
 module Types = Jury_controller.Types
 module Trace = Jury_obs.Trace
@@ -21,19 +21,15 @@ let check_int = Alcotest.(check int)
    one TCP connection, so the trace contains both convergence triggers
    and a data-plane PACKET_IN. Fixed seed: byte-identical across runs. *)
 let run_fixture ?trace () =
-  let engine = Engine.create ~seed:5 () in
-  Option.iter (Engine.set_trace engine) trace;
-  let plan = Builder.linear ~switches:4 ~hosts_per_switch:1 in
-  let network = Network.create engine plan () in
   let cluster =
-    Cluster.create engine ~profile:Profile.onos ~nodes:3 ~network ()
+    Setup.build ~seed:5 ~switches:4 ?trace ~profile:Profile.onos ~nodes:3 ()
   in
+  let engine = Cluster.engine cluster in
+  let network = Cluster.network cluster in
   let deployment =
     Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
   in
-  Cluster.converge cluster;
-  List.iter Host.join (Network.hosts network);
-  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  Setup.boot cluster;
   let h0 = Network.host network 0 in
   let h3 = Network.host network 3 in
   Host.send_tcp h0 ~dst_mac:(Host.mac h3) ~dst_ip:(Host.ip h3) ~src_port:4242

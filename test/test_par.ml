@@ -230,14 +230,15 @@ let test_run_matrix_serial_parallel_identical () =
       (fun ((s : Jury_faults.Scenarios.t), reports) ->
         ( s.Jury_faults.Scenarios.name,
           List.map
-            (fun (r : Jury_faults.Runner.report) ->
+            (fun (r : Jury_experiments.Runner.report) ->
               (r.detected, r.detection_time_ms, r.verdict_count))
             reports ))
       results
   in
   let run pool =
     project
-      (Jury_faults.Runner.run_matrix ~pool ~repeats:3 ~switches:8 scenarios)
+      (Jury_experiments.Runner.run_matrix ~pool ~repeats:3 ~switches:8
+         scenarios)
   in
   let serial = run (Pool.create ~jobs:1 ()) in
   let parallel = run (Pool.create ~jobs:4 ()) in
