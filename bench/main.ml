@@ -686,8 +686,10 @@ let micro ~full:_ () =
   (* One k=6 decision: the primary and six secondaries report the same
      FLOWSDB write, FLOW_MOD and PACKET_OUT (each list built on its
      own, as the replicas do), then the cache event and the FLOW_MOD
-     arrive and the trigger completes. *)
-  let decide_k6 =
+     arrive and the trigger completes. With [dissent] the last
+     secondary forwards to another port, so consensus has to compare
+     fingerprints instead of deciding from structural equality. *)
+  let decide_k6 ~dissent =
     let module V = Jury.Validator in
     let module R = Jury.Response in
     let module Types = Jury_controller.Types in
@@ -697,13 +699,16 @@ let micro ~full:_ () =
         (Jury.Jury_config.validator ~ack_peers_of:(fun _ -> [])
            (Jury.Jury_config.make ~k:6 ()))
     in
-    let fm =
+    let rule port =
       Jury_openflow.Of_message.flow_mod ~priority:40000 exact
-        [ Jury_openflow.Of_action.Output 2 ]
+        [ Jury_openflow.Of_action.Output port ]
     in
+    let fm = rule 2 in
     let key = Jury_controller.Values.Flow.key d1 exact ~priority:40000 in
     let value = Jury_controller.Values.Flow.value fm in
-    let actions () =
+    let actions port =
+      let fm = rule port in
+      let value = Jury_controller.Values.Flow.value fm in
       [ Types.Cache_write
           { cache = Jury_store.Cache_names.flowsdb;
             op = Jury_store.Event.Create; key; value };
@@ -714,10 +719,12 @@ let micro ~full:_ () =
             payload =
               Jury_openflow.Of_message.Packet_out
                 { po_buffer_id = None; po_in_port = 1;
-                  po_actions = [ Jury_openflow.Of_action.Output 2 ];
+                  po_actions = [ Jury_openflow.Of_action.Output port ];
                   po_frame = Some probe_frame } } ]
     in
-    let responses = List.init 7 (fun _ -> actions ()) in
+    let responses =
+      List.init 7 (fun i -> actions (if dissent && i = 6 then 3 else 2))
+    in
     let serial = ref 0 in
     fun () ->
       incr serial;
@@ -773,7 +780,10 @@ let micro ~full:_ () =
       Test.make ~name:"flow-key-exact"
         (Staged.stage (fun () ->
              Jury_controller.Values.Flow.key d1 exact ~priority:40000));
-      Test.make ~name:"consensus-fingerprint-k6" (Staged.stage decide_k6);
+      Test.make ~name:"consensus-fingerprint-k6"
+        (Staged.stage (decide_k6 ~dissent:false));
+      Test.make ~name:"consensus-dissent-k6"
+        (Staged.stage (decide_k6 ~dissent:true));
       Test.make ~name:"engine-step-q1600" (Staged.stage step_q1600) ]
   in
   let grouped = Test.make_grouped ~name:"jury" tests in

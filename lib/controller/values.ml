@@ -47,10 +47,18 @@ let dpid_to_key d =
   let i = first 3 in
   String.sub s i (String.length s - i)
 
-let dpid_of_key s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some v -> Some (Of_types.Dpid.of_int64 v)
-  | None -> None
+(* The dpid whose "%Lx" is [s.[0..j)]: at most 64 bits of hex digits,
+   read in place. *)
+let dpid_of_prefix s j =
+  let v = ref 0L and ok = ref (j > 0) in
+  for k = 0 to j - 1 do
+    let d = hex_value s.[k] in
+    if d < 0 || Int64.shift_right_logical !v 60 <> 0L then ok := false
+    else v := Int64.logor (Int64.shift_left !v 4) (Int64.of_int d)
+  done;
+  if !ok then Some (Of_types.Dpid.of_int64 !v) else None
+
+let dpid_of_key s = dpid_of_prefix s (String.length s)
 
 (* "<dpid key>:<port>", the attachment point in HOSTDB values and
    LINKSDB keys. *)
@@ -141,7 +149,7 @@ module Flow = struct
   let dpid_of_key k =
     match String.index_opt k '/' with
     | None -> None
-    | Some i -> dpid_of_key (String.sub k 0 i)
+    | Some i -> dpid_of_prefix k i
 end
 
 module Switch = struct

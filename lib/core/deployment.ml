@@ -53,6 +53,8 @@ type t = {
   validator : Validator.t;
   rng : Rng.t;
   nodes : node_module array;
+  ack_peers : int list array;
+      (* origin → the peers that ack its cache events, built once *)
   replica_links : Channel.t array;
       (* interception point → secondary i, one per node *)
   validator_links : Channel.t array;
@@ -82,7 +84,7 @@ let cfg t = t.cfg
 let peers_of ~n ~k origin =
   List.init (min k (n - 1)) (fun i -> (origin + i + 1) mod n)
 
-let ack_peers t origin = peers_of ~n:(Cluster.nodes t.cluster) ~k:t.cfg.k origin
+let ack_peers t origin = t.ack_peers.(origin)
 
 (* Bytes a response adds to JURY's own out-of-band traffic. Cache
    updates cost nothing here: the validator hosts a cache instance and
@@ -501,6 +503,7 @@ let install cluster (cfg : config) =
   let n = Cluster.nodes cluster in
   let profile = Cluster.profile cluster in
   let clustered = profile.Jury_controller.Profile.clustered in
+  let ack_peers = Array.init n (peers_of ~n ~k:cfg.k) in
   let validator_cfg =
     { cfg.validator with
       (* Standalone instances never share state, so their snapshots can
@@ -514,7 +517,7 @@ let install cluster (cfg : config) =
       (* Standalone fabrics never replicate, so no peer ack can ever
          arrive — completeness would deadlock waiting for them. *)
       ack_peers_of =
-        (if clustered then peers_of ~n ~k:cfg.k else fun _ -> []) }
+        (if clustered then Array.get ack_peers else fun _ -> []) }
   in
   (* RNG-draw order is load-bearing: the shadow pipelines split the
      engine RNG per node, and the deployment's own split must come
@@ -547,6 +550,7 @@ let install cluster (cfg : config) =
       engine;
       validator = Validator.create engine validator_cfg;
       rng;
+      ack_peers;
       replica_links =
         Array.init n (fun i ->
             Channel.create engine ~rng

@@ -71,6 +71,12 @@ type pending = {
 type shard = {
   pending : (string, pending) Hashtbl.t;
   counts : int array;  (* indexed by [Counter.index] *)
+  decided_internal : (string, Time.t) Hashtbl.t;
+  decided_order : (string * Time.t) Queue.t;
+      (* Internal taints decided within the last validation timeout, and
+         when, oldest first: a response for one of them is late, not a
+         new trigger. Entries are dropped once their timeout has passed,
+         so the table holds one timeout's worth of internal verdicts. *)
 }
 
 (* Hooks a staged-pipeline front end (Stage) installs on a validator:
@@ -106,8 +112,7 @@ type t = {
          made since the oldest undecided trigger. *)
   mutable verdicts : Alarm.t list;  (* newest first *)
   mutable response_observers : (Response.t -> unit) list;
-      (* newest first; reversed at dispatch so observers run in
-         registration order without quadratic appends *)
+      (* in registration order, the order they run in *)
   mutable verdict_observers : (Alarm.t -> unit) list;
   mutable retransmit_handler : Types.Taint.t -> secondary:int -> unit;
   (* Adaptive validation timeout (the paper's SVIII-1 extension): track
@@ -120,7 +125,10 @@ type t = {
 }
 
 let make_shard () =
-  { pending = Hashtbl.create 256; counts = Array.make Counter.cardinal 0 }
+  { pending = Hashtbl.create 256;
+    counts = Array.make Counter.cardinal 0;
+    decided_internal = Hashtbl.create 16;
+    decided_order = Queue.create () }
 
 let add sh c n =
   let i = Counter.index c in
@@ -180,8 +188,8 @@ let observe_completion_latency t latency =
   t.rtt_samples <- t.rtt_samples + 1
 
 let set_retransmit_handler t f = t.retransmit_handler <- f
-let on_response t f = t.response_observers <- f :: t.response_observers
-let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
+let on_response t f = t.response_observers <- t.response_observers @ [ f ]
+let on_verdict t f = t.verdict_observers <- t.verdict_observers @ [ f ]
 
 (* --- Filing responses --- *)
 
@@ -400,19 +408,27 @@ let response_fingerprint actions =
   |> List.sort String.compare
   |> String.concat "\n"
 
+(* Whether two executions took the same actions. Actions hold no
+   closures or floats, so [=] is exact, and equal lists have equal
+   fingerprints: agreement needs no fingerprint. Only a difference does,
+   since erasing buffer ids, re-encoding FLOWSDB values and ignoring
+   action order can make different lists agree. *)
+let same_actions a b = a == b || a = b
+
 (* [response_fingerprint] for one decision, computed once per distinct
-   action list: the k+1 executions of a trigger mostly carry
-   structurally equal lists, and actions hold no closures or floats, so
-   [=] is exact. *)
+   action list. *)
 let fingerprinter () =
   let seen = ref [] in
   fun actions ->
-    match List.assoc_opt actions !seen with
+    match List.assq_opt actions !seen with
     | Some fp -> fp
-    | None ->
-        let fp = response_fingerprint actions in
-        seen := (actions, fp) :: !seen;
-        fp
+    | None -> (
+        match List.assoc_opt actions !seen with
+        | Some fp -> fp
+        | None ->
+            let fp = response_fingerprint actions in
+            seen := (actions, fp) :: !seen;
+            fp)
 
 let majority_fingerprint fps =
   let tbl = Hashtbl.create 8 in
@@ -441,8 +457,6 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
     else Unverifiable
   else begin
-    let fingerprint = fingerprinter () in
-    let prim_fp = fingerprint prim_actions in
     let comparable =
       if t.cfg.state_aware then
         List.filter
@@ -453,7 +467,14 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     in
     match comparable with
     | [] -> Unverifiable
+    | _
+      when List.for_all
+             (fun (_, actions) -> same_actions prim_actions actions)
+             comparable ->
+        Agrees (1 + List.length comparable)
     | _ -> (
+        let fingerprint = fingerprinter () in
+        let prim_fp = fingerprint prim_actions in
         let fps =
           List.map
             (fun ((r : Response.t), actions) ->
@@ -513,17 +534,25 @@ let secondary_quorum t p =
         else [ secs ]
       in
       let fingerprint = fingerprinter () in
+      let group_majority = function
+        | (_, first) :: rest
+          when List.for_all (fun (_, actions) -> same_actions first actions) rest
+          ->
+            Some (first, 1 + List.length rest)
+        | members -> (
+            let fps =
+              List.map (fun (_, actions) -> (fingerprint actions, actions)) members
+            in
+            match majority_fingerprint (List.map fst fps) with
+            | None -> None
+            | Some (fp, n) -> Some (List.assoc fp fps, n))
+      in
       List.fold_left
         (fun best members ->
-          let fps =
-            List.map (fun (_, actions) -> (fingerprint actions, actions)) members
-          in
-          match majority_fingerprint (List.map fst fps) with
-          | None -> best
-          | Some (fp, n) -> (
-              match best with
-              | Some (_, bn) when bn >= n -> best
-              | _ -> Some (List.assoc fp fps, n)))
+          match (best, group_majority members) with
+          | _, None -> best
+          | Some (_, bn), Some (_, n) when bn >= n -> best
+          | _, found -> found)
         None groups
 
 (* --- Sanity check: cache vs network consistency for flow rules --- *)
@@ -542,6 +571,19 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
    the caller can either degrade the verdict or, if no quorum backs the
    plan, reinstate them as faults. *)
 let run_sanity ~mirror ?plan p ~origin =
+  (* The switch and rule of a FLOWSDB entry. The mirror parsed the rule
+     when the entry arrived, unless the key has changed since. *)
+  let flow key value =
+    match Values.Flow.dpid_of_key key with
+    | None -> None
+    | Some dpid -> (
+        let fm =
+          match Hashtbl.find_opt mirror key with
+          | Some (v, fm) when v == value || String.equal v value -> Some fm
+          | _ -> Values.Flow.parse value
+        in
+        match fm with Some fm -> Some (dpid, fm) | None -> None)
+  in
   (* The origin's FLOWSDB installs, at their first report, in arrival
      order. *)
   let cache_flows =
@@ -554,12 +596,9 @@ let run_sanity ~mirror ?plan p ~origin =
           && ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
         then
-          match
-            (Values.Flow.dpid_of_key ev.Event.key,
-             Values.Flow.parse ev.Event.value)
-          with
-          | Some dpid, Some fm -> (dpid, fm) :: acc
-          | _ -> acc
+          match flow ev.Event.key ev.Event.value with
+          | Some entry -> entry :: acc
+          | None -> acc
         else acc)
       [] p.reports
   in
@@ -579,12 +618,7 @@ let run_sanity ~mirror ?plan p ~origin =
     | Some actions ->
         List.filter_map
           (fun (cache, _, key, value) ->
-            if Names.normalize cache = Names.flowsdb then
-              match
-                (Values.Flow.dpid_of_key key, Values.Flow.parse value)
-              with
-              | Some dpid, Some fm -> Some (dpid, fm)
-              | _ -> None
+            if Names.normalize cache = Names.flowsdb then flow key value
             else None)
           (cache_writes actions)
   in
@@ -708,6 +742,32 @@ let run_policy t p ~origin ~external_ actions =
 
 (* --- Decision --- *)
 
+(* Whether internal taint [key] was decided no longer than one
+   validation timeout ago. The time test, not the table's pruning,
+   decides, so the answer never depends on when entries are dropped. *)
+let recently_decided t sh key =
+  match Hashtbl.find_opt sh.decided_internal key with
+  | Some at -> Time.(Engine.now t.engine <= add at t.cfg.timeout)
+  | None -> false
+
+let remember_decided t sh key =
+  let now = Engine.now t.engine in
+  let rec forget () =
+    match Queue.peek_opt sh.decided_order with
+    | Some (k, at) when Time.(now > add at t.cfg.timeout) ->
+        ignore (Queue.pop sh.decided_order);
+        (* A taint forgotten once and decided again has a newer entry. *)
+        (match Hashtbl.find_opt sh.decided_internal k with
+        | Some last when Time.equal last at ->
+            Hashtbl.remove sh.decided_internal k
+        | _ -> ());
+        forget ()
+    | _ -> ()
+  in
+  forget ();
+  Hashtbl.replace sh.decided_internal key now;
+  Queue.push (key, now) sh.decided_order
+
 let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   let sh = t.shards.(p.shard) in
   p.decided <- true;
@@ -720,7 +780,9 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   p.retry_timer <- None;
   let stragglers = stragglers p in
   add sh Straggler (List.length stragglers);
-  Hashtbl.remove sh.pending (Types.Taint.to_string p.taint);
+  (let key = Types.Taint.to_string p.taint in
+   Hashtbl.remove sh.pending key;
+   if not (Types.Taint.is_external p.taint) then remember_decided t sh key);
   let alarm =
     { Alarm.taint = p.taint;
       trigger_at = p.trigger_at;
@@ -766,7 +828,7 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   | Alarm.Ok_degraded -> add sh Degraded 1
   | Alarm.Overload -> add sh Overload 1
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
-  List.iter (fun f -> f alarm) (List.rev t.verdict_observers)
+  List.iter (fun f -> f alarm) t.verdict_observers
 
 let evaluate t p ~timed_out =
   if not p.decided then begin
@@ -1075,12 +1137,14 @@ let add_pending t ~key ~shard ~taint ~at ~primary ~secondaries =
 let get_pending t taint =
   let key = Types.Taint.to_string taint in
   let shard = shard_of t key in
-  match Hashtbl.find_opt t.shards.(shard).pending key with
+  let sh = t.shards.(shard) in
+  match Hashtbl.find_opt sh.pending key with
   | Some p -> Some p
   | None ->
-      if Types.Taint.is_external taint then None
-        (* external triggers must be registered by the replicator; a
-           stray tainted response after decision is dropped *)
+      if Types.Taint.is_external taint || recently_decided t sh key then None
+        (* external triggers must be registered by the replicator, and
+           an internal one is opened by its first response; a stray
+           tainted response after the verdict is dropped *)
       else
         Some
           (add_pending t ~key ~shard ~taint ~at:(Engine.now t.engine)
@@ -1151,7 +1215,7 @@ let deliver_inline t (r : Response.t) =
        ~taint:(Types.Taint.to_string r.taint)
        ~phase:Jury_obs.Trace.Validate ~node:r.controller
        [ ("body", Response.body_name r.body) ]);
-  List.iter (fun f -> f r) (List.rev t.response_observers);
+  List.iter (fun f -> f r) t.response_observers;
   update_flow_mirror t r;
   match get_pending t r.taint with
   | None -> add t.shards.(shard_of t (Response.taint_key r)) Late 1
@@ -1283,6 +1347,8 @@ let absorb_pipeline_shard t ~shard src =
   Hashtbl.iter
     (fun key p -> Hashtbl.replace dst.pending key { p with shard })
     s.pending;
+  Hashtbl.iter (Hashtbl.replace dst.decided_internal) s.decided_internal;
+  Queue.transfer s.decided_order dst.decided_order;
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) s.counts;
   t.reg_count <- t.reg_count + src.reg_count;
   t.verdicts <- src.verdicts @ t.verdicts

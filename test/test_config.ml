@@ -167,9 +167,11 @@ let test_overload_order_pinned () =
   check_int "the newest registrations stay pending" 7
     (Validator.pending_count v)
 
-(* An internal taint decided by timeout is registered again by a late
-   response. Force-expiry must shed the new record under the epoch it
-   was registered in, not the epoch of the first, decided record. *)
+(* An internal taint decided by timeout is registered again by a
+   response that arrives once the validator has forgotten the verdict,
+   one validation timeout later. Force-expiry must shed the new record
+   under the epoch it was registered in, not the epoch of the first,
+   decided record. *)
 let test_reregistered_trigger_expires_in_its_epoch () =
   let engine, v = bare_validator ~max_inflight:4 () in
   let taint = Types.Taint.internal_trigger ~origin:3 ~seq:7 in
@@ -189,7 +191,9 @@ let test_reregistered_trigger_expires_in_its_epoch () =
   deliver ();
   Engine.run engine;
   check_int "decided by timeout" 1 (Validator.decided_count v);
-  deliver ();
+  let forgotten = Time.add (Engine.now engine) (Time.ms 101) in
+  ignore (Engine.schedule_at engine ~at:forgotten deliver);
+  Engine.run engine ~until:forgotten;
   check_int "late response registered it again" 1 (Validator.pending_count v);
   for serial = 0 to 5 do
     register v ~serial

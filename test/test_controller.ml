@@ -56,7 +56,14 @@ let test_values_flow () =
   (match Values.Flow.dpid_of_key key with
   | Some d -> check_bool "dpid from key" true (Dpid.equal d (Dpid.of_int 9))
   | None -> Alcotest.fail "key must carry dpid");
-  check_bool "bad value rejected" true (Values.Flow.parse "zzz" = None)
+  check_bool "bad value rejected" true (Values.Flow.parse "zzz" = None);
+  List.iter
+    (fun k ->
+      check_bool (k ^ " is no dpid key") true (Values.parse_dpid_key k = None))
+    [ ""; "g"; "-1"; "+1"; "0x1"; "1_0"; "10000000000000000" ];
+  check_bool "flow key without a dpid" true
+    (Values.Flow.dpid_of_key "/ab" = None
+    && Values.Flow.dpid_of_key "ab" = None)
 
 let test_values_switch_master () =
   let v = Values.Switch.value_connected ~master:4 ~ports:[ 3; 1; 2 ] in
@@ -143,8 +150,19 @@ let prop_dpid_strings =
               map Int64.of_int (int_bound 0xFFFF) ]))
     (fun d ->
       let dpid = Dpid.of_int64 d in
+      let key = Values.Switch.key dpid in
+      let reads_back = function
+        | Some d' -> Dpid.equal d' dpid
+        | None -> false
+      in
       Dpid.to_string dpid = Printf.sprintf "of:%016Lx" d
-      && Values.Switch.key dpid = Printf.sprintf "%Lx" d)
+      && key = Printf.sprintf "%Lx" d
+      && reads_back (Values.parse_dpid_key key)
+      && reads_back (Values.parse_dpid_key (String.uppercase_ascii key))
+      && reads_back (Values.parse_dpid_key ("0" ^ key))
+      && reads_back
+           (Values.Flow.dpid_of_key
+              (Values.Flow.key dpid Of_match.wildcard_all ~priority:1)))
 
 let prop_ipv4_strings =
   QCheck.Test.make ~name:"Ipv4.to_string = Printf" ~count:500
@@ -279,7 +297,39 @@ let test_taint () =
   (match Types.Taint.of_string (Types.Taint.to_string ext) with
   | Some t -> check_bool "roundtrip" true (Types.Taint.equal t ext)
   | None -> Alcotest.fail "taint roundtrip");
-  check_bool "garbage rejected" true (Types.Taint.of_string "nope" = None)
+  check_bool "garbage rejected" true (Types.Taint.of_string "nope" = None);
+  (* Every taint the constructors print reads back, and the readers
+     agree with it. *)
+  let ints = [ 0; 1; 7; -1; -42; 1_000_000_007; max_int; min_int ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun (t, primary) ->
+              let s = Types.Taint.to_string t in
+              match Types.Taint.of_string s with
+              | Some t' ->
+                  Alcotest.(check string) ("roundtrip " ^ s) s
+                    (Types.Taint.to_string t');
+                  Alcotest.(check (option int)) ("primary of " ^ s) primary
+                    (Types.Taint.primary_of t');
+                  check_bool ("external " ^ s) (primary <> None)
+                    (Types.Taint.is_external t')
+              | None -> Alcotest.failf "%s rejected" s)
+            [ (Types.Taint.external_trigger ~primary:a ~serial:b, Some a);
+              (Types.Taint.internal_trigger ~origin:a ~seq:b, None) ])
+        ints)
+    ints;
+  (* Malformed forms, out-of-range fields, and the integer syntaxes no
+     constructor prints. *)
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true (Types.Taint.of_string s = None))
+    [ ""; "ext"; "ext:"; "ext:1"; "ext::2"; "ext:1:"; "ext:1:2:3";
+      "ext:1:2x"; "ext:-:2"; "ext:1:-"; "ext:--1:2"; "xyz:1:2"; "EXT:1:2";
+      "ext:4611686018427387904:1"; "int:1:-4611686018427387905";
+      "ext:+1:2"; "ext:0x1:2"; "ext:1_0:2"; "int: 1:2" ]
 
 (* A whole response compared as its sorted action fingerprints, the
    way the validator's consensus compares replicas. *)

@@ -141,9 +141,41 @@ let test_ablation_nondeterminism_shape () =
         (nondet_on >= nondet_off)
   | _ -> Alcotest.fail "three rows expected"
 
+(* Every trigger gets one verdict, also over lossy, duplicating
+   links: a duplicated response that reaches the validator after its
+   internal trigger was decided is late, not a new trigger. Each run
+   below (the CLI's [simulate] defaults plus its loss flags) once
+   decided one internal taint twice. *)
+let test_each_taint_decided_once () =
+  List.iter
+    (fun (name, profile, jury) ->
+      let env =
+        Setup.make ~seed:11 ~switches:24 ~jury ~profile ~nodes:7 ()
+      in
+      Jury_workload.Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
+        ~packet_in_rate:1000. ~duration:(Time.sec 5);
+      Setup.run_for env (Time.sec 7);
+      let taints =
+        List.map
+          (fun (a : Jury.Alarm.t) -> Jury_controller.Types.Taint.to_string a.taint)
+          (Jury.Validator.verdicts (Setup.validator env))
+      in
+      check_int name
+        (List.length (List.sort_uniq compare taints))
+        (List.length taints))
+    [ ("onos lossy", Jury_controller.Profile.onos,
+       Jury.Jury_config.make ~k:6 ~drop:0.1 ~duplicate:0.05
+         ~retransmit:(Jury.Jury_config.retransmit ~max_retries:2 ())
+         ~degraded_quorum:1 ());
+      ("ryu duplicating", Jury_controller.Profile.ryu,
+       Jury.Jury_config.make ~k:6 ~duplicate:0.05 ());
+      ("odl duplicating", Jury_controller.Profile.odl,
+       Jury.Jury_config.make ~k:6 ~duplicate:0.05 ()) ]
+
 let suite =
   [ ("setup env", `Slow, test_setup_env);
     ("build runs no event", `Quick, test_build_runs_no_event);
+    ("each taint decided once", `Slow, test_each_taint_decided_once);
     ("throughput point", `Slow, test_throughput_point_tracks_offered_load);
     ("policy scaling linear", `Quick, test_policy_scaling_linear);
     ("detection run", `Slow, test_detection_run_exposed);

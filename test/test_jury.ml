@@ -254,17 +254,21 @@ let buffered_actions ~buffer ~port =
               po_actions = [ Of_action.Output port ]; po_frame = None } } ]
 
 (* Consensus erases buffer ids (only the primary's switch allocated
-   one) and still tells a real difference apart, whichever lists its
-   fingerprints are shared between. *)
+   one) and ignores action order, and still tells a real difference
+   apart, whichever lists its fingerprints are shared between. Lists
+   that differ only so reach the fingerprints; equal ones never do. *)
 let test_consensus_buffer_id_normalized () =
-  let run secondaries =
-    let engine, v = mk_validator ~k:(List.length secondaries) () in
+  let run ?degraded_quorum ?(primary = true) secondaries =
+    let engine, v =
+      mk_validator ?degraded_quorum ~k:(List.length secondaries) ()
+    in
     let prim = buffered_actions ~buffer:(Some 7) ~port:2 in
     let snap = Snapshot.pristine in
     Validator.register_external v ~taint ~at:Time.zero ~primary:0
       ~secondaries:(List.map fst secondaries);
-    deliver v ~controller:0 ~snapshot:snap
-      (Response.Execution { role = `Primary; actions = prim });
+    if primary then
+      deliver v ~controller:0 ~snapshot:snap
+        (Response.Execution { role = `Primary; actions = prim });
     List.iter
       (fun (controller, actions) ->
         deliver v ~controller ~snapshot:snap
@@ -296,7 +300,24 @@ let test_consensus_buffer_id_normalized () =
   in
   check_bool "consensus mismatch" true
     (a.Alarm.verdict = Alarm.Faulty [ Alarm.Consensus_mismatch ]);
-  Alcotest.(check (list int)) "only the odd one out" [ 3 ] a.Alarm.suspects
+  Alcotest.(check (list int)) "only the odd one out" [ 3 ] a.Alarm.suspects;
+  let buffered () = buffered_actions ~buffer:(Some 7) ~port:2 in
+  let a = run [ (1, buffered ()); (2, List.rev (buffered ())) ] in
+  check_bool "action order ignored" true (a.Alarm.verdict = Alarm.Ok_valid);
+  (* The primary's response is lost: the secondaries alone form the
+     degraded quorum, and agree only once buffer ids are erased. *)
+  let a =
+    run ~degraded_quorum:2 ~primary:false
+      [ (1, buffered ()); (2, unbuffered ()) ]
+  in
+  check_bool "secondary quorum ignores buffer ids" true
+    (a.Alarm.verdict = Alarm.Ok_degraded);
+  let a =
+    run ~degraded_quorum:2 ~primary:false
+      [ (1, buffered ()); (2, buffered_actions ~buffer:None ~port:5) ]
+  in
+  check_bool "secondary quorum still tells a difference" true
+    (a.Alarm.verdict = Alarm.Faulty [ Alarm.Response_timeout ])
 
 (* The flow mirror follows a rule's value across an Update of the same
    key: afterwards a re-sent FLOW_MOD is backed only if it matches the
@@ -633,6 +654,54 @@ let test_validator_internal_trigger () =
   Engine.run engine;
   check_int "decided" 1 (Validator.decided_count v);
   check_int "benign internal passes" 0 (Validator.fault_count v)
+
+(* A response that arrives after its internal trigger's verdict (a
+   channel duplicate, or a relay that lost the race) is late, as an
+   external trigger's is: it must not open a second record and decide
+   the trigger again. The memory of decided internal taints lasts one
+   validation timeout, so it stays bounded. *)
+let test_internal_trigger_decided_once () =
+  let engine, v = mk_validator ~k:0 ~timeout:(Time.ms 100) () in
+  let internal = Types.Taint.internal_trigger ~origin:3 ~seq:9 in
+  let respond () =
+    Validator.deliver v
+      { Response.controller = 3; taint = internal;
+        snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0;
+        body =
+          Response.Execution
+            { role = `Primary;
+              actions =
+                [ Types.Cache_write
+                    { cache = Names.linksdb; op = Event.Delete; key = "l";
+                      value = "" } ] } }
+  in
+  let relay () =
+    Validator.deliver v
+      { Response.controller = 3; taint = internal;
+        snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0;
+        body =
+          Response.Cache_update
+            { Event.cache = Names.linksdb; op = Event.Delete; key = "l";
+              value = ""; origin = 3; seq = 9;
+              taint = Some (Types.Taint.to_string internal) } }
+  in
+  respond ();
+  relay ();
+  Engine.run engine;
+  check_int "decided at its timeout" 1 (Validator.decided_count v);
+  relay ();
+  respond ();
+  Engine.run engine;
+  check_int "still one verdict" 1 (Validator.decided_count v);
+  check_int "after-verdict responses are late" 2 (Validator.late_count v);
+  check_int "no record reopened" 0 (Validator.pending_count v);
+  (* One validation timeout after the verdict the taint is forgotten:
+     a response that late opens a new record. *)
+  ignore
+    (Engine.schedule engine ~after:(Time.ms 101) (fun () -> relay ()));
+  Engine.run engine;
+  check_int "not late once forgotten" 2 (Validator.late_count v);
+  check_int "decided again once forgotten" 2 (Validator.decided_count v)
 
 let test_validator_flush () =
   let engine, v = mk_validator () in
@@ -1166,6 +1235,8 @@ let suite =
     ("validator write failure", `Quick, test_validator_write_failure);
     ("validator policy check", `Quick, test_validator_policy_check);
     ("validator internal trigger", `Quick, test_validator_internal_trigger);
+    ("internal trigger decided once", `Quick,
+     test_internal_trigger_decided_once);
     ("validator flush", `Quick, test_validator_flush);
     ("adaptive timeout shrinks", `Quick, test_adaptive_timeout_shrinks);
     ("degraded quorum instead of timeout", `Quick,
