@@ -762,6 +762,30 @@ let micro ~full:_ () =
     done;
     fun () -> Jury_sim.Engine.step engine
   in
+  (* A replica's lookup: the memo holds the rule another replica
+     rendered, and this one asks with its own, equal, match and
+     FLOW_MOD. *)
+  let flow_memo = Jury_controller.Values.Flow.Memo.create () in
+  let exact_fm =
+    Jury_openflow.Of_message.flow_mod ~priority:40000 ~idle_timeout:10
+      ~buffer_id:(Some 5) exact [ Jury_openflow.Of_action.Output 2 ]
+  in
+  let replica_exact =
+    Jury_openflow.Of_match.exact_of_frame ~in_port:1 probe_frame
+  in
+  let replica_fm =
+    Jury_openflow.Of_message.flow_mod ~priority:40000 ~idle_timeout:10
+      ~buffer_id:(Some 5) replica_exact [ Jury_openflow.Of_action.Output 2 ]
+  in
+  ignore
+    (Jury_controller.Values.Flow.Memo.key flow_memo d1 exact ~priority:40000);
+  ignore (Jury_controller.Values.Flow.Memo.value flow_memo exact_fm);
+  let packet_in =
+    Jury_openflow.Of_message.make ~xid:9
+      (Jury_openflow.Of_message.Packet_in
+         { buffer_id = Some 5; in_port = 1;
+           reason = Jury_openflow.Of_message.No_match; frame = probe_frame })
+  in
   let tests =
     [ Test.make ~name:"policy-check-1k"
         (Staged.stage (fun () -> Jury_policy.Engine.check policy_engine query));
@@ -780,6 +804,20 @@ let micro ~full:_ () =
       Test.make ~name:"flow-key-exact"
         (Staged.stage (fun () ->
              Jury_controller.Values.Flow.key d1 exact ~priority:40000));
+      Test.make ~name:"flow-key-memo-hit"
+        (Staged.stage (fun () ->
+             Jury_controller.Values.Flow.Memo.key flow_memo d1 replica_exact
+               ~priority:40000));
+      Test.make ~name:"flow-value-exact"
+        (Staged.stage (fun () -> Jury_controller.Values.Flow.value exact_fm));
+      Test.make ~name:"flow-value-memo-hit"
+        (Staged.stage (fun () ->
+             Jury_controller.Values.Flow.Memo.value flow_memo replica_fm));
+      Test.make ~name:"of-wire-size-packet-in"
+        (Staged.stage (fun () -> Jury_openflow.Of_wire.encoded_size packet_in));
+      Test.make ~name:"of-wire-encode-len-packet-in"
+        (Staged.stage (fun () ->
+             String.length (Jury_openflow.Of_wire.encode packet_in)));
       Test.make ~name:"consensus-fingerprint-k6"
         (Staged.stage (decide_k6 ~dissent:false));
       Test.make ~name:"consensus-dissent-k6"

@@ -40,6 +40,7 @@ type t = {
   fabric : Fabric.t;
   network : Network.t;
   controllers : Controller.t array;
+  flow_memo : Values.Flow.Memo.t;
   mutable masters : (Of_types.Dpid.t * int) list;
   mutable failed : int list;
   mutable election : election option;
@@ -54,6 +55,7 @@ let network t = t.network
 let profile t = t.profile
 let nodes t = Array.length t.controllers
 let controllers t = t.controllers
+let flow_memo t = t.flow_memo
 
 let controller t i =
   if i < 0 || i >= nodes t then invalid_arg "Cluster.controller: bad id";
@@ -118,8 +120,10 @@ let create engine ~profile ~nodes:n ~network =
       ~standalone:(not profile.Profile.clustered)
       ~profile:profile.Profile.store_profile ()
   in
+  let flow_memo = Values.Flow.Memo.create () in
   let controllers =
-    Array.init n (fun id -> Controller.create engine ~id ~profile ~fabric)
+    Array.init n (fun id ->
+        Controller.create engine ~id ~profile ~fabric ~flow_memo)
   in
   let t =
     { engine;
@@ -127,6 +131,7 @@ let create engine ~profile ~nodes:n ~network =
       fabric;
       network;
       controllers;
+      flow_memo;
       masters = [];
       failed = [];
       election = None;

@@ -43,7 +43,8 @@ val create :
 (** Builds the fabric (standalone when the profile is not
     [clustered]), the [nodes] controller replicas and the control
     channels (150 µs one way). Election is off until
-    {!enable_election}. *)
+    {!enable_election}. The replicas share one fresh
+    {!Values.Flow.Memo.t}. *)
 
 val engine : t -> Jury_sim.Engine.t
 val fabric : t -> Jury_store.Fabric.t
@@ -51,6 +52,7 @@ val network : t -> Jury_net.Network.t
 val profile : t -> Profile.t
 val nodes : t -> int
 val controllers : t -> Controller.t array
+val flow_memo : t -> Values.Flow.Memo.t
 val controller : t -> int -> Controller.t
 val master_of : t -> Of_types.Dpid.t -> int
 

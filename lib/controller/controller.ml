@@ -23,6 +23,7 @@ type t = {
   id : int;
   profile : Profile.t;
   fabric : Fabric.t;
+  flow_memo : Values.Flow.Memo.t;  (* shared by the cluster's replicas *)
   pipeline : Pipeline.t;
   rng : Rng.t;
   mutable switch_tx : Of_types.Dpid.t -> Of_message.t -> unit;
@@ -49,7 +50,7 @@ type t = {
 let proactive_host_rules_hook : (t -> Event.t -> unit) ref =
   ref (fun _ _ -> ())
 
-let rec create engine ~id ~profile ~fabric =
+let rec create engine ~id ~profile ~fabric ~flow_memo =
   let pipeline =
     (* Completion events run controller application code: they touch
        this replica's state (caches' local views, private RNGs) and its
@@ -66,6 +67,7 @@ let rec create engine ~id ~profile ~fabric =
       id;
       profile;
       fabric;
+      flow_memo;
       pipeline;
       rng = Rng.split (Engine.rng engine);
       switch_tx = (fun _ _ -> ());
@@ -301,8 +303,8 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
     Of_message.flow_mod ~priority ~idle_timeout:idle ~buffer_id rule
       [ Of_action.Output out_port ]
   in
-  let key = Values.Flow.key dpid rule ~priority in
-  let value = Values.Flow.value fm in
+  let key = Values.Flow.Memo.key t.flow_memo dpid rule ~priority in
+  let value = Values.Flow.Memo.value t.flow_memo fm in
   let cache_actions =
     match read t Names.flowsdb key with
     | Some v when v = value -> []
@@ -478,9 +480,11 @@ let plan_switch_join t ~as_id dpid (fr : Of_message.features_reply) =
 
 let plan_rest t = function
   | Types.Install_flow { dpid; flow } ->
-      let key = Values.Flow.key dpid flow.Of_message.fm_match
-          ~priority:flow.Of_message.priority in
-      let value = Values.Flow.value flow in
+      let key =
+        Values.Flow.Memo.key t.flow_memo dpid flow.Of_message.fm_match
+          ~priority:flow.Of_message.priority
+      in
+      let value = Values.Flow.Memo.value t.flow_memo flow in
       let op =
         match read t Names.flowsdb key with
         | Some _ -> Event.Update
@@ -560,8 +564,10 @@ let plan_proactive_host_rules t ~mac ~host_dpid ~host_port =
                  ~idle_timeout:t.profile.Profile.flow_idle_timeout rule
                  [ Of_action.Output out_port ]
              in
-             let key = Values.Flow.key dpid rule ~priority:50 in
-             let value = Values.Flow.value fm in
+             let key =
+               Values.Flow.Memo.key t.flow_memo dpid rule ~priority:50
+             in
+             let value = Values.Flow.Memo.value t.flow_memo fm in
              if read t Names.flowsdb key = Some value then None
              else
                Some
@@ -572,8 +578,10 @@ let plan_proactive_host_rules t ~mac ~host_dpid ~host_port =
   |> List.concat
 
 let plan_flow_removed t dpid (fr : Of_message.flow_removed) =
-  let key = Values.Flow.key dpid fr.Of_message.fr_match
-      ~priority:fr.Of_message.fr_priority in
+  let key =
+    Values.Flow.Memo.key t.flow_memo dpid fr.Of_message.fr_match
+      ~priority:fr.Of_message.fr_priority
+  in
   match read t Names.flowsdb key with
   | None -> []
   | Some _ ->

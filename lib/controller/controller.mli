@@ -38,7 +38,9 @@ val null_observer : observer
 
 val create :
   Jury_sim.Engine.t -> id:int -> profile:Profile.t ->
-  fabric:Jury_store.Fabric.t -> t
+  fabric:Jury_store.Fabric.t -> flow_memo:Values.Flow.Memo.t -> t
+(** [flow_memo] renders this replica's FLOWSDB keys and values; every
+    controller of one cluster gets the same memo. *)
 
 val id : t -> int
 val profile : t -> Profile.t

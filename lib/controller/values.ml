@@ -150,6 +150,83 @@ module Flow = struct
     match String.index_opt k '/' with
     | None -> None
     | Some i -> dpid_of_prefix k i
+
+  module Memo = struct
+    let capacity = 256
+
+    module Rules = Hashtbl.Make (struct
+      type t = Of_types.Dpid.t * Of_match.t * int
+
+      let equal (d, m, p) (d', m', p') =
+        p = p' && Of_types.Dpid.equal d d' && Of_match.equal m m'
+
+      let hash (d, m, p) = Of_match.hash m + p + Of_types.Dpid.hash d
+    end)
+
+    (* Equal FLOW_MODs render equal values. The record pattern names
+       every field, so a new one cannot be left out of the test. *)
+    module Mods = Hashtbl.Make (struct
+      type t = Of_message.flow_mod
+
+      let equal (a : t) (b : t) =
+        let { Of_message.command; fm_match; priority; cookie; idle_timeout;
+              hard_timeout; actions; fm_buffer_id; out_port } =
+          a
+        in
+        a == b
+        || priority = b.priority
+           && Of_match.equal fm_match b.fm_match
+           && Of_action.equal_list actions b.actions
+           && command = b.command
+           && Int64.equal cookie b.cookie
+           && idle_timeout = b.idle_timeout
+           && hard_timeout = b.hard_timeout
+           && Option.equal Int.equal fm_buffer_id b.fm_buffer_id
+           && Option.equal Int.equal out_port b.out_port
+
+      let hash (fm : t) = Of_match.hash fm.fm_match + fm.priority
+    end)
+
+    type t = {
+      rules : string Rules.t;
+      mods : string Mods.t;
+      mutable lookups : int;
+      mutable hits : int;
+    }
+
+    let create () =
+      { rules = Rules.create capacity; mods = Mods.create capacity;
+        lookups = 0; hits = 0 }
+
+    let size t = Rules.length t.rules + Mods.length t.mods
+    let lookups t = t.lookups
+    let hits t = t.hits
+
+    let key t dpid m ~priority =
+      let rule = (dpid, m, priority) in
+      t.lookups <- t.lookups + 1;
+      match Rules.find t.rules rule with
+      | s ->
+          t.hits <- t.hits + 1;
+          s
+      | exception Not_found ->
+          if Rules.length t.rules >= capacity then Rules.reset t.rules;
+          let s = key dpid m ~priority in
+          Rules.add t.rules rule s;
+          s
+
+    let value t fm =
+      t.lookups <- t.lookups + 1;
+      match Mods.find t.mods fm with
+      | s ->
+          t.hits <- t.hits + 1;
+          s
+      | exception Not_found ->
+          if Mods.length t.mods >= capacity then Mods.reset t.mods;
+          let s = value fm in
+          Mods.add t.mods fm s;
+          s
+  end
 end
 
 module Switch = struct

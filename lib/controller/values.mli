@@ -43,6 +43,28 @@ module Flow : sig
   val value : Of_message.flow_mod -> string
   val parse : string -> Of_message.flow_mod option
   val dpid_of_key : string -> Of_types.Dpid.t option
+
+  (** The last rendered keys and values, so that the k+1 replicas
+      planning one trigger render each rule once. A hit returns the
+      string {!key} or {!value} built for a structurally equal
+      [(dpid, match, priority)] or FLOW_MOD. Holds at most 256 keys
+      and 256 values; a full table is emptied before the next entry
+      goes in. One memo belongs to one cluster: a process-wide table
+      would carry entries from one deployment into the next and be
+      shared across domains. *)
+  module Memo : sig
+    type t
+
+    val create : unit -> t
+    val key : t -> Of_types.Dpid.t -> Of_match.t -> priority:int -> string
+    val value : t -> Of_message.flow_mod -> string
+
+    val size : t -> int
+    (** Keys plus values held. *)
+
+    val lookups : t -> int
+    val hits : t -> int
+  end
 end
 
 (** SWITCHDB: key = dpid, value = connection state + master + ports. *)

@@ -599,7 +599,7 @@ let install cluster (cfg : config) =
           forward ~taint ();
           let wire_size =
             Of_wire.encoded_size msg
-            + (if cfg.encapsulation then Encap.overhead_bytes msg else 0)
+            + (if cfg.encapsulation then Encap.overhead_bytes else 0)
           in
           replicate_trigger t ~primary:master ~taint ~wire_size
             ~decap:cfg.encapsulation trigger);

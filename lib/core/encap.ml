@@ -23,10 +23,7 @@ let decapsulate (pi : Of_message.packet_in) =
       | exception _ -> None)
   | _ -> None
 
-let overhead_bytes msg =
-  let inner = Of_wire.encoded_size msg in
-  let outer =
-    Of_wire.encoded_size
-      (Of_message.make ~xid:0 (Of_message.Packet_in (encapsulate msg)))
-  in
-  outer - inner
+(* The outer OpenFlow header, the PACKET_IN fields before the frame,
+   and the untagged Ethernet header [encapsulate] puts around the
+   inner message. *)
+let overhead_bytes = Of_wire.header_size + 10 + 14

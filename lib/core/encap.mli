@@ -20,6 +20,7 @@ val decapsulate :
 (** Recover the inner message; [None] if the PACKET_IN is not an
     encapsulation. *)
 
-val overhead_bytes : Jury_openflow.Of_message.t -> int
-(** Extra bytes the encapsulated copy occupies on the wire compared to
-    the original message. *)
+val overhead_bytes : int
+(** Extra bytes the encapsulated copy of any message occupies on the
+    wire compared to the original: 32, the outer OpenFlow header (8),
+    the PACKET_IN fields (10) and the Ethernet header (14). *)

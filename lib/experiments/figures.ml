@@ -468,7 +468,10 @@ let policy_scaling ?(iterations = 2000) ?(sizes = [ 100; 500; 1000; 5000; 10000 
   List.map
     (fun n ->
       let engine = make_engine n in
-      (* Warm up, then measure. *)
+      (* Collect first, so that a major slice paying for earlier work
+         does not land in a window this short, then warm up and
+         measure. *)
+      Gc.full_major ();
       for _ = 1 to 50 do
         ignore (Jury_policy.Engine.check engine query)
       done;

@@ -163,8 +163,63 @@ let more_specific a b =
   && sub ( = ) (fun t -> t.tp_dst) (fun t -> t.tp_dst)
 
 let compare = Stdlib.compare
-let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+
+(* Field by field, where the polymorphic versions walk every option
+   block: the flow memo calls both once per rule a replica plans. The
+   record patterns name every field, so a new one cannot be left out.
+   MACs and IPv4 addresses are compared as the ints they are. *)
+let equal_int (a : int option) b =
+  match (a, b) with
+  | Some x, Some y -> x = y
+  | None, None -> true
+  | _ -> false
+
+let equal_prefix (a : (Addr.Ipv4.t * int) option)
+    (b : (Addr.Ipv4.t * int) option) =
+  match (a, b) with
+  | Some (p, bits), Some (p', bits') ->
+      (p :> int) = (p' :> int) && bits = bits'
+  | None, None -> true
+  | _ -> false
+
+let equal a b =
+  let { in_port; dl_src; dl_dst; dl_vlan; dl_type; nw_src; nw_dst; nw_proto;
+        nw_tos; tp_src; tp_dst } =
+    a
+  in
+  a == b
+  || equal_int in_port b.in_port
+     && equal_int (dl_src :> int option) (b.dl_src :> int option)
+     && equal_int (dl_dst :> int option) (b.dl_dst :> int option)
+     && (match (dl_vlan, b.dl_vlan) with
+        | Some v, Some v' -> equal_int v v'
+        | None, None -> true
+        | _ -> false)
+     && equal_int dl_type b.dl_type
+     && equal_prefix nw_src b.nw_src
+     && equal_prefix nw_dst b.nw_dst
+     && equal_int nw_proto b.nw_proto
+     && equal_int nw_tos b.nw_tos
+     && equal_int tp_src b.tp_src
+     && equal_int tp_dst b.tp_dst
+
+let hash { in_port; dl_src; dl_dst; dl_vlan; dl_type; nw_src; nw_dst;
+           nw_proto; nw_tos; tp_src; tp_dst } =
+  let mix h v =
+    let h = (h lxor v) * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+  in
+  let int = function None -> -1 | Some v -> v in
+  let mac = function None -> -1 | Some m -> Addr.Mac.to_int m in
+  let prefix = function
+    | None -> -1
+    | Some (p, bits) -> (Addr.Ipv4.to_int p lsl 6) lxor bits
+  in
+  let vlan = function None -> -1 | Some None -> -2 | Some (Some v) -> v in
+  let h = mix (mix (mix 0 (int in_port)) (mac dl_src)) (mac dl_dst) in
+  let h = mix (mix (mix h (vlan dl_vlan)) (int dl_type)) (prefix nw_src) in
+  let h = mix (mix (mix h (prefix nw_dst)) (int nw_proto)) (int nw_tos) in
+  mix (mix h (int tp_src)) (int tp_dst) land max_int
 
 (* Built without Format or C integer formatting: [Values.Flow.key]
    renders every flow rule through here. *)

@@ -451,4 +451,43 @@ let decode_all s =
   in
   go []
 
-let encoded_size msg = String.length (encode msg)
+(* --- Sizes: what [encode] writes, counted without writing it --- *)
+
+let match_size = 40
+
+(* Enqueue writes 18 bytes though its length field says 16, and
+   [decode_action] reads the same 18. *)
+let action_size : Of_action.t -> int = function
+  | Output _ | Set_vlan _ | Strip_vlan | Set_nw_src _ | Set_nw_dst _
+  | Set_tp_src _ | Set_tp_dst _ ->
+      8
+  | Set_dl_src _ | Set_dl_dst _ -> 16
+  | Enqueue _ -> 18
+
+let actions_size actions =
+  List.fold_left (fun n a -> n + action_size a) 0 actions
+
+let body_size : Of_message.payload -> int = function
+  | Hello | Features_request | Barrier_request | Barrier_reply -> 0
+  | Error _ -> 4
+  | Echo_request s | Echo_reply s -> String.length s
+  | Features_reply fr -> 26 + (2 * List.length fr.ports)
+  | Packet_in pi -> 10 + Frame.encoded_length pi.frame
+  | Packet_out po ->
+      8 + actions_size po.po_actions
+      + (match po.po_frame with
+        | None -> 0
+        | Some frame -> Frame.encoded_length frame)
+  | Flow_mod fm -> match_size + 24 + actions_size fm.actions
+  | Flow_removed _ -> match_size + 40
+  | Port_status _ -> 11
+  | Stats_request (Flow_stats_request _) -> 4 + match_size
+  | Stats_request Table_stats_request -> 4
+  | Stats_reply (Flow_stats_reply stats) ->
+      List.fold_left
+        (fun n (fs : Of_message.flow_stat) ->
+          n + match_size + 20 + actions_size fs.fs_actions)
+        6 stats
+  | Stats_reply (Table_stats_reply _) -> 8
+
+let encoded_size (msg : Of_message.t) = header_size + body_size msg.payload

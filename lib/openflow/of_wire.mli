@@ -20,3 +20,5 @@ val header_size : int
 (** 8 bytes. *)
 
 val encoded_size : Of_message.t -> int
+(** [String.length (encode m)], counted from the message's fields
+    without encoding it. *)

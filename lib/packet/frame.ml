@@ -266,8 +266,26 @@ let decode s =
   in
   { dl_src; dl_dst; vlan; payload }
 
+(* --- Sizes: what [encode] writes, counted without writing it --- *)
+
+let l4_length = function
+  | Tcp _ -> 22
+  | Udp _ -> 8
+  | Icmp _ -> 4
+  | Other_l4 (_, body) -> String.length body
+
+let encoded_length t =
+  14
+  + (match t.vlan with None -> 0 | Some _ -> 4)
+  +
+  match t.payload with
+  | Arp _ -> 28
+  | Ipv4 ip -> 20 + l4_length ip.l4
+  | Lldp l -> Lldp.encoded_length l
+  | Raw (_, body) -> String.length body
+
 let size_on_wire t =
-  let base = String.length (encode t) in
+  let base = encoded_length t in
   match t.payload with
   | Ipv4 { l4 = Tcp { payload_len; _ }; _ } -> base + payload_len
   | Ipv4 { l4 = Udp { payload_len; _ }; _ } -> base + payload_len

@@ -86,6 +86,10 @@ val encode : t -> string
 val decode : string -> t
 (** Raises {!Wire_buf.Truncated} or [Invalid_argument] on garbage. *)
 
+val encoded_length : t -> int
+(** [String.length (encode t)], counted from the frame's fields
+    without encoding it. *)
+
 val size_on_wire : t -> int
 (** Encoded header size plus simulated payload length — the number used
     for bandwidth accounting. *)

@@ -34,6 +34,11 @@ let encode t =
   tlv_header w ~ty:0 ~len:0;
   Wire_buf.Writer.contents w
 
+(* The three mandatory TLVs (11 + 5 + 4 bytes), the optional system
+   name, and the 2-byte end TLV, as [encode] writes them. *)
+let encoded_length t =
+  22 + match t.system_name with None -> 0 | Some name -> 2 + String.length name
+
 let decode s =
   let r = Wire_buf.Reader.of_string s in
   let chassis_id = ref None

@@ -19,6 +19,9 @@ val encode : t -> string
 (** TLV wire encoding (chassis id subtype 7 "locally assigned", port id
     subtype 7, TTL, optional system name, end-of-LLDPDU). *)
 
+val encoded_length : t -> int
+(** [String.length (encode t)], without encoding. *)
+
 val decode : string -> t
 (** Raises {!Wire_buf.Truncated} or [Invalid_argument] on malformed
     input. *)

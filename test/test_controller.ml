@@ -285,6 +285,84 @@ let test_match_to_string_out_of_range () =
         Of_match.nw_src = Some (Ipv4.of_int 0x0a000001, -8);
         nw_dst = Some (Ipv4.of_int 0xc0a80001, 1_000_000) } ]
 
+(* --- Flow memo --- *)
+
+module Memo = Values.Flow.Memo
+
+(* A pool of 400 rules, more than the memo's 256 keys, drawn from with
+   repeats: lookups hit, miss, and run across several resets. *)
+let prop_flow_memo_is_renderer =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (array_repeat 400
+           (triple (int_range 1 3) gen_match
+              (pair (int_bound 0xFFFF) (int_range 1 64))))
+        (list_size (int_range 300 1200) (int_bound 399)))
+  in
+  QCheck.Test.make ~name:"flow memo returns the renderer's strings" ~count:20
+    (QCheck.make gen) (fun (pool, picks) ->
+      let memo = Memo.create () in
+      List.for_all
+        (fun i ->
+          let d, m, (priority, port) = pool.(i) in
+          let dpid = Dpid.of_int d in
+          let fm = Of_message.flow_mod ~priority m [ Of_action.Output port ] in
+          Memo.key memo dpid m ~priority = Values.Flow.key dpid m ~priority
+          && Memo.value memo fm = Values.Flow.value fm
+          && Memo.size memo <= 512)
+        picks
+      && Memo.hits memo > 0)
+
+let test_flow_memo_resets () =
+  let memo = Memo.create () in
+  let rule i = { Of_match.wildcard_all with Of_match.tp_dst = Some i } in
+  let first = Memo.key memo (Dpid.of_int 1) (rule 0) ~priority:1 in
+  check_bool "a hit is the stored string" true
+    (first == Memo.key memo (Dpid.of_int 1) (rule 0) ~priority:1);
+  for i = 1 to 256 do
+    ignore (Memo.key memo (Dpid.of_int 1) (rule i) ~priority:1)
+  done;
+  check_bool "bounded" true (Memo.size memo <= 256);
+  let again = Memo.key memo (Dpid.of_int 1) (rule 0) ~priority:1 in
+  check_bool "rendered again after the reset" true (again != first);
+  Alcotest.(check string) "same string" first again;
+  check_int "lookups" 259 (Memo.lookups memo);
+  check_int "one hit" 1 (Memo.hits memo)
+
+(* Rules one field or the priority apart never share a key, even when
+   the first one is already held. *)
+let prop_flow_memo_keeps_rules_apart =
+  let gen =
+    QCheck.Gen.(
+      triple gen_match (int_bound 0xFFFE)
+        (oneofl [ `Tp_dst; `Nw_src; `In_port; `Priority ]))
+  in
+  QCheck.Test.make ~name:"flow memo keys differ when one field does"
+    ~count:1000 (QCheck.make gen) (fun (m, priority, field) ->
+      let bump = function None -> Some 1 | Some v -> Some (v + 1) in
+      let m', priority' =
+        match field with
+        | `Tp_dst ->
+            ({ m with Of_match.tp_dst = bump m.Of_match.tp_dst }, priority)
+        | `In_port ->
+            ({ m with Of_match.in_port = bump m.Of_match.in_port }, priority)
+        | `Nw_src ->
+            let src =
+              match m.Of_match.nw_src with
+              | None -> Some (Ipv4.of_int 1, 32)
+              | Some (p, bits) ->
+                  Some (Ipv4.of_int (Ipv4.to_int p lxor 1), bits)
+            in
+            ({ m with Of_match.nw_src = src }, priority)
+        | `Priority -> (m, priority + 1)
+      in
+      let memo = Memo.create () in
+      let dpid = Dpid.of_int 7 in
+      let a = Memo.key memo dpid m ~priority in
+      let b = Memo.key memo dpid m' ~priority:priority' in
+      a <> b && b = Values.Flow.key dpid m' ~priority:priority')
+
 (* --- Taints --- *)
 
 let test_taint () =
@@ -821,6 +899,7 @@ let fresh_controller fabric ~node =
         (Fabric.entries fabric ~node ~cache))
     Names.all;
   Controller.create engine ~id:0 ~profile:Profile.onos ~fabric:copy
+    ~flow_memo:(Values.Flow.Memo.create ())
 
 (* Everything the memo serves, plus the plans built from it: every
    route and next hop between two switches, every flood set, and a
@@ -874,7 +953,10 @@ let test_route_memo_matches_graph () =
       let engine = Engine.create ~seed:5 () in
       let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:1 () in
       write_topology fabric ~node:0 plan;
-      let c = Controller.create engine ~id:0 ~profile:Profile.onos ~fabric in
+      let c =
+        Controller.create engine ~id:0 ~profile:Profile.onos ~fabric
+          ~flow_memo:(Values.Flow.Memo.create ())
+      in
       let g = Controller.view c in
       check_int (plan.Builder.name ^ ": view edges")
         (Jury_topo.Graph.edge_count plan.Builder.graph)
@@ -924,7 +1006,10 @@ let test_route_memo_invalidation () =
   Fabric.set_partitioned fabric ~node:1 true;
   write_topology fabric ~node:0 plan;
   write_topology fabric ~node:1 plan;
-  let c = Controller.create engine ~id:1 ~profile:Profile.onos ~fabric in
+  let c =
+    Controller.create engine ~id:1 ~profile:Profile.onos ~fabric
+      ~flow_memo:(Values.Flow.Memo.create ())
+  in
   let same_as_fresh what =
     check_bool what true
       (observe c plan = observe (fresh_controller fabric ~node:1) plan)
@@ -968,6 +1053,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ipv4_strings;
     ("Of_match.to_string out-of-range ints", `Quick,
      test_match_to_string_out_of_range);
+    QCheck_alcotest.to_alcotest prop_flow_memo_is_renderer;
+    ("flow memo resets when full", `Quick, test_flow_memo_resets);
+    QCheck_alcotest.to_alcotest prop_flow_memo_keeps_rules_apart;
     ("taints", `Quick, test_taint);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);

@@ -37,6 +37,55 @@ let test_build_runs_no_event () =
     (Time.equal (Jury_sim.Engine.now engine) Time.zero);
   check_int "no event executed" 0 (Jury_sim.Engine.executed_events engine)
 
+(* Each cluster renders FLOWSDB strings through its own memo, which
+   its replicas share: a second deployment in the same process starts
+   with an empty memo and stores strings of its own, never the first
+   one's. *)
+let test_flow_memo_per_deployment () =
+  let module Cluster = Jury_controller.Cluster in
+  let module Memo = Jury_controller.Values.Flow.Memo in
+  let deploy () =
+    let cluster =
+      Setup.build ~seed:3 ~switches:4 ~profile:Jury_controller.Profile.onos
+        ~nodes:3 ()
+    in
+    check_int "memo empty after build" 0
+      (Memo.size (Cluster.flow_memo cluster));
+    ignore (Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()));
+    Setup.boot cluster;
+    let engine = Cluster.engine cluster in
+    Jury_workload.Flows.controlled_mix (Cluster.network cluster)
+      ~rng:(Jury_sim.Rng.split (Jury_sim.Engine.rng engine))
+      ~packet_in_rate:200. ~duration:(Time.sec 1);
+    Jury_sim.Engine.run engine
+      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 2));
+    cluster
+  in
+  let a = deploy () in
+  let b = deploy () in
+  let memo c = Cluster.flow_memo c in
+  check_bool "one memo per cluster" true (memo a != memo b);
+  (* The primary and both secondaries render each rule: one miss,
+     two hits. *)
+  let hits = Memo.hits (memo a) and lookups = Memo.lookups (memo a) in
+  check_bool "some lookups" true (lookups > 0);
+  check_int "hits are two thirds of lookups" (2 * lookups) (3 * hits);
+  let flows c =
+    Jury_store.Fabric.entries (Cluster.fabric c) ~node:0
+      ~cache:Jury_store.Cache_names.flowsdb
+  in
+  let shared = ref 0 and flows_b = flows b in
+  List.iter
+    (fun (key, va) ->
+      match List.assoc_opt key flows_b with
+      | Some vb ->
+          incr shared;
+          Alcotest.(check string) "same rule, same value" va vb;
+          check_bool "rendered by its own cluster" true (va != vb)
+      | None -> ())
+    (flows a);
+  check_bool "both runs installed the same rules" true (!shared > 0)
+
 let test_throughput_point_tracks_offered_load () =
   let low =
     Figures.fig4f ~seed:5 ~duration:(Time.sec 1) ~rates:[ 500. ]
@@ -175,6 +224,7 @@ let test_each_taint_decided_once () =
 let suite =
   [ ("setup env", `Slow, test_setup_env);
     ("build runs no event", `Quick, test_build_runs_no_event);
+    ("flow memo per deployment", `Quick, test_flow_memo_per_deployment);
     ("each taint decided once", `Slow, test_each_taint_decided_once);
     ("throughput point", `Slow, test_throughput_point_tracks_offered_load);
     ("policy scaling linear", `Quick, test_policy_scaling_linear);

@@ -57,7 +57,11 @@ let test_encap_roundtrip () =
   (match Jury.Encap.decapsulate outer with
   | Some inner' -> check_bool "roundtrip" true (Of_message.equal inner inner')
   | None -> Alcotest.fail "decap failed");
-  check_bool "overhead positive" true (Jury.Encap.overhead_bytes inner > 0);
+  let wire_length m = String.length (Jury_openflow.Of_wire.encode m) in
+  check_int "overhead"
+    (wire_length (Of_message.make ~xid:0 (Of_message.Packet_in outer))
+     - wire_length inner)
+    Jury.Encap.overhead_bytes;
   (* A normal PACKET_IN is not an encapsulation. *)
   check_bool "plain not decapsulated" true
     (Jury.Encap.decapsulate
@@ -1210,6 +1214,16 @@ let prop_validator_total =
       Validator.decided_count v = Array.length taints
       && Validator.pending_count v = 0)
 
+(* Wrapping adds the same bytes to every message. *)
+let prop_encap_overhead_constant =
+  QCheck.Test.make ~name:"encapsulation overhead is constant" ~count:500
+    Test_openflow.arb_message (fun m ->
+      let wire_length m = String.length (Jury_openflow.Of_wire.encode m) in
+      let outer =
+        Of_message.make ~xid:0 (Of_message.Packet_in (Jury.Encap.encapsulate m))
+      in
+      wire_length outer - wire_length m = Jury.Encap.overhead_bytes)
+
 let suite =
   [ ("snapshot order-insensitive", `Quick, test_snapshot_order_insensitive);
     ("snapshot content-sensitive", `Quick, test_snapshot_content_sensitive);
@@ -1255,4 +1269,5 @@ let suite =
      test_zero_churn_byte_identity);
     ("alarm report", `Quick, test_report);
     ("deployment benign + faulty", `Slow, test_deployment_benign_and_faulty);
-    QCheck_alcotest.to_alcotest prop_validator_total ]
+    QCheck_alcotest.to_alcotest prop_validator_total;
+    QCheck_alcotest.to_alcotest prop_encap_overhead_constant ]

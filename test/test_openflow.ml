@@ -468,6 +468,118 @@ let prop_flow_mod_roundtrip =
     (QCheck.make gen_flow_mod)
     (fun fmv -> roundtrip (Of_message.Flow_mod fmv))
 
+let gen_action =
+  let open QCheck.Gen in
+  let mac = map Mac.of_host_index (int_bound 0xFFFF) in
+  let ip = map Ipv4.of_host_index (int_bound 0xFFFF) in
+  let port = int_bound 0xFFFF in
+  oneof
+    [ map (fun p -> Of_action.Output p) port;
+      map (fun m -> Of_action.Set_dl_src m) mac;
+      map (fun m -> Of_action.Set_dl_dst m) mac;
+      map (fun i -> Of_action.Set_nw_src i) ip;
+      map (fun i -> Of_action.Set_nw_dst i) ip;
+      map (fun p -> Of_action.Set_tp_src p) port;
+      map (fun p -> Of_action.Set_tp_dst p) port;
+      map (fun v -> Of_action.Set_vlan v) (int_bound 0xFFF);
+      return Of_action.Strip_vlan;
+      map2 (fun p q -> Of_action.Enqueue (p, q)) port (int_bound 0xFFFF_FFFF) ]
+
+(* Every payload constructor, with the variable-length parts (action
+   lists, frames, port lists, flow stats, echo data) varied. *)
+let gen_message =
+  let open QCheck.Gen in
+  let frame = Test_packet.gen_frame in
+  let actions = list_size (int_bound 4) gen_action in
+  let u16 = int_bound 0xFFFF and u32 = int_bound 0xFFFF_FFFF in
+  let buffer_id = opt (int_bound 0xFFFF_FFFE) in
+  let u64 = map Int64.of_int (int_bound max_int) in
+  let echo = string_size ~gen:char (int_bound 32) in
+  let packet_in =
+    buffer_id >>= fun buffer_id ->
+    u16 >>= fun in_port ->
+    oneofl Of_message.[ No_match; Action_to_controller ] >>= fun reason ->
+    frame >|= fun frame ->
+    Of_message.Packet_in { buffer_id; in_port; reason; frame }
+  in
+  let packet_out =
+    buffer_id >>= fun po_buffer_id ->
+    u16 >>= fun po_in_port ->
+    actions >>= fun po_actions ->
+    opt frame >|= fun po_frame ->
+    Of_message.Packet_out { po_buffer_id; po_in_port; po_actions; po_frame }
+  in
+  let flow_mod =
+    gen_flow_mod >>= fun fm ->
+    actions >|= fun actions -> Of_message.Flow_mod { fm with actions }
+  in
+  let features_reply =
+    u64 >>= fun dpid ->
+    u32 >>= fun n_buffers ->
+    int_bound 255 >>= fun n_tables ->
+    list_size (int_bound 8) u16 >|= fun ports ->
+    Of_message.Features_reply
+      { datapath_id = Of_types.Dpid.of_int64 dpid; n_buffers; n_tables; ports }
+  in
+  let flow_removed =
+    gen_match >>= fun fr_match ->
+    u64 >>= fun fr_cookie ->
+    u16 >>= fun fr_priority ->
+    oneofl Of_message.[ Idle_timeout; Hard_timeout; Deleted ]
+    >>= fun fr_reason ->
+    u32 >>= fun duration_sec ->
+    u64 >>= fun packet_count ->
+    u64 >|= fun byte_count ->
+    Of_message.Flow_removed
+      { fr_match; fr_cookie; fr_priority; fr_reason; duration_sec;
+        packet_count; byte_count }
+  in
+  let port_status =
+    oneofl Of_message.[ Port_add; Port_delete; Port_modify ]
+    >>= fun ps_reason ->
+    u16 >>= fun ps_port ->
+    bool >|= fun ps_link_up ->
+    Of_message.Port_status { ps_reason; ps_port; ps_link_up }
+  in
+  let flow_stat =
+    gen_match >>= fun fs_match ->
+    u16 >>= fun fs_priority ->
+    u64 >>= fun fs_cookie ->
+    actions >>= fun fs_actions ->
+    u64 >|= fun fs_packet_count ->
+    { Of_message.fs_match; fs_priority; fs_cookie; fs_actions;
+      fs_packet_count }
+  in
+  oneof
+    [ oneofl
+        Of_message.
+          [ Hello; Features_request; Barrier_request; Barrier_reply;
+            Stats_request Table_stats_request ];
+      map (fun s -> Of_message.Echo_request s) echo;
+      map (fun s -> Of_message.Echo_reply s) echo;
+      map2 (fun ty code -> Of_message.Error (ty, code)) u16 u16;
+      features_reply;
+      packet_in;
+      packet_out;
+      flow_mod;
+      flow_removed;
+      port_status;
+      map (fun m -> Of_message.Stats_request (Flow_stats_request m)) gen_match;
+      map
+        (fun stats -> Of_message.Stats_reply (Flow_stats_reply stats))
+        (list_size (int_bound 3) flow_stat);
+      map (fun n -> Of_message.Stats_reply (Table_stats_reply n)) u32 ]
+  >>= fun payload ->
+  u32 >|= fun xid -> Of_message.make ~xid payload
+
+let arb_message =
+  QCheck.make ~print:(Format.asprintf "%a" Of_message.pp) gen_message
+
+let prop_message_size =
+  QCheck.Test.make ~name:"message size without encoding" ~count:1000
+    arb_message
+    (fun m -> Of_wire.encoded_size m = String.length (Of_wire.encode m))
+
 let prop_match_strip_idempotent =
   QCheck.Test.make ~name:"strip_invalid_fields idempotent & valid" ~count:300
     (QCheck.make gen_match)
@@ -504,4 +616,5 @@ let suite =
      test_table_exact_index_with_wildcard_override);
     ("error codes", `Quick, test_error_codes);
     QCheck_alcotest.to_alcotest prop_flow_mod_roundtrip;
+    QCheck_alcotest.to_alcotest prop_message_size;
     QCheck_alcotest.to_alcotest prop_match_strip_idempotent ]

@@ -235,16 +235,54 @@ let gen_frame =
             l4 = Frame.Udp { src_port = sp; dst_port = dp; payload_len = 10 } })
       (pair ip ip) (pair port port)
   in
-  let payload = oneof [ arp; tcp; udp ] in
-  map2
-    (fun (dl_src, dl_dst) payload ->
-      { Frame.dl_src; dl_dst; vlan = None; payload })
-    (pair mac mac) payload
+  let ip_with proto l4 =
+    map
+      (fun (src, dst) -> Frame.Ipv4 { src; dst; proto; ttl = 64; dscp = 0; l4 })
+      (pair ip ip)
+  in
+  let icmp =
+    int_bound 255 >>= fun ty ->
+    int_bound 255 >>= fun code -> ip_with 1 (Frame.Icmp { ty; code })
+  in
+  (* Any protocol but ICMP, TCP and UDP decodes back to [Other_l4]. *)
+  let other_l4 =
+    oneofl [ 0; 2; 47; 50; 89; 132; 255 ] >>= fun proto ->
+    string_size ~gen:char (int_bound 64) >>= fun body ->
+    ip_with proto (Frame.Other_l4 (proto, body))
+  in
+  let lldp =
+    map2
+      (fun (chassis, port) name ->
+        Frame.Lldp
+          (Lldp.make ?system_name:name ~chassis_id:(Int64.of_int chassis)
+             ~port_id:port ~ttl:120 ()))
+      (pair (int_bound 0xFFFF_FFFF) port)
+      (opt (string_size ~gen:printable (int_bound 40)))
+  in
+  (* Any ethertype the decoder does not parse stays raw. *)
+  let raw =
+    map2
+      (fun ty body -> Frame.Raw (ty, body))
+      (oneofl [ 0x86DD; 0x8847; 0x9999 ])
+      (string_size ~gen:char (int_bound 64))
+  in
+  let payload = oneof [ arp; tcp; udp; icmp; other_l4; lldp; raw ] in
+  map3
+    (fun (dl_src, dl_dst) vlan payload ->
+      { Frame.dl_src; dl_dst; vlan; payload })
+    (pair mac mac)
+    (opt (int_bound 0xFFF))
+    payload
 
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame encode/decode roundtrip" ~count:300
     (QCheck.make gen_frame)
     (fun f -> Frame.equal f (Frame.decode (Frame.encode f)))
+
+let prop_frame_encoded_length =
+  QCheck.Test.make ~name:"frame length without encoding" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Frame.pp) gen_frame)
+    (fun f -> Frame.encoded_length f = String.length (Frame.encode f))
 
 let suite =
   [ ("mac roundtrip", `Quick, test_mac_roundtrip);
@@ -267,4 +305,5 @@ let suite =
     ("raw payload", `Quick, test_raw_payload);
     ("mac distinctness", `Quick, test_mac_distinctness);
     ("ipv4 host index", `Quick, test_ipv4_host_index_wraps_safely);
-    QCheck_alcotest.to_alcotest prop_frame_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_frame_roundtrip;
+    QCheck_alcotest.to_alcotest prop_frame_encoded_length ]
