@@ -1,0 +1,122 @@
+(** JURY's decision — Algorithm 1 of the paper, as a pure function.
+
+    The validator groups responses by trigger taint τ and decides each
+    trigger's verdict when its response set is complete or its
+    validation timer θτ expires:
+
+    + {b CONSENSUS}: the primary's planned response must match the
+      majority of replicated executions among secondaries whose state
+      snapshot equals the primary's (state-aware consensus, §IV-C A).
+      All-distinct responses are labelled non-deterministic and pass
+      (§IV-C B).
+    + {b SANITY_CHECK}: FLOWSDB cache updates and intercepted FLOW_MOD
+      network writes must correspond one-to-one (T2 detection).
+    + {b POLICY_CHECK}: the primary's response is evaluated against the
+      administrator's policy rules (T3 detection).
+
+    A missing primary response at timer expiry is a response-omission /
+    timing fault attributed to the primary (§IV-C C).
+
+    This module holds those rules and nothing else. {!verdict} reads
+    only its arguments: the config, the validator's flow mirror and one
+    trigger's filed responses. It reads no engine, clock or counter,
+    and writes nothing. Filing by shard, timers, retransmission and
+    observers stay in {!Validator}. *)
+
+module Types = Jury_controller.Types
+
+(** {!Validator.retransmit} and {!Validator.config}, defined here so
+    that {!verdict} can read the config; their fields are documented
+    there. *)
+
+type retransmit = {
+  fraction : float;
+  backoff : float;
+  max_retries : int;
+}
+
+type config = {
+  timeout : Jury_sim.Time.t;
+  adaptive_timeout : bool;
+  state_aware : bool;
+  nondet_rule : bool;
+  policies : Jury_policy.Engine.t;
+  master_lookup : Jury_openflow.Of_types.Dpid.t -> int option;
+  term_lookup : unit -> int;
+  ack_peers_of : int -> int list;
+  retransmit : retransmit option;
+  degraded_quorum : int option;
+  shards : int;
+  max_inflight : int option;
+}
+
+type mirror =
+  (string, string * Jury_openflow.Of_message.flow_mod) Hashtbl.t
+(** The validator's FLOWSDB replica, built from every cache update it
+    has seen: key -> (value string, parsed rule). The sanity check
+    accepts a re-sent FLOW_MOD that matches its mirrored entry. *)
+
+(** {1 The filed responses} *)
+
+type report = {
+  reporter : int;
+  event : Jury_store.Event.t;
+  first : bool;  (** the first report of its (origin, seq) *)
+  ack : bool;
+      (** a peer of the origin reporting the event for the first time:
+          what completeness counts toward the origin's ack quorum *)
+}
+(** One accepted [Cache_update]. *)
+
+type write = {
+  sender : int;
+  dpid : Jury_openflow.Of_types.Dpid.t;
+  flow : Jury_openflow.Of_message.flow_mod;
+  first : bool;  (** the first delivery of its (dpid, encoding) *)
+}
+(** One accepted intercepted FLOW_MOD. *)
+
+type input = {
+  taint : Types.Taint.t;
+  mutable primary : int option;
+  mutable term : int;  (** leadership term; bumped when re-attributed *)
+  secondaries : int list;
+  mutable executions : Response.t list;
+  mutable reports : report list;
+  mutable writes : write list;
+  mutable failures : (int * Types.action * string) list;
+}
+(** One trigger's accepted responses, each list newest first, and who
+    should have sent them. *)
+
+val record : input -> Response.t -> bool
+(** File an arriving response in its list, setting the [first] and
+    [ack] flags the checks read. Returns [false], filing nothing, for a
+    stale channel duplicate: a second Execution from the same
+    (controller, role), or the same body again from the same
+    controller. The first delivery wins, so a duplicate can never
+    satisfy consensus or a quorum twice. *)
+
+val complete : config -> input -> bool
+(** Whether the trigger can be decided before its timer: there are as
+    many secondary executions as secondaries, each of the primary's
+    cache writes has arrived and been acked by all of the origin's
+    peers, and each of its FLOW_MODs is on the wire. *)
+
+val stragglers : input -> int list
+(** Secondaries that never produced an Execution response. *)
+
+(** {1 The verdict} *)
+
+type decision = {
+  verdict : Alarm.verdict;
+  suspects : int list;  (** unsorted, possibly repeated *)
+  detail : string;
+}
+
+val verdict :
+  config -> mirror:mirror -> input -> timed_out:bool -> decision option
+(** The trigger's verdict, or [None] while it cannot be decided yet (no
+    primary execution before the timer). [timed_out] says the timer
+    expired: only then are missing cache events, stray FLOW_MODs and a
+    lost primary judged, and a degraded quorum considered. *)

@@ -19,7 +19,7 @@
    adaptive timeout, inflight cap or policy rules, a constant term
    lookup, and no trace. Under those conditions a replica never calls
    back into main-domain state (the policy engine's [master_lookup] is the
-   one cross-domain read, and {!Validator.run_policy} short-circuits
+   one cross-domain read, and [Decide.policy] short-circuits
    it when no rules are installed), never feeds anything back into the
    channel, and never needs another shard's pending table. The only
    cross-shard coupling left is the FLOWSDB flow mirror, which

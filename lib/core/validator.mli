@@ -1,26 +1,10 @@
-(** The out-of-band validator — Algorithm 1 of the paper.
-
-    Receives the response stream from every JURY controller module and
-    replicator, groups responses by trigger taint τ, and decides each
-    trigger's verdict when its response set is complete or its
-    validation timer θτ expires:
-
-    + {b CONSENSUS}: the primary's planned response must match the
-      majority of replicated executions among secondaries whose state
-      snapshot equals the primary's (state-aware consensus, §IV-C A).
-      All-distinct responses are labelled non-deterministic and pass
-      (§IV-C B).
-    + {b SANITY_CHECK}: FLOWSDB cache updates and intercepted FLOW_MOD
-      network writes must correspond one-to-one (T2 detection).
-    + {b POLICY_CHECK}: the primary's response is evaluated against the
-      administrator's policy rules (T3 detection).
-
-    A missing primary response at timer expiry is a response-omission /
-    timing fault attributed to the primary (§IV-C C). *)
+(** The out-of-band validator: files the response stream by trigger
+    taint τ and runs timers, retransmission and the in-flight bound;
+    the verdict itself (Algorithm 1 of the paper) is {!Decide.verdict}. *)
 
 module Types = Jury_controller.Types
 
-type retransmit = {
+type retransmit = Decide.retransmit = {
   fraction : float;
       (** first retry fires after [fraction]·θτ; in (0, 1] *)
   backoff : float;  (** multiplier between retries; >= 1 *)
@@ -31,14 +15,16 @@ type retransmit = {
     record in [lib/] that is made from scratch; everything else copies
     it and updates the three lookup closures (see
     {!Jury_config.validator}). The validator reads no replication
-    factor: [k] is the replicator's business ({!Deployment.config}). *)
-type config = {
+    factor: [k] is the replicator's business ({!Deployment.config}).
+    Defined in {!Decide}, whose {!Decide.verdict} reads it. *)
+type config = Decide.config = {
   timeout : Jury_sim.Time.t;   (** validation timeout θτ (the maximum,
                                    when adaptive) *)
   adaptive_timeout : bool;
       (** size θτ from recent completion latencies, RTO-style
-          (srtt + 4·rttvar), clamped to at least 10 ms — the §VIII-1
-          extension the paper leaves to future work *)
+          (srtt + 8·rttvar, twice TCP's headroom because completion
+          latencies are heavy-tailed), clamped to at least 10 ms — the
+          §VIII-1 extension the paper leaves to future work *)
   state_aware : bool;
       (** restrict consensus to equal-snapshot replicas; [false] gives
           the naive-majority ablation *)

@@ -10,10 +10,10 @@
 
    The seed entry comes from the explorer's mutation-sensitivity demo
    (see mc_last_responder.patch in this directory): the validator's
-   `finish` was changed to attribute the verdict to
-   `List.hd p.responses` — but that list is newest-first, so the alarm
-   blamed the LAST responder, which depends on the arrival order of
-   simultaneously-delivered quorum responses.  200 sampled fuzz cases
+   `finish` was changed to attribute the verdict to the head of the
+   trigger's `executions` list — but that list is newest-first, so the
+   alarm blamed the LAST responder, which depends on the arrival order
+   of simultaneously-delivered quorum responses.  200 sampled fuzz cases
    stayed green (every sampled schedule used the same FIFO tie-break),
    while `jury_cli mc --switches 1 --triggers 1 --nodes 3` caught it
    in under a hundred schedules and minimised the witness to the

@@ -13,6 +13,7 @@ let () =
       ("controller", Test_controller.suite);
       ("policy", Test_policy.suite);
       ("jury", Test_jury.suite);
+      ("decide", Test_decide.suite);
       ("config", Test_config.suite);
       ("faults", Test_faults.suite);
       ("workload", Test_workload.suite);
