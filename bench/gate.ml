@@ -19,201 +19,47 @@
 
    Usage: gate.exe BASELINE CURRENT [FACTOR] *)
 
-(* --- a minimal JSON reader for the bench's own output ------------- *)
+module Json = Jury_obs.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    String.iter expect word;
-    value
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              go ()
-          | Some 'u' ->
-              (* The bench only escapes control characters; fold the
-                 code point to '?' rather than decoding UTF-16. *)
-              advance ();
-              for _ = 1 to 4 do
-                advance ()
-              done;
-              Buffer.add_char buf '?';
-              go ()
-          | _ -> fail "unsupported escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          List [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elements []
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('0' .. '9' | '-') -> number ()
-    | _ -> fail "unexpected character"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* --- gated rows --------------------------------------------------- *)
 
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-
-let num = function Some (Num f) -> Some f | _ -> None
+let events_per_sec row =
+  Option.bind (Json.member "events_per_sec" row) Json.to_float
 
 (* micro_ns_per_op rows named policy-scale-* *)
 let policy_micro json =
-  match member "micro_ns_per_op" json with
-  | Some (Obj kvs) ->
+  match Json.member "micro_ns_per_op" json with
+  | Some (Json.Obj kvs) ->
       List.filter_map
         (fun (k, v) ->
-          let prefix = "policy-scale-" in
-          if
-            String.length k >= String.length prefix
-            && String.sub k 0 (String.length prefix) = prefix
-          then match v with Num f -> Some (k, f) | _ -> None
+          if String.starts_with ~prefix:"policy-scale-" k then
+            Option.map (fun f -> (k, f)) (Json.to_float v)
           else None)
         kvs
   | _ -> []
 
 let experiment_rate name json =
-  match member "experiments" json with
-  | Some (List rows) ->
+  match Json.member "experiments" json with
+  | Some (Json.List rows) ->
       List.find_map
         (fun row ->
-          if member "name" row = Some (Str name) then
-            num (member "events_per_sec" row)
+          if Json.member "name" row = Some (Json.String name) then
+            events_per_sec row
           else None)
         rows
   | _ -> None
 
 (* experiments rows named profile-* (per-controller-profile runs) *)
 let profile_experiments json =
-  match member "experiments" json with
-  | Some (List rows) ->
+  match Json.member "experiments" json with
+  | Some (Json.List rows) ->
       List.filter_map
         (fun row ->
-          match (member "name" row, num (member "events_per_sec" row)) with
-          | Some (Str name), Some rate
-            when String.length name >= 8 && String.sub name 0 8 = "profile-"
-            ->
+          match (Json.member "name" row, events_per_sec row) with
+          | Some (Json.String name), Some rate
+            when String.starts_with ~prefix:"profile-" name ->
               Some (name, rate)
           | _ -> None)
         rows
@@ -234,12 +80,13 @@ let () =
         exit 2
   in
   let load path =
-    try parse (read_file path) with
-    | Sys_error msg ->
-        Printf.eprintf "gate: %s\n" msg;
-        exit 2
-    | Parse msg ->
+    match Json.of_string (read_file path) with
+    | Ok json -> json
+    | Error msg ->
         Printf.eprintf "gate: %s: %s\n" path msg;
+        exit 2
+    | exception Sys_error msg ->
+        Printf.eprintf "gate: %s\n" msg;
         exit 2
   in
   let baseline = load baseline_path in

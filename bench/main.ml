@@ -886,20 +886,6 @@ type record = {
   r_events : int;  (** simulator events executed, summed over domains *)
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path ~jobs ~full records =
   let buf = Buffer.create 4096 in
   let total_wall = List.fold_left (fun a r -> a +. r.r_wall_s) 0. records in
@@ -919,7 +905,7 @@ let write_json path ~jobs ~full records =
         (Printf.sprintf
            "    {\"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d, \
             \"events_per_sec\": %.1f}%s\n"
-           (json_escape r.r_name) r.r_wall_s r.r_events rate
+           (Jury_obs.Json.escape r.r_name) r.r_wall_s r.r_events rate
            (if i = List.length records - 1 then "" else ",")))
     records;
   Buffer.add_string buf "  ],\n";
@@ -952,9 +938,10 @@ let write_json path ~jobs ~full records =
             \"faults\": %d, \"wall_s\": %.3f, \"events_per_sec\": %.1f, \
             \"verdicts_per_sec\": %.1f, \"domains_spawned\": %d, \
             \"verdicts_match\": %b}%s\n"
-           (json_escape r.fh_profile) r.fh_jobs r.fh_shards r.fh_triggers
-           r.fh_responses r.fh_decided r.fh_faults r.fh_wall_s
-           r.fh_events_per_s r.fh_verdicts_per_s r.fh_domains_spawned matches
+           (Jury_obs.Json.escape r.fh_profile)
+           r.fh_jobs r.fh_shards r.fh_triggers r.fh_responses r.fh_decided
+           r.fh_faults r.fh_wall_s r.fh_events_per_s r.fh_verdicts_per_s
+           r.fh_domains_spawned matches
            (if i = List.length !firehose_rows - 1 then "" else ",")))
     !firehose_rows;
   Buffer.add_string buf "  ],\n";
@@ -964,7 +951,7 @@ let write_json path ~jobs ~full records =
       Buffer.add_string buf
         (Printf.sprintf "%s\n    \"%s\": %.1f"
            (if i = 0 then "" else ",")
-           (json_escape name) ns))
+           (Jury_obs.Json.escape name) ns))
     !micro_rows;
   Buffer.add_string buf (if !micro_rows = [] then "}\n" else "\n  }\n");
   Buffer.add_string buf "}\n";

@@ -6,8 +6,16 @@
      matrix [...]                 -- run every scenario N times on a domain
                                      pool, print the detection matrix
      simulate [...]               -- benign run, print validation stats
+     failover [...]               -- crash a replica, fail its switches over,
+                                     verify service
+     trace [...]                  -- run with the causal trace enabled,
+                                     render a timeline, export JSONL
      validator-scale [...]        -- trigger-rate x shard-count sweep
      policy FILE                  -- parse and lint a policy file (.xml or DSL)
+     check [...]                  -- property-based and coverage-guided
+                                     fuzzing against the oracle battery
+     mc [...]                     -- exhaustive small-scope schedule
+                                     exploration (model checking)
 
    Shared flags (--nodes, --k, --seed, --shards, --batch-us, ...) are
    declared once in the Common table below and reused by every
@@ -89,13 +97,15 @@ module Common = struct
      same listing. *)
 
   let oracle =
+    let families =
+      String.concat ", "
+        (List.map (Printf.sprintf "$(b,%s)") (Jury_check.Registry.families ()))
+    in
     Arg.(value & opt (some string) None
          & info [ "oracle" ] ~docv:"SELECTOR"
-             ~doc:"Restrict the battery to one oracle family \
-                   ($(b,conservation), $(b,sharding), $(b,batching), \
-                   $(b,parallel), $(b,channel), $(b,obs), $(b,policy)) or \
-                   one oracle by name; $(b,--oracle) with an unknown \
-                   selector lists every valid choice.")
+             ~doc:("Restrict the battery to one oracle family (" ^ families
+                  ^ ") or one oracle by name; $(b,--oracle) with an unknown \
+                     selector lists every valid choice."))
 
   let resolve_oracles = function
     | None -> Jury_check.Registry.all ()
@@ -391,12 +401,13 @@ let trace_cmd =
     Arg.(value & opt (some int) None
          & info [ "node" ] ~doc:"Filter exported events by controller id.")
   in
+  let phase_names =
+    Jury_obs.Trace.(String.concat ", " (List.map phase_name all_phases))
+  in
   let phase_arg =
     Arg.(value & opt (some string) None
          & info [ "phase" ]
-             ~doc:"Filter exported events by phase (trigger, intercept, \
-                   replicate, pipeline-service, cache-write, net-write, \
-                   validate, verdict).")
+             ~doc:("Filter exported events by phase (" ^ phase_names ^ ")."))
   in
   let jsonl_arg =
     Arg.(value & opt (some string) None
@@ -439,7 +450,7 @@ let trace_cmd =
           match Jury_obs.Trace.phase_of_name p with
           | Some _ as ph -> ph
           | None ->
-              Printf.eprintf "unknown phase %S\n" p;
+              Printf.eprintf "unknown phase %S; phases: %s\n" p phase_names;
               exit 2)
     in
     let filtered =
@@ -598,7 +609,8 @@ let check_cmd =
     Arg.(value & flag
          & info [ "compare-blind" ]
              ~doc:"Guided mode: also run the same budget of purely blind \
-                   cases and report both feature counts.")
+                   cases, report both feature counts, and exit 1 when \
+                   guided coverage is below blind coverage.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -665,18 +677,22 @@ let check_cmd =
           (Jury_check.Corpus.entries corpus);
         close_out oc;
         Printf.printf "corpus written to %s\n" file);
-    if compare_blind then begin
-      let blind =
-        Jury_check.Fuzz.blind_feature_count ~cases:budget ~seed ()
-      in
+    let guided = Jury_check.Corpus.feature_count corpus in
+    let below_blind =
+      compare_blind
+      &&
+      let blind = Jury_check.Fuzz.blind_feature_count ~cases:budget ~seed () in
       Printf.printf "same-budget blind: %d feature(s); guided: %d (%+d)\n"
-        blind
-        (Jury_check.Corpus.feature_count corpus)
-        (Jury_check.Corpus.feature_count corpus - blind)
-    end;
+        blind guided (guided - blind);
+      guided < blind
+    in
     if summary.Jury_check.Fuzz.failures <> [] then begin
       Printf.printf "%d mutant(s) FAILED the battery\n"
         (List.length summary.Jury_check.Fuzz.failures);
+      exit 1
+    end;
+    if below_blind then begin
+      print_endline "guided coverage FELL BELOW the same-budget blind run";
       exit 1
     end
   in
@@ -719,7 +735,7 @@ let check_cmd =
                full deployment, and checks the oracle battery: verdict \
                conservation, shard-count independence, batching and \
                serial/parallel equivalence, channel counter conservation \
-               and observability consistency.";
+               and compiled-vs-interpreted policy agreement.";
            `P "Case $(i,i) of a run with --seed $(i,s) is generated from \
                seed $(i,s+i); every failure report prints that per-case \
                seed, and $(b,check --cases 1 --seed) $(i,s+i) replays the \

@@ -19,9 +19,7 @@ type summary = {
    no shard/batch/parallel sweeps — the right cost profile for a
    budget loop that wants throughput. *)
 let default_oracles () =
-  Registry.by_family "conservation"
-  @ Registry.by_family "channel"
-  @ Registry.by_family "obs"
+  Registry.by_family "conservation" @ Registry.by_family "channel"
 
 let repro f =
   let b = Buffer.create 1024 in

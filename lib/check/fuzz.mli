@@ -36,7 +36,7 @@ type summary = {
 }
 
 val default_oracles : unit -> Oracle.t list
-(** The cheap per-run families ([conservation], [channel], [obs]) —
+(** The cheap per-run families ([conservation], [channel]) —
     one execution plus a replay per case, no cross-run sweeps. *)
 
 val repro : failure -> string

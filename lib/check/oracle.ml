@@ -324,22 +324,6 @@ let channel_conservation { case; base; _ } =
           (case.Case.retries > 0 || Run.count o Retransmit = 0,
            "validator retransmit count nonzero with retransmit disabled") ]
 
-(* --- obs ---------------------------------------------------------- *)
-
-let obs_consistency { base; _ } =
-  let o = Lazy.force base in
-  all_pass
-    [ (o.Run.obs_counters = o.Run.counters,
-       Printf.sprintf "obs shard sums disagree with the validator: %s"
-         (Option.value ~default:""
-            (Run.diff_counters o.Run.obs_counters o.Run.counters)));
-      (o.Run.obs_epoch = o.Run.epoch,
-       Printf.sprintf "obs epoch %d <> current epoch %d" o.Run.obs_epoch
-         o.Run.epoch);
-      (o.Run.obs_channel_sent = o.Run.totals.Jury.Channel.sent,
-       Printf.sprintf "obs channel sent sum %d <> channel totals %d"
-         o.Run.obs_channel_sent o.Run.totals.Jury.Channel.sent) ]
-
 (* --- policy ------------------------------------------------------- *)
 
 (* Independent of the deployment run (never forces [base]): draws a

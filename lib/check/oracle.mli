@@ -1,6 +1,6 @@
 (** The machine-checkable invariants each generated case is held to.
 
-    Oracles are grouped into seven families, one per soundness claim
+    Oracles are grouped into six families, one per soundness claim
     the codebase accumulated over PR 1–4 and the policy compiler:
 
     - [conservation] — every registered trigger reaches exactly one
@@ -25,8 +25,6 @@
     - [channel] — per-link counter conservation
       ([sent = delivered + dropped], retransmits only when configured,
       no drops or duplicates on a channel whose rates are zero).
-    - [obs] — the counters {!Jury.Obs_bridge} exports as metrics series
-      sum back to the validator's and channels' own totals.
     - [policy] — the {!Jury_policy.Compiled} decision structure agrees
       with the {!Jury_policy.Engine} reference interpreter
       verdict-for-verdict on a rule set and query batch fuzzed from the
@@ -70,7 +68,7 @@ val ctx_with : execute:executor -> Case.t -> ctx
 
 type t = {
   name : string;    (** stable identifier, e.g. ["verdict-conservation"] *)
-  family : string;  (** one of the seven families above *)
+  family : string;  (** one of the six families above *)
   doc : string;     (** one-line description, surfaced by the CLI *)
   check : ctx -> result;
 }
@@ -87,7 +85,6 @@ val shard_independence : ctx -> result
 val batch_equivalence : ctx -> result
 val parallel_identity : ctx -> result
 val channel_conservation : ctx -> result
-val obs_consistency : ctx -> result
 val policy_equivalence : ctx -> result
 
 val check_run : oracles:t list -> ctx -> (t * string) list

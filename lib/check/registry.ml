@@ -68,9 +68,6 @@ let () =
   register ~family:"channel" ~name:"channel-conservation"
     ~doc:"per-link sent = delivered + dropped, retransmits only when configured"
     Oracle.channel_conservation;
-  register ~family:"obs" ~name:"obs-consistency"
-    ~doc:"Obs_bridge metric series sum back to the validator and channel totals"
-    Oracle.obs_consistency;
   register ~family:"policy" ~name:"compiled-interpreted"
     ~doc:
       "the compiled policy decision structure agrees with the reference \

@@ -15,13 +15,9 @@ type outcome = {
   alarm_count : int;
   detection_count : int;
   counters : (Counter.t * int) list;
-  shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
-  obs_counters : (Counter.t * int) list;
-  obs_epoch : int;
-  obs_channel_sent : int;
 }
 
 let verdict_counters =
@@ -173,16 +169,6 @@ let run_workload (case : Case.t) network ~rng ~duration =
         ~dpid:slot.Jury_topo.Builder.dpid ~burst:25 ~burst_gap:(Time.ms 10)
         ~duration
 
-let metrics_sum metrics ~shards c =
-  let total = ref 0 in
-  for i = 0 to shards - 1 do
-    total :=
-      !total
-      + Metrics.count metrics
-          (Printf.sprintf "validator/shard%d/%s" i (Counter.name c))
-  done;
-  !total
-
 let execute ?chooser ?(deterministic = false) ?shards ?batch_us ?trace
     (case : Case.t) =
   (* Every run gets its own policy engine so [Add_rule] fault events
@@ -225,27 +211,11 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us ?trace
   Engine.run engine
     ~until:(Time.add (Engine.now engine) (Time.add duration (Time.sec 2)));
   Validator.flush validator;
-  let links = Jury.Deployment.channel_stats deployment in
-  let metrics = Metrics.create () in
-  Jury.Obs_bridge.record_validator_shards validator metrics;
-  Jury.Obs_bridge.record_channel_counters links metrics;
-  let shard_count = Validator.shard_count validator in
   { fp = fingerprint_of_validator validator;
     pending_after_flush = Validator.pending_count validator;
     alarm_count = List.length (Validator.alarms validator);
     detection_count = Array.length (Validator.detection_times_ms validator);
     counters = Validator.counters validator;
-    shard_count;
     epoch = Validator.current_epoch validator;
-    links;
-    totals = Jury.Deployment.channel_totals deployment;
-    obs_counters =
-      List.map
-        (fun c -> (c, metrics_sum metrics ~shards:shard_count c))
-        Counter.all;
-    obs_epoch = Metrics.count metrics "validator/epoch";
-    obs_channel_sent =
-      List.fold_left
-        (fun acc (name, _) ->
-          acc + Metrics.count metrics ("channel/" ^ name ^ "/sent"))
-        0 links }
+    links = Jury.Deployment.channel_stats deployment;
+    totals = Jury.Deployment.channel_totals deployment }

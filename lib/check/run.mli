@@ -30,15 +30,9 @@ type outcome = {
   alarm_count : int;       (** [Validator.alarms] length *)
   detection_count : int;   (** [Validator.detection_times_ms] length *)
   counters : (Jury.Counter.t * int) list;  (** {!Jury.Validator.counters} *)
-  shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
-  (* Obs_bridge cross-checks: the same counters read back through the
-     metrics series the bridge records. *)
-  obs_counters : (Jury.Counter.t * int) list;  (** per-shard sums *)
-  obs_epoch : int;
-  obs_channel_sent : int;
 }
 
 val count : outcome -> Jury.Counter.t -> int

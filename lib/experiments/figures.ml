@@ -108,14 +108,29 @@ let detection_phase_cdfs ?(seed = 42) ?(duration = Time.sec 5)
   Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
     ~packet_in_rate:rate ~duration;
   Setup.run_for env (Time.add duration (Time.sec 2));
-  let metrics = Jury_sim.Metrics.create () in
-  Jury.Obs_bridge.record_phase_series trace metrics;
-  Jury_sim.Metrics.series_names metrics
-  |> List.sort String.compare
-  |> List.filter_map (fun name ->
-         let samples = Jury_sim.Metrics.samples metrics name in
-         if Array.length samples = 0 then None
-         else Some (cdf_series_of ~label:name samples))
+  (* One sample per closed root span for "span/total", and one per
+     phase that span's children visited; open roots never reached a
+     verdict and are skipped. *)
+  let series = Hashtbl.create 16 in
+  let add name ms =
+    Hashtbl.replace series name
+      (ms :: Option.value ~default:[] (Hashtbl.find_opt series name))
+  in
+  List.iter
+    (fun root ->
+      Option.iter
+        (fun total_ns ->
+          add "span/total" (float_of_int total_ns /. 1e6);
+          List.iter
+            (fun (phase, ms) ->
+              add ("span/" ^ Jury_obs.Trace.phase_name phase) ms)
+            (Jury_obs.Span.phase_breakdown_ms root))
+        (Jury_obs.Span.duration_ns root))
+    (Jury_obs.Span.assemble (Jury_obs.Trace.events trace));
+  Hashtbl.fold (fun name samples acc -> (name, samples) :: acc) series []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, samples) ->
+         cdf_series_of ~label:name (Array.of_list (List.rev samples)))
 
 let fig4a ?pool ?(seed = 42) ?(duration = Time.sec 10) ?(rate = 5500.) () =
   (* One seed across configurations: every series sees the same

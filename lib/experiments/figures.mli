@@ -49,9 +49,10 @@ val detection_phase_cdfs :
   ?seed:int -> ?duration:Jury_sim.Time.t -> ?rate:float -> unit ->
   cdf_series list
 (** Per-phase latency CDFs (ms) for the Fig. 4a k=6 setting, derived
-    from the causal trace via {!Jury.Obs_bridge}: one series per span
-    phase (["span/replicate"], ["span/pipeline-service"], ...) plus
-    ["span/total"] end-to-end. *)
+    from the causal trace ({!Jury_obs.Span.phase_breakdown_ms} of each
+    closed root span): one series per span phase (["span/replicate"],
+    ["span/pipeline-service"], ...) plus ["span/total"] end-to-end,
+    sorted by name. *)
 
 val fig4b :
   ?pool:Jury_par.Pool.t -> ?seed:int -> ?duration:Jury_sim.Time.t -> ?rates:float list -> unit ->

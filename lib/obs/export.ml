@@ -1,51 +1,23 @@
-(* --- JSON encoding (self-contained: no JSON library in the image) --- *)
+(* --- JSON encoding, through {!Json} --- *)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let int_opt = function None -> Json.Null | Some i -> Json.Int i
 
 let event_to_json (ev : Trace.event) =
-  let buf = Buffer.create 128 in
-  let str s =
-    Buffer.add_char buf '"';
-    escape_into buf s;
-    Buffer.add_char buf '"'
+  let phase =
+    match ev.kind with
+    | Trace.Open p | Trace.Point p -> Json.String (Trace.phase_name p)
+    | Trace.Close -> Json.Null
   in
-  Buffer.add_string buf (Printf.sprintf "{\"t\":%d,\"span\":%d," ev.t_ns ev.span);
-  Buffer.add_string buf "\"parent\":";
-  (match ev.parent with
-  | None -> Buffer.add_string buf "null"
-  | Some p -> Buffer.add_string buf (string_of_int p));
-  Buffer.add_string buf ",\"node\":";
-  (match ev.node with
-  | None -> Buffer.add_string buf "null"
-  | Some n -> Buffer.add_string buf (string_of_int n));
-  Buffer.add_string buf ",\"kind\":";
-  str (Trace.kind_name ev.kind);
-  Buffer.add_string buf ",\"phase\":";
-  (match ev.kind with
-  | Trace.Open p | Trace.Point p -> str (Trace.phase_name p)
-  | Trace.Close -> Buffer.add_string buf "null");
-  Buffer.add_string buf ",\"attrs\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      str k;
-      Buffer.add_char buf ':';
-      str v)
-    ev.attrs;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let attrs = List.map (fun (k, v) -> (k, Json.String v)) ev.attrs in
+  Json.to_string
+    (Json.Obj
+       [ ("t", Json.Int ev.t_ns);
+         ("span", Json.Int ev.span);
+         ("parent", int_opt ev.parent);
+         ("node", int_opt ev.node);
+         ("kind", Json.String (Trace.kind_name ev.kind));
+         ("phase", phase);
+         ("attrs", Json.Obj attrs) ])
 
 let to_jsonl events =
   let buf = Buffer.create 4096 in
@@ -56,177 +28,64 @@ let to_jsonl events =
     events;
   Buffer.contents buf
 
-(* --- Minimal JSON parser for the flat event schema --- *)
+(* --- decoding the flat event schema --- *)
 
-exception Parse_error of string
-
-type json =
-  | J_null
-  | J_int of int
-  | J_string of string
-  | J_obj of (string * json) list
-
-let parse_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error msg) in
-  let peek () = if !pos >= n then fail "unexpected end" else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'; advance ()
-          | '\\' -> Buffer.add_char buf '\\'; advance ()
-          | '/' -> Buffer.add_char buf '/'; advance ()
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 'r' -> Buffer.add_char buf '\r'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'b' -> Buffer.add_char buf '\b'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub line !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 ->
-                  Buffer.add_char buf (Char.chr code)
-              | Some _ -> fail "non-ascii \\u escape"
-              | None -> fail "bad \\u escape")
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_string (parse_string ())
-    | '{' -> parse_obj ()
-    | 'n' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "null" then begin
-          pos := !pos + 4;
-          J_null
-        end
-        else fail "bad literal"
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if peek () = '-' then advance ();
-        while
-          !pos < n && match line.[!pos] with '0' .. '9' -> true | _ -> false
-        do advance () done;
-        (match int_of_string_opt (String.sub line start (!pos - start)) with
-        | Some i -> J_int i
-        | None -> fail "bad number")
-    | c -> fail (Printf.sprintf "unexpected %c" c)
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then begin
-      advance ();
-      J_obj []
-    end
-    else begin
-      let fields = ref [] in
-      let rec member () =
-        let key = (skip_ws (); parse_string ()) in
-        expect ':';
-        let v = parse_value () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | ',' -> advance (); member ()
-        | '}' -> advance ()
-        | c -> fail (Printf.sprintf "expected , or } got %c" c)
-      in
-      member ();
-      J_obj (List.rev !fields)
-    end
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+exception Bad of string
 
 let event_of_json line =
-  try
-    match parse_json line with
-    | J_obj fields ->
-        let get name =
-          match List.assoc_opt name fields with
-          | Some v -> v
-          | None -> raise (Parse_error ("missing field " ^ name))
-        in
-        let as_int name =
-          match get name with
-          | J_int i -> i
-          | _ -> raise (Parse_error (name ^ ": expected int"))
-        in
-        let as_int_opt name =
-          match get name with
-          | J_int i -> Some i
-          | J_null -> None
-          | _ -> raise (Parse_error (name ^ ": expected int or null"))
-        in
-        let as_string name =
-          match get name with
-          | J_string s -> s
-          | _ -> raise (Parse_error (name ^ ": expected string"))
-        in
-        let phase () =
-          match get "phase" with
-          | J_string s -> (
-              match Trace.phase_of_name s with
-              | Some p -> p
-              | None -> raise (Parse_error ("unknown phase " ^ s)))
-          | _ -> raise (Parse_error "phase: expected string")
-        in
-        let kind =
-          match as_string "kind" with
-          | "open" -> Trace.Open (phase ())
-          | "close" -> Trace.Close
-          | "point" -> Trace.Point (phase ())
-          | k -> raise (Parse_error ("unknown kind " ^ k))
-        in
-        let attrs =
-          match get "attrs" with
-          | J_obj kvs ->
-              List.map
-                (fun (k, v) ->
-                  match v with
-                  | J_string s -> (k, s)
-                  | _ -> raise (Parse_error "attrs: expected string values"))
-                kvs
-          | _ -> raise (Parse_error "attrs: expected object")
-        in
-        Ok
-          { Trace.t_ns = as_int "t";
-            span = as_int "span";
-            parent = as_int_opt "parent";
-            node = as_int_opt "node";
-            kind;
-            attrs }
-    | _ -> Error "expected a JSON object"
-  with Parse_error msg -> Error msg
+  let bad msg = raise (Bad msg) in
+  let event fields =
+    let get name =
+      match List.assoc_opt name fields with
+      | Some v -> v
+      | None -> bad ("missing field " ^ name)
+    in
+    let as_int name =
+      match get name with Json.Int i -> i | _ -> bad (name ^ ": expected int")
+    in
+    let as_int_opt name =
+      match get name with
+      | Json.Int i -> Some i
+      | Json.Null -> None
+      | _ -> bad (name ^ ": expected int or null")
+    in
+    let phase () =
+      match get "phase" with
+      | Json.String s -> (
+          match Trace.phase_of_name s with
+          | Some p -> p
+          | None -> bad ("unknown phase " ^ s))
+      | _ -> bad "phase: expected string"
+    in
+    let kind =
+      match get "kind" with
+      | Json.String "open" -> Trace.Open (phase ())
+      | Json.String "close" -> Trace.Close
+      | Json.String "point" -> Trace.Point (phase ())
+      | Json.String k -> bad ("unknown kind " ^ k)
+      | _ -> bad "kind: expected string"
+    in
+    let attrs =
+      match get "attrs" with
+      | Json.Obj kvs ->
+          List.map
+            (function
+              | k, Json.String s -> (k, s)
+              | _ -> bad "attrs: expected string values")
+            kvs
+      | _ -> bad "attrs: expected object"
+    in
+    { Trace.t_ns = as_int "t";
+      span = as_int "span";
+      parent = as_int_opt "parent";
+      node = as_int_opt "node";
+      kind;
+      attrs }
+  in
+  match Json.of_string line with
+  | Error _ as e -> e
+  | Ok (Json.Obj fields) -> ( try Ok (event fields) with Bad msg -> Error msg)
+  | Ok _ -> Error "expected a JSON object"
 
 let of_jsonl s =
   let lines = String.split_on_char '\n' s in

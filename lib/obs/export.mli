@@ -5,13 +5,15 @@
     {"t":1200,"span":3,"parent":1,"node":4,"kind":"open",
      "phase":"replicate","attrs":{"taint":"ext:0:17"}}
     v}
-    The codec is self-contained (no external JSON dependency) and
+    Each line is written and read through {!Json}, and the codec
     round-trips exactly: [of_jsonl (to_jsonl evs) = Ok evs]. *)
 
 val event_to_json : Trace.event -> string
 (** Single-line JSON object (no trailing newline). *)
 
 val event_of_json : string -> (Trace.event, string) result
+(** [Error] names the malformed byte or the missing or mistyped
+    field. *)
 
 val to_jsonl : Trace.event list -> string
 (** One event per line, newline-terminated. *)

@@ -1,6 +1,7 @@
 (* Tests for the jury_obs causal trace layer: span-tree shape for a
-   PACKET_IN trigger, zero-perturbation when disabled, and the JSONL
-   round-trip (the ISSUE acceptance criteria). *)
+   PACKET_IN trigger, zero-perturbation when disabled, the JSONL
+   round-trip, and the JSON reader both the export and the bench gate
+   parse with. *)
 
 module Engine = Jury_sim.Engine
 module Time = Jury_sim.Time
@@ -13,6 +14,7 @@ module Types = Jury_controller.Types
 module Trace = Jury_obs.Trace
 module Span = Jury_obs.Span
 module Export = Jury_obs.Export
+module Json = Jury_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -170,7 +172,118 @@ let test_jsonl_roundtrip () =
               check_bool "node filter" true (e.Trace.node = Some 0))
             es)
 
+(* (d) The JSON reader on the shapes the bench gate and the trace
+   export read, and on malformed input. *)
+let json =
+  Alcotest.testable (fun ppf v -> Fmt.string ppf (Json.to_string v)) ( = )
+
+(* Shaped like `bench --json` output. *)
+let bench_doc =
+  {|{
+  "jobs": 1,
+  "mode": "quick",
+  "experiments": [
+    {"name": "profile-onos", "wall_s": 3.845, "events": 1415642, "events_per_sec": 368159.2}
+  ],
+  "firehose": [
+  ],
+  "micro_ns_per_op": {
+    "policy-scale-100-compiled": 100.8
+  }
+}
+|}
+
+let json_ok =
+  Json.
+    [ ("null", Null);
+      (" true ", Bool true);
+      ("false", Bool false);
+      ("0", Int 0);
+      ("-17", Int (-17));
+      ("1234567890123456789", Int 1234567890123456789);
+      ("99999999999999999999", Float 1e20);
+      ("2.5", Float 2.5);
+      ("-0.125", Float (-0.125));
+      ("1e3", Float 1000.);
+      ("6.02E+23", Float 6.02e23);
+      ("-4.5e-3", Float (-0.0045));
+      ({|"a\"b\\c\/d\n\r\t\b\f"|}, String "a\"b\\c/d\n\r\t\b\012");
+      ({|"\u0041\u00e9\u20ac\ud83d\ude00"|},
+       String "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+      ("[]", List []);
+      ("{}", Obj []);
+      ("[1, [2, [3, []]], {\"k\": [null]}]",
+       List [ Int 1; List [ Int 2; List [ Int 3; List [] ] ];
+              Obj [ ("k", List [ Null ]) ] ]);
+      ("{\"a\": {\"b\": {\"c\": -1.5}}, \"a\": 2}",
+       Obj [ ("a", Obj [ ("b", Obj [ ("c", Float (-1.5)) ]) ]); ("a", Int 2) ]);
+      ( bench_doc,
+        Obj
+          [ ("jobs", Int 1);
+            ("mode", String "quick");
+            ( "experiments",
+              List
+                [ Obj
+                    [ ("name", String "profile-onos");
+                      ("wall_s", Float 3.845);
+                      ("events", Int 1415642);
+                      ("events_per_sec", Float 368159.2) ] ] );
+            ("firehose", List []);
+            ( "micro_ns_per_op",
+              Obj [ ("policy-scale-100-compiled", Float 100.8) ] ) ] ) ]
+
+(* Malformed input and the byte offset its error must name. *)
+let json_bad =
+  [ ("", 0);
+    ("   ", 3);
+    ("nul", 3);
+    ("tru e", 3);
+    ("[1, 2", 5);
+    ("[1 2]", 3);
+    ("{\"a\" 1}", 5);
+    ("{\"a\": 1,}", 8);
+    ("{1: 2}", 1);
+    ("\"abc", 4);
+    ({|"\x"|}, 2);
+    ({|"\u12"|}, 3);
+    ({|"\ud800x"|}, 7);
+    ("-", 0);
+    ("1.2.3", 0);
+    ("[] []", 3);
+    ("@", 0) ]
+
+let test_json_reader () =
+  List.iter
+    (fun (input, want) ->
+      match Json.of_string input with
+      | Ok v ->
+          Alcotest.check json (Printf.sprintf "%S" input) want v;
+          Alcotest.check json
+            (Printf.sprintf "%S re-read" input)
+            want
+            (Result.get_ok (Json.of_string (Json.to_string v)))
+      | Error e -> Alcotest.failf "%S rejected: %s" input e)
+    json_ok;
+  List.iter
+    (fun (input, at) ->
+      match Json.of_string input with
+      | Ok v -> Alcotest.failf "%S accepted as %s" input (Json.to_string v)
+      | Error e ->
+          let suffix = Printf.sprintf " at byte %d" at in
+          check_bool
+            (Printf.sprintf "%S: %S names byte %d" input e at)
+            true
+            (String.ends_with ~suffix e))
+    json_bad;
+  Alcotest.(check string) "escape" {|q\"b\\n\nr\rt\tc\u0001é|}
+    (Json.escape "q\"b\\n\nr\rt\tc\001é");
+  check_int "ns timestamps round-trip exactly" max_int
+    (match Json.of_string (Json.to_string (Json.Int max_int)) with
+    | Ok (Json.Int i) -> i
+    | _ -> -1)
+
 let suite =
   [ ("packet_in span tree", `Quick, test_span_tree);
     ("disabled trace is inert", `Quick, test_determinism);
-    ("jsonl round-trip + query", `Quick, test_jsonl_roundtrip) ]
+    ("jsonl round-trip + query", `Quick, test_jsonl_roundtrip);
+    ("json reader cases", `Quick, test_json_reader) ]

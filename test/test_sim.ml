@@ -324,23 +324,6 @@ let test_engine_run_until_boundary () =
   Engine.run e ~until:(Time.ms 5);
   check_bool "boundary event runs" true !fired
 
-(* --- Metrics --- *)
-
-let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.record m "lat" 1.0;
-  Metrics.record m "lat" 2.0;
-  Metrics.record_time m "lat" (Time.ms 3);
-  Alcotest.(check (array (float 1e-9))) "samples" [| 1.; 2.; 3. |]
-    (Metrics.samples m "lat");
-  Metrics.incr m "hits";
-  Metrics.incr m ~by:4 "hits";
-  check_int "counter" 5 (Metrics.count m "hits");
-  check_int "missing counter" 0 (Metrics.count m "nope");
-  Alcotest.(check (list string)) "names" [ "lat" ] (Metrics.series_names m);
-  Metrics.clear m;
-  check_int "cleared" 0 (Array.length (Metrics.samples m "lat"))
-
 (* --- QCheck properties --- *)
 
 let prop_heap_sorted =
@@ -489,7 +472,6 @@ let suite =
     ("engine every", `Quick, test_engine_every);
     ("engine nested schedule", `Quick, test_engine_nested_schedule);
     ("engine rejects past", `Quick, test_engine_past_rejected);
-    ("metrics", `Quick, test_metrics);
     ("engine every with jitter", `Quick, test_engine_every_jitter);
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
     QCheck_alcotest.to_alcotest prop_heap_sorted;
