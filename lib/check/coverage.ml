@@ -10,7 +10,6 @@ let diff = SS.diff
 let is_empty = SS.is_empty
 let equal = SS.equal
 let mem = SS.mem
-let of_features = SS.of_list
 
 (* Power-of-four bucketing keeps the feature space finite and coarse:
    a counter moving from 5 to 6 (or 15) is the same behaviour, 5 to

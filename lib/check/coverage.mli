@@ -26,7 +26,6 @@ val of_run : ?trace:Jury_obs.Trace.t -> Case.t -> Run.outcome -> t
 val features : t -> string list
 (** Sorted. *)
 
-val of_features : string list -> t
 val cardinal : t -> int
 val union : t -> t -> t
 

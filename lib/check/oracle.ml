@@ -331,7 +331,7 @@ let channel_conservation { case; base; _ } =
    compiled decision structure to agree with the reference interpreter
    verdict-for-verdict, before and after a mid-stream add_rule. *)
 let policy_equivalence { case; _ } =
-  match Policy_gen.diff ~seed:case.Case.case_seed () with
+  match Policy_gen.diff ~seed:case.Case.case_seed with
   | None -> Pass
   | Some msg -> failf "compiled <> interpreted: %s" msg
 

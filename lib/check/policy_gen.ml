@@ -131,10 +131,10 @@ let first_disagreement engine queries =
              pp_verdict a pp_verdict b))
     queries
 
-let diff ?(rules = 24) ?(queries = 40) ~seed () =
+let diff ~seed =
   Gen.run ~seed (fun rng ->
-      let rs = Gen.list_of ~len:(Gen.int_in 0 rules) rule rng in
-      let qs = Gen.list_of ~len:(Gen.int_in 1 queries) query rng in
+      let rs = Gen.list_of ~len:(Gen.int_in 0 24) rule rng in
+      let qs = Gen.list_of ~len:(Gen.int_in 1 40) query rng in
       let engine = Engine.create rs in
       match first_disagreement engine qs with
       | Some msg -> Some msg

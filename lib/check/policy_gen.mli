@@ -29,9 +29,9 @@ val query : Jury_policy.Ast.query Gen.t
     sometimes real FLOWSDB flow encodings so the flow checks exercise
     both arms. *)
 
-val diff : ?rules:int -> ?queries:int -> seed:int -> unit -> string option
-(** Draw a rule set (up to [rules], default 24) and a query batch (up
-    to [queries], default 40) from [seed]; check every query under
+val diff : seed:int -> string option
+(** Draw a rule set (up to 24 rules) and a query batch (up to 40
+    queries) from [seed]; check every query under
     both {!Jury_policy.Engine.check} and {!Jury_policy.Compiled.check}
     — [Denied] verdicts must carry the {e physically} identical rule —
     then {!Jury_policy.Engine.add_rule} one more rule and re-check the

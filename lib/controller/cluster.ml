@@ -46,7 +46,6 @@ type t = {
   mutable election : election option;
   mutable southbound_hook : southbound_hook;
   mutable northbound_hook : northbound_hook;
-  mutable southbound_bytes : int;
 }
 
 let engine t = t.engine
@@ -136,14 +135,12 @@ let create engine ~profile ~nodes:n ~network =
       failed = [];
       election = None;
       southbound_hook = default_southbound;
-      northbound_hook = default_northbound;
-      southbound_bytes = 0 }
+      northbound_hook = default_northbound }
   in
   (* Controller → switch channels. *)
   Array.iter
     (fun ctrl ->
       Controller.set_switch_tx ctrl (fun dpid msg ->
-          t.southbound_bytes <- t.southbound_bytes + Of_wire.encoded_size msg;
           match Network.switch network dpid with
           | sw ->
               ignore
@@ -160,7 +157,6 @@ let create engine ~profile ~nodes:n ~network =
     (fun sw ->
       let dpid = Switch.dpid sw in
       Switch.set_control_tx sw (fun msg ->
-          t.southbound_bytes <- t.southbound_bytes + Of_wire.encoded_size msg;
           (* The footprint names the master as of send time; the
              callback re-resolves it at delivery, so under mastership
              churn the declaration can go stale. Scenarios with
@@ -396,4 +392,3 @@ let query_flows t ~node dpid =
 
 let set_southbound_hook t h = t.southbound_hook <- h
 let set_northbound_hook t h = t.northbound_hook <- h
-let southbound_bytes t = t.southbound_bytes

@@ -138,6 +138,3 @@ val trigger_of_message :
   Of_types.Dpid.t -> Of_message.t -> Types.trigger option
 (** Southbound message → trigger conversion (PACKET_IN, PORT_STATUS,
     FEATURES_REPLY, FLOW_REMOVED; [None] for echo traffic etc.). *)
-
-val southbound_bytes : t -> int
-(** Cumulative OpenFlow bytes on switch↔controller channels. *)

@@ -110,13 +110,23 @@ module Link = struct
         | _ -> None)
     | _ -> None
 
+  (* "<endpoint>--<endpoint>", split at the first "--". An endpoint's
+     dpid is hex and its port an int, so neither holds a "--": a key
+     with a second one fails to parse. *)
   let parse_key k =
-    match Str_split.split_on_substring ~sep:"--" k with
-    | [ a; b ] -> (
+    let n = String.length k in
+    let rec sep i =
+      if i + 1 >= n then None
+      else if k.[i] = '-' && k.[i + 1] = '-' then Some i
+      else sep (i + 1)
+    in
+    match sep 0 with
+    | None -> None
+    | Some i -> (
+        let a = String.sub k 0 i and b = String.sub k (i + 2) (n - i - 2) in
         match (parse_endpoint a, parse_endpoint b) with
         | Some e1, Some e2 -> Some (e1, e2)
         | _ -> None)
-    | _ -> None
 
   let involves k dpid port =
     match parse_key k with

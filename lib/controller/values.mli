@@ -32,6 +32,8 @@ module Link : sig
 
   val parse_key :
     string -> ((Of_types.Dpid.t * int) * (Of_types.Dpid.t * int)) option
+  (** Reads back a {!key}; [None] unless the string holds exactly one
+      ["--"] between two endpoints. *)
 
   val involves : string -> Of_types.Dpid.t -> int -> bool
   (** Does this link key touch the given switch port? *)

@@ -8,11 +8,7 @@ module Of_match = Jury_openflow.Of_match
 module Of_action = Jury_openflow.Of_action
 module Dpid = Jury_openflow.Of_types.Dpid
 
-type retransmit = {
-  fraction : float;
-  backoff : float;
-  max_retries : int;
-}
+type retransmit = { max_retries : int }
 
 type config = {
   timeout : Time.t;

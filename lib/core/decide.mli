@@ -29,11 +29,7 @@ module Types = Jury_controller.Types
     that {!verdict} can read the config; their fields are documented
     there. *)
 
-type retransmit = {
-  fraction : float;
-  backoff : float;
-  max_retries : int;
-}
+type retransmit = { max_retries : int }
 
 type config = {
   timeout : Jury_sim.Time.t;

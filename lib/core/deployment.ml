@@ -60,10 +60,9 @@ type t = {
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
   inflight : (string, inflight) Hashtbl.t;
-  reattributed : (string, int) Hashtbl.t;
-      (* taint → current primary, for triggers whose attribution moved
-         to a new master after a mid-run failover; empty (and never
-         consulted to any effect) when election is off *)
+      (* taint → what a retransmission or a failover re-drive needs,
+         including the current primary; kept only when retransmission
+         or election is on *)
   mutable batch_buf : Response.t list;  (* newest first *)
   mutable batch_flush : Engine.handle option;
       (* armed lazily on the first buffered response so an idle engine
@@ -235,13 +234,12 @@ let install_node_module t node =
           | Some taint ->
               let is_mine =
                 (* A failover may have moved the trigger's attribution
-                   to a new master; the re-attribution table wins over
-                   the primary minted into the taint. *)
+                   to a new master; the in-flight record's primary wins
+                   over the primary minted into the taint. *)
                 match
-                  Hashtbl.find_opt t.reattributed
-                    (Types.Taint.to_string taint)
+                  Hashtbl.find_opt t.inflight (Types.Taint.to_string taint)
                 with
-                | Some p -> p = node
+                | Some inf -> inf.inf_primary = node
                 | None -> (
                     match Types.Taint.primary_of taint with
                     | Some p -> p = node
@@ -470,7 +468,6 @@ let handle_failover t ~term ~failed ~leader =
               Validator.reattribute t.validator ~taint ~primary:new_primary
                 ~term
             then begin
-              Hashtbl.replace t.reattributed key new_primary;
               Hashtbl.replace t.inflight key
                 { inf with inf_primary = new_primary };
               if trace_enabled t then
@@ -562,7 +559,6 @@ let install cluster (cfg : config) =
               ~name:(Printf.sprintf "validator/%d" i)
               cfg.channel);
       inflight = Hashtbl.create 256;
-      reattributed = Hashtbl.create 16;
       batch_buf = [];
       batch_flush = None;
       nodes;
@@ -583,8 +579,7 @@ let install cluster (cfg : config) =
   if cfg.validator.retransmit <> None || cfg.election <> None then
     Validator.on_verdict t.validator (fun alarm ->
         let key = Types.Taint.to_string alarm.Alarm.taint in
-        Hashtbl.remove t.inflight key;
-        Hashtbl.remove t.reattributed key);
+        Hashtbl.remove t.inflight key);
   for node = 0 to n - 1 do
     install_node_module t node
   done;

@@ -6,14 +6,10 @@ open Jury_sim
 
 type t = Deployment.config
 
-let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
-  if not (fraction > 0. && fraction <= 1.) then
-    invalid_arg "Jury_config.retransmit: fraction must be in (0, 1]";
-  if not (backoff >= 1.) then
-    invalid_arg "Jury_config.retransmit: backoff must be >= 1";
+let retransmit ?(max_retries = 2) () =
   if max_retries < 0 then
     invalid_arg "Jury_config.retransmit: max_retries must be >= 0";
-  { Validator.fraction; backoff; max_retries }
+  { Validator.max_retries }
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
@@ -89,12 +85,9 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     batch_window = batch;
     election }
 
-let validator ?master_lookup ?term_lookup ?ack_peers_of (t : t) =
+let validator ?ack_peers_of (t : t) =
   let v = t.Deployment.validator in
-  { v with
-    master_lookup = Option.value master_lookup ~default:v.master_lookup;
-    term_lookup = Option.value term_lookup ~default:v.term_lookup;
-    ack_peers_of = Option.value ack_peers_of ~default:v.ack_peers_of }
+  { v with ack_peers_of = Option.value ack_peers_of ~default:v.ack_peers_of }
 
 let install = Deployment.install
 let timeout (t : t) = t.Deployment.validator.timeout

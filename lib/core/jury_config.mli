@@ -66,23 +66,17 @@ val make :
     mid-run failover re-attribution — see the [election] field of
     {!Deployment.config}. *)
 
-val retransmit :
-  ?fraction:float -> ?backoff:float -> ?max_retries:int -> unit ->
-  Validator.retransmit
-(** Validated retransmission policy (defaults: first retry at 0.4·θτ,
-    backoff 2.0, 2 rounds). Raises [Invalid_argument] on a [fraction]
-    outside (0, 1], a [backoff] below 1 or negative [max_retries]. *)
+val retransmit : ?max_retries:int -> unit -> Validator.retransmit
+(** Validated retransmission policy: first retry at 0.4·θτ, backoff
+    2.0, at most [max_retries] rounds (default 2). Raises
+    [Invalid_argument] on a negative [max_retries]. *)
 
-val validator :
-  ?master_lookup:(Jury_openflow.Of_types.Dpid.t -> int option) ->
-  ?term_lookup:(unit -> int) ->
-  ?ack_peers_of:(int -> int list) ->
-  t -> Validator.config
+val validator : ?ack_peers_of:(int -> int list) -> t -> Validator.config
 (** The configuration's validator record, for driving a
     {!Validator.t} without a deployment (tests, offline replay), with
-    the given lookup closures. An omitted closure keeps [make]'s
-    detached default: no switch has a master, the term stays 0 and no
-    node has ack peers. *)
+    the given ack peers (default: no node has any). Its other lookups
+    are [make]'s detached defaults: no switch has a master and the term
+    stays 0. *)
 
 val install : Jury_controller.Cluster.t -> t -> Deployment.t
 (** [install cluster t] interposes the deployment [t] denotes on

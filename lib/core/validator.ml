@@ -4,11 +4,7 @@ module Values = Jury_controller.Values
 module Event = Jury_store.Event
 module Names = Jury_store.Cache_names
 
-type retransmit = Decide.retransmit = {
-  fraction : float;
-  backoff : float;
-  max_retries : int;
-}
+type retransmit = Decide.retransmit = { max_retries : int }
 
 type config = Decide.config = {
   timeout : Time.t;
@@ -283,16 +279,22 @@ let arm_timer t p =
 
 (* --- Bounded retransmission with exponential backoff --- *)
 
-let retry_delay t (rt : retransmit) round =
+(* The first retry fires after 0.4·θτ; each later one waits twice as
+   long as the one before. *)
+let retry_fraction = 0.4
+let retry_backoff = 2.0
+
+let retry_delay t round =
   let theta = Time.to_float_ms (current_timeout t) in
-  Time.of_float_ms (theta *. rt.fraction *. (rt.backoff ** float_of_int round))
+  Time.of_float_ms
+    (theta *. retry_fraction *. (retry_backoff ** float_of_int round))
 
 let rec arm_retry t p rt =
   add t.shards.(p.shard) Retry_armed 1;
   p.retry_timer <-
     Some
       (Engine.schedule t.engine
-         ~after:(retry_delay t rt p.retry_round)
+         ~after:(retry_delay t p.retry_round)
          (fun () -> fire_retry t p rt))
 
 and fire_retry t p (rt : retransmit) =

@@ -5,11 +5,11 @@
 module Types = Jury_controller.Types
 
 type retransmit = Decide.retransmit = {
-  fraction : float;
-      (** first retry fires after [fraction]·θτ; in (0, 1] *)
-  backoff : float;  (** multiplier between retries; >= 1 *)
   max_retries : int;  (** retry cap per straggling secondary *)
 }
+(** Retransmission of a trigger to straggling secondaries: the first
+    retry fires after 0.4·θτ, and each later one waits twice as long
+    as the one before (backoff 2.0). *)
 
 (** The validator's parameters. {!Jury_config.make} builds the one
     record in [lib/] that is made from scratch; everything else copies
@@ -42,9 +42,9 @@ type config = Decide.config = {
           for writes originating at a given node *)
   retransmit : retransmit option;
       (** when set, a secondary that has not responded by
-          [fraction]·θτ gets the trigger re-replicated (via
-          {!set_retransmit_handler}), with exponential backoff up to
-          [max_retries] rounds; [None] = seed behaviour *)
+          0.4·θτ gets the trigger re-replicated (via
+          {!set_retransmit_handler}), with exponential backoff (2.0)
+          up to [max_retries] rounds; [None] = seed behaviour *)
   degraded_quorum : int option;
       (** when set, a timed-out external trigger whose arrived
           equivalent-view responses all agree — and number at least

@@ -38,22 +38,9 @@ let get_pool = function
 
 let par ?pool xs f = Jury_par.Pool.map_ordered (get_pool pool) xs f
 
-(* Regroup a flattened inner×outer sweep back into per-outer chunks of
-   [n] results, in order. *)
-let rec chunks n = function
-  | [] -> []
-  | xs ->
-      let rec split i ys =
-        if i = 0 then ([], ys)
-        else
-          match ys with
-          | [] -> invalid_arg "Figures.chunks: result underflow"
-          | y :: rest ->
-              let a, b = split (i - 1) rest in
-              (y :: a, b)
-      in
-      let mine, others = split n xs in
-      mine :: chunks n others
+(* The nested sweeps (series × rates, modes × repeats) run every cell,
+   not just every series, as its own pool task. *)
+let grid ?pool rows cols f = Jury_par.Pool.map_grid (get_pool pool) rows cols f
 
 let cdf_series_of ~label samples =
   if Array.length samples = 0 then
@@ -257,48 +244,28 @@ let throughput_point ~seed ~profile ~nodes ~jury ~rate ~duration =
   Setup.run_for env (Time.add duration (Time.sec 1));
   Probe.mean_flow_mod_rate probe
 
-(* The nested nodes×rates (or configs×rates) sweeps flatten to one task
-   list so every cell — not just every series — is its own pool task,
-   then chunk back into per-series point lists. *)
+(* One throughput curve per series, one point per rate. *)
+let throughput_sweep ?pool ~rates ~label series point =
+  List.map
+    (fun (s, vals) ->
+      { series_label = label s; points = List.combine rates vals })
+    (grid ?pool series rates point)
+
 let fig4f ?pool ?(seed = 48) ?(duration = Time.sec 3)
     ?(rates = [ 1000.; 2500.; 4000.; 5500.; 7000.; 8500.; 10000. ])
     ?(nodes_list = [ 1; 3; 5; 7 ]) () =
-  let cells =
-    List.concat_map
-      (fun nodes -> List.map (fun rate -> (nodes, rate)) rates)
-      nodes_list
-  in
-  let values =
-    par ?pool cells (fun (nodes, rate) ->
-        throughput_point ~seed:(seed + nodes) ~profile:Profile.onos ~nodes
-          ~jury:None ~rate ~duration)
-  in
-  List.map2
-    (fun nodes vals ->
-      { series_label = Printf.sprintf "n = %d" nodes;
-        points = List.combine rates vals })
-    nodes_list
-    (chunks (List.length rates) values)
+  throughput_sweep ?pool ~rates ~label:(Printf.sprintf "n = %d") nodes_list
+    (fun nodes rate ->
+      throughput_point ~seed:(seed + nodes) ~profile:Profile.onos ~nodes
+        ~jury:None ~rate ~duration)
 
 let fig4g ?pool ?(seed = 49) ?(duration = Time.sec 3)
     ?(rates = [ 200.; 400.; 600.; 800.; 1000. ]) ?(nodes_list = [ 1; 3; 5; 7 ])
     () =
-  let cells =
-    List.concat_map
-      (fun nodes -> List.map (fun rate -> (nodes, rate)) rates)
-      nodes_list
-  in
-  let values =
-    par ?pool cells (fun (nodes, rate) ->
-        throughput_point ~seed:(seed + nodes) ~profile:Profile.odl ~nodes
-          ~jury:None ~rate ~duration)
-  in
-  List.map2
-    (fun nodes vals ->
-      { series_label = Printf.sprintf "n = %d" nodes;
-        points = List.combine rates vals })
-    nodes_list
-    (chunks (List.length rates) values)
+  throughput_sweep ?pool ~rates ~label:(Printf.sprintf "n = %d") nodes_list
+    (fun nodes rate ->
+      throughput_point ~seed:(seed + nodes) ~profile:Profile.odl ~nodes
+        ~jury:None ~rate ~duration)
 
 let fig4h ?pool ?(seed = 50) ?(duration = Time.sec 3)
     ?(rates = [ 1000.; 2500.; 4000.; 5500.; 7000.; 8500.; 10000. ]) () =
@@ -310,21 +277,9 @@ let fig4h ?pool ?(seed = 50) ?(duration = Time.sec 3)
              Printf.sprintf "Jury, n = 7, k = %d" k ))
          [ 2; 4; 6 ]
   in
-  let cells =
-    List.concat_map
-      (fun (jury, label) -> List.map (fun rate -> (jury, label, rate)) rates)
-      configs
-  in
-  let values =
-    par ?pool cells (fun (jury, _, rate) ->
-        throughput_point ~seed ~profile:Profile.onos ~nodes:7 ~jury ~rate
-          ~duration)
-  in
-  List.map2
-    (fun (_, series_label) vals ->
-      { series_label; points = List.combine rates vals })
-    configs
-    (chunks (List.length rates) values)
+  throughput_sweep ?pool ~rates ~label:snd configs (fun (jury, _) rate ->
+      throughput_point ~seed ~profile:Profile.onos ~nodes:7 ~jury ~rate
+        ~duration)
 
 let fig4i ?pool ?(seed = 51) ?(duration = Time.sec 5)
     ?(rates = [ 100.; 200.; 300.; 400.; 500. ]) () =
@@ -522,9 +477,8 @@ let ablation_state_aware ?pool ?(seed = 53) ?(duration = Time.sec 8)
       in
       (mode, decided, faults, unverifiable))
 
-let ablation_timeout ?pool ?(seed = 54) ?(duration = Time.sec 8)
-    ?(timeouts_ms = [ 25; 50; 100; 150; 300; 600 ]) () =
-  par ?pool timeouts_ms (fun timeout_ms ->
+let ablation_timeout ?pool ?(seed = 54) ?(duration = Time.sec 8) () =
+  par ?pool [ 25; 50; 100; 150; 300; 600 ] (fun timeout_ms ->
       let env =
         Setup.make ~seed
           ~jury:(Jury.Jury_config.make ~k:6 ~timeout:(Time.ms timeout_ms) ())
@@ -593,7 +547,7 @@ let ablation_nondeterminism ?pool ?(seed = 57) ?(duration = Time.sec 5) () =
       (Profile.onos_ecmp, true, "ecmp, nondet-rule-on");
       (Profile.onos_ecmp, false, "ecmp, nondet-rule-off") ]
     (fun (profile, nondet_rule, label) ->
-      let plan = Jury_topo.Builder.three_tier ~hosts_per_edge:2 () in
+      let plan = Jury_topo.Builder.three_tier ~hosts_per_edge:2 in
       let env =
         Setup.make ~seed ~plan
           ~jury:(Jury.Jury_config.make ~k:4 ~nondet_rule ())
@@ -688,29 +642,19 @@ let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
      cross-checks the faulty one; with a static peer set a fault at a
      node outside anyone's peer set can only be caught when it acts as
      primary. We measure detections of a consensus fault either way.
-     Both modes × all repeats flatten to one task list. *)
+     Both modes × all repeats run as one grid. *)
   let modes = [ (true, "random-per-trigger"); (false, "static-peers") ] in
-  let cells =
-    List.concat_map
-      (fun (random, label) ->
-        List.init repeats (fun i -> (random, label, i)))
-      modes
-  in
-  let reports =
-    par ?pool cells (fun (random, _, i) ->
-        Runner.run
-          ~seed:(seed + (17 * i))
-          ~switches:12 ~k:2 ~random_secondaries:random
-          Jury_faults.Scenarios.link_failure)
-  in
-  List.map2
-    (fun (_, label) outcomes ->
+  List.map
+    (fun ((_, label), outcomes) ->
       let detected =
         List.length (List.filter (fun r -> r.Runner.detected) outcomes)
       in
       (label, detected, repeats))
-    modes
-    (chunks repeats reports)
+    (grid ?pool modes (List.init repeats Fun.id) (fun (random, _) i ->
+         Runner.run
+           ~seed:(seed + (17 * i))
+           ~switches:12 ~k:2 ~random_secondaries:random
+           Jury_faults.Scenarios.link_failure))
 
 (* --- Validator scaling: trigger rate x shard count --- *)
 

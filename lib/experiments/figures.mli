@@ -179,10 +179,11 @@ val ablation_state_aware :
     state-aware consensus on vs off. *)
 
 val ablation_timeout :
-  ?pool:Jury_par.Pool.t -> ?seed:int -> ?duration:Jury_sim.Time.t -> ?timeouts_ms:int list -> unit ->
+  ?pool:Jury_par.Pool.t -> ?seed:int -> ?duration:Jury_sim.Time.t -> unit ->
   (int * float * float) list
 (** (timeout ms, false-positive rate, p95 detection ms) under benign
-    traffic — the §VIII-1 trade-off. *)
+    traffic at θτ = 25, 50, 100, 150, 300 and 600 ms — the §VIII-1
+    trade-off. *)
 
 val ablation_secondary_selection :
   ?pool:Jury_par.Pool.t -> ?seed:int -> ?repeats:int -> unit -> (string * int * int) list

@@ -141,11 +141,9 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
       (if wall > 0. then float_of_int decided /. wall else 0.);
     fh_domains_spawned = Jury_par.Pool.domains_spawned () - domains0 }
 
-let default_points = [ (1, 1); (1, 4); (2, 2); (2, 4); (4, 4) ]
-
 let sweep ?(seed = 11) ?(duration = Time.ms 400) ?(profile = Firehose.enterprise)
-    ?(points = default_points) () =
+    () =
   List.map
     (fun (jobs, shards) ->
       run_point ~seed ~profile ~duration ~jobs ~shards ())
-    points
+    [ (1, 1); (1, 4); (2, 2); (2, 4); (4, 4) ]

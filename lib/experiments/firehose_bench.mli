@@ -39,11 +39,8 @@ val run_point :
     time (default sweep uses 400 ms); [nodes] (default 5) and [k]
     (default 2) shape the responder set. *)
 
-val default_points : (int * int) list
-(** [(jobs, shards)]: [(1,1); (1,4); (2,2); (2,4); (4,4)]. *)
-
 val sweep :
   ?seed:int -> ?duration:Jury_sim.Time.t ->
-  ?profile:Jury_workload.Firehose.profile ->
-  ?points:(int * int) list -> unit -> row list
-(** The rows of {!default_points} (or [points]), in order. *)
+  ?profile:Jury_workload.Firehose.profile -> unit -> row list
+(** One row per [(jobs, shards)] point, in order: [(1,1); (1,4); (2,2);
+    (2,4); (4,4)]. *)

@@ -75,33 +75,10 @@ let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?nodes ?k ?faulty
   (* One pool task per (scenario, repeat) cell — every cell builds its
      own engine inside the task, so the matrix is embarrassingly
      parallel and its result is independent of the worker count. *)
-  let cells =
-    List.concat_map
-      (fun scenario -> List.init repeats (fun i -> (scenario, i)))
-      scenarios
-  in
-  let reports =
-    Jury_par.Pool.map_ordered pool cells (fun (scenario, i) ->
-        run ~seed:(seed + (i * 13)) ?nodes ?k ?faulty ?extra_slow ?switches
-          scenario)
-  in
-  let rec regroup scenarios reports =
-    match scenarios with
-    | [] -> []
-    | scenario :: rest ->
-        let rec split n rs =
-          if n = 0 then ([], rs)
-          else
-            match rs with
-            | [] -> invalid_arg "Runner.run_matrix: report underflow"
-            | r :: rs ->
-                let taken, rest = split (n - 1) rs in
-                (r :: taken, rest)
-        in
-        let mine, others = split repeats reports in
-        (scenario, mine) :: regroup rest others
-  in
-  regroup scenarios reports
+  Jury_par.Pool.map_grid pool scenarios (List.init repeats Fun.id)
+    (fun scenario i ->
+      run ~seed:(seed + (i * 13)) ?nodes ?k ?faulty ?extra_slow ?switches
+        scenario)
 
 let pp_report fmt r =
   Format.fprintf fmt "%-28s %-2s %-10s %s" r.scenario.Scenarios.name

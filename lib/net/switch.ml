@@ -7,7 +7,6 @@ type t = {
   dpid : Of_types.Dpid.t;
   table : Flow_table.t;
   buffers : (int, int * Frame.t) Hashtbl.t;  (* buffer id -> in_port, frame *)
-  buffer_slots : int;
   mutable next_buffer : int;
   mutable next_xid : int;
   mutable ports : int list;
@@ -24,12 +23,15 @@ type t = {
 
 let expiry_period = Time.sec 2
 
-let make engine dpid ~lenient_table ~buffer_slots =
+(* Packet buffers a switch advertises; a PACKET_IN raised while every
+   one holds a frame carries no buffer id. *)
+let buffer_slots = 256
+
+let create engine dpid ?(lenient_table = false) () =
   { engine;
     dpid;
     table = Flow_table.create ~lenient:lenient_table ();
     buffers = Hashtbl.create 64;
-    buffer_slots;
     next_buffer = 0;
     next_xid = 0;
     ports = [];
@@ -102,9 +104,6 @@ let rec ensure_expiry_sweep t =
            ensure_expiry_sweep t))
   end
 
-let create engine dpid ?(lenient_table = false) ?(buffer_slots = 256) () =
-  make engine dpid ~lenient_table ~buffer_slots
-
 let port_usable t port = not (Hashtbl.mem t.down_ports port)
 
 let emit t ~in_port ~port frame =
@@ -130,7 +129,7 @@ let emit t ~in_port ~port frame =
     physical
 
 let buffer_frame t ~in_port frame =
-  if Hashtbl.length t.buffers >= t.buffer_slots then None
+  if Hashtbl.length t.buffers >= buffer_slots then None
   else begin
     t.next_buffer <- t.next_buffer + 1;
     Hashtbl.replace t.buffers t.next_buffer (in_port, frame);
@@ -171,7 +170,7 @@ let apply_buffered t buffer_id actions =
 let features_reply t =
   Of_message.Features_reply
     { datapath_id = t.dpid;
-      n_buffers = t.buffer_slots;
+      n_buffers = buffer_slots;
       n_tables = 1;
       ports = ports t }
 

@@ -15,8 +15,9 @@ open Jury_openflow
 type t
 
 val create :
-  Jury_sim.Engine.t -> Of_types.Dpid.t -> ?lenient_table:bool ->
-  ?buffer_slots:int -> unit -> t
+  Jury_sim.Engine.t -> Of_types.Dpid.t -> ?lenient_table:bool -> unit -> t
+(** A switch with 256 packet buffers; a PACKET_IN raised while every
+    one holds a frame carries no buffer id. *)
 
 val dpid : t -> Of_types.Dpid.t
 val table : t -> Flow_table.t

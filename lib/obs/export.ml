@@ -116,23 +116,16 @@ let read_file path =
 
 (* --- Query --- *)
 
-let query ?taint ?node ?phase ?kind ?since_ns ?until_ns events =
+let query ?taint ?node ?phase events =
   List.filter
     (fun (ev : Trace.event) ->
       (match taint with None -> true | Some t -> Trace.taint_of ev = Some t)
       && (match node with None -> true | Some n -> ev.node = Some n)
-      && (match phase with
-         | None -> true
-         | Some p -> (
-             match ev.kind with
-             | Trace.Open q | Trace.Point q -> q = p
-             | Trace.Close -> false))
-      && (match kind with
-         | None -> true
-         | Some `Open -> ( match ev.kind with Trace.Open _ -> true | _ -> false)
-         | Some `Close -> ev.kind = Trace.Close
-         | Some `Point -> (
-             match ev.kind with Trace.Point _ -> true | _ -> false))
-      && (match since_ns with None -> true | Some s -> ev.t_ns >= s)
-      && match until_ns with None -> true | Some u -> ev.t_ns <= u)
+      &&
+      match phase with
+      | None -> true
+      | Some p -> (
+          match ev.kind with
+          | Trace.Open q | Trace.Point q -> q = p
+          | Trace.Close -> false))
     events

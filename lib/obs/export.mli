@@ -30,11 +30,8 @@ val query :
   ?taint:string ->
   ?node:int ->
   ?phase:Trace.phase ->
-  ?kind:[ `Open | `Close | `Point ] ->
-  ?since_ns:int ->
-  ?until_ns:int ->
   Trace.event list ->
   Trace.event list
 (** Conjunction of the given filters, preserving order. [phase]
     matches [Open]/[Point] events of that phase; [taint] matches the
-    stamped ["taint"] attribute; the time window is inclusive. *)
+    stamped ["taint"] attribute. *)

@@ -58,7 +58,7 @@ let dummy_event =
   { t_ns = 0; span = 0; parent = None; node = None; kind = Close; attrs = [] }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   buf : event array;  (* ring; [head] is the next write slot *)
   mutable head : int;
   mutable len : int;
@@ -70,9 +70,9 @@ type t = {
          taint and parent without the caller knowing either *)
 }
 
-let create ?(capacity = 65536) ?(enabled = true) () =
+let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { enabled;
+  { enabled = true;
     buf = Array.make capacity dummy_event;
     head = 0;
     len = 0;
@@ -81,10 +81,9 @@ let create ?(capacity = 65536) ?(enabled = true) () =
     roots = Hashtbl.create 64;
     meta = Hashtbl.create 64 }
 
-let null () = create ~capacity:1 ~enabled:false ()
+let null () = { (create ~capacity:1 ()) with enabled = false }
 
 let enabled t = t.enabled
-let set_enabled t e = t.enabled <- e
 let capacity t = Array.length t.buf
 let length t = t.len
 let dropped t = t.dropped
@@ -121,8 +120,6 @@ let open_root t ~t_ns ~taint ?node attrs =
         attrs = taint_attr taint attrs };
     span
   end
-
-let root_of t ~taint = Hashtbl.find_opt t.roots taint
 
 let open_child t ~t_ns ~taint ~phase ?node attrs =
   if not t.enabled then None

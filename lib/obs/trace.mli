@@ -51,16 +51,15 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> ?enabled:bool -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [create ()] makes an enabled trace holding up to [capacity]
     (default 65536) events. *)
 
 val null : unit -> t
 (** A tiny disabled trace; the default sink so emission sites never
-    need an option. *)
+    need an option. A trace stays enabled or disabled for life. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 val capacity : t -> int
 val length : t -> int
 val dropped : t -> int
@@ -76,9 +75,6 @@ val open_root : t -> t_ns:int -> taint:string -> ?node:int ->
   (string * string) list -> span_id
 (** Opens the root span for taint τ (kind [Open Trigger]); subsequent
     taint-keyed emissions attach to it. Returns 0 when disabled. *)
-
-val root_of : t -> taint:string -> span_id option
-(** The still-open root span for τ, if any. *)
 
 val open_child : t -> t_ns:int -> taint:string -> phase:phase ->
   ?node:int -> (string * string) list -> span_id option

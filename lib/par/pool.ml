@@ -220,6 +220,12 @@ let map_ordered t xs f =
   if errors <> [] then raise (Tasks_failed errors);
   List.map (function Ok y -> y | Error _ -> assert false) results
 
+let map_grid t rows cols f =
+  let cells = List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows in
+  let results = Array.of_list (map_ordered t cells (fun (r, c) -> f r c)) in
+  let n = List.length cols in
+  List.mapi (fun i r -> (r, List.init n (fun j -> results.((i * n) + j)))) rows
+
 (* --- long-running async tasks (pipeline stage consumers) --- *)
 
 type ticket = {

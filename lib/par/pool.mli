@@ -55,6 +55,12 @@ val map_ordered : t -> 'a list -> ('a -> 'b) -> 'b list
     single-element [xs]) degenerates to an in-place [List.map] with no
     domain spawns. *)
 
+val map_grid :
+  t -> 'r list -> 'c list -> ('r -> 'c -> 'b) -> ('r * 'b list) list
+(** [map_grid t rows cols f] runs [f r c] for every cell of
+    [rows] × [cols] as its own {!map_ordered} task (row-major) and
+    returns each row with its results, both in input order. *)
+
 val try_map_ordered : t -> 'a list -> ('a -> 'b) -> ('b, error) result list
 (** Like {!map_ordered} but returns per-task results instead of
     raising, for callers that want to salvage the survivors. *)

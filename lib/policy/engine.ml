@@ -81,4 +81,3 @@ let check_all t queries =
     queries
 
 let of_dsl src = Result.map create (Parse.dsl src)
-let of_xml src = Result.map create (Parse.xml src)

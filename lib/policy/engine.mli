@@ -50,4 +50,3 @@ val check_all : t -> Ast.query list -> Ast.rule list
 (** Every deny verdict across a whole response's queries. *)
 
 val of_dsl : string -> (t, string) result
-val of_xml : string -> (t, string) result

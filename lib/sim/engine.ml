@@ -40,10 +40,10 @@ type handle = event
 let global_executed = Atomic.make 0
 let total_executed () = Atomic.get global_executed
 
-let create ?(seed = 42) ?tie () =
+let create ?(seed = 42) () =
   { clock = Time.zero;
     seq = 0;
-    queue = Heap.create ?tie ~dummy ();
+    queue = Heap.create ~dummy ();
     root_rng = Rng.create seed;
     trace = Jury_obs.Trace.null ();
     executed = 0;

@@ -12,11 +12,10 @@ type handle
 (** Cancellation handle for a scheduled event — the queued event
     itself, so scheduling allocates one record besides the closure. *)
 
-val create : ?seed:int -> ?tie:Heap.tie -> unit -> t
+val create : ?seed:int -> unit -> t
 (** [create ?seed ()] makes an engine whose root RNG is seeded with
-    [seed] (default 42). [tie] (default {!Heap.fifo}) breaks the event
-    queue's equal-timestamp ties; the default reproduces the seed's
-    (time, insertion) order byte-for-byte. *)
+    [seed] (default 42). Events run in (time, insertion) order; only
+    {!set_chooser} reorders equal-timestamp events. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)

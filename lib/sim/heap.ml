@@ -1,8 +1,3 @@
-type tie = int -> int -> bool
-
-let fifo : tie = ( < )
-let lifo : tie = ( > )
-
 (* Struct-of-arrays binary heap. Heap position [i < size] holds the
    priority [(keys.(i), seqs.(i))] and the payload slot [slots.(i)];
    the payload itself sits at [vals.(slots.(i))] and never moves while
@@ -21,25 +16,19 @@ type 'a t = {
   mutable slots : int array;
   mutable vals : 'a array;
   mutable size : int;
-  tie : tie;
   dummy : 'a;
 }
 
-let create ?(tie = fifo) ~dummy () =
-  { keys = [||];
-    seqs = [||];
-    slots = [||];
-    vals = [||];
-    size = 0;
-    tie;
-    dummy }
+let create ~dummy () =
+  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; size = 0; dummy }
 
 let length h = h.size
 let is_empty h = h.size = 0
 
-(* Whether priority [(k, s)] pops strictly before [(k', s')]. *)
-let[@inline] before h (k : Time.t) s (k' : Time.t) s' =
-  (k :> int) < (k' :> int) || (k = k' && h.tie s s')
+(* Whether priority [(k, s)] pops strictly before [(k', s')]: by key,
+   then first inserted first. *)
+let[@inline] before (k : Time.t) s (k' : Time.t) s' =
+  (k :> int) < (k' :> int) || (k = k' && s < s')
 
 let grow h =
   let cap = Array.length h.keys in
@@ -66,7 +55,7 @@ let sift_up h i k s slot =
     !i > 0
     &&
     let p = (!i - 1) / 2 in
-    before h k s keys.(p) seqs.(p)
+    before k s keys.(p) seqs.(p)
   do
     let p = (!i - 1) / 2 in
     keys.(!i) <- keys.(p);
@@ -91,7 +80,7 @@ let hole_down h i =
     let l = (2 * !i) + 1 in
     let r = l + 1 in
     let c =
-      if r < n && before h keys.(r) seqs.(r) keys.(l) seqs.(l) then r else l
+      if r < n && before keys.(r) seqs.(r) keys.(l) seqs.(l) then r else l
     in
     keys.(!i) <- keys.(c);
     seqs.(!i) <- seqs.(c);

@@ -1,13 +1,11 @@
 (** Imperative binary min-heap, the core of the event queue.
 
-    Ties are broken by an insertion sequence number supplied by the
-    caller. The default tie-breaker is FIFO on that number, which gives
-    the arrival ordering of simultaneous events that a deterministic
-    discrete-event simulation requires; a heap can instead be created
-    with any strict total order on sequence numbers (the hook the
-    schedule explorer builds on), and {!tied_front}/{!remove_seq} let a
-    scheduler inspect and resolve a timestamp tie one event at a
-    time.
+    Ties are broken FIFO by an insertion sequence number supplied by
+    the caller, which gives the arrival ordering of simultaneous events
+    that a deterministic discrete-event simulation requires;
+    {!tied_front}/{!remove_seq} let a scheduler inspect and resolve a
+    timestamp tie one event at a time (the hook the schedule explorer
+    builds on).
 
     Representation: the priorities live in unboxed [int] arrays and
     each payload sits at a stable slot of a separate array, so {!push},
@@ -16,27 +14,12 @@
 
 type 'a t
 
-type tie = int -> int -> bool
-(** [tie a b] orders the insertion sequence numbers of two equal-key
-    elements: [true] means the element inserted as [a] pops before the
-    one inserted as [b]. A tie-breaker must be a strict total order on
-    the sequence numbers the caller supplies (irreflexive, transitive,
-    total) or the pop order is unspecified. *)
-
-val fifo : tie
-(** [( < )] — first inserted pops first. The default, and the seed's
-    documented behaviour. *)
-
-val lifo : tie
-(** [( > )] — last inserted pops first; the exact reverse of {!fifo}
-    on any set of equal-key elements. *)
-
-val create : ?tie:tie -> dummy:'a -> unit -> 'a t
-(** An empty heap breaking key ties with [tie] (default {!fifo}).
-    [dummy] fills every payload slot that holds no queued element: a
-    slot is reset to it as soon as its element is removed, so the heap
-    never keeps a popped payload reachable. [dummy] itself stays
-    reachable for the heap's lifetime, so it should own nothing big. *)
+val create : dummy:'a -> unit -> 'a t
+(** An empty heap ordered by [(key, seq)]. [dummy] fills every
+    payload slot that holds no queued element: a slot is reset to it as
+    soon as its element is removed, so the heap never keeps a popped
+    payload reachable. [dummy] itself stays reachable for the heap's
+    lifetime, so it should own nothing big. *)
 
 val length : 'a t -> int
 (** Number of queued elements. *)
@@ -71,9 +54,8 @@ val peek : 'a t -> (Time.t * int * 'a) option
 
 val tied_front : 'a t -> (Time.t * int * 'a) list
 (** Every element whose key equals the minimum key, in ascending
-    insertion-sequence order (regardless of the heap's tie-breaker);
-    [[]] if empty. O(n) — meant for schedule exploration over small
-    queues, not for the hot pop path. *)
+    insertion-sequence order; [[]] if empty. O(n) — meant for schedule
+    exploration over small queues, not for the hot pop path. *)
 
 val remove_seq : 'a t -> seq:int -> (Time.t * int * 'a) option
 (** Removes the element inserted with sequence number [seq], wherever

@@ -1,6 +1,10 @@
 let glyphs = [| '*'; '+'; 'o'; 'x'; '#'; '@'; '%'; '&' |]
 
-let render ~width ~height ~x_min ~x_max ~y_min ~y_max ~x_label ~y_label series
+(* Plot area in characters. *)
+let width = 64
+let height = 16
+
+let render ~x_min ~x_max ~y_min ~y_max ~x_label ~y_label series
     ~points_of =
   let buf = Buffer.create ((width + 12) * (height + 4)) in
   let grid = Array.make_matrix height width ' ' in
@@ -44,7 +48,7 @@ let render ~width ~height ~x_min ~x_max ~y_min ~y_max ~x_label ~y_label series
     series;
   Buffer.contents buf
 
-let cdf ?(width = 64) ?(height = 16) ?(x_label = "") series =
+let cdf ?(x_label = "") series =
   let all_points =
     List.concat_map (fun (_, c) -> Cdf.points c) series
   in
@@ -57,12 +61,12 @@ let cdf ?(width = 64) ?(height = 16) ?(x_label = "") series =
           (first.Cdf.x, first.Cdf.x)
           all_points
       in
-      render ~width ~height ~x_min ~x_max ~y_min:0. ~y_max:1. ~x_label
+      render ~x_min ~x_max ~y_min:0. ~y_max:1. ~x_label
         ~y_label:"CDF" series
         ~points_of:(fun c ->
           List.map (fun (p : Cdf.point) -> (p.Cdf.x, p.Cdf.p)) (Cdf.points c))
 
-let xy ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "") series =
+let xy ?(x_label = "") ?(y_label = "") series =
   let all_points = List.concat_map snd series in
   match all_points with
   | [] -> "  (no points)\n"
@@ -74,5 +78,5 @@ let xy ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "") series =
           (x0, x0, y0, y0) all_points
       in
       let y_min = Float.min 0. y_min in
-      render ~width ~height ~x_min ~x_max ~y_min ~y_max ~x_label ~y_label
+      render ~x_min ~x_max ~y_min ~y_max ~x_label ~y_label
         series ~points_of:(fun s -> s)

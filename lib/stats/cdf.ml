@@ -53,8 +53,3 @@ let fraction_below t x =
     | pt :: rest -> if pt.x <= x then go pt.p rest else acc
   in
   go 0. t
-
-let pp_series ?(unit_label = "") fmt t =
-  List.iter
-    (fun { x; p } -> Format.fprintf fmt "  %10.3f%s  %.4f@." x unit_label p)
-    t

@@ -24,6 +24,3 @@ val fraction_below : t -> float -> float
 (** [fraction_below cdf x] is CDF(x). *)
 
 val points : t -> point list
-
-val pp_series : ?unit_label:string -> Format.formatter -> t -> unit
-(** Prints "x p" rows, one per point. *)

@@ -35,5 +35,4 @@ let pp fmt t =
   List.iter render rows
 
 let print t = pp Format.std_formatter t
-let cell_f v = Printf.sprintf "%.3f" v
 let cell_pct v = Printf.sprintf "%.1f%%" (100. *. v)

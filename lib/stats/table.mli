@@ -10,9 +10,5 @@ val row_count : t -> int
 val pp : Format.formatter -> t -> unit
 val print : t -> unit
 
-val cell_f : float -> string
-(** Standard float formatting for table cells (3 significant-ish
-    decimals). *)
-
 val cell_pct : float -> string
 (** Percentage formatting, e.g. [0.113 -> "11.3%"]. *)

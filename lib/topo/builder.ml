@@ -79,9 +79,12 @@ let ring ~switches ~hosts_per_switch =
     { dpid = last; port = 100 };
   { plan with name = Printf.sprintf "ring-%d" switches }
 
-let three_tier ?(edge = 8) ?(aggregate = 4) ?(core = 2) ~hosts_per_edge () =
-  if edge <= 0 || aggregate <= 0 || core <= 0 then
-    invalid_arg "Builder.three_tier: all tiers must be non-empty";
+(* The testbed's tier sizes: edge, aggregate and core switches. *)
+let edge = 8
+let aggregate = 4
+let core = 2
+
+let three_tier ~hosts_per_edge =
   let graph = Graph.create () in
   let ports = Ports.create () in
   let edge_dpids = List.init edge (fun i -> Dpid.of_int (100 + i)) in

@@ -29,10 +29,9 @@ val star : leaves:int -> hosts_per_leaf:int -> plan
 
 val ring : switches:int -> hosts_per_switch:int -> plan
 
-val three_tier : ?edge:int -> ?aggregate:int -> ?core:int ->
-  hosts_per_edge:int -> unit -> plan
+val three_tier : hosts_per_edge:int -> plan
 (** The paper's physical testbed shape: 8 edge, 4 aggregate and 2 core
-    switches (defaults), edge switches dual-homed to two aggregates,
+    switches, edge switches dual-homed to two aggregates,
     aggregates dual-homed to both cores. Hosts hang off edge switches. *)
 
 val fat_tree : k:int -> plan

@@ -57,4 +57,3 @@ let packet_out t = t.packet_out
 let total_packet_in t = Rate.total t.packet_in
 let total_flow_mod t = Rate.total t.flow_mod
 let mean_flow_mod_rate t = Rate.mean_rate t.flow_mod
-let peak_flow_mod_rate t = Rate.peak_rate t.flow_mod

@@ -19,5 +19,3 @@ val total_flow_mod : t -> int
 
 val mean_flow_mod_rate : t -> float
 (** Events per second over the sampled span. *)
-
-val peak_flow_mod_rate : t -> float

@@ -41,7 +41,13 @@ let test_values_link () =
   | None -> Alcotest.fail "link key must parse");
   check_bool "involves" true (Values.Link.involves k1 (Dpid.of_int 1) 2);
   check_bool "not involves other port" false
-    (Values.Link.involves k1 (Dpid.of_int 1) 9)
+    (Values.Link.involves k1 (Dpid.of_int 1) 9);
+  (* A key parses only with exactly one "--" between two endpoints. *)
+  let a = "1:2" and b = "2:3" in
+  List.iter
+    (fun k -> check_bool k true (Values.Link.parse_key k = None))
+    [ a ^ "-" ^ b; a ^ "---" ^ b; a ^ "----" ^ b; a ^ b;
+      a ^ "--" ^ b ^ "--" ^ a; "--" ^ b; a ^ "--"; "--"; ""; "a-b"; "a---b" ]
 
 let test_values_flow () =
   let m = Of_match.l2_pair ~src:(Mac.of_host_index 1) ~dst:(Mac.of_host_index 2) in
@@ -163,6 +169,29 @@ let prop_dpid_strings =
       && reads_back
            (Values.Flow.dpid_of_key
               (Values.Flow.key dpid Of_match.wildcard_all ~priority:1)))
+
+(* [Link.parse_key] reads back every [Link.key], whatever the dpids and
+   ports, in either endpoint order. *)
+let prop_link_key_roundtrip =
+  let endpoint =
+    QCheck.Gen.(
+      pair
+        (oneof
+           [ oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int ]; ui64 ])
+        (oneof [ oneofl [ 0; 0xFFFF; 0xFFFFFFFD ]; int_bound 0xFFFF ]))
+  in
+  QCheck.Test.make ~name:"Link.parse_key reads back Link.key" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ((d1, p1), (d2, p2)) ->
+          Printf.sprintf "%Lx:%d %Lx:%d" d1 p1 d2 p2)
+        (Gen.pair endpoint endpoint))
+    (fun ((d1, p1), (d2, p2)) ->
+      let e1 = (Dpid.of_int64 d1, p1) and e2 = (Dpid.of_int64 d2, p2) in
+      let same (d, p) (d', p') = Dpid.equal d d' && p = p' in
+      match Values.Link.parse_key (Values.Link.key e1 e2) with
+      | Some (a, b) -> (same a e1 && same b e2) || (same a e2 && same b e1)
+      | None -> false)
 
 let prop_ipv4_strings =
   QCheck.Test.make ~name:"Ipv4.to_string = Printf" ~count:500
@@ -944,7 +973,7 @@ let observe c (plan : Builder.plan) =
 
 let memo_plans =
   [ Builder.linear ~switches:5 ~hosts_per_switch:1;
-    Builder.three_tier ~hosts_per_edge:1 ();
+    Builder.three_tier ~hosts_per_edge:1;
     Builder.fat_tree ~k:4 ]
 
 let test_route_memo_matches_graph () =
@@ -1000,7 +1029,7 @@ let test_route_memo_invalidation () =
      and the final state transfer. Its controller plans everything once
      (filling the memo) before each change, and must then plan exactly
      like a controller built fresh on the changed tables. *)
-  let plan = Builder.three_tier ~hosts_per_edge:1 () in
+  let plan = Builder.three_tier ~hosts_per_edge:1 in
   let engine = Engine.create ~seed:5 () in
   let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:2 () in
   Fabric.set_partitioned fabric ~node:1 true;
@@ -1051,6 +1080,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_match_to_string_is_pp;
     QCheck_alcotest.to_alcotest prop_dpid_strings;
     QCheck_alcotest.to_alcotest prop_ipv4_strings;
+    QCheck_alcotest.to_alcotest prop_link_key_roundtrip;
     ("Of_match.to_string out-of-range ints", `Quick,
      test_match_to_string_out_of_range);
     QCheck_alcotest.to_alcotest prop_flow_memo_is_renderer;

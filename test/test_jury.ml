@@ -92,11 +92,12 @@ let mk_validator ?(k = 2) ?policies ?(timeout = Time.ms 100) ?retransmit
     ?degraded_quorum () =
   let engine = Engine.create () in
   let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun o -> [ (o + 1) mod 4; (o + 2) mod 4 ])
-      ~master_lookup:(fun _ -> Some 0)
-      (Jury.Jury_config.make ?policies ?retransmit ?degraded_quorum ~k
-         ~timeout ())
+    { (Jury.Jury_config.validator
+         ~ack_peers_of:(fun o -> [ (o + 1) mod 4; (o + 2) mod 4 ])
+         (Jury.Jury_config.make ?policies ?retransmit ?degraded_quorum ~k
+            ~timeout ()))
+      with
+      master_lookup = (fun _ -> Some 0) }
   in
   (engine, Validator.create engine cfg)
 
@@ -895,9 +896,7 @@ let test_duplicate_rule_per_body_kind () =
     rows
 
 let test_retransmit_backoff_and_cap () =
-  let rt =
-    Jury.Jury_config.retransmit ~fraction:0.2 ~backoff:2.0 ~max_retries:2 ()
-  in
+  let rt = Jury.Jury_config.retransmit ~max_retries:2 () in
   let engine, v = mk_validator ~retransmit:rt () in
   let calls = ref [] in
   Validator.set_retransmit_handler v (fun _taint ~secondary ->
@@ -910,11 +909,21 @@ let test_retransmit_backoff_and_cap () =
     (Response.Execution { role = `Primary; actions });
   deliver v ~controller:1 ~snapshot:snap
     (Response.Execution { role = `Secondary; actions });
+  (* The second retry round falls past θτ = 100 ms, so re-attributing
+     the trigger to the same primary every 90 ms restarts its
+     validation clock and keeps it pending until 370 ms. *)
+  List.iter
+    (fun ms ->
+      ignore
+        (Engine.schedule engine ~after:(Time.ms ms) (fun () ->
+             ignore (Validator.reattribute v ~taint ~primary:0 ~term:0))))
+    [ 90; 180; 270 ];
   Engine.run engine;
-  (* Only the straggler (2) is retried: at 0.2·θ = 20 ms, then the
-     backoff doubles the gap (60 ms), then the retry cap stops it. *)
+  (* Only the straggler (2) is retried: at 0.4·θ = 40 ms, then the
+     backoff doubles the gap (120 ms), then the retry cap stops the
+     third round (280 ms). *)
   Alcotest.(check (list (pair (float 1e-6) int)))
-    "backoff schedule" [ (20., 2); (60., 2) ] (List.rev !calls);
+    "backoff schedule" [ (40., 2); (120., 2) ] (List.rev !calls);
   check_int "retransmit count" 2 (Validator.count v Retransmit)
 
 let test_channel_counters_reconcile () =
@@ -1136,6 +1145,82 @@ let test_validator_reattribute () =
       check_int "term stamped" 2 a.Alarm.term
   | _ -> Alcotest.fail "one verdict"
 
+(* Failover attribution through a whole deployment: a REST trigger
+   minted with node 1 as its primary is still in flight when the
+   election declares node 1 dead. [handle_failover] re-drives it on the
+   leader (node 0). The leader's primary execution must reach the
+   validator, and node 1's own execution must not: node 1 was failed
+   administratively, not crashed, so it still executes the trigger and
+   would report it if the replicator kept the minted attribution. *)
+let test_deployment_failover_attribution () =
+  let module Cluster = Jury_controller.Cluster in
+  let period = Time.ms 10 in
+  let cluster =
+    Jury_experiments.Setup.build ~seed:21 ~switches:6
+      ~profile:Jury_controller.Profile.onos ~nodes:5 ()
+  in
+  let engine = Cluster.engine cluster in
+  let installed_at = Time.to_ns (Engine.now engine) in
+  let dep =
+    Jury.Jury_config.install cluster
+      (Jury.Jury_config.make ~k:2 ~timeout:(Time.sec 2)
+         ~election:{ Cluster.period; timeout_beats = 1 }
+         ())
+  in
+  Jury_experiments.Setup.boot cluster;
+  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));
+  let v = Jury.Deployment.validator dep in
+  let primaries = Hashtbl.create 16 in
+  Validator.on_response v (fun (r : Response.t) ->
+      match r.Response.body with
+      | Response.Execution { role = `Primary; _ } ->
+          Hashtbl.add primaries
+            (Types.Taint.to_string r.Response.taint)
+            r.Response.controller
+      | _ -> ());
+  (* The election beats every [period] from install time; send the
+     request and fail its node just before the next beat, so the beat
+     declares node 1 dead while node 1 is still executing it. *)
+  let p = Time.to_ns period in
+  let beats = ((Time.to_ns (Engine.now engine) - installed_at) / p) + 1 in
+  let beat = installed_at + (beats * p) in
+  ignore
+    (Engine.schedule_at engine
+       ~at:(Time.ns (beat - 20_000))
+       (fun () ->
+         Cluster.rest cluster ~node:1
+           (Types.Install_flow
+              { dpid = Dpid.of_int 2;
+                flow =
+                  Of_message.flow_mod ~priority:300
+                    (Of_match.l2_dst ~dst:(Mac.of_host_index 42))
+                    [ Of_action.Output 1 ] });
+         Cluster.fail_over cluster ~node:1));
+  Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 3));
+  Validator.flush v;
+  check_int "term 2" 2 (Cluster.current_term cluster);
+  let moved =
+    List.filter
+      (fun (a : Alarm.t) ->
+        Types.Taint.primary_of a.Alarm.taint = Some 1
+        && a.Alarm.primary = Some 0)
+      (Validator.verdicts v)
+  in
+  check_bool "the REST trigger was re-attributed" true (moved <> []);
+  List.iter
+    (fun (a : Alarm.t) ->
+      let from =
+        Hashtbl.find_all primaries (Types.Taint.to_string a.Alarm.taint)
+      in
+      check_bool "the new master's primary execution arrived" true
+        (List.mem 0 from);
+      check_bool "the failed node's primary execution did not" false
+        (List.mem 1 from);
+      check_int "judged under term 2" 2 a.Alarm.term;
+      check_bool "valid on the new master" true
+        (a.Alarm.verdict = Alarm.Ok_valid))
+    moved
+
 (* Zero-churn byte-identity: with election never enabled, a clustered
    run's forensic report is byte-identical to the seed's. The digests
    below were recorded when the leadership machinery landed; any later
@@ -1265,6 +1350,8 @@ let suite =
       test_zero_loss_channel_is_bare_schedule );
     ("standalone verdict conservation", `Quick, test_standalone_conservation);
     ("validator failover re-attribution", `Quick, test_validator_reattribute);
+    ("deployment failover attribution", `Quick,
+     test_deployment_failover_attribution);
     ("zero-churn byte identity (onos/odl)", `Quick,
      test_zero_churn_byte_identity);
     ("alarm report", `Quick, test_report);

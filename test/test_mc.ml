@@ -13,11 +13,13 @@ let check_string = Alcotest.(check string)
 (* --- tie-breaker regression ----------------------------------------
 
    N equal-time events run in insertion order by default, and in the
-   exact reverse order with the reversing tie-breaker — pinning that
-   the heap's tie hook really is the only source of ordering freedom. *)
+   exact reverse order under a chooser that always takes the newest
+   candidate — pinning that the chooser is the only source of ordering
+   freedom. *)
 
-let order_with ?tie () =
-  let engine = Engine.create ?tie () in
+let order_with ?chooser () =
+  let engine = Engine.create () in
+  Engine.set_chooser engine chooser;
   let order = ref [] in
   for i = 1 to 8 do
     ignore
@@ -34,7 +36,7 @@ let test_engine_fifo_ties () =
 let test_engine_lifo_ties () =
   Alcotest.(check (list int))
     "lifo: exact reverse" [ 8; 7; 6; 5; 4; 3; 2; 1 ]
-    (order_with ~tie:Heap.lifo ())
+    (order_with ~chooser:(fun cands -> Array.length cands - 1) ())
 
 (* A chooser sees every live tied candidate and its declared footprint,
    and its index choice dictates execution order. *)

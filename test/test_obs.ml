@@ -122,7 +122,7 @@ let test_span_tree () =
 let test_determinism () =
   let baseline = verdict_signature (run_fixture ()) in
   check_bool "fixture produces verdicts" true (baseline <> []);
-  let disabled = Trace.create ~enabled:false () in
+  let disabled = Trace.null () in
   let with_disabled = verdict_signature (run_fixture ~trace:disabled ()) in
   check_int "disabled trace records nothing" 0 (Trace.length disabled);
   let enabled = Trace.create () in
@@ -150,20 +150,8 @@ let test_jsonl_roundtrip () =
       List.iter
         (fun e -> check_bool "taint stamped" true (Trace.taint_of e = Some taint))
         q;
-      let opens = Export.query ~kind:`Open events' in
-      check_bool "kind filter nonempty" true (opens <> []);
-      List.iter
-        (fun (e : Trace.event) ->
-          match e.Trace.kind with
-          | Trace.Open _ -> ()
-          | _ -> Alcotest.fail "kind filter leaked a non-open event")
-        opens;
       let verdicts = Export.query ~phase:Trace.Verdict events' in
       check_bool "phase filter nonempty" true (verdicts <> []);
-      let t0 = (List.hd events).Trace.t_ns in
-      List.iter
-        (fun (e : Trace.event) -> check_int "window filter" t0 e.Trace.t_ns)
-        (Export.query ~since_ns:t0 ~until_ns:t0 events');
       (match Export.query ~node:0 events' with
       | [] -> Alcotest.fail "node filter found nothing for node 0"
       | es ->

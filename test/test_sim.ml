@@ -372,10 +372,13 @@ let print_heap_op = function
   | Drain -> "Drain"
 
 (* Replays [ops] on a heap and on a list of [(key, seq, value)] kept
-   sorted in pop order by [compare], checking every removed element
-   and the minimum after each step. *)
-let heap_matches_model ~tie ~compare ops =
-  let h = Heap.create ~tie ~dummy:(-1) () in
+   sorted in pop order (by key, then first inserted first), checking
+   every removed element and the minimum after each step. *)
+let heap_matches_model ops =
+  let compare (k, s, _) (k', s', _) =
+    if k <> k' then Int.compare k k' else Int.compare s s'
+  in
+  let h = Heap.create ~dummy:(-1) () in
   let model = ref [] and next = ref 0 and ok = ref true in
   let expect b = if not b then ok := false in
   let same got want =
@@ -428,20 +431,10 @@ let heap_matches_model ~tie ~compare ops =
   done;
   !ok && !model = []
 
-let prop_heap_model tie_name ~tie ~compare =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "heap matches sorted-list model (%s)" tie_name)
-    ~count:300
-    (QCheck.make ~print:QCheck.Print.(list print_heap_op) gen_heap_ops)
-    (heap_matches_model ~tie ~compare)
-
 let prop_heap_model_fifo =
-  prop_heap_model "fifo" ~tie:Heap.fifo ~compare:(fun (k, s, _) (k', s', _) ->
-      if k <> k' then Int.compare k k' else Int.compare s s')
-
-let prop_heap_model_lifo =
-  prop_heap_model "lifo" ~tie:Heap.lifo ~compare:(fun (k, s, _) (k', s', _) ->
-      if k <> k' then Int.compare k k' else Int.compare s' s)
+  QCheck.Test.make ~name:"heap matches sorted-list model (fifo)" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op) gen_heap_ops)
+    heap_matches_model
 
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int bounded" ~count:500
@@ -476,5 +469,4 @@ let suite =
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_model_fifo;
-    QCheck_alcotest.to_alcotest prop_heap_model_lifo;
     QCheck_alcotest.to_alcotest prop_rng_int_bounds ]

@@ -2,7 +2,6 @@
 
 module Summary = Jury_stats.Summary
 module Cdf = Jury_stats.Cdf
-module Histogram = Jury_stats.Histogram
 module Rate = Jury_stats.Rate
 module Table = Jury_stats.Table
 
@@ -84,17 +83,6 @@ let test_cdf_edge_cases () =
   checkf "at dup run" 0.75 (Cdf.fraction_below cdf 2.);
   checkf "at max" 1. (Cdf.fraction_below cdf 3.);
   checkf "below min" 0. (Cdf.fraction_below cdf 0.999)
-
-let test_histogram () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  Histogram.add_many h [| 1.; 3.; 5.; 7.; 9.; 11.; -1. |];
-  check_int "total" 7 (Histogram.total h);
-  let counts = Histogram.counts h in
-  check_int "first bin catches underflow" 2 counts.(0);
-  check_int "last bin catches overflow" 2 counts.(4);
-  let norm = Histogram.normalized h in
-  checkf "normalized sums to 1" 1.
-    (Array.fold_left ( +. ) 0. norm)
 
 let test_rate () =
   let r = Rate.create ~window_sec:1.0 in
@@ -209,7 +197,6 @@ let suite =
     ("cdf queries", `Quick, test_cdf_queries);
     ("cdf downsample", `Quick, test_cdf_downsample);
     ("cdf edge cases", `Quick, test_cdf_edge_cases);
-    ("histogram", `Quick, test_histogram);
     ("rate windows", `Quick, test_rate);
     ("rate negative timestamps", `Quick, test_rate_negative_timestamps);
     ("rate huge span stays sparse", `Quick, test_rate_huge_span);

@@ -89,7 +89,7 @@ let test_path_shrinks_after_shortcut () =
   check_int "after shortcut" 2 after
 
 let test_spanning_tree () =
-  let plan = Builder.three_tier ~hosts_per_edge:1 () in
+  let plan = Builder.three_tier ~hosts_per_edge:1 in
   let g = plan.Builder.graph in
   check_bool "three-tier has cycles" true
     (Graph.edge_count g >= Graph.switch_count g);
@@ -121,7 +121,7 @@ let test_builder_ring () =
   check_bool "connected" true (Graph.connected plan.Builder.graph)
 
 let test_builder_three_tier () =
-  let plan = Builder.three_tier ~hosts_per_edge:2 () in
+  let plan = Builder.three_tier ~hosts_per_edge:2 in
   check_int "switches 8+4+2" 14 (Graph.switch_count plan.Builder.graph);
   check_int "hosts" 16 (Builder.host_count plan);
   check_bool "connected" true (Graph.connected plan.Builder.graph);
@@ -153,7 +153,7 @@ let test_next_hop_choices () =
     (List.length (next_hop_choices plan.Builder.graph (d 3) (d 3)));
   (* three-tier: an edge switch reaches a far edge through either of its
      two aggregates. *)
-  let tt = Builder.three_tier ~hosts_per_edge:1 () in
+  let tt = Builder.three_tier ~hosts_per_edge:1 in
   let choices = next_hop_choices tt.Builder.graph (d 100) (d 104) in
   check_bool "multipath in three-tier" true (List.length choices >= 2)
 
@@ -256,7 +256,7 @@ let test_tree_readers_match_reference () =
             switches)
         switches)
     [ Builder.linear ~switches:5 ~hosts_per_switch:1;
-      Builder.three_tier ~hosts_per_edge:1 ();
+      Builder.three_tier ~hosts_per_edge:1;
       Builder.fat_tree ~k:4 ]
 
 module Weighted = Jury_topo.Weighted

@@ -115,57 +115,6 @@ let test_probe () =
   (* no controller => no flow mods *)
   check_int "no flow mods" 0 (Probe.total_flow_mod probe)
 
-let test_record_and_replay () =
-  (* Record a small run, replay it into a fresh network, and check the
-     same host-edge frames arrive again. *)
-  let engine, network = mk ~switches:2 ~hosts_per_switch:1 () in
-  let capture = Jury_net.Capture.create engine in
-  List.iter (Jury_net.Capture.tap_switch capture) (Network.switches network);
-  let h0 = Network.host network 0 and h1 = Network.host network 1 in
-  for i = 1 to 5 do
-    Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h1)
-      ~dst_ip:(Jury_net.Host.ip h1) ~src_port:(6000 + i) ~dst_port:80 ()
-  done;
-  Engine.run engine;
-  let recorded =
-    List.length (Jury_workload.Replay.edge_entries network capture)
-  in
-  check_int "five edge frames recorded" 5 recorded;
-  (* Fresh network with the same shape. *)
-  let engine2 = Engine.create ~seed:77 () in
-  let plan2 = Builder.linear ~switches:2 ~hosts_per_switch:1 in
-  let network2 = Network.create engine2 plan2 () in
-  (* The capture came from another engine; re-injection only needs the
-     relative timestamps, so replay accepts it. *)
-  let n = Jury_workload.Replay.replay network2 capture () in
-  check_int "all frames scheduled" 5 n;
-  Engine.run engine2;
-  check_int "replayed frames hit the edge switch" 5
-    (Switch.packet_in_count
-       (Network.switch network2 (Jury_openflow.Of_types.Dpid.of_int 1)))
-
-let test_replay_speed () =
-  let engine, network = mk ~switches:2 ~hosts_per_switch:1 () in
-  let capture = Jury_net.Capture.create engine in
-  List.iter (Jury_net.Capture.tap_switch capture) (Network.switches network);
-  let h0 = Network.host network 0 and h1 = Network.host network 1 in
-  Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h1)
-    ~dst_ip:(Jury_net.Host.ip h1) ~src_port:1 ~dst_port:2 ();
-  ignore
-    (Engine.schedule engine ~after:(Time.ms 100) (fun () ->
-         Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h1)
-           ~dst_ip:(Jury_net.Host.ip h1) ~src_port:3 ~dst_port:4 ()));
-  Engine.run engine;
-  let engine2 = Engine.create () in
-  let network2 =
-    Network.create engine2 (Builder.linear ~switches:2 ~hosts_per_switch:1) ()
-  in
-  ignore (Jury_workload.Replay.replay network2 capture ~speed:2.0 ());
-  Engine.run engine2;
-  (* 100 ms gap compressed to ~50 ms. *)
-  check_bool "time compressed" true
-    Time.(Engine.now engine2 < Time.ms 80)
-
 let suite =
   [ ("new connections rate", `Quick, test_new_connections_rate);
     ("same-switch locality", `Quick, test_same_switch_stays_local);
@@ -174,6 +123,4 @@ let suite =
     ("trace profiles", `Quick, test_traces_profiles);
     ("trace replay rate", `Quick, test_trace_replay_rate);
     ("cbench blast", `Quick, test_cbench_blast);
-    ("probe", `Quick, test_probe);
-    ("record and replay", `Quick, test_record_and_replay);
-    ("replay speed", `Quick, test_replay_speed) ]
+    ("probe", `Quick, test_probe) ]
