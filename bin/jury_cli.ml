@@ -125,7 +125,7 @@ let list_cmd =
       (fun (s : Jury_faults.Scenarios.t) ->
         Printf.printf "%-28s %s  %s\n" s.Jury_faults.Scenarios.name
           (Jury_faults.Scenarios.klass_name s)
-          s.Jury_faults.Scenarios.expected_name)
+          (Jury.Alarm.fault_name s.Jury_faults.Scenarios.expected))
       Jury_faults.Scenarios.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List the fault scenario catalog")
@@ -182,7 +182,8 @@ let matrix_cmd =
         if detected < repeats then incr missed;
         Printf.printf "%-28s %s  %d/%d  %s\n" scenario.Jury_faults.Scenarios.name
           (Jury_faults.Scenarios.klass_name scenario)
-          detected repeats scenario.Jury_faults.Scenarios.expected_name)
+          detected repeats
+          (Jury.Alarm.fault_name scenario.Jury_faults.Scenarios.expected))
       results;
     if !missed > 0 then begin
       Printf.printf "%d scenario(s) with missed detections\n" !missed;
@@ -240,7 +241,10 @@ let simulate_cmd =
     Arg.(value & opt int 0
          & info [ "retries" ]
              ~doc:"Retransmission rounds per straggling secondary (0 = \
-                   none).")
+                   none). Rounds are due at 0.4, 1.2, 2.8... x the \
+                   validation timeout, so without a failover or an \
+                   adaptive timeout only the first lands before the \
+                   timeout decides: 2 or more behaves like 1.")
   in
   let degraded_arg =
     Arg.(value & opt (some int) None

@@ -168,8 +168,8 @@ let synthetic_stream (case : Case.t) =
   Rng.shuffle rng stream;
   (List.rev !registrations, Array.to_list stream)
 
-(* With [stage], a {!Jury.Stage} runs validation on shard replicas
-   owned by [stage]'s domains. *)
+(* With [stage], a {!Jury.Stage} replays validation into shard
+   replicas on [stage]'s domains. *)
 let bare_validator ?stage (case : Case.t) ~shards =
   let engine = Engine.create ~seed:case.Case.case_seed () in
   let max_inflight =

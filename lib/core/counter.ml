@@ -13,7 +13,6 @@ type t =
   | Duplicate  (** responses discarded as stale channel duplicates *)
   | Late  (** responses that arrived after their trigger was decided *)
   | Retransmit  (** retransmission requests, per secondary per round *)
-  | Retry_armed  (** live retry timers: a gauge, armed minus disarmed *)
   | Reattributed  (** in-flight triggers moved to a new master *)
   | Straggler  (** secondaries still silent when their trigger is decided *)
   | Batch  (** per-shard batches ingested by [deliver_batch] *)
@@ -22,7 +21,7 @@ type t =
 (** Every counter, in slot order. *)
 let all =
   [ Decided; Faulty; Unverifiable; Degraded; Overload; Duplicate; Late;
-    Retransmit; Retry_armed; Reattributed; Straggler; Batch; Batch_response ]
+    Retransmit; Reattributed; Straggler; Batch; Batch_response ]
 
 let cardinal = List.length all
 
@@ -37,11 +36,10 @@ let slot = function
   | Duplicate -> (5, "duplicates")
   | Late -> (6, "late")
   | Retransmit -> (7, "retransmits")
-  | Retry_armed -> (8, "retry-armed")
-  | Reattributed -> (9, "reattributed")
-  | Straggler -> (10, "stragglers")
-  | Batch -> (11, "batches")
-  | Batch_response -> (12, "batch-responses")
+  | Reattributed -> (8, "reattributed")
+  | Straggler -> (9, "stragglers")
+  | Batch -> (10, "batches")
+  | Batch_response -> (11, "batch-responses")
 
 (** Slot in a shard's counter array, [0 .. cardinal - 1]. *)
 let index c = fst (slot c)

@@ -69,7 +69,13 @@ val make :
 val retransmit : ?max_retries:int -> unit -> Validator.retransmit
 (** Validated retransmission policy: first retry at 0.4·θτ, backoff
     2.0, at most [max_retries] rounds (default 2). Raises
-    [Invalid_argument] on a negative [max_retries]. *)
+    [Invalid_argument] on a negative [max_retries].
+
+    The second round is due at 0.4·θτ + 0.8·θτ = 1.2·θτ, after the
+    validation timeout has already decided the trigger, so it fires
+    only when a failover re-attribution restarted the trigger's clock
+    or an adaptive θτ shrank after registration. Otherwise
+    [max_retries] of 2 or more behaves like 1, the default included. *)
 
 val validator : ?ack_peers_of:(int -> int list) -> t -> Validator.config
 (** The configuration's validator record, for driving a

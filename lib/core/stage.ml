@@ -1,34 +1,34 @@
-(* Staged validation pipeline: capture/channel stays on the main
-   domain (it owns the simulation engine), validation runs on shard
-   replicas owned by consumer domains, connected by one bounded SPSC
-   ring per shard.
+(* Staged validation: the simulation stays on the calling domain and
+   validation runs on one single-shard replica validator per shard,
+   replayed in chunks across the domain pool.
 
    The facade validator its caller created keeps receiving
    registrations and deliveries, but with hooks installed they are
-   turned into queue items instead of touching its state. Each shard's
-   items drain, in push order, into a single-shard replica validator
-   driven by a private engine whose clock replays the facade engine's
-   timestamps — so timers fire at the same simulated instants they
-   would inline, and the replica walks the exact state machine the
-   serial validator would have walked for that shard's taints. At
-   flush the producer sends end-of-stream, joins the consumers and
-   merges every replica back into the facade, which from then on
-   answers result queries as if it had done the work itself.
+   appended to a per-shard buffer instead of touching its state. When
+   one shard's buffer fills, and again at flush, every buffer replays
+   in push order into its replica, driven by a private engine whose
+   clock replays the facade engine's timestamps — so timers fire at
+   the same simulated instants they would inline, and the replica
+   walks the exact state machine the serial validator would have
+   walked for that shard's taints. A replica is a function of its own
+   item sequence alone, so where the chunks are cut does not matter.
+   At flush the replicas advance to the drain instant and merge back
+   into the facade, which from then on answers result queries as if it
+   had done the work itself.
 
    Correctness leans on the facade's config: no retransmissions,
-   adaptive timeout, inflight cap or policy rules, a constant term
-   lookup, and no trace. Under those conditions a replica never calls
-   back into main-domain state (the policy engine's [master_lookup] is the
-   one cross-domain read, and [Decide.policy] short-circuits
-   it when no rules are installed), never feeds anything back into the
-   channel, and never needs another shard's pending table. The only
-   cross-shard coupling left is the FLOWSDB flow mirror, which
-   [Mirror] items replicate into every shard in the serial shard-index
-   order (see [push_batch]). *)
+   adaptive timeout, inflight cap or policy rules ([attach] rejects
+   each), and a constant term lookup. Under those conditions a replica
+   never calls back into main-domain state (the policy engine's
+   [master_lookup] is the one cross-domain read, and [Decide.policy]
+   short-circuits it when no rules are installed), never feeds anything
+   back into the channel, and never needs another shard's pending
+   table. The only cross-shard coupling left is the FLOWSDB flow
+   mirror, which [Mirror] items replicate into every shard in the
+   serial shard-index order (see [pl_batch]). *)
 
 open Jury_sim
 module Pool = Jury_par.Pool
-module Spsc = Jury_par.Spsc
 module Types = Jury_controller.Types
 module Event = Jury_store.Event
 module Names = Jury_store.Cache_names
@@ -44,9 +44,6 @@ type item =
       (* one shard's slice of a tick, arrival order preserved *)
   | Mirror of { at : Time.t; responses : Response.t list }
       (* other shards' FLOWSDB writes from the same tick *)
-  | Eos of Time.t
-      (* advance to drain time and stop — no forced decisions; the
-         facade's own [flush] force-decides after the merge if asked *)
 
 (* Advance a replica engine to simulated time [at], firing every timer
    due on the way. [Engine.run ~until] does not move the clock past
@@ -72,52 +69,31 @@ let apply engine replica = function
   | Mirror { at; responses } ->
       advance engine ~at;
       List.iter (Validator.observe_mirror replica) responses
-  | Eos at ->
-      (* Timers due by the drain instant fire (deciding their triggers
-         exactly as the facade engine would have); everything still
-         pending stays pending and migrates back in the merge. *)
-      advance engine ~at
-
-(* One consumer drains the queues of the shards it owns round-robin,
-   so [jobs - 1] consumers cover any shard count. Each queue is SPSC:
-   the main domain is the only producer and exactly one consumer owns
-   each shard. *)
-let consume ~engines ~replicas ~queues ~owned () =
-  let live = Array.of_list owned in
-  let finished = Array.map (fun _ -> false) live in
-  let remaining = ref (Array.length live) in
-  while !remaining > 0 do
-    let progressed = ref false in
-    Array.iteri
-      (fun j i ->
-        if not finished.(j) then
-          match Spsc.try_pop queues.(i) with
-          | None -> ()
-          | Some item ->
-              progressed := true;
-              apply engines.(i) replicas.(i) item;
-              (match item with
-              | Eos _ ->
-                  finished.(j) <- true;
-                  decr remaining
-              | Register _ | Batch _ | Mirror _ -> ()))
-      live;
-    if not !progressed then Domain.cpu_relax ()
-  done
 
 let is_flowsdb_write (r : Response.t) =
   match r.Response.body with
   | Response.Cache_update ev -> ev.Event.cache = Names.flowsdb
   | _ -> false
 
-(* Items per shard ring (a power of two). *)
-let queue_capacity = 1024
+(* Items one shard buffers before every buffer replays: the bound on
+   buffered memory. *)
+let chunk_items = 1024
+
+(* What a replica cannot reproduce, each with the reason in [stage.mli]. *)
+let unsupported (cfg : Validator.config) =
+  List.filter_map
+    (fun (bad, msg) -> if bad then Some msg else None)
+    [ (cfg.retransmit <> None, "retransmit must be None");
+      (cfg.adaptive_timeout, "adaptive_timeout must be false");
+      (cfg.max_inflight <> None, "max_inflight must be None");
+      ( Jury_policy.Engine.rule_count cfg.policies > 0,
+        "policies must have no rules" ) ]
 
 let attach ~pool ~jobs cfg facade =
+  (match unsupported cfg with
+  | [] -> ()
+  | errors -> invalid_arg ("Stage.attach: " ^ String.concat "; " errors));
   let shards = Validator.shard_count facade in
-  let queues =
-    Array.init shards (fun _ -> Spsc.create ~capacity:queue_capacity)
-  in
   (* Replica engines replay facade timestamps; they draw no randomness
      (the validator is RNG-free), so the seed is irrelevant. *)
   let engines = Array.init shards (fun _ -> Engine.create ()) in
@@ -125,20 +101,35 @@ let attach ~pool ~jobs cfg facade =
     Array.init shards (fun i ->
         Validator.create engines.(i) { cfg with Validator.shards = 1 })
   in
-  let consumers = max 1 (min (jobs - 1) shards) in
-  let owned c =
-    List.filter (fun i -> i mod consumers = c) (List.init shards Fun.id)
+  (* Shards dealt round-robin into at most [jobs] groups, one replay
+     task each. *)
+  let groups =
+    let n = max 1 (min jobs shards) in
+    List.init n (fun g ->
+        List.filter (fun i -> i mod n = g) (List.init shards Fun.id))
   in
-  let tickets =
-    Array.init consumers (fun c ->
-        Pool.async pool (consume ~engines ~replicas ~queues ~owned:(owned c)))
+  let buffers = Array.make shards [] (* newest first *) in
+  let lengths = Array.make shards 0 in
+  let replay ?until () =
+    let chunks = Array.map List.rev buffers in
+    Array.fill buffers 0 shards [];
+    Array.fill lengths 0 shards 0;
+    ignore
+      (Pool.map_ordered pool groups
+         (List.iter (fun i ->
+              List.iter (apply engines.(i) replicas.(i)) chunks.(i);
+              Option.iter (fun at -> advance engines.(i) ~at) until)))
+  in
+  let push i item =
+    buffers.(i) <- item :: buffers.(i);
+    lengths.(i) <- lengths.(i) + 1;
+    if lengths.(i) >= chunk_items then replay ()
   in
   let shard_of_taint taint =
     Validator.shard_of_key facade (Types.Taint.to_string taint)
   in
   let pl_register ~taint ~at ~primary ~secondaries =
-    Spsc.push queues.(shard_of_taint taint)
-      (Register { taint; at; primary; secondaries })
+    push (shard_of_taint taint) (Register { taint; at; primary; secondaries })
   in
   let pl_batch ~at rs =
     (* Split the tick like the inline [deliver_batch] would: per-shard
@@ -167,18 +158,16 @@ let attach ~pool ~jobs cfg facade =
       let pre = mirror_slice 0 (i - 1) in
       let own = List.rev buckets.(i) in
       let post = mirror_slice (i + 1) (shards - 1) in
-      if pre <> [] then Spsc.push queues.(i) (Mirror { at; responses = pre });
-      if own <> [] then Spsc.push queues.(i) (Batch { at; responses = own });
-      if post <> [] then Spsc.push queues.(i) (Mirror { at; responses = post })
+      if pre <> [] then push i (Mirror { at; responses = pre });
+      if own <> [] then push i (Batch { at; responses = own });
+      if post <> [] then push i (Mirror { at; responses = post })
     done
   in
   let pl_drain ~at =
-    Array.iter
-      (fun q ->
-        Spsc.push q (Eos at);
-        Spsc.close q)
-      queues;
-    Array.iter Pool.await tickets;
+    (* Timers due by the drain instant fire (deciding their triggers
+       exactly as the facade engine would have); everything still
+       pending stays pending and migrates back in the merge. *)
+    replay ~until:at ();
     Array.iteri
       (fun i replica -> Validator.absorb_pipeline_shard facade ~shard:i replica)
       replicas;

@@ -32,9 +32,8 @@ type pending = {
   mutable retry_timer : Engine.handle option;
 }
 
-(* One shard of verdict state: its own pending table, retransmission
-   timer wheel (the retry timers of its pendings, tracked by the
-   [Retry_armed] counter) and counters. Taints hash to a shard; with
+(* One shard of verdict state: its own pending table, the retry
+   timers of its pendings, and counters. Taints hash to a shard; with
    [shards = 1] everything lands in shard 0 and the data structures
    behave byte-for-byte like the historical flat table. *)
 type shard = {
@@ -50,7 +49,7 @@ type shard = {
 
 (* Hooks a staged-pipeline front end (Stage) installs on a validator:
    when set, registrations/deliveries/flushes are diverted to per-shard
-   queues instead of touching this validator's own state, and the
+   buffers instead of touching this validator's own state, and the
    pipeline merges its shard replicas back at [pl_drain]. *)
 type pipeline_hooks = {
   pl_register :
@@ -191,12 +190,8 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   let d = p.input in
   let sh = t.shards.(p.shard) in
   p.decided <- true;
-  (match p.timer with Some h -> Engine.cancel h | None -> ());
-  (match p.retry_timer with
-  | Some h ->
-      Engine.cancel h;
-      add sh Retry_armed (-1)
-  | None -> ());
+  Option.iter Engine.cancel p.timer;
+  Option.iter Engine.cancel p.retry_timer;
   p.retry_timer <- None;
   let stragglers = Decide.stragglers d in
   add sh Straggler (List.length stragglers);
@@ -290,7 +285,6 @@ let retry_delay t round =
     (theta *. retry_fraction *. (retry_backoff ** float_of_int round))
 
 let rec arm_retry t p rt =
-  add t.shards.(p.shard) Retry_armed 1;
   p.retry_timer <-
     Some
       (Engine.schedule t.engine
@@ -300,7 +294,6 @@ let rec arm_retry t p rt =
 and fire_retry t p (rt : retransmit) =
   let sh = t.shards.(p.shard) in
   p.retry_timer <- None;
-  add sh Retry_armed (-1);
   if not p.decided then begin
     match Decide.stragglers p.input with
     | [] -> () (* everyone answered; no more retries needed *)

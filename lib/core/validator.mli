@@ -175,8 +175,8 @@ val current_timeout_value : t -> Jury_sim.Time.t
 (** {1 Staged-pipeline plumbing}
 
     Used by {!Stage} to run a bare validator's validation on
-    shard-replica validators owned by consumer domains while this
-    validator stays the facade its caller talks to. Not a general
+    shard-replica validators, replayed across the domain pool, while
+    this validator stays the facade its caller talks to. Not a general
     extension point: the hooks divert {!register_external},
     {!deliver}/{!deliver_batch} and {!flush} wholesale, and the stage
     merges replica state back with {!absorb_pipeline_shard} +
@@ -197,8 +197,8 @@ val set_pipeline_hooks : t -> pipeline_hooks -> unit
     result accessors), so a staged validator must install none.
 
     {!flush} is the end-of-run barrier: it clears the hooks and calls
-    [pl_drain], which stops the consumers and merges every shard
-    replica back into this facade — decided verdicts, counters and
+    [pl_drain], which replays what is still buffered and merges every
+    shard replica back into this facade — decided verdicts, counters and
     still-pending triggers alike — before force-deciding what is left;
     the merged state is then read out through the normal accessors. *)
 
@@ -215,7 +215,7 @@ val absorb_pipeline_shard : t -> shard:int -> t -> unit
 (** [absorb_pipeline_shard t ~shard rep] folds single-shard replica
     [rep]'s counters, registration count, verdicts and pending (still
     undecided) triggers into [t]'s shard [shard]. Call once per
-    replica after its consumer has finished. *)
+    replica after its last item has replayed. *)
 
 val finalize_pipeline_merge : t -> unit
 (** After all replicas are absorbed: sort the merged verdict stream

@@ -201,7 +201,8 @@ let detection_matrix ?pool ?(seed = 46) ?(repeats = 10) () =
         mean_ms =
           (if times = [] then 0.
            else List.fold_left ( +. ) 0. times /. float_of_int (List.length times));
-        expected = scenario.Jury_faults.Scenarios.expected_name })
+        expected =
+          Jury.Alarm.fault_name scenario.Jury_faults.Scenarios.expected })
 
 (* --- Fig. 4e: Cbench blast --- *)
 

@@ -4,8 +4,9 @@
    wall-clock terms.
 
    The sweep runs its (jobs, shards) points sequentially — each point
-   owns the machine, and a pipelined point spins consumer domains, so
-   fanning points out would corrupt every wall-clock figure. Within a
+   owns the machine, and a staged point replays on the pool's
+   domains, so fanning points out would corrupt every wall-clock
+   figure. Within a
    point the flow is the deployment's: registrations at arrival,
    responses accumulated into a 200 µs batch window, one
    [deliver_batch] per window tick, a final [flush] after the stream

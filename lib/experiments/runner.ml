@@ -53,7 +53,7 @@ let run ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2) ?(extra_slow = [])
     && List.mem faulty a.Jury.Alarm.suspects
     && (match a.Jury.Alarm.verdict with
        | Jury.Alarm.Faulty faults ->
-           List.exists scenario.Scenarios.expected faults
+           List.mem scenario.Scenarios.expected faults
        | _ -> false)
   in
   let matching_alarms, other_alarms = List.partition matches alarms in
@@ -84,6 +84,7 @@ let pp_report fmt r =
   Format.fprintf fmt "%-28s %-2s %-10s %s" r.scenario.Scenarios.name
     (Scenarios.klass_name r.scenario)
     (if r.detected then "DETECTED" else "MISSED")
-    (match r.detection_time_ms with
-    | Some ms -> Printf.sprintf "in %.1fms (%s)" ms r.scenario.Scenarios.expected_name
-    | None -> "(" ^ r.scenario.Scenarios.expected_name ^ " not raised)")
+    (let expected = Jury.Alarm.fault_name r.scenario.Scenarios.expected in
+     match r.detection_time_ms with
+     | Some ms -> Printf.sprintf "in %.1fms (%s)" ms expected
+     | None -> "(" ^ expected ^ " not raised)")

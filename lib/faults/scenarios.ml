@@ -39,8 +39,7 @@ type t = {
   election : Cluster.election_config option;
       (* when set, the run enables dynamic master election with this
          tuning; [None] keeps the seed's static leadership *)
-  expected : Jury.Alarm.fault -> bool;
-  expected_name : string;
+  expected : Jury.Alarm.fault;
 }
 
 (* --- helpers --- *)
@@ -89,13 +88,6 @@ let sample_flow ?(priority = 300) ~out_port () =
 let rest_install ctx ~node ~dpid flow =
   Cluster.rest ctx.cluster ~node (Types.Install_flow { dpid; flow })
 
-let is_fault name f = Jury.Alarm.fault_name f = name
-
-let is_policy_violation rule (f : Jury.Alarm.fault) =
-  match f with
-  | Jury.Alarm.Policy_violation r -> r = rule
-  | _ -> false
-
 (* --- the catalog --- *)
 
 let onos_database_locking =
@@ -122,8 +114,7 @@ let onos_database_locking =
         Switch.announce (Network.switch ctx.network dpid));
     settle = Time.sec 2;
     election = None;
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 let onos_master_election =
   { name = "onos-master-election";
@@ -147,8 +138,7 @@ let onos_master_election =
     provoke = (fun ctx -> flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
     election = None;
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let odl_flowmod_drop =
   { name = "odl-flowmod-drop";
@@ -173,8 +163,7 @@ let odl_flowmod_drop =
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "cache-without-network";
-    expected_name = "cache-without-network" }
+    expected = Jury.Alarm.Cache_without_network }
 
 let hierarchy_policy =
   "deny name=flow-field-hierarchy cache=FLOWSDB check=flow-hierarchy"
@@ -203,8 +192,7 @@ let odl_incorrect_flowmod =
         rest_install ctx ~node:ctx.faulty ~dpid flow);
     settle = Time.sec 3;
     election = None;
-    expected = is_policy_violation "flow-field-hierarchy";
-    expected_name = "policy-violation:flow-field-hierarchy" }
+    expected = Jury.Alarm.Policy_violation "flow-field-hierarchy" }
 
 let link_failure =
   { name = "link-failure";
@@ -227,8 +215,7 @@ let link_failure =
     provoke = (fun ctx -> flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
     election = None;
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let undesirable_flowmod =
   { name = "undesirable-flowmod";
@@ -253,8 +240,7 @@ let undesirable_flowmod =
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:2 ()));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "cache-network-mismatch";
-    expected_name = "cache-network-mismatch" }
+    expected = Jury.Alarm.Cache_network_mismatch }
 
 let topology_guard_policy =
   "deny name=no-proactive-topology trigger=internal cache=LINKSDB\n\
@@ -294,8 +280,7 @@ let faulty_proactive =
                        value = Values.Link.value_down } ]));
     settle = Time.sec 3;
     election = None;
-    expected = is_policy_violation "no-proactive-topology";
-    expected_name = "policy-violation:no-proactive-topology" }
+    expected = Jury.Alarm.Policy_violation "no-proactive-topology" }
 
 let flow_deletion_failure =
   { name = "flow-deletion-failure";
@@ -328,8 +313,7 @@ let flow_deletion_failure =
                  (Types.Delete_flow { dpid; fm_match = flow.Of_message.fm_match }))));
     settle = Time.sec 4;
     election = None;
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 let link_detection_inconsistent =
   { name = "link-detection-inconsistent";
@@ -357,8 +341,7 @@ let link_detection_inconsistent =
         flap_liveness_link ctx ctx.faulty);
     settle = Time.sec 8;
     election = None;
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let flow_instantiation_failure =
   { name = "flow-instantiation-failure";
@@ -383,8 +366,7 @@ let flow_instantiation_failure =
           (sample_flow ~priority:350 ~out_port:1 ()));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "cache-without-network";
-    expected_name = "cache-without-network" }
+    expected = Jury.Alarm.Cache_without_network }
 
 let pending_add_stuck =
   { name = "pending-add-stuck";
@@ -424,8 +406,7 @@ let pending_add_stuck =
                  { dpid; payload = Of_message.Flow_mod flow } ]));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "cache-without-network";
-    expected_name = "cache-without-network" }
+    expected = Jury.Alarm.Cache_without_network }
 
 let controller_crash =
   { name = "controller-crash";
@@ -459,8 +440,7 @@ let controller_crash =
           ~src_port:4000 ~dst_port:80 ());
     settle = Time.sec 2;
     election = None;
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 (* Traffic originating behind a given switch — a reactive trigger whose
    primary is whoever masters that switch when the PACKET_IN fires. *)
@@ -512,8 +492,7 @@ let controller_crash_rejoin =
                send_via_mastered_switch ctx ctx.faulty)));
     settle = Time.sec 5;
     election = None;
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 let byzantine_secondary =
   { name = "byzantine-secondary";
@@ -539,8 +518,7 @@ let byzantine_secondary =
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let store_partition =
   { name = "store-partition";
@@ -610,8 +588,7 @@ let store_partition =
                  ~src_port:4000 ~dst_port:80 ())));
     settle = Time.sec 4;
     election = None;
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let churn_policy =
   "deny name=no-proactive-topology trigger=internal cache=LINKSDB"
@@ -660,8 +637,7 @@ let policy_churn =
                        value = Values.Link.value_down } ]));
     settle = Time.sec 3;
     election = None;
-    expected = is_policy_violation "no-proactive-topology";
-    expected_name = "policy-violation:no-proactive-topology" }
+    expected = Jury.Alarm.Policy_violation "no-proactive-topology" }
 
 let master_failover =
   { name = "master-failover";
@@ -690,8 +666,7 @@ let master_failover =
              (fun () -> send_via_dpid ctx dpid)));
     settle = Time.sec 4;
     election = Some { Cluster.period = Time.ms 400; timeout_beats = 2 };
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 let election_storm =
   { name = "election-storm";
@@ -733,8 +708,7 @@ let election_storm =
                  (sample_flow ~out_port:1 ()))));
     settle = Time.sec 5;
     election = Some { Cluster.period = Time.ms 30; timeout_beats = 2 };
-    expected = is_fault "consensus-mismatch";
-    expected_name = "consensus-mismatch" }
+    expected = Jury.Alarm.Consensus_mismatch }
 
 let ryu_standalone_hang =
   { name = "ryu-standalone-hang";
@@ -769,8 +743,7 @@ let ryu_standalone_hang =
         rest_install ctx ~node:ctx.faulty ~dpid (sample_flow ~out_port:1 ()));
     settle = Time.sec 3;
     election = None;
-    expected = is_fault "response-timeout";
-    expected_name = "response-timeout" }
+    expected = Jury.Alarm.Response_timeout }
 
 let all =
   [ onos_database_locking;

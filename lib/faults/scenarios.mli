@@ -42,8 +42,8 @@ type t = {
           failover re-attribution with this tuning (the [election]
           field of {!Jury.Deployment.config}); [None] — every
           pre-leadership catalog scenario — keeps static mastership *)
-  expected : Jury.Alarm.fault -> bool;
-  expected_name : string;
+  expected : Jury.Alarm.fault;
+      (** the fault the scenario must raise against the faulty replica *)
 }
 
 val all : t list

@@ -15,16 +15,11 @@ let () =
                    errors)))
     | _ -> None)
 
-(* Process-wide count of domains ever spawned on behalf of a pool
-   (persistent workers and dedicated async fallbacks alike). The bench
+(* Process-wide count of persistent workers ever spawned. The bench
    reports deltas of this to show that a sweep of N map_ordered calls
-   now costs at most [jobs - 1] spawns instead of N * (jobs - 1). *)
+   costs at most [jobs - 1] spawns instead of N * (jobs - 1). *)
 let spawn_counter = Atomic.make 0
 let domains_spawned () = Atomic.get spawn_counter
-
-let counted_spawn f =
-  Atomic.incr spawn_counter;
-  Domain.spawn f
 
 type t = {
   jobs : int;
@@ -32,7 +27,6 @@ type t = {
   wakeup : Condition.t;
   pending : (unit -> unit) Queue.t;
   mutable workers : unit Domain.t list; (* persistent, spawned lazily *)
-  mutable idle : int; (* workers blocked waiting for a task *)
   mutable shutdown : bool;
 }
 
@@ -42,7 +36,7 @@ let registry_lock = Mutex.create ()
 let registry : t list ref = ref []
 let at_exit_installed = ref false
 
-let shutdown_pool t =
+let shutdown t =
   Mutex.lock t.lock;
   t.shutdown <- true;
   Condition.broadcast t.wakeup;
@@ -64,17 +58,15 @@ let register_for_exit t =
           Mutex.unlock registry_lock;
           ps
         in
-        List.iter shutdown_pool pools)
+        List.iter shutdown pools)
   end;
   Mutex.unlock registry_lock
 
 let rec worker_loop t =
   Mutex.lock t.lock;
-  t.idle <- t.idle + 1;
   while Queue.is_empty t.pending && not t.shutdown do
     Condition.wait t.wakeup t.lock
   done;
-  t.idle <- t.idle - 1;
   if Queue.is_empty t.pending then Mutex.unlock t.lock (* shutdown *)
   else begin
     let task = Queue.pop t.pending in
@@ -107,7 +99,6 @@ let create ?jobs () =
     wakeup = Condition.create ();
     pending = Queue.create ();
     workers = [];
-    idle = 0;
     shutdown = false }
 
 let jobs t = t.jobs
@@ -137,7 +128,8 @@ let ensure_workers_locked t want =
   let missing = min want cap - have in
   if missing > 0 then begin
     for _ = 1 to missing do
-      t.workers <- counted_spawn (fun () -> worker_loop t) :: t.workers
+      Atomic.incr spawn_counter;
+      t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
     done;
     register_for_exit t
   end
@@ -159,6 +151,7 @@ let try_map_ordered t xs f =
   else begin
     let results = Array.make n None in
     let completed = Atomic.make 0 in
+    let finished = Mutex.create () and all_done = Condition.create () in
     let exec i =
       let r =
         match f items.(i) with
@@ -171,8 +164,14 @@ let try_map_ordered t xs f =
       in
       results.(i) <- Some r;
       (* The atomic increment publishes the plain [results] write: the
-         submitter reads [completed = n] before touching [results]. *)
-      Atomic.incr completed
+         submitter reads [completed = n] before touching [results]. The
+         last task wakes it under [finished], which the submitter holds
+         from its check of [completed] until it sleeps. *)
+      if Atomic.fetch_and_add completed 1 = n - 1 then begin
+        Mutex.lock finished;
+        Condition.broadcast all_done;
+        Mutex.unlock finished
+      end
     in
     let workers = min t.jobs n in
     if workers <= 1 then
@@ -186,8 +185,8 @@ let try_map_ordered t xs f =
          the pool's persistent workers; a helper that only gets
          scheduled after the sweep is drained exits immediately, so
          the submitting domain never depends on helpers for progress
-         (it loops until the index runs out, then waits on
-         [completed]). *)
+         (it loops until the index runs out, then sleeps until
+         [completed] reaches [n]). *)
       let next = Atomic.make 0 in
       let steal () =
         let rec loop () =
@@ -204,9 +203,11 @@ let try_map_ordered t xs f =
       submit_n_locked t (List.init (workers - 1) (fun _ -> steal));
       Mutex.unlock t.lock;
       steal ();
+      Mutex.lock finished;
       while Atomic.get completed < n do
-        Domain.cpu_relax ()
-      done
+        Condition.wait all_done finished
+      done;
+      Mutex.unlock finished
     end;
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false) results)
@@ -225,65 +226,3 @@ let map_grid t rows cols f =
   let results = Array.of_list (map_ordered t cells (fun (r, c) -> f r c)) in
   let n = List.length cols in
   List.mapi (fun i r -> (r, List.init n (fun j -> results.((i * n) + j)))) rows
-
-(* --- long-running async tasks (pipeline stage consumers) --- *)
-
-type ticket = {
-  tk_lock : Mutex.t;
-  tk_done : Condition.t;
-  mutable tk_finished : bool;
-  mutable tk_error : (exn * Printexc.raw_backtrace) option;
-  mutable tk_domain : unit Domain.t option; (* dedicated-spawn fallback *)
-}
-
-let async t f =
-  let ticket =
-    { tk_lock = Mutex.create ();
-      tk_done = Condition.create ();
-      tk_finished = false;
-      tk_error = None;
-      tk_domain = None }
-  in
-  let body () =
-    let err =
-      match f () with
-      | () -> None
-      | exception exn -> Some (exn, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock ticket.tk_lock;
-    ticket.tk_error <- err;
-    ticket.tk_finished <- true;
-    Condition.signal ticket.tk_done;
-    Mutex.unlock ticket.tk_lock
-  in
-  Mutex.lock t.lock;
-  (* A long-running task must start promptly even when every persistent
-     worker is occupied (or the pool is serial): an SPSC producer will
-     block on a consumer that never runs. Reuse an idle worker when one
-     is free, grow the persistent set if under budget, and otherwise
-     fall back to a dedicated domain so liveness never depends on pool
-     capacity. *)
-  let backlog = Queue.length t.pending in
-  if (not t.shutdown) && t.idle > backlog then submit_n_locked t [ body ]
-  else if (not t.shutdown) && List.length t.workers < t.jobs - 1 then begin
-    ensure_workers_locked t (List.length t.workers + 1);
-    submit_n_locked t [ body ]
-  end
-  else ticket.tk_domain <- Some (counted_spawn body);
-  Mutex.unlock t.lock;
-  ticket
-
-let shutdown = shutdown_pool
-
-let await ticket =
-  (match ticket.tk_domain with
-  | Some d -> Domain.join d
-  | None ->
-      Mutex.lock ticket.tk_lock;
-      while not ticket.tk_finished do
-        Condition.wait ticket.tk_done ticket.tk_lock
-      done;
-      Mutex.unlock ticket.tk_lock);
-  match ticket.tk_error with
-  | None -> ()
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt

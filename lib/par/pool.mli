@@ -74,29 +74,6 @@ val set_default_jobs : int -> unit
     [bench/main.exe] and [bin/jury_cli.exe] reach the experiment layer.
     Call from the main domain before any parallel work. *)
 
-(** {1 Long-running async tasks}
-
-    The staged validation pipeline parks its per-shard consumers on
-    the pool for the whole duration of a run. Unlike {!map_ordered}
-    items, such a task must {e start promptly} — an SPSC producer
-    blocks on a consumer that never gets scheduled — so {!async}
-    reuses an idle persistent worker when one is free and otherwise
-    spawns (a persistent worker while under the [jobs - 1] budget, a
-    dedicated domain beyond it). Liveness therefore never depends on
-    pool capacity, and an [async] task can never deadlock a
-    concurrent {!map_ordered} sweep: the sweep's submitting domain
-    drains every item itself if no worker frees up. *)
-
-type ticket
-
-val async : t -> (unit -> unit) -> ticket
-(** [async t f] starts [f] on a domain of its own (pool worker or
-    dedicated fallback) and returns a ticket to {!await}. *)
-
-val await : ticket -> unit
-(** Blocks until the task finishes; re-raises (with its backtrace) any
-    exception the task died with. *)
-
 val persistent_workers : t -> int
 (** Number of persistent worker domains currently attached to [t]. *)
 
@@ -110,8 +87,7 @@ val shutdown : t -> unit
     into the runtime's domain cap. Idempotent. *)
 
 val domains_spawned : unit -> int
-(** Process-wide count of domains ever spawned on behalf of any pool
-    (persistent workers and dedicated {!async} fallbacks). Bench
-    reports deltas of this: a sweep of N [map_ordered] calls costs at
-    most [jobs - 1] spawns total, where it used to cost
+(** Process-wide count of persistent workers ever spawned, by any
+    pool. Bench reports deltas of this: a sweep of N [map_ordered]
+    calls costs at most [jobs - 1] spawns in total, not
     [N * (jobs - 1)]. *)

@@ -322,6 +322,119 @@ let test_pipeline_merge_keeps_every_counter () =
     (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
     serial staged
 
+let test_staged_replay_across_chunks () =
+  (* 6000 triggers, one every 50 us, over 2 shards: each shard buffers
+     far more than 2048 items, so it replays at least three chunks, and
+     the 100 ms timers fall due across every cut. Each primary also
+     writes FLOWSDB (mirror traffic for the other shard), every fifth
+     answers twice, every seventh trigger's secondary 2 stays silent
+     until after the timeout (late), and every eleventh primary
+     disagrees with its secondaries (faulty). *)
+  let n = 6000 in
+  let taint serial = Types.Taint.external_trigger ~primary:0 ~serial in
+  let write key =
+    Types.Cache_write
+      { cache = Jury_store.Cache_names.flowsdb; op = Jury_store.Event.Create;
+        key; value = "v" }
+  in
+  let respond serial controller body =
+    { Response.controller; taint = taint serial; snapshot = Snapshot.pristine;
+      sent_at = Time.zero; term = 0; body }
+  in
+  let execution serial controller =
+    let key =
+      if controller = 0 && serial mod 11 = 0 then "other" else "k"
+    in
+    respond serial controller
+      (Response.Execution
+         { role = (if controller = 0 then `Primary else `Secondary);
+           actions = [ write key ] })
+  in
+  let first_tick serial =
+    let cache_update =
+      respond serial 0
+        (Response.Cache_update
+           { Jury_store.Event.cache = Jury_store.Cache_names.flowsdb;
+             op = Jury_store.Event.Create; key = "k"; value = "v"; origin = 0;
+             seq = serial; taint = None })
+    in
+    [ execution serial 0; cache_update; execution serial 1 ]
+    @ (if serial mod 5 = 0 then [ execution serial 0 ] else [])
+    @ if serial mod 7 = 0 then [] else [ execution serial 2 ]
+  in
+  let run ~staged =
+    let engine = Engine.create () and cfg = validator_cfg ~shards:2 () in
+    let v = Validator.create engine cfg in
+    let pool = Jury_par.Pool.create ~jobs:2 () in
+    if staged then Jury.Stage.attach ~pool ~jobs:2 cfg v;
+    for serial = 0 to n - 1 do
+      let at = Time.us (50 * serial) in
+      ignore
+        (Engine.schedule_at engine ~at (fun () ->
+             Validator.register_external v ~taint:(taint serial) ~at
+               ~primary:0 ~secondaries:[ 1; 2 ]));
+      ignore
+        (Engine.schedule_at engine ~at:(Time.add at (Time.ms 1)) (fun () ->
+             Validator.deliver_batch v (first_tick serial)));
+      if serial mod 7 = 0 then
+        ignore
+          (Engine.schedule_at engine ~at:(Time.add at (Time.ms 150))
+             (fun () -> Validator.deliver_batch v [ execution serial 2 ]))
+    done;
+    Engine.run engine ~until:(Time.sec 1);
+    Validator.flush v;
+    Jury_par.Pool.shutdown pool;
+    (Jury_check.Run.fingerprint_of_validator v, Validator.counters v)
+  in
+  let serial_fp, serial = run ~staged:false in
+  let staged_fp, staged = run ~staged:true in
+  List.iter
+    (fun c ->
+      check_bool (Counter.name c ^ " exercised") true (List.assoc c serial > 0))
+    Counter.[ Decided; Faulty; Late; Duplicate; Straggler ];
+  List.iter2
+    (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
+    serial staged;
+  check_bool "verdict fingerprints equal" true
+    (Jury_check.Run.fingerprint_equal serial_fp staged_fp)
+
+let test_stage_rejects_what_it_cannot_replicate () =
+  let attach ?retransmit ?adaptive_timeout ?max_inflight ?policies () =
+    let cfg =
+      Jury.Jury_config.validator
+        ~ack_peers_of:(fun _ -> [])
+        (Jury.Jury_config.make ~shards:2 ?retransmit ?adaptive_timeout
+           ?max_inflight ?policies ())
+    in
+    let pool = Jury_par.Pool.create ~jobs:1 () in
+    match
+      Jury.Stage.attach ~pool ~jobs:2 cfg (Validator.create (Engine.create ()) cfg)
+    with
+    | () -> "accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  let check = Alcotest.(check string) in
+  check "plain config" "accepted" (attach ());
+  check "retransmit"
+    "Stage.attach: retransmit must be None"
+    (attach ~retransmit:(Jury.Jury_config.retransmit ()) ());
+  check "adaptive timeout"
+    "Stage.attach: adaptive_timeout must be false"
+    (attach ~adaptive_timeout:true ());
+  check "max_inflight"
+    "Stage.attach: max_inflight must be None"
+    (attach ~max_inflight:10 ());
+  check "policy rules"
+    "Stage.attach: policies must have no rules"
+    (attach
+       ~policies:
+         (Jury_policy.Engine.create
+            [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ])
+       ());
+  check "two at once, both named"
+    "Stage.attach: retransmit must be None; max_inflight must be None"
+    (attach ~retransmit:(Jury.Jury_config.retransmit ()) ~max_inflight:10 ())
+
 let test_shard_counters_sum_to_totals () =
   let _, v = bare_validator ~shards:2 () in
   for serial = 0 to 3 do
@@ -445,6 +558,10 @@ let suite =
       test_count_allocates_nothing;
     Alcotest.test_case "pipeline merge keeps every counter" `Quick
       test_pipeline_merge_keeps_every_counter;
+    Alcotest.test_case "staged replay across chunk boundaries" `Quick
+      test_staged_replay_across_chunks;
+    Alcotest.test_case "Stage.attach rejects what it cannot replicate" `Quick
+      test_stage_rejects_what_it_cannot_replicate;
     Alcotest.test_case "per-shard counters sum to the totals" `Quick
       test_shard_counters_sum_to_totals;
     Alcotest.test_case "make validates its arguments" `Quick

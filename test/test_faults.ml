@@ -10,7 +10,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let scenario_case (s : Scenarios.t) =
-  ( Printf.sprintf "%s detected (%s)" s.Scenarios.name s.Scenarios.expected_name,
+  ( Printf.sprintf "%s detected (%s)" s.Scenarios.name
+      (Jury.Alarm.fault_name s.Scenarios.expected),
     `Slow,
     fun () ->
       let r = Runner.run ~switches:10 s in

@@ -86,26 +86,6 @@ let test_persistent_worker_reuse () =
     true (spawned <= 2);
   check_bool "workers persisted" true (Pool.persistent_workers pool >= 1)
 
-let test_async_await () =
-  let pool = Pool.create ~jobs:2 () in
-  let cell = Atomic.make 0 in
-  let t1 = Pool.async pool (fun () -> Atomic.set cell 41) in
-  Pool.await t1;
-  check_int "async ran" 41 (Atomic.get cell);
-  let t2 = Pool.async pool (fun () -> failwith "consumer died") in
-  (match Pool.await t2 with
-  | () -> Alcotest.fail "await must re-raise"
-  | exception Failure m -> Alcotest.(check string) "exn text" "consumer died" m);
-  (* Saturate: more async tasks than workers must all still run
-     (dedicated-domain fallback keeps liveness). *)
-  let n = 5 in
-  let hits = Atomic.make 0 in
-  let tickets =
-    List.init n (fun _ -> Pool.async pool (fun () -> Atomic.incr hits))
-  in
-  List.iter Pool.await tickets;
-  check_int "all saturated tasks ran" n (Atomic.get hits)
-
 let test_shutdown () =
   (* A throwaway pool must release its worker domains on shutdown —
      otherwise a loop of short-lived pools (one per fuzz case) parks
@@ -123,80 +103,7 @@ let test_shutdown () =
   Alcotest.(check (list int))
     "post-shutdown sweep degrades to serial" (List.map succ xs)
     (Pool.map_ordered pool xs succ);
-  check_int "no respawn after shutdown" before (Pool.domains_spawned ());
-  (* async keeps its liveness guarantee via the dedicated fallback. *)
-  let cell = Atomic.make 0 in
-  Pool.await (Pool.async pool (fun () -> Atomic.set cell 7));
-  check_int "async after shutdown still runs" 7 (Atomic.get cell)
-
-(* --- SPSC queue --- *)
-
-module Spsc = Jury_par.Spsc
-
-let test_spsc_wraparound () =
-  let q = Spsc.create ~capacity:4 in
-  check_int "capacity rounded to pow2" 4 (Spsc.capacity q);
-  check_int "rounding up" 8 (Spsc.capacity (Spsc.create ~capacity:5));
-  (* Push/pop far more elements than the ring holds so the cursors lap
-     the array repeatedly; FIFO order must survive every wrap. *)
-  let out = ref [] in
-  for cycle = 0 to 24 do
-    for i = 0 to 2 do
-      Spsc.push q ((cycle * 3) + i)
-    done;
-    for _ = 0 to 2 do
-      match Spsc.try_pop q with
-      | Some v -> out := v :: !out
-      | None -> Alcotest.fail "pop missed a pushed element"
-    done
-  done;
-  Alcotest.(check (list int))
-    "FIFO across wraps" (List.init 75 Fun.id) (List.rev !out)
-
-let test_spsc_full_empty_close () =
-  let q = Spsc.create ~capacity:2 in
-  check_bool "starts empty" true (Spsc.is_empty q);
-  Alcotest.(check (option int)) "pop on empty" None (Spsc.try_pop q);
-  check_bool "push 1" true (Spsc.try_push q 1);
-  check_bool "push 2" true (Spsc.try_push q 2);
-  check_bool "push on full fails" false (Spsc.try_push q 3);
-  check_int "length at capacity" 2 (Spsc.length q);
-  Alcotest.(check (option int)) "drains oldest" (Some 1) (Spsc.try_pop q);
-  check_bool "slot freed" true (Spsc.try_push q 3);
-  Spsc.close q;
-  check_bool "closed" true (Spsc.is_closed q);
-  (match Spsc.try_push q 4 with
-  | (_ : bool) -> Alcotest.fail "push after close must raise"
-  | exception Spsc.Closed -> ());
-  Alcotest.(check (option int)) "drain after close" (Some 2) (Spsc.pop q);
-  Alcotest.(check (option int)) "drain after close" (Some 3) (Spsc.pop q);
-  Alcotest.(check (option int)) "end of stream" None (Spsc.pop q)
-
-let test_spsc_cross_domain_ordering () =
-  (* One producer, one consumer on a real second domain, a ring far
-     smaller than the stream: back-pressure engages and order must
-     still be exact. *)
-  let n = 20_000 in
-  let q = Spsc.create ~capacity:8 in
-  let consumer =
-    Domain.spawn (fun () ->
-        (* The stream is 0, 1, 2, ... so exact FIFO means the i-th pop
-           returns i — the strongest possible ordering check. *)
-        let rec drain count =
-          match Spsc.pop q with
-          | None -> count
-          | Some v ->
-              if v <> count then
-                Alcotest.failf "pop %d returned %d (order broken)" count v;
-              drain (count + 1)
-        in
-        drain 0)
-  in
-  for i = 0 to n - 1 do
-    Spsc.push q i
-  done;
-  Spsc.close q;
-  check_int "every element delivered exactly once" n (Domain.join consumer)
+  check_int "no respawn after shutdown" before (Pool.domains_spawned ())
 
 (* --- Serial vs parallel byte-identity --- *)
 
@@ -416,15 +323,7 @@ let suite =
       test_map_ordered_raises_with_indices;
     Alcotest.test_case "pool: persistent workers reused across sweeps" `Quick
       test_persistent_worker_reuse;
-    Alcotest.test_case "pool: async/await + saturation fallback" `Quick
-      test_async_await;
     Alcotest.test_case "pool: shutdown joins workers" `Quick test_shutdown;
-    Alcotest.test_case "spsc: wraparound keeps FIFO" `Quick
-      test_spsc_wraparound;
-    Alcotest.test_case "spsc: full/empty/close semantics" `Quick
-      test_spsc_full_empty_close;
-    Alcotest.test_case "spsc: cross-domain ordering under back-pressure"
-      `Quick test_spsc_cross_domain_ordering;
     Alcotest.test_case "fig4a identical serial vs parallel" `Slow
       test_fig4a_serial_parallel_identical;
     Alcotest.test_case "run_matrix identical serial vs parallel" `Slow
