@@ -535,94 +535,6 @@ let validator_scale ~full () =
                 else " -- MISMATCH")
          | _ -> ())
 
-(* Filled by [firehose] so --json can report the sweep rows. *)
-let firehose_rows : Firehose_bench.row list ref = ref []
-
-let firehose ~full () =
-  section "Firehose: staged validation pipeline throughput (jobs x shards)";
-  note "wall-clock ingest of a heavy-tailed capture stream (2M-host \
-        enterprise profile); trigger/verdict counts must be identical \
-        across every (jobs, shards) point (single-core containers cap \
-        the wall-clock speedup -- see DESIGN.md)";
-  let duration = Time.ms (if full then 2000 else 300) in
-  let rows = Firehose_bench.sweep ~duration () in
-  firehose_rows := !firehose_rows @ rows;
-  let t =
-    Table.create
-      ~header:
-        [ "profile"; "jobs"; "shards"; "triggers"; "decided"; "wall s";
-          "events/s"; "verdicts/s"; "spawned" ]
-  in
-  let baseline =
-    List.find_opt (fun (r : Firehose_bench.row) -> r.fh_jobs = 1) rows
-  in
-  List.iter
-    (fun (r : Firehose_bench.row) ->
-      let identical =
-        match baseline with
-        | Some b ->
-            b.fh_decided = r.fh_decided && b.fh_faults = r.fh_faults
-            && b.fh_triggers = r.fh_triggers
-        | None -> true
-      in
-      Table.add_row t
-        [ r.fh_profile;
-          string_of_int r.fh_jobs;
-          string_of_int r.fh_shards;
-          string_of_int r.fh_triggers;
-          string_of_int r.fh_decided ^ (if identical then "" else " MISMATCH");
-          Printf.sprintf "%.2f" r.fh_wall_s;
-          Printf.sprintf "%.0f" r.fh_events_per_s;
-          Printf.sprintf "%.0f" r.fh_verdicts_per_s;
-          string_of_int r.fh_domains_spawned ])
-    rows;
-  Table.print t;
-  match baseline with
-  | Some b when b.fh_verdicts_per_s > 0. ->
-      List.iter
-        (fun (r : Firehose_bench.row) ->
-          if r.fh_jobs > 1 then
-            note "=> jobs=%d shards=%d: %.2fx verdicts/s vs serial%s"
-              r.fh_jobs r.fh_shards
-              (r.fh_verdicts_per_s /. b.fh_verdicts_per_s)
-              (if r.fh_decided = b.fh_decided then "" else " -- MISMATCH"))
-        rows
-  | _ -> ()
-
-let pool_bench ~full:_ () =
-  section "Domain pool: persistent workers (spawn amortisation)";
-  note "map_ordered keeps its worker domains across calls; only the \
-        first call pays Domain.spawn";
-  let pool = Jury_par.Pool.create ~jobs:4 () in
-  let items = List.init 128 Fun.id in
-  let call () =
-    let t0 = Unix.gettimeofday () in
-    ignore (Jury_par.Pool.map_ordered pool items (fun x -> x * x));
-    Unix.gettimeofday () -. t0
-  in
-  let d0 = Jury_par.Pool.domains_spawned () in
-  let first_s = call () in
-  let spawned_first = Jury_par.Pool.domains_spawned () - d0 in
-  let d1 = Jury_par.Pool.domains_spawned () in
-  let reps = 20 in
-  let reused_s =
-    let total = ref 0. in
-    for _ = 1 to reps do
-      total := !total +. call ()
-    done;
-    !total /. float_of_int reps
-  in
-  let spawned_reused = Jury_par.Pool.domains_spawned () - d1 in
-  note "first call: %.0fus (%d domain(s) spawned); steady state: %.0fus \
-        per call (%d spawned over %d calls)"
-    (first_s *. 1e6) spawned_first (reused_s *. 1e6) spawned_reused reps;
-  if spawned_reused > 0 then
-    note "=> WARNING: steady-state calls still spawn domains";
-  micro_rows :=
-    !micro_rows
-    @ [ ("pool-map-ordered-first-call", first_s *. 1e9);
-        ("pool-map-ordered-reused", reused_s *. 1e9) ]
-
 (* --- Bechamel micro-benchmarks --- *)
 
 let micro ~full:_ () =
@@ -874,8 +786,6 @@ let all_experiments =
     ("ablations", ablations);
     ("lossy", lossy);
     ("validator-scale", validator_scale);
-    ("firehose", firehose);
-    ("pool", pool_bench);
     ("micro", micro) ]
 
 (* --- machine-readable results (--json) --- *)
@@ -887,77 +797,30 @@ type record = {
 }
 
 let write_json path ~jobs ~full records =
-  let buf = Buffer.create 4096 in
-  let total_wall = List.fold_left (fun a r -> a +. r.r_wall_s) 0. records in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if full then "full" else "quick"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total_wall_s\": %.3f,\n" total_wall);
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      let rate =
-        if r.r_wall_s > 0. then float_of_int r.r_events /. r.r_wall_s else 0.
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d, \
-            \"events_per_sec\": %.1f}%s\n"
-           (Jury_obs.Json.escape r.r_name) r.r_wall_s r.r_events rate
-           (if i = List.length records - 1 then "" else ",")))
-    records;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_spawned\": %d,\n"
-       (Jury_par.Pool.domains_spawned ()));
-  Buffer.add_string buf "  \"firehose\": [\n";
-  List.iteri
-    (fun i (r : Firehose_bench.row) ->
-      (* Verdict counts must be independent of (jobs, shards): compare
-         each row against its profile's serial row so CI can grep for
-         "verdicts_match": false. *)
-      let matches =
-        match
-          List.find_opt
-            (fun (b : Firehose_bench.row) ->
-              b.fh_profile = r.fh_profile && b.fh_jobs = 1)
-            !firehose_rows
-        with
-        | None -> true
-        | Some b ->
-            b.fh_triggers = r.fh_triggers
-            && b.fh_decided = r.fh_decided
-            && b.fh_faults = r.fh_faults
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"profile\": \"%s\", \"jobs\": %d, \"shards\": %d, \
-            \"triggers\": %d, \"responses\": %d, \"decided\": %d, \
-            \"faults\": %d, \"wall_s\": %.3f, \"events_per_sec\": %.1f, \
-            \"verdicts_per_sec\": %.1f, \"domains_spawned\": %d, \
-            \"verdicts_match\": %b}%s\n"
-           (Jury_obs.Json.escape r.fh_profile)
-           r.fh_jobs r.fh_shards r.fh_triggers r.fh_responses r.fh_decided
-           r.fh_faults r.fh_wall_s r.fh_events_per_s r.fh_verdicts_per_s
-           r.fh_domains_spawned matches
-           (if i = List.length !firehose_rows - 1 then "" else ",")))
-    !firehose_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"micro_ns_per_op\": {";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\n    \"%s\": %.1f"
-           (if i = 0 then "" else ",")
-           (Jury_obs.Json.escape name) ns))
-    !micro_rows;
-  Buffer.add_string buf (if !micro_rows = [] then "}\n" else "\n  }\n");
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  let open Jury_obs.Json in
+  let experiment r =
+    let rate =
+      if r.r_wall_s > 0. then float_of_int r.r_events /. r.r_wall_s else 0.
+    in
+    Obj
+      [ ("name", String r.r_name);
+        ("wall_s", Float r.r_wall_s);
+        ("events", Int r.r_events);
+        ("events_per_sec", Float rate) ]
+  in
+  let json =
+    Obj
+      [ ("jobs", Int jobs);
+        ("mode", String (if full then "full" else "quick"));
+        ("total_wall_s",
+         Float (List.fold_left (fun a r -> a +. r.r_wall_s) 0. records));
+        ("experiments", List (List.map experiment records));
+        ("micro_ns_per_op",
+         Obj (List.map (fun (name, ns) -> (name, Float ns)) !micro_rows)) ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (to_string json);
+      output_char oc '\n');
   Printf.printf "wrote %s\n" path
 
 let run_selected names full jobs json =
@@ -1014,7 +877,7 @@ let names_arg =
                fig4d detection fig4e fig4f fig4g fig4h fig4i overhead \
                profiles profile-onos profile-odl profile-ryu \
                policy-scaling policy-scale ablations lossy validator-scale \
-               firehose pool micro.")
+               micro.")
 
 let full_arg =
   Arg.(value & flag & info [ "full" ]
@@ -1029,8 +892,7 @@ let jobs_arg =
 let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
          ~doc:"Write machine-readable results (per-experiment wall-clock, \
-               events/sec, firehose verdict counts, micro-bench ns/op) \
-               to PATH.")
+               events/sec, micro-bench ns/op) to PATH.")
 
 let cmd =
   let term = Term.(const (fun names full jobs json ->

@@ -685,7 +685,10 @@ let check_cmd =
     let below_blind =
       compare_blind
       &&
-      let blind = Jury_check.Fuzz.blind_feature_count ~cases:budget ~seed () in
+      let blind =
+        (Jury_check.Fuzz.run ~oracles:[] ~seed_cases:budget ~budget ~seed ())
+          .Jury_check.Fuzz.blind_features
+      in
       Printf.printf "same-budget blind: %d feature(s); guided: %d (%+d)\n"
         blind guided (guided - blind);
       guided < blind

@@ -167,13 +167,3 @@ let run ?(log = ignore) ?oracles ?seed_cases ?(max_shrink = 0)
     corpus;
     blind_features;
     failures = List.rev !failures }
-
-let blind_feature_count ~cases ~seed () =
-  let cov = ref Coverage.empty in
-  for i = 0 to cases - 1 do
-    let case = Case.generate ~seed:(seed + i) in
-    let tr = Jury_obs.Trace.create () in
-    let outcome = Run.execute ~trace:tr case in
-    cov := Coverage.union !cov (Coverage.of_run ~trace:tr case outcome)
-  done;
-  Coverage.cardinal !cov

@@ -31,7 +31,9 @@ type summary = {
   corpus : Corpus.t;
   blind_features : int;
       (** corpus feature count right after seeding — the blind
-          baseline the guided phase grows from *)
+          baseline the guided phase grows from. With [~seed_cases:budget]
+          the whole budget is blind, which makes this the comparison
+          arm for guided-vs-blind coverage claims. *)
   failures : failure list;
 }
 
@@ -56,7 +58,3 @@ val run :
     [oracles] defaults to {!default_oracles}; [max_shrink] (default 0,
     i.e. off) bounds shrink executions per failure. [log] receives
     progress lines, admissions and failure reports. *)
-
-val blind_feature_count : cases:int -> seed:int -> unit -> int
-(** Feature count of [cases] purely blind cases from [seed] — the
-    comparison arm for guided-vs-blind coverage claims. *)

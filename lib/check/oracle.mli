@@ -74,7 +74,7 @@ type t = {
 }
 
 (** The individual invariant checks, in battery order. {!Registry}
-    registers each of these exactly once with its family, name and doc;
+    lists each of these exactly once with its family, name and doc;
     resolve names and enumerate the battery through {!Registry}, never
     here. *)
 

@@ -1,21 +1,14 @@
-(** The single registration path for oracles.
+(** The oracle catalog.
 
     Every consumer of the battery — [jury_cli check], [jury_cli mc],
     the guided fuzzer, the shrinker, the pinned repro corpus — resolves
-    selectors and enumerates oracles through this table. Adding an
-    oracle means writing its check in {!Oracle} and registering it
-    here; the CLI selector, the unknown-name error listing and the
-    default battery all pick it up from the one entry. *)
-
-val register :
-  family:string -> name:string -> doc:string -> (Oracle.ctx -> Oracle.result) ->
-  unit
-(** Append an oracle to the catalog. Raises [Invalid_argument] on a
-    duplicate name. The built-in battery registers itself when this
-    module is linked; call this only to add new oracles. *)
+    selectors and enumerates oracles through this one list. Adding an
+    oracle means writing its check in {!Oracle} and listing it here;
+    the CLI selector, the unknown-name error listing and the default
+    battery all pick it up from the one entry. *)
 
 val all : unit -> Oracle.t list
-(** Every registered oracle, in registration order. *)
+(** Every oracle, in battery order. *)
 
 val families : unit -> string list
 (** The distinct family names, sorted. *)
@@ -36,7 +29,7 @@ val resolve : string -> (Oracle.t list, string) result
     and [check --fuzz] share this table. *)
 
 val check_run : ?oracles:Oracle.t list -> Oracle.ctx -> (Oracle.t * string) list
-(** {!Oracle.check_run} defaulting to the full registered battery. *)
+(** {!Oracle.check_run} defaulting to the full battery. *)
 
 val check_case : ?oracles:Oracle.t list -> Case.t -> (Oracle.t * string) list
 (** [check_run ?oracles (Oracle.ctx case)]. *)

@@ -1,18 +1,10 @@
-(* Firehose throughput bench: drive a bare validator (optionally
-   staged over the domain pool) with a {!Jury_workload.Firehose}
-   stream and measure sustained ingest and verdict throughput in
-   wall-clock terms.
-
-   The sweep runs its (jobs, shards) points sequentially — each point
-   owns the machine, and a staged point replays on the pool's
-   domains, so fanning points out would corrupt every wall-clock
-   figure. Within a
-   point the flow is the deployment's: registrations at arrival,
-   responses accumulated into a 200 µs batch window, one
-   [deliver_batch] per window tick, a final [flush] after the stream
-   ends. Verdict counts must agree across every point of a profile —
-   the job and shard counts are not allowed to be observable — and
-   [sweep] records the serial point's count so the caller can check. *)
+(* The serial firehose reference run: drive a bare validator with a
+   {!Jury_workload.Firehose} stream and count what it decides. The flow
+   is the deployment's: registrations at arrival, responses accumulated
+   into a 200 µs batch window, one [deliver_batch] per window tick, a
+   final [flush] after the stream ends. The benchmark's firehose
+   workload replays the same stream and checks its counts against this
+   run. *)
 
 open Jury_sim
 module Firehose = Jury_workload.Firehose
@@ -24,17 +16,10 @@ module Event = Jury_store.Event
 module Names = Jury_store.Cache_names
 
 type row = {
-  fh_profile : string;
-  fh_jobs : int;
-  fh_shards : int;
-  fh_triggers : int;        (* arrivals registered *)
-  fh_responses : int;       (* responses ingested *)
+  fh_triggers : int;   (* arrivals registered *)
+  fh_responses : int;  (* responses ingested *)
   fh_decided : int;
   fh_faults : int;
-  fh_wall_s : float;
-  fh_events_per_s : float;  (* (triggers + responses) / wall *)
-  fh_verdicts_per_s : float;
-  fh_domains_spawned : int; (* Pool.domains_spawned delta around the point *)
 }
 
 let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
@@ -121,30 +106,10 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
   in
   arm_arrival ();
   ignore (Engine.schedule engine ~after:window (fun () -> batch_tick ()));
-  let domains0 = Jury_par.Pool.domains_spawned () in
-  let t0 = Unix.gettimeofday () in
   (* Settle one timeout past the stream so stragglers decide. *)
   Engine.run engine ~until:(Time.add stop (Time.ms 60));
   Validator.flush v;
-  let wall = Unix.gettimeofday () -. t0 in
-  let decided = Validator.decided_count v in
-  { fh_profile = profile.Firehose.name;
-    fh_jobs = jobs;
-    fh_shards = shards;
-    fh_triggers = !serial;
+  { fh_triggers = !serial;
     fh_responses = !responses;
-    fh_decided = decided;
-    fh_faults = Validator.fault_count v;
-    fh_wall_s = wall;
-    fh_events_per_s =
-      (if wall > 0. then float_of_int (!serial + !responses) /. wall else 0.);
-    fh_verdicts_per_s =
-      (if wall > 0. then float_of_int decided /. wall else 0.);
-    fh_domains_spawned = Jury_par.Pool.domains_spawned () - domains0 }
-
-let sweep ?(seed = 11) ?(duration = Time.ms 400) ?(profile = Firehose.enterprise)
-    () =
-  List.map
-    (fun (jobs, shards) ->
-      run_point ~seed ~profile ~duration ~jobs ~shards ())
-    [ (1, 1); (1, 4); (2, 2); (2, 4); (4, 4) ]
+    fh_decided = Validator.decided_count v;
+    fh_faults = Validator.fault_count v }

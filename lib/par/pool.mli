@@ -19,8 +19,8 @@
     {!map_ordered} call spawns up to [jobs - 1] workers and later
     calls reuse them, so a bench sweep of hundreds of small fan-outs
     pays the domain-spawn cost once instead of per call
-    ({!domains_spawned} exposes the process-wide spawn count the bench
-    reports). Workers idle on a condition variable between calls and
+    ({!domains_spawned} exposes the process-wide spawn count, which
+    the tests bound). Workers idle on a condition variable between calls and
     are joined automatically at process exit. *)
 
 type t
@@ -88,6 +88,5 @@ val shutdown : t -> unit
 
 val domains_spawned : unit -> int
 (** Process-wide count of persistent workers ever spawned, by any
-    pool. Bench reports deltas of this: a sweep of N [map_ordered]
-    calls costs at most [jobs - 1] spawns in total, not
-    [N * (jobs - 1)]. *)
+    pool. A sweep of N [map_ordered] calls on one pool moves it by at
+    most [jobs - 1] in total, not [N * (jobs - 1)]. *)

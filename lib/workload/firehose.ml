@@ -5,10 +5,10 @@
    millions) materialising hosts and switches would swamp the very
    pipeline being measured. Instead the stream denotes the {e output}
    of capture: flow arrivals with heavy-tailed interarrival gaps and a
-   skewed virtual host popularity, layered on the trace profiles'
-   burstiness ({!Traces.lbnl} / {!Traces.univ} / {!Traces.smia}). The
-   consumer (the firehose bench in [Jury_experiments]) turns each
-   arrival into a validator registration plus responses. *)
+   skewed virtual host popularity, layered on a trace profile's
+   burstiness. The consumers (the firehose reference run in
+   [Jury_experiments] and the benchmark's [firehose] workload) turn
+   each arrival into a validator registration plus responses. *)
 
 open Jury_sim
 
@@ -23,12 +23,8 @@ type profile = {
   locality : float;
 }
 
-(* The three firehose profiles scale the corresponding trace profile's
-   burstiness up to data-centre trigger rates. Host-space sizes follow
-   the traces' published address diversity ordering (campus > site >
-   exercise); the tail parameters give the university profile the
-   longest bursts-and-lulls tail and the cyber-exercise profile the
-   most skewed host popularity. *)
+(* The enterprise profile scales {!Traces.lbnl}'s burstiness up to
+   data-centre trigger rates over a 2M-host space. *)
 let enterprise =
   { name = "enterprise";
     base = Traces.lbnl;
@@ -38,29 +34,6 @@ let enterprise =
     tail_weight = 0.10;
     tail_mean_ratio = 8.;
     locality = 2.0 }
-
-let university =
-  { name = "university";
-    base = Traces.univ;
-    hosts = 4_000_000;
-    rate = 80_000.;
-    tail_alpha = 1.2;
-    tail_weight = 0.15;
-    tail_mean_ratio = 12.;
-    locality = 1.6 }
-
-let cyber =
-  { name = "cyber";
-    base = Traces.smia;
-    hosts = 1_000_000;
-    rate = 30_000.;
-    tail_alpha = 1.1;
-    tail_weight = 0.20;
-    tail_mean_ratio = 10.;
-    locality = 3.0 }
-
-let all = [ enterprise; university; cyber ]
-let find name = List.find_opt (fun p -> p.name = name) all
 
 type event = { at : Time.t; src : int; dst : int; flow_key : string }
 

@@ -4,13 +4,13 @@
 
     This workload deliberately bypasses the simulated network — it
     denotes what capture would emit, not how packets got there — so it
-    can push the staged validation pipeline orders of magnitude harder
-    than host-by-host injection. Draw events with {!next} and feed them
-    to a validator yourself (the firehose bench in [Jury_experiments]
-    does exactly that); arrival times are strictly increasing. *)
+    can push a validator's ingest path orders of magnitude harder than
+    host-by-host injection. Draw events with {!next} and feed them to a
+    validator yourself ([Jury_experiments.Firehose_bench] does exactly
+    that); arrival times are strictly increasing. *)
 
 type profile = {
-  name : string;            (** selector, e.g. ["enterprise"] *)
+  name : string;            (** label, e.g. ["enterprise"] *)   
   base : Traces.profile;    (** trace whose burstiness shapes the body *)
   hosts : int;              (** virtual host space (ids [0 .. hosts-1]) *)
   rate : float;             (** aggregate trigger arrivals per simulated second *)
@@ -22,17 +22,6 @@ type profile = {
 
 val enterprise : profile
 (** Layered on {!Traces.lbnl}: 2M hosts, 50K triggers/s. *)
-
-val university : profile
-(** Layered on {!Traces.univ}: 4M hosts, 80K triggers/s, the longest
-    bursts-and-lulls tail. *)
-
-val cyber : profile
-(** Layered on {!Traces.smia}: 1M hosts, 30K triggers/s, the most
-    skewed host popularity. *)
-
-val all : profile list
-val find : string -> profile option
 
 type event = {
   at : Jury_sim.Time.t;  (** absolute simulated arrival instant *)

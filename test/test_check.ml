@@ -180,9 +180,13 @@ let test_backtoback_overload_identical () =
   check_int "identical overload counts" n1 n2
 
 (* The shared selector table behind `check --oracle` and `mc --oracle`:
-   a family resolves to its oracles, an exact name to a singleton, and
-   anything else to an error that lists every valid choice. *)
+   oracle names are unique, a family resolves to its oracles, an exact
+   name to a singleton, and anything else to an error that lists every
+   valid choice. *)
 let test_oracle_resolve () =
+  let names = Jury_check.Registry.names () in
+  check_int "oracle names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
   (match Jury_check.Registry.resolve "sharding" with
   | Ok os ->
       check_int "family resolves to its oracles"

@@ -323,9 +323,10 @@ let test_pipeline_merge_keeps_every_counter () =
     serial staged
 
 let test_staged_replay_across_chunks () =
-  (* 6000 triggers, one every 50 us, over 2 shards: each shard buffers
-     far more than 2048 items, so it replays at least three chunks, and
-     the 100 ms timers fall due across every cut. Each primary also
+  (* 6000 triggers, one every 50 us, staged at 2 jobs over 2 shards and
+     at 4 jobs over 4 shards (four replay groups): each shard buffers
+     more than 1024 items, so it replays several chunks, and the 100 ms
+     timers fall due across every cut. Each primary also
      writes FLOWSDB (mirror traffic for the other shard), every fifth
      answers twice, every seventh trigger's secondary 2 stays silent
      until after the timeout (late), and every eleventh primary
@@ -362,11 +363,11 @@ let test_staged_replay_across_chunks () =
     @ (if serial mod 5 = 0 then [ execution serial 0 ] else [])
     @ if serial mod 7 = 0 then [] else [ execution serial 2 ]
   in
-  let run ~staged =
-    let engine = Engine.create () and cfg = validator_cfg ~shards:2 () in
+  let run ~shards ~jobs =
+    let engine = Engine.create () and cfg = validator_cfg ~shards () in
     let v = Validator.create engine cfg in
-    let pool = Jury_par.Pool.create ~jobs:2 () in
-    if staged then Jury.Stage.attach ~pool ~jobs:2 cfg v;
+    let pool = Jury_par.Pool.create ~jobs () in
+    if jobs > 1 then Jury.Stage.attach ~pool ~jobs cfg v;
     for serial = 0 to n - 1 do
       let at = Time.us (50 * serial) in
       ignore
@@ -386,17 +387,21 @@ let test_staged_replay_across_chunks () =
     Jury_par.Pool.shutdown pool;
     (Jury_check.Run.fingerprint_of_validator v, Validator.counters v)
   in
-  let serial_fp, serial = run ~staged:false in
-  let staged_fp, staged = run ~staged:true in
   List.iter
-    (fun c ->
-      check_bool (Counter.name c ^ " exercised") true (List.assoc c serial > 0))
-    Counter.[ Decided; Faulty; Late; Duplicate; Straggler ];
-  List.iter2
-    (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
-    serial staged;
-  check_bool "verdict fingerprints equal" true
-    (Jury_check.Run.fingerprint_equal serial_fp staged_fp)
+    (fun (shards, jobs) ->
+      let serial_fp, serial = run ~shards ~jobs:1 in
+      let staged_fp, staged = run ~shards ~jobs in
+      List.iter
+        (fun c ->
+          check_bool (Counter.name c ^ " exercised") true
+            (List.assoc c serial > 0))
+        Counter.[ Decided; Faulty; Late; Duplicate; Straggler ];
+      List.iter2
+        (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
+        serial staged;
+      check_bool "verdict fingerprints equal" true
+        (Jury_check.Run.fingerprint_equal serial_fp staged_fp))
+    [ (2, 2); (4, 4) ]
 
 let test_stage_rejects_what_it_cannot_replicate () =
   let attach ?retransmit ?adaptive_timeout ?max_inflight ?policies () =

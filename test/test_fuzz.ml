@@ -63,7 +63,9 @@ let test_guided_beats_blind () =
   let budget = 40 and seed = 7 in
   let s = Fuzz.run ~budget ~seed () in
   let guided = Corpus.feature_count s.Fuzz.corpus in
-  let blind = Fuzz.blind_feature_count ~cases:budget ~seed () in
+  let blind =
+    (Fuzz.run ~oracles:[] ~seed_cases:budget ~budget ~seed ()).Fuzz.blind_features
+  in
   check_int "same budget spent" budget s.Fuzz.executed;
   if guided <= blind then
     Alcotest.failf "guided %d feature(s) <= blind %d at budget %d" guided
