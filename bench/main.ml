@@ -658,7 +658,7 @@ let micro ~full:_ () =
         (R.Cache_update
            { Jury_store.Event.cache = Jury_store.Cache_names.flowsdb;
              op = Jury_store.Event.Create; key; value; origin = 0;
-             seq = !serial; taint = Some (Types.Taint.to_string taint) });
+             seq = !serial; taint = Some taint });
       send 0 (R.Network_write { dpid = d1; flow = fm })
   in
   (* One engine step over a queue held at 1600 events, the median

@@ -117,8 +117,7 @@ and delegate_flow_event t (ev : Event.t) =
   | (Event.Create | Event.Update), Some dpid when masters t dpid -> (
       match Values.Flow.parse ev.Event.value with
       | Some fm ->
-          let taint = Option.bind ev.Event.taint Types.Taint.of_string in
-          send_network t taint dpid (Of_message.Flow_mod fm)
+          send_network t ev.Event.taint dpid (Of_message.Flow_mod fm)
       | None -> ())
   | Event.Delete, Some _ | _, _ -> ()
 
@@ -625,9 +624,7 @@ let apply_action t taint ~delay (action : Types.action) =
               ~cache ~op
       in
       match
-        Fabric.write t.fabric ~node:t.id
-          ?taint:(Option.map Types.Taint.to_string taint)
-          ~cache op ~key ~value
+        Fabric.write t.fabric ~node:t.id ?taint ~cache op ~key ~value
       with
       | Ok _ ->
           if Time.(stall > Time.zero) then Pipeline.add_load t.pipeline stall;

@@ -1,75 +1,6 @@
 open Jury_openflow
 
-module Taint = struct
-  type t = string
-
-  let external_trigger ~primary ~serial =
-    Printf.sprintf "ext:%d:%d" primary serial
-
-  let internal_trigger ~origin ~seq = Printf.sprintf "int:%d:%d" origin seq
-
-  exception Malformed
-
-  (* The digits of [t.[k..j)] onto [acc], read negatively so that
-     [min_int] fits. *)
-  let rec digits t j acc k =
-    if k = j then acc
-    else
-      match t.[k] with
-      | '0' .. '9' as c ->
-          let d = Char.code c - Char.code '0' in
-          let limit = min_int / 10 in
-          if acc < limit || (acc = limit && d > (limit * 10) - min_int) then
-            raise_notrace Malformed;
-          digits t j ((acc * 10) - d) (k + 1)
-      | _ -> raise_notrace Malformed
-
-  (* [t.[i..j)] as [%d] prints an int: an optional '-', then decimal
-     digits. *)
-  let decimal t i j =
-    let neg = i < j && t.[i] = '-' in
-    let i = if neg then i + 1 else i in
-    if i >= j then raise_notrace Malformed;
-    let v = digits t j 0 i in
-    if neg then v
-    else if v = min_int then raise_notrace Malformed
-    else -v
-
-  (* Checks ["ext:P:S"] or ["int:O:S"] in place and returns the index of
-     its second ':'. *)
-  let second_colon t =
-    if
-      not
-        (String.starts_with ~prefix:"ext:" t
-        || String.starts_with ~prefix:"int:" t)
-    then raise_notrace Malformed;
-    let c =
-      match String.index_from t 4 ':' with
-      | c -> c
-      | exception Not_found -> raise_notrace Malformed
-    in
-    ignore (decimal t 4 c : int);
-    ignore (decimal t (c + 1) (String.length t) : int);
-    c
-
-  let primary_of t =
-    match second_colon t with
-    | c -> if t.[0] = 'e' then Some (decimal t 4 c) else None
-    | exception Malformed -> None
-
-  let is_external t =
-    match second_colon t with
-    | _ -> t.[0] = 'e'
-    | exception Malformed -> false
-
-  let to_string t = t
-
-  let of_string s =
-    match second_colon s with _ -> Some s | exception Malformed -> None
-  let equal = String.equal
-  let compare = String.compare
-  let pp = Format.pp_print_string
-end
+module Taint = Jury_store.Taint
 
 type rest_request =
   | Install_flow of { dpid : Of_types.Dpid.t; flow : Of_message.flow_mod }

@@ -10,32 +10,8 @@
 
 open Jury_openflow
 
-(** Identifies a trigger end-to-end. External triggers are tainted by
-    JURY's replicator before they reach any controller; internal
-    triggers are identified after the fact from their first cache
-    event. *)
-module Taint : sig
-  type t = private string
-
-  val external_trigger : primary:int -> serial:int -> t
-  (** Minted by the replicator: identifies the trigger and the primary
-      controller that received it (§IV-A). *)
-
-  val internal_trigger : origin:int -> seq:int -> t
-  (** Synthesised by the validator for proactive actions, keyed by the
-      first cache event's (origin, sequence). *)
-
-  val primary_of : t -> int option
-  (** The primary controller id for an external taint, [None] for
-      internal. *)
-
-  val is_external : t -> bool
-  val to_string : t -> string
-  val of_string : string -> t option
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
-end
+module Taint = Jury_store.Taint
+(** Identifies a trigger end-to-end (see {!Jury_store.Taint}). *)
 
 type rest_request =
   | Install_flow of { dpid : Of_types.Dpid.t; flow : Of_message.flow_mod }

@@ -1,5 +1,6 @@
 open Jury_sim
 module Types = Jury_controller.Types
+module Taint = Types.Taint
 module Cluster = Jury_controller.Cluster
 module Controller = Jury_controller.Controller
 module Pipeline = Jury_controller.Pipeline
@@ -59,7 +60,7 @@ type t = {
       (* interception point → secondary i, one per node *)
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
-  inflight : (string, inflight) Hashtbl.t;
+  inflight : inflight Taint.Table.t;
       (* taint → what a retransmission or a failover re-drive needs,
          including the current primary; kept only when retransmission
          or election is on *)
@@ -106,7 +107,7 @@ let trace_channel_event t ~taint ~phase ~node ~link event =
   if trace_enabled t then
     Jury_obs.Trace.point (Engine.trace t.engine)
       ~t_ns:(Engine.now_ns t.engine)
-      ~taint:(Types.Taint.to_string taint) ~phase ~node
+      ~taint:(Taint.to_string taint) ~phase ~node
       [ ("channel", Channel.name link); ("event", event) ]
 
 (* A response has come off its out-of-band link. Per-event mode hands
@@ -173,7 +174,7 @@ let trace_root t ~taint ~node ~channel trigger_name =
     ignore
       (Jury_obs.Trace.open_root (Engine.trace t.engine)
          ~t_ns:(Engine.now_ns t.engine)
-         ~taint:(Types.Taint.to_string taint) ~node
+         ~taint:(Taint.to_string taint) ~node
          [ ("trigger", trigger_name);
            ("channel", channel);
            ("primary", string_of_int node) ])
@@ -182,7 +183,7 @@ let trace_replica_span t ~taint ~secondary ~wire_size =
   if trace_enabled t then
     Jury_obs.Trace.open_child (Engine.trace t.engine)
       ~t_ns:(Engine.now_ns t.engine)
-      ~taint:(Types.Taint.to_string taint)
+      ~taint:(Taint.to_string taint)
       ~phase:Jury_obs.Trace.Replicate ~node:secondary
       [ ("wire_bytes", string_of_int wire_size) ]
   else None
@@ -198,7 +199,7 @@ let trace_net_write t ~taint ~node ~dpid =
   if trace_enabled t then
     Jury_obs.Trace.point (Engine.trace t.engine)
       ~t_ns:(Engine.now_ns t.engine)
-      ~taint:(Types.Taint.to_string taint)
+      ~taint:(Taint.to_string taint)
       ~phase:Jury_obs.Trace.Net_write ~node
       [ ("dpid", Jury_openflow.Of_types.Dpid.to_string dpid);
         ("msg", "FLOW_MOD") ]
@@ -216,12 +217,9 @@ let install_node_module t node =
         else List.mem node (ack_peers t ev.Event.origin)
       in
       match (relay, ev.Event.taint) with
-      | true, Some taint_str -> (
-          match Types.Taint.of_string taint_str with
-          | Some taint ->
-              send_to_validator t ~delay:(validator_link_delay t)
-                (make_response t ~node ~taint (Response.Cache_update ev))
-          | None -> ())
+      | true, Some taint ->
+          send_to_validator t ~delay:(validator_link_delay t)
+            (make_response t ~node ~taint (Response.Cache_update ev))
       | _ -> ());
   (* Controller module: executions, egress interception, write
      failures. *)
@@ -236,12 +234,10 @@ let install_node_module t node =
                 (* A failover may have moved the trigger's attribution
                    to a new master; the in-flight record's primary wins
                    over the primary minted into the taint. *)
-                match
-                  Hashtbl.find_opt t.inflight (Types.Taint.to_string taint)
-                with
+                match Taint.Table.find_opt t.inflight taint with
                 | Some inf -> inf.inf_primary = node
                 | None -> (
-                    match Types.Taint.primary_of taint with
+                    match Taint.primary_of taint with
                     | Some p -> p = node
                     | None -> true (* internal: the origin reports *))
               in
@@ -267,7 +263,7 @@ let install_node_module t node =
                 | Some taint -> taint
                 | None ->
                     t.raw_serial <- t.raw_serial + 1;
-                    Types.Taint.internal_trigger ~origin:node
+                    Taint.internal_trigger ~origin:node
                       ~seq:(1_000_000 + t.raw_serial)
               in
               trace_net_write t ~taint ~node ~dpid;
@@ -292,7 +288,7 @@ let run_shadow t ~secondary ~primary ~taint trigger =
     if trace_enabled t then
       Jury_obs.Trace.open_child (Engine.trace t.engine)
         ~t_ns:(Engine.now_ns t.engine)
-        ~taint:(Types.Taint.to_string taint)
+        ~taint:(Taint.to_string taint)
         ~phase:Jury_obs.Trace.Pipeline_service ~node:secondary
         [ ("role", "secondary"); ("as", string_of_int primary) ]
     else None
@@ -407,8 +403,7 @@ let replicate_trigger t ~primary ~taint ~wire_size
   (* The in-flight store also backs failover re-attribution, so it is
      kept whenever either consumer exists. *)
   if t.cfg.validator.retransmit <> None || t.cfg.election <> None then
-    Hashtbl.replace t.inflight
-      (Types.Taint.to_string taint)
+    Taint.Table.replace t.inflight taint
       { inf_primary = primary;
         inf_trigger = trigger;
         inf_wire_size = wire_size;
@@ -423,7 +418,7 @@ let replicate_trigger t ~primary ~taint ~wire_size
 (* The validator noticed a straggling secondary: put a fresh replica
    copy of the stored trigger on the (still lossy) wire. *)
 let handle_retransmit t taint ~secondary =
-  match Hashtbl.find_opt t.inflight (Types.Taint.to_string taint) with
+  match Taint.Table.find_opt t.inflight taint with
   | None -> ()
   | Some inf ->
       t.replication_bytes <- t.replication_bytes + inf.inf_wire_size;
@@ -442,15 +437,15 @@ let handle_retransmit t taint ~secondary =
    against the dead node. *)
 let handle_failover t ~term ~failed ~leader =
   let stale =
-    Hashtbl.fold
-      (fun key inf acc ->
-        if inf.inf_primary = failed then (key, inf) :: acc else acc)
+    Taint.Table.fold
+      (fun taint inf acc ->
+        if inf.inf_primary = failed then (taint, inf) :: acc else acc)
       t.inflight []
     (* deterministic re-drive order, independent of hash layout *)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.sort (fun (a, _) (b, _) -> Taint.compare a b)
   in
   List.iter
-    (fun (key, inf) ->
+    (fun (taint, inf) ->
       let new_primary =
         match inf.inf_trigger with
         | Types.Packet_in (dpid, _)
@@ -460,38 +455,33 @@ let handle_failover t ~term ~failed ~leader =
             Cluster.master_of t.cluster dpid
         | Types.Rest _ | Types.Internal _ -> leader
       in
-      if new_primary <> failed then
-        match Types.Taint.of_string key with
-        | None -> ()
-        | Some taint ->
-            if
-              Validator.reattribute t.validator ~taint ~primary:new_primary
-                ~term
-            then begin
-              Hashtbl.replace t.inflight key
-                { inf with inf_primary = new_primary };
-              if trace_enabled t then
-                Jury_obs.Trace.point (Engine.trace t.engine)
-                  ~t_ns:(Engine.now_ns t.engine) ~taint:key
-                  ~phase:Jury_obs.Trace.Replicate ~node:new_primary
-                  [ ("event", "re-drive");
-                    ("term", string_of_int term);
-                    ("failed", string_of_int failed) ];
-              ignore
-                (Engine.schedule t.engine
-                   ~footprint:
-                     (Footprint.touches [ Footprint.controller new_primary ])
-                   ~after:replication_latency
-                   (fun () ->
-                     Controller.submit
-                       (Cluster.controller t.cluster new_primary)
-                       ~taint inf.inf_trigger))
-            end)
+      if
+        new_primary <> failed
+        && Validator.reattribute t.validator ~taint ~primary:new_primary ~term
+      then begin
+        Taint.Table.replace t.inflight taint
+          { inf with inf_primary = new_primary };
+        if trace_enabled t then
+          Jury_obs.Trace.point (Engine.trace t.engine)
+            ~t_ns:(Engine.now_ns t.engine) ~taint:(Taint.to_string taint)
+            ~phase:Jury_obs.Trace.Replicate ~node:new_primary
+            [ ("event", "re-drive");
+              ("term", string_of_int term);
+              ("failed", string_of_int failed) ];
+        ignore
+          (Engine.schedule t.engine
+             ~footprint:(Footprint.touches [ Footprint.controller new_primary ])
+             ~after:replication_latency
+             (fun () ->
+               Controller.submit
+                 (Cluster.controller t.cluster new_primary)
+                 ~taint inf.inf_trigger))
+      end)
     stale
 
 let mint_taint t ~primary =
   t.serial <- t.serial + 1;
-  Types.Taint.external_trigger ~primary ~serial:t.serial
+  Taint.external_trigger ~primary ~serial:t.serial
 
 (* --- Install --- *)
 
@@ -558,7 +548,7 @@ let install cluster (cfg : config) =
             Channel.create engine ~rng
               ~name:(Printf.sprintf "validator/%d" i)
               cfg.channel);
-      inflight = Hashtbl.create 256;
+      inflight = Taint.Table.create 256;
       batch_buf = [];
       batch_flush = None;
       nodes;
@@ -578,8 +568,7 @@ let install cluster (cfg : config) =
         handle_retransmit t taint ~secondary);
   if cfg.validator.retransmit <> None || cfg.election <> None then
     Validator.on_verdict t.validator (fun alarm ->
-        let key = Types.Taint.to_string alarm.Alarm.taint in
-        Hashtbl.remove t.inflight key);
+        Taint.Table.remove t.inflight alarm.Alarm.taint);
   for node = 0 to n - 1 do
     install_node_module t node
   done;

@@ -18,8 +18,6 @@ type t = {
   body : body;
 }
 
-let taint_key t = Types.Taint.to_string t.taint
-
 let body_name = function
   | Execution { role = `Primary; _ } -> "execution/primary"
   | Execution { role = `Secondary; _ } -> "execution/secondary"

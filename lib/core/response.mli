@@ -34,10 +34,6 @@ type t = {
   body : body;
 }
 
-val taint_key : t -> string
-(** The stable string form of [taint] — the key the validator's pending
-    tables and shard router hash on. *)
-
 val body_name : body -> string
 (** Short stable label: ["execution"], ["status"], ["decap"] or
     ["write-failure"]. *)

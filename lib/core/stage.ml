@@ -125,11 +125,10 @@ let attach ~pool ~jobs cfg facade =
     lengths.(i) <- lengths.(i) + 1;
     if lengths.(i) >= chunk_items then replay ()
   in
-  let shard_of_taint taint =
-    Validator.shard_of_key facade (Types.Taint.to_string taint)
-  in
   let pl_register ~taint ~at ~primary ~secondaries =
-    push (shard_of_taint taint) (Register { taint; at; primary; secondaries })
+    push
+      (Validator.shard_of_taint facade taint)
+      (Register { taint; at; primary; secondaries })
   in
   let pl_batch ~at rs =
     (* Split the tick like the inline [deliver_batch] would: per-shard
@@ -143,7 +142,7 @@ let attach ~pool ~jobs cfg facade =
     let mirrors = Array.make shards [] (* reversed *) in
     List.iter
       (fun (r : Response.t) ->
-        let i = Validator.shard_of_key facade (Response.taint_key r) in
+        let i = Validator.shard_of_taint facade r.taint in
         buckets.(i) <- r :: buckets.(i);
         if is_flowsdb_write r then mirrors.(i) <- r :: mirrors.(i))
       rs;

@@ -3,6 +3,7 @@ module Types = Jury_controller.Types
 module Values = Jury_controller.Values
 module Event = Jury_store.Event
 module Names = Jury_store.Cache_names
+module Taint = Types.Taint
 
 type retransmit = Decide.retransmit = { max_retries : int }
 
@@ -37,10 +38,10 @@ type pending = {
    [shards = 1] everything lands in shard 0 and the data structures
    behave byte-for-byte like the historical flat table. *)
 type shard = {
-  pending : (string, pending) Hashtbl.t;
+  pending : pending Taint.Table.t;
   counts : int array;  (* indexed by [Counter.index] *)
-  decided_internal : (string, Time.t) Hashtbl.t;
-  decided_order : (string * Time.t) Queue.t;
+  decided_internal : Time.t Taint.Table.t;
+  decided_order : (Taint.t * Time.t) Queue.t;
       (* Internal taints decided within the last validation timeout, and
          when, oldest first: a response for one of them is late, not a
          new trigger. Entries are dropped once their timeout has passed,
@@ -53,7 +54,7 @@ type shard = {
    pipeline merges its shard replicas back at [pl_drain]. *)
 type pipeline_hooks = {
   pl_register :
-    taint:Types.Taint.t -> at:Time.t -> primary:int ->
+    taint:Taint.t -> at:Time.t -> primary:int ->
     secondaries:int list -> unit;
   pl_batch : at:Time.t -> Response.t list -> unit;
   pl_drain : at:Time.t -> unit;
@@ -80,7 +81,7 @@ type t = {
   mutable response_observers : (Response.t -> unit) list;
       (* in registration order, the order they run in *)
   mutable verdict_observers : (Alarm.t -> unit) list;
-  mutable retransmit_handler : Types.Taint.t -> secondary:int -> unit;
+  mutable retransmit_handler : Taint.t -> secondary:int -> unit;
   (* Adaptive validation timeout (the paper's SVIII-1 extension): track
      recent completion latencies RTO-style and size theta-tau as
      srtt + 8*rttvar (see [current_timeout]), clamped to
@@ -92,9 +93,9 @@ type t = {
 }
 
 let make_shard () =
-  { pending = Hashtbl.create 256;
+  { pending = Taint.Table.create 256;
     counts = Array.make Counter.cardinal 0;
-    decided_internal = Hashtbl.create 16;
+    decided_internal = Taint.Table.create 16;
     decided_order = Queue.create () }
 
 let add sh c n =
@@ -125,9 +126,9 @@ let create engine cfg =
 
 let shard_count t = Array.length t.shards
 
-let shard_of t key =
+let shard_of t taint =
   let n = Array.length t.shards in
-  if n = 1 then 0 else Hashtbl.hash key land (n - 1)
+  if n = 1 then 0 else Taint.hash taint land (n - 1)
 
 (* The adaptive θτ's floor. *)
 let min_timeout = Time.ms 10
@@ -160,31 +161,31 @@ let on_verdict t f = t.verdict_observers <- t.verdict_observers @ [ f ]
 
 (* --- Acting on a decision --- *)
 
-(* Whether internal taint [key] was decided no longer than one
-   validation timeout ago. The time test, not the table's pruning,
-   decides, so the answer never depends on when entries are dropped. *)
-let recently_decided t sh key =
-  match Hashtbl.find_opt sh.decided_internal key with
+(* Whether internal [taint] was decided no longer than one validation
+   timeout ago. The time test, not the table's pruning, decides, so the
+   answer never depends on when entries are dropped. *)
+let recently_decided t sh taint =
+  match Taint.Table.find_opt sh.decided_internal taint with
   | Some at -> Time.(Engine.now t.engine <= add at t.cfg.timeout)
   | None -> false
 
-let remember_decided t sh key =
+let remember_decided t sh taint =
   let now = Engine.now t.engine in
   let rec forget () =
     match Queue.peek_opt sh.decided_order with
     | Some (k, at) when Time.(now > add at t.cfg.timeout) ->
         ignore (Queue.pop sh.decided_order);
         (* A taint forgotten once and decided again has a newer entry. *)
-        (match Hashtbl.find_opt sh.decided_internal k with
+        (match Taint.Table.find_opt sh.decided_internal k with
         | Some last when Time.equal last at ->
-            Hashtbl.remove sh.decided_internal k
+            Taint.Table.remove sh.decided_internal k
         | _ -> ());
         forget ()
     | _ -> ()
   in
   forget ();
-  Hashtbl.replace sh.decided_internal key now;
-  Queue.push (key, now) sh.decided_order
+  Taint.Table.replace sh.decided_internal taint now;
+  Queue.push (taint, now) sh.decided_order
 
 let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   let d = p.input in
@@ -195,9 +196,8 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   p.retry_timer <- None;
   let stragglers = Decide.stragglers d in
   add sh Straggler (List.length stragglers);
-  (let key = Types.Taint.to_string d.taint in
-   Hashtbl.remove sh.pending key;
-   if not (Types.Taint.is_external d.taint) then remember_decided t sh key);
+  Taint.Table.remove sh.pending d.taint;
+  if not (Taint.is_external d.taint) then remember_decided t sh d.taint;
   let alarm =
     { Alarm.taint = d.taint;
       trigger_at = p.trigger_at;
@@ -210,7 +210,7 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   in
   (let tr = Engine.trace t.engine in
    if Jury_obs.Trace.enabled tr then begin
-     let taint = Types.Taint.to_string d.taint in
+     let taint = Taint.to_string d.taint in
      let t_ns = Engine.now_ns t.engine in
      let attrs =
        [ ("verdict", Alarm.verdict_name verdict);
@@ -259,7 +259,7 @@ let evaluate t p ~timed_out =
    queued trigger — force the conservative opaque footprint instead. *)
 let trigger_footprint (cfg : config) taint =
   if cfg.adaptive_timeout || cfg.max_inflight <> None then Footprint.opaque
-  else Footprint.touches [ Footprint.taint (Types.Taint.to_string taint) ]
+  else Footprint.touches [ Footprint.trigger (Taint.hash taint) ]
 
 let entry_footprint t (p : pending) = trigger_footprint t.cfg p.input.taint
 
@@ -311,9 +311,11 @@ and fire_retry t p (rt : retransmit) =
 
 let pending_count ?shard t =
   match shard with
-  | Some s -> Hashtbl.length t.shards.(s).pending
+  | Some s -> Taint.Table.length t.shards.(s).pending
   | None ->
-      Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.pending) 0 t.shards
+      Array.fold_left
+        (fun acc sh -> acc + Taint.Table.length sh.pending)
+        0 t.shards
 
 (* Force-decide every still-undecided trigger registered in epoch [e],
    the front of [admitted]: shard by shard, oldest registration first. *)
@@ -348,7 +350,7 @@ let rec enforce_inflight t m =
       enforce_inflight t m
   | _ -> ()
 
-let add_pending t ~key ~shard ~taint ~at ~primary ~secondaries =
+let add_pending t ~shard ~taint ~at ~primary ~secondaries =
   (match t.cfg.max_inflight with Some m -> enforce_inflight t m | None -> ());
   t.reg_count <- t.reg_count + 1;
   let p =
@@ -363,35 +365,33 @@ let add_pending t ~key ~shard ~taint ~at ~primary ~secondaries =
       retry_round = 0;
       retry_timer = None }
   in
-  Hashtbl.add t.shards.(shard).pending key p;
+  Taint.Table.add t.shards.(shard).pending taint p;
   if t.cfg.max_inflight <> None then Queue.push p t.admitted;
   p
 
 let get_pending t taint =
-  let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
+  let shard = shard_of t taint in
   let sh = t.shards.(shard) in
-  match Hashtbl.find_opt sh.pending key with
+  match Taint.Table.find_opt sh.pending taint with
   | Some p -> Some p
   | None ->
-      if Types.Taint.is_external taint || recently_decided t sh key then None
+      if Taint.is_external taint || recently_decided t sh taint then None
         (* external triggers must be registered by the replicator, and
            an internal one is opened by its first response; a stray
            tainted response after the verdict is dropped *)
       else
         Some
-          (add_pending t ~key ~shard ~taint ~at:(Engine.now t.engine)
+          (add_pending t ~shard ~taint ~at:(Engine.now t.engine)
              ~primary:None ~secondaries:[])
 
 let register_external t ~taint ~at ~primary ~secondaries =
   match t.pipeline with
   | Some h -> h.pl_register ~taint ~at ~primary ~secondaries
   | None ->
-  let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
-  if not (Hashtbl.mem t.shards.(shard).pending key) then begin
+  let shard = shard_of t taint in
+  if not (Taint.Table.mem t.shards.(shard).pending taint) then begin
     let p =
-      add_pending t ~key ~shard ~taint ~at ~primary:(Some primary)
+      add_pending t ~shard ~taint ~at ~primary:(Some primary)
         ~secondaries
     in
     arm_timer t p;
@@ -408,9 +408,8 @@ let register_external t ~taint ~at ~primary ~secondaries =
    validation clock — the replicator re-drives the trigger, so fresh
    responses are on their way. *)
 let reattribute t ~taint ~primary ~term =
-  let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
-  match Hashtbl.find_opt t.shards.(shard).pending key with
+  let shard = shard_of t taint in
+  match Taint.Table.find_opt t.shards.(shard).pending taint with
   | Some p when not p.decided ->
       p.input.primary <- Some primary;
       p.input.term <- term;
@@ -420,8 +419,9 @@ let reattribute t ~taint ~primary ~term =
       add t.shards.(shard) Reattributed 1;
       (let tr = Engine.trace t.engine in
        if Jury_obs.Trace.enabled tr then
-         Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine) ~taint:key
-           ~phase:Jury_obs.Trace.Validate ~node:primary
+         Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine)
+           ~taint:(Taint.to_string taint) ~phase:Jury_obs.Trace.Validate
+           ~node:primary
            [ ("event", "reattributed"); ("term", string_of_int term) ]);
       true
   | _ -> false
@@ -445,18 +445,18 @@ let deliver_inline t (r : Response.t) =
   (let tr = Engine.trace t.engine in
    if Jury_obs.Trace.enabled tr then
      Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine)
-       ~taint:(Types.Taint.to_string r.taint)
+       ~taint:(Taint.to_string r.taint)
        ~phase:Jury_obs.Trace.Validate ~node:r.controller
        [ ("body", Response.body_name r.body) ]);
   List.iter (fun f -> f r) t.response_observers;
   update_flow_mirror t r;
   match get_pending t r.taint with
-  | None -> add t.shards.(shard_of t (Response.taint_key r)) Late 1
+  | None -> add t.shards.(shard_of t r.taint) Late 1
   | Some p ->
       if not (Decide.record p.input r) then add t.shards.(p.shard) Duplicate 1
       else begin
         (if p.input.primary = None then
-           match Types.Taint.primary_of r.taint with
+           match Taint.primary_of r.taint with
            | Some id -> p.input.primary <- Some id
            | None -> (
                (* Internal trigger: the origin is the primary actor. *)
@@ -494,7 +494,7 @@ let deliver_batch t rs =
       let per_shard = Array.make n [] in
       List.iter
         (fun (r : Response.t) ->
-          let i = shard_of t (Response.taint_key r) in
+          let i = shard_of t r.taint in
           per_shard.(i) <- r :: per_shard.(i))
         rs;
       Array.iteri
@@ -550,7 +550,7 @@ let current_epoch t = t.reg_count / t.epoch_length
 
 let set_pipeline_hooks t h = t.pipeline <- Some h
 let observe_mirror = update_flow_mirror
-let shard_of_key t key = shard_of t key
+let shard_of_taint = shard_of
 
 let flush t =
   (match t.pipeline with
@@ -565,7 +565,7 @@ let flush t =
      so [shards = 1] flushes in the historical order. *)
   Array.iter
     (fun sh ->
-      let ps = Hashtbl.fold (fun _ p acc -> p :: acc) sh.pending [] in
+      let ps = Taint.Table.fold (fun _ p acc -> p :: acc) sh.pending [] in
       List.iter (fun p -> evaluate t p ~timed_out:true) ps)
     t.shards
 
@@ -578,10 +578,12 @@ let absorb_pipeline_shard t ~shard src =
      [pending_count]) sees exactly what the serial validator would:
      the replica's timers are dead with its engine, but flush-forced
      evaluation only reads the pending record. *)
-  Hashtbl.iter
-    (fun key p -> Hashtbl.replace dst.pending key { p with shard })
+  Taint.Table.iter
+    (fun taint p -> Taint.Table.replace dst.pending taint { p with shard })
     s.pending;
-  Hashtbl.iter (Hashtbl.replace dst.decided_internal) s.decided_internal;
+  Taint.Table.iter
+    (Taint.Table.replace dst.decided_internal)
+    s.decided_internal;
   Queue.transfer s.decided_order dst.decided_order;
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) s.counts;
   t.reg_count <- t.reg_count + src.reg_count;
@@ -598,10 +600,7 @@ let finalize_pipeline_merge t =
         match Time.compare b.Alarm.decided_at a.Alarm.decided_at with
         | 0 -> (
             match Time.compare b.Alarm.trigger_at a.Alarm.trigger_at with
-            | 0 ->
-                compare
-                  (Types.Taint.to_string b.Alarm.taint)
-                  (Types.Taint.to_string a.Alarm.taint)
+            | 0 -> Taint.compare b.Alarm.taint a.Alarm.taint
             | c -> c)
         | c -> c)
       t.verdicts

@@ -208,8 +208,8 @@ val observe_mirror : t -> Response.t -> unit
     replica tracks writes owned by {e other} shards so its sanity
     check sees the same mirror as the serial validator. *)
 
-val shard_of_key : t -> string -> int
-(** The shard a taint key hashes to (see {!Response.taint_key}). *)
+val shard_of_taint : t -> Types.Taint.t -> int
+(** The shard a taint hashes to ({!Jury_store.Taint.hash}). *)
 
 val absorb_pipeline_shard : t -> shard:int -> t -> unit
 (** [absorb_pipeline_shard t ~shard rep] folds single-shard replica

@@ -3,7 +3,18 @@ type t =
   | Touches of int list  (* sorted, distinct *)
 
 let opaque = Opaque
-let touches ids = Touches (List.sort_uniq compare ids)
+
+(* Most events name one or two resources: those lists are put in order
+   without a sort. *)
+let touches ids =
+  match ids with
+  | [] | [ _ ] -> Touches ids
+  | [ a; b ] ->
+      if a < b then Touches ids
+      else if a > b then Touches [ b; a ]
+      else Touches [ a ]
+  | _ -> Touches (List.sort_uniq compare ids)
+
 let is_opaque = function Opaque -> true | Touches _ -> false
 
 (* Both lists sorted ascending. *)
@@ -38,7 +49,6 @@ let controller i = in_space 3 i
 let store i = in_space 4 i
 let trigger i = in_space 6 i
 let named s = in_space 7 (Hashtbl.hash s)
-let taint s = trigger (Hashtbl.hash s)
 
 let pp fmt = function
   | Opaque -> Format.pp_print_string fmt "opaque"

@@ -58,19 +58,15 @@ val store : int -> int
 (** The replicated-store shard/fabric state owned by node [i]. *)
 
 val trigger : int -> int
-(** The per-trigger validation entry for external-trigger serial [i]
-    (response set, timer, verdict slot). *)
+(** The per-trigger validation entry for the trigger whose taint hashes
+    to [i] ([Taint.hash]): its response set, timer and verdict slot.
+    Every layer that schedules work for a trigger (replicator,
+    validator, channels) names it this way, so the responses and timers
+    of one trigger conflict. *)
 
 val named : string -> int
 (** A resource identified by name (e.g. a cache), hashed into its own
     namespace. Collisions only ever merge resources, which is
     conservative. *)
-
-val taint : string -> int
-(** The per-trigger resource for the trigger identified by a rendered
-    taint ([Types.Taint.to_string]) — the hashed-string convention every
-    layer (replicator, validator, channels) must share so responses and
-    timers of the same trigger conflict. Lands in the {!trigger}
-    namespace. *)
 
 val pp : Format.formatter -> t -> unit

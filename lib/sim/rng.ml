@@ -75,10 +75,9 @@ let shuffle t arr =
   done
 
 let sample_without_replacement t k xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if k >= n then xs
+  if List.compare_length_with xs k <= 0 then xs
   else begin
+    let arr = Array.of_list xs in
     shuffle t arr;
     Array.to_list (Array.sub arr 0 k)
   end

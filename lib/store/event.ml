@@ -7,7 +7,7 @@ type t = {
   value : string;
   origin : int;
   seq : int;
-  taint : string option;
+  taint : Taint.t option;
 }
 
 let op_to_string = function
@@ -31,7 +31,7 @@ let framing_overhead = 1150
 let wire_size t =
   framing_overhead + String.length t.cache + String.length t.key
   + String.length t.value
-  + (match t.taint with None -> 0 | Some s -> String.length s)
+  + match t.taint with None -> 0 | Some taint -> Taint.printed_length taint
 
 let pp fmt t =
   Format.fprintf fmt "%s[%s %s=%S origin=%d seq=%d]" t.cache

@@ -16,7 +16,7 @@ type t = {
   value : string;   (** serialised entry; "" for [Delete] *)
   origin : int;     (** node id that issued the write *)
   seq : int;        (** per-origin sequence number (TCP-ordered) *)
-  taint : string option;
+  taint : Taint.t option;
       (** JURY taint carried through the processing pipeline; [None]
           for untainted (internal-trigger) writes *)
 }

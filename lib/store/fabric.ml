@@ -100,7 +100,8 @@ let trace_apply t node (ev : Event.t) ~local =
   | Some taint ->
       let tr = Engine.trace t.engine in
       if Jury_obs.Trace.enabled tr then
-        Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine) ~taint
+        Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine)
+          ~taint:(Taint.to_string taint)
           ~phase:Jury_obs.Trace.Cache_write ~node
           [ ("cache", ev.cache);
             ("op", Event.op_to_string ev.op);

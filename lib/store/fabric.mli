@@ -54,7 +54,7 @@ val standalone : t -> bool
     never replicate). *)
 
 val write :
-  t -> node:int -> ?taint:string -> cache:string -> Event.op -> key:string ->
+  t -> node:int -> ?taint:Taint.t -> cache:string -> Event.op -> key:string ->
   value:string -> (Event.t, string) result
 (** Issues a cache update from [node]. Applies locally (unless the
     cache is locked at that node — the ONOS database-locking fault),

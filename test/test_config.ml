@@ -186,7 +186,7 @@ let test_reregistered_trigger_expires_in_its_epoch () =
           Response.Cache_update
             { Jury_store.Event.cache = "HOSTDB"; op = Jury_store.Event.Create;
               key = "h"; value = "v"; origin = 3; seq = 7;
-              taint = Some (Types.Taint.to_string taint) } }
+              taint = Some taint } }
   in
   deliver ();
   Engine.run engine;

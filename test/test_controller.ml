@@ -415,6 +415,9 @@ let test_taint () =
           List.iter
             (fun (t, primary) ->
               let s = Types.Taint.to_string t in
+              check_int ("hash of " ^ s) (Hashtbl.hash s) (Types.Taint.hash t);
+              check_int ("printed length of " ^ s) (String.length s)
+                (Types.Taint.printed_length t);
               match Types.Taint.of_string s with
               | Some t' ->
                   Alcotest.(check string) ("roundtrip " ^ s) s
@@ -425,7 +428,11 @@ let test_taint () =
                     (Types.Taint.is_external t')
               | None -> Alcotest.failf "%s rejected" s)
             [ (Types.Taint.external_trigger ~primary:a ~serial:b, Some a);
-              (Types.Taint.internal_trigger ~origin:a ~seq:b, None) ])
+              (Types.Taint.internal_trigger ~origin:a ~seq:b, None) ];
+          Alcotest.(check string) "printed like %d"
+            (Printf.sprintf "ext:%d:%d" a b)
+            (Types.Taint.to_string
+               (Types.Taint.external_trigger ~primary:a ~serial:b)))
         ints)
     ints;
   (* Malformed forms, out-of-range fields, and the integer syntaxes no
@@ -436,7 +443,38 @@ let test_taint () =
     [ ""; "ext"; "ext:"; "ext:1"; "ext::2"; "ext:1:"; "ext:1:2:3";
       "ext:1:2x"; "ext:-:2"; "ext:1:-"; "ext:--1:2"; "xyz:1:2"; "EXT:1:2";
       "ext:4611686018427387904:1"; "int:1:-4611686018427387905";
-      "ext:+1:2"; "ext:0x1:2"; "ext:1_0:2"; "int: 1:2" ]
+      "ext:+1:2"; "ext:0x1:2"; "ext:1_0:2"; "int: 1:2"; "ext:01:2";
+      "ext:-0:2" ]
+
+(* A table keyed on taints buckets and folds exactly like one keyed on
+   their printed strings, so swapping one for the other moves no
+   verdict, flush order or shard. *)
+let test_taint_table_order () =
+  let taints =
+    List.init 1000 (fun i ->
+        if i mod 3 = 0 then
+          Types.Taint.internal_trigger ~origin:(i mod 7) ~seq:i
+        else Types.Taint.external_trigger ~primary:(i mod 5) ~serial:(i * 37))
+  in
+  List.iter
+    (fun size ->
+      let typed = Types.Taint.Table.create size in
+      let printed = Hashtbl.create size in
+      List.iteri
+        (fun i t ->
+          Types.Taint.Table.replace typed t i;
+          Hashtbl.replace printed (Types.Taint.to_string t) i)
+        taints;
+      let order =
+        Types.Taint.Table.fold
+          (fun t i acc -> (Types.Taint.to_string t, i) :: acc)
+          typed []
+      in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "fold order from size %d" size)
+        (Hashtbl.fold (fun s i acc -> (s, i) :: acc) printed [])
+        order)
+    [ 16; 256 ]
 
 (* A whole response compared as its sorted action fingerprints, the
    way the validator's consensus compares replicas. *)
@@ -1087,6 +1125,7 @@ let suite =
     ("flow memo resets when full", `Quick, test_flow_memo_resets);
     QCheck_alcotest.to_alcotest prop_flow_memo_keeps_rules_apart;
     ("taints", `Quick, test_taint);
+    ("taint tables fold like string tables", `Quick, test_taint_table_order);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);
     ("pipeline add_load", `Quick, test_pipeline_add_load_delays_next);

@@ -108,7 +108,7 @@ let deliver v ~controller ~snapshot body =
 let cache_event_of_action ~origin = function
   | Types.Cache_write { cache; op; key; value } ->
       { Event.cache; op; key; value; origin; seq = 1;
-        taint = Some (Types.Taint.to_string taint) }
+        taint = Some taint }
   | Types.Network_send _ -> invalid_arg "not a cache write"
 
 (* Delivers a response built here and tracked by [weak]; not inlined,
@@ -344,7 +344,7 @@ let test_flow_mirror_follows_update () =
             Response.Cache_update
               { Event.cache = Names.flowsdb; op; key;
                 value = Values.Flow.value fmv; origin = 0; seq;
-                taint = Some (Types.Taint.to_string internal) } })
+                taint = Some internal } })
     [ (Event.Create, rule_a); (Event.Update, rule_b) ];
   let resend serial fmv =
     let taint = Types.Taint.external_trigger ~primary:0 ~serial in
@@ -655,7 +655,7 @@ let test_validator_internal_trigger () =
         Response.Cache_update
           { Event.cache = Names.linksdb; op = Event.Delete; key = "l";
             value = ""; origin = 3; seq = 9;
-            taint = Some (Types.Taint.to_string internal) } };
+            taint = Some internal } };
   Engine.run engine;
   check_int "decided" 1 (Validator.decided_count v);
   check_int "benign internal passes" 0 (Validator.fault_count v)
@@ -688,7 +688,7 @@ let test_internal_trigger_decided_once () =
           Response.Cache_update
             { Event.cache = Names.linksdb; op = Event.Delete; key = "l";
               value = ""; origin = 3; seq = 9;
-              taint = Some (Types.Taint.to_string internal) } }
+              taint = Some internal } }
   in
   respond ();
   relay ();
@@ -1289,7 +1289,7 @@ let prop_validator_total =
                 { Event.cache = Names.flowsdb; op = Event.Create;
                   key = Printf.sprintf "k%d" ctrl; value = "v";
                   origin = ctrl; seq = tn;
-                  taint = Some (Types.Taint.to_string taint) }
+                  taint = Some taint }
           in
           Validator.deliver v
             { Response.controller = ctrl; taint;

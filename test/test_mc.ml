@@ -111,15 +111,30 @@ let test_footprint_algebra () =
     (Footprint.independent
        (Footprint.touches [ Footprint.switch 1 ])
        (Footprint.touches [ Footprint.controller 1 ]));
-  (* the shared per-trigger convention: same taint string, same resource *)
+  (* the shared per-trigger convention: same taint, same resource *)
+  let trigger serial =
+    Footprint.touches
+      [ Footprint.trigger
+          (Jury_store.Taint.hash
+             (Jury_store.Taint.external_trigger ~primary:0 ~serial)) ]
+  in
   check_bool "same taint conflicts" false
-    (Footprint.independent
-       (Footprint.touches [ Footprint.taint "t:0" ])
-       (Footprint.touches [ Footprint.taint "t:0" ]));
+    (Footprint.independent (trigger 0) (trigger 0));
   check_bool "distinct taints commute" true
-    (Footprint.independent
-       (Footprint.touches [ Footprint.taint "t:0" ])
-       (Footprint.touches [ Footprint.taint "t:1" ]))
+    (Footprint.independent (trigger 0) (trigger 1));
+  (* short lists skip the sort but come out sorted and distinct *)
+  List.iter
+    (fun ids ->
+      let expected =
+        "{"
+        ^ String.concat ","
+            (List.map (Printf.sprintf "sw:%d") (List.sort_uniq compare ids))
+        ^ "}"
+      in
+      Alcotest.(check string) expected expected
+        (Format.asprintf "%a" Footprint.pp
+           (Footprint.touches (List.map Footprint.switch ids))))
+    [ []; [ 5 ]; [ 3; 9 ]; [ 9; 3 ]; [ 4; 4 ]; [ 7; 1; 7; 2 ] ]
 
 (* --- schedule-count arithmetic ------------------------------------
 

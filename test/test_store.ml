@@ -90,9 +90,11 @@ let test_sequence_numbers () =
 let test_taint_carried () =
   let engine, f = mk () in
   let seen = ref None in
-  Fabric.subscribe f ~node:1 (fun ~local:_ ev -> seen := ev.Event.taint);
+  Fabric.subscribe f ~node:1 (fun ~local:_ ev ->
+      seen := Option.map Jury_store.Taint.to_string ev.Event.taint);
+  let taint = Jury_store.Taint.external_trigger ~primary:0 ~serial:7 in
   ignore
-    (write_ok f ~node:0 ~taint:"ext:0:7" ~cache:"FLOWSDB" Event.Create ~key:"k"
+    (write_ok f ~node:0 ~taint ~cache:"FLOWSDB" Event.Create ~key:"k"
        ~value:"v");
   Engine.run engine;
   check_str_opt "taint replicated" (Some "ext:0:7") !seen
