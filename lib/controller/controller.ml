@@ -6,6 +6,7 @@ module Event = Jury_store.Event
 module Graph = Jury_topo.Graph
 module Names = Jury_store.Cache_names
 module DpidMap = Map.Make (Of_types.Dpid)
+module Mac = Jury_packet.Addr.Mac
 
 type observer = {
   on_response : Types.Taint.t option -> Types.trigger -> Types.action list -> unit;
@@ -17,6 +18,13 @@ let null_observer =
   { on_response = (fun _ _ _ -> ());
     on_applied = (fun _ _ -> ());
     on_write_failed = (fun _ _ _ -> ()) }
+
+(* One switch's flood, read off the view. *)
+type flood = {
+  ports : int list;  (* spanning-tree plus host ports, sorted, unique *)
+  mutable outputs : (int * Of_action.t list) list;
+      (* per ingress port planned so far: [Output] to the other ports *)
+}
 
 type t = {
   engine : Engine.t;
@@ -37,18 +45,36 @@ type t = {
   (* Cached topology view, rebuilt lazily when LINKSDB/SWITCHDB move. *)
   mutable view : Graph.t;
   mutable view_dirty : bool;
-  (* Routes read off [view], each computed on first use and dropped
-     with the view by [rebuild_view]. They live here, not in [Graph.t],
-     so that reading a graph never writes to it. *)
+  (* What planning reads off [view], each computed on first use and
+     dropped with the view by [rebuild_view]. They live here, not in
+     [Graph.t], so that reading a graph never writes to it. *)
   mutable trees : Graph.tree DpidMap.t;  (* BFS tree per root *)
-  mutable floods : int list DpidMap.t;
-      (* per switch: spanning-tree plus host ports, sorted, unique *)
+  mutable links : int list DpidMap.t;  (* per switch: its link ports *)
+  mutable floods : flood DpidMap.t;
+  (* HOSTDB decoded, keyed by MAC: the attachment point of every host
+     whose key [Values.Host.key] renders and whose value parses. The
+     store listener keeps it in step; [invalidate_view] dirties it and
+     the next read rebuilds it from the table. *)
+  hosts : (Mac.t, Of_types.Dpid.t * int) Hashtbl.t;
+  mutable hosts_dirty : bool;
 }
 
 (* Forward reference: the proactive host-rule app needs planning and
    submission machinery defined further down the module. *)
 let proactive_host_rules_hook : (t -> Event.t -> unit) ref =
   ref (fun _ _ -> ())
+
+(* Planning looks a host up by the key [Values.Host.key] renders, so a
+   key it never renders is never found and stays out; a value that does
+   not parse floods like a missing host, so it is left out too. *)
+let note_host t ~key value =
+  match Mac.of_string key with
+  | exception Invalid_argument _ -> ()
+  | mac when Values.Host.key mac <> key -> ()
+  | mac -> (
+      match Option.bind value Values.Host.parse with
+      | Some (dpid, port, _) -> Hashtbl.replace t.hosts mac (dpid, port)
+      | None -> Hashtbl.remove t.hosts mac)
 
 let rec create engine ~id ~profile ~fabric ~flow_memo =
   let pipeline =
@@ -80,7 +106,10 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
       view = Graph.create ();
       view_dirty = true;
       trees = DpidMap.empty;
-      floods = DpidMap.empty }
+      links = DpidMap.empty;
+      floods = DpidMap.empty;
+      hosts = Hashtbl.create 64;
+      hosts_dirty = true }
   in
   Fabric.subscribe fabric ~node:id (fun ~local ev ->
       if not local then begin
@@ -101,6 +130,11 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
       (match ev.Event.cache with
       | c when c = Names.linksdb || c = Names.switchdb ->
           t.view_dirty <- true
+      | c when c = Names.hostdb && not t.hosts_dirty ->
+          note_host t ~key:ev.Event.key
+            (match ev.Event.op with
+            | Event.Delete -> None
+            | Event.Create | Event.Update -> Some ev.Event.value)
       | _ -> ());
       (* Vanilla ODL pushes destination rules the moment a host is
          known (proactive forwarding). *)
@@ -150,9 +184,11 @@ let set_omit_probability t p = t.omit_probability <- p
 let omit_probability t = t.omit_probability
 
 (* After an out-of-band state transfer (crash-rejoin resync) the cached
-   topology view no longer matches the replica's tables; mark it dirty
-   so the next read rebuilds from the resynced caches. *)
-let invalidate_view t = t.view_dirty <- true
+   topology view and host table no longer match the replica's tables;
+   mark both dirty so the next read rebuilds from the resynced caches. *)
+let invalidate_view t =
+  t.view_dirty <- true;
+  t.hosts_dirty <- true
 
 (* --- Shared-state reads --- *)
 
@@ -193,14 +229,23 @@ let rebuild_view t =
   t.view <- g;
   t.view_dirty <- false;
   t.trees <- DpidMap.empty;
+  t.links <- DpidMap.empty;
   t.floods <- DpidMap.empty
 
 let view t =
   if t.view_dirty then rebuild_view t;
   t.view
 
+(* The memo readers below find with [DpidMap.find], which allocates
+   nothing on a hit where [find_opt] would box its answer. *)
 let link_ports t dpid =
-  Graph.neighbors (view t) dpid |> List.map fst
+  let g = view t in
+  match DpidMap.find dpid t.links with
+  | ports -> ports
+  | exception Not_found ->
+      let ports = List.map fst (Graph.neighbors g dpid) in
+      t.links <- DpidMap.add dpid ports t.links;
+      ports
 
 let host_ports t dpid =
   let links = link_ports t dpid in
@@ -218,59 +263,85 @@ let liveness_master_for_link t d1 d2 =
    the memo before it is consulted. *)
 let tree t root =
   let g = view t in
-  match DpidMap.find_opt root t.trees with
-  | Some tree -> tree
-  | None ->
+  match DpidMap.find root t.trees with
+  | tree -> tree
+  | exception Not_found ->
       let tree = Graph.bfs_tree g root in
       t.trees <- DpidMap.add root tree t.trees;
       tree
 
-let shortest_path t src dst =
+let first_hop t src dst =
   let g = view t in
-  Graph.path g (tree t src) dst
+  Graph.first_hop g (tree t src) dst
 
 let next_hop_choices t src dst =
   let g = view t in
   Graph.next_hops g (tree t dst) src
 
-let flood_ports t dpid ~in_port =
+let flood t dpid =
   (* Loop-free flood: ports on the cluster-wide spanning tree plus all
      host ports, minus the ingress. The tree must be rooted identically
      at every switch (the STP root bridge — lowest dpid), otherwise
      differently-rooted trees disagree on which cycle edge to cut and
      broadcasts loop. *)
   let g = view t in
-  let ports =
-    match DpidMap.find_opt dpid t.floods with
-    | Some ports -> ports
-    | None ->
-        let tree_ports =
-          match Graph.switches g with
-          | root :: _ when Graph.has_switch g dpid ->
-              (* Graph.switches is sorted, so the head is the lowest
-                 dpid. *)
-              Graph.tree_ports (tree t root) dpid
-          | _ -> []
-        in
-        let ports = List.sort_uniq compare (tree_ports @ host_ports t dpid) in
-        t.floods <- DpidMap.add dpid ports t.floods;
-        ports
-  in
-  List.filter (fun p -> p <> in_port) ports
+  match DpidMap.find dpid t.floods with
+  | f -> f
+  | exception Not_found ->
+      let tree_ports =
+        match Graph.switches g with
+        | root :: _ when Graph.has_switch g dpid ->
+            (* Graph.switches is sorted, so the head is the lowest
+               dpid. *)
+            Graph.tree_ports (tree t root) dpid
+        | _ -> []
+      in
+      let f =
+        { ports = List.sort_uniq compare (tree_ports @ host_ports t dpid);
+          outputs = [] }
+      in
+      t.floods <- DpidMap.add dpid f t.floods;
+      f
+
+let flood_ports t dpid ~in_port =
+  List.filter (fun p -> p <> in_port) (flood t dpid).ports
+
+let flood_actions t dpid ~in_port =
+  let f = flood t dpid in
+  match List.assoc in_port f.outputs with
+  | actions -> actions
+  | exception Not_found ->
+      let actions =
+        List.map (fun p -> Of_action.Output p) (flood_ports t dpid ~in_port)
+      in
+      f.outputs <- (in_port, actions) :: f.outputs;
+      actions
+
+(* The attachment point HOSTDB gives [mac]; raises [Not_found] when it
+   names none. *)
+let host t mac =
+  if t.hosts_dirty then begin
+    Hashtbl.reset t.hosts;
+    t.hosts_dirty <- false;
+    List.iter
+      (fun (key, value) -> note_host t ~key (Some value))
+      (entries t Names.hostdb)
+  end;
+  Hashtbl.find t.hosts mac
 
 (* --- Planning --- *)
 
 let plan_flood t dpid ~in_port ~buffer_id frame =
-  match flood_ports t dpid ~in_port with
+  match flood_actions t dpid ~in_port with
   | [] -> []
-  | ports ->
+  | actions ->
       [ Types.Network_send
           { dpid;
             payload =
               Of_message.Packet_out
                 { po_buffer_id = buffer_id;
                   po_in_port = in_port;
-                  po_actions = List.map (fun p -> Of_action.Output p) ports;
+                  po_actions = actions;
                   po_frame =
                     (match buffer_id with None -> Some frame | Some _ -> None) } } ]
 
@@ -319,35 +390,34 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
 
 let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     (dst_dpid, dst_port) =
-  match shortest_path t src_dpid dst_dpid with
-  | None -> plan_flood t src_dpid ~in_port ~buffer_id frame
-  | Some hops ->
-      (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
-         install a rule only at the switch that raised the PACKET_IN;
-         the packet then misses at the next switch, whose own master
-         installs the next hop, and so on. *)
-      let rule =
-        match t.profile.Profile.forwarding with
-        | Profile.Reactive_exact -> Of_match.exact_of_frame ~in_port frame
-        | Profile.Reactive_src_dst ->
-            Of_match.l2_pair ~src:frame.Frame.dl_src ~dst:frame.Frame.dl_dst
-        | Profile.Proactive_dst -> Of_match.l2_dst ~dst:frame.Frame.dl_dst
-      in
-      let idle = t.profile.Profile.flow_idle_timeout in
-      let out_port =
-        match hops with
-        | [ _ ] | [] -> dst_port (* destination host on this switch *)
-        | (_, _, out) :: _ ->
-            if t.profile.Profile.ecmp then
-              (* Load-balance across equal-cost next hops: an
-                 intentionally non-deterministic application. *)
-              match next_hop_choices t src_dpid dst_dpid with
-              | [] -> out
-              | choices -> fst (Rng.choice t.rng (Array.of_list choices))
-            else out
-      in
-      flow_rule_actions t ~dpid:src_dpid ~rule ~priority:100 ~idle ~out_port
-        ~buffer_id
+  let out = first_hop t src_dpid dst_dpid in
+  if out < 0 then plan_flood t src_dpid ~in_port ~buffer_id frame
+  else
+    (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
+       install a rule only at the switch that raised the PACKET_IN;
+       the packet then misses at the next switch, whose own master
+       installs the next hop, and so on. *)
+    let rule =
+      match t.profile.Profile.forwarding with
+      | Profile.Reactive_exact -> Of_match.exact_of_frame ~in_port frame
+      | Profile.Reactive_src_dst ->
+          Of_match.l2_pair ~src:frame.Frame.dl_src ~dst:frame.Frame.dl_dst
+      | Profile.Proactive_dst -> Of_match.l2_dst ~dst:frame.Frame.dl_dst
+    in
+    let idle = t.profile.Profile.flow_idle_timeout in
+    let out_port =
+      if Of_types.Dpid.equal src_dpid dst_dpid then
+        dst_port (* destination host on this switch *)
+      else if t.profile.Profile.ecmp then
+        (* Load-balance across equal-cost next hops: an
+           intentionally non-deterministic application. *)
+        match next_hop_choices t src_dpid dst_dpid with
+        | [] -> out
+        | choices -> fst (Rng.choice t.rng (Array.of_list choices))
+      else out
+    in
+    flow_rule_actions t ~dpid:src_dpid ~rule ~priority:100 ~idle ~out_port
+      ~buffer_id
 
 let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
   let frame = pi.frame in
@@ -387,26 +457,23 @@ let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
             plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame
         | Frame.Reply -> (
             (* Unicast reply: forward toward the target if known. *)
-            match read t Names.hostdb (Values.Host.key frame.Frame.dl_dst) with
-            | Some v -> (
-                match Values.Host.parse v with
-                | Some (ddpid, dport, _)
-                  when Of_types.Dpid.equal ddpid dpid ->
-                    [ Types.Network_send
-                        { dpid;
-                          payload =
-                            Of_message.Packet_out
-                              { po_buffer_id = pi.buffer_id;
-                                po_in_port = pi.in_port;
-                                po_actions = [ Of_action.Output dport ];
-                                po_frame =
-                                  (match pi.buffer_id with
-                                  | None -> Some frame
-                                  | Some _ -> None) } } ]
-                | Some _ | None ->
-                    plan_flood t dpid ~in_port:pi.in_port
-                      ~buffer_id:pi.buffer_id frame)
-            | None ->
+            match host t frame.Frame.dl_dst with
+            | ddpid, dport when Of_types.Dpid.equal ddpid dpid ->
+                [ Types.Network_send
+                    { dpid;
+                      payload =
+                        Of_message.Packet_out
+                          { po_buffer_id = pi.buffer_id;
+                            po_in_port = pi.in_port;
+                            po_actions = [ Of_action.Output dport ];
+                            po_frame =
+                              (match pi.buffer_id with
+                              | None -> Some frame
+                              | Some _ -> None) } } ]
+            | _ ->
+                plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id
+                  frame
+            | exception Not_found ->
                 plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id
                   frame)
       in
@@ -415,17 +482,12 @@ let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
       if Jury_packet.Addr.Mac.is_broadcast frame.Frame.dl_dst then
         plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame
       else
-        match read t Names.hostdb (Values.Host.key frame.Frame.dl_dst) with
-        | None ->
-            plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame
-        | Some v -> (
-            match Values.Host.parse v with
-            | None ->
-                plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id
-                  frame
-            | Some (dst_dpid, dst_port, _) ->
-                plan_path_install t ~src_dpid:dpid ~in_port:pi.in_port
-                  ~buffer_id:pi.buffer_id frame (dst_dpid, dst_port)))
+        match host t frame.Frame.dl_dst with
+        | dst ->
+            plan_path_install t ~src_dpid:dpid ~in_port:pi.in_port
+              ~buffer_id:pi.buffer_id frame dst
+        | exception Not_found ->
+            plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame)
   | Frame.Raw _ -> []
 
 let plan_port_status t dpid (ps : Of_message.port_status) =

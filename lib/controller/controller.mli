@@ -110,24 +110,25 @@ val omit_probability : t -> float
     without touching any RNG stream. *)
 
 val invalidate_view : t -> unit
-(** Mark the cached topology view dirty so the next read rebuilds it
-    from the replica's cache tables — required after an out-of-band
-    state transfer ({!Jury_store.Fabric.resync}) that bypasses the
-    listener path ordinarily keeping the view fresh. *)
+(** Mark the cached topology view and the decoded host table dirty so
+    the next read rebuilds them from the replica's cache tables —
+    required after an out-of-band state transfer
+    ({!Jury_store.Fabric.resync}) that bypasses the listener path
+    ordinarily keeping both fresh. *)
 
 (** {1 Topology view}
 
     The replica's graph of switches and live links, rebuilt from
     SWITCHDB and LINKSDB on the first read after either changes or
-    after {!invalidate_view}. The routes below are computed once per
-    view and reused until it is rebuilt. *)
+    after {!invalidate_view}. The routes and flood sets below are
+    computed once per view and reused until it is rebuilt. *)
 
 val view : t -> Jury_topo.Graph.t
 
-val shortest_path :
-  t -> Of_types.Dpid.t -> Of_types.Dpid.t ->
-  (Of_types.Dpid.t * int * int) list option
-(** {!Jury_topo.Graph.shortest_path} on {!view}. *)
+val first_hop : t -> Of_types.Dpid.t -> Of_types.Dpid.t -> int
+(** [first_hop t src dst]: {!Jury_topo.Graph.first_hop} on {!view}'s
+    tree rooted at [src] — the out port of the shortest path's first
+    hop, [0] when [src = dst], [-1] when no path exists. *)
 
 val next_hop_choices :
   t -> Of_types.Dpid.t -> Of_types.Dpid.t -> (int * Of_types.Dpid.t) list
@@ -138,6 +139,10 @@ val flood_ports : t -> Of_types.Dpid.t -> in_port:int -> int list
 (** Where a flood out of this switch goes, sorted: its ports on the
     spanning tree rooted at the lowest dpid, plus its host ports (those
     SWITCHDB lists that carry no link), minus [in_port]. *)
+
+val flood_actions : t -> Of_types.Dpid.t -> in_port:int -> Of_action.t list
+(** [List.map (fun p -> Output p) (flood_ports t dpid ~in_port)], built
+    once per (switch, ingress port) and view. *)
 
 val response_latency_sample : t -> Jury_sim.Time.t
 (** One sample of this replica's response latency towards the

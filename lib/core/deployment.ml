@@ -58,6 +58,9 @@ type t = {
       (* origin → the peers that ack its cache events, built once *)
   replica_links : Channel.t array;
       (* interception point → secondary i, one per node *)
+  replica_footprints : Footprint.t array array;
+      (* [.(secondary).(primary)]: what a replica copy's arrival
+         touches, built once *)
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
   inflight : inflight Taint.Table.t;
@@ -345,9 +348,7 @@ let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
      replicator's shared RNG, which only opaque declares honestly. *)
   let footprint =
     if decap then Footprint.opaque
-    else
-      Footprint.touches
-        [ Footprint.controller secondary; Footprint.controller primary ]
+    else t.replica_footprints.(secondary).(primary)
   in
   let closed = ref false in
   let close_span attrs =
@@ -543,6 +544,12 @@ let install cluster (cfg : config) =
             Channel.create engine ~rng
               ~name:(Printf.sprintf "replica/%d" i)
               cfg.channel);
+      replica_footprints =
+        Array.init n (fun secondary ->
+            Array.init n (fun primary ->
+                Footprint.touches
+                  [ Footprint.controller secondary;
+                    Footprint.controller primary ]));
       validator_links =
         Array.init n (fun i ->
             Channel.create engine ~rng

@@ -121,6 +121,21 @@ let path t tree dst =
     Some (walk dst 0 [])
   end
 
+(* Allocation-free: [DpidMap.find] raises where [find_opt] would box
+   its answer. *)
+let rec first_hop_port tree h =
+  if Dpid.equal h.parent tree.root then h.parent_port
+  else first_hop_port tree (DpidMap.find h.parent tree.hops)
+
+let first_hop t tree dst =
+  let src = tree.root in
+  if not (has_switch t src && has_switch t dst) then -1
+  else if Dpid.equal src dst then 0
+  else
+    match DpidMap.find dst tree.hops with
+    | h -> first_hop_port tree h
+    | exception Not_found -> -1
+
 let next_hops t tree src =
   match depth tree src with
   | None | Some 0 -> []

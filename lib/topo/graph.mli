@@ -53,6 +53,11 @@ val bfs_tree : t -> Dpid.t -> tree
 val path : t -> tree -> Dpid.t -> (Dpid.t * int * int) list option
 (** [path t tree dst] is {!shortest_path} from the tree's root. *)
 
+val first_hop : t -> tree -> Dpid.t -> int
+(** [first_hop t tree dst] is the out port of the first hop of
+    [path t tree dst] without building the path: [0] when [dst] is the
+    tree's root, [-1] when {!path} is [None]. Allocates nothing. *)
+
 val next_hops : t -> tree -> Dpid.t -> (int * Dpid.t) list
 (** [next_hops t tree src] are the equal-cost first hops from [src]
     toward the tree's root: every (out_port, neighbor) whose hop

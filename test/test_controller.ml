@@ -968,9 +968,16 @@ let fresh_controller fabric ~node =
   Controller.create engine ~id:0 ~profile:Profile.onos ~fabric:copy
     ~flow_memo:(Values.Flow.Memo.create ())
 
+let packet_in ~in_port dpid frame =
+  Types.Packet_in
+    ( dpid,
+      { Of_message.buffer_id = None; in_port; reason = Of_message.No_match;
+        frame } )
+
 (* Everything the memo serves, plus the plans built from it: every
-   route and next hop between two switches, every flood set, and a
-   PACKET_IN toward every host plus a broadcast ARP at every switch. *)
+   first hop and next hop between two switches, every flood set and
+   flood action list, and a PACKET_IN toward every host plus a
+   broadcast ARP at every switch. *)
 let observe c (plan : Builder.plan) =
   let switches = Jury_topo.Graph.switches plan.Builder.graph in
   let pairs =
@@ -978,17 +985,15 @@ let observe c (plan : Builder.plan) =
   in
   let ports dpid = 0 :: Controller.flood_ports c dpid ~in_port:0 in
   let src_mac = Mac.of_host_index 9999 and src_ip = Ipv4.of_host_index 9999 in
-  let packet_in dpid frame =
-    Types.Packet_in
-      ( dpid,
-        { Of_message.buffer_id = None; in_port = 1;
-          reason = Of_message.No_match; frame } )
-  in
-  ( List.map (fun (s, d) -> Controller.shortest_path c s d) pairs,
+  let packet_in = packet_in ~in_port:1 in
+  ( List.map (fun (s, d) -> Controller.first_hop c s d) pairs,
     List.map (fun (s, d) -> Controller.next_hop_choices c s d) pairs,
     List.concat_map
       (fun dpid ->
-        List.map (fun in_port -> Controller.flood_ports c dpid ~in_port)
+        List.map
+          (fun in_port ->
+            ( Controller.flood_ports c dpid ~in_port,
+              Controller.flood_actions c dpid ~in_port ))
           (ports dpid))
       switches,
     List.concat_map
@@ -1031,15 +1036,20 @@ let test_route_memo_matches_graph () =
       let switches = Jury_topo.Graph.switches g in
       let root = List.hd switches in
       let tree = Jury_topo.Graph.bfs_tree g root in
+      (* The out port of [Graph.path]'s first hop, -1 for no path. *)
+      let path_first_hop s d =
+        match Jury_topo.Graph.path g (Jury_topo.Graph.bfs_tree g s) d with
+        | Some ((_, _, out) :: _) -> out
+        | Some [] | None -> -1
+      in
       (* Twice: the first pass fills the memo, the second reads it. *)
       for _ = 1 to 2 do
         List.iter
           (fun s ->
             List.iter
               (fun d ->
-                check_bool "memoized path" true
-                  (Controller.shortest_path c s d
-                  = Jury_topo.Graph.shortest_path g s d);
+                check_int "memoized first hop" (path_first_hop s d)
+                  (Controller.first_hop c s d);
                 check_bool "memoized next hops" true
                   (Controller.next_hop_choices c s d
                   = Jury_topo.Graph.next_hops g (Jury_topo.Graph.bfs_tree g d) s))
@@ -1053,10 +1063,14 @@ let test_route_memo_matches_graph () =
             let all = List.sort_uniq compare (Jury_topo.Graph.tree_ports tree s @ host_ports) in
             List.iter
               (fun in_port ->
+                let ports = Controller.flood_ports c s ~in_port in
                 Alcotest.(check (list int))
                   "memoized flood set"
                   (List.filter (fun p -> p <> in_port) all)
-                  (Controller.flood_ports c s ~in_port))
+                  ports;
+                check_bool "memoized flood actions" true
+                  (Controller.flood_actions c s ~in_port
+                  = List.map (fun p -> Of_action.Output p) ports))
               (0 :: all))
           switches
       done)
@@ -1106,6 +1120,126 @@ let test_route_memo_invalidation () =
     (Jury_topo.Graph.edge_count (Controller.view c));
   same_as_fresh "after a state transfer"
 
+(* --- Decoded host table --- *)
+
+let test_host_table_follows_hostdb () =
+  (* As in the route memo test, node 1 changes only by direct writes
+     and the final state transfer. After each HOSTDB change the warmed
+     controller must plan an IPv4 packet and an ARP reply toward every
+     MAC, at every switch, exactly like a controller built fresh. *)
+  let plan = Builder.linear ~switches:3 ~hosts_per_switch:2 in
+  let engine = Engine.create ~seed:5 () in
+  let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:2 () in
+  Fabric.set_partitioned fabric ~node:1 true;
+  write_topology fabric ~node:0 plan;
+  write_topology fabric ~node:1 plan;
+  let c =
+    Controller.create engine ~id:1 ~profile:Profile.onos ~fabric
+      ~flow_memo:(Values.Flow.Memo.create ())
+  in
+  let switches = Jury_topo.Graph.switches plan.Builder.graph in
+  let hosts = plan.Builder.hosts in
+  let host i = List.nth hosts i in
+  let mac (h : Builder.host_slot) = Mac.of_host_index h.host_index in
+  (* Both render hex letters, so their keys have an upper-case form. *)
+  let extra = Mac.of_host_index 0xab and upper = Mac.of_host_index 0xcd in
+  let macs = List.map mac hosts @ [ extra; upper ] in
+  let src = (Mac.of_host_index 9999, Ipv4.of_host_index 9999) in
+  let observe c =
+    List.concat_map
+      (fun dpid ->
+        List.concat_map
+          (fun m ->
+            let dst = (m, Ipv4.of_host_index 1) in
+            [ Controller.plan c
+                (packet_in ~in_port:1 dpid
+                   (Jury_packet.Frame.tcp_packet ~src ~dst ~src_port:7
+                      ~dst_port:80 ()));
+              Controller.plan c
+                (packet_in ~in_port:1 dpid
+                   (Jury_packet.Frame.arp_reply ~sender:src ~target:dst)) ])
+          macs)
+      switches
+  in
+  let same_as_fresh what =
+    check_bool what true
+      (observe c = observe (fresh_controller fabric ~node:1))
+  in
+  let write op key value =
+    ignore (Fabric.write fabric ~node:1 ~cache:Names.hostdb op ~key ~value)
+  in
+  let at (h : Builder.host_slot) =
+    Values.Host.value ~dpid:h.dpid ~port:h.port ~ip:(Ipv4.of_host_index 1)
+  in
+  same_as_fresh "before any change";
+  write Jury_store.Event.Create (Values.Host.key extra) (at (host 5));
+  same_as_fresh "after a create";
+  write Jury_store.Event.Update (Values.Host.key (mac (host 0))) (at (host 5));
+  same_as_fresh "after a move";
+  write Jury_store.Event.Delete (Values.Host.key (mac (host 1))) "";
+  same_as_fresh "after a delete";
+  write Jury_store.Event.Update (Values.Host.key (mac (host 2))) "not-a-host";
+  same_as_fresh "after an unparseable value";
+  write Jury_store.Event.Create
+    (String.uppercase_ascii (Values.Host.key upper))
+    (at (host 0));
+  same_as_fresh "after a non-canonical key";
+  (* Crash-rejoin: node 0's HOSTDB, where none of the above happened,
+     replaces node 1's without any event reaching its listeners. *)
+  Fabric.resync fabric ~from:0 ~node:1;
+  Controller.invalidate_view c;
+  same_as_fresh "after a state transfer"
+
+(* --- Allocation per plan --- *)
+
+(* Minor words per call of [f], over 1000 calls after a warming one. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+let test_plan_allocation () =
+  (* A warmed ONOS replica plans from its memo: an IPv4 path install
+     across a 24-switch line reads the first hop off the cached tree
+     without building the 24-hop path, and an ARP flood reuses its
+     Output list. Each budget is 1.5x the words measured when the memo
+     was introduced (100 and 193, OCaml 5.1), so that it holds on the
+     OCaml versions CI builds with; building the path back costs 168
+     more words per plan. *)
+  let plan = Builder.linear ~switches:24 ~hosts_per_switch:1 in
+  let engine = Engine.create ~seed:5 () in
+  let fabric = Fabric.create engine ~consistency:Fabric.Eventual ~nodes:1 () in
+  write_topology fabric ~node:0 plan;
+  let c =
+    Controller.create engine ~id:0 ~profile:Profile.onos ~fabric
+      ~flow_memo:(Values.Flow.Memo.create ())
+  in
+  let first = List.hd plan.Builder.hosts
+  and last = List.nth plan.Builder.hosts 23 in
+  let addr (h : Builder.host_slot) =
+    (Mac.of_host_index h.host_index, Ipv4.of_host_index h.host_index)
+  in
+  let ipv4 =
+    packet_in ~in_port:first.port first.dpid
+      (Jury_packet.Frame.tcp_packet ~src:(addr first) ~dst:(addr last)
+         ~src_port:7 ~dst_port:80 ())
+  and arp =
+    packet_in ~in_port:first.port first.dpid
+      (Jury_packet.Frame.arp_request ~sender:(addr first)
+         ~target:(snd (addr last)))
+  in
+  let within what budget trigger =
+    let words = words_per_call (fun () -> Controller.plan c trigger) in
+    check_bool
+      (Printf.sprintf "%s: %.1f words <= %.0f" what words budget)
+      true (words <= budget)
+  in
+  within "IPv4 path install" 150. ipv4;
+  within "ARP flood" 290. arp
+
 let suite =
   [ ("values: host", `Quick, test_values_host);
     ("values: link", `Quick, test_values_link);
@@ -1151,4 +1285,6 @@ let suite =
     ("northbound flow query", `Quick, test_query_flows);
     ("route memo = fresh graph", `Quick, test_route_memo_matches_graph);
     ("route memo dropped with the view", `Quick,
-     test_route_memo_invalidation) ]
+     test_route_memo_invalidation);
+    ("host table follows HOSTDB", `Quick, test_host_table_follows_hostdb);
+    ("plan allocation budget", `Quick, test_plan_allocation) ]
