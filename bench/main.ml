@@ -698,6 +698,9 @@ let micro ~full:_ () =
          { buffer_id = Some 5; in_port = 1;
            reason = Jury_openflow.Of_message.No_match; frame = probe_frame })
   in
+  (* One draw of each kind the simulator samples per execution: a
+     rejection-path bounded int, a link jitter, a service time. *)
+  let draws = Jury_sim.Rng.create 7 in
   let tests =
     [ Test.make ~name:"policy-check-1k"
         (Staged.stage (fun () -> Jury_policy.Engine.check policy_engine query));
@@ -734,7 +737,14 @@ let micro ~full:_ () =
         (Staged.stage (decide_k6 ~dissent:false));
       Test.make ~name:"consensus-dissent-k6"
         (Staged.stage (decide_k6 ~dissent:true));
-      Test.make ~name:"engine-step-q1600" (Staged.stage step_q1600) ]
+      Test.make ~name:"engine-step-q1600" (Staged.stage step_q1600);
+      Test.make ~name:"rng-int-7"
+        (Staged.stage (fun () -> Jury_sim.Rng.int draws 7));
+      Test.make ~name:"rng-exponential"
+        (Staged.stage (fun () -> Jury_sim.Rng.exponential draws 10.));
+      Test.make ~name:"rng-lognormal"
+        (Staged.stage (fun () ->
+             Jury_sim.Rng.lognormal draws ~mu:0.5 ~sigma:0.8)) ]
   in
   let grouped = Test.make_grouped ~name:"jury" tests in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -346,11 +346,13 @@ let plan_flood t dpid ~in_port ~buffer_id frame =
                     (match buffer_id with None -> Some frame | Some _ -> None) } } ]
 
 let learn_host_actions t dpid ~port ~mac ~ip =
+  (* HOSTDB's key, ARPDB's value and EDGEDB's key are one rendering of
+     the sender MAC. *)
   let host_key = Values.Host.key mac in
   let host_value = Values.Host.value ~dpid ~port ~ip in
   let arp_key = Values.Arp.key ip in
-  let arp_value = Values.Arp.value mac in
-  let edge_key = Values.Host.key mac in
+  let arp_value = host_key in
+  let edge_key = host_key in
   let edge_value =
     let b = Buffer.create 32 in
     Buffer.add_string b (Of_types.Dpid.to_string dpid);

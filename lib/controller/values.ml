@@ -88,7 +88,6 @@ end
 
 module Arp = struct
   let key ip = Addr.Ipv4.to_string ip
-  let value mac = Addr.Mac.to_string mac
 
   let parse v =
     try Some (Addr.Mac.of_string v) with Invalid_argument _ -> None

@@ -14,10 +14,10 @@ module Host : sig
   val parse : string -> (Of_types.Dpid.t * int * Addr.Ipv4.t) option
 end
 
-(** ARPDB: key = IP, value = MAC. *)
+(** ARPDB: key = IP, value = MAC, rendered as HOSTDB renders its key
+    ({!Host.key}), so a learning controller renders a MAC once. *)
 module Arp : sig
   val key : Addr.Ipv4.t -> string
-  val value : Addr.Mac.t -> string
   val parse : string -> Addr.Mac.t option
 end
 

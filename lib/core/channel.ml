@@ -56,6 +56,12 @@ let name t = t.name
 let stats t = t.stats
 let profile t = t.profile
 
+(* A function of the channel, not a closure built per send. *)
+let jitter t =
+  if t.profile.jitter_us > 0. then
+    Time.of_float_us (Rng.exponential t.rng t.profile.jitter_us)
+  else Time.zero
+
 (* The reliable path must stay bit-for-bit identical to a plain
    [Engine.schedule]: one event at exactly [delay], zero RNG draws.
    Every seeded experiment in the repo depends on this. *)
@@ -71,12 +77,7 @@ let send t ?footprint ~delay f =
     `Dropped
   end
   else begin
-    let jitter () =
-      if t.profile.jitter_us > 0. then
-        Time.of_float_us (Rng.exponential t.rng t.profile.jitter_us)
-      else Time.zero
-    in
-    let delay = Time.add delay (jitter ()) in
+    let delay = Time.add delay (jitter t) in
     t.stats.delivered <- t.stats.delivered + 1;
     ignore (Engine.schedule t.engine ?footprint ~after:delay f);
     if t.profile.duplicate > 0. && Rng.bernoulli t.rng t.profile.duplicate
@@ -85,7 +86,7 @@ let send t ?footprint ~delay f =
       (* The stale copy trails the first by reorder jitter (a fixed
          baseline when the profile has none). *)
       let trail =
-        if t.profile.jitter_us > 0. then jitter ()
+        if t.profile.jitter_us > 0. then jitter t
         else Time.of_float_us (Rng.exponential t.rng 25.)
       in
       ignore (Engine.schedule t.engine ?footprint ~after:(Time.add delay trail) f);

@@ -337,6 +337,21 @@ let pick_secondaries t ~primary =
     Rng.sample_without_replacement t.rng k others
   else ack_peers t primary
 
+(* Closes a replica hop's span at most once. With no span open
+   (tracing off, or a retransmission) it is a static function, so the
+   hop allocates no flag or closure for it. *)
+let no_span (_ : (string * string) list) = ()
+
+let span_closer t = function
+  | None -> no_span
+  | Some _ as rspan ->
+      let closed = ref false in
+      fun attrs ->
+        if not !closed then begin
+          closed := true;
+          trace_close_span t rspan attrs
+        end
+
 (* One replica copy on the wire towards [secondary]. The span close is
    idempotent: a duplicated delivery runs the callback twice (and the
    shadow executes twice — the validator deduplicates), but the causal
@@ -350,13 +365,7 @@ let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
     if decap then Footprint.opaque
     else t.replica_footprints.(secondary).(primary)
   in
-  let closed = ref false in
-  let close_span attrs =
-    if not !closed then begin
-      closed := true;
-      trace_close_span t rspan attrs
-    end
-  in
+  let close_span = span_closer t rspan in
   let link = t.replica_links.(secondary) in
   let status =
     Channel.send link ~footprint ~delay (fun () ->

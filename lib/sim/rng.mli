@@ -5,7 +5,14 @@
     the seed, so every experiment in this repository is reproducible
     bit-for-bit. Each simulated component takes its own [t] (usually
     [split] from a parent) so that adding a component does not perturb
-    the random stream of the others. *)
+    the random stream of the others.
+
+    A draw allocates nothing. The simulator samples several delays per
+    execution of every trigger, so the 64-bit state is kept unboxed in
+    a byte buffer rather than in an [int64] field, which would box a
+    new Int64 on every draw. The float draws are inlined, so a caller
+    compiled with cross-module inlining gets its sample unboxed. The
+    streams are the same as with the boxed state, output for output. *)
 
 type t
 

@@ -6,12 +6,12 @@ let us x = ns (x * 1_000)
 let ms x = ns (x * 1_000_000)
 let sec x = ns (x * 1_000_000_000)
 
-let of_float_sec s =
+let[@inline] of_float_sec s =
   if s < 0. then invalid_arg "Time.of_float_sec: negative"
   else int_of_float (Float.round (s *. 1e9))
 
-let of_float_ms m = of_float_sec (m /. 1e3)
-let of_float_us u = of_float_sec (u /. 1e6)
+let[@inline] of_float_ms m = of_float_sec (m /. 1e3)
+let[@inline] of_float_us u = of_float_sec (u /. 1e6)
 let to_ns t = t
 let to_float_us t = float_of_int t /. 1e3
 let to_float_ms t = float_of_int t /. 1e6

@@ -36,6 +36,63 @@ let test_time_pp () =
 
 (* --- Rng --- *)
 
+(* Every stream, bit for bit: [Rng_golden] holds the first 32 outputs
+   per seed, floats as their bit patterns. [copy] draws from the copy
+   after advancing the original, so a copy sharing its original's
+   state would read every other output. *)
+let golden_draws =
+  let bits = Int64.bits_of_float and of_bool b = if b then 1L else 0L in
+  [ ("bits64", Rng.bits64);
+    ("int 7", fun r -> Int64.of_int (Rng.int r 7));
+    ("int 1000", fun r -> Int64.of_int (Rng.int r 1000));
+    ("int 2^20", fun r -> Int64.of_int (Rng.int r (1 lsl 20)));
+    ("int_in", fun r -> Int64.of_int (Rng.int_in r (-5) 12));
+    ("float", fun r -> bits (Rng.float r 2.5));
+    ("bool", fun r -> of_bool (Rng.bool r));
+    ("bernoulli", fun r -> of_bool (Rng.bernoulli r 0.3));
+    ("exponential", fun r -> bits (Rng.exponential r 10.));
+    ("gaussian", fun r -> bits (Rng.gaussian r ~mean:1. ~stddev:2.));
+    ("lognormal", fun r -> bits (Rng.lognormal r ~mu:0.5 ~sigma:0.8));
+    ("pareto", fun r -> bits (Rng.pareto r ~xm:1.5 ~alpha:1.2));
+    ("split", fun r -> Rng.bits64 (Rng.split r));
+    ( "copy",
+      fun r ->
+        let c = Rng.copy r in
+        ignore (Rng.bits64 r);
+        Rng.bits64 c ) ]
+
+let test_rng_golden () =
+  check_int "every stream pinned at both seeds"
+    (2 * List.length golden_draws) (List.length Rng_golden.streams);
+  List.iter
+    (fun (name, seed, expected) ->
+      let draw = List.assoc name golden_draws and r = Rng.create seed in
+      let got = Array.init (Array.length expected) (fun _ -> draw r) in
+      Alcotest.(check (array int64)) (Printf.sprintf "%s, seed %d" name seed)
+        expected got)
+    Rng_golden.streams
+
+(* A draw allocates nothing but, for a float, the box its caller's
+   closure returns it in (2 words). *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 5 in
+  let per_draw name f =
+    ignore (Sys.opaque_identity (f r));
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f r))
+    done;
+    let words = (Gc.minor_words () -. before) /. 10_000. in
+    check_bool (Printf.sprintf "%s: %.2f words per draw <= 2" name words)
+      true (words <= 2.)
+  in
+  per_draw "int 7" (fun r -> Rng.int r 7);
+  per_draw "float" (fun r -> Rng.float r 1.);
+  per_draw "bernoulli" (fun r -> Rng.bernoulli r 0.3);
+  per_draw "exponential" (fun r -> Rng.exponential r 10.);
+  per_draw "gaussian" (fun r -> Rng.gaussian r ~mean:1. ~stddev:2.);
+  per_draw "lognormal" (fun r -> Rng.lognormal r ~mu:0.5 ~sigma:0.8)
+
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
@@ -448,6 +505,8 @@ let suite =
   [ ("time units", `Quick, test_time_units);
     ("time arithmetic", `Quick, test_time_arith);
     ("time pretty-printing", `Quick, test_time_pp);
+    ("rng golden stream", `Quick, test_rng_golden);
+    ("rng draws allocate nothing", `Quick, test_rng_draws_allocate_nothing);
     ("rng determinism", `Quick, test_rng_determinism);
     ("rng split independence", `Quick, test_rng_split_independent);
     ("rng bounds", `Quick, test_rng_bounds);
