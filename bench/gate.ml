@@ -1,4 +1,4 @@
-(* Bench regression gate: compare a fresh `bench --json` result against
+(* Bench regression gate: compare fresh `bench --json` results against
    the committed BENCH_baseline.json and fail (exit 1) on a >FACTOR
    slowdown in the gated rows.
 
@@ -10,14 +10,19 @@
        current < baseline / factor);
      - every experiment named "profile-*" (the per-controller-profile
        runs: onos, odl, ryu), same events_per_sec threshold.
-   Rows present in the baseline but absent from the current run fail
+   Rows present in the baseline but absent from a current run fail
    the gate too: a silently skipped measurement must not pass.
+
+   Given several CURRENT files (repeats of the same run), each row is
+   gated on its best run: the fewest ns/op, the most events/s. A
+   repeat can only be slowed down by what else the machine is doing,
+   never sped up, so one slow repeat does not fail the gate.
 
    The 2x default factor absorbs machine-to-machine noise (the baseline
    was recorded in this repo's CI container class); it is a
    catastrophic-regression tripwire, not a microbenchmark court.
 
-   Usage: gate.exe BASELINE CURRENT [FACTOR] *)
+   Usage: gate.exe BASELINE CURRENT... [FACTOR] *)
 
 module Json = Jury_obs.Json
 
@@ -65,19 +70,32 @@ let profile_experiments json =
         rows
   | _ -> []
 
+(* The best of the runs' values for one row, or [None] when a run
+   lacks it. *)
+let best ~better values =
+  if List.mem None values then None
+  else
+    match List.filter_map Fun.id values with
+    | [] -> None
+    | v :: vs -> Some (List.fold_left better v vs)
+
 let () =
-  let baseline_path, current_path, factor =
+  let baseline_path, current_paths, factor =
+    let usage () =
+      prerr_endline "usage: gate.exe BASELINE.json CURRENT.json... [FACTOR]";
+      exit 2
+    in
     match Array.to_list Sys.argv with
-    | [ _; b; c ] -> (b, c, 2.0)
-    | [ _; b; c; f ] -> (
-        match float_of_string_opt f with
-        | Some f when f > 1.0 -> (b, c, f)
-        | _ ->
+    | _ :: b :: (_ :: _ as rest) -> (
+        let rev = List.rev rest in
+        match (float_of_string_opt (List.hd rev), List.tl rev) with
+        | None, _ -> (b, rest, 2.0)
+        | Some f, (_ :: _ as currents) when f > 1.0 -> (b, List.rev currents, f)
+        | Some _, _ :: _ ->
             prerr_endline "gate: FACTOR must be a float > 1";
-            exit 2)
-    | _ ->
-        prerr_endline "usage: gate.exe BASELINE.json CURRENT.json [FACTOR]";
-        exit 2
+            exit 2
+        | Some _, [] -> usage ())
+    | _ -> usage ()
   in
   let load path =
     match Json.of_string (read_file path) with
@@ -90,13 +108,18 @@ let () =
         exit 2
   in
   let baseline = load baseline_path in
-  let current = load current_path in
+  let currents = List.map load current_paths in
+  let runs =
+    match current_paths with
+    | [ path ] -> path
+    | paths -> Printf.sprintf "%d runs" (List.length paths)
+  in
   let failures = ref 0 in
   let check_row ~name ~baseline_v ~current_v ~regressed ~unit_label =
     match current_v with
     | None ->
         incr failures;
-        Printf.printf "FAIL %-36s missing from %s\n" name current_path
+        Printf.printf "FAIL %-36s missing from %s\n" name runs
     | Some cur ->
         let bad = regressed cur in
         if bad then incr failures;
@@ -104,10 +127,12 @@ let () =
           (if bad then "FAIL" else "ok  ")
           name baseline_v unit_label cur unit_label
   in
+  let fastest read = best ~better:Float.min (List.map read currents)
+  and highest read = best ~better:Float.max (List.map read currents) in
   List.iter
     (fun (name, base) ->
-      let cur = List.assoc_opt name (policy_micro current) in
-      check_row ~name ~baseline_v:base ~current_v:cur
+      check_row ~name ~baseline_v:base
+        ~current_v:(fastest (fun c -> List.assoc_opt name (policy_micro c)))
         ~regressed:(fun cur -> cur > factor *. base)
         ~unit_label:"ns")
     (policy_micro baseline);
@@ -116,7 +141,7 @@ let () =
   | Some base ->
       check_row ~name:"validator-scale events/s"
         ~baseline_v:base
-        ~current_v:(experiment_rate "validator-scale" current)
+        ~current_v:(highest (experiment_rate "validator-scale"))
         ~regressed:(fun cur -> cur < base /. factor)
         ~unit_label:"");
   List.iter
@@ -124,7 +149,8 @@ let () =
       check_row
         ~name:(name ^ " events/s")
         ~baseline_v:base
-        ~current_v:(List.assoc_opt name (profile_experiments current))
+        ~current_v:
+          (highest (fun c -> List.assoc_opt name (profile_experiments c)))
         ~regressed:(fun cur -> cur < base /. factor)
         ~unit_label:"")
     (profile_experiments baseline);

@@ -156,9 +156,9 @@ module Flow = struct
         | exception _ -> None)
 
   let dpid_of_key k =
-    match String.index_opt k '/' with
-    | None -> None
-    | Some i -> dpid_of_prefix k i
+    match String.index k '/' with
+    | i -> dpid_of_prefix k i
+    | exception Not_found -> None
 
   module Memo = struct
     let capacity = 256

@@ -56,52 +56,83 @@ type decision = {
 
 (* --- Filing responses --- *)
 
+(* Every response a trigger gets is filed, and then the trigger is
+   tested for completeness, so the loops that read the filed lists are
+   top-level functions. Without flambda a closure that captures a
+   variable is a heap block, so one handed to [List.exists] would be
+   built on every response. A finder that locates a filed entry returns
+   the suffix of its list that the entry heads, or [[]]: an option that
+   costs no words. *)
+
+let rec has_execution from role = function
+  | [] -> false
+  | (q : Response.t) :: rest ->
+      (q.controller = from
+      && match q.body with Response.Execution e -> e.role = role | _ -> false)
+      || has_execution from role rest
+
+let same_event (a : Event.t) (b : Event.t) =
+  a.Event.origin = b.Event.origin && a.Event.seq = b.Event.seq
+
+(* Whether [from] already reported exactly [event]. *)
+let rec has_report from event = function
+  | [] -> false
+  | (c : report) :: rest ->
+      (c.reporter = from && c.event = event) || has_report from event rest
+
+(* Whether anyone reported [event]'s (origin, seq). *)
+let rec has_event event = function
+  | [] -> false
+  | (c : report) :: rest -> same_event c.event event || has_event event rest
+
+(* Whether [from] reported [event]'s (origin, seq). *)
+let rec has_event_from from event = function
+  | [] -> false
+  | (c : report) :: rest ->
+      (c.reporter = from && same_event c.event event)
+      || has_event_from from event rest
+
+let rec has_write from dpid flow = function
+  | [] -> false
+  | (w : write) :: rest ->
+      (w.sender = from && w.dpid = dpid && w.flow = flow)
+      || has_write from dpid flow rest
+
+(* Whether anyone sent the same FLOW_MOD to [dpid]. *)
+let rec has_flow dpid flow = function
+  | [] -> false
+  | (w : write) :: rest ->
+      (Dpid.equal w.dpid dpid
+      && (w.flow == flow || w.flow = flow
+         || String.equal (Values.Flow.value w.flow) (Values.Flow.value flow)))
+      || has_flow dpid flow rest
+
 (* The one place the duplicate and counting rules live. *)
 let record p (r : Response.t) =
   let from = r.controller in
   match r.body with
   | Response.Execution { role; _ } ->
-      let same (q : Response.t) =
-        q.controller = from
-        && match q.body with Response.Execution e -> e.role = role | _ -> false
-      in
-      let fresh = not (List.exists same p.executions) in
+      let fresh = not (has_execution from role p.executions) in
       if fresh then p.executions <- r :: p.executions;
       fresh
   | Response.Cache_update event ->
-      let same (c : report) =
-        c.event.Event.origin = event.Event.origin
-        && c.event.Event.seq = event.Event.seq
-      in
-      let mine (c : report) = c.reporter = from in
-      let fresh =
-        not (List.exists (fun c -> mine c && c.event = event) p.reports)
-      in
+      let fresh = not (has_report from event p.reports) in
       if fresh then
         p.reports <-
           { reporter = from;
             event;
-            first = not (List.exists same p.reports);
+            first = not (has_event event p.reports);
             ack =
               from <> event.Event.origin
-              && not (List.exists (fun c -> mine c && same c) p.reports) }
+              && not (has_event_from from event p.reports) }
           :: p.reports;
       fresh
   | Response.Network_write { dpid; flow } ->
-      let same (w : write) =
-        Dpid.equal w.dpid dpid
-        && (w.flow == flow || w.flow = flow
-           || String.equal (Values.Flow.value w.flow) (Values.Flow.value flow))
-      in
-      let fresh =
-        not
-          (List.exists
-             (fun w -> w.sender = from && w.dpid = dpid && w.flow = flow)
-             p.writes)
-      in
+      let fresh = not (has_write from dpid flow p.writes) in
       if fresh then
         p.writes <-
-          { sender = from; dpid; flow; first = not (List.exists same p.writes) }
+          { sender = from; dpid; flow;
+            first = not (has_flow dpid flow p.writes) }
           :: p.writes;
       fresh
   | Response.Write_failure { action; reason } ->
@@ -112,22 +143,28 @@ let record p (r : Response.t) =
 
 (* --- Reading the filed responses --- *)
 
+(* The actions of a filed execution. *)
+let actions_of (r : Response.t) =
+  match r.body with Response.Execution { actions; _ } -> actions | _ -> []
+
+let rec primary_in primary = function
+  | [] -> []
+  | (r : Response.t) :: rest as here -> (
+      match r.body with
+      | Response.Execution { role = `Primary; _ } when r.controller = primary ->
+          here
+      | _ -> primary_in primary rest)
+
 (* The current primary's execution report (one per controller and
-   role: [record] drops the rest). *)
+   role: [record] drops the rest), heading its suffix of the filed
+   executions. *)
 let primary_execution p =
   match p.primary with
-  | None -> None
-  | Some primary ->
-      List.find_map
-        (fun (r : Response.t) ->
-          match r.body with
-          | Response.Execution { role = `Primary; actions }
-            when r.controller = primary ->
-              Some (r, actions)
-          | _ -> None)
-        p.executions
+  | None -> []
+  | Some primary -> primary_in primary p.executions
 
-(* Secondary execution reports, in arrival order. *)
+(* Secondary execution reports, in arrival order. Only dissent and a
+   lost primary read them as a list. *)
 let secondary_executions p =
   List.fold_left
     (fun acc (r : Response.t) ->
@@ -136,13 +173,22 @@ let secondary_executions p =
       | _ -> acc)
     [] p.executions
 
-let stragglers p =
-  let answered = secondary_executions p in
-  List.filter
-    (fun s ->
-      not
-        (List.exists (fun ((r : Response.t), _) -> r.controller = s) answered))
-    p.secondaries
+let rec secondary_count n = function
+  | [] -> n
+  | (r : Response.t) :: rest -> (
+      match r.body with
+      | Response.Execution { role = `Secondary; _ } ->
+          secondary_count (n + 1) rest
+      | _ -> secondary_count n rest)
+
+(* Allocates only the secondaries it returns. *)
+let rec missing executions = function
+  | [] -> []
+  | s :: rest ->
+      if has_execution s `Secondary executions then missing executions rest
+      else s :: missing executions rest
+
+let stragglers p = missing p.executions p.secondaries
 
 (* The first copies of a trigger's FLOW_MODs that [keep] selects, in
    arrival order. *)
@@ -151,36 +197,22 @@ let first_writes keep p =
     (fun acc (w : write) -> if w.first && keep w then w :: acc else acc)
     [] p.writes
 
-(* The earliest first report of a write to ([cache], [key]) made by
-   [origin]. *)
-let first_report p ~cache ~key ~origin =
-  let cache = Names.normalize cache in
-  List.fold_left
-    (fun found (c : report) ->
+let rec earliest_report cache key origin found = function
+  | [] -> found
+  | (c : report) :: rest as here ->
       let e = c.event in
-      if
-        c.first && e.Event.cache = cache && e.Event.key = key
-        && e.Event.origin = origin
-      then Some e
-      else found)
-    None p.reports
+      earliest_report cache key origin
+        (if
+           c.first && e.Event.cache = cache && e.Event.key = key
+           && e.Event.origin = origin
+         then here
+         else found)
+        rest
 
-let flow_mod_sends actions =
-  List.filter_map
-    (fun (a : Types.action) ->
-      match a with
-      | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } ->
-          Some (dpid, fm)
-      | _ -> None)
-    actions
-
-let cache_writes actions =
-  List.filter_map
-    (fun (a : Types.action) ->
-      match a with
-      | Types.Cache_write { cache; key; value; _ } -> Some (cache, key, value)
-      | Types.Network_send _ -> None)
-    actions
+(* The earliest first report of a write to ([cache], [key]) made by
+   [origin], heading its suffix of the filed reports. *)
+let first_report p ~cache ~key ~origin =
+  earliest_report (Names.normalize cache) key origin [] p.reports
 
 (* Whether [w] writes the rule of ([dpid], [fm]): same switch, match
    and priority. *)
@@ -191,48 +223,44 @@ let same_rule (w : write) dpid (fm : Of_message.flow_mod) =
 
 (* --- Completeness: can we decide before the timer? --- *)
 
-(* A cache write counts once its earliest first report has arrived and
-   every peer of the origin has acked that event. *)
+(* The peers' acks of [event]. *)
+let rec acks event n = function
+  | [] -> n
+  | (c : report) :: rest ->
+      acks event (if c.ack && same_event c.event event then n + 1 else n) rest
+
+let rec on_wire dpid (fm : Of_message.flow_mod) = function
+  | [] -> false
+  | (w : write) :: rest ->
+      (w.first && same_rule w dpid fm && w.flow.command = fm.command)
+      || on_wire dpid fm rest
+
+(* Whether each action of the primary's plan has been observed: a cache
+   write once its earliest first report has arrived and every peer of
+   the origin has acked that event, a FLOW_MOD once it is on the
+   wire. *)
+let rec observed p ~primary ~peers = function
+  | [] -> true
+  | (a : Types.action) :: rest ->
+      (match a with
+      | Types.Cache_write { cache; key; _ } -> (
+          match first_report p ~cache ~key ~origin:primary with
+          | [] -> false
+          | c :: _ -> acks c.event 0 p.reports >= peers)
+      | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } ->
+          on_wire dpid fm p.writes
+      | Types.Network_send _ -> true)
+      && observed p ~primary ~peers rest
+
 let complete cfg p =
   match primary_execution p with
-  | None -> false
-  | Some (prim_r, actions) ->
-      let primary = prim_r.Response.controller in
-      let executions =
-        List.fold_left
-          (fun n (r : Response.t) ->
-            match r.body with
-            | Response.Execution { role = `Secondary; _ } -> n + 1
-            | _ -> n)
-          0 p.executions
-      in
-      executions >= List.length p.secondaries
-      && (let peers = List.length (cfg.ack_peers_of primary) in
-          List.for_all
-            (fun (a : Types.action) ->
-              match a with
-              | Types.Cache_write { cache; key; _ } -> (
-                  match first_report p ~cache ~key ~origin:primary with
-                  | None -> false
-                  | Some ev ->
-                      List.fold_left
-                        (fun n (c : report) ->
-                          if
-                            c.ack && c.event.Event.origin = ev.Event.origin
-                            && c.event.Event.seq = ev.Event.seq
-                          then n + 1
-                          else n)
-                        0 p.reports
-                      >= peers)
-              | Types.Network_send
-                  { dpid; payload = Of_message.Flow_mod fm } ->
-                  List.exists
-                    (fun (w : write) ->
-                      w.first && same_rule w dpid fm
-                      && w.flow.command = fm.command)
-                    p.writes
-              | Types.Network_send _ -> true)
-            actions)
+  | [] -> false
+  | prim :: _ ->
+      let primary = prim.Response.controller in
+      secondary_count 0 p.executions >= List.length p.secondaries
+      && observed p ~primary
+           ~peers:(List.length (cfg.ack_peers_of primary))
+           (actions_of prim)
 
 (* --- Findings: what a check blames, and on whom --- *)
 
@@ -331,61 +359,108 @@ type consensus =
   | Non_deterministic
   | Unverifiable
 
-let consensus cfg p (prim_r : Response.t) prim_actions =
-  let secondaries = secondary_executions p in
-  if secondaries = [] then
-    if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
-    else Unverifiable
-  else begin
-    let comparable =
-      if cfg.state_aware then
-        List.filter
-          (fun ((r : Response.t), _) ->
-            Snapshot.equal r.snapshot prim_r.Response.snapshot)
-          secondaries
-      else secondaries
-    in
-    match comparable with
-    | [] -> Unverifiable
-    | _
-      when List.for_all
-             (fun (_, actions) -> same_actions prim_actions actions)
-             comparable ->
-        Agrees (1 + List.length comparable)
-    | _ -> (
-        let fingerprint = fingerprinter () in
-        let prim_fp = fingerprint prim_actions in
-        let fps =
-          List.map
-            (fun ((r : Response.t), actions) ->
-              (r.controller, fingerprint actions))
-            comparable
-        in
-        let all = prim_fp :: List.map snd fps in
-        let distinct = List.sort_uniq String.compare all in
-        if
-          cfg.nondet_rule
-          && List.length all >= 3
-          && List.length distinct = List.length all
-        then Non_deterministic
-        else
-          match majority_fingerprint all with
-          | None -> Unverifiable
-          | Some (winner, n) ->
-              if 2 * n <= List.length all then Unverifiable
-              else if String.equal winner prim_fp then begin
-                (* Primary agrees; flag dissenting secondaries. *)
-                let dissenters =
-                  List.filter_map
-                    (fun (controller, fp) ->
-                      if String.equal fp winner then None else Some controller)
-                    fps
-                in
-                if dissenters = [] then Agrees (1 + List.length comparable)
-                else Disagrees dissenters
-              end
-              else Disagrees (Option.to_list p.primary))
-  end
+(* Whether [r] may vote on the primary's response: under state-aware
+   consensus, only from the primary's network view. *)
+let same_view cfg (prim_r : Response.t) (r : Response.t) =
+  (not cfg.state_aware) || Snapshot.equal r.snapshot prim_r.snapshot
+
+(* The secondary executions comparable with the primary's, counted
+   while each took the primary's actions; -1 once one did not. *)
+let rec agreeing cfg prim_r prim_actions n = function
+  | [] -> n
+  | (r : Response.t) :: rest -> (
+      match r.body with
+      | Response.Execution { role = `Secondary; actions }
+        when same_view cfg prim_r r ->
+          if same_actions prim_actions actions then
+            agreeing cfg prim_r prim_actions (n + 1) rest
+          else -1
+      | _ -> agreeing cfg prim_r prim_actions n rest)
+
+(* Some comparable secondary took other actions: fingerprint every
+   comparable response and count the votes. *)
+let dissent cfg p (prim_r : Response.t) prim_actions =
+  let comparable =
+    List.filter
+      (fun ((r : Response.t), _) -> same_view cfg prim_r r)
+      (secondary_executions p)
+  in
+  let fingerprint = fingerprinter () in
+  let prim_fp = fingerprint prim_actions in
+  let fps =
+    List.map
+      (fun ((r : Response.t), actions) -> (r.controller, fingerprint actions))
+      comparable
+  in
+  let all = prim_fp :: List.map snd fps in
+  let distinct = List.sort_uniq String.compare all in
+  if
+    cfg.nondet_rule
+    && List.length all >= 3
+    && List.length distinct = List.length all
+  then Non_deterministic
+  else
+    match majority_fingerprint all with
+    | None -> Unverifiable
+    | Some (winner, n) ->
+        if 2 * n <= List.length all then Unverifiable
+        else if String.equal winner prim_fp then begin
+          (* Primary agrees; flag dissenting secondaries. *)
+          let dissenters =
+            List.filter_map
+              (fun (controller, fp) ->
+                if String.equal fp winner then None else Some controller)
+              fps
+          in
+          if dissenters = [] then Agrees (1 + List.length comparable)
+          else Disagrees dissenters
+        end
+        else Disagrees (Option.to_list p.primary)
+
+let consensus cfg p prim_r prim_actions =
+  match agreeing cfg prim_r prim_actions 0 p.executions with
+  | -1 -> dissent cfg p prim_r prim_actions
+  | 0 ->
+      if p.secondaries = [] && secondary_count 0 p.executions = 0 then
+        Agrees 1 (* nothing was replicated *)
+      else Unverifiable
+  | n -> Agrees (1 + n)
+
+(* [secs] grouped by snapshot: groups in order of first appearance,
+   each one's members newest first. *)
+let rec place ((r : Response.t), _ as sec) = function
+  | [] -> [ (r.snapshot, [ sec ]) ]
+  | (snap, members) :: rest ->
+      if Snapshot.equal snap r.snapshot then (snap, sec :: members) :: rest
+      else (snap, members) :: place sec rest
+
+let rec all_same first = function
+  | [] -> true
+  | (_, actions) :: rest -> same_actions first actions && all_same first rest
+
+(* A group's most common action list and its votes. *)
+let group_majority fingerprint = function
+  | (_, first) :: rest when all_same first rest ->
+      Some (first, 1 + List.length rest)
+  | members -> (
+      let fps =
+        List.map (fun (_, actions) -> (fingerprint actions, actions)) members
+      in
+      match majority_fingerprint (List.map fst fps) with
+      | None -> None
+      | Some (fp, n) -> Some (List.assoc fp fps, n))
+
+(* The first group with the most votes. *)
+let rec best_group fingerprint best = function
+  | [] -> best
+  | members :: rest ->
+      let best =
+        match (best, group_majority fingerprint members) with
+        | _, None -> best
+        | Some (_, bn), Some (_, n) when bn >= n -> best
+        | _, found -> found
+      in
+      best_group fingerprint best rest
 
 (* Best agreeing fingerprint among the secondary executions alone, for
    deciding a trigger whose primary response was lost in transit. Under
@@ -397,46 +472,15 @@ let secondary_quorum cfg p =
   | secs ->
       let groups =
         if cfg.state_aware then
-          List.fold_left
-            (fun acc ((r : Response.t), actions) ->
-              let rec place = function
-                | [] -> [ (r.Response.snapshot, [ (r, actions) ]) ]
-                | (snap, members) :: rest ->
-                    if Snapshot.equal snap r.Response.snapshot then
-                      (snap, (r, actions) :: members) :: rest
-                    else (snap, members) :: place rest
-              in
-              place acc)
-            [] secs
-          |> List.map snd
+          List.map snd (List.fold_left (fun acc sec -> place sec acc) [] secs)
         else [ secs ]
       in
-      let fingerprint = fingerprinter () in
-      let group_majority = function
-        | (_, first) :: rest
-          when List.for_all (fun (_, actions) -> same_actions first actions) rest
-          ->
-            Some (first, 1 + List.length rest)
-        | members -> (
-            let fps =
-              List.map (fun (_, actions) -> (fingerprint actions, actions)) members
-            in
-            match majority_fingerprint (List.map fst fps) with
-            | None -> None
-            | Some (fp, n) -> Some (List.assoc fp fps, n))
-      in
-      List.fold_left
-        (fun best members ->
-          match (best, group_majority members) with
-          | _, None -> best
-          | Some (_, bn), Some (_, n) when bn >= n -> best
-          | _, found -> found)
-        None groups
+      best_group (fingerprinter ()) None groups
 
 (* --- Sanity check: cache vs network consistency for flow rules --- *)
 
+(* Buffer ids differ between executions, so they are not compared. *)
 let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
-  let a = normalize_flow a and b = normalize_flow b in
   Of_match.equal a.fm_match b.fm_match
   && a.priority = b.priority
   && Of_action.equal_list a.actions b.actions
@@ -447,106 +491,181 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
    timeout race) is backed by it. *)
 let mirrored mirror dpid (fm : Of_message.flow_mod) =
   let key = Values.Flow.key dpid fm.fm_match ~priority:fm.priority in
-  match Hashtbl.find_opt mirror key with
-  | Some (_, cfm) -> flows_equal cfm fm
-  | None -> false
+  match Hashtbl.find mirror key with
+  | _, cfm -> flows_equal cfm fm
+  | exception Not_found -> false
 
-(* Whether [rules] holds the rule ([dpid], [fm]). *)
-let listed rules dpid fm =
-  List.exists (fun (d, rule) -> Dpid.equal d dpid && flows_equal rule fm) rules
+(* The switch and rule of a FLOWSDB entry. The mirror parsed the rule
+   when the entry arrived, unless the key has changed since. *)
+let flow_entry mirror key value =
+  match Values.Flow.dpid_of_key key with
+  | None -> None
+  | Some dpid -> (
+      let fm =
+        match Hashtbl.find mirror key with
+        | v, fm when v == value || String.equal v value -> Some fm
+        | _ -> Values.Flow.parse value
+        | exception Not_found -> Values.Flow.parse value
+      in
+      match fm with Some fm -> Some (dpid, fm) | None -> None)
 
-(* When [plan] is given (degraded-quorum mode, after a timeout on a
-   lossy channel) an inconsistency that the primary's own execution plan
-   accounts for is an omission, not a fault: the observation was lost in
-   transit, the action was not invented. The hard faults come newest
-   first, then the omissions oldest first: the order their details are
-   joined in. *)
-let sanity ~mirror ?plan p ~origin =
-  (* The switch and rule of a FLOWSDB entry. The mirror parsed the rule
-     when the entry arrived, unless the key has changed since. *)
-  let flow key value =
-    match Values.Flow.dpid_of_key key with
-    | None -> None
-    | Some dpid -> (
-        let fm =
-          match Hashtbl.find_opt mirror key with
-          | Some (v, fm) when v == value || String.equal v value -> Some fm
-          | _ -> Values.Flow.parse value
-        in
-        Option.map (fun fm -> (dpid, fm)) fm)
-  in
-  (* The origin's FLOWSDB installs, at their first report, in arrival
-     order. *)
-  let cache_flows =
-    List.fold_left
-      (fun acc (c : report) ->
-        let ev = c.event in
+(* The origin's FLOWSDB installs, at their first report, in arrival
+   order. *)
+let rec cache_flows mirror origin acc = function
+  | [] -> acc
+  | (c : report) :: rest ->
+      let ev = c.event in
+      let acc =
         if
           c.first
           && ev.Event.cache = Names.flowsdb
           && ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
         then
-          match flow ev.Event.key ev.Event.value with
+          match flow_entry mirror ev.Event.key ev.Event.value with
           | Some entry -> entry :: acc
           | None -> acc
-        else acc)
-      [] p.reports
-  in
-  let nets =
-    first_writes
-      (fun w ->
-        w.flow.command = Of_message.Add || w.flow.command = Of_message.Modify
-        || w.flow.command = Of_message.Modify_strict)
-      p
-  in
-  let plan = Option.value plan ~default:[] in
-  let planned_sends = flow_mod_sends plan in
-  let planned_cache_flows =
-    List.filter_map
-      (fun (cache, key, value) ->
-        if Names.normalize cache = Names.flowsdb then flow key value else None)
-      (cache_writes plan)
-  in
-  let faults = ref [] in
-  let omissions = ref [] in
-  let found ~planned f note =
-    if planned then omissions := omission origin note :: !omissions
-    else faults := hard f [ origin ] note :: !faults
-  in
-  List.iter
-    (fun (dpid, cfm) ->
-      match List.filter (fun w -> same_rule w dpid cfm) nets with
-      | [] ->
-          found ~planned:(listed planned_sends dpid cfm)
+        else acc
+      in
+      cache_flows mirror origin acc rest
+
+(* The first copy of a FLOW_MOD that installs a rule. *)
+let installs (w : write) =
+  w.first
+  && (w.flow.command = Of_message.Add || w.flow.command = Of_message.Modify
+     || w.flow.command = Of_message.Modify_strict)
+
+let rec rule_installed dpid cfm = function
+  | [] -> false
+  | w :: rest ->
+      (installs w && same_rule w dpid cfm) || rule_installed dpid cfm rest
+
+let rec flow_installed dpid cfm = function
+  | [] -> false
+  | (w : write) :: rest ->
+      (installs w && same_rule w dpid cfm && flows_equal w.flow cfm)
+      || flow_installed dpid cfm rest
+
+let rec has_rule w = function
+  | [] -> false
+  | (dpid, cfm) :: rest -> same_rule w dpid cfm || has_rule w rest
+
+(* Whether [plan] sends the rule ([dpid], [fm]). *)
+let rec plans_send dpid fm = function
+  | [] -> false
+  | Types.Network_send { dpid = d; payload = Of_message.Flow_mod rule } :: rest
+    ->
+      (Dpid.equal d dpid && flows_equal rule fm) || plans_send dpid fm rest
+  | _ :: rest -> plans_send dpid fm rest
+
+(* Whether [plan] writes the rule ([dpid], [fm]) to FLOWSDB. *)
+let rec plans_cache_flow mirror dpid fm = function
+  | [] -> false
+  | Types.Cache_write { cache; key; value; _ } :: rest
+    when Names.normalize cache = Names.flowsdb -> (
+      match flow_entry mirror key value with
+      | Some (d, rule) when Dpid.equal d dpid && flows_equal rule fm -> true
+      | _ -> plans_cache_flow mirror dpid fm rest)
+  | _ :: rest -> plans_cache_flow mirror dpid fm rest
+
+(* A finding the primary's plan accounts for is an omission. *)
+let found ~planned ~origin fault note acc =
+  (if planned then omission origin note else hard fault [ origin ] note)
+  :: acc
+
+(* Each cache install needs its rule on the wire, with the same
+   actions. *)
+let rec check_cache_flows p ~plan ~origin acc = function
+  | [] -> acc
+  | (dpid, cfm) :: rest ->
+      let acc =
+        if not (rule_installed dpid cfm p.writes) then
+          found ~planned:(plans_send dpid cfm plan) ~origin
             Alarm.Cache_without_network
             (Format.asprintf "no FLOW_MOD on wire for cache entry %a@%a"
                Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid)
-      | writes ->
-          if
-            not
-              (List.exists (fun (w : write) -> flows_equal w.flow cfm) writes)
-          then
-            found ~planned:false Alarm.Cache_network_mismatch
-              (Format.asprintf "cache and wire disagree for %a@%a"
-                 Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid))
-    cache_flows;
-  List.iter
-    (fun ({ dpid; flow = nfm; _ } as w : write) ->
-      let in_trigger =
-        List.exists (fun (d, cfm) -> same_rule w d cfm) cache_flows
+            acc
+        else if not (flow_installed dpid cfm p.writes) then
+          found ~planned:false ~origin Alarm.Cache_network_mismatch
+            (Format.asprintf "cache and wire disagree for %a@%a"
+               Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid)
+            acc
+        else acc
       in
-      if not (in_trigger || mirrored mirror dpid nfm) then
+      check_cache_flows p ~plan ~origin acc rest
+
+(* Each install on the wire needs a cache backing, in this trigger or
+   in the mirror; [writes] is walked oldest first. *)
+let rec check_writes ~mirror ~plan ~origin flows acc = function
+  | [] -> acc
+  | (w : write) :: rest ->
+      let acc = check_writes ~mirror ~plan ~origin flows acc rest in
+      if
+        installs w
+        && not (has_rule w flows || mirrored mirror w.dpid w.flow)
+      then
         (* Planned: the primary's plan includes the backing cache write;
            only its externalised event was lost. *)
-        found ~planned:(listed planned_cache_flows dpid nfm)
-          Alarm.Network_without_cache
+        found
+          ~planned:(plans_cache_flow mirror w.dpid w.flow plan)
+          ~origin Alarm.Network_without_cache
           (Format.asprintf "FLOW_MOD %a@%a has no cache backing" Of_match.pp
-             nfm.fm_match Dpid.pp dpid))
-    nets;
-  !faults @ List.rev !omissions
+             w.flow.fm_match Dpid.pp w.dpid)
+          acc
+      else acc
+
+(* [plan] is non-empty only in degraded-quorum mode, after a timeout on
+   a lossy channel: an inconsistency that the primary's own execution
+   plan accounts for is an omission, not a fault — the observation was
+   lost in transit, the action was not invented. The hard faults come
+   newest first, then the omissions oldest first: the order their
+   details are joined in. Beyond the origin's resolved installs, only
+   findings allocate. *)
+let sanity ~mirror ~plan p ~origin =
+  let flows = cache_flows mirror origin [] p.reports in
+  match
+    check_writes ~mirror ~plan ~origin flows
+      (check_cache_flows p ~plan ~origin [] flows)
+      p.writes
+  with
+  | [] -> []
+  | found ->
+      List.filter (fun f -> not f.excusable) found
+      @ List.rev (List.filter (fun f -> f.excusable) found)
 
 (* --- Policy check --- *)
+
+let rec policy_queries cfg ~origin ~external_ = function
+  | [] -> []
+  | Types.Cache_write { cache; op; key; value } :: rest ->
+      let destination =
+        if cache = Names.normalize Names.flowsdb then
+          match Values.Flow.dpid_of_key key with
+          | Some dpid ->
+              if cfg.master_lookup dpid = Some origin then `Local else `Remote
+          | None -> `Local
+        else `Local
+      in
+      let query =
+        { Jury_policy.Ast.q_controller = origin;
+          q_trigger = (if external_ then `External else `Internal);
+          q_cache = Names.normalize cache;
+          q_op = op;
+          q_key = key;
+          q_value = value;
+          q_destination = destination }
+      in
+      query :: policy_queries cfg ~origin ~external_ rest
+  | Types.Network_send _ :: rest -> policy_queries cfg ~origin ~external_ rest
+
+let rec violations ~origin = function
+  | [] -> []
+  | (r : Jury_policy.Ast.rule) :: rest ->
+      let f =
+        hard (Alarm.Policy_violation r.Jury_policy.Ast.name) [ origin ]
+          (Format.asprintf "%a" Jury_policy.Ast.pp_rule r)
+      in
+      f :: violations ~origin rest
 
 let policy cfg ~origin ~external_ actions =
   (* With no rules installed no query can match; skip building the
@@ -556,40 +675,13 @@ let policy cfg ~origin ~external_ actions =
      touch main-domain state. *)
   if Jury_policy.Engine.rule_count cfg.policies = 0 then []
   else
-    let queries =
-      List.filter_map
-        (fun (a : Types.action) ->
-          match a with
-          | Types.Cache_write { cache; op; key; value } ->
-              let destination =
-                if cache = Names.normalize Names.flowsdb then
-                  match Values.Flow.dpid_of_key key with
-                  | Some dpid ->
-                      if cfg.master_lookup dpid = Some origin then `Local
-                      else `Remote
-                  | None -> `Local
-                else `Local
-              in
-              Some
-                { Jury_policy.Ast.q_controller = origin;
-                  q_trigger = (if external_ then `External else `Internal);
-                  q_cache = Names.normalize cache;
-                  q_op = op;
-                  q_key = key;
-                  q_value = value;
-                  q_destination = destination }
-          | Types.Network_send _ -> None)
-        actions
-    in
     (* Per-response hot path: consult the compiled decision structure
        (memoised per engine generation — compiled once at Jury_config
        time), not the interpreter's rule-list scan. *)
-    Jury_policy.Compiled.check_all
-      (Jury_policy.Engine.compiled cfg.policies)
-      queries
-    |> List.map (fun (r : Jury_policy.Ast.rule) ->
-           hard (Alarm.Policy_violation r.Jury_policy.Ast.name) [ origin ]
-             (Format.asprintf "%a" Jury_policy.Ast.pp_rule r))
+    violations ~origin
+      (Jury_policy.Compiled.check_all
+         (Jury_policy.Engine.compiled cfg.policies)
+         (policy_queries cfg ~origin ~external_ actions))
 
 (* --- The verdict --- *)
 
@@ -634,6 +726,23 @@ let lost_primary cfg ~mirror p ~external_ =
             suspects = Option.to_list p.primary;
             detail = "no primary response before validation timeout" })
 
+(* Timed out with missing externalisation: the plan says a write should
+   exist; did its cache event arrive? *)
+let rec unobserved p ~origin = function
+  | [] -> []
+  | Types.Cache_write { cache; key; _ } :: rest -> (
+      match first_report p ~cache ~key ~origin with
+      | [] ->
+          let f =
+            omission origin
+              (Printf.sprintf "cache update %s/%s never observed" cache key)
+          in
+          f :: unobserved p ~origin rest
+      | _ :: _ -> unobserved p ~origin rest)
+  | Types.Network_send _ :: rest -> unobserved p ~origin rest
+
+let decided verdict detail = { verdict; suspects = []; detail }
+
 let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
   let origin = prim_r.controller in
   (* Write failures are response omissions in the making: the
@@ -644,20 +753,8 @@ let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
         hard Alarm.Response_timeout [ ctrl ] ("cache write failed: " ^ reason))
       p.failures
   in
-  (* Timed out with missing externalisation: the plan says a write
-     should exist; did its cache event arrive? *)
   let unobserved =
-    if timed_out && p.failures = [] then
-      List.filter_map
-        (fun (cache, key, _) ->
-          if Option.is_some (first_report p ~cache ~key ~origin) then None
-          else
-            Some
-              (omission origin
-                 (Printf.sprintf "cache update %s/%s never observed" cache
-                    key)))
-        (cache_writes actions)
-    else []
+    if timed_out && p.failures = [] then unobserved p ~origin actions else []
   in
   let consensus =
     if external_ then consensus cfg p prim_r actions else Agrees 0
@@ -673,10 +770,9 @@ let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
   (* The plan excuses sanity omissions only in degraded mode, so a
      zero-loss run takes exactly the seed's decision path. *)
   let degraded_mode = timed_out && external_ && cfg.degraded_quorum <> None in
-  let plan = if degraded_mode then Some actions else None in
   let findings =
     failed @ unobserved @ dissent
-    @ sanity ~mirror ?plan p ~origin
+    @ sanity ~mirror ~plan:(if degraded_mode then actions else []) p ~origin
     @ policy cfg ~origin ~external_ actions
   in
   (* Can a reduced quorum stand behind the plan? Only when no hard
@@ -690,7 +786,6 @@ let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
     | _ -> false
   in
   let detail = String.concat "; " (List.map (fun f -> f.note) findings) in
-  let decided verdict = { verdict; suspects = []; detail } in
   if findings <> [] && not degraded_ok then
     { verdict =
         Alarm.Faulty
@@ -699,11 +794,11 @@ let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
       detail }
   else
     match consensus with
-    | Non_deterministic -> decided Alarm.Ok_non_deterministic
-    | Unverifiable -> decided Alarm.Ok_unverifiable
+    | Non_deterministic -> decided Alarm.Ok_non_deterministic detail
+    | Unverifiable -> decided Alarm.Ok_unverifiable detail
     | Agrees n when degraded_ok -> (
         match stragglers p with
-        | [] when findings = [] -> decided Alarm.Ok_valid
+        | [] when findings = [] -> decided Alarm.Ok_valid detail
         | missing ->
             let quorum_note =
               Printf.sprintf
@@ -715,12 +810,12 @@ let judge cfg ~mirror p ~timed_out ~external_ (prim_r : Response.t) actions =
               detail =
                 (if detail = "" then quorum_note
                  else detail ^ "; " ^ quorum_note) })
-    | _ -> decided Alarm.Ok_valid
+    | _ -> decided Alarm.Ok_valid detail
 
 let verdict cfg ~mirror p ~timed_out =
   let external_ = Types.Taint.is_external p.taint in
   match primary_execution p with
-  | None ->
+  | [] ->
       if timed_out then Some (lost_primary cfg ~mirror p ~external_) else None
-  | Some (prim_r, actions) ->
-      Some (judge cfg ~mirror p ~timed_out ~external_ prim_r actions)
+  | prim :: _ ->
+      Some (judge cfg ~mirror p ~timed_out ~external_ prim (actions_of prim))

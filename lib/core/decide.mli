@@ -21,7 +21,16 @@
     only its arguments: the config, the validator's flow mirror and one
     trigger's filed responses. It reads no engine, clock or counter,
     and writes nothing. Filing by shard, timers, retransmission and
-    observers stay in {!Validator}. *)
+    observers stay in {!Validator}.
+
+    Every response a trigger gets is filed and then tested for
+    completeness, so both read the filed lists in place and allocate
+    only what they keep: {!record} the filed entry, {!complete}
+    nothing. When the replicas agree, {!verdict} allocates the decision,
+    the agreement count and the sanity check's resolved cache entries.
+    Only when replicas disagree does it build action fingerprints and
+    vote lists; findings, notes and the policy queries are built only
+    when there is something to report or rules to check. *)
 
 module Types = Jury_controller.Types
 
@@ -91,16 +100,19 @@ val record : input -> Response.t -> bool
     stale channel duplicate: a second Execution from the same
     (controller, role), or the same body again from the same
     controller. The first delivery wins, so a duplicate can never
-    satisfy consensus or a quorum twice. *)
+    satisfy consensus or a quorum twice. Allocates only the filed
+    entry. *)
 
 val complete : config -> input -> bool
 (** Whether the trigger can be decided before its timer: there are as
     many secondary executions as secondaries, each of the primary's
     cache writes has arrived and been acked by all of the origin's
-    peers, and each of its FLOW_MODs is on the wire. *)
+    peers, and each of its FLOW_MODs is on the wire. Allocates
+    nothing. *)
 
 val stragglers : input -> int list
-(** Secondaries that never produced an Execution response. *)
+(** Secondaries that never produced an Execution response. Allocates
+    only the list it returns, so nothing when everyone answered. *)
 
 (** {1 The verdict} *)
 

@@ -155,6 +155,20 @@ let observe_completion_latency t latency =
   end;
   t.rtt_samples <- t.rtt_samples + 1
 
+(* The observer loops: with none registered they allocate nothing, where
+   [List.iter (fun f -> f x)] would build its closure first. *)
+let rec notify_response (r : Response.t) = function
+  | [] -> ()
+  | f :: rest ->
+      f r;
+      notify_response r rest
+
+let rec notify_verdict (a : Alarm.t) = function
+  | [] -> ()
+  | f :: rest ->
+      f a;
+      notify_verdict a rest
+
 let set_retransmit_handler t f = t.retransmit_handler <- f
 let on_response t f = t.response_observers <- t.response_observers @ [ f ]
 let on_verdict t f = t.verdict_observers <- t.verdict_observers @ [ f ]
@@ -243,7 +257,7 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   | Alarm.Ok_degraded -> add sh Degraded 1
   | Alarm.Overload -> add sh Overload 1
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
-  List.iter (fun f -> f alarm) t.verdict_observers
+  notify_verdict alarm t.verdict_observers
 
 let evaluate t p ~timed_out =
   if not p.decided then
@@ -369,21 +383,6 @@ let add_pending t ~shard ~taint ~at ~primary ~secondaries =
   if t.cfg.max_inflight <> None then Queue.push p t.admitted;
   p
 
-let get_pending t taint =
-  let shard = shard_of t taint in
-  let sh = t.shards.(shard) in
-  match Taint.Table.find_opt sh.pending taint with
-  | Some p -> Some p
-  | None ->
-      if Taint.is_external taint || recently_decided t sh taint then None
-        (* external triggers must be registered by the replicator, and
-           an internal one is opened by its first response; a stray
-           tainted response after the verdict is dropped *)
-      else
-        Some
-          (add_pending t ~shard ~taint ~at:(Engine.now t.engine)
-             ~primary:None ~secondaries:[])
-
 let register_external t ~taint ~at ~primary ~secondaries =
   match t.pipeline with
   | Some h -> h.pl_register ~taint ~at ~primary ~secondaries
@@ -441,6 +440,30 @@ let update_flow_mirror t (r : Response.t) =
               | None -> ())))
   | _ -> ()
 
+(* File [r] in its trigger's record, and decide the trigger once its
+   response set is complete. *)
+let file t p (r : Response.t) =
+  if not (Decide.record p.input r) then add t.shards.(p.shard) Duplicate 1
+  else begin
+    (if p.input.primary = None then
+       match Taint.primary_of r.taint with
+       | Some id -> p.input.primary <- Some id
+       | None -> (
+           (* Internal trigger: the origin is the primary actor. *)
+           match r.body with
+           | Response.Cache_update ev -> p.input.primary <- Some ev.Event.origin
+           | Response.Execution { role = `Primary; _ }
+           | Response.Write_failure _ ->
+               p.input.primary <- Some r.controller
+           | _ -> ()));
+    arm_timer t p;
+    if Decide.complete t.cfg p.input then begin
+      observe_completion_latency t
+        (Time.sub (Engine.now t.engine) p.trigger_at);
+      evaluate t p ~timed_out:false
+    end
+  end
+
 let deliver_inline t (r : Response.t) =
   (let tr = Engine.trace t.engine in
    if Jury_obs.Trace.enabled tr then
@@ -448,32 +471,23 @@ let deliver_inline t (r : Response.t) =
        ~taint:(Taint.to_string r.taint)
        ~phase:Jury_obs.Trace.Validate ~node:r.controller
        [ ("body", Response.body_name r.body) ]);
-  List.iter (fun f -> f r) t.response_observers;
+  notify_response r t.response_observers;
   update_flow_mirror t r;
-  match get_pending t r.taint with
-  | None -> add t.shards.(shard_of t r.taint) Late 1
-  | Some p ->
-      if not (Decide.record p.input r) then add t.shards.(p.shard) Duplicate 1
-      else begin
-        (if p.input.primary = None then
-           match Taint.primary_of r.taint with
-           | Some id -> p.input.primary <- Some id
-           | None -> (
-               (* Internal trigger: the origin is the primary actor. *)
-               match r.body with
-               | Response.Cache_update ev ->
-                   p.input.primary <- Some ev.Event.origin
-               | Response.Execution { role = `Primary; _ }
-               | Response.Write_failure _ ->
-                   p.input.primary <- Some r.controller
-               | _ -> ()));
-        arm_timer t p;
-        if Decide.complete t.cfg p.input then begin
-          observe_completion_latency t
-            (Time.sub (Engine.now t.engine) p.trigger_at);
-          evaluate t p ~timed_out:false
-        end
-      end
+  let shard = shard_of t r.taint in
+  let sh = t.shards.(shard) in
+  match Taint.Table.find sh.pending r.taint with
+  | p -> file t p r
+  | exception Not_found ->
+      (* External triggers must be registered by the replicator, and an
+         internal one is opened by its first response; a stray tainted
+         response after the verdict is late. *)
+      if Taint.is_external r.taint || recently_decided t sh r.taint then
+        add sh Late 1
+      else
+        file t
+          (add_pending t ~shard ~taint:r.taint ~at:(Engine.now t.engine)
+             ~primary:None ~secondaries:[])
+          r
 
 (* Batched ingestion: one call delivers a whole simulated tick's worth
    of responses, partitioned per shard so each shard's table is touched
@@ -485,13 +499,32 @@ let deliver t (r : Response.t) =
   | Some h -> h.pl_batch ~at:(Engine.now t.engine) [ r ]
   | None -> deliver_inline t r
 
+let rec deliver_all t = function
+  | [] -> ()
+  | r :: rest ->
+      deliver_inline t r;
+      deliver_all t rest
+
+(* One shard's non-empty share of a batch, in arrival order. *)
+let deliver_shard t i rs =
+  let sh = t.shards.(i) in
+  let size = List.length rs in
+  add sh Batch 1;
+  add sh Batch_response size;
+  (let tr = Engine.trace t.engine in
+   if Jury_obs.Trace.enabled tr then
+     Jury_obs.Trace.global_point tr ~t_ns:(Engine.now_ns t.engine)
+       ~phase:Jury_obs.Trace.Batch
+       [ ("shard", string_of_int i); ("responses", string_of_int size) ]);
+  deliver_all t rs
+
 let deliver_batch t rs =
   match (t.pipeline, rs) with
   | _, [] -> ()
   | Some h, rs -> h.pl_batch ~at:(Engine.now t.engine) rs
+  | None, rs when Array.length t.shards = 1 -> deliver_shard t 0 rs
   | None, rs ->
-      let n = Array.length t.shards in
-      let per_shard = Array.make n [] in
+      let per_shard = Array.make (Array.length t.shards) [] in
       List.iter
         (fun (r : Response.t) ->
           let i = shard_of t r.taint in
@@ -499,21 +532,7 @@ let deliver_batch t rs =
         rs;
       Array.iteri
         (fun i bucket ->
-          match bucket with
-          | [] -> ()
-          | bucket ->
-              let sh = t.shards.(i) in
-              let size = List.length bucket in
-              add sh Batch 1;
-              add sh Batch_response size;
-              (let tr = Engine.trace t.engine in
-               if Jury_obs.Trace.enabled tr then
-                 Jury_obs.Trace.global_point tr
-                   ~t_ns:(Engine.now_ns t.engine)
-                   ~phase:Jury_obs.Trace.Batch
-                   [ ("shard", string_of_int i);
-                     ("responses", string_of_int size) ]);
-              List.iter (deliver_inline t) (List.rev bucket))
+          if bucket <> [] then deliver_shard t i (List.rev bucket))
         per_shard
 
 let verdicts t = List.rev t.verdicts

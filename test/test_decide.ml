@@ -158,6 +158,405 @@ let test_waits_for_primary () =
     (Decide.verdict (config ()) ~mirror:(Hashtbl.create 1) p ~timed_out:false
     = None)
 
+(* --- Allocation budgets --- *)
+
+(* Minor words per call over 1000 warmed calls. A call that allocates
+   nothing reads 0.002: the counter's own boxed float, spread over the
+   calls. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+let within what budget words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words <= %g" what words budget)
+    true (words <= budget)
+
+(* A FLOWSDB install on switch 1: its rule, and the cache write and
+   FLOW_MOD a replica plans for it. *)
+let install_rule =
+  Of_message.flow_mod ~priority:100
+    (Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index 1))
+    [ Of_action.Output 2 ]
+
+let install_key =
+  Jury_controller.Values.Flow.key (Dpid.of_int 1) install_rule.fm_match
+    ~priority:100
+
+let install_value = Jury_controller.Values.Flow.value install_rule
+
+(* Fresh lists on each call, as each replica builds its own. *)
+let install_actions () =
+  [ Types.Cache_write
+      { cache = Names.flowsdb; op = Event.Create; key = install_key;
+        value = install_value };
+    Types.Network_send
+      { dpid = Dpid.of_int 1; payload = Of_message.Flow_mod install_rule } ]
+
+let ack_peers = [ 1; 2 ]
+
+(* Every response a k-replica install trigger gets: the primary's and
+   each secondary's execution, the primary's FLOWSDB event and its
+   peers' acks, and the FLOW_MOD on the wire. *)
+let install_responses ~taint ~k =
+  let response controller body =
+    { Response.controller; taint; snapshot = Snapshot.pristine;
+      sent_at = Time.zero; term = 0; body }
+  in
+  let event =
+    { Event.cache = Names.flowsdb; op = Event.Create; key = install_key;
+      value = install_value; origin = 0; seq = 1; taint = None }
+  in
+  List.init (k + 1) (fun i ->
+      response i
+        (Response.Execution
+           { role = (if i = 0 then `Primary else `Secondary);
+             actions = install_actions () }))
+  @ List.map
+      (fun c -> response c (Response.Cache_update event))
+      (0 :: ack_peers)
+  @ [ response 0
+        (Response.Network_write { dpid = Dpid.of_int 1; flow = install_rule })
+    ]
+
+let install_config () =
+  { (config ()) with Decide.ack_peers_of = (fun _ -> ack_peers) }
+
+let filed ~k =
+  let p =
+    { Decide.taint; primary = Some 0; term = 0;
+      secondaries = List.init k (fun i -> i + 1);
+      executions = []; reports = []; writes = []; failures = [] }
+  in
+  List.iter (fun r -> assert (Decide.record p r)) (install_responses ~taint ~k);
+  p
+
+(* Budgets are 1.5x the words measured on OCaml 5.1.1, so that they hold
+   on the OCaml versions CI builds with. The completeness test and the
+   straggler list of a filed trigger allocate nothing; building the
+   secondary executions as a list would cost 6 words per secondary.
+   Deciding an agreeing k=6 install reads 28 words: the decision and
+   its option, the agreement count, and the sanity check's resolved
+   cache entry. A one-shard batch registers, files, times, decides and
+   records one k=6 trigger in 186 words. *)
+let test_allocation () =
+  let cfg = install_config () in
+  (* The validator's mirror, holding the rule once its event arrived. *)
+  let mirror = Hashtbl.create 1 in
+  Hashtbl.replace mirror install_key (install_value, install_rule);
+  List.iter
+    (fun k ->
+      let p = filed ~k in
+      Alcotest.(check bool) "complete" true (Decide.complete cfg p);
+      within
+        (Printf.sprintf "complete, k=%d" k)
+        0.5
+        (words_per_call (fun () -> Decide.complete cfg p));
+      within
+        (Printf.sprintf "stragglers, k=%d" k)
+        0.5
+        (words_per_call (fun () -> Decide.stragglers p)))
+    [ 2; 6 ];
+  let p = filed ~k:6 in
+  within "verdict, agreeing k=6" 42.
+    (words_per_call (fun () ->
+         Decide.verdict cfg ~mirror p ~timed_out:false));
+  (* One trigger through a one-shard validator: register it, deliver its
+     responses as one batch, let it decide. Warm-up triggers grow the
+     engine's queue and the validator's tables first, and the engine is
+     drained before measuring, so the figure holds no growth. *)
+  let engine = Engine.create () in
+  let v = Jury.Validator.create engine cfg in
+  let serial = ref 0 in
+  let batches =
+    Array.init 3000 (fun s ->
+        install_responses ~k:6
+          ~taint:(Types.Taint.external_trigger ~primary:0 ~serial:s))
+  in
+  let trigger () =
+    let s = !serial in
+    incr serial;
+    Jury.Validator.register_external v
+      ~taint:(Types.Taint.external_trigger ~primary:0 ~serial:s)
+      ~at:Time.zero ~primary:0
+      ~secondaries:[ 1; 2; 3; 4; 5; 6 ];
+    Jury.Validator.deliver_batch v batches.(s)
+  in
+  for _ = 1 to 1999 do
+    trigger ()
+  done;
+  Engine.run engine;
+  let decided_before = Jury.Validator.decided_count v in
+  within "one k=6 trigger through deliver_batch" 279. (words_per_call trigger);
+  Alcotest.(check int)
+    "each trigger decided" 1001
+    (Jury.Validator.decided_count v - decided_before)
+
+(* --- Differential test against the list-building reference --- *)
+
+module Ref = Decide_reference
+
+(* One generated trigger: who should answer, the responses in arrival
+   order (duplicates included), and when the primary is re-attributed. *)
+type scenario = {
+  d_cfg : Decide.config;
+  d_mirror : Decide.mirror;
+  d_secondaries : int list;
+  d_arrivals : Response.t list;
+  d_reattribute : (int * int) option;
+      (* after this many arrivals, this controller becomes primary *)
+  d_timed_out : bool;
+}
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+let shuffle st l =
+  List.map (fun x -> (Random.State.bits st, x)) l
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+(* A FLOW_MOD on switch 1 for traffic to host [dst], output to [port],
+   with or without a buffer id. *)
+let rule ?(buffer_id = None) ?(dst = 1) port =
+  Of_message.flow_mod ~priority:100 ~buffer_id
+    (Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index dst))
+    [ Of_action.Output port ]
+
+let flow_key (fm : Of_message.flow_mod) =
+  Jury_controller.Values.Flow.key (Dpid.of_int 1) fm.fm_match
+    ~priority:fm.priority
+
+let flow_write fm =
+  Types.Cache_write
+    { cache = Names.flowsdb; op = Event.Create; key = flow_key fm;
+      value = Jury_controller.Values.Flow.value fm }
+
+let flow_send fm =
+  Types.Network_send { dpid = Dpid.of_int 1; payload = Of_message.Flow_mod fm }
+
+(* Plans that agree, differ, differ only in a buffer id or in action
+   order (which consensus forgives), install one rule or two, or
+   violate a policy. *)
+let plans =
+  let a = rule 2 and b = rule 3 and c = rule ~dst:2 2
+  and buffered = rule ~buffer_id:(Some 7) 2 in
+  [ []; [ send 2 ]; [ send 3 ]; [ flow_send buffered ]; [ link_down ];
+    [ flow_write a; flow_send a ]; [ flow_send a; flow_write a ];
+    [ flow_write b; flow_send b ]; [ flow_write a; flow_send b ];
+    [ flow_write a; flow_send a; flow_write c; flow_send c ];
+    [ flow_write c; flow_send c; flow_write a ] ]
+
+let gen_scenario st =
+  let k = Random.State.int st 7 in
+  let secondaries = List.init k (fun i -> i + 1) in
+  let snapshot () =
+    if Random.State.int st 5 = 0 then other_view else Snapshot.pristine
+  in
+  let response controller body =
+    { Response.controller; taint; snapshot = snapshot (); sent_at = Time.zero;
+      term = 0; body }
+  in
+  let plan = pick st plans in
+  (* Most replicas take the primary's plan, rebuilt as a fresh list. *)
+  let replica_plan () =
+    if Random.State.int st 4 = 0 then pick st plans else List.map Fun.id plan
+  in
+  let executions =
+    (if Random.State.int st 6 = 0 then []
+     else
+       [ response 0 (Response.Execution { role = `Primary; actions = plan }) ])
+    @ List.filter_map
+        (fun s ->
+          if Random.State.int st 5 = 0 then None
+          else
+            Some
+              (response s
+                 (Response.Execution
+                    { role = `Secondary; actions = replica_plan () })))
+        secondaries
+    @
+    if Random.State.int st 8 = 0 then
+      [ response 7
+          (Response.Execution
+             { role = `Secondary; actions = replica_plan () }) ]
+    else []
+  in
+  let reattribute =
+    if Random.State.int st 6 = 0 then Some (1 + Random.State.int st 6) else None
+  in
+  let reattributed =
+    match reattribute with
+    | Some id when Random.State.bool st ->
+        [ response id (Response.Execution { role = `Primary; actions = plan }) ]
+    | _ -> []
+  in
+  (* The cache events the plan externalises, each reported by its
+     origin and acked by some of its peers: sometimes lost, sometimes
+     with another rule as its value, from another origin, or written
+     twice under two sequence numbers. *)
+  let reports =
+    List.concat_map
+      (fun (a : Types.action) ->
+        match a with
+        | Types.Cache_write { cache; op; key; value } ->
+            let origin = if Random.State.int st 6 = 0 then 1 else 0 in
+            let event seq =
+              let value =
+                if Random.State.int st 6 = 0 then
+                  Jury_controller.Values.Flow.value (rule 4)
+                else value
+              in
+              { Event.cache; op; key; value; origin; seq; taint = None }
+            in
+            let events =
+              match Random.State.int st 6 with
+              | 0 -> []
+              | 1 -> [ event 1; event 2 ]
+              | _ -> [ event (1 + Random.State.int st 2) ]
+            in
+            List.concat_map
+              (fun event ->
+                List.filter_map
+                  (fun c ->
+                    if Random.State.int st 4 = 0 then None
+                    else Some (response c (Response.Cache_update event)))
+                  [ origin; 1; 2; 3 ])
+              events
+        | Types.Network_send _ -> [])
+      plan
+  in
+  (* The plan's FLOW_MODs on the wire: sometimes lost, sent by another
+     controller or carrying another rule; sometimes a stray rule. *)
+  let writes =
+    List.concat_map
+      (fun (a : Types.action) ->
+        match a with
+        | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } -> (
+            match Random.State.int st 6 with
+            | 0 -> []
+            | 1 ->
+                [ response 0 (Response.Network_write { dpid; flow = rule 4 }) ]
+            | n ->
+                [ response
+                    (if n = 2 then 2 else 0)
+                    (Response.Network_write { dpid; flow = fm }) ])
+        | Types.Network_send _ | Types.Cache_write _ -> [])
+      plan
+    @
+    match Random.State.int st 8 with
+    | 0 ->
+        [ response 0
+            (Response.Network_write { dpid = Dpid.of_int 1; flow = rule 5 }) ]
+    | 1 ->
+        [ response 0
+            (Response.Network_write
+               { dpid = Dpid.of_int 1; flow = rule ~dst:3 5 }) ]
+    | _ -> []
+  in
+  let failures =
+    if Random.State.int st 12 = 0 then
+      [ response 0
+          (Response.Write_failure { action = link_down; reason = "lock" }) ]
+    else []
+  in
+  let arrivals =
+    shuffle st (executions @ reattributed @ reports @ writes @ failures)
+  in
+  (* Channel duplicates: a few responses arrive again, later. *)
+  let arrivals =
+    arrivals @ List.filter (fun _ -> Random.State.int st 6 = 0) arrivals
+  in
+  (* The mirror sometimes already holds a rule: a reinstall backs its
+     FLOW_MOD. *)
+  let mirror = Hashtbl.create 1 in
+  (match Random.State.int st 3 with
+  | 0 -> ()
+  | n ->
+      let fm = if n = 1 then rule 2 else rule ~dst:3 5 in
+      Hashtbl.replace mirror (flow_key fm)
+        (Jury_controller.Values.Flow.value fm, fm));
+  let policies =
+    pick st
+      [ None; Some no_linksdb;
+        Some
+          (Jury_policy.Engine.create
+             [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:"FLOWSDB"
+                 ~destination:Jury_policy.Ast.Remote_only () ]) ]
+  in
+  let cfg =
+    { (config ?policies
+         ?degraded_quorum:(pick st [ None; Some 1; Some 2 ])
+         ~state_aware:(Random.State.bool st) ())
+      with
+      Decide.ack_peers_of = (fun _ -> [ 1; 2; 3 ]);
+      nondet_rule = Random.State.int st 4 <> 0 }
+  in
+  { d_cfg = cfg;
+    d_mirror = mirror;
+    d_secondaries = secondaries;
+    d_arrivals = arrivals;
+    d_reattribute =
+      Option.map
+        (fun id -> (Random.State.int st (1 + List.length arrivals), id))
+        reattribute;
+    d_timed_out = Random.State.bool st }
+
+let print_scenario sc =
+  Format.asprintf "k=%d timed_out=%b reattribute=%s@.%a"
+    (List.length sc.d_secondaries) sc.d_timed_out
+    (match sc.d_reattribute with
+    | Some (at, id) -> Printf.sprintf "%d after %d" id at
+    | None -> "-")
+    (Format.pp_print_list Response.pp) sc.d_arrivals
+
+let same_as_reference sc =
+  let fresh () =
+    { Decide.taint; primary = Some 0; term = 0; secondaries = sc.d_secondaries;
+      executions = []; reports = []; writes = []; failures = [] }
+  in
+  let p = fresh () and q = fresh () in
+  let check what ok =
+    if not ok then QCheck.Test.fail_reportf "%s differs" what
+  in
+  List.iteri
+    (fun i r ->
+      (match sc.d_reattribute with
+      | Some (at, id) when at = i ->
+          p.primary <- Some id;
+          q.primary <- Some id
+      | _ -> ());
+      check "record" (Decide.record p r = Ref.record q r);
+      check "complete" (Decide.complete sc.d_cfg p = Ref.complete sc.d_cfg q))
+    sc.d_arrivals;
+  check "filed executions" (p.executions = q.executions);
+  check "first/ack flags of the reports" (p.reports = q.reports);
+  check "first flags of the writes" (p.writes = q.writes);
+  check "failures" (p.failures = q.failures);
+  check "stragglers" (Decide.stragglers p = Ref.stragglers q);
+  let decide verdict input timed_out =
+    Option.map
+      (fun (d : Decide.decision) ->
+        (Alarm.verdict_name d.verdict, d.verdict, d.suspects, d.detail))
+      (verdict sc.d_cfg ~mirror:sc.d_mirror input ~timed_out)
+  in
+  check "verdict before the timer"
+    (decide Decide.verdict p false = decide Ref.verdict q false);
+  check "verdict"
+    (decide Decide.verdict p sc.d_timed_out
+    = decide Ref.verdict q sc.d_timed_out);
+  true
+
+let differential =
+  QCheck.Test.make ~name:"decide = list-building reference" ~count:3000
+    (QCheck.make ~print:print_scenario gen_scenario)
+    same_as_reference
+
 let suite =
   [ ("verdict table", `Quick, test_cases);
-    ("waits for the primary before the timer", `Quick, test_waits_for_primary) ]
+    ("waits for the primary before the timer", `Quick, test_waits_for_primary);
+    ("decision allocation budget", `Quick, test_allocation);
+    QCheck_alcotest.to_alcotest differential ]
