@@ -300,7 +300,8 @@ let action_consensus_fingerprint (a : Types.action) =
         (Types.Network_send
            { dpid;
              payload = Of_message.Packet_out { po with po_buffer_id = None } })
-  | Types.Cache_write { cache; op; key; value } when cache = Names.flowsdb -> (
+  | Types.Cache_write { cache; op; key; value }
+    when Names.normalize cache = Names.flowsdb -> (
       match Values.Flow.parse value with
       | Some fm ->
           Types.action_fingerprint
@@ -639,7 +640,7 @@ let rec policy_queries cfg ~origin ~external_ = function
   | [] -> []
   | Types.Cache_write { cache; op; key; value } :: rest ->
       let destination =
-        if cache = Names.normalize Names.flowsdb then
+        if Names.normalize cache = Names.flowsdb then
           match Values.Flow.dpid_of_key key with
           | Some dpid ->
               if cfg.master_lookup dpid = Some origin then `Local else `Remote

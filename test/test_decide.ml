@@ -1,6 +1,6 @@
-(* JURY's decision on hand-built inputs: each case files responses into
-   a [Decide.input] directly and calls [Decide.verdict], with no engine,
-   deployment or validator around it. *)
+(* JURY's decision with no engine, deployment or validator around it:
+   [Decide] on hand-built and generated triggers, held to hand-derived
+   answers and to [Jury_check.Spec]. *)
 
 open Jury_sim
 module Types = Jury_controller.Types
@@ -15,23 +15,44 @@ module Snapshot = Jury.Snapshot
 module Response = Jury.Response
 module Alarm = Jury.Alarm
 module Decide = Jury.Decide
+module Spec = Jury_check.Spec
 
 let taint = Types.Taint.external_trigger ~primary:0 ~serial:1
 
-(* A FLOW_MOD on switch 1 that outputs to [port]. *)
-let send port =
+(* A packet out of [port] on switch 1: nothing to observe anywhere. *)
+let forward port =
+  let po_actions = [ Of_action.Output port ] in
   Types.Network_send
     { dpid = Dpid.of_int 1;
       payload =
-        Of_message.Flow_mod
-          (Of_message.flow_mod ~priority:100
-             (Of_match.l2_pair ~src:(Mac.of_host_index 0)
-                ~dst:(Mac.of_host_index 1))
-             [ Of_action.Output port ]) }
+        Packet_out
+          { po_buffer_id = None; po_in_port = 1; po_actions; po_frame = None } }
 
 let link_down =
   Types.Cache_write
     { cache = Names.linksdb; op = Event.Update; key = "l"; value = "down" }
+
+(* A FLOW_MOD on switch 1 for traffic to host [dst], output to [port],
+   with or without a buffer id. *)
+let rule ?(buffer_id = None) ?(dst = 1) port =
+  Of_message.flow_mod ~priority:100 ~buffer_id
+    (Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index dst))
+    [ Of_action.Output port ]
+
+let flow_key (fm : Of_message.flow_mod) =
+  Jury_controller.Values.Flow.key (Dpid.of_int 1) fm.fm_match
+    ~priority:fm.priority
+
+let flow_write ?(cache = Names.flowsdb) fm =
+  Types.Cache_write
+    { cache; op = Event.Create; key = flow_key fm;
+      value = Jury_controller.Values.Flow.value fm }
+
+let flow_send fm =
+  Types.Network_send { dpid = Dpid.of_int 1; payload = Of_message.Flow_mod fm }
+
+(* A FLOW_MOD on switch 1 that outputs to [port]. *)
+let send port = flow_send (rule port)
 
 (* A snapshot other than [Snapshot.pristine]. *)
 let other_view =
@@ -39,18 +60,31 @@ let other_view =
     { Event.cache = "HOSTDB"; op = Event.Create; key = "h"; value = "v";
       origin = 3; seq = 1; taint = None }
 
-let execution ?(snapshot = Snapshot.pristine) controller role actions =
-  { Response.controller; taint; snapshot; sent_at = Time.zero; term = 0;
-    body = Response.Execution { role; actions } }
+let response ?(snapshot = Snapshot.pristine) ?(taint = taint) controller body =
+  { Response.controller; taint; snapshot; sent_at = Time.zero; term = 0; body }
 
-(* Primary 0 and the given secondaries, with [executions] filed in
-   order. *)
-let input ~secondaries executions =
+let execution ?snapshot ?taint controller role actions =
+  response ?snapshot ?taint controller (Response.Execution { role; actions })
+
+(* [fm]'s FLOWSDB install by controller 0, as its reporter saw it. *)
+let flow_event ?taint reporter fm =
+  response ?taint reporter
+    (Response.Cache_update
+       { Event.cache = Names.flowsdb; op = Event.Create; key = flow_key fm;
+         value = Jury_controller.Values.Flow.value fm; origin = 0; seq = 1;
+         taint = None })
+
+let on_wire ?taint sender flow =
+  response ?taint sender
+    (Response.Network_write { dpid = Dpid.of_int 1; flow })
+
+(* Primary 0 and [secondaries], with [arrivals] filed in order. *)
+let input ~secondaries arrivals =
   let p =
     { Decide.taint; primary = Some 0; term = 0; secondaries;
       executions = []; reports = []; writes = []; failures = [] }
   in
-  List.iter (fun r -> assert (Decide.record p r)) executions;
+  List.iter (fun r -> assert (Decide.record p r)) arrivals;
   p
 
 let config ?policies ?degraded_quorum ?state_aware () =
@@ -61,94 +95,120 @@ let no_linksdb =
   Jury_policy.Engine.create
     [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ]
 
-type case = {
-  name : string;
-  cfg : Decide.config;
-  p : Decide.input;
-  timed_out : bool;
-  verdict : Alarm.verdict;
-  suspects : int list;
-}
+let no_remote_flows =
+  Jury_policy.Engine.create
+    [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:"FLOWSDB"
+        ~destination:Jury_policy.Ast.Remote_only () ]
+
+let ints l = String.concat "," (List.map string_of_int l)
+let show verdict suspects =
+  Printf.sprintf "%s [%s]" (Alarm.verdict_name verdict) (ints suspects)
+
+let of_decide (d : Decide.decision) =
+  show d.verdict (List.sort_uniq compare d.suspects)
+
+let of_spec (d : Spec.decision) = show d.verdict d.suspects
+
+(* One trigger of primary 0 and its verdict, worked out by hand: a check
+   that [Decide] reaches it, detail included, and that [Spec] does. *)
+let case ?(cfg = config ()) ?(timed_out = false) ?(suspects = [])
+    ?(detail = "") name ~secondaries arrivals verdict () =
+  let mirror = Hashtbl.create 1 and want = show verdict suspects in
+  Alcotest.(check (option (pair string string)))
+    (name ^ ": Decide") (Some (want, detail))
+    (Option.map
+       (fun d -> (of_decide d, d.Decide.detail))
+       (Decide.verdict cfg ~mirror (input ~secondaries arrivals) ~timed_out));
+  Alcotest.(check (option string))
+    (name ^ ": Spec") (Some want)
+    (Option.map of_spec
+       (Spec.decide cfg ~mirror ~timed_out
+          { taint; primary = Some 0; secondaries; arrivals }))
+
+let lost = "no primary response before validation timeout"
+let quorum_of_2 =
+  "primary response lost; 2 equivalent-view replica response(s) agree"
 
 let cases () =
+  let a = rule 2 and stray = rule ~dst:3 5 in
+  let installs = [ flow_write a; flow_send a ] in
+  let link_downs =
+    [ execution 1 `Secondary [ link_down ];
+      execution 2 `Secondary [ link_down ] ]
+  in
+  let two_views =
+    [ execution 1 `Secondary [ send 2 ];
+      execution ~snapshot:other_view 2 `Secondary [ send 2 ] ]
+  in
   [ (* The non-determinism rule needs 3 or more responses: a primary and
        one dissenting secondary are a tie, not all-distinct. *)
-    { name = "k=1 split vote is unverifiable";
-      cfg = config ();
-      p =
-        input ~secondaries:[ 1 ]
-          [ execution 0 `Primary [ send 2 ];
-            execution 1 `Secondary [ send 3 ] ];
-      timed_out = false;
-      verdict = Alarm.Ok_unverifiable;
-      suspects = [] };
-    { name = "three distinct responses are non-deterministic";
-      cfg = config ();
-      p =
-        input ~secondaries:[ 1; 2 ]
-          [ execution 0 `Primary [ send 2 ];
-            execution 1 `Secondary [ send 3 ];
-            execution 2 `Secondary [ send 4 ] ];
-      timed_out = false;
-      verdict = Alarm.Ok_non_deterministic;
-      suspects = [] };
+    case "k=1 split vote is unverifiable" ~secondaries:[ 1 ]
+      [ execution 0 `Primary [ forward 2 ];
+        execution 1 `Secondary [ forward 3 ] ]
+      Alarm.Ok_unverifiable;
+    case "three distinct responses are non-deterministic"
+      ~secondaries:[ 1; 2 ]
+      [ execution 0 `Primary [ forward 2 ];
+        execution 1 `Secondary [ forward 3 ];
+        execution 2 `Secondary [ forward 4 ] ]
+      Alarm.Ok_non_deterministic;
+    (* Three of four agree on the primary's plan: the fourth dissents. *)
+    case "a secondary outvoted is the suspect" ~secondaries:[ 1; 2; 3 ]
+      [ execution 0 `Primary [ forward 2 ];
+        execution 1 `Secondary [ forward 2 ];
+        execution 2 `Secondary [ forward 3 ];
+        execution 3 `Secondary [ forward 2 ] ]
+      (Alarm.Faulty [ Alarm.Consensus_mismatch ])
+      ~suspects:[ 2 ] ~detail:"consensus dissent by [2]";
     (* A lost primary: two agreeing secondaries meet the degraded quorum
        of 2, but what they agree on violates a policy, so the quorum
        does not vouch for the plan and the primary is blamed. *)
-    { name = "lost primary, quorum violates policy";
-      cfg = config ~policies:no_linksdb ~degraded_quorum:2 ();
-      p =
-        input ~secondaries:[ 1; 2 ]
-          [ execution 1 `Secondary [ link_down ];
-            execution 2 `Secondary [ link_down ] ];
-      timed_out = true;
-      verdict = Alarm.Faulty [ Alarm.Response_timeout ];
-      suspects = [ 0 ] };
-    { name = "lost primary, quorum within policy";
-      cfg = config ~degraded_quorum:2 ();
-      p =
-        input ~secondaries:[ 1; 2 ]
-          [ execution 1 `Secondary [ link_down ];
-            execution 2 `Secondary [ link_down ] ];
-      timed_out = true;
-      verdict = Alarm.Ok_degraded;
-      suspects = [] };
+    case "lost primary, quorum violates policy" ~secondaries:[ 1; 2 ]
+      ~cfg:(config ~policies:no_linksdb ~degraded_quorum:2 ()) ~timed_out:true
+      link_downs (Alarm.Faulty [ Alarm.Response_timeout ]) ~suspects:[ 0 ]
+      ~detail:lost;
+    case "lost primary, quorum within policy" ~secondaries:[ 1; 2 ]
+      ~cfg:(config ~degraded_quorum:2 ()) ~timed_out:true
+      link_downs Alarm.Ok_degraded ~detail:quorum_of_2;
     (* Agreeing secondaries with different network views form no
        quorum under state-aware consensus, and do without it. *)
-    { name = "different views, state-aware: no quorum";
-      cfg = config ~degraded_quorum:2 ~state_aware:true ();
-      p =
-        input ~secondaries:[ 1; 2 ]
-          [ execution 1 `Secondary [ send 2 ];
-            execution ~snapshot:other_view 2 `Secondary [ send 2 ] ];
-      timed_out = true;
-      verdict = Alarm.Faulty [ Alarm.Response_timeout ];
-      suspects = [ 0 ] };
-    { name = "different views, state-blind: quorum of 2";
-      cfg = config ~degraded_quorum:2 ~state_aware:false ();
-      p =
-        input ~secondaries:[ 1; 2 ]
-          [ execution 1 `Secondary [ send 2 ];
-            execution ~snapshot:other_view 2 `Secondary [ send 2 ] ];
-      timed_out = true;
-      verdict = Alarm.Ok_degraded;
-      suspects = [] } ]
+    case "different views, state-aware: no quorum" ~secondaries:[ 1; 2 ]
+      ~cfg:(config ~degraded_quorum:2 ~state_aware:true ()) ~timed_out:true
+      two_views (Alarm.Faulty [ Alarm.Response_timeout ]) ~suspects:[ 0 ]
+      ~detail:lost;
+    case "different views, state-blind: quorum of 2" ~secondaries:[ 1; 2 ]
+      ~cfg:(config ~degraded_quorum:2 ~state_aware:false ()) ~timed_out:true
+      two_views Alarm.Ok_degraded ~detail:quorum_of_2;
+    (* In degraded mode the install's lost FLOW_MOD is an omission the
+       plan accounts for, but the unplanned FLOW_MOD is a hard fault: no
+       quorum excuses it. Hard faults are reported first. *)
+    case "degraded mode: a hard fault outranks an omission"
+      ~secondaries:[ 1; 2 ]
+      ~cfg:(config ~degraded_quorum:2 ()) ~timed_out:true
+      [ execution 0 `Primary installs; execution 1 `Secondary installs;
+        execution 2 `Secondary installs; flow_event 0 a; on_wire 0 stray ]
+      (Alarm.Faulty [ Alarm.Response_timeout; Alarm.Network_without_cache ])
+      ~suspects:[ 0 ]
+      ~detail:
+        "FLOW_MOD {dl_src=02:00:00:00:00:00,dl_dst=02:00:00:00:00:03}\
+         @of:0000000000000001 has no cache backing; no FLOW_MOD on wire for \
+         cache entry {dl_src=02:00:00:00:00:00,dl_dst=02:00:00:00:00:01}\
+         @of:0000000000000001";
+    (* A FLOWSDB write named in lower case is still a FLOWSDB write: to a
+       switch that node 1 masters, it is remote. *)
+    case "lower-case flowsdb write to a remote switch" ~secondaries:[]
+      ~cfg:
+        { (config ~policies:no_remote_flows ()) with
+          Decide.master_lookup = (fun _ -> Some 1) }
+      [ execution 0 `Primary [ flow_write ~cache:"flowsdb" a; flow_send a ];
+        flow_event 0 a; on_wire 0 a ]
+      (Alarm.Faulty [ Alarm.Policy_violation "no-remote-flows" ])
+      ~suspects:[ 0 ]
+      ~detail:
+        "no-remote-flows[deny ctrl=* trig=* cache=FLOWSDB op=* dest=remote \
+         entry=*,*]" ]
 
-let test_cases () =
-  List.iter
-    (fun c ->
-      let mirror = Hashtbl.create 1 in
-      match Decide.verdict c.cfg ~mirror c.p ~timed_out:c.timed_out with
-      | None -> Alcotest.failf "%s: not decided" c.name
-      | Some d ->
-          Alcotest.(check string)
-            (c.name ^ ": verdict")
-            (Alarm.verdict_name c.verdict)
-            (Alarm.verdict_name d.Decide.verdict);
-          Alcotest.(check (list int))
-            (c.name ^ ": suspects") c.suspects
-            (List.sort_uniq compare d.Decide.suspects))
-    (cases ())
+let test_cases () = List.iter (fun check -> check ()) (cases ())
 
 (* Without a primary execution nothing is decided before the timer. *)
 let test_waits_for_primary () =
@@ -176,64 +236,30 @@ let within what budget words =
     (Printf.sprintf "%s: %.1f words <= %g" what words budget)
     true (words <= budget)
 
-(* A FLOWSDB install on switch 1: its rule, and the cache write and
-   FLOW_MOD a replica plans for it. *)
-let install_rule =
-  Of_message.flow_mod ~priority:100
-    (Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index 1))
-    [ Of_action.Output 2 ]
-
-let install_key =
-  Jury_controller.Values.Flow.key (Dpid.of_int 1) install_rule.fm_match
-    ~priority:100
-
-let install_value = Jury_controller.Values.Flow.value install_rule
-
-(* Fresh lists on each call, as each replica builds its own. *)
-let install_actions () =
-  [ Types.Cache_write
-      { cache = Names.flowsdb; op = Event.Create; key = install_key;
-        value = install_value };
-    Types.Network_send
-      { dpid = Dpid.of_int 1; payload = Of_message.Flow_mod install_rule } ]
-
+(* A FLOWSDB install on switch 1. Each replica plans it as a fresh
+   list, as each builds its own. *)
+let install_rule = rule 2
+let install_actions () = [ flow_write install_rule; flow_send install_rule ]
 let ack_peers = [ 1; 2 ]
 
 (* Every response a k-replica install trigger gets: the primary's and
    each secondary's execution, the primary's FLOWSDB event and its
    peers' acks, and the FLOW_MOD on the wire. *)
 let install_responses ~taint ~k =
-  let response controller body =
-    { Response.controller; taint; snapshot = Snapshot.pristine;
-      sent_at = Time.zero; term = 0; body }
-  in
-  let event =
-    { Event.cache = Names.flowsdb; op = Event.Create; key = install_key;
-      value = install_value; origin = 0; seq = 1; taint = None }
-  in
   List.init (k + 1) (fun i ->
-      response i
-        (Response.Execution
-           { role = (if i = 0 then `Primary else `Secondary);
-             actions = install_actions () }))
-  @ List.map
-      (fun c -> response c (Response.Cache_update event))
-      (0 :: ack_peers)
-  @ [ response 0
-        (Response.Network_write { dpid = Dpid.of_int 1; flow = install_rule })
-    ]
+      execution ~taint i
+        (if i = 0 then `Primary else `Secondary)
+        (install_actions ()))
+  @ List.map (fun c -> flow_event ~taint c install_rule) (0 :: ack_peers)
+  @ [ on_wire ~taint 0 install_rule ]
 
 let install_config () =
   { (config ()) with Decide.ack_peers_of = (fun _ -> ack_peers) }
 
 let filed ~k =
-  let p =
-    { Decide.taint; primary = Some 0; term = 0;
-      secondaries = List.init k (fun i -> i + 1);
-      executions = []; reports = []; writes = []; failures = [] }
-  in
-  List.iter (fun r -> assert (Decide.record p r)) (install_responses ~taint ~k);
-  p
+  input
+    ~secondaries:(List.init k (fun i -> i + 1))
+    (install_responses ~taint ~k)
 
 (* Budgets are 1.5x the words measured on OCaml 5.1.1, so that they hold
    on the OCaml versions CI builds with. The completeness test and the
@@ -247,7 +273,8 @@ let test_allocation () =
   let cfg = install_config () in
   (* The validator's mirror, holding the rule once its event arrived. *)
   let mirror = Hashtbl.create 1 in
-  Hashtbl.replace mirror install_key (install_value, install_rule);
+  Hashtbl.replace mirror (flow_key install_rule)
+    (Jury_controller.Values.Flow.value install_rule, install_rule);
   List.iter
     (fun k ->
       let p = filed ~k in
@@ -296,9 +323,7 @@ let test_allocation () =
     "each trigger decided" 1001
     (Jury.Validator.decided_count v - decided_before)
 
-(* --- Differential test against the list-building reference --- *)
-
-module Ref = Decide_reference
+(* --- Differential test against the spec --- *)
 
 (* One generated trigger: who should answer, the responses in arrival
    order (duplicates included), and when the primary is re-attributed. *)
@@ -318,25 +343,6 @@ let shuffle st l =
   List.map (fun x -> (Random.State.bits st, x)) l
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
-
-(* A FLOW_MOD on switch 1 for traffic to host [dst], output to [port],
-   with or without a buffer id. *)
-let rule ?(buffer_id = None) ?(dst = 1) port =
-  Of_message.flow_mod ~priority:100 ~buffer_id
-    (Of_match.l2_pair ~src:(Mac.of_host_index 0) ~dst:(Mac.of_host_index dst))
-    [ Of_action.Output port ]
-
-let flow_key (fm : Of_message.flow_mod) =
-  Jury_controller.Values.Flow.key (Dpid.of_int 1) fm.fm_match
-    ~priority:fm.priority
-
-let flow_write fm =
-  Types.Cache_write
-    { cache = Names.flowsdb; op = Event.Create; key = flow_key fm;
-      value = Jury_controller.Values.Flow.value fm }
-
-let flow_send fm =
-  Types.Network_send { dpid = Dpid.of_int 1; payload = Of_message.Flow_mod fm }
 
 (* Plans that agree, differ, differ only in a buffer id or in action
    order (which consensus forgives), install one rule or two, or
@@ -513,47 +519,52 @@ let print_scenario sc =
     | None -> "-")
     (Format.pp_print_list Response.pp) sc.d_arrivals
 
-let same_as_reference sc =
-  let fresh () =
-    { Decide.taint; primary = Some 0; term = 0; secondaries = sc.d_secondaries;
-      executions = []; reports = []; writes = []; failures = [] }
+(* [Decide] filing the arrivals one by one, against [Spec] reading all
+   that arrived so far. *)
+let same_as_spec sc =
+  let p = input ~secondaries:sc.d_secondaries [] in
+  let arrived = ref [] in
+  let trigger () =
+    { Spec.taint; primary = p.primary; secondaries = sc.d_secondaries;
+      arrivals = List.rev !arrived }
   in
-  let p = fresh () and q = fresh () in
-  let check what ok =
-    if not ok then QCheck.Test.fail_reportf "%s differs" what
+  let spec timed_out =
+    Spec.decide sc.d_cfg ~mirror:sc.d_mirror (trigger ()) ~timed_out
+    |> Option.fold ~none:"waiting" ~some:of_spec
+  in
+  (* What the validator decides: nothing before the timer until the
+     trigger is complete. *)
+  let decide timed_out =
+    if timed_out || Decide.complete sc.d_cfg p then
+      Decide.verdict sc.d_cfg ~mirror:sc.d_mirror p ~timed_out
+      |> Option.fold ~none:"waiting" ~some:of_decide
+    else "waiting"
+  in
+  let check what pp d s =
+    if d <> s then
+      QCheck.Test.fail_reportf "%s differs: Decide %s, Spec %s" what (pp d)
+        (pp s)
   in
   List.iteri
     (fun i r ->
       (match sc.d_reattribute with
-      | Some (at, id) when at = i ->
-          p.primary <- Some id;
-          q.primary <- Some id
+      | Some (at, id) when at = i -> p.primary <- Some id
       | _ -> ());
-      check "record" (Decide.record p r = Ref.record q r);
-      check "complete" (Decide.complete sc.d_cfg p = Ref.complete sc.d_cfg q))
+      let fresh = not (Spec.duplicate ~earlier:(List.rev !arrived) r) in
+      check "record" string_of_bool (Decide.record p r) fresh;
+      arrived := r :: !arrived;
+      check "complete" string_of_bool (Decide.complete sc.d_cfg p)
+        (spec false <> "waiting"))
     sc.d_arrivals;
-  check "filed executions" (p.executions = q.executions);
-  check "first/ack flags of the reports" (p.reports = q.reports);
-  check "first flags of the writes" (p.writes = q.writes);
-  check "failures" (p.failures = q.failures);
-  check "stragglers" (Decide.stragglers p = Ref.stragglers q);
-  let decide verdict input timed_out =
-    Option.map
-      (fun (d : Decide.decision) ->
-        (Alarm.verdict_name d.verdict, d.verdict, d.suspects, d.detail))
-      (verdict sc.d_cfg ~mirror:sc.d_mirror input ~timed_out)
-  in
-  check "verdict before the timer"
-    (decide Decide.verdict p false = decide Ref.verdict q false);
-  check "verdict"
-    (decide Decide.verdict p sc.d_timed_out
-    = decide Ref.verdict q sc.d_timed_out);
+  check "stragglers" ints (Decide.stragglers p) (Spec.stragglers (trigger ()));
+  check "verdict before the timer" Fun.id (decide false) (spec false);
+  check "verdict" Fun.id (decide sc.d_timed_out) (spec sc.d_timed_out);
   true
 
 let differential =
-  QCheck.Test.make ~name:"decide = list-building reference" ~count:3000
+  QCheck.Test.make ~name:"decide = Spec, arrival by arrival" ~count:3000
     (QCheck.make ~print:print_scenario gen_scenario)
-    same_as_reference
+    same_as_spec
 
 let suite =
   [ ("verdict table", `Quick, test_cases);
