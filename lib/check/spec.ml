@@ -110,7 +110,10 @@ type votes = Agrees of int | Disagrees of int list | Nondet | Unverifiable
 
 let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
   let external_ = Types.Taint.is_external t.taint in
-  let secondaries = executions t `Secondary in
+  (* A stray, a Secondary execution from an unlisted controller, neither
+     completes the trigger nor votes. *)
+  let listed ((r : Response.t), _) = List.mem r.controller t.secondaries in
+  let secondaries = List.filter listed (executions t `Secondary) in
   let reports =
     t |> pick (fun r ->
         match r.body with Cache_update e -> Some (r.controller, e) | _ -> None)
@@ -165,7 +168,7 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
     let count fp = List.length (List.filter (( = ) fp) all) in
     let majority fp = 2 * count fp > List.length all in
     match List.filter (fun (_, fp) -> fp <> mine) votes with
-    | _ when votes = [] && t.secondaries = [] && secondaries = [] -> Agrees 1
+    | _ when votes = [] && t.secondaries = [] -> Agrees 1
     | _ when votes = [] -> Unverifiable
     | _ when cfg.nondet_rule && List.length all >= 3
              && List.for_all (fun fp -> count fp = 1) all -> Nondet

@@ -10,6 +10,7 @@ type southbound_hook =
   dpid:Of_types.Dpid.t ->
   master:int ->
   msg:Of_message.t ->
+  trigger:Types.trigger ->
   forward:(?taint:Types.Taint.t -> ?to_:int -> unit -> unit) ->
   unit
 
@@ -82,25 +83,24 @@ let trigger_of_message dpid (msg : Of_message.t) =
   | Of_message.Stats_reply _ | Of_message.Error _ ->
       None
 
-(* The interception point: where a (possibly tainted) trigger is handed
-   to a concrete controller. Emitting here rather than in the hook lets
-   the trace show exactly when and where the replicator's forward
-   landed, including re-targeted deliveries ([?to_]). *)
-let trace_intercept engine ~taint ~node attrs =
-  match taint with
-  | None -> ()
-  | Some taint ->
-      let tr = Engine.trace engine in
-      if Jury_obs.Trace.enabled tr then
-        Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns engine)
-          ~taint:(Types.Taint.to_string taint)
-          ~phase:Jury_obs.Trace.Intercept ~node attrs
+(* The interception point: where a tainted trigger is handed to a
+   concrete controller. Emitting here rather than in the hook lets the
+   trace show exactly when and where the replicator's forward landed,
+   including re-targeted deliveries ([?to_]). Callers build [attrs]
+   only when [tracing] holds, so an untraced run builds none. *)
+let tracing engine = Jury_obs.Trace.enabled (Engine.trace engine)
 
-let default_southbound ~dpid ~master ~msg
+let trace_intercept engine ~taint ~node attrs =
+  Jury_obs.Trace.point (Engine.trace engine) ~t_ns:(Engine.now_ns engine)
+    ~taint:(Types.Taint.to_string taint)
+    ~phase:Jury_obs.Trace.Intercept ~node attrs
+
+let default_southbound ~dpid ~master ~msg ~trigger
     ~(forward : ?taint:Types.Taint.t -> ?to_:int -> unit -> unit) =
   ignore dpid;
   ignore master;
   ignore msg;
+  ignore trigger;
   forward ()
 
 let default_northbound ~node ~request
@@ -169,19 +169,24 @@ let create engine ~profile ~nodes:n ~network =
                  (Footprint.touches [ Footprint.controller declared_master ])
                ~after:channel_latency
                (fun () ->
-                 let master = master_of t dpid in
-                 let forward ?taint ?to_ () =
-                   let target = Option.value to_ ~default:master in
-                   match trigger_of_message dpid msg with
-                   | Some trigger ->
-                       trace_intercept engine ~taint ~node:target
-                         [ ("channel", "southbound");
-                           ("dpid", Of_types.Dpid.to_string dpid);
-                           ("msg", Of_message.type_name msg.payload) ];
+                 (* Classified once; a message that is no trigger (echo
+                    traffic and the like) reaches no controller. *)
+                 match trigger_of_message dpid msg with
+                 | None -> ()
+                 | Some trigger ->
+                     let master = master_of t dpid in
+                     let forward ?taint ?to_ () =
+                       let target = Option.value to_ ~default:master in
+                       (match taint with
+                       | Some taint when tracing engine ->
+                           trace_intercept engine ~taint ~node:target
+                             [ ("channel", "southbound");
+                               ("dpid", Of_types.Dpid.to_string dpid);
+                               ("msg", Of_message.type_name msg.payload) ]
+                       | _ -> ());
                        Controller.submit t.controllers.(target) ?taint trigger
-                   | None -> ()
-                 in
-                 t.southbound_hook ~dpid ~master ~msg ~forward))))
+                     in
+                     t.southbound_hook ~dpid ~master ~msg ~trigger ~forward))))
     (Network.switches network);
   t
 
@@ -231,9 +236,12 @@ let rest t ~node request =
   if node < 0 || node >= nodes t then invalid_arg "Cluster.rest: bad node";
   let forward ?taint ?to_ () =
     let target = Option.value to_ ~default:node in
-    trace_intercept t.engine ~taint ~node:target
-      [ ("channel", "northbound");
-        ("msg", Types.trigger_name (Types.Rest request)) ];
+    (match taint with
+    | Some taint when tracing t.engine ->
+        trace_intercept t.engine ~taint ~node:target
+          [ ("channel", "northbound");
+            ("msg", Types.trigger_name (Types.Rest request)) ]
+    | _ -> ());
     Controller.submit t.controllers.(target) ?taint (Types.Rest request)
   in
   t.northbound_hook ~node ~request ~forward

@@ -11,15 +11,17 @@ open Jury_openflow
 
 type t
 
-(** A southbound hook sees every switch→controller message before
-    delivery. [forward ?taint ?to_ ()] delivers the trigger to a
-    replica ([to_] defaults to the master) through its pipeline;
-    calling it several times replicates the trigger. Not calling it
-    drops the message. *)
+(** A southbound hook sees every switch→controller message that is a
+    trigger ({!trigger_of_message}) before delivery, with the trigger
+    already classified; no controller consumes any other message.
+    [forward ?taint ?to_ ()] delivers the trigger to a replica ([to_]
+    defaults to the master) through its pipeline; calling it several
+    times replicates the trigger. Not calling it drops the message. *)
 type southbound_hook =
   dpid:Of_types.Dpid.t ->
   master:int ->
   msg:Of_message.t ->
+  trigger:Types.trigger ->
   forward:(?taint:Types.Taint.t -> ?to_:int -> unit -> unit) ->
   unit
 

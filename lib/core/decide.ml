@@ -163,23 +163,34 @@ let primary_execution p =
   | None -> []
   | Some primary -> primary_in primary p.executions
 
-(* Secondary execution reports, in arrival order. Only dissent and a
-   lost primary read them as a list. *)
+(* Only the secondaries the trigger was replicated to count and vote:
+   a Secondary execution from any other controller is a stray. *)
+let rec listed (controller : int) = function
+  | [] -> false
+  | s :: rest -> s = controller || listed controller rest
+
+(* The listed secondaries' execution reports, in arrival order. Only
+   dissent and a lost primary read them as a list. *)
 let secondary_executions p =
   List.fold_left
     (fun acc (r : Response.t) ->
       match r.body with
-      | Response.Execution { role = `Secondary; actions } -> (r, actions) :: acc
+      | Response.Execution { role = `Secondary; actions }
+        when listed r.controller p.secondaries ->
+          (r, actions) :: acc
       | _ -> acc)
     [] p.executions
 
-let rec secondary_count n = function
+(* The listed secondaries that answered: [record] files one execution
+   per controller and role. *)
+let rec secondary_count secondaries n = function
   | [] -> n
   | (r : Response.t) :: rest -> (
       match r.body with
-      | Response.Execution { role = `Secondary; _ } ->
-          secondary_count (n + 1) rest
-      | _ -> secondary_count n rest)
+      | Response.Execution { role = `Secondary; _ }
+        when listed r.controller secondaries ->
+          secondary_count secondaries (n + 1) rest
+      | _ -> secondary_count secondaries n rest)
 
 (* Allocates only the secondaries it returns. *)
 let rec missing executions = function
@@ -257,7 +268,8 @@ let complete cfg p =
   | [] -> false
   | prim :: _ ->
       let primary = prim.Response.controller in
-      secondary_count 0 p.executions >= List.length p.secondaries
+      secondary_count p.secondaries 0 p.executions
+      >= List.length p.secondaries
       && observed p ~primary
            ~peers:(List.length (cfg.ack_peers_of primary))
            (actions_of prim)
@@ -365,18 +377,19 @@ type consensus =
 let same_view cfg (prim_r : Response.t) (r : Response.t) =
   (not cfg.state_aware) || Snapshot.equal r.snapshot prim_r.snapshot
 
-(* The secondary executions comparable with the primary's, counted
-   while each took the primary's actions; -1 once one did not. *)
-let rec agreeing cfg prim_r prim_actions n = function
+(* The listed secondaries' executions comparable with the primary's,
+   counted while each took the primary's actions; -1 once one did
+   not. *)
+let rec agreeing cfg p prim_r prim_actions n = function
   | [] -> n
   | (r : Response.t) :: rest -> (
       match r.body with
       | Response.Execution { role = `Secondary; actions }
-        when same_view cfg prim_r r ->
+        when listed r.controller p.secondaries && same_view cfg prim_r r ->
           if same_actions prim_actions actions then
-            agreeing cfg prim_r prim_actions (n + 1) rest
+            agreeing cfg p prim_r prim_actions (n + 1) rest
           else -1
-      | _ -> agreeing cfg prim_r prim_actions n rest)
+      | _ -> agreeing cfg p prim_r prim_actions n rest)
 
 (* Some comparable secondary took other actions: fingerprint every
    comparable response and count the votes. *)
@@ -419,11 +432,10 @@ let dissent cfg p (prim_r : Response.t) prim_actions =
         else Disagrees (Option.to_list p.primary)
 
 let consensus cfg p prim_r prim_actions =
-  match agreeing cfg prim_r prim_actions 0 p.executions with
+  match agreeing cfg p prim_r prim_actions 0 p.executions with
   | -1 -> dissent cfg p prim_r prim_actions
   | 0 ->
-      if p.secondaries = [] && secondary_count 0 p.executions = 0 then
-        Agrees 1 (* nothing was replicated *)
+      if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
       else Unverifiable
   | n -> Agrees (1 + n)
 

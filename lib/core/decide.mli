@@ -104,8 +104,10 @@ val record : input -> Response.t -> bool
     entry. *)
 
 val complete : config -> input -> bool
-(** Whether the trigger can be decided before its timer: there are as
-    many secondary executions as secondaries, each of the primary's
+(** Whether the trigger can be decided before its timer: every listed
+    secondary has sent its execution (one from any other controller, a
+    stray, neither counts here nor votes in the verdict), each of the
+    primary's
     cache writes has arrived and been acked by all of the origin's
     peers, and each of its FLOW_MODs is on the wire. Allocates
     nothing. *)

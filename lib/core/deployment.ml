@@ -33,6 +33,38 @@ let replication_jitter_us = 80.
 let chatter_cost = Time.us 13
 let chatter_size = 96
 
+(* One plan per trigger. The k+1 executions of a trigger usually agree,
+   and the validator keeps every one until it decides, so each reporter
+   looks its plan up here first: a plan equal to the one its trigger's
+   slot holds is reported as that list, which the executions then share.
+   The table is direct-mapped on the taint's hash. A taint whose slot
+   holds another taint claims it; an unequal plan for the same taint
+   keeps its own list. The answer is always [=] to the plan given, so
+   sharing changes no output, and a lookup allocates nothing. *)
+module Plans = struct
+  let slots = 256
+
+  type t = { taints : Taint.t array; plans : Types.action list array }
+
+  let create () =
+    (* No trigger is minted with a negative serial. Made here, not at
+       module initialisation, so that a process that installs no
+       deployment allocates nothing for it. *)
+    let vacant = Taint.internal_trigger ~origin:(-1) ~seq:(-1) in
+    { taints = Array.make slots vacant; plans = Array.make slots [] }
+
+  let share t taint plan =
+    let i = Taint.hash taint land (slots - 1) in
+    if Taint.equal t.taints.(i) taint then
+      let held = t.plans.(i) in
+      if held == plan || held = plan then held else plan
+    else begin
+      t.taints.(i) <- taint;
+      t.plans.(i) <- plan;
+      plan
+    end
+end
+
 type node_module = {
   mutable snapshot : Snapshot.t;
   shadow : Pipeline.t;
@@ -63,6 +95,7 @@ type t = {
          touches, built once *)
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
+  plans : Plans.t;  (* one per deployment: [Pool] runs several *)
   inflight : inflight Taint.Table.t;
       (* taint → what a retransmission or a failover re-drive needs,
          including the current primary; kept only when retransmission
@@ -248,6 +281,12 @@ let install_node_module t node =
                 match Controller.sample_response_fate ctrl with
                 | `Omit -> ()
                 | `Respond latency ->
+                    (* Only replicated triggers have plans to share. *)
+                    let actions =
+                      if Taint.is_external taint then
+                        Plans.share t.plans taint actions
+                      else actions
+                    in
                     send_to_validator t ~delay:latency
                       (make_response t ~node ~taint
                          (Response.Execution { role = `Primary; actions })));
@@ -325,6 +364,7 @@ let run_shadow t ~secondary ~primary ~taint trigger =
       match Controller.sample_response_fate ctrl with
       | `Omit -> ()
       | `Respond latency ->
+          let actions = Plans.share t.plans taint actions in
           send_to_validator t ~delay:latency
             (make_response t ~node:secondary ~taint
                (Response.Execution { role = `Secondary; actions })))
@@ -386,7 +426,9 @@ let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
           ignore
             (Engine.schedule t.engine ~after:(Time.of_float_us cost_us)
                (fun () ->
-                 close_span [ ("decap_us", Printf.sprintf "%.1f" cost_us) ];
+                 (* [no_span] would drop the attribute unread. *)
+                 if close_span != no_span then
+                   close_span [ ("decap_us", Printf.sprintf "%.1f" cost_us) ];
                  run_shadow t ~secondary ~primary ~taint trigger))
         end
         else begin
@@ -564,6 +606,7 @@ let install cluster (cfg : config) =
             Channel.create engine ~rng
               ~name:(Printf.sprintf "validator/%d" i)
               cfg.channel);
+      plans = Plans.create ();
       inflight = Taint.Table.create 256;
       batch_buf = [];
       batch_flush = None;
@@ -589,20 +632,18 @@ let install cluster (cfg : config) =
     install_node_module t node
   done;
   (* The replicator: southbound interception. *)
-  Cluster.set_southbound_hook cluster (fun ~dpid ~master ~msg ~forward ->
-      match Cluster.trigger_of_message dpid msg with
-      | None -> forward ()
-      | Some trigger ->
-          let taint = mint_taint t ~primary:master in
-          trace_root t ~taint ~node:master ~channel:"southbound"
-            (Types.trigger_name trigger);
-          forward ~taint ();
-          let wire_size =
-            Of_wire.encoded_size msg
-            + (if cfg.encapsulation then Encap.overhead_bytes else 0)
-          in
-          replicate_trigger t ~primary:master ~taint ~wire_size
-            ~decap:cfg.encapsulation trigger);
+  Cluster.set_southbound_hook cluster
+    (fun ~dpid:_ ~master ~msg ~trigger ~forward ->
+      let taint = mint_taint t ~primary:master in
+      trace_root t ~taint ~node:master ~channel:"southbound"
+        (Types.trigger_name trigger);
+      forward ~taint ();
+      let wire_size =
+        Of_wire.encoded_size msg
+        + (if cfg.encapsulation then Encap.overhead_bytes else 0)
+      in
+      replicate_trigger t ~primary:master ~taint ~wire_size
+        ~decap:cfg.encapsulation trigger);
   (* Northbound interception. *)
   Cluster.set_northbound_hook cluster (fun ~node ~request ~forward ->
       let taint = mint_taint t ~primary:node in

@@ -194,6 +194,24 @@ let cases () =
          @of:0000000000000001 has no cache backing; no FLOW_MOD on wire for \
          cache entry {dl_src=02:00:00:00:00:00,dl_dst=02:00:00:00:00:01}\
          @of:0000000000000001";
+    (* Controller 7 was never replicated to: its execution neither
+       stands in for silent secondary 1 nor outvotes anyone. *)
+    (fun () ->
+      let arrivals =
+        [ execution 0 `Primary [ forward 2 ];
+          execution 2 `Secondary [ forward 2 ];
+          execution 7 `Secondary [ forward 3 ] ]
+      in
+      Alcotest.(check bool)
+        "a stray does not complete: Decide" false
+        (Decide.complete (config ()) (input ~secondaries:[ 1; 2 ] arrivals));
+      Alcotest.(check bool)
+        "a stray does not complete: Spec" true
+        (Spec.decide (config ()) ~mirror:(Hashtbl.create 1) ~timed_out:false
+           { taint; primary = Some 0; secondaries = [ 1; 2 ]; arrivals }
+        = None);
+      case "a stray secondary does not vote" ~secondaries:[ 1; 2 ]
+        ~timed_out:true arrivals Alarm.Ok_valid ());
     (* A FLOWSDB write named in lower case is still a FLOWSDB write: to a
        switch that node 1 masters, it is remote. *)
     case "lower-case flowsdb write to a remote switch" ~secondaries:[]

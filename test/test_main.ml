@@ -14,6 +14,7 @@ let () =
       ("policy", Test_policy.suite);
       ("jury", Test_jury.suite);
       ("decide", Test_decide.suite);
+      ("plans", Test_plans.suite);
       ("config", Test_config.suite);
       ("faults", Test_faults.suite);
       ("workload", Test_workload.suite);
