@@ -137,7 +137,9 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
   (* Beyond §IV: a reinstall is backed by the mirror. *)
   let mirrored d (fm : Of_message.flow_mod) =
     Hashtbl.find_opt mirror (Flow.key d fm.fm_match ~priority:fm.priority)
-    |> Option.fold ~none:false ~some:(fun (_, held) -> same_flow d held d fm)
+    |> Option.fold ~none:false ~some:(function
+         | _, Some (_, held) -> same_flow d held d fm
+         | _, None -> false)
   in
   let complete ~origin plan =
     let acker e (c, e') = c <> origin && same_event e e' in

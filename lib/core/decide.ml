@@ -25,7 +25,7 @@ type config = {
   max_inflight : int option;
 }
 
-type mirror = (string, string * Of_message.flow_mod) Hashtbl.t
+type mirror = (string, string * (Dpid.t * Of_message.flow_mod) option) Hashtbl.t
 
 type report = { reporter : int; event : Event.t; first : bool; ack : bool }
 
@@ -505,22 +505,39 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
 let mirrored mirror dpid (fm : Of_message.flow_mod) =
   let key = Values.Flow.key dpid fm.fm_match ~priority:fm.priority in
   match Hashtbl.find mirror key with
-  | _, cfm -> flows_equal cfm fm
+  | _, Some (_, cfm) -> flows_equal cfm fm
+  | _, None -> false
   | exception Not_found -> false
 
-(* The switch and rule of a FLOWSDB entry. The mirror parsed the rule
-   when the entry arrived, unless the key has changed since. *)
-let flow_entry mirror key value =
+let parse_flow_entry key value =
   match Values.Flow.dpid_of_key key with
   | None -> None
   | Some dpid -> (
-      let fm =
-        match Hashtbl.find mirror key with
-        | v, fm when v == value || String.equal v value -> Some fm
-        | _ -> Values.Flow.parse value
-        | exception Not_found -> Values.Flow.parse value
-      in
-      match fm with Some fm -> Some (dpid, fm) | None -> None)
+      match Values.Flow.parse value with
+      | Some fm -> Some (dpid, fm)
+      | None -> None)
+
+(* The switch and rule of a FLOWSDB entry. The mirror parsed them when
+   the entry arrived, so a hit hands out the stored pair; only a key
+   whose value has changed since is parsed again. *)
+let flow_entry mirror key value =
+  match Hashtbl.find mirror key with
+  | v, entry when v == value || String.equal v value -> entry
+  | _ -> parse_flow_entry key value
+  | exception Not_found -> parse_flow_entry key value
+
+let mirror_write mirror key value =
+  match Hashtbl.find_opt mirror key with
+  | Some (v, _) when String.equal v value -> ()
+  | _ -> (
+      match Values.Flow.parse value with
+      | Some fm ->
+          Hashtbl.replace mirror key
+            ( value,
+              match Values.Flow.dpid_of_key key with
+              | Some dpid -> Some (dpid, fm)
+              | None -> None )
+      | None -> ())
 
 (* The origin's FLOWSDB installs, at their first report, in arrival
    order. *)

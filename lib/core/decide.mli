@@ -56,10 +56,20 @@ type config = {
 }
 
 type mirror =
-  (string, string * Jury_openflow.Of_message.flow_mod) Hashtbl.t
+  ( string,
+    string
+    * (Jury_openflow.Of_types.Dpid.t * Jury_openflow.Of_message.flow_mod)
+      option )
+  Hashtbl.t
 (** The validator's FLOWSDB replica, built from every cache update it
-    has seen: key -> (value string, parsed rule). The sanity check
-    accepts a re-sent FLOW_MOD that matches its mirrored entry. *)
+    has seen: key -> (value string, its parsed (switch, rule), [None]
+    when the key names no switch). The sanity check accepts a re-sent
+    FLOW_MOD that matches its mirrored entry, and reads a cached
+    install's switch and rule from here without parsing it again. *)
+
+val mirror_write : mirror -> string -> string -> unit
+(** [mirror_write m key value] files a FLOWSDB create or update. A
+    value that is no rule leaves the key's entry as it was. *)
 
 (** {1 The filed responses} *)
 

@@ -1,6 +1,5 @@
 open Jury_sim
 module Types = Jury_controller.Types
-module Values = Jury_controller.Values
 module Event = Jury_store.Event
 module Names = Jury_store.Cache_names
 module Taint = Types.Taint
@@ -77,7 +76,7 @@ type t = {
          registration order. Each registration pops the decided ones off
          the front, so the queue never holds more than the registrations
          made since the oldest undecided trigger. *)
-  mutable verdicts : Alarm.t list;  (* newest first *)
+  mutable log : Verdict_log.t;  (* every verdict, four words for most *)
   mutable response_observers : (Response.t -> unit) list;
       (* in registration order, the order they run in *)
   mutable verdict_observers : (Alarm.t -> unit) list;
@@ -115,7 +114,7 @@ let create engine cfg =
       | None -> 1024);
     reg_count = 0;
     admitted = Queue.create ();
-    verdicts = [];
+    log = Verdict_log.create ();
     response_observers = [];
     verdict_observers = [];
     retransmit_handler = (fun _ ~secondary:_ -> ());
@@ -201,6 +200,30 @@ let remember_decided t sh taint =
   Taint.Table.replace sh.decided_internal taint now;
   Queue.push (taint, now) sh.decided_order
 
+let trace_verdict t tr (a : Alarm.t) ~stragglers =
+  let taint = Taint.to_string a.taint in
+  let t_ns = Engine.now_ns t.engine in
+  let attrs =
+    [ ("verdict", Alarm.verdict_name a.verdict);
+      ("detection_ms",
+       Printf.sprintf "%.3f" (Time.to_float_ms (Alarm.detection_time a)));
+      ("suspects", String.concat "," (List.map string_of_int a.suspects)) ]
+  in
+  let attrs =
+    if stragglers = [] then attrs
+    else
+      ("stragglers", String.concat "," (List.map string_of_int stragglers))
+      :: attrs
+  in
+  let attrs =
+    if a.term > 0 then ("term", string_of_int a.term) :: attrs else attrs
+  in
+  Jury_obs.Trace.point tr ~t_ns ~taint ~phase:Jury_obs.Trace.Verdict
+    ?node:a.primary
+    (if a.detail = "" then attrs else ("detail", a.detail) :: attrs);
+  Jury_obs.Trace.close_root tr ~t_ns ~taint
+    [ ("verdict", Alarm.verdict_name a.verdict) ]
+
 let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   let d = p.input in
   let sh = t.shards.(p.shard) in
@@ -212,44 +235,11 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   add sh Straggler (List.length stragglers);
   Taint.Table.remove sh.pending d.taint;
   if not (Taint.is_external d.taint) then remember_decided t sh d.taint;
-  let alarm =
-    { Alarm.taint = d.taint;
-      trigger_at = p.trigger_at;
-      decided_at = Engine.now t.engine;
-      primary = d.primary;
-      suspects = List.sort_uniq compare suspects;
-      term = d.term;
-      verdict;
-      detail }
-  in
-  (let tr = Engine.trace t.engine in
-   if Jury_obs.Trace.enabled tr then begin
-     let taint = Taint.to_string d.taint in
-     let t_ns = Engine.now_ns t.engine in
-     let attrs =
-       [ ("verdict", Alarm.verdict_name verdict);
-         ("detection_ms",
-          Printf.sprintf "%.3f" (Time.to_float_ms (Alarm.detection_time alarm)));
-         ("suspects",
-          String.concat "," (List.map string_of_int alarm.Alarm.suspects)) ]
-     in
-     let attrs =
-       if stragglers = [] then attrs
-       else
-         ("stragglers",
-          String.concat "," (List.map string_of_int stragglers))
-         :: attrs
-     in
-     let attrs =
-       if d.term > 0 then ("term", string_of_int d.term) :: attrs else attrs
-     in
-     Jury_obs.Trace.point tr ~t_ns ~taint ~phase:Jury_obs.Trace.Verdict
-       ?node:d.primary
-       (if detail = "" then attrs else ("detail", detail) :: attrs);
-     Jury_obs.Trace.close_root tr ~t_ns ~taint
-       [ ("verdict", Alarm.verdict_name verdict) ]
-   end);
-  t.verdicts <- alarm :: t.verdicts;
+  let decided_at = Engine.now t.engine in
+  let primary = d.primary in
+  let suspects = List.sort_uniq compare suspects in
+  Verdict_log.push t.log ~taint:d.taint ~trigger_at:p.trigger_at ~decided_at
+    ~primary ~suspects ~term:d.term ~verdict ~detail;
   add sh Decided 1;
   (match verdict with
   | Alarm.Faulty _ -> add sh Faulty 1
@@ -257,7 +247,21 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   | Alarm.Ok_degraded -> add sh Degraded 1
   | Alarm.Overload -> add sh Overload 1
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
-  notify_verdict alarm t.verdict_observers
+  (* The log keeps no alarm record: one is built only to be shown. *)
+  let tr = Engine.trace t.engine in
+  let shown =
+    match t.verdict_observers with
+    | [] -> Jury_obs.Trace.enabled tr
+    | _ :: _ -> true
+  in
+  if shown then begin
+    let alarm =
+      { Alarm.taint = d.taint; trigger_at = p.trigger_at; decided_at; primary;
+        suspects; term = d.term; verdict; detail }
+    in
+    if Jury_obs.Trace.enabled tr then trace_verdict t tr alarm ~stragglers;
+    notify_verdict alarm t.verdict_observers
+  end
 
 let evaluate t p ~timed_out =
   if not p.decided then
@@ -430,14 +434,8 @@ let update_flow_mirror t (r : Response.t) =
   | Response.Cache_update ev when ev.Event.cache = Names.flowsdb -> (
       match ev.Event.op with
       | Event.Delete -> Hashtbl.remove t.flow_mirror ev.Event.key
-      | Event.Create | Event.Update -> (
-          let key = ev.Event.key and value = ev.Event.value in
-          match Hashtbl.find_opt t.flow_mirror key with
-          | Some (v, _) when String.equal v value -> ()
-          | _ -> (
-              match Values.Flow.parse value with
-              | Some fm -> Hashtbl.replace t.flow_mirror key (value, fm)
-              | None -> ())))
+      | Event.Create | Event.Update ->
+          Decide.mirror_write t.flow_mirror ev.Event.key ev.Event.value)
   | _ -> ()
 
 (* File [r] in its trigger's record, and decide the trigger once its
@@ -535,13 +533,9 @@ let deliver_batch t rs =
           if bucket <> [] then deliver_shard t i (List.rev bucket))
         per_shard
 
-let verdicts t = List.rev t.verdicts
-let alarms t = List.filter Alarm.is_fault (verdicts t)
-
-let detection_times_ms t =
-  verdicts t
-  |> List.map (fun a -> Time.to_float_ms (Alarm.detection_time a))
-  |> Array.of_list
+let verdicts t = Verdict_log.to_list t.log
+let alarms t = Verdict_log.faults t.log
+let detection_times_ms t = Verdict_log.detection_times_ms t.log
 
 (* A loop, not a fold: reading a counter allocates nothing. *)
 let count ?shard t c =
@@ -606,20 +600,21 @@ let absorb_pipeline_shard t ~shard src =
   Queue.transfer s.decided_order dst.decided_order;
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) s.counts;
   t.reg_count <- t.reg_count + src.reg_count;
-  t.verdicts <- src.verdicts @ t.verdicts
+  Verdict_log.append t.log src.log
 
 let finalize_pipeline_merge t =
-  (* [t.verdicts] is newest-first; merge the per-replica streams into
-     one deterministic newest-first order. Ties on [decided_at] (e.g.
-     several decisions inside one batch tick) break by trigger time
-     then taint, independent of shard interleaving. *)
-  t.verdicts <-
-    List.sort
-      (fun (a : Alarm.t) (b : Alarm.t) ->
-        match Time.compare b.Alarm.decided_at a.Alarm.decided_at with
-        | 0 -> (
-            match Time.compare b.Alarm.trigger_at a.Alarm.trigger_at with
-            | 0 -> Taint.compare b.Alarm.taint a.Alarm.taint
-            | c -> c)
-        | c -> c)
-      t.verdicts
+  (* Merge the per-replica streams into one deterministic decision
+     order. Ties on [decided_at] (e.g. several decisions inside one
+     batch tick) break by trigger time then taint, independent of shard
+     interleaving; the sort is stable, so full ties keep absorb order. *)
+  t.log <-
+    Verdict_log.of_list
+      (List.stable_sort
+         (fun (a : Alarm.t) (b : Alarm.t) ->
+           match Time.compare a.decided_at b.decided_at with
+           | 0 -> (
+               match Time.compare a.trigger_at b.trigger_at with
+               | 0 -> Taint.compare a.taint b.taint
+               | c -> c)
+           | c -> c)
+         (Verdict_log.to_list t.log))

@@ -117,14 +117,23 @@ val on_verdict : t -> (Alarm.t -> unit) -> unit
 
 (** {1 Results} *)
 
+(** The validator keeps every verdict in a {!Verdict_log}: four words
+    for a common one, a whole {!Alarm.t} for a fault or any verdict
+    with suspects or a detail. *)
+
 val verdicts : t -> Alarm.t list
-(** All decided verdicts, oldest first. *)
+(** All decided verdicts, oldest first. Rebuilt from the log on every
+    call: O(n) time and about 19 words per verdict. A caller that needs
+    less should prefer {!alarms}, {!detection_times_ms}, the counters
+    or {!on_verdict}. *)
 
 val alarms : t -> Alarm.t list
-(** Only the faulty ones. *)
+(** Only the faulty ones, oldest first. Reads only the log's side store
+    of whole alarms. *)
 
 val detection_times_ms : t -> float array
-(** Detection time (trigger → decision) of every decided trigger, ms. *)
+(** Detection time (trigger → decision) of every decided trigger, ms,
+    oldest first. Reads only the log's two time columns. *)
 
 val count : ?shard:int -> t -> Counter.t -> int
 (** A counter summed over shards, or one shard's value with [~shard].
@@ -219,4 +228,5 @@ val absorb_pipeline_shard : t -> shard:int -> t -> unit
 
 val finalize_pipeline_merge : t -> unit
 (** After all replicas are absorbed: sort the merged verdict stream
-    into a deterministic decision order. *)
+    into a deterministic decision order. The sort goes through a list
+    of alarms, so for a moment it holds about 19 words per verdict. *)

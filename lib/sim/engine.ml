@@ -1,11 +1,13 @@
-(* A scheduled event is its own cancellation handle. [action] is
-   mutable so that cancelling can swap it for the shared [noop]: a
-   cancelled event stays queued until its timestamp (so event counts
-   and the clock are unchanged) but retains nothing it captured. *)
+(* A scheduled event is its own cancellation handle. [action] and [fp]
+   are mutable so that cancelling can swap them for the shared [noop]
+   and [Footprint.opaque]: a cancelled event stays queued until its
+   timestamp (so event counts and the clock are unchanged) but retains
+   nothing it captured or declared. Only the chooser reads [fp], and it
+   never sees a cancelled event. *)
 type event = {
   mutable live : bool;
   mutable action : unit -> unit;
-  fp : Footprint.t;
+  mutable fp : Footprint.t;
 }
 
 let noop () = ()
@@ -69,7 +71,8 @@ let schedule t ?footprint ~after f =
 
 let cancel h =
   h.live <- false;
-  h.action <- noop
+  h.action <- noop;
+  h.fp <- Footprint.opaque
 
 let is_pending h = h.live
 

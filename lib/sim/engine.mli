@@ -52,11 +52,12 @@ val schedule_at :
 
 val cancel : handle -> unit
 (** Cancels a pending event; a no-op if it already ran or was cancelled.
-    The event's closure is dropped at once, so everything it captured
-    becomes collectable even though the dead event stays queued until
-    its timestamp. It is popped there like any other event — advancing
-    the clock and counting in {!executed_events} — so cancelling never
-    changes event counts or the final clock. *)
+    The event's closure and footprint are dropped at once (the footprint
+    becomes {!Footprint.opaque}, which no chooser sees), so everything
+    they held becomes collectable even though the dead event stays
+    queued until its timestamp. It is popped there like any other
+    event — advancing the clock and counting in {!executed_events} — so
+    cancelling never changes event counts or the final clock. *)
 
 val is_pending : handle -> bool
 (** Whether the event is still queued (neither fired nor cancelled). *)

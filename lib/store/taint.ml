@@ -42,6 +42,8 @@ let primary_of t =
   match t.kind with External -> Some t.node | Internal -> None
 
 let is_external t = t.kind = External
+let node t = t.node
+let serial t = t.serial
 let hash t = t.hash
 let printed_length t = 5 + decimal_length t.node + decimal_length t.serial
 let to_string t = render t.kind t.node t.serial

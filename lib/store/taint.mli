@@ -24,6 +24,14 @@ val primary_of : t -> int option
 
 val is_external : t -> bool
 
+val node : t -> int
+(** The primary of an external taint, the origin of an internal one:
+    the [P] or [O] of the printed form. *)
+
+val serial : t -> int
+(** The [S] of the printed form: the replicator's serial, or the first
+    cache event's sequence number. *)
+
 val hash : t -> int
 (** [Hashtbl.hash (to_string t)], computed once when [t] was minted, so
     a table, shard or footprint keyed on it lays out exactly as one

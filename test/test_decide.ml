@@ -283,16 +283,18 @@ let filed ~k =
    on the OCaml versions CI builds with. The completeness test and the
    straggler list of a filed trigger allocate nothing; building the
    secondary executions as a list would cost 6 words per secondary.
-   Deciding an agreeing k=6 install reads 28 words: the decision and
-   its option, the agreement count, and the sanity check's resolved
-   cache entry. A one-shard batch registers, files, times, decides and
-   records one k=6 trigger in 186 words. *)
+   Deciding an agreeing k=6 install reads 16 words: the decision and
+   its option, the agreement count, and the sanity check's one-entry
+   list of cached installs (the mirror hands out the install's parsed
+   switch and rule, where parsing the key again cost 12 more). A
+   one-shard batch registers, files, times, decides and logs one k=6
+   trigger in 162 words. *)
 let test_allocation () =
   let cfg = install_config () in
   (* The validator's mirror, holding the rule once its event arrived. *)
   let mirror = Hashtbl.create 1 in
-  Hashtbl.replace mirror (flow_key install_rule)
-    (Jury_controller.Values.Flow.value install_rule, install_rule);
+  Decide.mirror_write mirror (flow_key install_rule)
+    (Jury_controller.Values.Flow.value install_rule);
   List.iter
     (fun k ->
       let p = filed ~k in
@@ -307,7 +309,7 @@ let test_allocation () =
         (words_per_call (fun () -> Decide.stragglers p)))
     [ 2; 6 ];
   let p = filed ~k:6 in
-  within "verdict, agreeing k=6" 42.
+  within "verdict, agreeing k=6" 24.
     (words_per_call (fun () ->
          Decide.verdict cfg ~mirror p ~timed_out:false));
   (* One trigger through a one-shard validator: register it, deliver its
@@ -336,7 +338,7 @@ let test_allocation () =
   done;
   Engine.run engine;
   let decided_before = Jury.Validator.decided_count v in
-  within "one k=6 trigger through deliver_batch" 279. (words_per_call trigger);
+  within "one k=6 trigger through deliver_batch" 243. (words_per_call trigger);
   Alcotest.(check int)
     "each trigger decided" 1001
     (Jury.Validator.decided_count v - decided_before)
@@ -501,8 +503,8 @@ let gen_scenario st =
   | 0 -> ()
   | n ->
       let fm = if n = 1 then rule 2 else rule ~dst:3 5 in
-      Hashtbl.replace mirror (flow_key fm)
-        (Jury_controller.Values.Flow.value fm, fm));
+      Decide.mirror_write mirror (flow_key fm)
+        (Jury_controller.Values.Flow.value fm));
   let policies =
     pick st
       [ None; Some no_linksdb;

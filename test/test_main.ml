@@ -15,6 +15,7 @@ let () =
       ("jury", Test_jury.suite);
       ("decide", Test_decide.suite);
       ("plans", Test_plans.suite);
+      ("verdict-log", Test_verdict_log.suite);
       ("config", Test_config.suite);
       ("faults", Test_faults.suite);
       ("workload", Test_workload.suite);
