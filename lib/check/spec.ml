@@ -83,17 +83,12 @@ let fingerprint plan =
   List.sort compare
     (List.map (fun a -> Types.action_fingerprint (canonical a)) plan)
 
-(* Each distinct plan, as first taken, with its votes, in the order
-   Decide breaks ties in: not a rule, but [Hashtbl.fold]'s, which the
-   spec follows to stay exact (a FOUND line in CHANGES.md). *)
+(* Each distinct plan, as first taken, with its votes, in the order it
+   was first taken: the order ties go by. *)
 let tally plans =
-  let votes = Hashtbl.create 8 in
-  plans |> List.iter (fun p ->
-      let fp = String.concat "\n" (fingerprint p) in
-      match Hashtbl.find_opt votes fp with
-      | Some (first, n) -> Hashtbl.replace votes fp (first, n + 1)
-      | None -> Hashtbl.add votes fp (p, 1));
-  List.rev (Hashtbl.fold (fun _ v acc -> v :: acc) votes [])
+  let same p q = fingerprint p = fingerprint q in
+  firsts same plans
+  |> List.map (fun p -> (p, List.length (List.filter (same p) plans)))
 
 type finding = { fault : Alarm.fault; blamed : int list; excusable : bool }
 
@@ -136,10 +131,10 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
   in
   (* Beyond §IV: a reinstall is backed by the mirror. *)
   let mirrored d (fm : Of_message.flow_mod) =
-    Hashtbl.find_opt mirror (Flow.key d fm.fm_match ~priority:fm.priority)
-    |> Option.fold ~none:false ~some:(function
-         | _, Some (_, held) -> same_flow d held d fm
-         | _, None -> false)
+    let key = Flow.key d fm.fm_match ~priority:fm.priority in
+    match Option.bind (Hashtbl.find_opt mirror key) Flow.parse with
+    | Some held -> same_flow d held d fm
+    | None -> false
   in
   let complete ~origin plan =
     let acker e (c, e') = c <> origin && same_event e e' in
@@ -238,12 +233,13 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
           | Denied r -> Some (hard (Policy_violation r.name) [ origin ])
           | Allowed -> None))
   in
-  (* Beyond §IV: the degraded quorum for a lost primary. Decide files a
-     view's members newest first when state-aware, else as they came. *)
+  (* Beyond §IV: the degraded quorum for a lost primary. The plan with
+     the most votes in one view; a tie goes to the view that answered
+     first, then to the plan first taken. *)
   let vouched () =
     let snapshot ((r : Response.t), _) = r.snapshot in
     let same_view a b = Snapshot.equal (snapshot a) (snapshot b) in
-    let view r = List.rev_map snd (List.filter (same_view r) secondaries) in
+    let view r = List.map snd (List.filter (same_view r) secondaries) in
     let views =
       if cfg.state_aware then List.map view (firsts same_view secondaries)
       else [ List.map snd secondaries ]

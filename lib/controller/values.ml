@@ -19,25 +19,25 @@ let hex_decode s =
   let n = String.length s / 2 in
   if String.length s mod 2 <> 0 then None
   else begin
-    let b = Bytes.create n in
-    let rec go i =
-      if i = n then Some (Bytes.unsafe_to_string b)
-      else
-        let hi = hex_value s.[2 * i] and lo = s.[(2 * i) + 1] in
-        let byte =
-          if hi < 0 then -1
-          else if lo = '_' then hi
-          else
-            let lo = hex_value lo in
-            if lo < 0 then -1 else (hi * 16) + lo
-        in
-        if byte < 0 then None
-        else begin
-          Bytes.set b i (Char.chr byte);
-          go (i + 1)
-        end
-    in
-    go 0
+    (* A loop, not a local recursive function: that would be a closure
+       allocated on every call. *)
+    let b = Bytes.create n and i = ref 0 in
+    while !i < n do
+      let hi = hex_value s.[2 * !i] and lo = s.[(2 * !i) + 1] in
+      let byte =
+        if hi < 0 then -1
+        else if lo = '_' then hi
+        else
+          let lo = hex_value lo in
+          if lo < 0 then -1 else (hi * 16) + lo
+      in
+      if byte < 0 then i := n + 1
+      else begin
+        Bytes.set b !i (Char.chr byte);
+        incr i
+      end
+    done;
+    if !i = n then Some (Bytes.unsafe_to_string b) else None
   end
 
 (* "%Lx": the dpid's hex digits without the "of:" and leading zeros. *)

@@ -25,9 +25,16 @@ type config = {
   max_inflight : int option;
 }
 
-type mirror = (string, string * (Dpid.t * Of_message.flow_mod) option) Hashtbl.t
+type rule = Dpid.t * Of_message.flow_mod
+type mirror = (string, string) Hashtbl.t
 
-type report = { reporter : int; event : Event.t; first : bool; ack : bool }
+type report = {
+  reporter : int;
+  event : Event.t;
+  first : bool;
+  ack : bool;
+  rule : rule option;
+}
 
 type write = {
   sender : int;
@@ -108,7 +115,7 @@ let rec has_flow dpid flow = function
       || has_flow dpid flow rest
 
 (* The one place the duplicate and counting rules live. *)
-let record p (r : Response.t) =
+let record p ?rule (r : Response.t) =
   let from = r.controller in
   match r.body with
   | Response.Execution { role; _ } ->
@@ -117,15 +124,18 @@ let record p (r : Response.t) =
       fresh
   | Response.Cache_update event ->
       let fresh = not (has_report from event p.reports) in
-      if fresh then
+      if fresh then begin
+        let first = not (has_event event p.reports) in
         p.reports <-
           { reporter = from;
             event;
-            first = not (has_event event p.reports);
+            first;
             ack =
               from <> event.Event.origin
-              && not (has_event_from from event p.reports) }
-          :: p.reports;
+              && not (has_event_from from event p.reports);
+            rule = (if first then rule else None) }
+          :: p.reports
+      end;
       fresh
   | Response.Network_write { dpid; flow } ->
       let fresh = not (has_write from dpid flow p.writes) in
@@ -351,20 +361,18 @@ let fingerprinter () =
             seen := (actions, fp) :: !seen;
             fp)
 
+let rec votes fp n = function
+  | [] -> n
+  | f :: rest -> votes fp (if String.equal f fp then n + 1 else n) rest
+
+(* The most common of [fps], given in arrival order, and its votes. A
+   tie goes to the one cast first. *)
 let majority_fingerprint fps =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun fp ->
-      match Hashtbl.find_opt tbl fp with
-      | Some r -> incr r
-      | None -> Hashtbl.add tbl fp (ref 1))
-    fps;
-  Hashtbl.fold
-    (fun fp r best ->
-      match best with
-      | Some (_, n) when n >= !r -> best
-      | _ -> Some (fp, !r))
-    tbl None
+  List.fold_left
+    (fun best fp ->
+      let n = votes fp 0 fps in
+      match best with Some (_, m) when m >= n -> best | _ -> Some (fp, n))
+    None fps
 
 type consensus =
   | Agrees of int  (* agreeing responses, primary included *)
@@ -440,18 +448,19 @@ let consensus cfg p prim_r prim_actions =
   | n -> Agrees (1 + n)
 
 (* [secs] grouped by snapshot: groups in order of first appearance,
-   each one's members newest first. *)
+   each one's members in arrival order. *)
 let rec place ((r : Response.t), _ as sec) = function
   | [] -> [ (r.snapshot, [ sec ]) ]
   | (snap, members) :: rest ->
-      if Snapshot.equal snap r.snapshot then (snap, sec :: members) :: rest
+      if Snapshot.equal snap r.snapshot then (snap, members @ [ sec ]) :: rest
       else (snap, members) :: place sec rest
 
 let rec all_same first = function
   | [] -> true
   | (_, actions) :: rest -> same_actions first actions && all_same first rest
 
-(* A group's most common action list and its votes. *)
+(* A group's most common action list and its votes; of equally common
+   lists, the one taken first. *)
 let group_majority fingerprint = function
   | (_, first) :: rest when all_same first rest ->
       Some (first, 1 + List.length rest)
@@ -478,7 +487,9 @@ let rec best_group fingerprint best = function
 (* Best agreeing fingerprint among the secondary executions alone, for
    deciding a trigger whose primary response was lost in transit. Under
    state-aware consensus only replicas sharing a network view may form
-   the quorum (§IV-C A still applies, just without the primary). *)
+   the quorum (§IV-C A still applies, just without the primary). Most
+   votes wins; a tie goes to the earlier view, then within a view to the
+   plan taken first. *)
 let secondary_quorum cfg p =
   match secondary_executions p with
   | [] -> None
@@ -501,15 +512,20 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
 
 (* Whether the mirror holds this wire rule: a FLOW_MOD re-sent for a
    rule the store already holds (e.g. a reinstall after a switch-side
-   timeout race) is backed by it. *)
+   timeout race) is backed by it. Rare, so the value is parsed here. *)
 let mirrored mirror dpid (fm : Of_message.flow_mod) =
-  let key = Values.Flow.key dpid fm.fm_match ~priority:fm.priority in
-  match Hashtbl.find mirror key with
-  | _, Some (_, cfm) -> flows_equal cfm fm
-  | _, None -> false
+  match
+    Hashtbl.find mirror (Values.Flow.key dpid fm.fm_match ~priority:fm.priority)
+  with
+  | value -> (
+      match Values.Flow.parse value with
+      | Some cfm -> flows_equal cfm fm
+      | None -> false)
   | exception Not_found -> false
 
-let parse_flow_entry key value =
+(* The switch and rule of a FLOWSDB entry, [None] when the key names no
+   switch or the value is no rule. *)
+let flow_entry key value =
   match Values.Flow.dpid_of_key key with
   | None -> None
   | Some dpid -> (
@@ -517,31 +533,33 @@ let parse_flow_entry key value =
       | Some fm -> Some (dpid, fm)
       | None -> None)
 
-(* The switch and rule of a FLOWSDB entry. The mirror parsed them when
-   the entry arrived, so a hit hands out the stored pair; only a key
-   whose value has changed since is parsed again. *)
-let flow_entry mirror key value =
-  match Hashtbl.find mirror key with
-  | v, entry when v == value || String.equal v value -> entry
-  | _ -> parse_flow_entry key value
-  | exception Not_found -> parse_flow_entry key value
-
 let mirror_write mirror key value =
-  match Hashtbl.find_opt mirror key with
-  | Some (v, _) when String.equal v value -> ()
-  | _ -> (
-      match Values.Flow.parse value with
-      | Some fm ->
-          Hashtbl.replace mirror key
-            ( value,
-              match Values.Flow.dpid_of_key key with
-              | Some dpid -> Some (dpid, fm)
-              | None -> None )
-      | None -> ())
+  let unchanged =
+    match Hashtbl.find mirror key with
+    | v -> String.equal v value
+    | exception Not_found -> false
+  in
+  if unchanged then None
+  else
+    match Values.Flow.parse value with
+    | None -> None
+    | Some fm -> (
+        Hashtbl.replace mirror key value;
+        match Values.Flow.dpid_of_key key with
+        | Some dpid -> Some (dpid, fm)
+        | None -> None)
+
+(* The switch and rule a first report installs: the parse its filing
+   handed over, or a parse now when there was none (the value was
+   already mirrored, or is no rule). *)
+let report_rule (c : report) =
+  match c.rule with
+  | Some _ as rule -> rule
+  | None -> flow_entry c.event.Event.key c.event.Event.value
 
 (* The origin's FLOWSDB installs, at their first report, in arrival
    order. *)
-let rec cache_flows mirror origin acc = function
+let rec cache_flows origin acc = function
   | [] -> acc
   | (c : report) :: rest ->
       let ev = c.event in
@@ -552,12 +570,10 @@ let rec cache_flows mirror origin acc = function
           && ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
         then
-          match flow_entry mirror ev.Event.key ev.Event.value with
-          | Some entry -> entry :: acc
-          | None -> acc
+          match report_rule c with Some entry -> entry :: acc | None -> acc
         else acc
       in
-      cache_flows mirror origin acc rest
+      cache_flows origin acc rest
 
 (* The first copy of a FLOW_MOD that installs a rule. *)
 let installs (w : write) =
@@ -588,15 +604,16 @@ let rec plans_send dpid fm = function
       (Dpid.equal d dpid && flows_equal rule fm) || plans_send dpid fm rest
   | _ :: rest -> plans_send dpid fm rest
 
-(* Whether [plan] writes the rule ([dpid], [fm]) to FLOWSDB. *)
-let rec plans_cache_flow mirror dpid fm = function
+(* Whether [plan] writes the rule ([dpid], [fm]) to FLOWSDB. Only
+   degraded mode asks, so the plan's values are parsed here. *)
+let rec plans_cache_flow dpid fm = function
   | [] -> false
   | Types.Cache_write { cache; key; value; _ } :: rest
     when Names.normalize cache = Names.flowsdb -> (
-      match flow_entry mirror key value with
+      match flow_entry key value with
       | Some (d, rule) when Dpid.equal d dpid && flows_equal rule fm -> true
-      | _ -> plans_cache_flow mirror dpid fm rest)
-  | _ :: rest -> plans_cache_flow mirror dpid fm rest
+      | _ -> plans_cache_flow dpid fm rest)
+  | _ :: rest -> plans_cache_flow dpid fm rest
 
 (* A finding the primary's plan accounts for is an omission. *)
 let found ~planned ~origin fault note acc =
@@ -637,7 +654,7 @@ let rec check_writes ~mirror ~plan ~origin flows acc = function
         (* Planned: the primary's plan includes the backing cache write;
            only its externalised event was lost. *)
         found
-          ~planned:(plans_cache_flow mirror w.dpid w.flow plan)
+          ~planned:(plans_cache_flow w.dpid w.flow plan)
           ~origin Alarm.Network_without_cache
           (Format.asprintf "FLOW_MOD %a@%a has no cache backing" Of_match.pp
              w.flow.fm_match Dpid.pp w.dpid)
@@ -652,7 +669,7 @@ let rec check_writes ~mirror ~plan ~origin flows acc = function
    details are joined in. Beyond the origin's resolved installs, only
    findings allocate. *)
 let sanity ~mirror ~plan p ~origin =
-  let flows = cache_flows mirror origin [] p.reports in
+  let flows = cache_flows origin [] p.reports in
   match
     check_writes ~mirror ~plan ~origin flows
       (check_cache_flows p ~plan ~origin [] flows)

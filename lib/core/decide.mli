@@ -55,21 +55,25 @@ type config = {
   max_inflight : int option;
 }
 
-type mirror =
-  ( string,
-    string
-    * (Jury_openflow.Of_types.Dpid.t * Jury_openflow.Of_message.flow_mod)
-      option )
-  Hashtbl.t
-(** The validator's FLOWSDB replica, built from every cache update it
-    has seen: key -> (value string, its parsed (switch, rule), [None]
-    when the key names no switch). The sanity check accepts a re-sent
-    FLOW_MOD that matches its mirrored entry, and reads a cached
-    install's switch and rule from here without parsing it again. *)
+type rule = Jury_openflow.Of_types.Dpid.t * Jury_openflow.Of_message.flow_mod
+(** A FLOWSDB entry read as its switch and flow rule. *)
 
-val mirror_write : mirror -> string -> string -> unit
-(** [mirror_write m key value] files a FLOWSDB create or update. A
-    value that is no rule leaves the key's entry as it was. *)
+type mirror = (string, string) Hashtbl.t
+(** The validator's FLOWSDB replica, built from every cache update it
+    has seen: key -> the value string the update carried, the string
+    the store holds too. It keeps no parsed rule. The parse of a new
+    value lives on the trigger that reported it, in the [rule] of the
+    update's first {!report}; the sanity check parses a mirrored value
+    only to back a re-sent FLOW_MOD with no cached install in its own
+    trigger, which is rare. *)
+
+val mirror_write : mirror -> string -> string -> rule option
+(** [mirror_write m key value] files a FLOWSDB create or update, and
+    returns the switch and rule it parsed from [value] for {!record} to
+    keep on the update's report. It parses only a value the key does
+    not hold already, and returns [None] when it parsed nothing, when
+    [value] is no rule (which leaves the key's entry as it was) or when
+    [key] names no switch. *)
 
 (** {1 The filed responses} *)
 
@@ -80,6 +84,12 @@ type report = {
   ack : bool;
       (** a peer of the origin reporting the event for the first time:
           what completeness counts toward the origin's ack quorum *)
+  rule : rule option;
+      (** on the first report of a FLOWSDB create or update only: the
+          switch and rule {!mirror_write} parsed from its value. The
+          parse lives as long as the trigger does; the sanity check
+          reads the install from here, and parses the value itself only
+          when the update brought no parse. *)
 }
 (** One accepted [Cache_update]. *)
 
@@ -104,9 +114,11 @@ type input = {
 (** One trigger's accepted responses, each list newest first, and who
     should have sent them. *)
 
-val record : input -> Response.t -> bool
+val record : input -> ?rule:rule -> Response.t -> bool
 (** File an arriving response in its list, setting the [first] and
-    [ack] flags the checks read. Returns [false], filing nothing, for a
+    [ack] flags the checks read, and keeping [rule], what
+    {!mirror_write} parsed from a FLOWSDB update, on the update's first
+    report. Returns [false], filing nothing, for a
     stale channel duplicate: a second Execution from the same
     (controller, role), or the same body again from the same
     controller. The first delivery wins, so a duplicate can never

@@ -66,9 +66,10 @@ type t = {
   flow_mirror : Decide.mirror;
       (* Lets the sanity check accept a re-sent FLOW_MOD whose cache
          entry predates this trigger. Every replica reports the same
-         update, so the value string is kept and a rule is parsed only
-         when it changes. Shared across shards: the mirror is FLOWSDB
-         replica state, not per-trigger state. *)
+         update, so a rule is parsed only when a key's value changes,
+         and the parse is kept on the reporting trigger, not here.
+         Shared across shards: the mirror is FLOWSDB replica state, not
+         per-trigger state. *)
   epoch_length : int;  (* registrations per epoch *)
   mutable reg_count : int;
   admitted : pending Queue.t;
@@ -429,19 +430,23 @@ let reattribute t ~taint ~primary ~term =
       true
   | _ -> false
 
+(* Files a FLOWSDB update in the mirror, and returns the rule the
+   mirror parsed from its value, if it parsed one. *)
 let update_flow_mirror t (r : Response.t) =
   match r.body with
   | Response.Cache_update ev when ev.Event.cache = Names.flowsdb -> (
       match ev.Event.op with
-      | Event.Delete -> Hashtbl.remove t.flow_mirror ev.Event.key
+      | Event.Delete ->
+          Hashtbl.remove t.flow_mirror ev.Event.key;
+          None
       | Event.Create | Event.Update ->
           Decide.mirror_write t.flow_mirror ev.Event.key ev.Event.value)
-  | _ -> ()
+  | _ -> None
 
-(* File [r] in its trigger's record, and decide the trigger once its
-   response set is complete. *)
-let file t p (r : Response.t) =
-  if not (Decide.record p.input r) then add t.shards.(p.shard) Duplicate 1
+(* File [r] in its trigger's record, with the [rule] the mirror parsed
+   from it, and decide the trigger once its response set is complete. *)
+let file t p ?rule (r : Response.t) =
+  if not (Decide.record p.input ?rule r) then add t.shards.(p.shard) Duplicate 1
   else begin
     (if p.input.primary = None then
        match Taint.primary_of r.taint with
@@ -470,11 +475,11 @@ let deliver_inline t (r : Response.t) =
        ~phase:Jury_obs.Trace.Validate ~node:r.controller
        [ ("body", Response.body_name r.body) ]);
   notify_response r t.response_observers;
-  update_flow_mirror t r;
+  let rule = update_flow_mirror t r in
   let shard = shard_of t r.taint in
   let sh = t.shards.(shard) in
   match Taint.Table.find sh.pending r.taint with
-  | p -> file t p r
+  | p -> file t p ?rule r
   | exception Not_found ->
       (* External triggers must be registered by the replicator, and an
          internal one is opened by its first response; a stray tainted
@@ -485,7 +490,7 @@ let deliver_inline t (r : Response.t) =
         file t
           (add_pending t ~shard ~taint:r.taint ~at:(Engine.now t.engine)
              ~primary:None ~secondaries:[])
-          r
+          ?rule r
 
 (* Batched ingestion: one call delivers a whole simulated tick's worth
    of responses, partitioned per shard so each shard's table is touched
@@ -562,7 +567,7 @@ let current_epoch t = t.reg_count / t.epoch_length
 (* --- staged-pipeline plumbing (see Stage) --- *)
 
 let set_pipeline_hooks t h = t.pipeline <- Some h
-let observe_mirror = update_flow_mirror
+let observe_mirror t r = ignore (update_flow_mirror t r)
 let shard_of_taint = shard_of
 
 let flush t =

@@ -79,9 +79,11 @@ let encode_match w (m : Of_match.t) =
   W.u16 w (Option.value m.tp_src ~default:0);
   W.u16 w (Option.value m.tp_dst ~default:0)
 
+(* Whether [wildcards] leaves the field of [bit] exact. *)
+let has wildcards bit = wildcards land bit = 0
+
 let decode_match r : Of_match.t =
   let wildcards = R.u32 r "match wildcards" in
-  let has bit = wildcards land bit = 0 in
   let in_port = R.u16 r "match in_port" in
   let dl_src = Addr.Mac.of_int (R.u48 r "match dl_src") in
   let dl_dst = Addr.Mac.of_int (R.u48 r "match dl_dst") in
@@ -97,20 +99,20 @@ let decode_match r : Of_match.t =
   let tp_dst = R.u16 r "match tp_dst" in
   let src_mask = (wildcards lsr 8) land 0x3F in
   let dst_mask = (wildcards lsr 14) land 0x3F in
-  { in_port = (if has wc_in_port then Some in_port else None);
-    dl_src = (if has wc_dl_src then Some dl_src else None);
-    dl_dst = (if has wc_dl_dst then Some dl_dst else None);
+  { in_port = (if has wildcards wc_in_port then Some in_port else None);
+    dl_src = (if has wildcards wc_dl_src then Some dl_src else None);
+    dl_dst = (if has wildcards wc_dl_dst then Some dl_dst else None);
     dl_vlan =
-      (if has wc_dl_vlan then
+      (if has wildcards wc_dl_vlan then
          Some (if dl_vlan = vlan_none_wire then None else Some dl_vlan)
        else None);
-    dl_type = (if has wc_dl_type then Some dl_type else None);
+    dl_type = (if has wildcards wc_dl_type then Some dl_type else None);
     nw_src = (if src_mask >= 32 then None else Some (nw_src, 32 - src_mask));
     nw_dst = (if dst_mask >= 32 then None else Some (nw_dst, 32 - dst_mask));
-    nw_proto = (if has wc_nw_proto then Some nw_proto else None);
-    nw_tos = (if has wc_nw_tos then Some nw_tos else None);
-    tp_src = (if has wc_tp_src then Some tp_src else None);
-    tp_dst = (if has wc_tp_dst then Some tp_dst else None) }
+    nw_proto = (if has wildcards wc_nw_proto then Some nw_proto else None);
+    nw_tos = (if has wildcards wc_nw_tos then Some nw_tos else None);
+    tp_src = (if has wildcards wc_tp_src then Some tp_src else None);
+    tp_dst = (if has wildcards wc_tp_dst then Some tp_dst else None) }
 
 (* --- Action encoding --- *)
 
@@ -188,6 +190,13 @@ let decode_actions r =
     if R.pos r >= stop then List.rev acc else go (decode_action r :: acc)
   in
   go []
+
+(* The actions that fill the rest of a FLOW_MOD's body. *)
+let rec actions_to_end r =
+  if R.remaining r = 0 then []
+  else
+    let a = decode_action r in
+    a :: actions_to_end r
 
 let buffer_wire = function None -> 0xFFFF_FFFF | Some b -> b
 let buffer_of_wire = function 0xFFFF_FFFF -> None | b -> Some b
@@ -350,13 +359,10 @@ let decode_body r ty : Of_message.payload =
         | p -> Some p
       in
       R.skip r 2 "flags";
-      let rec actions acc =
-        if R.remaining r = 0 then List.rev acc
-        else actions (decode_action r :: acc)
-      in
+      let actions = actions_to_end r in
       Flow_mod
         { command; fm_match; priority; cookie; idle_timeout; hard_timeout;
-          actions = actions []; fm_buffer_id; out_port }
+          actions; fm_buffer_id; out_port }
   | 11 ->
       let fr_match = decode_match r in
       let fr_cookie = R.u64 r "cookie" in
@@ -438,9 +444,17 @@ let decode_one r : Of_message.t =
   let ty = R.u8 r "type" in
   let len = R.u16 r "length" in
   let xid = R.u32 r "xid" in
-  let body = R.bytes r (len - header_size) "body" in
-  let br = R.of_string body in
-  { xid; payload = decode_body br ty }
+  let payload =
+    if R.remaining r = len - header_size then begin
+      (* The body is the rest of the input, so it needs no copy to be
+         bounded. *)
+      let payload = decode_body r ty in
+      R.skip r (R.remaining r) "body";
+      payload
+    end
+    else decode_body (R.of_string (R.bytes r (len - header_size) "body")) ty
+  in
+  { xid; payload }
 
 let decode s = decode_one (R.of_string s)
 
