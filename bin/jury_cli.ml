@@ -566,7 +566,8 @@ let policy_cmd =
         Printf.printf "%d rule(s):\n" (List.length rules);
         List.iter
           (fun r -> Format.printf "  %a@." Jury_policy.Ast.pp_rule r)
-          rules
+          rules;
+        List.iter print_endline (Jury_policy.Parse.lint rules)
   in
   Cmd.v (Cmd.info "policy" ~doc:"Parse and lint a policy file")
     Term.(const run $ file_arg)

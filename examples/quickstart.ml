@@ -34,9 +34,9 @@ let () =
   Setup.boot cluster;
   Printf.printf "cluster up: %d switches, %d links discovered\n"
     (Jury_store.Fabric.entry_count (Cluster.fabric cluster) ~node:0
-       ~cache:"SWITCHDB")
+       ~cache:Jury_store.Cache_names.switchdb)
     (Jury_store.Fabric.entry_count (Cluster.fabric cluster) ~node:0
-       ~cache:"LINKSDB");
+       ~cache:Jury_store.Cache_names.linksdb);
 
   (* 3. Benign traffic: host 0 talks to host 7 across the whole chain.
      Reactive forwarding installs a rule per hop; JURY validates every

@@ -47,8 +47,8 @@ type t = {
 (* Locked caches must be ones the controllers actually write during a
    benign run, so the fault has something to block. *)
 let lockable_caches =
-  [ Jury_store.Cache_names.flowsdb; Jury_store.Cache_names.linksdb;
-    Jury_store.Cache_names.switchdb; Jury_store.Cache_names.hostdb ]
+  List.map Jury_store.Cache_names.to_string
+    Jury_store.Cache_names.[ flowsdb; linksdb; switchdb; hostdb ]
 
 let gen_fault_action ~nodes : fault_action Gen.t =
   let open Gen in

@@ -8,14 +8,17 @@ module Of_match = Jury_openflow.Of_match
 module Of_message = Jury_openflow.Of_message
 module Of_action = Jury_openflow.Of_action
 
-(* Mixed-case cache names on purpose: the engine and the compiler must
-   both normalise, so DSL/XML policies and hand-built queries cannot
-   disagree on casing — rule caches and query caches draw from
-   different spellings of the same stores. *)
-let rule_caches = [ "FLOWSDB"; "LinksDB"; "edgedb"; "HOSTDB"; "ArpDB" ]
+(* Mixed-case spellings on purpose: rule caches and query caches draw
+   from different spellings of the same stores, which must parse to the
+   same names. *)
+let rule_caches =
+  List.map Jury_store.Cache_names.of_string
+    [ "FLOWSDB"; "LinksDB"; "edgedb"; "HOSTDB"; "ArpDB" ]
+
 let query_caches =
-  [ "FLOWSDB"; "flowsdb"; "LINKSDB"; "LinksDB"; "EDGEDB"; "HostDB"; "ARPDB";
-    "NOSUCHDB" ]
+  List.map Jury_store.Cache_names.of_string
+    [ "FLOWSDB"; "flowsdb"; "LINKSDB"; "LinksDB"; "EDGEDB"; "HostDB"; "ARPDB";
+      "NOSUCHDB" ]
 
 (* A tiny alphabet so globs and subjects collide often — near-miss
    patterns are what distinguish the matchers. *)

@@ -9,8 +9,8 @@
     the per-case seed like every other harness failure.
 
     Rule caches and query caches deliberately mix spellings of the
-    same store names (["FLOWSDB"], ["flowsdb"], ["LinksDB"]…) so the
-    normalisation both checkers promise is continuously exercised, and
+    same store names (["FLOWSDB"], ["flowsdb"], ["LinksDB"]…), which
+    {!Jury_store.Cache_names.of_string} must parse alike, and
     globs/subjects draw from a tiny alphabet so near-miss patterns are
     common. *)
 

@@ -113,7 +113,9 @@ let apply_fault deployment ~policies (action : Case.fault_action) =
   | Case.Crash { node } -> Injector.crash cluster ~node
   | Case.Drop_sends { node } -> mutate node Injector.drop_network_sends
   | Case.Blackhole { node } -> mutate node Injector.blackhole_flow_mods
-  | Case.Lock_cache { node; cache } -> Injector.lock_cache cluster ~node ~cache
+  | Case.Lock_cache { node; cache } ->
+      Injector.lock_cache cluster ~node
+        ~cache:(Jury_store.Cache_names.of_string cache)
   | Case.Heal { node } -> Injector.heal cluster ~node
   | Case.Rejoin { node } -> Injector.rejoin deployment ~node
   | Case.Byzantine { node } -> Injector.make_byzantine cluster ~node

@@ -47,7 +47,7 @@ let stragglers t =
 let same_event (e : Event.t) (e' : Event.t) =
   e.origin = e'.origin && e.seq = e'.seq
 
-let is_flowsdb cache = Names.normalize cache = Names.flowsdb
+let is_flowsdb : Names.t -> bool = function Names.Flowsdb -> true | _ -> false
 
 (* A rule is its switch, match and priority; a flow adds actions and
    command. Buffer ids differ between executions: never compared. *)
@@ -127,7 +127,7 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
   in
   let observed ~origin cache key =
     events |> List.find_opt (fun (e : Event.t) ->
-        e.cache = Names.normalize cache && e.key = key && e.origin = origin)
+        Names.equal e.cache cache && e.key = key && e.origin = origin)
   in
   (* Beyond §IV: a reinstall is backed by the mirror. *)
   let mirrored d (fm : Of_message.flow_mod) =
@@ -178,7 +178,7 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
   let sanity ~origin ~plan =
     let cached =
       events |> List.filter_map (fun (e : Event.t) ->
-          if e.cache = Names.flowsdb && e.origin = origin && e.op <> Delete
+          if is_flowsdb e.cache && e.origin = origin && e.op <> Delete
           then entry e.key e.value
           else None)
     in
@@ -224,7 +224,7 @@ let decide (cfg : Decide.config) ~(mirror : Decide.mirror) t ~timed_out =
           in
           match
             Jury_policy.Engine.check cfg.policies
-              { q_controller = origin; q_cache = Names.normalize cache;
+              { q_controller = origin; q_cache = cache;
                 q_trigger = (if external_ then `External else `Internal);
                 q_op = op; q_key = key; q_value = value;
                 q_destination =

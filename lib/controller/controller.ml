@@ -117,20 +117,21 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
            flow-rule backups are expensive (ONOS/Hazelcast), the rest is
            cheap. *)
         let cost =
-          if ev.Event.cache = Names.flowsdb then
-            profile.Profile.remote_flow_apply
-          else profile.Profile.remote_other_apply
+          match ev.Event.cache with
+          | Names.Flowsdb -> profile.Profile.remote_flow_apply
+          | _ -> profile.Profile.remote_other_apply
         in
         if Time.(cost > Time.zero) then Pipeline.add_load t.pipeline cost;
         (* Transparent remote directives (§II-A.1): a FLOWSDB write by a
            peer targeting a switch we master becomes a real FLOW_MOD
            issued by us. *)
-        if ev.Event.cache = Names.flowsdb then delegate_flow_event t ev
+        match ev.Event.cache with
+        | Names.Flowsdb -> delegate_flow_event t ev
+        | _ -> ()
       end;
       (match ev.Event.cache with
-      | c when c = Names.linksdb || c = Names.switchdb ->
-          t.view_dirty <- true
-      | c when c = Names.hostdb && not t.hosts_dirty ->
+      | Names.Linksdb | Names.Switchdb -> t.view_dirty <- true
+      | Names.Hostdb when not t.hosts_dirty ->
           note_host t ~key:ev.Event.key
             (match ev.Event.op with
             | Event.Delete -> None
@@ -138,11 +139,10 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
       | _ -> ());
       (* Vanilla ODL pushes destination rules the moment a host is
          known (proactive forwarding). *)
-      if
-        profile.Profile.forwarding = Profile.Proactive_dst
-        && ev.Event.cache = Names.hostdb
-        && ev.Event.op <> Event.Delete
-      then !proactive_host_rules_hook t ev)
+      match (profile.Profile.forwarding, ev.Event.cache, ev.Event.op) with
+      | Profile.Proactive_dst, Names.Hostdb, (Event.Create | Event.Update) ->
+          !proactive_host_rules_hook t ev
+      | _ -> ())
   |> ignore;
   t
 

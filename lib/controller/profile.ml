@@ -143,9 +143,8 @@ let write_sync_cost t ~nodes ~cache ~op =
   match t.consistency with
   | Jury_store.Fabric.Strong -> strong_sync_cost t ~nodes
   | Jury_store.Fabric.Eventual ->
-      if
-        Jury_store.Cache_names.normalize cache
-        = Jury_store.Cache_names.flowsdb
-        && op <> Jury_store.Event.Delete
-      then Time.mul t.flow_backup_sync_per_node (max 0 (nodes - 1))
-      else Time.zero
+      match (cache, op) with
+      | Jury_store.Cache_names.Flowsdb,
+        (Jury_store.Event.Create | Jury_store.Event.Update) ->
+          Time.mul t.flow_backup_sync_per_node (max 0 (nodes - 1))
+      | _ -> Time.zero

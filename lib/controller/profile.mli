@@ -127,7 +127,8 @@ val strong_sync_cost : t -> nodes:int -> Jury_sim.Time.t
     cluster ([Time.zero] for eventually-consistent profiles). *)
 
 val write_sync_cost :
-  t -> nodes:int -> cache:string -> op:Jury_store.Event.op -> Jury_sim.Time.t
+  t -> nodes:int -> cache:Jury_store.Cache_names.t -> op:Jury_store.Event.op ->
+  Jury_sim.Time.t
 (** Pipeline stall a successful cache write costs the writer: the
     strong coordination round for strongly-consistent profiles (any
     cache), or the synchronous flow backup for eventually-consistent

@@ -19,7 +19,7 @@ and internal_work = Emit_lldp | Proactive of action list
 
 and action =
   | Cache_write of {
-      cache : string;
+      cache : Jury_store.Cache_names.t;
       op : Jury_store.Event.op;
       key : string;
       value : string;
@@ -44,7 +44,8 @@ let trigger_name = function
 let action_fingerprint = function
   | Cache_write { cache; op; key; value } ->
       String.concat "|"
-        [ "C"; cache; Jury_store.Event.op_to_string op; key; value ]
+        [ "C"; Jury_store.Cache_names.to_string cache;
+          Jury_store.Event.op_to_string op; key; value ]
   | Network_send { dpid; payload } ->
       let wire = Of_wire.encode (Of_message.make ~xid:0 payload) in
       String.concat "|"

@@ -34,7 +34,7 @@ and internal_work =
 
 and action =
   | Cache_write of {
-      cache : string;
+      cache : Jury_store.Cache_names.t;
       op : Jury_store.Event.op;
       key : string;
       value : string;

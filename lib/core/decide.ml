@@ -224,7 +224,7 @@ let rec earliest_report cache key origin found = function
       let e = c.event in
       earliest_report cache key origin
         (if
-           c.first && e.Event.cache = cache && e.Event.key = key
+           c.first && Names.equal e.Event.cache cache && e.Event.key = key
            && e.Event.origin = origin
          then here
          else found)
@@ -233,7 +233,7 @@ let rec earliest_report cache key origin found = function
 (* The earliest first report of a write to ([cache], [key]) made by
    [origin], heading its suffix of the filed reports. *)
 let first_report p ~cache ~key ~origin =
-  earliest_report (Names.normalize cache) key origin [] p.reports
+  earliest_report cache key origin [] p.reports
 
 (* Whether [w] writes the rule of ([dpid], [fm]): same switch, match
    and priority. *)
@@ -322,8 +322,7 @@ let action_consensus_fingerprint (a : Types.action) =
         (Types.Network_send
            { dpid;
              payload = Of_message.Packet_out { po with po_buffer_id = None } })
-  | Types.Cache_write { cache; op; key; value }
-    when Names.normalize cache = Names.flowsdb -> (
+  | Types.Cache_write { cache = Names.Flowsdb as cache; op; key; value } -> (
       match Values.Flow.parse value with
       | Some fm ->
           Types.action_fingerprint
@@ -566,7 +565,7 @@ let rec cache_flows origin acc = function
       let acc =
         if
           c.first
-          && ev.Event.cache = Names.flowsdb
+          && Names.equal ev.Event.cache Names.flowsdb
           && ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
         then
@@ -608,8 +607,7 @@ let rec plans_send dpid fm = function
    degraded mode asks, so the plan's values are parsed here. *)
 let rec plans_cache_flow dpid fm = function
   | [] -> false
-  | Types.Cache_write { cache; key; value; _ } :: rest
-    when Names.normalize cache = Names.flowsdb -> (
+  | Types.Cache_write { cache = Names.Flowsdb; key; value; _ } :: rest -> (
       match flow_entry key value with
       | Some (d, rule) when Dpid.equal d dpid && flows_equal rule fm -> true
       | _ -> plans_cache_flow dpid fm rest)
@@ -686,17 +684,19 @@ let rec policy_queries cfg ~origin ~external_ = function
   | [] -> []
   | Types.Cache_write { cache; op; key; value } :: rest ->
       let destination =
-        if Names.normalize cache = Names.flowsdb then
-          match Values.Flow.dpid_of_key key with
-          | Some dpid ->
-              if cfg.master_lookup dpid = Some origin then `Local else `Remote
-          | None -> `Local
-        else `Local
+        match cache with
+        | Names.Flowsdb -> (
+            match Values.Flow.dpid_of_key key with
+            | Some dpid ->
+                if cfg.master_lookup dpid = Some origin then `Local
+                else `Remote
+            | None -> `Local)
+        | _ -> `Local
       in
       let query =
         { Jury_policy.Ast.q_controller = origin;
           q_trigger = (if external_ then `External else `Internal);
-          q_cache = Names.normalize cache;
+          q_cache = cache;
           q_op = op;
           q_key = key;
           q_value = value;
@@ -782,7 +782,8 @@ let rec unobserved p ~origin = function
       | [] ->
           let f =
             omission origin
-              (Printf.sprintf "cache update %s/%s never observed" cache key)
+              (Printf.sprintf "cache update %s/%s never observed"
+                 (Names.to_string cache) key)
           in
           f :: unobserved p ~origin rest
       | _ :: _ -> unobserved p ~origin rest)

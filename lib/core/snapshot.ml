@@ -4,7 +4,8 @@ let pristine = { count = 0; digest = 0 }
 
 let event_fingerprint (ev : Jury_store.Event.t) =
   Hashtbl.hash
-    (ev.cache, Jury_store.Event.op_to_string ev.op, ev.key, ev.value,
+    (Jury_store.Cache_names.to_string ev.cache,
+     Jury_store.Event.op_to_string ev.op, ev.key, ev.value,
      ev.origin, ev.seq)
 
 let observe t ev =

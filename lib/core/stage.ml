@@ -72,7 +72,7 @@ let apply engine replica = function
 
 let is_flowsdb_write (r : Response.t) =
   match r.Response.body with
-  | Response.Cache_update ev -> ev.Event.cache = Names.flowsdb
+  | Response.Cache_update { cache = Names.Flowsdb; _ } -> true
   | _ -> false
 
 (* Items one shard buffers before every buffer replays: the bound on

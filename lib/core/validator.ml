@@ -434,7 +434,7 @@ let reattribute t ~taint ~primary ~term =
    mirror parsed from its value, if it parsed one. *)
 let update_flow_mirror t (r : Response.t) =
   match r.body with
-  | Response.Cache_update ev when ev.Event.cache = Names.flowsdb -> (
+  | Response.Cache_update ({ cache = Names.Flowsdb; _ } as ev) -> (
       match ev.Event.op with
       | Event.Delete ->
           Hashtbl.remove t.flow_mirror ev.Event.key;

@@ -5,20 +5,18 @@ module Names = Jury_store.Cache_names
 module Of_message = Jury_openflow.Of_message
 
 let drop_cache_writes_to ~cache _trigger actions =
-  let cache = Names.normalize cache in
   List.filter
     (fun (a : Types.action) ->
       match a with
-      | Types.Cache_write { cache = c; _ } -> c <> cache
+      | Types.Cache_write { cache = c; _ } -> not (Names.equal c cache)
       | Types.Network_send _ -> true)
     actions
 
 let corrupt_cache_values_to ~cache ~value _trigger actions =
-  let cache = Names.normalize cache in
   List.map
     (fun (a : Types.action) ->
       match a with
-      | Types.Cache_write cw when cw.cache = cache ->
+      | Types.Cache_write cw when Names.equal cw.cache cache ->
           Types.Cache_write { cw with value }
       | _ -> a)
     actions

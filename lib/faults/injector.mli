@@ -8,12 +8,14 @@
 module Types = Jury_controller.Types
 module Cluster = Jury_controller.Cluster
 
-val drop_cache_writes_to : cache:string -> Types.trigger -> Types.action list -> Types.action list
+val drop_cache_writes_to :
+  cache:Jury_store.Cache_names.t -> Types.trigger -> Types.action list ->
+  Types.action list
 (** Mutator: silently lose cache writes to the given cache. *)
 
 val corrupt_cache_values_to :
-  cache:string -> value:string -> Types.trigger -> Types.action list ->
-  Types.action list
+  cache:Jury_store.Cache_names.t -> value:string -> Types.trigger ->
+  Types.action list -> Types.action list
 (** Mutator: rewrite values written to the given cache. *)
 
 val drop_network_sends : Types.trigger -> Types.action list -> Types.action list
@@ -63,7 +65,8 @@ val partition : Cluster.t -> node:int -> unit
     emits replication, so its view silently diverges while it keeps
     answering from stale state. Cleared by {!heal} or {!rejoin}. *)
 
-val lock_cache : Cluster.t -> node:int -> cache:string -> unit
+val lock_cache :
+  Cluster.t -> node:int -> cache:Jury_store.Cache_names.t -> unit
 (** The ONOS "failed to obtain lock" fault. *)
 
 val heal : Cluster.t -> node:int -> unit

@@ -19,7 +19,7 @@ type rule = {
   allow : bool;
   controller : controller_sel;
   trigger : trigger_sel;
-  cache : string option;
+  cache : Jury_store.Cache_names.t option;
   operation : op_sel;
   entry : entry_check;
   destination : destination_sel;
@@ -32,7 +32,7 @@ let rule ?(name = "policy") ?(allow = false) ?(controller = Any_controller)
     allow;
     controller;
     trigger;
-    cache = Option.map Jury_store.Cache_names.normalize cache;
+    cache;
     operation;
     entry;
     destination }
@@ -40,7 +40,7 @@ let rule ?(name = "policy") ?(allow = false) ?(controller = Any_controller)
 type query = {
   q_controller : int;
   q_trigger : [ `Internal | `External ];
-  q_cache : string;
+  q_cache : Jury_store.Cache_names.t;
   q_op : Event.op;
   q_key : string;
   q_value : string;
@@ -61,10 +61,9 @@ let entry_matches check q =
       | Some fm -> Of_action.is_drop fm.Jury_openflow.Of_message.actions
       | None -> false)
 
-(* Everything but the cache-name selector. The engine dispatches on
-   the (normalised) cache name before rule matching, so re-testing it
-   per rule would both be redundant and reintroduce the case-
-   sensitivity it just removed. *)
+(* Everything but the cache-name selector: the engine dispatches on
+   the cache name before rule matching, so re-testing it per rule would
+   be redundant. *)
 let rule_matches_sans_cache r q =
   (match r.controller with
   | Any_controller -> true
@@ -81,10 +80,10 @@ let rule_matches_sans_cache r q =
   && entry_matches r.entry q
 
 let pp_query fmt q =
-  Format.fprintf fmt "query[ctrl=%d trig=%s cache=%s op=%s %s=%S dest=%s]"
+  Format.fprintf fmt "query[ctrl=%d trig=%s cache=%a op=%s %s=%S dest=%s]"
     q.q_controller
     (match q.q_trigger with `Internal -> "internal" | `External -> "external")
-    q.q_cache
+    Jury_store.Cache_names.pp q.q_cache
     (Event.op_to_string q.q_op)
     q.q_key q.q_value
     (match q.q_destination with `Local -> "local" | `Remote -> "remote")
@@ -100,7 +99,9 @@ let pp_rule fmt r =
     | Any_trigger -> "*"
     | Internal_only -> "internal"
     | External_only -> "external")
-    (Option.value r.cache ~default:"*")
+    (match r.cache with
+    | None -> "*"
+    | Some c -> Jury_store.Cache_names.to_string c)
     (match r.operation with
     | Any_op -> "*"
     | Op_is op -> Event.op_to_string op)

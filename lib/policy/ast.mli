@@ -27,7 +27,7 @@ type rule = {
   allow : bool;
   controller : controller_sel;
   trigger : trigger_sel;
-  cache : string option;  (** normalised cache name; [None] = any *)
+  cache : Jury_store.Cache_names.t option;  (** [None] = any *)
   operation : op_sel;
   entry : entry_check;
   destination : destination_sel;
@@ -35,8 +35,9 @@ type rule = {
 
 val rule :
   ?name:string -> ?allow:bool -> ?controller:controller_sel ->
-  ?trigger:trigger_sel -> ?cache:string -> ?operation:op_sel ->
-  ?entry:entry_check -> ?destination:destination_sel -> unit -> rule
+  ?trigger:trigger_sel -> ?cache:Jury_store.Cache_names.t ->
+  ?operation:op_sel -> ?entry:entry_check -> ?destination:destination_sel ->
+  unit -> rule
 (** Builder with permissive defaults (match everything, [allow =
     false]). *)
 
@@ -44,7 +45,7 @@ val rule :
 type query = {
   q_controller : int;
   q_trigger : [ `Internal | `External ];
-  q_cache : string;
+  q_cache : Jury_store.Cache_names.t;
   q_op : Jury_store.Event.op;
   q_key : string;
   q_value : string;
@@ -53,7 +54,7 @@ type query = {
 
 val rule_matches_sans_cache : rule -> query -> bool
 (** Every selector except the cache name — for callers ({!Engine},
-    {!Compiled}) that have already dispatched on the normalised cache. *)
+    {!Compiled}) that have already dispatched on the cache name. *)
 
 val entry_matches : entry_check -> query -> bool
 (** Just the entry check against the query's key/value. *)

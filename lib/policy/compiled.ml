@@ -38,7 +38,7 @@ type stats = {
 }
 
 type t = {
-  by_cache : (string, op_node) Hashtbl.t;  (* keyed on normalised names *)
+  by_cache : (Names.t, op_node) Hashtbl.t;
   cache_any : op_node;
   stats : stats;
 }
@@ -126,7 +126,7 @@ let of_rules rules =
   let caches =
     List.sort_uniq compare
       (List.filter_map
-         (fun (_, (r : Ast.rule)) -> Option.map Names.normalize r.Ast.cache)
+         (fun (_, (r : Ast.rule)) -> r.Ast.cache)
          tagged)
   in
   let by_cache = Hashtbl.create (max 1 (List.length caches)) in
@@ -138,7 +138,7 @@ let of_rules rules =
               (fun (_, (r : Ast.rule)) ->
                 match r.Ast.cache with
                 | None -> true
-                | Some rc -> Names.normalize rc = c)
+                | Some rc -> Names.equal rc c)
               tagged)))
     caches;
   let cache_any =
@@ -192,11 +192,8 @@ let leaf_check (leaf : leaf) q =
   go 0
 
 let check t (q : Ast.query) =
-  (* The residual predicates never look at [q_cache], so normalising
-     just the dispatch key suffices — the query record is not
-     rebuilt. *)
   let opn =
-    match Hashtbl.find_opt t.by_cache (Names.normalize q.Ast.q_cache) with
+    match Hashtbl.find_opt t.by_cache q.Ast.q_cache with
     | Some n -> n
     | None -> t.cache_any
   in

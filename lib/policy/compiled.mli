@@ -7,7 +7,7 @@
     over the three selectors a query always carries concretely:
 
     {v
-      cache name (normalised)  ->  operation  ->  controller id
+      cache name  ->  operation  ->  controller id
     v}
 
     Each trie level dispatches on the concrete key and falls through to
@@ -39,9 +39,7 @@ type t
 
 val of_rules : Ast.rule list -> t
 (** Compile, treating list position as rule precedence (first rule
-    wins). Cache selector keys are normalised at compile time, and
-    {!check} normalises the query's cache key, so DSL/XML policies and
-    hand-built queries cannot disagree on cache-name casing. *)
+    wins). *)
 
 val check : t -> Ast.query -> verdict
 (** First matching rule (lowest ordinal) decides; no match allows. *)

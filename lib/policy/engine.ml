@@ -1,5 +1,3 @@
-module Names = Jury_store.Cache_names
-
 (* Rules are tagged with their insertion ordinal so first-match is
    global insertion order even though storage is bucketed by cache
    name. All three stores keep newest-first lists: add_rule is a cons
@@ -8,8 +6,8 @@ module Names = Jury_store.Cache_names
 type t = {
   mutable rev_ordered : (int * Ast.rule) list;  (* newest first *)
   mutable count : int;
-  by_cache : (string, (int * Ast.rule) list ref) Hashtbl.t;
-      (* keyed on normalised cache names, newest first *)
+  by_cache : (Jury_store.Cache_names.t, (int * Ast.rule) list ref) Hashtbl.t;
+      (* newest first *)
   any_cache : (int * Ast.rule) list ref;  (* newest first *)
   mutable memo : (int * Compiled.t) option;
       (* compiled view stamped with the generation it was built at *)
@@ -23,10 +21,9 @@ let add_rule t rule =
   match rule.Ast.cache with
   | None -> t.any_cache := (ord, rule) :: !(t.any_cache)
   | Some cache -> (
-      let key = Names.normalize cache in
-      match Hashtbl.find_opt t.by_cache key with
+      match Hashtbl.find_opt t.by_cache cache with
       | Some bucket -> bucket := (ord, rule) :: !bucket
-      | None -> Hashtbl.add t.by_cache key (ref [ (ord, rule) ]))
+      | None -> Hashtbl.add t.by_cache cache (ref [ (ord, rule) ]))
 
 let create rules =
   let t =
@@ -51,10 +48,6 @@ let compiled t =
 type verdict = Compiled.verdict = Allowed | Denied of Ast.rule
 
 let check t (q : Ast.query) =
-  (* Normalise the cache key once so hand-built queries and DSL/XML
-     policies cannot disagree on casing; the rules' own cache selectors
-     were normalised into the bucket keys at add_rule. *)
-  let q = { q with Ast.q_cache = Names.normalize q.Ast.q_cache } in
   let bucket =
     match Hashtbl.find_opt t.by_cache q.Ast.q_cache with
     | Some b -> !b

@@ -6,8 +6,6 @@
     {e global insertion-order first match}: the first rule of
     {!rules} that matches the query decides, wherever its cache
     selector put it internally, and an unmatched query is allowed.
-    Cache names are normalised on both sides, so hand-built queries and
-    DSL/XML policies cannot disagree on casing.
 
     This module is the semantics of record: the hot path uses the
     {!Compiled} decision structure (via {!compiled}), which is held

@@ -217,7 +217,7 @@ let rule_of_policy_element el =
           let cache =
             match attr c "name" with
             | Some "*" | None -> None
-            | Some name -> Some name
+            | Some name -> Some (Jury_store.Cache_names.of_string name)
           in
           let* operation =
             parse_operation (Option.value (attr c "operation") ~default:"*")
@@ -280,7 +280,7 @@ let dsl_line line =
                     { rule with
                       Ast.cache =
                         (if v = "*" then None
-                         else Some (Jury_store.Cache_names.normalize v)) }
+                         else Some (Jury_store.Cache_names.of_string v)) }
               | "op" | "operation" ->
                   let* op = parse_operation v in
                   Ok { rule with Ast.operation = op }
@@ -308,3 +308,20 @@ let dsl src =
          Ok (rule :: acc))
        (Ok [])
   |> Result.map List.rev
+
+let lint rules =
+  let held =
+    String.concat " "
+      (List.map Jury_store.Cache_names.to_string Jury_store.Cache_names.all)
+  in
+  List.filter_map
+    (fun (r : Ast.rule) ->
+      match r.cache with
+      | Some (Jury_store.Cache_names.Other name) ->
+          Some
+            (Printf.sprintf
+               "warning: rule %s names cache %s, which the store does not \
+                hold (it holds %s); the rule can never match"
+               r.name name held)
+      | _ -> None)
+    rules

@@ -26,3 +26,9 @@ val xml : string -> (Ast.rule list, string) result
 
 val dsl : string -> (Ast.rule list, string) result
 val dsl_line : string -> (Ast.rule, string) result
+
+val lint : Ast.rule list -> string list
+(** One warning per rule whose cache is none of the store's
+    ({!Jury_store.Cache_names.Other}): such a rule can never match. Each
+    warning lists the names the store holds. The paper's own [EdgesDB]
+    is one — the store's cache is [EDGEDB]. *)

@@ -1,16 +1,44 @@
-let arpdb = "ARPDB"
-let hostdb = "HOSTDB"
-let edgedb = "EDGEDB"
-let linksdb = "LINKSDB"
-let flowsdb = "FLOWSDB"
-let switchdb = "SWITCHDB"
-let masterdb = "MASTERDB"
-let all = [ arpdb; hostdb; edgedb; linksdb; flowsdb; switchdb; masterdb ]
-(* Allocation-free when the name is already normalised — the validator
-   and the compiled policy trie normalise every query's cache key on
-   the per-response path. *)
-let rec has_lower s i =
-  i < String.length s && ((s.[i] >= 'a' && s.[i] <= 'z') || has_lower s (i + 1))
+type t =
+  | Arpdb
+  | Edgedb
+  | Flowsdb
+  | Hostdb
+  | Linksdb
+  | Masterdb
+  | Switchdb
+  | Other of string
 
-let normalize s = if has_lower s 0 then String.uppercase_ascii s else s
-let is_known name = List.mem (normalize name) all
+let arpdb = Arpdb
+let hostdb = Hostdb
+let edgedb = Edgedb
+let linksdb = Linksdb
+let flowsdb = Flowsdb
+let switchdb = Switchdb
+let masterdb = Masterdb
+let all = [ Arpdb; Edgedb; Flowsdb; Hostdb; Linksdb; Masterdb; Switchdb ]
+
+let to_string = function
+  | Arpdb -> "ARPDB"
+  | Edgedb -> "EDGEDB"
+  | Flowsdb -> "FLOWSDB"
+  | Hostdb -> "HOSTDB"
+  | Linksdb -> "LINKSDB"
+  | Masterdb -> "MASTERDB"
+  | Switchdb -> "SWITCHDB"
+  | Other s -> s
+
+let of_string s =
+  match String.uppercase_ascii s with
+  | "ARPDB" -> Arpdb
+  | "EDGEDB" -> Edgedb
+  | "FLOWSDB" -> Flowsdb
+  | "HOSTDB" -> Hostdb
+  | "LINKSDB" -> Linksdb
+  | "MASTERDB" -> Masterdb
+  | "SWITCHDB" -> Switchdb
+  | other -> Other other
+
+let equal a b =
+  match (a, b) with Other x, Other y -> String.equal x y | _ -> a == b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -1,22 +1,42 @@
-(** Well-known controller-wide cache names.
+(** Controller-wide cache names.
 
-    These mirror the data stores the paper's policy language (Table 2)
-    enumerates: ARP bindings, discovered hosts, topology edges/links,
-    flow rules, connected switches and switch mastership. *)
+    The seven constructors are the data stores the paper's policy
+    language (Table 2) enumerates and the store holds: ARP bindings,
+    topology edges, flow rules, discovered hosts, links, switch
+    mastership and connected switches, declared in the order of their
+    spellings. [Other] carries any other name a policy or a test spells
+    — upper-cased, and never one of the seven.
 
-val arpdb : string
-val hostdb : string
-val edgedb : string
-val linksdb : string
-val flowsdb : string
-val switchdb : string
-val masterdb : string
+    The type is private: {!of_string} is the only way text becomes a
+    name, so every comparison is a constructor match and case is
+    decided once, here. *)
 
-val all : string list
+type t = private
+  | Arpdb
+  | Edgedb
+  | Flowsdb
+  | Hostdb
+  | Linksdb
+  | Masterdb
+  | Switchdb
+  | Other of string
 
-val is_known : string -> bool
-(** Case-insensitive membership in {!all}. *)
+val arpdb : t
+val hostdb : t
+val edgedb : t
+val linksdb : t
+val flowsdb : t
+val switchdb : t
+val masterdb : t
 
-val normalize : string -> string
-(** Uppercases, so "FlowsDB" and "FLOWSDB" compare equal; policy parsing
-    and the validator both normalise through here. *)
+val all : t list
+(** The seven names the store holds, in the order of their spellings. *)
+
+val of_string : string -> t
+(** Ignores case: ["FlowsDB"] and ["FLOWSDB"] are both {!flowsdb}. *)
+
+val to_string : t -> string
+(** The upper-case spelling; allocation-free. *)
+
+val equal : t -> t -> bool
+val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 type op = Create | Update | Delete
 
 type t = {
-  cache : string;
+  cache : Cache_names.t;
   op : op;
   key : string;
   value : string;
@@ -29,12 +29,13 @@ let framing_overhead = 1150
    hundreds of bytes beyond the raw key/value. *)
 
 let wire_size t =
-  framing_overhead + String.length t.cache + String.length t.key
-  + String.length t.value
+  framing_overhead
+  + String.length (Cache_names.to_string t.cache)
+  + String.length t.key + String.length t.value
   + match t.taint with None -> 0 | Some taint -> Taint.printed_length taint
 
 let pp fmt t =
-  Format.fprintf fmt "%s[%s %s=%S origin=%d seq=%d]" t.cache
+  Format.fprintf fmt "%a[%s %s=%S origin=%d seq=%d]" Cache_names.pp t.cache
     (op_to_string t.op) t.key t.value t.origin t.seq
 
 let equal (a : t) b = a = b

@@ -10,7 +10,7 @@
 type op = Create | Update | Delete
 
 type t = {
-  cache : string;   (** normalised cache name, see {!Cache_names} *)
+  cache : Cache_names.t;
   op : op;
   key : string;
   value : string;   (** serialised entry; "" for [Delete] *)

@@ -25,9 +25,9 @@ let default_strong_profile =
     strong_round_per_node = Time.of_float_us 350. }
 
 type node_state = {
-  caches : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  caches : (Cache_names.t, (string, string) Hashtbl.t) Hashtbl.t;
   mutable listeners : (local:bool -> Event.t -> unit) list;
-  locked : (string, unit) Hashtbl.t;
+  locked : (Cache_names.t, unit) Hashtbl.t;
   mutable partitioned : bool;
 }
 
@@ -103,7 +103,7 @@ let trace_apply t node (ev : Event.t) ~local =
         Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine)
           ~taint:(Taint.to_string taint)
           ~phase:Jury_obs.Trace.Cache_write ~node
-          [ ("cache", ev.cache);
+          [ ("cache", Cache_names.to_string ev.cache);
             ("op", Event.op_to_string ev.op);
             ("key", ev.key);
             ("origin", string_of_int ev.origin);
@@ -166,7 +166,7 @@ let replicate t ~origin (ev : Event.t) =
 
 let next_event t ~node ?taint ~cache op ~key ~value () =
   t.seqs.(node) <- t.seqs.(node) + 1;
-  { Event.cache = Cache_names.normalize cache;
+  { Event.cache;
     op;
     key;
     value;
@@ -177,7 +177,6 @@ let next_event t ~node ?taint ~cache op ~key ~value () =
 let write t ~node ?taint ~cache op ~key ~value =
   check_node t node;
   let st = t.node_states.(node) in
-  let cache = Cache_names.normalize cache in
   if Hashtbl.mem st.locked cache then Error "failed to obtain lock"
   else begin
     let ev = next_event t ~node ?taint ~cache op ~key ~value () in
@@ -189,14 +188,14 @@ let write t ~node ?taint ~cache op ~key ~value =
 let read t ~node ~cache ~key =
   check_node t node;
   let st = t.node_states.(node) in
-  match Hashtbl.find_opt st.caches (Cache_names.normalize cache) with
+  match Hashtbl.find_opt st.caches cache with
   | None -> None
   | Some tbl -> Hashtbl.find_opt tbl key
 
 let entries t ~node ~cache =
   check_node t node;
   let st = t.node_states.(node) in
-  match Hashtbl.find_opt st.caches (Cache_names.normalize cache) with
+  match Hashtbl.find_opt st.caches cache with
   | None -> []
   | Some tbl ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -233,7 +232,6 @@ let sync_cost t =
 let set_cache_locked t ~node ~cache locked =
   check_node t node;
   let st = t.node_states.(node) in
-  let cache = Cache_names.normalize cache in
   if locked then Hashtbl.replace st.locked cache ()
   else Hashtbl.remove st.locked cache
 
@@ -262,9 +260,7 @@ let resync t ~from ~node =
 
 let inject_divergent_write t ~node ~cache op ~key ~value =
   check_node t node;
-  let ev =
-    next_event t ~node ~cache:(Cache_names.normalize cache) op ~key ~value ()
-  in
+  let ev = next_event t ~node ~cache op ~key ~value () in
   apply_event t node ev ~local:true;
   ev
 

@@ -54,18 +54,18 @@ val standalone : t -> bool
     never replicate). *)
 
 val write :
-  t -> node:int -> ?taint:Taint.t -> cache:string -> Event.op -> key:string ->
-  value:string -> (Event.t, string) result
+  t -> node:int -> ?taint:Taint.t -> cache:Cache_names.t -> Event.op ->
+  key:string -> value:string -> (Event.t, string) result
 (** Issues a cache update from [node]. Applies locally (unless the
     cache is locked at that node — the ONOS database-locking fault),
     replicates to all non-partitioned peers, fires listeners. Returns
     the event as seen on the wire. *)
 
-val read : t -> node:int -> cache:string -> key:string -> string option
-val entries : t -> node:int -> cache:string -> (string * string) list
+val read : t -> node:int -> cache:Cache_names.t -> key:string -> string option
+val entries : t -> node:int -> cache:Cache_names.t -> (string * string) list
 (** Sorted by key. *)
 
-val entry_count : t -> node:int -> cache:string -> int
+val entry_count : t -> node:int -> cache:Cache_names.t -> int
 
 val subscribe : t -> node:int -> listener -> unit
 
@@ -82,7 +82,7 @@ val strong_acquire : t -> Jury_sim.Time.t
 
 (** {1 Fault hooks} *)
 
-val set_cache_locked : t -> node:int -> cache:string -> bool -> unit
+val set_cache_locked : t -> node:int -> cache:Cache_names.t -> bool -> unit
 (** While locked, {!write} at that node fails with
     ["failed to obtain lock"]. *)
 
@@ -100,8 +100,8 @@ val resync : t -> from:int -> node:int -> unit
     [from = node]. *)
 
 val inject_divergent_write :
-  t -> node:int -> cache:string -> Event.op -> key:string -> value:string ->
-  Event.t
+  t -> node:int -> cache:Cache_names.t -> Event.op -> key:string ->
+  value:string -> Event.t
 (** Applies a write at [node] only, {e without} replication — simulates
     a faulty replica whose state silently diverges. Listeners at [node]
     still fire (the node believes the write is normal). *)

@@ -6,6 +6,7 @@
 
 open Jury_sim
 module Types = Jury_controller.Types
+module Names = Jury_store.Cache_names
 module Validator = Jury.Validator
 module Counter = Jury.Counter
 module Response = Jury.Response
@@ -184,7 +185,7 @@ let test_reregistered_trigger_expires_in_its_epoch () =
         term = 0;
         body =
           Response.Cache_update
-            { Jury_store.Event.cache = "HOSTDB"; op = Jury_store.Event.Create;
+            { Jury_store.Event.cache = Names.hostdb; op = Jury_store.Event.Create;
               key = "h"; value = "v"; origin = 3; seq = 7;
               taint = Some taint } }
   in
@@ -434,7 +435,7 @@ let test_stage_rejects_what_it_cannot_replicate () =
     (attach
        ~policies:
          (Jury_policy.Engine.create
-            [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ])
+            [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:Names.linksdb () ])
        ());
   check "two at once, both named"
     "Stage.attach: retransmit must be None; max_inflight must be None"

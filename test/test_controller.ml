@@ -484,7 +484,7 @@ let response_fingerprints actions =
 let test_fingerprints () =
   let a =
     Types.Cache_write
-      { cache = "HOSTDB"; op = Jury_store.Event.Create; key = "k"; value = "v" }
+      { cache = Names.hostdb; op = Jury_store.Event.Create; key = "k"; value = "v" }
   in
   let b =
     Types.Network_send

@@ -57,7 +57,7 @@ let send port = flow_send (rule port)
 (* A snapshot other than [Snapshot.pristine]. *)
 let other_view =
   Snapshot.observe Snapshot.pristine
-    { Event.cache = "HOSTDB"; op = Event.Create; key = "h"; value = "v";
+    { Event.cache = Names.hostdb; op = Event.Create; key = "h"; value = "v";
       origin = 3; seq = 1; taint = None }
 
 let response ?(snapshot = Snapshot.pristine) ?(taint = taint) controller body =
@@ -84,8 +84,7 @@ let on_wire ?taint sender flow =
 let file ~mirror p (r : Response.t) =
   let rule =
     match r.body with
-    | Response.Cache_update { cache; op; key; value; _ }
-      when cache = Names.flowsdb -> (
+    | Response.Cache_update { cache = Names.Flowsdb; op; key; value; _ } -> (
         match op with
         | Event.Delete ->
             Hashtbl.remove mirror key;
@@ -111,11 +110,11 @@ let config ?policies ?degraded_quorum ?state_aware () =
 
 let no_linksdb =
   Jury_policy.Engine.create
-    [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ]
+    [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:Names.linksdb () ]
 
 let no_remote_flows =
   Jury_policy.Engine.create
-    [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:"FLOWSDB"
+    [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:Names.flowsdb
         ~destination:Jury_policy.Ast.Remote_only () ]
 
 let ints l = String.concat "," (List.map string_of_int l)
@@ -245,7 +244,8 @@ let cases () =
       ~cfg:
         { (config ~policies:no_remote_flows ()) with
           Decide.master_lookup = (fun _ -> Some 1) }
-      [ execution 0 `Primary [ flow_write ~cache:"flowsdb" a; flow_send a ];
+      [ execution 0 `Primary
+          [ flow_write ~cache:(Names.of_string "flowsdb") a; flow_send a ];
         flow_event 0 a; on_wire 0 a ]
       (Alarm.Faulty [ Alarm.Policy_violation "no-remote-flows" ])
       ~suspects:[ 0 ]
@@ -590,7 +590,7 @@ let gen_scenario st =
       [ None; Some no_linksdb;
         Some
           (Jury_policy.Engine.create
-             [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:"FLOWSDB"
+             [ Jury_policy.Ast.rule ~name:"no-remote-flows" ~cache:Names.flowsdb
                  ~destination:Jury_policy.Ast.Remote_only () ]) ]
   in
   let cfg =

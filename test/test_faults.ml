@@ -5,6 +5,7 @@ module Scenarios = Jury_faults.Scenarios
 module Runner = Jury_experiments.Runner
 module Injector = Jury_faults.Injector
 module Types = Jury_controller.Types
+module Names = Jury_store.Cache_names
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -40,7 +41,8 @@ let test_injector_mutators () =
   let trigger = Types.Internal { app = "t"; work = Types.Proactive [] } in
   let cache_write =
     Types.Cache_write
-      { cache = "LINKSDB"; op = Jury_store.Event.Update; key = "k"; value = "up" }
+      { cache = Names.linksdb; op = Jury_store.Event.Update; key = "k";
+        value = "up" }
   in
   let net_send =
     Types.Network_send
@@ -53,10 +55,14 @@ let test_injector_mutators () =
   in
   let actions = [ cache_write; net_send ] in
   check_int "drop cache writes" 1
-    (List.length (Injector.drop_cache_writes_to ~cache:"LINKSDB" trigger actions));
+    (List.length
+       (Injector.drop_cache_writes_to ~cache:Names.linksdb trigger actions));
   check_int "drop network" 1
     (List.length (Injector.drop_network_sends trigger actions));
-  (match Injector.corrupt_cache_values_to ~cache:"LINKSDB" ~value:"down" trigger actions with
+  (match
+     Injector.corrupt_cache_values_to ~cache:Names.linksdb ~value:"down"
+       trigger actions
+   with
   | [ Types.Cache_write { value = "down"; _ }; _ ] -> ()
   | _ -> Alcotest.fail "corruption failed");
   (match Injector.blackhole_flow_mods trigger actions with
@@ -66,9 +72,31 @@ let test_injector_mutators () =
   check_int "compose" 0
     (List.length
        (Injector.compose
-          [ Injector.drop_cache_writes_to ~cache:"LINKSDB";
+          [ Injector.drop_cache_writes_to ~cache:Names.linksdb;
             Injector.drop_network_sends ]
           trigger actions))
+
+(* A plan may spell a cache in any case: the mutator matches the cache,
+   not the spelling. *)
+let test_injector_any_spelling () =
+  let trigger = Types.Internal { app = "t"; work = Types.Proactive [] } in
+  let write cache =
+    Types.Cache_write
+      { cache = Names.of_string cache; op = Jury_store.Event.Update;
+        key = "k"; value = "up" }
+  in
+  let actions = [ write "linksdb"; write "LinksDB"; write "HOSTDB" ] in
+  (match Injector.drop_cache_writes_to ~cache:Names.linksdb trigger actions with
+  | [ Types.Cache_write { cache; _ } ] ->
+      check_bool "only HOSTDB survives" true (cache = Names.hostdb)
+  | kept -> Alcotest.failf "%d writes kept, want 1" (List.length kept));
+  check_int "every spelling corrupted" 2
+    (List.length
+       (List.filter
+          (function
+            | Types.Cache_write { value = "down"; _ } -> true | _ -> false)
+          (Injector.corrupt_cache_values_to ~cache:Names.linksdb ~value:"down"
+             trigger actions)))
 
 let test_detection_attribution () =
   (* The runner must attribute the alarm to the armed replica, not just
@@ -91,6 +119,7 @@ let test_detection_under_m2 () =
 let suite =
   [ ("catalog complete", `Quick, test_catalog_complete);
     ("injector mutators", `Quick, test_injector_mutators);
+    ("injector matches any spelling", `Quick, test_injector_any_spelling);
     ("detection attribution", `Slow, test_detection_attribution);
     ("detection with m=2", `Slow, test_detection_under_m2) ]
   @ List.map scenario_case Scenarios.all

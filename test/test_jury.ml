@@ -22,7 +22,7 @@ let check_bool = Alcotest.(check bool)
 
 (* --- Snapshot --- *)
 
-let ev ?(origin = 0) ?(seq = 1) ?(cache = "HOSTDB") ?(key = "k") ?(value = "v")
+let ev ?(origin = 0) ?(seq = 1) ?(cache = Names.hostdb) ?(key = "k") ?(value = "v")
     () =
   { Event.cache; op = Event.Create; key; value; origin; seq; taint = None }
 
@@ -612,7 +612,7 @@ let test_validator_write_failure () =
 let test_validator_policy_check () =
   let policies =
     Jury_policy.Engine.create
-      [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ]
+      [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:Names.linksdb () ]
   in
   let engine, v = mk_validator ~k:0 ~policies () in
   let actions =

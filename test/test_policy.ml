@@ -10,6 +10,7 @@ module Values = Jury_controller.Values
 module Of_match = Jury_openflow.Of_match
 module Of_message = Jury_openflow.Of_message
 module Of_action = Jury_openflow.Of_action
+module Names = Jury_store.Cache_names
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -42,7 +43,8 @@ let test_dsl_line () =
       Alcotest.(check string) "name" "r1" r.Ast.name;
       check_bool "ctrl" true (r.Ast.controller = Ast.Controller_id 3);
       check_bool "trigger" true (r.Ast.trigger = Ast.Internal_only);
-      Alcotest.(check (option string)) "cache" (Some "EDGEDB") r.Ast.cache;
+      Alcotest.(check (option string)) "cache" (Some "EDGEDB")
+        (Option.map Names.to_string r.Ast.cache);
       check_bool "op" true (r.Ast.operation = Ast.Op_is Event.Update);
       check_bool "dest" true (r.Ast.destination = Ast.Remote_only)
 
@@ -74,9 +76,24 @@ let test_xml_fig3 () =
       check_bool "deny" false r.Ast.allow;
       check_bool "internal" true (r.Ast.trigger = Ast.Internal_only);
       Alcotest.(check (option string)) "cache normalised" (Some "EDGESDB")
-        r.Ast.cache;
+        (Option.map Names.to_string r.Ast.cache);
       check_bool "any controller" true (r.Ast.controller = Ast.Any_controller)
   | Ok _ -> Alcotest.fail "expected exactly one rule"
+
+(* The paper's [EdgesDB] is no cache the store holds (it holds EDGEDB):
+   lint says so, and names the seven it does hold; a rule on a held
+   cache, in any spelling, draws no warning. *)
+let test_lint_unknown_cache () =
+  match Parse.xml fig3, Parse.dsl "deny cache=edgeDb\nallow cache=*" with
+  | Ok paper, Ok held -> (
+      check_int "held caches draw no warning" 0
+        (List.length (Parse.lint held));
+      Alcotest.(check (list string)) "one warning for EdgesDB"
+        [ "warning: rule no-proactive-edges names cache EDGESDB, which the \
+           store does not hold (it holds ARPDB EDGEDB FLOWSDB HOSTDB LINKSDB \
+           MASTERDB SWITCHDB); the rule can never match" ]
+        (Parse.lint (paper @ held)))
+  | Error e, _ | _, Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_xml_multiple_and_checks () =
   let src =
@@ -101,7 +118,7 @@ let test_xml_errors () =
 let base_query =
   { Ast.q_controller = 1;
     q_trigger = `External;
-    q_cache = "LINKSDB";
+    q_cache = Names.linksdb;
     q_op = Event.Update;
     q_key = "l1";
     q_value = "down";
@@ -111,8 +128,8 @@ let test_engine_first_match () =
   let engine =
     Engine.create
       [ Ast.rule ~name:"allow-ctrl1" ~allow:true ~controller:(Ast.Controller_id 1)
-          ~cache:"LINKSDB" ();
-        Ast.rule ~name:"deny-all" ~cache:"LINKSDB" () ]
+          ~cache:Names.linksdb ();
+        Ast.rule ~name:"deny-all" ~cache:Names.linksdb () ]
   in
   (match Engine.check engine base_query with
   | Engine.Allowed -> ()
@@ -122,7 +139,7 @@ let test_engine_first_match () =
   | Engine.Allowed -> Alcotest.fail "controller 2 should be denied"
 
 let test_engine_default_allow () =
-  let engine = Engine.create [ Ast.rule ~cache:"FLOWSDB" () ] in
+  let engine = Engine.create [ Ast.rule ~cache:Names.flowsdb () ] in
   match Engine.check engine base_query with
   | Engine.Allowed -> ()
   | Engine.Denied _ -> Alcotest.fail "non-matching cache must default-allow"
@@ -131,9 +148,9 @@ let test_engine_trigger_and_dest () =
   let engine =
     Engine.create
       [ Ast.rule ~name:"internal-only" ~trigger:Ast.Internal_only
-          ~cache:"LINKSDB" ();
+          ~cache:Names.linksdb ();
         Ast.rule ~name:"remote-only" ~destination:Ast.Remote_only
-          ~cache:"FLOWSDB" () ]
+          ~cache:Names.flowsdb () ]
   in
   check_bool "external passes internal-only rule" true
     (Engine.check engine base_query = Engine.Allowed);
@@ -141,7 +158,7 @@ let test_engine_trigger_and_dest () =
     (match Engine.check engine { base_query with Ast.q_trigger = `Internal } with
     | Engine.Denied r -> r.Ast.name = "internal-only"
     | Engine.Allowed -> false);
-  let flow_q = { base_query with Ast.q_cache = "FLOWSDB" } in
+  let flow_q = { base_query with Ast.q_cache = Names.flowsdb } in
   check_bool "local passes remote-only" true
     (Engine.check engine flow_q = Engine.Allowed);
   check_bool "remote denied" true
@@ -156,10 +173,10 @@ let test_engine_flow_checks () =
   in
   let engine =
     Engine.create
-      [ Ast.rule ~name:"hier" ~cache:"FLOWSDB" ~entry:Ast.Flow_hierarchy_violation ();
-        Ast.rule ~name:"nodrop" ~cache:"FLOWSDB" ~entry:Ast.Flow_drops_packets () ]
+      [ Ast.rule ~name:"hier" ~cache:Names.flowsdb ~entry:Ast.Flow_hierarchy_violation ();
+        Ast.rule ~name:"nodrop" ~cache:Names.flowsdb ~entry:Ast.Flow_drops_packets () ]
   in
-  let q value = { base_query with Ast.q_cache = "FLOWSDB"; q_value = value } in
+  let q value = { base_query with Ast.q_cache = Names.flowsdb; q_value = value } in
   check_bool "bad hierarchy denied" true
     (match Engine.check engine (q (Values.Flow.value bad_flow)) with
     | Engine.Denied r -> r.Ast.name = "hier"
@@ -174,10 +191,10 @@ let test_engine_flow_checks () =
     (Engine.check engine (q (Values.Flow.value good)) = Engine.Allowed)
 
 let test_check_all () =
-  let engine = Engine.create [ Ast.rule ~name:"d" ~cache:"LINKSDB" () ] in
+  let engine = Engine.create [ Ast.rule ~name:"d" ~cache:Names.linksdb () ] in
   let qs =
     [ base_query;
-      { base_query with Ast.q_cache = "FLOWSDB" };
+      { base_query with Ast.q_cache = Names.flowsdb };
       { base_query with Ast.q_key = "l2" } ]
   in
   check_int "two violations" 2 (List.length (Engine.check_all engine qs))
@@ -198,7 +215,7 @@ let test_wildcard_before_specific () =
   let engine =
     Engine.create
       [ Ast.rule ~name:"deny-everything" ();  (* cache wildcard, first *)
-        Ast.rule ~name:"allow-links" ~allow:true ~cache:"LINKSDB" () ]
+        Ast.rule ~name:"allow-links" ~allow:true ~cache:Names.linksdb () ]
   in
   (match Engine.check engine base_query with
   | Engine.Denied r ->
@@ -216,7 +233,7 @@ let test_wildcard_before_specific () =
 let test_deny_then_allow_order () =
   (* Specific deny before wildcard allow: deny wins; swapped, allow
      wins. Pure insertion order, wherever the rules are bucketed. *)
-  let deny = Ast.rule ~name:"deny-links" ~cache:"LINKSDB" () in
+  let deny = Ast.rule ~name:"deny-links" ~cache:Names.linksdb () in
   let allow = Ast.rule ~name:"allow-all" ~allow:true () in
   (match Engine.check (Engine.create [ deny; allow ]) base_query with
   | Engine.Denied r -> Alcotest.(check string) "deny first" "deny-links" r.Ast.name
@@ -231,12 +248,12 @@ let test_empty_bucket_falls_through () =
   let engine =
     Engine.create [ Ast.rule ~name:"wild" ~trigger:Ast.External_only () ]
   in
-  (match Engine.check engine { base_query with Ast.q_cache = "SWITCHDB" } with
+  (match Engine.check engine { base_query with Ast.q_cache = Names.switchdb } with
   | Engine.Denied r -> Alcotest.(check string) "wildcard" "wild" r.Ast.name
   | Engine.Allowed -> Alcotest.fail "wildcard must apply to unbucketed cache");
-  let specific = Engine.create [ Ast.rule ~cache:"FLOWSDB" () ] in
+  let specific = Engine.create [ Ast.rule ~cache:Names.flowsdb () ] in
   check_bool "no rule matches -> allowed" true
-    (Engine.check specific { base_query with Ast.q_cache = "SWITCHDB" }
+    (Engine.check specific { base_query with Ast.q_cache = Names.switchdb }
     = Engine.Allowed)
 
 let test_add_rule_appends_at_lowest_precedence () =
@@ -258,20 +275,20 @@ let test_mixed_case_cache () =
     | Ok e -> e
     | Error e -> Alcotest.failf "dsl: %s" e
   in
-  let q = { base_query with Ast.q_cache = "edgeDb" } in
+  let q = { base_query with Ast.q_cache = Names.of_string "edgeDb" } in
   (match Engine.check engine q with
-  | Engine.Denied r -> Alcotest.(check string) "normalised" "no-edges" r.Ast.name
+  | Engine.Denied r -> Alcotest.(check string) "one name" "no-edges" r.Ast.name
   | Engine.Allowed -> Alcotest.fail "cache casing must not defeat the rule");
-  check_bool "compiled normalises too" true
+  check_bool "compiled agrees" true
     (match Compiled.check (Engine.compiled engine) q with
     | Compiled.Denied _ -> true
     | Compiled.Allowed -> false);
-  (* Rule built straight from the record (bypassing the normalising
-     smart constructor): the engine normalises at add_rule. *)
+  (* Rule built straight from the record, bypassing the smart
+     constructor. *)
   let raw =
     Engine.create
       [ { Ast.name = "raw"; allow = false; controller = Ast.Any_controller;
-          trigger = Ast.Any_trigger; cache = Some "LinksDB";
+          trigger = Ast.Any_trigger; cache = Some (Names.of_string "LinksDB");
           operation = Ast.Any_op; entry = Ast.Entry_any;
           destination = Ast.Any_dest } ]
   in
@@ -282,10 +299,10 @@ let test_mixed_case_cache () =
 
 let test_compiled_equivalence_and_sharing () =
   let rules =
-    [ Ast.rule ~name:"d0" ~controller:(Ast.Controller_id 1) ~cache:"LINKSDB" ();
-      Ast.rule ~name:"a1" ~allow:true ~cache:"LINKSDB"
+    [ Ast.rule ~name:"d0" ~controller:(Ast.Controller_id 1) ~cache:Names.linksdb ();
+      Ast.rule ~name:"a1" ~allow:true ~cache:Names.linksdb
         ~operation:(Ast.Op_is Event.Update) ();
-      Ast.rule ~name:"d2" ~cache:"FLOWSDB" ~entry:Ast.Flow_drops_packets ();
+      Ast.rule ~name:"d2" ~cache:Names.flowsdb ~entry:Ast.Flow_drops_packets ();
       Ast.rule ~name:"d3" ~trigger:Ast.Internal_only () ]
   in
   let engine = Engine.create rules in
@@ -294,8 +311,8 @@ let test_compiled_equivalence_and_sharing () =
   let queries =
     [ base_query;
       { base_query with Ast.q_controller = 2 };
-      { base_query with Ast.q_cache = "FLOWSDB" };
-      { base_query with Ast.q_trigger = `Internal; Ast.q_cache = "ARPDB" };
+      { base_query with Ast.q_cache = Names.flowsdb };
+      { base_query with Ast.q_trigger = `Internal; Ast.q_cache = Names.arpdb };
       { base_query with Ast.q_op = Event.Delete } ]
   in
   List.iter
@@ -304,7 +321,7 @@ let test_compiled_equivalence_and_sharing () =
       | Engine.Allowed, Compiled.Allowed -> ()
       | Engine.Denied r1, Compiled.Denied r2 ->
           check_bool "physically identical rule" true (r1 == r2)
-      | _ -> Alcotest.failf "verdicts diverge on %s" q.Ast.q_cache)
+      | _ -> Alcotest.failf "verdicts diverge on %s" (Names.to_string q.Ast.q_cache))
     queries;
   let st = Compiled.stats compiled in
   check_int "rules counted" 4 st.Compiled.st_rules;
@@ -312,10 +329,10 @@ let test_compiled_equivalence_and_sharing () =
   check_bool "sharing collapses leaves" true
     (st.Compiled.st_distinct_leaves <= st.Compiled.st_leaves);
   (* add_rule invalidates the memo and the recompiled trie agrees. *)
-  Engine.add_rule engine (Ast.rule ~name:"d4" ~cache:"ARPDB" ());
+  Engine.add_rule engine (Ast.rule ~name:"d4" ~cache:Names.arpdb ());
   let recompiled = Engine.compiled engine in
   check_bool "recompiled" true (recompiled != compiled);
-  let q = { base_query with Ast.q_cache = "ARPDB" } in
+  let q = { base_query with Ast.q_cache = Names.arpdb } in
   check_bool "new rule visible" true
     (Compiled.check recompiled q <> Compiled.Allowed
     && Engine.check engine q <> Engine.Allowed)
@@ -381,6 +398,7 @@ let suite =
     ("dsl document", `Quick, test_dsl_document);
     ("dsl errors", `Quick, test_dsl_errors);
     ("xml fig3 policy", `Quick, test_xml_fig3);
+    ("lint unknown cache", `Quick, test_lint_unknown_cache);
     ("xml multiple + checks", `Quick, test_xml_multiple_and_checks);
     ("xml errors", `Quick, test_xml_errors);
     ("engine first match", `Quick, test_engine_first_match);
