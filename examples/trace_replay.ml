@@ -24,7 +24,7 @@ let run_trace (profile : Traces.profile) =
   Setup.run_for env (Time.sec 7);
   let decided = Jury.Validator.decided_count validator - before_decided in
   let faults = Jury.Validator.fault_count validator - before_faults in
-  let times = Jury.Validator.detection_times_ms validator in
+  let times = (Jury.Report.of_validator validator).detection_ms in
   let s = Summary.of_array times in
   Printf.printf
     "%-5s rate=%5.0f/s burst=%.1f  validated=%-6d false-alarms=%d (%.2f%%)  \

@@ -216,7 +216,8 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us ?trace
   { fp = fingerprint_of_validator validator;
     pending_after_flush = Validator.pending_count validator;
     alarm_count = List.length (Validator.alarms validator);
-    detection_count = Array.length (Validator.detection_times_ms validator);
+    detection_count =
+      Array.length (Jury.Report.of_validator validator).detection_ms;
     counters = Validator.counters validator;
     epoch = Validator.current_epoch validator;
     links = Jury.Deployment.channel_stats deployment;

@@ -28,7 +28,7 @@ type outcome = {
   fp : fingerprint;
   pending_after_flush : int;
   alarm_count : int;       (** [Validator.alarms] length *)
-  detection_count : int;   (** [Validator.detection_times_ms] length *)
+  detection_count : int;   (** [Jury.Report.detection_ms] length *)
   counters : (Jury.Counter.t * int) list;  (** {!Jury.Validator.counters} *)
   epoch : int;
   links : (string * Jury.Channel.stats) list;

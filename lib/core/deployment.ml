@@ -709,10 +709,3 @@ let channel_stats t =
 
 let channel_totals t =
   Channel.total (List.map snd (channel_stats t))
-
-let reset_accounting t =
-  t.replication_bytes <- 0;
-  t.validator_bytes <- 0;
-  t.chatter_bytes_total <- 0;
-  t.replicated_triggers <- 0;
-  t.decap_samples <- []

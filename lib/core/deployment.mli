@@ -115,9 +115,6 @@ val decap_samples_us : t -> float array
 val replicated_trigger_count : t -> int
 (** External triggers intercepted and replicated so far. *)
 
-val reset_accounting : t -> unit
-(** Zero the byte and trigger counters above (e.g. after warm-up). *)
-
 (** {1 Channel health} *)
 
 val channel_stats : t -> (string * Channel.stats) list

@@ -17,6 +17,8 @@ type t = {
   overload : int;
   faulty : int;
   suspects : suspect_row list;
+  alarms : Alarm.t list;
+  detection_ms : float array;
   detection : Jury_stats.Summary.t option;
 }
 
@@ -25,9 +27,28 @@ let bump tbl key f init =
   | Some v -> Hashtbl.replace tbl key (f v)
   | None -> Hashtbl.replace tbl key (f init)
 
-let of_validator v =
-  let verdicts = Validator.verdicts v in
-  let faulty_alarms = List.filter Alarm.is_fault verdicts in
+let of_validator ?(since = Time.zero) v =
+  let ok = ref 0 and non_deterministic = ref 0 and unverifiable = ref 0
+  and degraded = ref 0 and overload = ref 0 and faulty = ref 0 in
+  (* Newest first, so consing leaves the samples oldest first. *)
+  let samples =
+    Validator.fold_since v ~since ~init:[]
+      (fun acc verdict ~trigger_at ~decided_at ->
+        incr
+          (match (verdict : Alarm.verdict) with
+          | Ok_valid -> ok
+          | Ok_non_deterministic -> non_deterministic
+          | Ok_unverifiable -> unverifiable
+          | Ok_degraded -> degraded
+          | Overload -> overload
+          | Faulty _ -> faulty);
+        Time.to_float_ms (Time.sub decided_at trigger_at) :: acc)
+  in
+  let alarms =
+    List.filter
+      (fun (a : Alarm.t) -> Time.(a.decided_at >= since))
+      (Validator.alarms v)
+  in
   let per_suspect = Hashtbl.create 8 in
   List.iter
     (fun (a : Alarm.t) ->
@@ -49,7 +70,7 @@ let of_validator v =
                 Time.max last a.Alarm.decided_at ))
             (0, Hashtbl.create 4, a.Alarm.decided_at, a.Alarm.decided_at))
         a.Alarm.suspects)
-    faulty_alarms;
+    alarms;
   let suspects =
     Hashtbl.fold
       (fun controller (alarm_count, kind_tbl, first_at, last_at) acc ->
@@ -61,28 +82,20 @@ let of_validator v =
       per_suspect []
     |> List.sort (fun a b -> compare b.alarm_count a.alarm_count)
   in
-  let detection =
-    match verdicts with
-    | [] -> None
-    | vs ->
-        Some
-          (Jury_stats.Summary.of_list
-             (List.map
-                (fun a -> Time.to_float_ms (Alarm.detection_time a))
-                vs))
-  in
-  let count verdict =
-    List.length (List.filter (fun a -> a.Alarm.verdict = verdict) verdicts)
-  in
-  { decided = Validator.decided_count v;
-    ok = count Alarm.Ok_valid;
-    non_deterministic = count Alarm.Ok_non_deterministic;
-    unverifiable = Validator.count v Unverifiable;
-    degraded = Validator.count v Degraded;
-    overload = Validator.count v Overload;
-    faulty = List.length faulty_alarms;
+  let detection_ms = Array.of_list samples in
+  { decided = Array.length detection_ms;
+    ok = !ok;
+    non_deterministic = !non_deterministic;
+    unverifiable = !unverifiable;
+    degraded = !degraded;
+    overload = !overload;
+    faulty = !faulty;
     suspects;
-    detection }
+    alarms;
+    detection_ms;
+    detection =
+      (if Array.length detection_ms = 0 then None
+       else Some (Jury_stats.Summary.of_array detection_ms)) }
 
 let healthy t = t.faulty = 0
 

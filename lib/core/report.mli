@@ -24,12 +24,19 @@ type t = {
   overload : int;  (** triggers force-expired at the in-flight cap *)
   faulty : int;
   suspects : suspect_row list;  (** most-implicated first *)
+  alarms : Alarm.t list;  (** the faulty verdicts, oldest first *)
+  detection_ms : float array;
+      (** detection time (trigger → decision) of every verdict, ms,
+          oldest first *)
   detection : Jury_stats.Summary.t option;
-      (** over all verdicts; [None] if nothing was decided *)
+      (** of [detection_ms]; [None] if nothing was decided *)
 }
 
-val of_validator : Validator.t -> t
-(** Roll up everything the validator has decided so far. *)
+val of_validator : ?since:Jury_sim.Time.t -> Validator.t -> t
+(** Roll up the verdicts the validator has decided at or after [since]
+    (default: all of them). Reads the log through
+    {!Validator.fold_since} and {!Validator.alarms}, so it builds no
+    alarm for a common verdict. *)
 
 val healthy : t -> bool
 (** No faulty verdicts at all. *)

@@ -539,8 +539,8 @@ let deliver_batch t rs =
         per_shard
 
 let verdicts t = Verdict_log.to_list t.log
+let fold_since t = Verdict_log.fold_since t.log
 let alarms t = Verdict_log.faults t.log
-let detection_times_ms t = Verdict_log.detection_times_ms t.log
 
 (* A loop, not a fold: reading a counter allocates nothing. *)
 let count ?shard t c =

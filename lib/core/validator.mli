@@ -124,16 +124,19 @@ val on_verdict : t -> (Alarm.t -> unit) -> unit
 val verdicts : t -> Alarm.t list
 (** All decided verdicts, oldest first. Rebuilt from the log on every
     call: O(n) time and about 19 words per verdict. A caller that needs
-    less should prefer {!alarms}, {!detection_times_ms}, the counters
-    or {!on_verdict}. *)
+    less should prefer {!fold_since}, {!alarms}, the counters or
+    {!on_verdict}. *)
+
+val fold_since :
+  t -> since:Jury_sim.Time.t -> init:'a ->
+  ('a -> Alarm.verdict -> trigger_at:Jury_sim.Time.t ->
+   decided_at:Jury_sim.Time.t -> 'a) -> 'a
+(** {!Verdict_log.fold_since} over the log: the verdicts decided at or
+    after [since], newest first, with no {!Alarm.t} built. *)
 
 val alarms : t -> Alarm.t list
 (** Only the faulty ones, oldest first. Reads only the log's side store
     of whole alarms. *)
-
-val detection_times_ms : t -> float array
-(** Detection time (trigger → decision) of every decided trigger, ms,
-    oldest first. Reads only the log's two time columns. *)
 
 val count : ?shard:int -> t -> Counter.t -> int
 (** A counter summed over shards, or one shard's value with [~shard].

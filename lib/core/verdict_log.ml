@@ -131,15 +131,30 @@ let to_list t =
   in
   go (t.length - 1) t.side []
 
+let fold_since t ~since ~init f =
+  let rec go row side acc =
+    if row < 0 then acc
+    else
+      let decided_at = Time.ns (word t row 2) in
+      if Time.(decided_at < since) then acc
+      else
+        let trigger_at = Time.ns (word t row 1)
+        and code = word t row 3 land 7 in
+        if code <> side_code then
+          go (row - 1) side
+            (f acc (verdict_of_code code) ~trigger_at ~decided_at)
+        else
+          match side with
+          | (a : Alarm.t) :: older ->
+              go (row - 1) older (f acc a.verdict ~trigger_at ~decided_at)
+          | [] -> assert false
+  in
+  go (t.length - 1) t.side init
+
 let faults t =
   List.fold_left
     (fun acc a -> if Alarm.is_fault a then a :: acc else acc)
     [] t.side
-
-let detection_times_ms t =
-  Array.init t.length (fun row ->
-      Time.to_float_ms
-        (Time.sub (Time.ns (word t row 2)) (Time.ns (word t row 1))))
 
 let append dst src = List.iter (add dst) (to_list src)
 

@@ -34,9 +34,16 @@ val to_list : t -> Alarm.t list
 val faults : t -> Alarm.t list
 (** The [Faulty] verdicts, oldest first. Reads only the side store. *)
 
-val detection_times_ms : t -> float array
-(** [decided_at - trigger_at] of every verdict in ms, oldest first.
-    Reads only the two time columns. *)
+val fold_since :
+  t -> since:Jury_sim.Time.t -> init:'a ->
+  ('a -> Alarm.verdict -> trigger_at:Jury_sim.Time.t ->
+   decided_at:Jury_sim.Time.t -> 'a) -> 'a
+(** Fold over the verdicts decided at or after [since], newest first,
+    and stop at the first older one. Exact because [decided_at] never
+    decreases along the log: the validator stamps the engine's clock,
+    and a staged merge sorts by [decided_at]. Builds no {!Alarm.t}: a
+    compact row's verdict is a constant constructor, and a side row's
+    is read from the side store. *)
 
 val append : t -> t -> unit
 (** [append dst src] pushes [src]'s verdicts, oldest first, after

@@ -52,6 +52,13 @@ let cdf_series_of ~label samples =
       p50_ms = Summary.percentile samples 0.5;
       p95_ms = Summary.percentile samples 0.95 }
 
+let p95_of samples =
+  if Array.length samples = 0 then 0. else Summary.percentile samples 0.95
+
+(* [n] as a share of the report's verdicts, 0 when none was decided. *)
+let share n (r : Jury.Report.t) =
+  if r.decided = 0 then 0. else float_of_int n /. float_of_int r.decided
+
 let mark_faulty env nodes =
   (* Timing-faulty replicas: consistently slow, occasionally silent. *)
   List.iter
@@ -74,7 +81,7 @@ let detection_run ~seed ~profile ~k ~m ~rate ~duration ~encapsulation =
   Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
     ~packet_in_rate:rate ~duration;
   Setup.run_for env (Time.add duration (Time.sec 2));
-  Setup.detection_times_since env ~since:t0
+  (Jury.Report.of_validator ~since:t0 (Setup.validator env)).detection_ms
 
 let detection_run_exposed ~seed ~k ~m ~rate ~duration =
   detection_run ~seed ~profile:Profile.onos ~k ~m ~rate ~duration
@@ -119,17 +126,18 @@ let detection_phase_cdfs ?(seed = 42) ?(duration = Time.sec 5)
   |> List.map (fun (name, samples) ->
          cdf_series_of ~label:name (Array.of_list (List.rev samples)))
 
-let fig4a ?pool ?(seed = 42) ?(duration = Time.sec 10) ?(rate = 5500.) () =
-  (* One seed across configurations: every series sees the same
-     workload realisation, so the curves differ only by (k, m). *)
+(* One seed across configurations: every series sees the same workload
+   realisation, so the curves differ only by (k, m). *)
+let detection_cdfs ?pool ~seed ~profile ~rate ~duration ~encapsulation () =
   par ?pool
     [ (2, 0); (4, 0); (6, 0); (6, 2) ]
     (fun (k, m) ->
-      let samples =
-        detection_run ~seed ~profile:Profile.onos ~k ~m ~rate ~duration
-          ~encapsulation:false
-      in
-      cdf_series_of ~label:(Printf.sprintf "k=%d, m=%d" k m) samples)
+      cdf_series_of ~label:(Printf.sprintf "k=%d, m=%d" k m)
+        (detection_run ~seed ~profile ~k ~m ~rate ~duration ~encapsulation))
+
+let fig4a ?pool ?(seed = 42) ?(duration = Time.sec 10) ?(rate = 5500.) () =
+  detection_cdfs ?pool ~seed ~profile:Profile.onos ~rate ~duration
+    ~encapsulation:false ()
 
 let fig4b ?pool ?(seed = 43) ?(duration = Time.sec 10)
     ?(rates = [ 500.; 3000.; 5500. ]) () =
@@ -143,14 +151,8 @@ let fig4b ?pool ?(seed = 43) ?(duration = Time.sec 10)
         samples)
 
 let fig4c ?pool ?(seed = 44) ?(duration = Time.sec 10) ?(rate = 500.) () =
-  par ?pool
-    [ (2, 0); (4, 0); (6, 0); (6, 2) ]
-    (fun (k, m) ->
-      let samples =
-        detection_run ~seed ~profile:Profile.odl ~k ~m ~rate ~duration
-          ~encapsulation:true
-      in
-      cdf_series_of ~label:(Printf.sprintf "k=%d, m=%d" k m) samples)
+  detection_cdfs ?pool ~seed ~profile:Profile.odl ~rate ~duration
+    ~encapsulation:true ()
 
 let fig4d ?pool ?(seed = 45) ?(duration = Time.sec 10) () =
   let faulty_nodes = [ 2; 3 ] in
@@ -165,26 +167,19 @@ let fig4d ?pool ?(seed = 45) ?(duration = Time.sec 10) () =
       let t0 = Engine.now env.Setup.engine in
       Traces.replay env.Setup.network ~rng:env.Setup.rng ~profile ~duration;
       Setup.run_for env (Time.add duration (Time.sec 2));
-      let samples = Setup.detection_times_since env ~since:t0 in
-      let decided, _, _ = Setup.verdict_stats_since env ~since:t0 in
+      let r = Jury.Report.of_validator ~since:t0 (Setup.validator env) in
       (* False positives are alarms blaming a *healthy* controller:
          alarms that (correctly) implicate the two timing-faulty
          replicas are true positives. *)
       let false_alarms =
-        Jury.Validator.alarms (Setup.validator env)
-        |> List.filter (fun (a : Jury.Alarm.t) ->
-               Time.(a.Jury.Alarm.decided_at >= t0)
-               && not
-                    (List.exists
-                       (fun s -> List.mem s faulty_nodes)
-                       a.Jury.Alarm.suspects))
-        |> List.length
+        List.length
+          (List.filter
+             (fun (a : Jury.Alarm.t) ->
+               not (List.exists (fun s -> List.mem s faulty_nodes) a.suspects))
+             r.alarms)
       in
-      let fp_rate =
-        if decided = 0 then 0.
-        else float_of_int false_alarms /. float_of_int decided
-      in
-      (cdf_series_of ~label:profile.Traces.name samples, fp_rate))
+      (cdf_series_of ~label:profile.Traces.name r.detection_ms,
+       share false_alarms r))
 
 let detection_matrix ?pool ?(seed = 46) ?(repeats = 10) () =
   Runner.run_matrix ?pool ~seed ~repeats ~switches:12 ~extra_slow:[ 5 ]
@@ -291,13 +286,14 @@ let fig4i ?pool ?(seed = 51) ?(duration = Time.sec 5)
           ~profile:Profile.odl ~nodes:7 ()
       in
       let deployment = Option.get env.Setup.deployment in
-      Jury.Deployment.reset_accounting deployment;
+      let n0 = Array.length (Jury.Deployment.decap_samples_us deployment) in
       Flows.new_connections env.Setup.network ~rng:env.Setup.rng ~rate
         ~duration ~mode:Flows.Any_pair ();
       Setup.run_for env (Time.add duration (Time.sec 1));
+      let samples = Jury.Deployment.decap_samples_us deployment in
       cdf_series_of
         ~label:(Printf.sprintf "%.0f messages/sec" rate)
-        (Jury.Deployment.decap_samples_us deployment))
+        (Array.sub samples n0 (Array.length samples - n0)))
 
 (* --- Three-profile comparison: Fig. 4 detection/throughput across
    controller flavours, including the standalone Ryu-style profile --- *)
@@ -374,20 +370,21 @@ let overhead_run ~seed ~profile ~k ~rate ~duration ~encapsulation ~config =
   in
   let deployment = Option.get env.Setup.deployment in
   let fabric = Cluster.fabric env.Setup.cluster in
-  Jury_store.Fabric.reset_accounting fabric;
-  Jury.Deployment.reset_accounting deployment;
+  (* Counters only grow: a window's bytes are its end minus its start. *)
+  let window bytes =
+    let start = bytes () in
+    fun () -> mbps (bytes () - start) (Time.to_float_sec duration)
+  in
+  let store = window (fun () -> Jury_store.Fabric.bytes_replicated fabric)
+  and jury =
+    window (fun () ->
+        Jury.Deployment.(
+          replication_bytes deployment + validator_bytes deployment))
+  and chatter = window (fun () -> Jury.Deployment.chatter_bytes deployment) in
   Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
     ~packet_in_rate:rate ~duration;
   Setup.run_for env duration;
-  let secs = Time.to_float_sec duration in
-  let store = mbps (Jury_store.Fabric.bytes_replicated fabric) secs in
-  let jury =
-    mbps
-      (Jury.Deployment.replication_bytes deployment
-      + Jury.Deployment.validator_bytes deployment)
-      secs
-  in
-  let chatter = mbps (Jury.Deployment.chatter_bytes deployment) secs in
+  let store = store () and jury = jury () and chatter = chatter () in
   { config;
     store_mbps = store;
     jury_mbps = jury;
@@ -473,10 +470,8 @@ let ablation_state_aware ?pool ?(seed = 53) ?(duration = Time.sec 8)
       Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
         ~packet_in_rate:rate ~duration;
       Setup.run_for env (Time.add duration (Time.sec 2));
-      let decided, faults, unverifiable =
-        Setup.verdict_stats_since env ~since:t0
-      in
-      (mode, decided, faults, unverifiable))
+      let r = Jury.Report.of_validator ~since:t0 (Setup.validator env) in
+      (mode, r.decided, r.faulty, r.unverifiable))
 
 let ablation_timeout ?pool ?(seed = 54) ?(duration = Time.sec 8) () =
   par ?pool [ 25; 50; 100; 150; 300; 600 ] (fun timeout_ms ->
@@ -489,15 +484,8 @@ let ablation_timeout ?pool ?(seed = 54) ?(duration = Time.sec 8) () =
       Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
         ~packet_in_rate:3000. ~duration;
       Setup.run_for env (Time.add duration (Time.sec 2));
-      let decided, faults, _ = Setup.verdict_stats_since env ~since:t0 in
-      let samples = Setup.detection_times_since env ~since:t0 in
-      let fp =
-        if decided = 0 then 0. else float_of_int faults /. float_of_int decided
-      in
-      let p95 =
-        if Array.length samples = 0 then 0. else Summary.percentile samples 0.95
-      in
-      (timeout_ms, fp, p95))
+      let r = Jury.Report.of_validator ~since:t0 (Setup.validator env) in
+      (timeout_ms, share r.faulty r, p95_of r.detection_ms))
 
 let ablation_adaptive_timeout ?pool ?(seed = 56) ?(duration = Time.sec 8) () =
   (* Bursty benign traffic (the SMIA profile has the heaviest tail)
@@ -523,16 +511,12 @@ let ablation_adaptive_timeout ?pool ?(seed = 56) ?(duration = Time.sec 8) () =
       Jury_workload.Traces.replay env.Setup.network ~rng:env.Setup.rng
         ~profile:Jury_workload.Traces.smia ~duration;
       Setup.run_for env (Time.add duration (Time.sec 2));
-      let decided, faults, _ = Setup.verdict_stats_since env ~since:t0 in
-      let samples = Setup.detection_times_since env ~since:t0 in
-      let p95 =
-        if Array.length samples = 0 then 0. else Summary.percentile samples 0.95
-      in
+      let v = Setup.validator env in
+      let r = Jury.Report.of_validator ~since:t0 v in
       let theta =
-        Time.to_float_ms
-          (Jury.Validator.current_timeout_value (Setup.validator env))
+        Time.to_float_ms (Jury.Validator.current_timeout_value v)
       in
-      (label, decided, faults, p95, theta))
+      (label, r.decided, r.faulty, p95_of r.detection_ms, theta))
 
 let ablation_nondeterminism ?pool ?(seed = 57) ?(duration = Time.sec 5) () =
   (* An ECMP forwarding app picks random equal-cost next hops, so
@@ -558,14 +542,11 @@ let ablation_nondeterminism ?pool ?(seed = 57) ?(duration = Time.sec 5) () =
       Flows.new_connections env.Setup.network ~rng:env.Setup.rng ~rate:300.
         ~duration ~mode:Flows.Any_pair ();
       Setup.run_for env (Time.add duration (Time.sec 2));
-      let decided, faults, _ = Setup.verdict_stats_since env ~since:t0 in
-      let nondet_ok =
-        Jury.Validator.verdicts (Setup.validator env)
-        |> List.filter (fun (a : Jury.Alarm.t) ->
-               a.Jury.Alarm.verdict = Jury.Alarm.Ok_non_deterministic)
-        |> List.length
-      in
-      (label, decided, faults, nondet_ok))
+      let v = Setup.validator env in
+      let r = Jury.Report.of_validator ~since:t0 v in
+      (* The non-deterministic count spans the whole run, boot included. *)
+      (label, r.decided, r.faulty,
+       (Jury.Report.of_validator v).non_deterministic))
 
 (* --- Lossy-channel study: detection quality when the replication and
    response-collection links drop, duplicate and reorder messages. --- *)
@@ -602,30 +583,23 @@ let lossy_channel ?pool ?(seed = 58) ?(duration = Time.sec 5) ?(rate = 3000.)
       ~packet_in_rate:rate ~duration;
     Setup.run_for env (Time.add duration (Time.sec 2));
     let validator = Setup.validator env in
-    let verdicts =
-      Jury.Validator.verdicts validator
-      |> List.filter (fun (a : Jury.Alarm.t) ->
-             Time.(a.Jury.Alarm.decided_at >= t0))
-    in
-    let count pred = List.length (List.filter pred verdicts) in
+    let r = Jury.Report.of_validator ~since:t0 validator in
     let deployment = Option.get env.Setup.deployment in
     { mode;
-      c_decided = List.length verdicts;
+      c_decided = r.decided;
       c_timeout_alarms =
-        count (fun (a : Jury.Alarm.t) ->
-            match a.Jury.Alarm.verdict with
-            | Jury.Alarm.Faulty fs ->
-                List.mem Jury.Alarm.Response_timeout fs
-            | _ -> false);
-      c_unverifiable =
-        count (fun a ->
-            a.Jury.Alarm.verdict = Jury.Alarm.Ok_unverifiable);
-      c_degraded =
-        count (fun a -> a.Jury.Alarm.verdict = Jury.Alarm.Ok_degraded);
+        List.length
+          (List.filter
+             (fun (a : Jury.Alarm.t) ->
+               match a.verdict with
+               | Faulty fs -> List.mem Jury.Alarm.Response_timeout fs
+               | _ -> false)
+             r.alarms);
+      c_unverifiable = r.unverifiable;
+      c_degraded = r.degraded;
       c_retransmits = Jury.Validator.count validator Retransmit;
       c_channel = Jury.Deployment.channel_totals deployment;
-      c_detection =
-        cdf_series_of ~label:mode (Setup.detection_times_since env ~since:t0) }
+      c_detection = cdf_series_of ~label:mode r.detection_ms }
   in
   let lossy = (drop, 0.02, 150.) in
   par ?pool
@@ -692,7 +666,7 @@ let validator_scale ?pool ?(seed = 59) ?(duration = Time.sec 3)
       Setup.run_for env (Time.add duration (Time.sec 2));
       let wall = Sys.time () -. t_start in
       let v = Setup.validator env in
-      let decided, _, _ = Setup.verdict_stats_since env ~since:t0 in
+      let decided = (Jury.Report.of_validator ~since:t0 v).decided in
       { vs_rate = rate;
         vs_shards = Jury.Validator.shard_count v;
         vs_verdicts = decided;

@@ -51,24 +51,3 @@ let validator env =
   match env.deployment with
   | Some d -> Jury.Deployment.validator d
   | None -> invalid_arg "Setup.validator: vanilla environment"
-
-let verdicts_since env ~since =
-  Jury.Validator.verdicts (validator env)
-  |> List.filter (fun (a : Jury.Alarm.t) ->
-         Time.(a.Jury.Alarm.decided_at >= since))
-
-let detection_times_since env ~since =
-  verdicts_since env ~since
-  |> List.map (fun a -> Time.to_float_ms (Jury.Alarm.detection_time a))
-  |> Array.of_list
-
-let verdict_stats_since env ~since =
-  let vs = verdicts_since env ~since in
-  let faulty = List.filter Jury.Alarm.is_fault vs in
-  let unverifiable =
-    List.filter
-      (fun (a : Jury.Alarm.t) ->
-        a.Jury.Alarm.verdict = Jury.Alarm.Ok_unverifiable)
-      vs
-  in
-  (List.length vs, List.length faulty, List.length unverifiable)

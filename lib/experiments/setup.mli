@@ -44,11 +44,3 @@ val run_for : env -> Jury_sim.Time.t -> unit
 
 val validator : env -> Jury.Validator.t
 (** Raises [Invalid_argument] on a vanilla environment. *)
-
-val detection_times_since :
-  env -> since:Jury_sim.Time.t -> float array
-(** Detection times (ms) of verdicts decided after [since]. *)
-
-val verdict_stats_since :
-  env -> since:Jury_sim.Time.t -> int * int * int
-(** (decided, faulty, unverifiable) counts after [since]. *)

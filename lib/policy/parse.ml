@@ -2,7 +2,8 @@ module Event = Jury_store.Event
 
 let ( let* ) = Result.bind
 
-(* --- Minimal XML subset: elements, attributes, no text content. --- *)
+(* --- Minimal XML subset: elements, attributes and comments between
+   them, no text content. --- *)
 
 type xml_element = {
   tag : string;
@@ -22,6 +23,25 @@ module Lexer = struct
     while (not (eof t)) && (match peek t with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
       advance t
     done
+
+  let looking_at t s =
+    let n = String.length s in
+    t.pos + n <= String.length t.src && String.sub t.src t.pos n = s
+
+  (* Whitespace and [<!-- ... -->] comments, as may come between
+     elements. *)
+  let rec skip_between t =
+    skip_ws t;
+    if not (looking_at t "<!--") then Ok ()
+    else
+      let start = t.pos in
+      t.pos <- t.pos + 4;
+      while not (eof t || looking_at t "-->") do advance t done;
+      if eof t then
+        Error (Printf.sprintf "unterminated comment at offset %d" start)
+      else (
+        t.pos <- t.pos + 3;
+        skip_between t)
 
   let ident t =
     let start = t.pos in
@@ -58,7 +78,7 @@ end
 
 let rec parse_element lx =
   let open Lexer in
-  skip_ws lx;
+  let* () = skip_between lx in
   let* () = expect lx '<' in
   let tag = ident lx in
   if tag = "" then Error "missing tag name"
@@ -106,7 +126,7 @@ and parse_attrs lx acc =
 
 and parse_children lx acc =
   let open Lexer in
-  skip_ws lx;
+  let* () = skip_between lx in
   let* () = expect lx '<' in
   if peek lx = '/' then begin
     advance lx;
@@ -122,7 +142,7 @@ and parse_children lx acc =
 let parse_document src =
   let lx = Lexer.make src in
   let rec go acc =
-    Lexer.skip_ws lx;
+    let* () = Lexer.skip_between lx in
     if Lexer.eof lx then Ok (List.rev acc)
     else
       let* el = parse_element lx in

@@ -13,7 +13,8 @@
       v}
       (the paper writes [<Cache ="EdgesDB" ...>]; both [name=] and the
       bare [=] form are accepted, as is [<Action type=.../>] for the
-      trigger selector);
+      trigger selector). A [<!-- ... -->] comment may stand wherever
+      whitespace may stand between elements;
 
     - a compact one-rule-per-line DSL:
       {v deny ctrl=* trigger=internal cache=EDGEDB op=* entry=*,* dest=* v}

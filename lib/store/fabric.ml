@@ -266,7 +266,3 @@ let inject_divergent_write t ~node ~cache op ~key ~value =
 
 let bytes_replicated t = t.bytes_replicated
 let events_applied t = t.events_applied
-
-let reset_accounting t =
-  t.bytes_replicated <- 0;
-  t.events_applied <- 0

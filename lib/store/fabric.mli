@@ -112,4 +112,4 @@ val bytes_replicated : t -> int
 (** Cumulative inter-node replication bytes. *)
 
 val events_applied : t -> int
-val reset_accounting : t -> unit
+(** Cumulative cache events applied, local and replicated. *)

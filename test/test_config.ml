@@ -36,7 +36,7 @@ let drive deployment_of =
   let v = Jury.Deployment.validator deployment in
   ( Validator.decided_count v,
     Validator.fault_count v,
-    Array.to_list (Validator.detection_times_ms v),
+    Array.to_list (Jury.Report.of_validator v).detection_ms,
     v )
 
 (* The seed deployment as a literal record — every default spelled out.
@@ -323,15 +323,14 @@ let test_pipeline_merge_keeps_every_counter () =
     (fun (c, n) (_, m) -> check_int (Counter.name c) n m)
     serial staged
 
-let test_staged_replay_across_chunks () =
-  (* 6000 triggers, one every 50 us, staged at 2 jobs over 2 shards and
-     at 4 jobs over 4 shards (four replay groups): each shard buffers
-     more than 1024 items, so it replays several chunks, and the 100 ms
-     timers fall due across every cut. Each primary also
-     writes FLOWSDB (mirror traffic for the other shard), every fifth
-     answers twice, every seventh trigger's secondary 2 stays silent
-     until after the timeout (late), and every eleventh primary
-     disagrees with its secondaries (faulty). *)
+(* 6000 triggers, one every 50 us, run on a bare validator, staged
+   when [jobs > 1]: each shard buffers more than 1024 items, so it
+   replays several chunks, and the 100 ms timers fall due across every
+   cut. Each primary also writes FLOWSDB (mirror traffic for the other
+   shards), every fifth answers twice, every seventh trigger's
+   secondary 2 stays silent until after the timeout (late), and every
+   eleventh primary disagrees with its secondaries (faulty). *)
+let chunk_replay ~shards ~jobs =
   let n = 6000 in
   let taint serial = Types.Taint.external_trigger ~primary:0 ~serial in
   let write key =
@@ -364,28 +363,34 @@ let test_staged_replay_across_chunks () =
     @ (if serial mod 5 = 0 then [ execution serial 0 ] else [])
     @ if serial mod 7 = 0 then [] else [ execution serial 2 ]
   in
+  let engine = Engine.create () and cfg = validator_cfg ~shards () in
+  let v = Validator.create engine cfg in
+  let pool = Jury_par.Pool.create ~jobs () in
+  if jobs > 1 then Jury.Stage.attach ~pool ~jobs cfg v;
+  for serial = 0 to n - 1 do
+    let at = Time.us (50 * serial) in
+    ignore
+      (Engine.schedule_at engine ~at (fun () ->
+           Validator.register_external v ~taint:(taint serial) ~at
+             ~primary:0 ~secondaries:[ 1; 2 ]));
+    ignore
+      (Engine.schedule_at engine ~at:(Time.add at (Time.ms 1)) (fun () ->
+           Validator.deliver_batch v (first_tick serial)));
+    if serial mod 7 = 0 then
+      ignore
+        (Engine.schedule_at engine ~at:(Time.add at (Time.ms 150))
+           (fun () -> Validator.deliver_batch v [ execution serial 2 ]))
+  done;
+  Engine.run engine ~until:(Time.sec 1);
+  Validator.flush v;
+  Jury_par.Pool.shutdown pool;
+  v
+
+(* The serial and staged replays of [chunk_replay] at 2 jobs over 2
+   shards and at 4 jobs over 4 shards (four replay groups) agree. *)
+let test_staged_replay_across_chunks () =
   let run ~shards ~jobs =
-    let engine = Engine.create () and cfg = validator_cfg ~shards () in
-    let v = Validator.create engine cfg in
-    let pool = Jury_par.Pool.create ~jobs () in
-    if jobs > 1 then Jury.Stage.attach ~pool ~jobs cfg v;
-    for serial = 0 to n - 1 do
-      let at = Time.us (50 * serial) in
-      ignore
-        (Engine.schedule_at engine ~at (fun () ->
-             Validator.register_external v ~taint:(taint serial) ~at
-               ~primary:0 ~secondaries:[ 1; 2 ]));
-      ignore
-        (Engine.schedule_at engine ~at:(Time.add at (Time.ms 1)) (fun () ->
-             Validator.deliver_batch v (first_tick serial)));
-      if serial mod 7 = 0 then
-        ignore
-          (Engine.schedule_at engine ~at:(Time.add at (Time.ms 150))
-             (fun () -> Validator.deliver_batch v [ execution serial 2 ]))
-    done;
-    Engine.run engine ~until:(Time.sec 1);
-    Validator.flush v;
-    Jury_par.Pool.shutdown pool;
+    let v = chunk_replay ~shards ~jobs in
     (Jury_check.Run.fingerprint_of_validator v, Validator.counters v)
   in
   List.iter
@@ -541,6 +546,147 @@ let test_zero_loss_installs_reliable_channel () =
   in
   check_bool "reliable" true (Jury.Channel.is_reliable cfg.channel)
 
+(* --- Report windows against the verdict list --- *)
+
+module Alarm = Jury.Alarm
+module Report = Jury.Report
+
+(* [Report.of_validator ~since] must equal the roll-up of
+   [Validator.verdicts] filtered by [decided_at >= since]. Suspect rows
+   compare sorted by controller and their kinds by name: rows with
+   equal counts keep hash order. *)
+let check_report_window ~name v since =
+  let label field =
+    Printf.sprintf "%s, since %s: %s" name (Time.to_string since) field
+  in
+  let window =
+    List.filter
+      (fun (a : Alarm.t) -> Time.(a.decided_at >= since))
+      (Validator.verdicts v)
+  in
+  let r = Report.of_validator ~since v in
+  let count p =
+    List.length (List.filter (fun (a : Alarm.t) -> p a.verdict) window)
+  in
+  check_int (label "decided") (List.length window) r.decided;
+  check_int (label "ok") (count (( = ) Alarm.Ok_valid)) r.ok;
+  check_int (label "non-deterministic")
+    (count (( = ) Alarm.Ok_non_deterministic)) r.non_deterministic;
+  check_int (label "unverifiable") (count (( = ) Alarm.Ok_unverifiable))
+    r.unverifiable;
+  check_int (label "degraded") (count (( = ) Alarm.Ok_degraded)) r.degraded;
+  check_int (label "overload") (count (( = ) Alarm.Overload)) r.overload;
+  check_int (label "faulty")
+    (count (function Alarm.Faulty _ -> true | _ -> false)) r.faulty;
+  let ms =
+    List.map (fun a -> Time.to_float_ms (Alarm.detection_time a)) window
+  in
+  Alcotest.(check (list (float 0.))) (label "detection samples") ms
+    (Array.to_list r.detection_ms);
+  check_bool (label "detection summary") true
+    (r.detection
+    = match ms with [] -> None | _ -> Some (Jury_stats.Summary.of_list ms));
+  let faults = List.filter Alarm.is_fault window in
+  let show = List.map (Format.asprintf "%a" Alarm.pp) in
+  Alcotest.(check (list string)) (label "alarms") (show faults)
+    (show r.alarms);
+  let row c =
+    let hits =
+      List.filter (fun (a : Alarm.t) -> List.mem c a.suspects) faults
+    in
+    let kinds =
+      List.concat_map
+        (fun (a : Alarm.t) ->
+          match a.verdict with
+          | Faulty fs -> List.map Alarm.fault_name fs
+          | _ -> [])
+        hits
+    in
+    let times = List.map (fun (a : Alarm.t) -> a.decided_at) hits in
+    ( c,
+      List.length hits,
+      List.map
+        (fun k -> (k, List.length (List.filter (String.equal k) kinds)))
+        (List.sort_uniq String.compare kinds),
+      List.fold_left Time.min (List.hd times) times,
+      List.fold_left Time.max (List.hd times) times )
+  in
+  let expected =
+    List.map row
+      (List.sort_uniq compare
+         (List.concat_map (fun (a : Alarm.t) -> a.suspects) faults))
+  in
+  let actual =
+    List.sort compare
+      (List.map
+         (fun (s : Report.suspect_row) ->
+           ( s.controller, s.alarm_count, List.sort compare s.fault_kinds,
+             s.first_at, s.last_at ))
+         r.suspects)
+  in
+  check_bool (label "suspect table") true (expected = actual);
+  let counts =
+    List.map (fun (s : Report.suspect_row) -> s.alarm_count) r.suspects
+  in
+  check_bool (label "most implicated first") true
+    (counts = List.sort (fun a b -> compare b a) counts)
+
+(* Three windows: the whole log, from the exact [decided_at] of a
+   logged verdict (included, while an earlier one is not), and past the
+   end. Their exactness rests on [decided_at] never decreasing. Both
+   runs below log [Ok_valid] verdicts, kept as compact rows, and
+   faults, kept as side rows. *)
+let check_report_windows ~name v =
+  let verdicts = Validator.verdicts v in
+  let times = List.map (fun (a : Alarm.t) -> a.decided_at) verdicts in
+  check_bool (name ^ ": decided_at never decreases") true
+    (times = List.sort Time.compare times);
+  let boundary = List.nth times (List.length times / 2) in
+  check_bool (name ^ ": the boundary splits the log") true
+    (Time.(List.hd times < boundary));
+  let past_end =
+    Time.add (List.nth times (List.length times - 1)) (Time.ns 1)
+  in
+  List.iter (check_report_window ~name v) [ Time.zero; boundary; past_end ]
+
+(* A lossy k=2 run with retransmission, degraded quorum, an in-flight
+   cap, ECMP forwarding and one slow, lossy replica: every verdict
+   class occurs. *)
+let test_report_window_serial () =
+  let v =
+    let env =
+      Setup.make ~seed:5 ~plan:(Jury_topo.Builder.three_tier ~hosts_per_edge:2)
+        ~jury:
+          (Jury.Jury_config.make ~k:2 ~drop:0.1 ~duplicate:0.02
+             ~jitter_us:150. ~retransmit:(Jury.Jury_config.retransmit ())
+             ~degraded_quorum:1 ~max_inflight:64 ())
+        ~profile:Jury_controller.Profile.onos_ecmp ~nodes:5 ()
+    in
+    Jury_faults.Injector.make_slow env.Setup.cluster ~node:2
+      ~delay:(Time.ms 25);
+    Jury_faults.Injector.make_lossy env.Setup.cluster ~node:2
+      ~omit_probability:0.05;
+    Jury_workload.Flows.new_connections env.Setup.network ~rng:env.Setup.rng
+      ~rate:300. ~duration:(Time.sec 1) ~mode:Jury_workload.Flows.Any_pair ();
+    Setup.run_for env (Time.sec 2);
+    Setup.validator env
+  in
+  let r = Report.of_validator v in
+  List.iter
+    (fun (verdict, n) -> check_bool (verdict ^ " verdicts occur") true (n > 0))
+    [ ("ok", r.ok); ("non-deterministic", r.non_deterministic);
+      ("unverifiable", r.unverifiable); ("degraded", r.degraded);
+      ("overload", r.overload); ("faulty", r.faulty) ];
+  check_report_windows ~name:"serial" v
+
+(* The staged merge sorts the shards' verdicts by [decided_at]: a
+   window over the merged log is as exact as over a serial one. *)
+let test_report_window_staged () =
+  let v = chunk_replay ~shards:2 ~jobs:2 in
+  let r = Report.of_validator v in
+  check_bool "compact and side rows" true (r.ok > 0 && r.faulty > 0);
+  check_report_windows ~name:"staged" v
+
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
       test_facade_defaults_match_literal_record;
@@ -578,4 +724,8 @@ let suite =
     Alcotest.test_case "deterministic latencies pin secondaries" `Quick
       test_deterministic_latencies_pin_secondaries;
     Alcotest.test_case "zero loss installs a reliable channel" `Quick
-      test_zero_loss_installs_reliable_channel ]
+      test_zero_loss_installs_reliable_channel;
+    Alcotest.test_case "serial Report ~since = verdicts" `Quick
+      test_report_window_serial;
+    Alcotest.test_case "staged Report ~since = verdicts" `Quick
+      test_report_window_staged ]

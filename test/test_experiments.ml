@@ -21,10 +21,10 @@ let test_setup_env () =
   Jury_workload.Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
     ~packet_in_rate:200. ~duration:(Time.sec 1);
   Setup.run_for env (Time.sec 2);
-  let decided, _, _ = Setup.verdict_stats_since env ~since:t0 in
-  check_bool "some verdicts" true (decided > 50);
+  let r = Jury.Report.of_validator ~since:t0 (Setup.validator env) in
+  check_bool "some verdicts" true (r.decided > 50);
   check_bool "detection times recorded" true
-    (Array.length (Setup.detection_times_since env ~since:t0) = decided)
+    (Array.length r.detection_ms = r.decided)
 
 (* Runner arms faults and the model checker attaches its chooser
    between [build] and [boot]; both need [build] to run nothing. *)
@@ -143,18 +143,21 @@ let test_overhead_accounting () =
       ~profile:Jury_controller.Profile.onos ~nodes:3 ()
   in
   let dep = Option.get env.Setup.deployment in
-  Jury.Deployment.reset_accounting dep;
-  check_int "reset replication" 0 (Jury.Deployment.replication_bytes dep);
+  (* Counters only grow: the window's counts are end minus start. *)
+  let module D = Jury.Deployment in
+  let replication0 = D.replication_bytes dep
+  and validator0 = D.validator_bytes dep
+  and chatter0 = D.chatter_bytes dep
+  and triggers0 = D.replicated_trigger_count dep in
   Jury_workload.Flows.new_connections env.Setup.network ~rng:env.Setup.rng
     ~rate:100. ~duration:(Time.sec 1) ~mode:Jury_workload.Flows.Any_pair ();
   Setup.run_for env (Time.sec 2);
   check_bool "replication bytes counted" true
-    (Jury.Deployment.replication_bytes dep > 0);
-  check_bool "validator bytes counted" true
-    (Jury.Deployment.validator_bytes dep > 0);
-  check_bool "chatter counted" true (Jury.Deployment.chatter_bytes dep > 0);
+    (D.replication_bytes dep > replication0);
+  check_bool "validator bytes counted" true (D.validator_bytes dep > validator0);
+  check_bool "chatter counted" true (D.chatter_bytes dep > chatter0);
   check_bool "triggers counted" true
-    (Jury.Deployment.replicated_trigger_count dep > 50)
+    (D.replicated_trigger_count dep - triggers0 > 50)
 
 let test_odl_encapsulated_path () =
   (* The ODL deployment replicates triggers as doubly-encapsulated
@@ -165,19 +168,22 @@ let test_odl_encapsulated_path () =
       ~profile:Jury_controller.Profile.odl ~nodes:3 ()
   in
   let dep = Option.get env.Setup.deployment in
-  Jury.Deployment.reset_accounting dep;
+  let n0 = Array.length (Jury.Deployment.decap_samples_us dep) in
+  let bytes0 = Jury.Deployment.replication_bytes dep
+  and triggers0 = Jury.Deployment.replicated_trigger_count dep in
   Jury_workload.Flows.new_connections env.Setup.network ~rng:env.Setup.rng
     ~rate:50. ~duration:(Time.sec 1) ~mode:Jury_workload.Flows.Any_pair ();
   Setup.run_for env (Time.sec 3);
-  let samples = Jury.Deployment.decap_samples_us dep in
+  let all = Jury.Deployment.decap_samples_us dep in
+  let samples = Array.sub all n0 (Array.length all - n0) in
   check_bool "decap samples collected" true (Array.length samples > 20);
   let s = Jury_stats.Summary.of_array samples in
   check_bool "median near profile" true
     (s.Jury_stats.Summary.p50 > 40. && s.Jury_stats.Summary.p50 < 250.);
   (* encapsulation costs extra bytes vs plain replication *)
   check_bool "replication bytes include encap overhead" true
-    (Jury.Deployment.replication_bytes dep
-    > Jury.Deployment.replicated_trigger_count dep * 60)
+    (Jury.Deployment.replication_bytes dep - bytes0
+    > (Jury.Deployment.replicated_trigger_count dep - triggers0) * 60)
 
 let test_ablation_nondeterminism_shape () =
   match Figures.ablation_nondeterminism ~duration:(Time.sec 2) () with

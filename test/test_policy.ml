@@ -108,6 +108,40 @@ let test_xml_multiple_and_checks () =
       check_bool "controller 2" true (b.Ast.controller = Ast.Controller_id 2)
   | Ok _ -> Alcotest.fail "expected two rules"
 
+(* The two rules of test/policies/fig3.xml, as a policy file carries
+   them under a comment header and with a comment between them. *)
+let fig3_rules =
+  [ {|<Policy allow="No" name="no-proactive-edges">
+  <Controller id="*"/>
+  <Action type="Internal"/>
+  <Cache ="EdgesDB" entry="*,*" operation="*"/>
+  <Destination value="*"/>
+</Policy>|};
+    {|<Policy allow="No" name="no-proactive-edge-db">
+  <Controller id="*"/>
+  <Action type="Internal"/>
+  <Cache name="EdgeDB" entry="*,*" operation="*"/>
+  <Destination value="*"/>
+</Policy>|} ]
+
+let test_xml_comments () =
+  let plain = String.concat "\n" fig3_rules in
+  let commented =
+    "<!-- Fig. 3: no proactive\n     topology writes -->\n"
+    ^ String.concat "\n  <!-- the store's spelling: EDGEDB -->\n" fig3_rules
+    ^ "\n"
+  in
+  let show rules = List.map (Format.asprintf "%a" Ast.pp_rule) rules in
+  (match (Parse.xml plain, Parse.xml commented) with
+  | Ok a, Ok b ->
+      check_int "both rules" 2 (List.length a);
+      Alcotest.(check (list string)) "comments change nothing" (show a)
+        (show b)
+  | Error e, _ | _, Error e -> Alcotest.failf "parse failed: %s" e);
+  Alcotest.(check (result reject string)) "unterminated comment"
+    (Error "unterminated comment at offset 0")
+    (Result.map ignore (Parse.xml ("<!-- open\n" ^ plain)))
+
 let test_xml_errors () =
   check_bool "mismatched close" true
     (Result.is_error (Parse.xml "<Policy><Cache name=\"X\"/></Oops>"));
@@ -400,6 +434,7 @@ let suite =
     ("xml fig3 policy", `Quick, test_xml_fig3);
     ("lint unknown cache", `Quick, test_lint_unknown_cache);
     ("xml multiple + checks", `Quick, test_xml_multiple_and_checks);
+    ("xml comments", `Quick, test_xml_comments);
     ("xml errors", `Quick, test_xml_errors);
     ("engine first match", `Quick, test_engine_first_match);
     ("engine default allow", `Quick, test_engine_default_allow);

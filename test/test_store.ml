@@ -139,7 +139,7 @@ let test_divergent_write () =
 
 let test_accounting () =
   let engine, f = mk () in
-  Fabric.reset_accounting f;
+  check_int "fresh fabric applied nothing" 0 (Fabric.events_applied f);
   ignore (write_ok f ~node:0 ~cache:Names.hostdb Event.Create ~key:"abc" ~value:"def");
   Engine.run engine;
   check_bool "bytes counted" true (Fabric.bytes_replicated f > 0);

@@ -83,11 +83,14 @@ let round_trip =
         (Log.of_list (List.filteri (fun i _ -> i >= split) pushed));
       same_alarms (Log.to_list log) pushed
       && same_alarms (Log.faults log) (List.filter Alarm.is_fault pushed)
-      && Log.detection_times_ms log
-         = Array.of_list
-             (List.map
-                (fun a -> Time.to_float_ms (Alarm.detection_time a))
-                pushed)
+      (* Every generated time is at least zero, so a fold from zero
+         reads every row, newest first. *)
+      && Log.fold_since log ~since:Time.zero ~init:[]
+           (fun acc verdict ~trigger_at ~decided_at ->
+             (verdict, trigger_at, decided_at) :: acc)
+         = List.map
+             (fun (a : Alarm.t) -> (a.verdict, a.trigger_at, a.decided_at))
+             pushed
       && same_alarms (Log.to_list front) pushed)
 
 (* --- Retention budgets --- *)
