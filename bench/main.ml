@@ -674,6 +674,23 @@ let micro ~full:_ () =
     done;
     fun () -> Jury_sim.Engine.step engine
   in
+  (* One engine step in firehose's shape: an arrival every 20 us (50k
+     triggers/s) arms its trigger's validation timer 50 ms ahead, on
+     the validator's fixed-delay lane, and the timer drains there when
+     due, as a cancelled one does. Stepped through 60 ms before timing,
+     so about 2,500 timers are queued throughout. *)
+  let step_timers_q2500 =
+    let engine = Jury_sim.Engine.create () in
+    let timeout = Jury_sim.Time.ms 50 and gap = Jury_sim.Time.us 20 in
+    let timer () = () in
+    let rec arrival () =
+      ignore (Jury_sim.Engine.schedule_fixed engine ~after:timeout timer);
+      ignore (Jury_sim.Engine.schedule engine ~after:gap arrival)
+    in
+    arrival ();
+    Jury_sim.Engine.run engine ~until:(Jury_sim.Time.ms 60);
+    fun () -> Jury_sim.Engine.step engine
+  in
   (* A replica's lookup: the memo holds the rule another replica
      rendered, and this one asks with its own, equal, match and
      FLOW_MOD. *)
@@ -738,6 +755,8 @@ let micro ~full:_ () =
       Test.make ~name:"consensus-dissent-k6"
         (Staged.stage (decide_k6 ~dissent:true));
       Test.make ~name:"engine-step-q1600" (Staged.stage step_q1600);
+      Test.make ~name:"engine-step-timers-q2500"
+        (Staged.stage step_timers_q2500);
       Test.make ~name:"rng-int-7"
         (Staged.stage (fun () -> Jury_sim.Rng.int draws 7));
       Test.make ~name:"rng-exponential"

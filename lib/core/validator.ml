@@ -282,14 +282,18 @@ let trigger_footprint (cfg : config) taint =
 
 let entry_footprint t (p : pending) = trigger_footprint t.cfg p.input.taint
 
+(* A fixed θτ puts every timer the same delay ahead, so they share a
+   fixed-delay lane; an adaptive one varies per trigger. *)
 let arm_timer t p =
-  if p.timer = None then
+  if p.timer = None then begin
+    let footprint = entry_footprint t p and after = current_timeout t in
+    let fire () = evaluate t p ~timed_out:true in
     p.timer <-
       Some
-        (Engine.schedule t.engine
-           ~footprint:(entry_footprint t p)
-           ~after:(current_timeout t)
-           (fun () -> evaluate t p ~timed_out:true))
+        (if t.cfg.adaptive_timeout then
+           Engine.schedule t.engine ~footprint ~after fire
+         else Engine.schedule_fixed t.engine ~footprint ~after fire)
+  end
 
 (* --- Bounded retransmission with exponential backoff --- *)
 

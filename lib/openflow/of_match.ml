@@ -46,8 +46,16 @@ let wildcard_all =
     dl_vlan = 0; dl_type = 0; nw_src = ip0; nw_src_bits = 0; nw_dst = ip0;
     nw_dst_bits = 0; nw_proto = 0; nw_tos = 0; tp_src = 0; tp_dst = 0 }
 
+(* The wire's 6-bit mask field would carry any other length as a
+   different prefix. *)
+let check_prefix fn present bit bits =
+  if present land bit <> 0 && (bits < 0 || bits > 32) then
+    invalid_arg (fn ^ ": prefix length outside 0..32")
+
 let of_fields ~present ~in_port ~dl_src ~dl_dst ~dl_vlan ~dl_type ~nw_src
     ~nw_src_bits ~nw_dst ~nw_dst_bits ~nw_proto ~nw_tos ~tp_src ~tp_dst =
+  check_prefix "Of_match.of_fields" present Bit.nw_src nw_src_bits;
+  check_prefix "Of_match.of_fields" present Bit.nw_dst nw_dst_bits;
   let present =
     if present land Bit.dl_vlan = 0 then present land lnot Bit.untagged
     else present
@@ -95,6 +103,8 @@ let make ?in_port ?dl_src ?dl_dst ?dl_vlan ?dl_type ?nw_src ?nw_dst ?nw_proto
   let nw_tos = get Bit.nw_tos 0 nw_tos in
   let tp_src = get Bit.tp_src 0 tp_src in
   let tp_dst = get Bit.tp_dst 0 tp_dst in
+  check_prefix "Of_match.make" !present Bit.nw_src nw_src_bits;
+  check_prefix "Of_match.make" !present Bit.nw_dst nw_dst_bits;
   { present = !present; in_port; dl_src; dl_dst; dl_vlan; dl_type; nw_src;
     nw_src_bits; nw_dst; nw_dst_bits; nw_proto; nw_tos; tp_src; tp_dst }
 

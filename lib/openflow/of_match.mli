@@ -74,7 +74,11 @@ val make :
   t
 (** The match that sets exactly the given fields. [~dl_vlan:None]
     matches untagged traffic and [~dl_vlan:(Some v)] VID [v]; a prefix
-    is [(address, bits)]. *)
+    is [(address, bits)] with [bits] in 0..32, and any other length
+    raises [Invalid_argument] (the OF 1.0 mask field would carry it as
+    a different prefix). A [/0] prefix is kept as set, but it matches
+    every address, and the wire encodes it as the wildcard: it decodes
+    as a match without that field. *)
 
 val of_fields :
   present:int ->
@@ -95,7 +99,9 @@ val of_fields :
 (** The record with these fields, each one whose bit [present] lacks
     (and [dl_vlan] under {!Bit.untagged}) held at 0, and
     {!Bit.untagged} dropped without {!Bit.dl_vlan}. For decoders, which
-    read every field whatever the bitmask says. *)
+    read every field whatever the bitmask says. Raises
+    [Invalid_argument] when a present prefix's length is outside
+    0..32, as {!make} does. *)
 
 val wildcard_all : t
 (** Matches every packet. *)

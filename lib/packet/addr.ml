@@ -75,13 +75,35 @@ module Ipv4 = struct
         (acc lsl 8) lor v)
       0 parts
 
+  let octet t i = (t lsr (8 * (3 - i))) land 0xFF
+  let octet_digits v = if v >= 100 then 3 else if v >= 10 then 2 else 1
+
+  (* Written into bytes of the exact length. *)
   let to_string t =
-    let b = Buffer.create 15 in
-    for i = 3 downto 0 do
-      add_decimal b ((t lsr (8 * i)) land 0xFF);
-      if i > 0 then Buffer.add_char b '.'
+    let len = ref 3 in
+    for i = 0 to 3 do
+      len := !len + octet_digits (octet t i)
     done;
-    Buffer.contents b
+    let b = Bytes.create !len in
+    let pos = ref 0 in
+    for i = 0 to 3 do
+      let v = octet t i in
+      if i > 0 then begin
+        Bytes.unsafe_set b !pos '.';
+        incr pos
+      end;
+      if v >= 100 then begin
+        Bytes.unsafe_set b !pos (digit (v / 100));
+        incr pos
+      end;
+      if v >= 10 then begin
+        Bytes.unsafe_set b !pos (digit (v / 10 mod 10));
+        incr pos
+      end;
+      Bytes.unsafe_set b !pos (digit (v mod 10));
+      incr pos
+    done;
+    Bytes.unsafe_to_string b
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare

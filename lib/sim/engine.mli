@@ -50,6 +50,17 @@ val schedule_at :
 (** [schedule_at t ~at f] runs [f] at absolute time [at]; raises
     [Invalid_argument] if [at] is in the past. *)
 
+val schedule_fixed :
+  t -> ?footprint:Footprint.t -> after:Time.t -> (unit -> unit) -> handle
+(** [schedule_fixed t ~after f] is [schedule t ~after f], for a caller
+    that schedules many events the same [after] ahead (a validation
+    timeout). The event runs at the same instant, in
+    the same [(time, insertion)] order, as through {!schedule}; only
+    where it waits differs. The first few distinct delays each get a
+    FIFO lane, which takes and yields an event in O(1) because events
+    put on it arrive in order; a delay first seen once the lanes are
+    taken goes to the heap, as with {!schedule}. *)
+
 val cancel : handle -> unit
 (** Cancels a pending event; a no-op if it already ran or was cancelled.
     The event's closure and footprint are dropped at once (the footprint
@@ -88,7 +99,7 @@ val every :
 (** {1 Schedule exploration}
 
     A {e schedule} of a deterministic simulation is a tie-break order
-    on the event heap: events at distinct timestamps execute in time
+    on the event queue (the heap and the fixed-delay lanes): events at distinct timestamps execute in time
     order whatever happens, so the only scheduling freedom is which of
     several equal-timestamp events runs first. The chooser hook hands
     that freedom to an external scheduler (the [Jury_mc] explorer);

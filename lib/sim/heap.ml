@@ -117,6 +117,10 @@ let min_key h =
   check_nonempty h "Heap.min_key";
   h.keys.(0)
 
+let min_seq h =
+  check_nonempty h "Heap.min_seq";
+  h.seqs.(0)
+
 let min_value h =
   check_nonempty h "Heap.min_value";
   h.vals.(h.slots.(0))

@@ -34,6 +34,10 @@ val min_key : 'a t -> Time.t
 (** The minimum's key. Allocates nothing; raises [Invalid_argument] if
     empty. *)
 
+val min_seq : 'a t -> int
+(** The minimum's sequence number. Allocates nothing; raises
+    [Invalid_argument] if empty. *)
+
 val min_value : 'a t -> 'a
 (** The minimum's payload. Allocates nothing; raises
     [Invalid_argument] if empty. *)

@@ -32,8 +32,61 @@ let render kind node serial =
   write_decimal b ~pos:(5 + ln) ~len:ls serial;
   Bytes.unsafe_to_string b
 
+(* [Hashtbl.hash (render kind node serial)] without rendering: the
+   printed bytes are fed, in order, through the runtime's string hash
+   (caml_hash_mix_string: 32-bit little-endian words through MurmurHash3's
+   mix, a zero-padded tail word, the length) and its final mix. *)
+let mask32 = 0xFFFF_FFFF
+let[@inline] rotl32 x r = ((x lsl r) lor (x lsr (32 - r))) land mask32
+
+let[@inline] mix h d =
+  let d = rotl32 (d * 0xcc9e2d51 land mask32) 15 * 0x1b873593 land mask32 in
+  let h = rotl32 (h lxor d) 13 in
+  ((h * 5) + 0xe6546b64) land mask32
+
+let final_mix h =
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x85ebca6b land mask32 in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land mask32 in
+  h lxor (h lsr 16)
+
+(* [pow10.(i)] is 10^i, up to the 19 digits of [min_int]. *)
+let pow10 = Array.init 19 (fun i -> int_of_float (10. ** float_of_int i))
+
+(* The byte at offset [i] of [n]'s [%d] rendering, [len] long. *)
+let[@inline] decimal_byte n ~len i =
+  if n < 0 && i = 0 then Char.code '-'
+  else
+    let v = if n < 0 then n else -n in
+    Char.code '0' - ((v / pow10.(len - 1 - i)) mod 10)
+
+(* "ext:" and "int:" as little-endian words: the first word mixed. *)
+let ext_word = 0x3a747865
+let int_word = 0x3a746e69
+
+let hash_printed kind node serial =
+  let ln = decimal_length node and ls = decimal_length serial in
+  let len = 5 + ln + ls in
+  let h = ref (mix 0 (match kind with External -> ext_word | Internal -> int_word)) in
+  let w = ref 0 in
+  for i = 4 to len - 1 do
+    let c =
+      if i < 4 + ln then decimal_byte node ~len:ln (i - 4)
+      else if i = 4 + ln then Char.code ':'
+      else decimal_byte serial ~len:ls (i - 5 - ln)
+    in
+    w := !w lor (c lsl (8 * (i land 3)));
+    if i land 3 = 3 then begin
+      h := mix !h !w;
+      w := 0
+    end
+  done;
+  if len land 3 <> 0 then h := mix !h !w;
+  final_mix (!h lxor len) land 0x3FFF_FFFF
+
 let make kind node serial =
-  { node; serial; kind; hash = Hashtbl.hash (render kind node serial) }
+  { node; serial; kind; hash = hash_printed kind node serial }
 
 let external_trigger ~primary ~serial = make External primary serial
 let internal_trigger ~origin ~seq = make Internal origin seq

@@ -74,6 +74,26 @@ let pick_host t =
   in
   min h (t.profile.hosts - 1)
 
+(* Hex digits [%x] prints for [n]: the 63-bit pattern, unsigned. *)
+let hex_length n =
+  let rec go v len = if v = 0 then len else go (v lsr 4) (len + 1) in
+  go (n lsr 4) 1
+
+(* Writes [n] in [%x] form ending just before [stop]. *)
+let rec write_hex b ~stop n =
+  Bytes.unsafe_set b (stop - 1) "0123456789abcdef".[n land 0xF];
+  if n lsr 4 <> 0 then write_hex b ~stop:(stop - 1) (n lsr 4)
+
+(* [Printf.sprintf "fw/%x>%x" src dst], written in place. *)
+let flow_key src dst =
+  let ls = hex_length src and ld = hex_length dst in
+  let b = Bytes.create (4 + ls + ld) in
+  Bytes.blit_string "fw/" 0 b 0 3;
+  write_hex b ~stop:(3 + ls) src;
+  Bytes.unsafe_set b (3 + ls) '>';
+  write_hex b ~stop:(4 + ls + ld) dst;
+  Bytes.unsafe_to_string b
+
 let next t =
   let gap_us =
     if Rng.bernoulli t.rng t.profile.tail_weight then
@@ -86,4 +106,4 @@ let next t =
     let d = pick_host t in
     if d <> src then d else (d + 1) mod t.profile.hosts
   in
-  { at = t.clock; src; dst; flow_key = Printf.sprintf "fw/%x>%x" src dst }
+  { at = t.clock; src; dst; flow_key = flow_key src dst }

@@ -30,6 +30,10 @@ type event = {
   flow_key : string;     (** canonical flow identifier ["fw/src>dst"] *)
 }
 
+val flow_key : int -> int -> string
+(** [flow_key src dst] is [Printf.sprintf "fw/%x>%x" src dst], written
+    without [Printf]: the [flow_key] of an arrival. *)
+
 type stream
 (** A stateful arrival generator; deterministic given its [rng]. *)
 

@@ -195,13 +195,38 @@ let prop_link_key_roundtrip =
 
 let prop_ipv4_strings =
   QCheck.Test.make ~name:"Ipv4.to_string = Printf" ~count:500
-    QCheck.(make ~print:string_of_int Gen.(map Int32.to_int ui32))
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [ oneofl
+                [ 0; 0xFFFF_FFFF; 0x0A00_0001; 0x0909_0909; 0x6363_6363;
+                  0x6464_6464; 0x0A63_640B ];
+              map Int32.to_int ui32 ]))
     (fun x ->
       let ip = Ipv4.of_int x in
       let t = Ipv4.to_int ip in
       Ipv4.to_string ip
       = Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xFF)
           ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF))
+
+(* An IPv4 rendering allocates only its string: 3 words (header and two
+   words of bytes) for the 15-byte 255.255.255.255, 2 for the 7-byte
+   1.2.3.4. Budget 1.5x the larger, on OCaml 5.1.1. *)
+let test_ipv4_to_string_allocation () =
+  List.iter
+    (fun x ->
+      let ip = Ipv4.of_int x in
+      ignore (Sys.opaque_identity (Ipv4.to_string ip));
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Ipv4.to_string ip))
+      done;
+      let words = (Gc.minor_words () -. before) /. 1000. in
+      if words > 4.5 then
+        Alcotest.failf "Ipv4.to_string %s allocates %.1f words, budget 4.5"
+          (Ipv4.to_string ip) words)
+    [ 0xFFFF_FFFF; 0x0102_0304; 0x0A00_0001 ]
 
 let gen_match st =
   let opt g = if Random.State.bool st then Some (g ()) else None in
@@ -310,8 +335,8 @@ let test_match_to_string_out_of_range () =
       Of_match.make ~dl_vlan:(Some (-1)) ~nw_proto:100000 ~nw_tos:(-42)
         ~tp_dst:99999 ();
       Of_match.make
-        ~nw_src:(Ipv4.of_int 0x0a000001, -8)
-        ~nw_dst:(Ipv4.of_int 0xc0a80001, 1_000_000)
+        ~nw_src:(Ipv4.of_int 0x0a000001, 0)
+        ~nw_dst:(Ipv4.of_int 0xc0a80001, 32)
         () ]
 
 (* --- Flow memo --- *)
@@ -445,6 +470,52 @@ let test_taint () =
       "ext:4611686018427387904:1"; "int:1:-4611686018427387905";
       "ext:+1:2"; "ext:0x1:2"; "ext:1_0:2"; "int: 1:2"; "ext:01:2";
       "ext:-0:2" ]
+
+(* The hash a taint is minted with is the runtime's hash of its printed
+   form, for both kinds, over random fields and the ends of the int
+   range. *)
+let prop_taint_hash_is_string_hash =
+  let field =
+    QCheck.Gen.(
+      oneof
+        [ oneofl [ 0; 1; -1; 9; 10; -10; 999; 1000; max_int; min_int ];
+          int_range (-1000) 1_000_000;
+          int ])
+  in
+  QCheck.Test.make ~name:"Taint.hash = Hashtbl.hash (to_string t)"
+    ~count:2000
+    QCheck.(
+      make ~print:(fun (a, b) -> Printf.sprintf "%d %d" a b)
+        (Gen.pair field field))
+    (fun (a, b) ->
+      List.for_all
+        (fun t -> Types.Taint.hash t = Hashtbl.hash (Types.Taint.to_string t))
+        [ Types.Taint.external_trigger ~primary:a ~serial:b;
+          Types.Taint.internal_trigger ~origin:a ~seq:b ])
+
+(* A mint allocates the taint's record (5 words) and nothing else: its
+   hash is computed without rendering. Budget 1.5x that, on OCaml
+   5.1.1. *)
+let test_taint_mint_allocation () =
+  let words kind =
+    let mint serial =
+      match kind with
+      | `Ext -> Types.Taint.external_trigger ~primary:3 ~serial
+      | `Int -> Types.Taint.internal_trigger ~origin:3 ~seq:serial
+    in
+    ignore (Sys.opaque_identity (mint 0));
+    let before = Gc.minor_words () in
+    for serial = 1_000_000 to 1_000_999 do
+      ignore (Sys.opaque_identity (mint serial))
+    done;
+    (Gc.minor_words () -. before) /. 1000.
+  in
+  List.iter
+    (fun (name, kind) ->
+      let w = words kind in
+      if w > 7.5 then
+        Alcotest.failf "%s taint mint allocates %.1f words, budget 7.5" name w)
+    [ ("external", `Ext); ("internal", `Int) ]
 
 (* A table keyed on taints buckets and folds exactly like one keyed on
    their printed strings, so swapping one for the other moves no
@@ -1331,6 +1402,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_match_to_string_is_pp;
     QCheck_alcotest.to_alcotest prop_dpid_strings;
     QCheck_alcotest.to_alcotest prop_ipv4_strings;
+    ("Ipv4.to_string allocation budget", `Quick,
+     test_ipv4_to_string_allocation);
     QCheck_alcotest.to_alcotest prop_link_key_roundtrip;
     ("Of_match.to_string out-of-range ints", `Quick,
      test_match_to_string_out_of_range);
@@ -1339,6 +1412,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flow_memo_keeps_rules_apart;
     ("taints", `Quick, test_taint);
     ("taint tables fold like string tables", `Quick, test_taint_table_order);
+    QCheck_alcotest.to_alcotest prop_taint_hash_is_string_hash;
+    ("taint mint allocation budget", `Quick, test_taint_mint_allocation);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);
     ("pipeline add_load", `Quick, test_pipeline_add_load_delays_next);

@@ -52,6 +52,40 @@ let test_prefix_match () =
   check_bool "in prefix" true (Of_match.matches m ~in_port:1 (tcp_frame ()));
   check_bool "arp spa reuse" true (Of_match.hierarchy_ok m)
 
+(* A prefix length the wire's 6-bit mask field cannot carry is refused
+   where a match is built: [make] and the decoders' [of_fields] raise.
+   The ends 0 and 32 build; /0 keeps its field set. *)
+let test_prefix_length_range () =
+  let ip = Ipv4.of_string "10.0.0.1" in
+  let raises what f =
+    match f () with
+    | (_ : Of_match.t) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let fields bit bits () =
+    Of_match.of_fields ~present:bit ~in_port:0 ~dl_src:Mac.zero
+      ~dl_dst:Mac.zero ~dl_vlan:0 ~dl_type:0 ~nw_src:ip ~nw_src_bits:bits
+      ~nw_dst:ip ~nw_dst_bits:bits ~nw_proto:0 ~nw_tos:0 ~tp_src:0 ~tp_dst:0
+  in
+  List.iter
+    (fun bits ->
+      let what = Printf.sprintf "/%d" bits in
+      raises ("make nw_src " ^ what) (fun () ->
+          Of_match.make ~nw_src:(ip, bits) ());
+      raises ("make nw_dst " ^ what) (fun () ->
+          Of_match.make ~nw_dst:(ip, bits) ());
+      raises ("of_fields nw_src " ^ what) (fields Of_match.Bit.nw_src bits);
+      raises ("of_fields nw_dst " ^ what) (fields Of_match.Bit.nw_dst bits))
+    [ -40; -8; -1; 33; 40; 64; 1_000_000; min_int; max_int ];
+  List.iter
+    (fun bits ->
+      let m = Of_match.make ~nw_src:(ip, bits) ~nw_dst:(ip, bits) () in
+      check_int "bits kept" bits m.Of_match.nw_src_bits;
+      check_bool "field set" true (m.Of_match.present land Of_match.Bit.nw_src <> 0))
+    [ 0; 1; 24; 32 ];
+  (* An absent prefix's length is not read. *)
+  ignore (fields 0 (-40) ())
+
 let test_hierarchy () =
   let bad = Of_match.make ~tp_dst:80 () in
   check_bool "tp without nw_proto" false (Of_match.hierarchy_ok bad);
@@ -969,6 +1003,7 @@ let suite =
     ("exact match", `Quick, test_exact_match);
     ("l2 pair match", `Quick, test_l2_pair);
     ("prefix match", `Quick, test_prefix_match);
+    ("prefix lengths outside 0..32 raise", `Quick, test_prefix_length_range);
     ("field hierarchy", `Quick, test_hierarchy);
     ("more_specific", `Quick, test_more_specific);
     ("actions apply", `Quick, test_actions_apply);

@@ -501,6 +501,205 @@ let prop_rng_int_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
+(* --- Fixed-delay lanes against the heap alone --- *)
+
+type lane_op =
+  | Fixed of int  (** [schedule_fixed] (the reference: [schedule]) *)
+  | Burst of int * int
+      (** [n] [Fixed i] at once: a lane's ring wraps and grows *)
+  | Jittered of int  (** [schedule ~after] a drawn delay *)
+  | At of int  (** [schedule_at] a drawn instant *)
+  | Cancel of int  (** the [i]-th newest one-shot handle *)
+  | Every of int * int  (** [every ~period ~jitter] *)
+  | Stop of int  (** the [i]-th newest recurrence *)
+
+(* Eleven delays in ns, more than the lane table holds, so some fixed
+   delays fall back to the heap. Small and overlapping, so ties are
+   common across lanes, the heap and [every] chains. *)
+let lane_delays = [| 0; 1; 3; 5; 10; 20; 50; 100; 7; 13; 2 |]
+
+let print_lane_op = function
+  | Fixed i -> Printf.sprintf "F%d" lane_delays.(i)
+  | Burst (i, n) -> Printf.sprintf "F%dx%d" lane_delays.(i) n
+  | Jittered n -> Printf.sprintf "J%d" n
+  | At n -> Printf.sprintf "A%d" n
+  | Cancel i -> Printf.sprintf "C%d" i
+  | Every (p, j) -> Printf.sprintf "E%d~%d" p j
+  | Stop i -> Printf.sprintf "S%d" i
+
+let gen_lane_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 150)
+    (frequency
+       [ (6, map (fun i -> Fixed i) (int_bound (Array.length lane_delays - 1)));
+         (1,
+          map2
+            (fun i n -> Burst (i, n))
+            (int_bound (Array.length lane_delays - 1))
+            (int_range 2 40));
+         (3, map (fun n -> Jittered n) (int_bound 60));
+         (1, map (fun n -> At n) (int_bound 60));
+         (2, map (fun i -> Cancel i) (int_bound 6));
+         (1, map2 (fun p j -> Every (p, j)) (int_range 1 40) (int_bound 10));
+         (1, map (fun i -> Stop i) (int_bound 2)) ])
+
+(* Runs [ops] and prints what it observed: every firing with its
+   instant and the pending count there, every tie the chooser saw,
+   and the executed count, pending count and clock at three points.
+   Each firing applies the next one or two ops, so events schedule
+   and cancel others as the run goes. With [lanes = false] every
+   [Fixed] goes through [schedule]: the heap-only reference. *)
+let run_lane_ops ~lanes ~choose ops =
+  let e = Engine.create ~seed:3 () in
+  let out = Buffer.create 1024 in
+  let ops = Array.of_list ops in
+  let next = ref 0 and ids = ref 0 in
+  let handles = ref [] and chains = ref [] in
+  let mark what =
+    Printf.bprintf out "%s@%d/%d " what
+      (Time.to_ns (Engine.now e))
+      (Engine.pending_events e)
+  in
+  let nth l i = List.nth_opt l (i mod max 1 (List.length l)) in
+  let rec apply_next n =
+    if n > 0 && !next < Array.length ops then begin
+      let op = ops.(!next) in
+      incr next;
+      apply op;
+      apply_next (n - 1)
+    end
+  and one_shot () =
+    let id = !ids in
+    incr ids;
+    fun () ->
+      mark (string_of_int id);
+      apply_next (1 + (id land 1))
+  and apply = function
+    | Fixed i ->
+        let after = Time.ns lane_delays.(i) in
+        let h =
+          if lanes then Engine.schedule_fixed e ~after (one_shot ())
+          else Engine.schedule e ~after (one_shot ())
+        in
+        handles := h :: !handles
+    | Burst (i, n) ->
+        for _ = 1 to n do
+          apply (Fixed i)
+        done
+    | Jittered n ->
+        handles := Engine.schedule e ~after:(Time.ns n) (one_shot ()) :: !handles
+    | At n ->
+        let at = Time.add (Engine.now e) (Time.ns n) in
+        handles := Engine.schedule_at e ~at (one_shot ()) :: !handles
+    | Cancel i -> Option.iter Engine.cancel (nth !handles i)
+    | Every (p, j) ->
+        let id = !ids in
+        incr ids;
+        chains :=
+          Engine.every e ~period:(Time.ns p) ~jitter:(Time.ns j) (fun () ->
+              mark (Printf.sprintf "c%d" id);
+              apply_next 1)
+          :: !chains
+    | Stop i -> Option.iter Engine.cancel (nth !chains i)
+  in
+  Engine.set_chooser e
+    (Option.map
+       (fun choose cands ->
+         Buffer.add_char out '[';
+         Array.iter (fun c -> Printf.bprintf out "%d " c.Engine.cand_seq) cands;
+         Buffer.add_string out "] ";
+         choose cands)
+       choose);
+  let totals what =
+    Printf.bprintf out "| %s %d %d %d |" what (Engine.executed_events e)
+      (Engine.pending_events e)
+      (Time.to_ns (Engine.now e))
+  in
+  apply_next 4;
+  Engine.run e ~until:(Time.ns 150);
+  totals "until";
+  for _ = 1 to 5 do
+    ignore (Engine.step e)
+  done;
+  totals "step";
+  (* No op is left to start a new recurrence once the chains stop. *)
+  next := Array.length ops;
+  List.iter Engine.cancel !chains;
+  Engine.run e;
+  totals "end";
+  Buffer.contents out
+
+let prop_lanes_match_heap =
+  QCheck.Test.make ~name:"fixed-delay lanes pop as the heap alone" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_lane_op) gen_lane_ops)
+    (fun ops ->
+      List.for_all
+        (fun choose ->
+          let lanes = run_lane_ops ~lanes:true ~choose ops in
+          let heap = run_lane_ops ~lanes:false ~choose ops in
+          String.equal lanes heap
+          || QCheck.Test.fail_reportf "lanes:\n%s\nheap:\n%s" lanes heap)
+        [ None;
+          Some (fun _ -> 0);
+          Some
+            (fun cands ->
+              Array.fold_left (fun a c -> a + c.Engine.cand_seq) 0 cands
+              mod Array.length cands) ])
+
+(* A lane's events count in [pending_events] until they drain, a
+   cancelled one included, and a tie with the heap runs in insertion
+   order. *)
+let test_engine_fixed_lane_basics () =
+  let e = Engine.create () in
+  let log = ref [] in
+  for i = 1 to 3 do
+    ignore
+      (Engine.schedule_fixed e ~after:(Time.ms 2) (fun () -> log := i :: !log))
+  done;
+  ignore (Engine.schedule e ~after:(Time.ms 2) (fun () -> log := 4 :: !log));
+  let h = Engine.schedule_fixed e ~after:(Time.ms 1) (fun () -> log := 0 :: !log) in
+  check_int "lane events pending" 5 (Engine.pending_events e);
+  Engine.cancel h;
+  Engine.run e ~until:(Time.ms 1);
+  check_int "a cancelled lane event drains where it sits" 1
+    (Engine.executed_events e);
+  check_int "still pending" 4 (Engine.pending_events e);
+  Engine.run e;
+  Alcotest.(check (list int)) "insertion order at a tie" [ 1; 2; 3; 4 ]
+    (List.rev !log);
+  check_int "clock" 2_000_000 (Time.to_ns (Engine.now e))
+
+(* A lane adds nothing to what scheduling allocates: the event's
+   four-word record, plus the two-word [Some] a caller's [~footprint]
+   is passed in. A pop allocates nothing. Measured after a warm-up
+   round has grown both queues to size. *)
+let test_schedule_allocation () =
+  let fp = Footprint.touches [ Footprint.switch 1 ] and f () = () in
+  let per_event name ~budget schedule =
+    let e = Engine.create () in
+    let round () =
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (schedule e f))
+      done;
+      Engine.run e
+    in
+    round ();
+    let before = Gc.minor_words () in
+    round ();
+    let words = (Gc.minor_words () -. before) /. 1000. in
+    check_bool
+      (Printf.sprintf "%s: %.2f words per event, budget %g" name words budget)
+      true (words < budget)
+  in
+  let after = Time.us 5 in
+  per_event "schedule" ~budget:4.5 (fun e f -> Engine.schedule e ~after f);
+  per_event "schedule_fixed" ~budget:4.5 (fun e f ->
+      Engine.schedule_fixed e ~after f);
+  per_event "schedule ~footprint" ~budget:6.5 (fun e f ->
+      Engine.schedule e ~footprint:fp ~after f);
+  per_event "schedule_fixed ~footprint" ~budget:6.5 (fun e f ->
+      Engine.schedule_fixed e ~footprint:fp ~after f)
+
 let suite =
   [ ("time units", `Quick, test_time_units);
     ("time arithmetic", `Quick, test_time_arith);
@@ -526,6 +725,9 @@ let suite =
     ("engine rejects past", `Quick, test_engine_past_rejected);
     ("engine every with jitter", `Quick, test_engine_every_jitter);
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
+    ("engine fixed-delay lanes", `Quick, test_engine_fixed_lane_basics);
+    ("engine scheduling allocation budget", `Quick, test_schedule_allocation);
+    QCheck_alcotest.to_alcotest prop_lanes_match_heap;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_model_fifo;
     QCheck_alcotest.to_alcotest prop_rng_int_bounds ]

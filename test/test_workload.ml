@@ -5,6 +5,7 @@ module Flows = Jury_workload.Flows
 module Traces = Jury_workload.Traces
 module Cbench = Jury_workload.Cbench
 module Probe = Jury_workload.Probe
+module Firehose = Jury_workload.Firehose
 module Network = Jury_net.Network
 module Switch = Jury_net.Switch
 module Builder = Jury_topo.Builder
@@ -115,6 +116,39 @@ let test_probe () =
   (* no controller => no flow mods *)
   check_int "no flow mods" 0 (Probe.total_flow_mod probe)
 
+(* A firehose flow key is the [Printf] rendering, byte for byte, over
+   random host ids, 0, and the ends of the int range (which [%x] prints
+   as unsigned 63-bit patterns). *)
+let prop_flow_key_is_printf =
+  let host =
+    QCheck.Gen.(
+      oneof
+        [ oneofl [ 0; 1; 15; 16; 0xFFFF; 1_999_999; max_int; min_int; -1 ];
+          int_bound 2_000_000;
+          int ])
+  in
+  QCheck.Test.make ~name:"Firehose.flow_key = Printf" ~count:1000
+    QCheck.(
+      make ~print:(fun (a, b) -> Printf.sprintf "%d %d" a b)
+        (Gen.pair host host))
+    (fun (src, dst) ->
+      String.equal (Firehose.flow_key src dst)
+        (Printf.sprintf "fw/%x>%x" src dst))
+
+(* The key allocates only its string: 3 words (header and two words of
+   bytes) for the 13-byte key of hosts 0x1e8479 and 0xabc. Budget 1.5x
+   that, on OCaml 5.1.1. *)
+let test_flow_key_allocation () =
+  let src = 0x1e8479 and dst = 0xabc in
+  ignore (Sys.opaque_identity (Firehose.flow_key src dst));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Firehose.flow_key src dst))
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000. in
+  if words > 4.5 then
+    Alcotest.failf "Firehose.flow_key allocates %.1f words, budget 4.5" words
+
 let suite =
   [ ("new connections rate", `Quick, test_new_connections_rate);
     ("same-switch locality", `Quick, test_same_switch_stays_local);
@@ -123,4 +157,6 @@ let suite =
     ("trace profiles", `Quick, test_traces_profiles);
     ("trace replay rate", `Quick, test_trace_replay_rate);
     ("cbench blast", `Quick, test_cbench_blast);
-    ("probe", `Quick, test_probe) ]
+    ("probe", `Quick, test_probe);
+    QCheck_alcotest.to_alcotest prop_flow_key_is_printf;
+    ("flow key allocation budget", `Quick, test_flow_key_allocation) ]
