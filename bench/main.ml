@@ -669,8 +669,8 @@ let micro ~full:_ () =
     let engine = Jury_sim.Engine.create () in
     for i = 0 to 1599 do
       let after = Jury_sim.Time.ns (1_000 + (i * 7_919 mod 100_000)) in
-      let rec tick () = ignore (Jury_sim.Engine.schedule engine ~after tick) in
-      ignore (Jury_sim.Engine.schedule engine ~after tick)
+      let rec tick () = Jury_sim.Engine.schedule engine ~after tick in
+      Jury_sim.Engine.schedule engine ~after tick
     done;
     fun () -> Jury_sim.Engine.step engine
   in
@@ -684,8 +684,8 @@ let micro ~full:_ () =
     let timeout = Jury_sim.Time.ms 50 and gap = Jury_sim.Time.us 20 in
     let timer () = () in
     let rec arrival () =
-      ignore (Jury_sim.Engine.schedule_fixed engine ~after:timeout timer);
-      ignore (Jury_sim.Engine.schedule engine ~after:gap arrival)
+      Jury_sim.Engine.schedule_fixed engine ~after:timeout timer;
+      Jury_sim.Engine.schedule engine ~after:gap arrival
     in
     arrival ();
     Jury_sim.Engine.run engine ~until:(Jury_sim.Time.ms 60);

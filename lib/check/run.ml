@@ -204,9 +204,8 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us ?trace
   run_workload case network ~rng ~duration;
   List.iter
     (fun (f : Case.fault_event) ->
-      ignore
-        (Engine.schedule engine ~after:(Time.ms f.Case.at_ms) (fun () ->
-             apply_fault deployment ~policies f.Case.action)))
+      Engine.schedule engine ~after:(Time.ms f.Case.at_ms) (fun () ->
+          apply_fault deployment ~policies f.Case.action))
     case.Case.faults;
   (* Settle for two seconds past the workload window so every timer
      (validation timeouts, retransmissions, link recoveries) fires. *)

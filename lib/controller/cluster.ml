@@ -143,13 +143,9 @@ let create engine ~profile ~nodes:n ~network =
       Controller.set_switch_tx ctrl (fun dpid msg ->
           match Network.switch network dpid with
           | sw ->
-              ignore
-                (Engine.schedule engine
-                   ~footprint:
-                     (Footprint.touches
-                        [ Footprint.switch (Of_types.Dpid.hash dpid) ])
-                   ~after:channel_latency
-                   (fun () -> Switch.handle_control sw msg))
+              Engine.schedule_on engine (Switch.footprint sw)
+                ~after:channel_latency
+                (fun () -> Switch.handle_control sw msg)
           | exception Not_found -> ()))
     controllers;
   (* Switch → controller channels, through the southbound hook. *)
@@ -163,30 +159,28 @@ let create engine ~profile ~nodes:n ~network =
              failover must not rely on it — the explorer targets
              fixed-mastership deployments (see DESIGN.md). *)
           let declared_master = master_of t dpid in
-          ignore
-            (Engine.schedule engine
-               ~footprint:
-                 (Footprint.touches [ Footprint.controller declared_master ])
-               ~after:channel_latency
-               (fun () ->
-                 (* Classified once; a message that is no trigger (echo
-                    traffic and the like) reaches no controller. *)
-                 match trigger_of_message dpid msg with
-                 | None -> ()
-                 | Some trigger ->
-                     let master = master_of t dpid in
-                     let forward ?taint ?to_ () =
-                       let target = Option.value to_ ~default:master in
-                       (match taint with
-                       | Some taint when tracing engine ->
-                           trace_intercept engine ~taint ~node:target
-                             [ ("channel", "southbound");
-                               ("dpid", Of_types.Dpid.to_string dpid);
-                               ("msg", Of_message.type_name msg.payload) ]
-                       | _ -> ());
-                       Controller.submit t.controllers.(target) ?taint trigger
-                     in
-                     t.southbound_hook ~dpid ~master ~msg ~trigger ~forward))))
+          Engine.schedule_on engine
+            (Footprint.one (Footprint.controller declared_master))
+            ~after:channel_latency
+            (fun () ->
+               (* Classified once; a message that is no trigger (echo
+                  traffic and the like) reaches no controller. *)
+               match trigger_of_message dpid msg with
+               | None -> ()
+               | Some trigger ->
+                   let master = master_of t dpid in
+                   let forward ?taint ?to_ () =
+                     let target = Option.value to_ ~default:master in
+                     (match taint with
+                     | Some taint when tracing engine ->
+                         trace_intercept engine ~taint ~node:target
+                           [ ("channel", "southbound");
+                             ("dpid", Of_types.Dpid.to_string dpid);
+                             ("msg", Of_message.type_name msg.payload) ]
+                     | _ -> ());
+                     Controller.submit t.controllers.(target) ?taint trigger
+                   in
+                   t.southbound_hook ~dpid ~master ~msg ~trigger ~forward)))
     (Network.switches network);
   t
 
@@ -294,13 +288,9 @@ let fail_over t ~node =
         | Error e -> Logs.warn (fun f -> f "failover mastership write: %s" e));
       match Network.switch t.network dpid with
       | sw ->
-          ignore
-            (Engine.schedule t.engine
-               ~footprint:
-                 (Footprint.touches
-                    [ Footprint.switch (Of_types.Dpid.hash dpid) ])
-               ~after:channel_latency
-               (fun () -> Switch.announce sw))
+          Engine.schedule_on t.engine (Switch.footprint sw)
+            ~after:channel_latency
+            (fun () -> Switch.announce sw)
       | exception Not_found -> ())
     orphaned
 
@@ -386,9 +376,9 @@ let enable_election t cfg =
                 List.iter (fun f -> f ~term ~failed:node ~leader) e.listeners
               end
             done);
-        ignore (Engine.schedule t.engine ~after:cfg.period tick)
+        Engine.schedule t.engine ~after:cfg.period tick
       in
-      ignore (Engine.schedule t.engine ~after:cfg.period tick)
+      Engine.schedule t.engine ~after:cfg.period tick
 
 let query_flows t ~node dpid =
   if node < 0 || node >= nodes t then invalid_arg "Cluster.query_flows: bad id";

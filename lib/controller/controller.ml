@@ -29,6 +29,7 @@ type flood = {
 type t = {
   engine : Engine.t;
   id : int;
+  footprint : Footprint.t;  (* this replica, for its own events *)
   profile : Profile.t;
   fabric : Fabric.t;
   flow_memo : Values.Flow.Memo.t;  (* shared by the cluster's replicas *)
@@ -83,14 +84,14 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
        store shard; everything further out is reached via separately
        scheduled (and separately tagged) events. *)
     Pipeline.create engine
-      ~footprint:
-        (Footprint.touches [ Footprint.controller id; Footprint.store id ])
+      ~footprint:(Footprint.two (Footprint.controller id) (Footprint.store id))
       (Pipeline.config ~service_sigma:profile.Profile.service_sigma
          ~base_service:profile.Profile.base_service ())
   in
   let t =
     { engine;
       id;
+      footprint = Footprint.one (Footprint.controller id);
       profile;
       fabric;
       flow_memo;
@@ -707,11 +708,8 @@ let apply_action t taint ~delay (action : Types.action) =
   | Types.Network_send { dpid; payload } ->
       (if masters t dpid then
          (if Time.(delay > Time.zero) then
-            ignore
-              (Engine.schedule t.engine
-                 ~footprint:(Footprint.touches [ Footprint.controller t.id ])
-                 ~after:delay
-                 (fun () -> send_network t taint dpid payload))
+            Engine.schedule_on t.engine t.footprint ~after:delay (fun () ->
+                send_network t taint dpid payload)
           else send_network t taint dpid payload)
        else
          (* Remote switch: the directive travels through the shared
@@ -768,18 +766,13 @@ let () =
           Values.Host.parse ev.Event.value )
       with
       | mac, Some (host_dpid, host_port, _) ->
-          ignore
-            (Engine.schedule t.engine
-               ~footprint:(Footprint.touches [ Footprint.controller t.id ])
-               ~after:(Time.us 50)
-               (fun () ->
-                 match
-                   plan_proactive_host_rules t ~mac ~host_dpid ~host_port
-                 with
-                 | [] -> ()
-                 | actions ->
-                     run_internal t ~app:"odl-proactive-fwd"
-                       (Types.Proactive actions)))
+          Engine.schedule_on t.engine t.footprint ~after:(Time.us 50)
+            (fun () ->
+              match plan_proactive_host_rules t ~mac ~host_dpid ~host_port with
+              | [] -> ()
+              | actions ->
+                  run_internal t ~app:"odl-proactive-fwd"
+                    (Types.Proactive actions))
       | _, None -> ()
       | exception Invalid_argument _ -> ()
 
@@ -787,7 +780,7 @@ let start_discovery t =
   ignore
     (Engine.every t.engine ~period:t.profile.Profile.lldp_period
        ~jitter:t.profile.Profile.lldp_jitter
-       ~footprint:(Footprint.touches [ Footprint.controller t.id ])
+       ~footprint:t.footprint
        (fun () -> run_internal t ~app:"lldp-discovery" Types.Emit_lldp))
 
 let response_latency_sample t =

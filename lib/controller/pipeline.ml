@@ -18,7 +18,11 @@ type t = {
   cfg : config;
   footprint : Footprint.t;
   rng : Rng.t;
-  queue : (unit -> unit) Queue.t;
+  mu : float;  (* the service time's log-median, in log-microseconds *)
+  queue : (unit -> unit) Queue.t;  (* the jobs waiting behind [current] *)
+  mutable current : unit -> unit;  (* the job in service, while [serving] *)
+  mutable complete : unit -> unit;
+      (* the completion event of every job: at most one is pending *)
   mutable serving : bool;
   mutable busy_until : Time.t;
   mutable overloaded : bool;
@@ -29,20 +33,7 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?(footprint = Footprint.opaque) engine cfg =
-  { engine;
-    cfg;
-    footprint;
-    rng = Rng.split (Engine.rng engine);
-    queue = Queue.create ();
-    serving = false;
-    busy_until = Time.zero;
-    overloaded = false;
-    collapsed = false;
-    window_start = Time.zero;
-    window_drops = 0;
-    completed = 0;
-    dropped = 0 }
+let noop () = ()
 
 let backlog t =
   (* Work ahead of a new arrival: the in-flight remainder plus a
@@ -90,30 +81,55 @@ let note_drop t =
   t.window_drops <- t.window_drops + 1
 
 let sample_service t =
-  let median_us = Time.to_float_us t.cfg.base_service in
-  let mu = log (Float.max 0.001 median_us) in
   let s =
-    Time.of_float_us (Rng.lognormal t.rng ~mu ~sigma:t.cfg.service_sigma)
+    Time.of_float_us (Rng.lognormal t.rng ~mu:t.mu ~sigma:t.cfg.service_sigma)
   in
   if t.collapsed then Time.mul s degraded_factor else s
 
-let rec start_next t =
-  match Queue.take_opt t.queue with
-  | None -> t.serving <- false
-  | Some job ->
-      t.serving <- true;
-      let now = Engine.now t.engine in
-      let start = Time.max now t.busy_until in
-      let finish = Time.add start (sample_service t) in
-      t.busy_until <- finish;
-      ignore
-        (Engine.schedule_at t.engine ~footprint:t.footprint ~at:finish
-           (fun () ->
-             t.completed <- t.completed + 1;
-             (* The job may add_load (store-sync stalls); the next job
-                starts only after those are absorbed. *)
-             job ();
-             start_next t))
+(* Serves [job]: draws its service time and schedules [complete].
+   Nothing is queued while the server idles, so a job that arrives
+   then starts here at once. *)
+let rec start t job =
+  t.serving <- true;
+  t.current <- job;
+  let now = Engine.now t.engine in
+  let start = Time.max now t.busy_until in
+  let finish = Time.add start (sample_service t) in
+  t.busy_until <- finish;
+  Engine.schedule_on_at t.engine t.footprint ~at:finish t.complete
+
+and complete t =
+  t.completed <- t.completed + 1;
+  (* Read before running: the job may submit to this pipeline. It may
+     also add_load (store-sync stalls); the next job starts only after
+     those are absorbed. *)
+  let job = t.current in
+  t.current <- noop;
+  job ();
+  if Queue.is_empty t.queue then t.serving <- false
+  else start t (Queue.take t.queue)
+
+let create ?(footprint = Footprint.opaque) engine cfg =
+  let t =
+    { engine;
+      cfg;
+      footprint;
+      rng = Rng.split (Engine.rng engine);
+      mu = log (Float.max 0.001 (Time.to_float_us cfg.base_service));
+      queue = Queue.create ();
+      current = noop;
+      complete = noop;
+      serving = false;
+      busy_until = Time.zero;
+      overloaded = false;
+      collapsed = false;
+      window_start = Time.zero;
+      window_drops = 0;
+      completed = 0;
+      dropped = 0 }
+  in
+  t.complete <- (fun () -> complete t);
+  t
 
 let submit ?span t job =
   update_overload t;
@@ -142,8 +158,7 @@ let submit ?span t job =
                  Printf.sprintf "%.1f"
                    (float_of_int (now_ns - enqueued_ns) /. 1e3)) ]
     in
-    Queue.push job t.queue;
-    if not t.serving then start_next t
+    if t.serving then Queue.push job t.queue else start t job
   end
 
 let add_load t cost =

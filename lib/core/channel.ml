@@ -65,11 +65,11 @@ let jitter t =
 (* The reliable path must stay bit-for-bit identical to a plain
    [Engine.schedule]: one event at exactly [delay], zero RNG draws.
    Every seeded experiment in the repo depends on this. *)
-let send t ?footprint ~delay f =
+let send t ~footprint ~delay f =
   t.stats.sent <- t.stats.sent + 1;
   if is_reliable t.profile then begin
     t.stats.delivered <- t.stats.delivered + 1;
-    ignore (Engine.schedule t.engine ?footprint ~after:delay f);
+    Engine.schedule_on t.engine footprint ~after:delay f;
     `Delivered
   end
   else if t.profile.drop > 0. && Rng.bernoulli t.rng t.profile.drop then begin
@@ -79,7 +79,7 @@ let send t ?footprint ~delay f =
   else begin
     let delay = Time.add delay (jitter t) in
     t.stats.delivered <- t.stats.delivered + 1;
-    ignore (Engine.schedule t.engine ?footprint ~after:delay f);
+    Engine.schedule_on t.engine footprint ~after:delay f;
     if t.profile.duplicate > 0. && Rng.bernoulli t.rng t.profile.duplicate
     then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
@@ -89,7 +89,7 @@ let send t ?footprint ~delay f =
         if t.profile.jitter_us > 0. then jitter t
         else Time.of_float_us (Rng.exponential t.rng 25.)
       in
-      ignore (Engine.schedule t.engine ?footprint ~after:(Time.add delay trail) f);
+      Engine.schedule_on t.engine footprint ~after:(Time.add delay trail) f;
       `Duplicated
     end
     else `Delivered

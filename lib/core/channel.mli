@@ -71,14 +71,14 @@ val profile : t -> profile
 (** The profile the channel was created with. *)
 
 val send :
-  t -> ?footprint:Jury_sim.Footprint.t -> delay:Jury_sim.Time.t ->
+  t -> footprint:Jury_sim.Footprint.t -> delay:Jury_sim.Time.t ->
   (unit -> unit) ->
   [ `Delivered | `Dropped | `Duplicated ]
 (** Offer a message. [`Dropped] means the callback will never run;
     [`Duplicated] means it will run twice (once at [delay] + jitter,
     once later). The delivered-copy count equals
     [delivered + duplicated]. [footprint] is attached to every
-    delivered copy's event (see {!Jury_sim.Engine.schedule}); it never
+    delivered copy's event (see {!Jury_sim.Engine.schedule_on}); it never
     affects delivery. *)
 
 val note_retransmit : t -> unit

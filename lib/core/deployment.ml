@@ -90,9 +90,6 @@ type t = {
       (* origin → the peers that ack its cache events, built once *)
   replica_links : Channel.t array;
       (* interception point → secondary i, one per node *)
-  replica_footprints : Footprint.t array array;
-      (* [.(secondary).(primary)]: what a replica copy's arrival
-         touches, built once *)
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
   plans : Plans.t;  (* one per deployment: [Pool] runs several *)
@@ -101,9 +98,10 @@ type t = {
          including the current primary; kept only when retransmission
          or election is on *)
   mutable batch_buf : Response.t list;  (* newest first *)
-  mutable batch_flush : Engine.handle option;
-      (* armed lazily on the first buffered response so an idle engine
-         still drains; [None] whenever the buffer is empty *)
+  mutable batch_flush : bool;
+      (* whether a flush is scheduled: armed lazily on the first
+         buffered response so an idle engine still drains; [false]
+         whenever the buffer is empty *)
   mutable serial : int;
   mutable raw_serial : int;
   mutable replication_bytes : int;
@@ -155,14 +153,14 @@ let ingest t (r : Response.t) =
   | None -> Validator.deliver t.validator r
   | Some window ->
       t.batch_buf <- r :: t.batch_buf;
-      if t.batch_flush = None then
-        t.batch_flush <-
-          Some
-            (Engine.schedule t.engine ~after:window (fun () ->
-                 t.batch_flush <- None;
-                 let batch = List.rev t.batch_buf in
-                 t.batch_buf <- [];
-                 Validator.deliver_batch t.validator batch))
+      if not t.batch_flush then begin
+        t.batch_flush <- true;
+        Engine.schedule t.engine ~after:window (fun () ->
+            t.batch_flush <- false;
+            let batch = List.rev t.batch_buf in
+            t.batch_buf <- [];
+            Validator.deliver_batch t.validator batch)
+      end
 
 let send_to_validator t ~delay (r : Response.t) =
   t.validator_bytes <- t.validator_bytes + response_wire_size r;
@@ -403,7 +401,9 @@ let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
      replicator's shared RNG, which only opaque declares honestly. *)
   let footprint =
     if decap then Footprint.opaque
-    else t.replica_footprints.(secondary).(primary)
+    else
+      Footprint.two (Footprint.controller secondary)
+        (Footprint.controller primary)
   in
   let close_span = span_closer t rspan in
   let link = t.replica_links.(secondary) in
@@ -423,13 +423,12 @@ let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
               ~sigma:0.45
           in
           t.decap_samples <- cost_us :: t.decap_samples;
-          ignore
-            (Engine.schedule t.engine ~after:(Time.of_float_us cost_us)
-               (fun () ->
-                 (* [no_span] would drop the attribute unread. *)
-                 if close_span != no_span then
-                   close_span [ ("decap_us", Printf.sprintf "%.1f" cost_us) ];
-                 run_shadow t ~secondary ~primary ~taint trigger))
+          Engine.schedule t.engine ~after:(Time.of_float_us cost_us)
+            (fun () ->
+              (* [no_span] would drop the attribute unread. *)
+              if close_span != no_span then
+                close_span [ ("decap_us", Printf.sprintf "%.1f" cost_us) ];
+              run_shadow t ~secondary ~primary ~taint trigger)
         end
         else begin
           close_span [];
@@ -520,14 +519,13 @@ let handle_failover t ~term ~failed ~leader =
             [ ("event", "re-drive");
               ("term", string_of_int term);
               ("failed", string_of_int failed) ];
-        ignore
-          (Engine.schedule t.engine
-             ~footprint:(Footprint.touches [ Footprint.controller new_primary ])
-             ~after:replication_latency
-             (fun () ->
-               Controller.submit
-                 (Cluster.controller t.cluster new_primary)
-                 ~taint inf.inf_trigger))
+        Engine.schedule_on t.engine
+          (Footprint.one (Footprint.controller new_primary))
+          ~after:replication_latency
+          (fun () ->
+            Controller.submit
+              (Cluster.controller t.cluster new_primary)
+              ~taint inf.inf_trigger)
       end)
     stale
 
@@ -575,7 +573,7 @@ let install cluster (cfg : config) =
                chatter load on the trigger's primary shifts timings
                only). *)
             Pipeline.create engine
-              ~footprint:(Footprint.touches [ Footprint.controller node ])
+              ~footprint:(Footprint.one (Footprint.controller node))
               (Pipeline.config
                  ~service_sigma:profile.Jury_controller.Profile.service_sigma
                  ~base_service:
@@ -595,12 +593,6 @@ let install cluster (cfg : config) =
             Channel.create engine ~rng
               ~name:(Printf.sprintf "replica/%d" i)
               cfg.channel);
-      replica_footprints =
-        Array.init n (fun secondary ->
-            Array.init n (fun primary ->
-                Footprint.touches
-                  [ Footprint.controller secondary;
-                    Footprint.controller primary ]));
       validator_links =
         Array.init n (fun i ->
             Channel.create engine ~rng
@@ -609,7 +601,7 @@ let install cluster (cfg : config) =
       plans = Plans.create ();
       inflight = Taint.Table.create 256;
       batch_buf = [];
-      batch_flush = None;
+      batch_flush = false;
       nodes;
       serial = 0;
       raw_serial = 0;

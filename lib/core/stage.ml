@@ -55,7 +55,7 @@ type item =
    numbers). *)
 let advance engine ~at =
   if Time.compare at (Engine.now engine) > 0 then begin
-    ignore (Engine.schedule_at engine ~at (fun () -> ()));
+    Engine.schedule_at engine ~at (fun () -> ());
     Engine.run engine ~until:at
   end
 

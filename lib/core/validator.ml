@@ -26,10 +26,10 @@ type pending = {
   shard : int;  (* owning shard, fixed by hash(taint) at creation *)
   epoch : int;  (* registration epoch, the unit [max_inflight] sheds *)
   trigger_at : Time.t;
-  mutable timer : Engine.handle option;
+  mutable timer : Engine.handle;  (* [Engine.no_handle] until armed *)
   mutable decided : bool;
   mutable retry_round : int;
-  mutable retry_timer : Engine.handle option;
+  mutable retry_timer : Engine.handle;
 }
 
 (* One shard of verdict state: its own pending table, the retry
@@ -229,9 +229,9 @@ let finish t p ({ verdict; suspects; detail } : Decide.decision) =
   let d = p.input in
   let sh = t.shards.(p.shard) in
   p.decided <- true;
-  Option.iter Engine.cancel p.timer;
-  Option.iter Engine.cancel p.retry_timer;
-  p.retry_timer <- None;
+  Engine.cancel t.engine p.timer;
+  Engine.cancel t.engine p.retry_timer;
+  p.retry_timer <- Engine.no_handle;
   let stragglers = Decide.stragglers d in
   add sh Straggler (List.length stragglers);
   Taint.Table.remove sh.pending d.taint;
@@ -278,22 +278,18 @@ let evaluate t p ~timed_out =
    queued trigger — force the conservative opaque footprint instead. *)
 let trigger_footprint (cfg : config) taint =
   if cfg.adaptive_timeout || cfg.max_inflight <> None then Footprint.opaque
-  else Footprint.touches [ Footprint.trigger (Taint.hash taint) ]
+  else Footprint.one (Footprint.trigger (Taint.hash taint))
 
 let entry_footprint t (p : pending) = trigger_footprint t.cfg p.input.taint
 
 (* A fixed θτ puts every timer the same delay ahead, so they share a
    fixed-delay lane; an adaptive one varies per trigger. *)
 let arm_timer t p =
-  if p.timer = None then begin
-    let footprint = entry_footprint t p and after = current_timeout t in
-    let fire () = evaluate t p ~timed_out:true in
+  if p.timer = Engine.no_handle then
     p.timer <-
-      Some
-        (if t.cfg.adaptive_timeout then
-           Engine.schedule t.engine ~footprint ~after fire
-         else Engine.schedule_fixed t.engine ~footprint ~after fire)
-  end
+      Engine.timer t.engine (entry_footprint t p)
+        ~fixed:(not t.cfg.adaptive_timeout) ~after:(current_timeout t)
+        (fun () -> evaluate t p ~timed_out:true)
 
 (* --- Bounded retransmission with exponential backoff --- *)
 
@@ -309,14 +305,13 @@ let retry_delay t round =
 
 let rec arm_retry t p rt =
   p.retry_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~after:(retry_delay t p.retry_round)
-         (fun () -> fire_retry t p rt))
+    Engine.timer t.engine Footprint.opaque ~fixed:false
+      ~after:(retry_delay t p.retry_round)
+      (fun () -> fire_retry t p rt)
 
 and fire_retry t p (rt : retransmit) =
   let sh = t.shards.(p.shard) in
-  p.retry_timer <- None;
+  p.retry_timer <- Engine.no_handle;
   if not p.decided then begin
     match Decide.stragglers p.input with
     | [] -> () (* everyone answered; no more retries needed *)
@@ -383,10 +378,10 @@ let add_pending t ~shard ~taint ~at ~primary ~secondaries =
       shard;
       epoch = t.reg_count / t.epoch_length;
       trigger_at = at;
-      timer = None;
+      timer = Engine.no_handle;
       decided = false;
       retry_round = 0;
-      retry_timer = None }
+      retry_timer = Engine.no_handle }
   in
   Taint.Table.add t.shards.(shard).pending taint p;
   if t.cfg.max_inflight <> None then Queue.push p t.admitted;
@@ -421,8 +416,8 @@ let reattribute t ~taint ~primary ~term =
   | Some p when not p.decided ->
       p.input.primary <- Some primary;
       p.input.term <- term;
-      (match p.timer with Some h -> Engine.cancel h | None -> ());
-      p.timer <- None;
+      Engine.cancel t.engine p.timer;
+      p.timer <- Engine.no_handle;
       arm_timer t p;
       add t.shards.(shard) Reattributed 1;
       (let tr = Engine.trace t.engine in

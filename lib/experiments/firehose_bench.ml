@@ -54,46 +54,45 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
   let rec arm_arrival () =
     let ev = Firehose.next stream in
     if Time.(ev.Firehose.at <= stop) then
-      ignore
-        (Engine.schedule_at engine ~at:ev.Firehose.at (fun () ->
-             let s = !serial in
-             incr serial;
-             let primary = s mod nodes in
-             let taint = Types.Taint.external_trigger ~primary ~serial:s in
-             let secondaries =
-               Rng.sample_without_replacement rng
-                 (min k (nodes - 1))
-                 (List.filter (fun n -> n <> primary) others)
-               |> List.sort compare
-             in
-             Validator.register_external v ~taint ~at:(Engine.now engine)
-               ~primary ~secondaries;
-             let key = ev.Firehose.flow_key in
-             let push body =
-               incr responses;
-               batch_buf :=
-                 { Response.controller = primary; taint; snapshot;
-                   sent_at = Engine.now engine; term = 0; body }
-                 :: !batch_buf
-             in
-             let respond controller role =
-               if Rng.bernoulli rng 0.98 then begin
-                 incr responses;
-                 batch_buf :=
-                   { Response.controller; taint; snapshot;
-                     sent_at = Engine.now engine; term = 0;
-                     body = Response.Execution { role; actions = [ action key ] } }
-                   :: !batch_buf
-               end;
-               if role = `Primary then
-                 push
-                   (Response.Cache_update
-                      { Event.cache = Names.flowsdb; op = Event.Create; key;
-                        value = "v"; origin = primary; seq = s; taint = None })
-             in
-             respond primary `Primary;
-             List.iter (fun sc -> respond sc `Secondary) secondaries;
-             arm_arrival ()))
+      Engine.schedule_at engine ~at:ev.Firehose.at (fun () ->
+          let s = !serial in
+          incr serial;
+          let primary = s mod nodes in
+          let taint = Types.Taint.external_trigger ~primary ~serial:s in
+          let secondaries =
+            Rng.sample_without_replacement rng
+              (min k (nodes - 1))
+              (List.filter (fun n -> n <> primary) others)
+            |> List.sort compare
+          in
+          Validator.register_external v ~taint ~at:(Engine.now engine)
+            ~primary ~secondaries;
+          let key = ev.Firehose.flow_key in
+          let push body =
+            incr responses;
+            batch_buf :=
+              { Response.controller = primary; taint; snapshot;
+                sent_at = Engine.now engine; term = 0; body }
+              :: !batch_buf
+          in
+          let respond controller role =
+            if Rng.bernoulli rng 0.98 then begin
+              incr responses;
+              batch_buf :=
+                { Response.controller; taint; snapshot;
+                  sent_at = Engine.now engine; term = 0;
+                  body = Response.Execution { role; actions = [ action key ] } }
+                :: !batch_buf
+            end;
+            if role = `Primary then
+              push
+                (Response.Cache_update
+                   { Event.cache = Names.flowsdb; op = Event.Create; key;
+                     value = "v"; origin = primary; seq = s; taint = None })
+          in
+          respond primary `Primary;
+          List.iter (fun sc -> respond sc `Secondary) secondaries;
+          arm_arrival ())
   in
   let rec batch_tick () =
     (match !batch_buf with
@@ -102,10 +101,10 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
         Validator.deliver_batch v (List.rev rs);
         batch_buf := []);
     if Time.(Engine.now engine < stop) then
-      ignore (Engine.schedule engine ~after:window (fun () -> batch_tick ()))
+      Engine.schedule engine ~after:window (fun () -> batch_tick ())
   in
   arm_arrival ();
-  ignore (Engine.schedule engine ~after:window (fun () -> batch_tick ()));
+  Engine.schedule engine ~after:window (fun () -> batch_tick ());
   (* Settle one timeout past the stream so stragglers decide. *)
   Engine.run engine ~until:(Time.add stop (Time.ms 60));
   Validator.flush v;

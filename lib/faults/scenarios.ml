@@ -73,9 +73,8 @@ let flap_liveness_link ctx node =
   | Some e ->
       Network.take_link_down ctx.network e.a e.b;
       let engine = Cluster.engine ctx.cluster in
-      ignore
-        (Engine.schedule engine ~after:(Time.ms 500) (fun () ->
-             Network.bring_link_up ctx.network e.a e.b))
+      Engine.schedule engine ~after:(Time.ms 500) (fun () ->
+          Network.bring_link_up ctx.network e.a e.b)
 
 let sample_flow ?(priority = 300) ~out_port () =
   let m =
@@ -306,11 +305,10 @@ let flow_deletion_failure =
         let healthy = (ctx.faulty + 1) mod Cluster.nodes ctx.cluster in
         let flow = sample_flow ~out_port:1 () in
         rest_install ctx ~node:healthy ~dpid flow;
-        ignore
-          (Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 1)
-             (fun () ->
-               Cluster.rest ctx.cluster ~node:ctx.faulty
-                 (Types.Delete_flow { dpid; fm_match = flow.Of_message.fm_match }))));
+        Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 1)
+          (fun () ->
+            Cluster.rest ctx.cluster ~node:ctx.faulty
+              (Types.Delete_flow { dpid; fm_match = flow.Of_message.fm_match })));
     settle = Time.sec 4;
     election = None;
     expected = Jury.Alarm.Response_timeout }
@@ -484,12 +482,10 @@ let controller_crash_rejoin =
            must then be answered from the resynced state. *)
         send_via_mastered_switch ctx ctx.faulty;
         let engine = Cluster.engine ctx.cluster in
-        ignore
-          (Engine.schedule engine ~after:(Time.sec 2) (fun () ->
-               Injector.rejoin ctx.deployment ~node:ctx.faulty));
-        ignore
-          (Engine.schedule engine ~after:(Time.ms 2500) (fun () ->
-               send_via_mastered_switch ctx ctx.faulty)));
+        Engine.schedule engine ~after:(Time.sec 2) (fun () ->
+            Injector.rejoin ctx.deployment ~node:ctx.faulty);
+        Engine.schedule engine ~after:(Time.ms 2500) (fun () ->
+            send_via_mastered_switch ctx ctx.faulty));
     settle = Time.sec 5;
     election = None;
     expected = Jury.Alarm.Response_timeout }
@@ -563,29 +559,28 @@ let store_partition =
           | None -> failwith "scenario: no stub link to cut"
         in
         Network.take_link_down ctx.network edge.a edge.b;
-        ignore
-          (Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 1)
-             (fun () ->
-               let host_on dpid =
-                 match
-                   List.find_opt
-                     (fun (s : Jury_topo.Builder.host_slot) ->
-                       Jury_openflow.Of_types.Dpid.equal
-                         s.Jury_topo.Builder.dpid dpid)
-                     plan.Jury_topo.Builder.hosts
-                 with
-                 | Some s ->
-                     Network.host ctx.network s.Jury_topo.Builder.host_index
-                 | None -> failwith "scenario: no host behind the cut"
-               in
-               (* The trigger's primary must be healthy — the stale
-                  replica has to dissent as a {e secondary} so the
-                  honest majority outvotes it. *)
-               let healthy = (ctx.faulty + 1) mod Cluster.nodes ctx.cluster in
-               let src = host_on (a_switch_mastered_by ctx healthy) in
-               let dst = host_on stranded in
-               Host.send_tcp src ~dst_mac:(Host.mac dst) ~dst_ip:(Host.ip dst)
-                 ~src_port:4000 ~dst_port:80 ())));
+        Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 1)
+          (fun () ->
+            let host_on dpid =
+              match
+                List.find_opt
+                  (fun (s : Jury_topo.Builder.host_slot) ->
+                    Jury_openflow.Of_types.Dpid.equal
+                      s.Jury_topo.Builder.dpid dpid)
+                  plan.Jury_topo.Builder.hosts
+              with
+              | Some s ->
+                  Network.host ctx.network s.Jury_topo.Builder.host_index
+              | None -> failwith "scenario: no host behind the cut"
+            in
+            (* The trigger's primary must be healthy — the stale
+               replica has to dissent as a {e secondary} so the
+               honest majority outvotes it. *)
+            let healthy = (ctx.faulty + 1) mod Cluster.nodes ctx.cluster in
+            let src = host_on (a_switch_mastered_by ctx healthy) in
+            let dst = host_on stranded in
+            Host.send_tcp src ~dst_mac:(Host.mac dst) ~dst_ip:(Host.ip dst)
+              ~src_port:4000 ~dst_port:80 ()));
     settle = Time.sec 4;
     election = None;
     expected = Jury.Alarm.Consensus_mismatch }
@@ -661,9 +656,8 @@ let master_failover =
         send_via_dpid ctx dpid;
         (* Well after the election: the same switch now answers through
            its new master, stamped with term 2. *)
-        ignore
-          (Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 2)
-             (fun () -> send_via_dpid ctx dpid)));
+        Engine.schedule (Cluster.engine ctx.cluster) ~after:(Time.sec 2)
+          (fun () -> send_via_dpid ctx dpid));
     settle = Time.sec 4;
     election = Some { Cluster.period = Time.ms 400; timeout_beats = 2 };
     expected = Jury.Alarm.Response_timeout }
@@ -695,17 +689,14 @@ let election_storm =
            instead of timing out. *)
         Injector.crash ctx.cluster ~node:storm;
         send_via_mastered_switch ctx storm;
-        ignore
-          (Engine.schedule engine ~after:(Time.sec 1) (fun () ->
-               Injector.rejoin ctx.deployment ~node:storm));
-        ignore
-          (Engine.schedule engine ~after:(Time.sec 2) (fun () ->
-               Injector.crash ctx.cluster ~node:storm));
-        ignore
-          (Engine.schedule engine ~after:(Time.sec 3) (fun () ->
-               let dpid = a_switch_mastered_by ctx ctx.faulty in
-               rest_install ctx ~node:ctx.faulty ~dpid
-                 (sample_flow ~out_port:1 ()))));
+        Engine.schedule engine ~after:(Time.sec 1) (fun () ->
+            Injector.rejoin ctx.deployment ~node:storm);
+        Engine.schedule engine ~after:(Time.sec 2) (fun () ->
+            Injector.crash ctx.cluster ~node:storm);
+        Engine.schedule engine ~after:(Time.sec 3) (fun () ->
+            let dpid = a_switch_mastered_by ctx ctx.faulty in
+            rest_install ctx ~node:ctx.faulty ~dpid
+              (sample_flow ~out_port:1 ())));
     settle = Time.sec 5;
     election = Some { Cluster.period = Time.ms 30; timeout_beats = 2 };
     expected = Jury.Alarm.Consensus_mismatch }

@@ -48,19 +48,14 @@ let deliver t ~from_dpid ~from_port frame =
     | None -> ()
     | Some (To_host hi) ->
         let h = t.hosts.(hi) in
-        ignore
-          (Engine.schedule t.engine
-             ~footprint:(Footprint.touches [ Footprint.host hi ])
-             ~after:link_latency
-             (fun () -> Host.receive h frame))
+        Engine.schedule_on t.engine
+          (Footprint.one (Footprint.host hi))
+          ~after:link_latency
+          (fun () -> Host.receive h frame)
     | Some (To_switch (peer, peer_port)) ->
         let sw = switch t peer in
-        ignore
-          (Engine.schedule t.engine
-             ~footprint:
-               (Footprint.touches [ Footprint.switch (Of_types.Dpid.hash peer) ])
-             ~after:link_latency
-             (fun () -> Switch.receive_frame sw ~in_port:peer_port frame))
+        Engine.schedule_on t.engine (Switch.footprint sw) ~after:link_latency
+          (fun () -> Switch.receive_frame sw ~in_port:peer_port frame)
   end
 
 let create engine (plan : Builder.plan) ?(lenient_tables = false) () =
@@ -101,13 +96,8 @@ let create engine (plan : Builder.plan) ?(lenient_tables = false) () =
         let slot = Builder.find_host_slot plan i in
         let tx frame =
           let sw = switch t slot.dpid in
-          ignore
-            (Engine.schedule engine
-               ~footprint:
-                 (Footprint.touches
-                    [ Footprint.switch (Of_types.Dpid.hash slot.dpid) ])
-               ~after:link_latency
-               (fun () -> Switch.receive_frame sw ~in_port:slot.port frame))
+          Engine.schedule_on engine (Switch.footprint sw) ~after:link_latency
+            (fun () -> Switch.receive_frame sw ~in_port:slot.port frame)
         in
         Hashtbl.replace t.attachments (slot.dpid, slot.port) (To_host i);
         Switch.register_port (switch t slot.dpid) slot.port;

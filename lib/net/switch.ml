@@ -13,6 +13,7 @@ type t = {
   down_ports : (int, unit) Hashtbl.t;
   mutable forwarder : port:int -> Frame.t -> unit;
   mutable control_tx : Of_message.t -> unit;
+  footprint : Footprint.t;  (* this switch, for its own events *)
   mutable sweep_armed : bool;
   mutable tap : ([ `Rx | `Tx ] -> int -> Frame.t -> unit) option;
   mutable packet_in_count : int;
@@ -30,6 +31,7 @@ let buffer_slots = 256
 let create engine dpid ?(lenient_table = false) () =
   { engine;
     dpid;
+    footprint = Footprint.one (Footprint.switch (Of_types.Dpid.hash dpid));
     table = Flow_table.create ~lenient:lenient_table ();
     buffers = Hashtbl.create 64;
     next_buffer = 0;
@@ -46,6 +48,7 @@ let create engine dpid ?(lenient_table = false) () =
     dropped_count = 0 }
 
 let dpid t = t.dpid
+let footprint t = t.footprint
 let table t = t.table
 
 let register_port t port =
@@ -81,27 +84,22 @@ let flow_removed_payload ~now ~reason (e : Flow_table.entry) =
 let rec ensure_expiry_sweep t =
   if (not t.sweep_armed) && Flow_table.has_expirable t.table then begin
     t.sweep_armed <- true;
-    ignore
-      (Engine.schedule t.engine
-         ~footprint:
-           (Footprint.touches [ Footprint.switch (Of_types.Dpid.hash t.dpid) ])
-         ~after:expiry_period
-         (fun () ->
-           t.sweep_armed <- false;
-           let now = Engine.now t.engine in
-           List.iter
-             (fun (e : Flow_table.entry) ->
-               let reason =
-                 if
-                   e.hard_timeout > 0
-                   && Time.to_float_sec (Time.sub now e.installed_at)
-                      >= float_of_int e.hard_timeout
-                 then Of_message.Hard_timeout
-                 else Of_message.Idle_timeout
-               in
-               send t (flow_removed_payload ~now ~reason e))
-             (Flow_table.expire t.table ~now);
-           ensure_expiry_sweep t))
+    Engine.schedule_on t.engine t.footprint ~after:expiry_period (fun () ->
+        t.sweep_armed <- false;
+        let now = Engine.now t.engine in
+        List.iter
+          (fun (e : Flow_table.entry) ->
+            let reason =
+              if
+                e.hard_timeout > 0
+                && Time.to_float_sec (Time.sub now e.installed_at)
+                   >= float_of_int e.hard_timeout
+              then Of_message.Hard_timeout
+              else Of_message.Idle_timeout
+            in
+            send t (flow_removed_payload ~now ~reason e))
+          (Flow_table.expire t.table ~now);
+        ensure_expiry_sweep t)
   end
 
 let port_usable t port = not (Hashtbl.mem t.down_ports port)

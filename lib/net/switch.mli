@@ -20,6 +20,11 @@ val create :
     one holds a frame carries no buffer id. *)
 
 val dpid : t -> Of_types.Dpid.t
+
+val footprint : t -> Jury_sim.Footprint.t
+(** This switch as a resource, made once at {!create}: the footprint of
+    every event that runs on the switch alone. *)
+
 val table : t -> Flow_table.t
 
 val register_port : t -> int -> unit

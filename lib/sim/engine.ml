@@ -1,19 +1,16 @@
-(* A scheduled event is its own cancellation handle. [action] and [fp]
-   are mutable so that cancelling can swap them for the shared [noop]
-   and [Footprint.opaque]: a cancelled event stays queued until its
+(* Events live in a slot pool shared by the heap and the lanes: slot [s]
+   holds the event's closure [actions.(s)], its footprint [fps.(s)] and
+   [owners.(s)], the seq of the live event in it (0 once it fired or was
+   cancelled). A queue entry is [(time, seq, slot)], all ints, so a
+   scheduled event costs its closure and nothing else. A slot returns
+   to the free stack only when its entry drains, so a queued entry is
+   live iff its slot's owner is not 0. Cancelling clears the owner and
+   swaps the closure for [noop]: the entry stays queued until its
    timestamp (so event counts and the clock are unchanged) but retains
-   nothing it captured or declared. Only the chooser reads [fp], and it
-   never sees a cancelled event. *)
-type event = {
-  mutable live : bool;
-  mutable action : unit -> unit;
-  mutable fp : Footprint.t;
-}
+   nothing, and draining it runs [noop]. Only the chooser reads [fps],
+   and it never sees a cancelled event. *)
 
 let noop () = ()
-
-(* Fills the free payload slots of the heap and the lanes. *)
-let dummy = { live = false; action = noop; fp = Footprint.opaque }
 
 type candidate = {
   cand_seq : int;
@@ -28,14 +25,13 @@ type chooser = candidate array -> int
    with a seq larger than any queued, and the clock and the seq only
    grow, so it sorts after every event already on the lane: the ring is
    in [(time, seq)] order by construction, a push appends and a pop
-   takes the head, with no sifting. As in the heap, the priorities sit
-   in int arrays and a freed payload slot is reset to [dummy]. The
-   capacity is a power of two; [head] is the oldest entry's position. *)
+   takes the head, with no sifting. The capacity is a power of two;
+   [head] is the oldest entry's position. *)
 type lane = {
   delay : Time.t;
   mutable keys : Time.t array;
   mutable seqs : int array;
-  mutable vals : event array;
+  mutable slots : int array;
   mutable head : int;
   mutable len : int;
 }
@@ -43,15 +39,29 @@ type lane = {
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
-  queue : event Heap.t;
+  queue : Heap.t;
   mutable lanes : lane array;
+  mutable busy : int;  (* bit [i] set iff lane [i] is non-empty *)
+  mutable actions : (unit -> unit) array;
+  mutable fps : Footprint.t array;
+  mutable owners : int array;
+  mutable free : int array;  (* a stack of the free slots *)
+  mutable nfree : int;
   root_rng : Rng.t;
   mutable trace : Jury_obs.Trace.t;
   mutable executed : int;
   mutable chooser : chooser option;
 }
 
-type handle = event
+(* A handle names a slot and the seq that owned it: [seq] above the
+   slot's [slot_bits] bits. Once the event fires or is cancelled the
+   owner moves on, so an old handle matches nothing, even after its
+   slot holds another event. *)
+type handle = int
+
+let slot_bits = 24
+let[@inline] handle_of s seq = (seq lsl slot_bits) lor s
+let no_handle = handle_of 0 0
 
 (* Process-wide executed-event tally across every engine (and every
    domain — experiment sweeps run one engine per pool task). Updated in
@@ -63,8 +73,14 @@ let total_executed () = Atomic.get global_executed
 let create ?(seed = 42) () =
   { clock = Time.zero;
     seq = 0;
-    queue = Heap.create ~dummy ();
+    queue = Heap.create ();
     lanes = [||];
+    busy = 0;
+    actions = [||];
+    fps = [||];
+    owners = [||];
+    free = [||];
+    nfree = 0;
     root_rng = Rng.create seed;
     trace = Jury_obs.Trace.null ();
     executed = 0;
@@ -77,21 +93,58 @@ let trace t = t.trace
 let set_trace t trace = t.trace <- trace
 let set_chooser t chooser = t.chooser <- chooser
 
-let push_heap t ~footprint ~at f =
+(* --- The slot pool --- *)
+
+(* Doubles the pool; the new slots go on the free stack, lowest on
+   top. *)
+let grow_pool t =
+  let cap = Array.length t.owners in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let actions = Array.make ncap noop in
+  let fps = Array.make ncap Footprint.opaque in
+  let owners = Array.make ncap 0 in
+  Array.blit t.actions 0 actions 0 cap;
+  Array.blit t.fps 0 fps 0 cap;
+  Array.blit t.owners 0 owners 0 cap;
+  t.actions <- actions;
+  t.fps <- fps;
+  t.owners <- owners;
+  t.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  t.nfree <- ncap - cap
+
+let take_slot t f fp seq =
+  if t.nfree = 0 then grow_pool t;
+  let s = t.free.(t.nfree - 1) in
+  t.nfree <- t.nfree - 1;
+  t.actions.(s) <- f;
+  t.fps.(s) <- fp;
+  t.owners.(s) <- seq;
+  s
+
+let release t s =
+  t.actions.(s) <- noop;
+  t.owners.(s) <- 0;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+(* Frees the slot of the entry that just left its queue, then runs its
+   closure ([noop] if the event was cancelled). *)
+let fire t s =
+  let f = t.actions.(s) in
+  release t s;
+  t.executed <- t.executed + 1;
+  f ()
+
+(* --- Pushing --- *)
+
+let push_heap t fp at f =
   if Time.(at < t.clock) then
     invalid_arg "Engine.schedule_at: time is in the past";
-  let event = { live = true; action = f; fp = footprint } in
-  t.seq <- t.seq + 1;
-  Heap.push t.queue ~key:at ~seq:t.seq event;
-  event
-
-let schedule_at t ?(footprint = Footprint.opaque) ~at f =
-  push_heap t ~footprint ~at f
-
-let schedule t ?(footprint = Footprint.opaque) ~after f =
-  push_heap t ~footprint ~at:(Time.add t.clock after) f
-
-(* --- Fixed-delay lanes --- *)
+  let seq = t.seq + 1 in
+  t.seq <- seq;
+  let s = take_slot t f fp seq in
+  Heap.push t.queue ~key:at ~seq s;
+  s
 
 (* Distinct delays that get a lane; a delay first seen once the table
    is full goes to the heap. *)
@@ -99,7 +152,7 @@ let max_lanes = 8
 
 let lane_create delay =
   { delay; keys = Array.make 16 Time.zero; seqs = Array.make 16 0;
-    vals = Array.make 16 dummy; head = 0; len = 0 }
+    slots = Array.make 16 0; head = 0; len = 0 }
 
 let[@inline] lane_pos l i = (l.head + i) land (Array.length l.keys - 1)
 
@@ -108,23 +161,23 @@ let lane_grow l =
   let cap = Array.length l.keys in
   let keys = Array.make (2 * cap) Time.zero in
   let seqs = Array.make (2 * cap) 0 in
-  let vals = Array.make (2 * cap) dummy in
+  let slots = Array.make (2 * cap) 0 in
   for i = 0 to l.len - 1 do
     let j = lane_pos l i in
     keys.(i) <- l.keys.(j);
     seqs.(i) <- l.seqs.(j);
-    vals.(i) <- l.vals.(j)
+    slots.(i) <- l.slots.(j)
   done;
   l.keys <- keys;
   l.seqs <- seqs;
-  l.vals <- vals;
+  l.slots <- slots;
   l.head <- 0
 
-(* Drops the head entry, releasing its payload slot. *)
-let lane_drop_head l =
-  l.vals.(l.head) <- dummy;
+let lane_drop_head t i =
+  let l = t.lanes.(i) in
   l.head <- lane_pos l 1;
-  l.len <- l.len - 1
+  l.len <- l.len - 1;
+  if l.len = 0 then t.busy <- t.busy land lnot (1 lsl i)
 
 (* The index of [after]'s lane, made on first use while the table has
    room; [-1] sends the event to the heap. A top-level loop, so a call
@@ -140,28 +193,99 @@ let rec lane_index t after i =
   else if Time.equal lanes.(i).delay after then i
   else lane_index t after (i + 1)
 
-let schedule_fixed t ?(footprint = Footprint.opaque) ~after f =
+let push_fixed t fp after f =
   let i = lane_index t after 0 in
-  if i < 0 then push_heap t ~footprint ~at:(Time.add t.clock after) f
+  if i < 0 then push_heap t fp (Time.add t.clock after) f
   else begin
     let l = t.lanes.(i) in
     if l.len = Array.length l.keys then lane_grow l;
-    let event = { live = true; action = f; fp = footprint } in
-    t.seq <- t.seq + 1;
+    let seq = t.seq + 1 in
+    t.seq <- seq;
+    let s = take_slot t f fp seq in
     let j = lane_pos l l.len in
     l.keys.(j) <- Time.add t.clock after;
-    l.seqs.(j) <- t.seq;
-    l.vals.(j) <- event;
+    l.seqs.(j) <- seq;
+    l.slots.(j) <- s;
     l.len <- l.len + 1;
-    event
+    t.busy <- t.busy lor (1 lsl i);
+    s
   end
+
+let schedule_on_at t fp ~at f = ignore (push_heap t fp at f)
+
+let schedule_on t fp ~after f =
+  schedule_on_at t fp ~at:(Time.add t.clock after) f
+
+let schedule t ~after f = schedule_on t Footprint.opaque ~after f
+let schedule_at t ~at f = schedule_on_at t Footprint.opaque ~at f
+let schedule_fixed t ~after f = ignore (push_fixed t Footprint.opaque after f)
+
+let handle_at t s =
+  if s lsr slot_bits <> 0 then
+    invalid_arg "Engine.timer: too many events pending for a handle";
+  handle_of s t.owners.(s)
+
+let timer t fp ~fixed ~after f =
+  handle_at t
+    (if fixed then push_fixed t fp after f
+     else push_heap t fp (Time.add t.clock after) f)
+
+(* --- Handles --- *)
+
+let[@inline] handle_slot h = h land ((1 lsl slot_bits) - 1)
+
+let is_pending t h =
+  let s = handle_slot h in
+  s < Array.length t.owners
+  &&
+  let owner = t.owners.(s) in
+  owner <> 0 && handle_of s owner = h
+
+let cancel t h =
+  if is_pending t h then begin
+    let s = handle_slot h in
+    t.owners.(s) <- 0;
+    t.actions.(s) <- noop
+  end
+
+let every t ~period ?jitter ?(footprint = Footprint.opaque) f =
+  (* A recurrence is a chain of one-shot events; the caller's handle
+     names a slot that holds [f] but is never queued (its owner is the
+     seq of the chain's first link, which waits in another slot), so
+     cancelling the handle stops the chain and drops [f] at once. Each
+     link runs that slot's closure; the link that finds the chain
+     cancelled frees the slot. *)
+  let stamp = t.seq + 1 in
+  let chain = take_slot t f Footprint.opaque stamp in
+  let rec link () =
+    if t.owners.(chain) = stamp then begin
+      t.actions.(chain) ();
+      if t.owners.(chain) = stamp then arm ()
+      else release t chain
+    end
+    else release t chain
+  and arm () =
+    let delay =
+      match jitter with
+      | None -> period
+      | Some j ->
+          if Time.to_ns j = 0 then period
+          else Time.add period (Time.ns (Rng.int t.root_rng (Time.to_ns j)))
+    in
+    schedule_on t footprint ~after:delay link
+  in
+  arm ();
+  handle_at t chain
+
+(* --- Popping --- *)
 
 (* Whether priority [(k, s)] pops strictly before [(k', s')]. *)
 let[@inline] before (k : Time.t) s (k' : Time.t) s' =
   (k :> int) < (k' :> int) || (k = k' && s < s')
 
 (* The queue holding the next event: [from_heap], a lane's index, or
-   [nothing] when every queue is empty. Allocates nothing. *)
+   [nothing] when every queue is empty. Visits only the lanes whose
+   [busy] bit is set. Allocates nothing. *)
 let from_heap = -1
 let nothing = -2
 
@@ -172,17 +296,19 @@ let next_source t =
     bk := Heap.min_key t.queue;
     bs := Heap.min_seq t.queue
   end;
-  let lanes = t.lanes in
-  for i = 0 to Array.length lanes - 1 do
-    let l = lanes.(i) in
-    if l.len > 0 then begin
+  let busy = ref t.busy and i = ref 0 in
+  while !busy <> 0 do
+    if !busy land 1 <> 0 then begin
+      let l = t.lanes.(!i) in
       let k = l.keys.(l.head) and s = l.seqs.(l.head) in
       if !best = nothing || before k s !bk !bs then begin
-        best := i;
+        best := !i;
         bk := k;
         bs := s
       end
-    end
+    end;
+    busy := !busy lsr 1;
+    incr i
   done;
   !best
 
@@ -192,46 +318,9 @@ let source_key t src =
     let l = t.lanes.(src) in
     l.keys.(l.head)
 
-let cancel h =
-  h.live <- false;
-  h.action <- noop;
-  h.fp <- Footprint.opaque
-
-let is_pending h = h.live
-
-let every t ~period ?jitter ?footprint f =
-  (* A recurrence is a chain of one-shot events; the caller's handle is
-     kept pointing at the chain head so cancelling it stops the chain.
-     Each link runs the head's [action] rather than capturing [f], so
-     cancelling the head also drops [f]. *)
-  let chain = { live = true; action = f; fp = Footprint.opaque } in
-  let rec arm () =
-    let delay =
-      match jitter with
-      | None -> period
-      | Some j ->
-          if Time.to_ns j = 0 then period
-          else Time.add period (Time.ns (Rng.int t.root_rng (Time.to_ns j)))
-    in
-    ignore
-      (schedule t ?footprint ~after:delay (fun () ->
-           if chain.live then begin
-             chain.action ();
-             if chain.live then arm ()
-           end))
-  in
-  arm ();
-  chain
-
-let execute _t event =
-  if event.live then begin
-    event.live <- false;
-    event.action ()
-  end
-
-(* Every queued event at the minimum timestamp, from the heap and the
-   lanes, in ascending seq order; [[]] if nothing is queued. A lane's
-   tied events are a prefix of it. *)
+(* Every queued entry at the minimum timestamp, from the heap and the
+   lanes, as [(time, seq, slot)] in ascending seq order; [[]] if
+   nothing is queued. A lane's tied entries are a prefix of it. *)
 let tied_front t =
   let src = next_source t in
   if src = nothing then []
@@ -249,7 +338,7 @@ let tied_front t =
           let rec take i acc =
             if i < l.len && Time.equal l.keys.(lane_pos l i) at then
               let j = lane_pos l i in
-              take (i + 1) ((at, l.seqs.(j), l.vals.(j)) :: acc)
+              take (i + 1) ((at, l.seqs.(j), l.slots.(j)) :: acc)
             else acc
           in
           take 0 acc)
@@ -261,30 +350,30 @@ let tied_front t =
         List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) (tied @ on_lanes)
   end
 
-(* Removes the lane entry [i] places behind the head: the entries ahead
-   of it move back one place, so the lane stays in order. *)
-let lane_remove l i =
-  let event = l.vals.(lane_pos l i) in
+(* Removes the entry of lane [li] [i] places behind the head: the
+   entries ahead of it move back one place, so the lane stays in
+   order. *)
+let lane_remove t li i =
+  let l = t.lanes.(li) in
   for n = i downto 1 do
     let dst = lane_pos l n and src = lane_pos l (n - 1) in
     l.keys.(dst) <- l.keys.(src);
     l.seqs.(dst) <- l.seqs.(src);
-    l.vals.(dst) <- l.vals.(src)
+    l.slots.(dst) <- l.slots.(src)
   done;
-  lane_drop_head l;
-  event
+  lane_drop_head t li
 
-(* Removes the event queued with [seq], wherever it waits. *)
+(* Removes the entry queued with [seq], wherever it waits. *)
 let remove_seq t ~seq =
   match Heap.remove_seq t.queue ~seq with
-  | Some (_, _, event) -> event
+  | Some _ -> ()
   | None ->
       let rec in_lane li =
         if li = Array.length t.lanes then invalid_arg "Engine: no such event";
         let l = t.lanes.(li) in
         let rec find i =
           if i = l.len then in_lane (li + 1)
-          else if l.seqs.(lane_pos l i) = seq then lane_remove l i
+          else if l.seqs.(lane_pos l i) = seq then lane_remove t li i
           else find (i + 1)
         in
         find 0
@@ -301,53 +390,49 @@ let step_choose t choose =
   | [] -> false
   | tied ->
       let dead =
-        List.find_opt (fun (_, _, (e : event)) -> not e.live) tied
+        List.find_opt (fun (_, _, s) -> t.owners.(s) = 0) tied
       in
-      let at, seq =
+      let at, seq, s =
         match dead with
-        | Some (at, seq, _) -> (at, seq)
+        | Some e -> e
         | None -> (
             match tied with
-            | [ (at, seq, _) ] -> (at, seq)
+            | [ e ] -> e
             | _ ->
+                let tied = Array.of_list tied in
                 let cands =
-                  Array.of_list
-                    (List.map
-                       (fun (at, seq, (e : event)) ->
-                         { cand_seq = seq; cand_at = at; cand_footprint = e.fp })
-                       tied)
+                  Array.map
+                    (fun (at, seq, s) ->
+                      { cand_seq = seq; cand_at = at;
+                        cand_footprint = t.fps.(s) })
+                    tied
                 in
                 let i = choose cands in
                 if i < 0 || i >= Array.length cands then
                   invalid_arg "Engine: chooser index out of range";
-                (cands.(i).cand_at, cands.(i).cand_seq))
+                tied.(i))
       in
-      let event = remove_seq t ~seq in
+      remove_seq t ~seq;
       t.clock <- at;
-      t.executed <- t.executed + 1;
-      execute t event;
+      fire t s;
       true
 
 (* Pops and runs the head of [src], which [next_source] chose. *)
 let step_from t src =
-  let event =
-    if src = from_heap then begin
-      let q = t.queue in
-      let event = Heap.min_value q in
-      t.clock <- Heap.min_key q;
-      Heap.drop_min q;
-      event
-    end
-    else begin
-      let l = t.lanes.(src) in
-      let event = l.vals.(l.head) in
-      t.clock <- l.keys.(l.head);
-      lane_drop_head l;
-      event
-    end
-  in
-  t.executed <- t.executed + 1;
-  execute t event
+  if src = from_heap then begin
+    let q = t.queue in
+    let s = Heap.min_value q in
+    t.clock <- Heap.min_key q;
+    Heap.drop_min q;
+    fire t s
+  end
+  else begin
+    let l = t.lanes.(src) in
+    let s = l.slots.(l.head) in
+    t.clock <- l.keys.(l.head);
+    lane_drop_head t src;
+    fire t s
+  end
 
 let step t =
   match t.chooser with

@@ -8,9 +8,16 @@
 
 type t
 
-type handle
-(** Cancellation handle for a scheduled event — the queued event
-    itself, so scheduling allocates one record besides the closure. *)
+type handle [@@immediate]
+(** Names a cancellable event: its slot in the engine's event pool and
+    the insertion sequence number it was given there. An int, so
+    holding one allocates nothing. Once the event fires or is
+    cancelled the slot may hold another event, which the handle does
+    not name: the handle only goes stale. *)
+
+val no_handle : handle
+(** A handle that names no event: {!is_pending} is [false] and
+    {!cancel} is a no-op. For a field that holds no timer yet. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ?seed ()] makes an engine whose root RNG is seeded with
@@ -38,20 +45,16 @@ val rng : t -> Rng.t
 (** The engine's root RNG; components usually [Rng.split] it once at
     construction. *)
 
-val schedule :
-  t -> ?footprint:Footprint.t -> after:Time.t -> (unit -> unit) -> handle
-(** [schedule t ~after f] runs [f] at [now t + after]. [footprint]
-    (default {!Footprint.opaque}) declares the resources [f] touches;
-    it never affects execution, only how the schedule explorer prunes
-    equal-timestamp orderings (see {!set_chooser}). *)
+val schedule : t -> after:Time.t -> (unit -> unit) -> unit
+(** [schedule t ~after f] runs [f] at [now t + after], with an
+    {!Footprint.opaque} footprint. Scheduling allocates nothing beyond
+    [f] itself (and amortised growth of the queue). *)
 
-val schedule_at :
-  t -> ?footprint:Footprint.t -> at:Time.t -> (unit -> unit) -> handle
+val schedule_at : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~at f] runs [f] at absolute time [at]; raises
     [Invalid_argument] if [at] is in the past. *)
 
-val schedule_fixed :
-  t -> ?footprint:Footprint.t -> after:Time.t -> (unit -> unit) -> handle
+val schedule_fixed : t -> after:Time.t -> (unit -> unit) -> unit
 (** [schedule_fixed t ~after f] is [schedule t ~after f], for a caller
     that schedules many events the same [after] ahead (a validation
     timeout). The event runs at the same instant, in
@@ -61,16 +64,34 @@ val schedule_fixed :
     put on it arrive in order; a delay first seen once the lanes are
     taken goes to the heap, as with {!schedule}. *)
 
-val cancel : handle -> unit
-(** Cancels a pending event; a no-op if it already ran or was cancelled.
-    The event's closure and footprint are dropped at once (the footprint
-    becomes {!Footprint.opaque}, which no chooser sees), so everything
-    they held becomes collectable even though the dead event stays
-    queued until its timestamp. It is popped there like any other
-    event — advancing the clock and counting in {!executed_events} — so
-    cancelling never changes event counts or the final clock. *)
+val schedule_on : t -> Footprint.t -> after:Time.t -> (unit -> unit) -> unit
+(** [schedule_on t fp ~after f] is [schedule t ~after f] for an event
+    whose closure touches only the resources [fp] names. A footprint
+    never affects execution, only how the schedule explorer prunes
+    equal-timestamp orderings (see {!set_chooser}). It is a required
+    argument, not an optional one, so declaring it allocates nothing. *)
 
-val is_pending : handle -> bool
+val schedule_on_at : t -> Footprint.t -> at:Time.t -> (unit -> unit) -> unit
+(** [schedule_on_at t fp ~at f] is {!schedule_at} with footprint [fp]. *)
+
+val timer :
+  t -> Footprint.t -> fixed:bool -> after:Time.t -> (unit -> unit) -> handle
+(** [timer t fp ~fixed ~after f] is [schedule_on t fp ~after f] (through
+    a fixed-delay lane if [fixed], as {!schedule_fixed}), returning a
+    handle that {!cancel} takes. The one cancellable entry point; it
+    allocates no more than {!schedule_on}. Raises [Invalid_argument]
+    if more than [2^24] events are pending. *)
+
+val cancel : t -> handle -> unit
+(** Cancels a pending event; a no-op if it already ran or was cancelled,
+    even once its slot holds another event. The event's closure is
+    dropped at once, so everything it held becomes collectable even
+    though the dead event stays queued until its timestamp (no chooser
+    sees it). It is popped there like any other event — advancing
+    the clock and counting in {!executed_events} — so cancelling never
+    changes event counts or the final clock. *)
+
+val is_pending : t -> handle -> bool
 (** Whether the event is still queued (neither fired nor cancelled). *)
 
 val every :
@@ -78,10 +99,10 @@ val every :
   (unit -> unit) -> handle
 (** [every t ~period f] runs [f] every [period], starting one period
     from now, with optional uniform [jitter] added to each firing.
-    Returns the handle of the {e next} occurrence chain; cancelling it
-    stops the recurrence and, as for {!cancel} of a one-shot event,
-    drops [f] at once although the chain's next link stays queued until
-    its timestamp.
+    Returns the handle of the whole chain; cancelling it stops the
+    recurrence and, as for {!cancel} of a one-shot event, drops [f] at
+    once although the chain's next link stays queued until its
+    timestamp. Each link carries [footprint] (default opaque).
 
     RNG ownership: a jittered recurrence draws one [Rng.int] from the
     engine's {e root} RNG at every re-arm — i.e. at creation and again
@@ -109,7 +130,7 @@ type candidate = {
   cand_seq : int;           (** insertion sequence, the stable event id *)
   cand_at : Time.t;         (** the tied timestamp (equal across the array) *)
   cand_footprint : Footprint.t;
-      (** as declared at [schedule] time; {!Footprint.opaque} if not *)
+      (** as declared at scheduling; {!Footprint.opaque} if not *)
 }
 
 type chooser = candidate array -> int
@@ -132,8 +153,8 @@ val step : t -> bool
 (** Executes the single next event; [false] if the queue was empty. *)
 
 val pending_events : t -> int
-(** Number of queue slots still occupied (an upper bound on live
-    events; cancelled events are counted until they drain). *)
+(** Number of queued events (an upper bound on live events;
+    cancelled events are counted until they drain). *)
 
 val executed_events : t -> int
 (** Events this engine has popped so far, cancelled ones included

@@ -18,11 +18,22 @@
     footprint (drawing reorders the stream — a write like any
     other). *)
 
-type t
+type t [@@immediate]
+(** One int, so storing or passing a footprint allocates nothing.
+    Opaque is a reserved value; a set of up to two ids, or of three
+    ids whose indices are below [2^17], is held exactly. Any other set
+    is held as a summary of the namespaces it touches (see
+    {!independent}). *)
 
 val opaque : t
 (** Unknown effects: dependent on every event, itself included. The
     default for every scheduled event that does not declare better. *)
+
+val one : int -> t
+(** [one a] is [touches [a]], built without a list. *)
+
+val two : int -> int -> t
+(** [two a b] is [touches [a; b]], built without a list. *)
 
 val touches : int list -> t
 (** An event confined to the given resources. [touches []] commutes
@@ -34,7 +45,12 @@ val independent : t -> t -> bool
 (** Both footprints are declared and share no resource. This is the
     commutation test: [independent a b] implies executing the two
     events in either order yields the same observable behaviour
-    (assuming footprints were declared honestly). *)
+    (assuming footprints were declared honestly).
+
+    Between exact sets the answer is exact. A summary answers by
+    namespace: it is independent only of a footprint that touches
+    none of its namespaces, so it may call two commuting events
+    dependent (exploring more orders) but never the reverse. *)
 
 val union : t -> t -> t
 (** Combined footprint (opaque absorbs). *)
@@ -70,3 +86,6 @@ val named : string -> int
     conservative. *)
 
 val pp : Format.formatter -> t -> unit
+(** [{sw:1,ctl:0}] for an exact set (ids ascending), [opaque], or
+    [{sw:*,trig:*}] for a summary ([*] alone: an id outside every
+    namespace). *)

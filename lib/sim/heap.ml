@@ -1,26 +1,16 @@
-(* Struct-of-arrays binary heap. Heap position [i < size] holds the
-   priority [(keys.(i), seqs.(i))] and the payload slot [slots.(i)];
-   the payload itself sits at [vals.(slots.(i))] and never moves while
-   queued. Sifting therefore rewrites integers only, with no
-   allocation and no write barrier; a push or a removal stores one
-   payload pointer.
-
-   [slots] is always a permutation of [0 .. capacity - 1]: positions
-   [>= size] form the stack of free slots, so a push takes
-   [slots.(size)] and a removal writes its freed slot back at the new
-   [size]. A freed slot is reset to [dummy], so a popped payload is
-   never pinned by the heap. *)
-type 'a t = {
+(* Struct-of-arrays binary heap of int payloads. Heap position
+   [i < size] holds the priority [(keys.(i), seqs.(i))] and the payload
+   [vals.(i)]; all three are ints, so sifting moves integers only, with
+   no allocation and no write barrier, and the heap holds no pointer
+   that could keep a removed payload alive. *)
+type t = {
   mutable keys : Time.t array;
   mutable seqs : int array;
-  mutable slots : int array;
-  mutable vals : 'a array;
+  mutable vals : int array;
   mutable size : int;
-  dummy : 'a;
 }
 
-let create ~dummy () =
-  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; size = 0; dummy }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
 
 let length h = h.size
 let is_empty h = h.size = 0
@@ -35,21 +25,18 @@ let grow h =
   let ncap = if cap = 0 then 16 else cap * 2 in
   let keys = Array.make ncap Time.zero in
   let seqs = Array.make ncap 0 in
-  let slots = Array.init ncap Fun.id in
-  let vals = Array.make ncap h.dummy in
+  let vals = Array.make ncap 0 in
   Array.blit h.keys 0 keys 0 h.size;
   Array.blit h.seqs 0 seqs 0 h.size;
-  Array.blit h.slots 0 slots 0 cap;
-  Array.blit h.vals 0 vals 0 cap;
+  Array.blit h.vals 0 vals 0 h.size;
   h.keys <- keys;
   h.seqs <- seqs;
-  h.slots <- slots;
   h.vals <- vals
 
 (* Moves a hole at [i] towards the root until [(k, s)] fits, then
-   writes [(k, s, slot)] there. *)
-let sift_up h i k s slot =
-  let keys = h.keys and seqs = h.seqs and slots = h.slots in
+   writes [(k, s, v)] there. *)
+let sift_up h i k s v =
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
   let i = ref i in
   while
     !i > 0
@@ -60,12 +47,12 @@ let sift_up h i k s slot =
     let p = (!i - 1) / 2 in
     keys.(!i) <- keys.(p);
     seqs.(!i) <- seqs.(p);
-    slots.(!i) <- slots.(p);
+    vals.(!i) <- vals.(p);
     i := p
   done;
   keys.(!i) <- k;
   seqs.(!i) <- s;
-  slots.(!i) <- slot
+  vals.(!i) <- v
 
 (* Moves a hole at [i] down the path of smaller children to a leaf of
    [0 .. size - 1] and returns the leaf's position. One comparison per
@@ -73,7 +60,7 @@ let sift_up h i k s slot =
    so finding its place on the way back up ({!sift_up}) is cheaper than
    comparing against it on the way down. *)
 let hole_down h i =
-  let keys = h.keys and seqs = h.seqs and slots = h.slots in
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
   let n = h.size in
   let i = ref i in
   while (2 * !i) + 1 < n do
@@ -84,32 +71,26 @@ let hole_down h i =
     in
     keys.(!i) <- keys.(c);
     seqs.(!i) <- seqs.(c);
-    slots.(!i) <- slots.(c);
+    vals.(!i) <- vals.(c);
     i := c
   done;
   !i
 
-let push h ~key ~seq value =
+let push h ~key ~seq v =
   if h.size = Array.length h.keys then grow h;
   let i = h.size in
-  let slot = h.slots.(i) in
-  h.vals.(slot) <- value;
   h.size <- i + 1;
-  sift_up h i key seq slot
+  sift_up h i key seq v
 
 (* Removes heap position [i]: moves its hole to a leaf and refills it
-   with the last element, sifted up from there (it may end above [i]),
-   then returns the freed slot to the free stack. *)
+   with the last element, sifted up from there (it may end above [i]). *)
 let remove_at h i =
-  let slot = h.slots.(i) in
   let n = h.size - 1 in
   h.size <- n;
   if i < n then begin
-    let k = h.keys.(n) and s = h.seqs.(n) and last = h.slots.(n) in
+    let k = h.keys.(n) and s = h.seqs.(n) and last = h.vals.(n) in
     sift_up h (hole_down h i) k s last
-  end;
-  h.slots.(n) <- slot;
-  h.vals.(slot) <- h.dummy
+  end
 
 let check_nonempty h fn = if h.size = 0 then invalid_arg fn
 
@@ -123,13 +104,13 @@ let min_seq h =
 
 let min_value h =
   check_nonempty h "Heap.min_value";
-  h.vals.(h.slots.(0))
+  h.vals.(0)
 
 let drop_min h =
   check_nonempty h "Heap.drop_min";
   remove_at h 0
 
-let entry h i = (h.keys.(i), h.seqs.(i), h.vals.(h.slots.(i)))
+let entry h i = (h.keys.(i), h.seqs.(i), h.vals.(i))
 
 let peek h = if h.size = 0 then None else Some (entry h 0)
 
@@ -163,10 +144,3 @@ let remove_seq h ~seq =
     else find (i + 1)
   in
   find 0
-
-let clear h =
-  h.keys <- [||];
-  h.seqs <- [||];
-  h.slots <- [||];
-  h.vals <- [||];
-  h.size <- 0

@@ -29,6 +29,10 @@ type node_state = {
   mutable listeners : (local:bool -> Event.t -> unit) list;
   locked : (Cache_names.t, unit) Hashtbl.t;
   mutable partitioned : bool;
+  footprint : Footprint.t;
+      (* this node's store and controller: a delivery to it mutates its
+         replica tables and runs its listeners (controller cache
+         manager, validator relay) *)
 }
 
 type t = {
@@ -67,11 +71,13 @@ let create engine ~consistency ~nodes ?(standalone = false) ?profile () =
     standalone;
     profile;
     node_states =
-      Array.init nodes (fun _ ->
+      Array.init nodes (fun i ->
           { caches = Hashtbl.create 8;
             listeners = [];
             locked = Hashtbl.create 4;
-            partitioned = false });
+            partitioned = false;
+            footprint =
+              Footprint.two (Footprint.store i) (Footprint.controller i) });
     seqs = Array.make nodes 0;
     rng = Rng.split (Engine.rng engine);
     channel_clear = Array.make_matrix nodes nodes Time.zero;
@@ -152,15 +158,9 @@ let replicate t ~origin (ev : Event.t) =
           t.channel_clear.(origin).(peer)
       in
       t.channel_clear.(origin).(peer) <- Time.add at (Time.ns 1);
-      (* Delivery mutates the peer's replica tables and runs its
-         listeners (controller cache manager, validator relay). *)
-      let footprint =
-        Footprint.touches [ Footprint.store peer; Footprint.controller peer ]
-      in
-      ignore
-        (Engine.schedule_at t.engine ~footprint ~at (fun () ->
-             if not t.node_states.(peer).partitioned then
-               apply_event t peer ev ~local:false))
+      let dst = t.node_states.(peer) in
+      Engine.schedule_on_at t.engine dst.footprint ~at (fun () ->
+          if not dst.partitioned then apply_event t peer ev ~local:false)
     end
   done
 

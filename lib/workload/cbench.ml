@@ -40,10 +40,9 @@ let blast network ~rng ~dpid ~burst ~burst_gap ~duration =
   let rec arm () =
     let at = Time.add (Engine.now engine) burst_gap in
     if Time.(at <= stop_at) then
-      ignore
-        (Engine.schedule_at engine ~at (fun () ->
-             fire_burst ();
-             arm ()))
+      Engine.schedule_at engine ~at (fun () ->
+          fire_burst ();
+          arm ())
   in
   fire_burst ();
   arm ()

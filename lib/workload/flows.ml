@@ -17,10 +17,9 @@ let poisson network ~rng ~rate ~duration event =
     let gap = Time.of_float_us (Rng.exponential rng mean_gap_us) in
     let at = Time.add (Engine.now engine) gap in
     if Time.(at <= stop_at) then
-      ignore
-        (Engine.schedule_at engine ~at (fun () ->
-             event ();
-             arm ()))
+      Engine.schedule_at engine ~at (fun () ->
+          event ();
+          arm ())
   in
   arm ()
 
@@ -93,9 +92,8 @@ let link_flaps network ~rng ~rate ~duration ?(down_time = Time.ms 300) () =
     poisson network ~rng ~rate ~duration (fun () ->
         let e = Rng.choice rng edges in
         Network.take_link_down network e.Graph.a e.Graph.b;
-        ignore
-          (Engine.schedule (Network.engine network) ~after:down_time
-             (fun () -> Network.bring_link_up network e.Graph.a e.Graph.b)))
+        Engine.schedule (Network.engine network) ~after:down_time
+          (fun () -> Network.bring_link_up network e.Graph.a e.Graph.b))
 
 (* One flow between an arbitrary pair misses the TCAM at every hop of
    its path (reactive per-switch installation), and one gratuitous ARP

@@ -36,17 +36,16 @@ let start network ?(window_sec = 0.5) ~duration () =
   let rec arm () =
     let at = Time.add (Engine.now engine) period in
     if Time.(at <= stop_at) then
-      ignore
-        (Engine.schedule_at engine ~at (fun () ->
-             let pi, fm, po = totals network in
-             let now_sec = Time.to_float_sec (Engine.now engine) in
-             Rate.tick t.packet_in ~at_sec:now_sec ~count:(pi - t.last_pi) ();
-             Rate.tick t.flow_mod ~at_sec:now_sec ~count:(fm - t.last_fm) ();
-             Rate.tick t.packet_out ~at_sec:now_sec ~count:(po - t.last_po) ();
-             t.last_pi <- pi;
-             t.last_fm <- fm;
-             t.last_po <- po;
-             arm ()))
+      Engine.schedule_at engine ~at (fun () ->
+          let pi, fm, po = totals network in
+          let now_sec = Time.to_float_sec (Engine.now engine) in
+          Rate.tick t.packet_in ~at_sec:now_sec ~count:(pi - t.last_pi) ();
+          Rate.tick t.flow_mod ~at_sec:now_sec ~count:(fm - t.last_fm) ();
+          Rate.tick t.packet_out ~at_sec:now_sec ~count:(po - t.last_po) ();
+          t.last_pi <- pi;
+          t.last_fm <- fm;
+          t.last_po <- po;
+          arm ())
   in
   arm ();
   t

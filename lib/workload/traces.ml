@@ -86,9 +86,8 @@ let replay network ~rng ~profile ~duration =
     let gap = Time.of_float_us (Rng.lognormal rng ~mu ~sigma) in
     let at = Time.add (Engine.now engine) gap in
     if Time.(at <= stop_at) then
-      ignore
-        (Engine.schedule_at engine ~at (fun () ->
-             fire ();
-             arm ()))
+      Engine.schedule_at engine ~at (fun () ->
+          fire ();
+          arm ())
   in
   arm ()

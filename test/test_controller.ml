@@ -607,6 +607,52 @@ let test_pipeline_overload_drops () =
   check_bool "dropped some" true (Pipeline.dropped p > 0);
   check_bool "overloaded" true (Pipeline.overloaded p)
 
+(* A job costs the pipeline nothing beyond the submitted closure and
+   its service-time draw: one completion closure serves every job, and
+   a job submitted to an idle server starts at once, without a queue
+   cell. A job that waits behind another takes one 3-word [Queue]
+   cell. Measured after a warm-up round, against the draw's own words
+   (a boxed float where the build does not inline across modules). *)
+let test_pipeline_job_allocation () =
+  let sigma = 0.01 and base_service = Time.us 10 in
+  let draw =
+    let rng = Rng.create 1 and mu = log (Time.to_float_us base_service) in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Rng.lognormal rng ~mu ~sigma))
+    done;
+    (Gc.minor_words () -. before) /. 1000.
+  in
+  let per_job name ~extra ~batch =
+    let engine = Engine.create () in
+    let p =
+      Pipeline.create engine
+        (Pipeline.config ~service_sigma:sigma ~base_service ())
+    in
+    let job () = () in
+    let round () =
+      for _ = 1 to 1000 / batch do
+        for _ = 1 to batch do
+          Pipeline.submit p job
+        done;
+        while Engine.step engine do
+          ()
+        done
+      done
+    in
+    round ();
+    let before = Gc.minor_words () in
+    round ();
+    let words = (Gc.minor_words () -. before) /. 1000. in
+    check_int (name ^ ": every job completed") 2000 (Pipeline.completed p);
+    let budget = draw +. extra +. 0.5 in
+    check_bool
+      (Printf.sprintf "%s: %.2f words per job, budget %.2f" name words budget)
+      true (words < budget)
+  in
+  per_job "idle server" ~extra:0. ~batch:1;
+  per_job "queued behind one" ~extra:1.5 ~batch:2
+
 (* --- Cluster bootstrap and behaviour --- *)
 
 let mk_cluster ?(profile = Profile.onos) ?(nodes = 3) ?(switches = 4)
@@ -1418,6 +1464,7 @@ let suite =
     ("pipeline serial service", `Quick, test_pipeline_serial_service);
     ("pipeline add_load", `Quick, test_pipeline_add_load_delays_next);
     ("pipeline overload", `Quick, test_pipeline_overload_drops);
+    ("pipeline job allocation budget", `Quick, test_pipeline_job_allocation);
     ("bootstrap discovery", `Quick, test_bootstrap_discovery);
     ("mastership round robin", `Quick, test_mastership_round_robin);
     ("host learning", `Quick, test_host_learning);

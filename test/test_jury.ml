@@ -937,7 +937,10 @@ let test_channel_counters_reconcile () =
   let callbacks = ref 0 in
   let d = ref 0 and dr = ref 0 and dup = ref 0 in
   for _ = 1 to 400 do
-    match Channel.send ch ~delay:(Time.ms 1) (fun () -> incr callbacks) with
+    match
+      Channel.send ch ~footprint:Footprint.opaque ~delay:(Time.ms 1) (fun () ->
+          incr callbacks)
+    with
     | `Delivered -> incr d
     | `Dropped -> incr dr
     | `Duplicated -> incr dup
@@ -973,7 +976,8 @@ let test_zero_loss_channel_is_bare_schedule () =
   in
   let chan_at = ref [] in
   check_bool "delivered" true
-    (Channel.send ch ~delay:(Time.ms 3) (fire chan_engine chan_at)
+    (Channel.send ch ~footprint:Footprint.opaque ~delay:(Time.ms 3)
+       (fire chan_engine chan_at)
      = `Delivered);
   check_int "one event scheduled" 1 (Engine.pending_events chan_engine);
   let bare_engine = Engine.create ~seed:77 () in

@@ -44,11 +44,10 @@ let test_chooser_sees_candidates () =
   let engine = Engine.create () in
   let order = ref [] in
   for i = 0 to 2 do
-    ignore
-      (Engine.schedule engine
-         ~footprint:(Footprint.touches [ Footprint.switch i ])
-         ~after:(Time.ms 1)
-         (fun () -> order := i :: !order))
+    Engine.schedule_on engine
+      (Footprint.touches [ Footprint.switch i ])
+      ~after:(Time.ms 1)
+      (fun () -> order := i :: !order)
   done;
   let seen = ref [] in
   Engine.set_chooser engine
@@ -148,9 +147,8 @@ let tied_run footprints record trace =
   let order = ref [] in
   List.iteri
     (fun i fp ->
-      ignore
-        (Engine.schedule engine ~footprint:fp ~after:(Time.ms 1) (fun () ->
-             order := i :: !order)))
+      Engine.schedule_on engine fp ~after:(Time.ms 1) (fun () ->
+          order := i :: !order))
     footprints;
   Engine.set_chooser engine (Some (Explorer.chooser ~record trace));
   Engine.run engine;

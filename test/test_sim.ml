@@ -160,7 +160,7 @@ let test_rng_choice_shuffle () =
 (* --- Heap --- *)
 
 let test_heap_ordering () =
-  let h = Heap.create ~dummy:0 () in
+  let h = Heap.create () in
   let rng = Rng.create 23 in
   for i = 1 to 500 do
     Heap.push h ~key:(Time.us (Rng.int rng 1000)) ~seq:i i
@@ -181,7 +181,7 @@ let test_heap_ordering () =
   check_int "all popped" 500 !count
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~dummy:0 () in
+  let h = Heap.create () in
   for i = 1 to 10 do
     Heap.push h ~key:(Time.ms 1) ~seq:i i
   done;
@@ -190,56 +190,6 @@ let test_heap_fifo_ties () =
     | Some (_, _, v) -> check_int "fifo order on ties" i v
     | None -> Alcotest.fail "heap empty early"
   done
-
-(* Removed payloads must become collectable even while the heap stays
-   live: a vacated slot must not pin them, whether it was freed by
-   [pop], [drop_min] or [remove_seq]. *)
-let test_heap_pop_releases () =
-  let dummy = ref (-1) in
-  let h = Heap.create ~dummy () in
-  let weaks = Weak.create 64 in
-  for i = 0 to 63 do
-    let payload = ref i in
-    Weak.set weaks i (Some payload);
-    Heap.push h ~key:(Time.us i) ~seq:i payload
-  done;
-  (* Drain a quarter each way, then churn with fresh payloads so the
-     heap keeps a non-trivial live region the whole time. *)
-  for _ = 1 to 16 do
-    ignore (Heap.pop h)
-  done;
-  for _ = 1 to 16 do
-    Heap.drop_min h
-  done;
-  for i = 64 to 95 do
-    Heap.push h ~key:(Time.us i) ~seq:i (ref i)
-  done;
-  for seq = 40 to 47 do
-    check_bool "remove_seq finds it" true (Heap.remove_seq h ~seq <> None)
-  done;
-  for _ = 1 to 8 do
-    Heap.drop_min h
-  done;
-  Gc.full_major ();
-  (* Tracked payloads 0..47 were removed; 48..63 are still queued and
-     must stay pinned — exactly 16 weak refs survive. *)
-  let pinned = ref 0 in
-  for i = 0 to 63 do
-    if Weak.check weaks i then incr pinned
-  done;
-  check_int "only queued payloads pinned" 16 !pinned;
-  check_int "live region intact" 48 (Heap.length h);
-  check_int "minimum is the oldest queued" 48 !(Heap.min_value h);
-  (* Drain to empty: nothing may stay pinned. *)
-  while Heap.pop h <> None do
-    ()
-  done;
-  Gc.full_major ();
-  let pinned = ref 0 in
-  for i = 0 to 63 do
-    if Weak.check weaks i then incr pinned
-  done;
-  check_int "empty heap pins nothing" 0 !pinned
 
 (* --- Engine --- *)
 
@@ -253,15 +203,20 @@ let test_engine_ordering () =
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_int "clock at last event" 3_000_000 (Time.to_ns (Engine.now e))
 
+let timer e ~after f = Engine.timer e Footprint.opaque ~fixed:false ~after f
+
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule e ~after:(Time.ms 1) (fun () -> fired := true) in
-  check_bool "pending" true (Engine.is_pending h);
-  Engine.cancel h;
-  check_bool "not pending" false (Engine.is_pending h);
+  let h = timer e ~after:(Time.ms 1) (fun () -> fired := true) in
+  check_bool "pending" true (Engine.is_pending e h);
+  Engine.cancel e h;
+  check_bool "not pending" false (Engine.is_pending e h);
   Engine.run e;
-  check_bool "cancelled never fires" false !fired
+  check_bool "cancelled never fires" false !fired;
+  check_bool "no handle is never pending" false
+    (Engine.is_pending e Engine.no_handle);
+  Engine.cancel e Engine.no_handle
 
 (* Schedules an event whose closure alone captures a fresh payload,
    tracked by [weak]; not inlined, so no stack slot of the caller keeps
@@ -269,7 +224,7 @@ let test_engine_cancel () =
 let[@inline never] schedule_capturing e weak =
   let payload = ref 0 in
   Weak.set weak 0 (Some payload);
-  Engine.schedule e ~after:(Time.ms 5) (fun () -> incr payload)
+  timer e ~after:(Time.ms 5) (fun () -> incr payload)
 
 (* Like [schedule_capturing], for a recurrence counting into [fired]. *)
 let[@inline never] every_capturing e weak fired =
@@ -287,9 +242,9 @@ let test_engine_cancel_releases () =
   let h = schedule_capturing e weak in
   Gc.full_major ();
   check_bool "queued event pins its payload" true (Weak.check weak 0);
-  Engine.cancel h;
+  Engine.cancel e h;
   Gc.full_major ();
-  check_bool "not pending" false (Engine.is_pending h);
+  check_bool "not pending" false (Engine.is_pending e h);
   check_int "still queued" 1 (Engine.pending_events e);
   check_bool "cancelled payload collectable" false (Weak.check weak 0);
   Engine.run e;
@@ -302,9 +257,9 @@ let test_engine_cancel_releases () =
   Engine.run e ~until:(Time.ms 35);
   Gc.full_major ();
   check_bool "recurrence pins its payload" true (Weak.check weak 0);
-  Engine.cancel h;
+  Engine.cancel e h;
   Gc.full_major ();
-  check_bool "every not pending" false (Engine.is_pending h);
+  check_bool "every not pending" false (Engine.is_pending e h);
   check_int "next link still queued" 1 (Engine.pending_events e);
   check_bool "cancelled recurrence payload collectable" false
     (Weak.check weak 0);
@@ -329,7 +284,7 @@ let test_engine_every () =
   let h = Engine.every e ~period:(Time.ms 10) (fun () -> incr fired) in
   Engine.run e ~until:(Time.ms 55);
   check_int "five periods" 5 !fired;
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run e ~until:(Time.ms 200);
   check_int "stopped after cancel" 5 !fired
 
@@ -361,7 +316,7 @@ let test_engine_every_jitter () =
         stamps := Engine.now e :: !stamps)
   in
   Engine.run e ~until:(Time.ms 200);
-  Engine.cancel h;
+  Engine.cancel e h;
   let stamps = List.rev !stamps in
   check_bool "fired repeatedly" true (List.length stamps >= 10);
   (* gaps lie within [period, period + jitter] *)
@@ -387,7 +342,7 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (int_bound 100_000))
     (fun keys ->
-      let h = Heap.create ~dummy:0 () in
+      let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h ~key:(Time.ns k) ~seq:i k) keys;
       let rec drain acc =
         match Heap.pop h with
@@ -435,7 +390,7 @@ let heap_matches_model ops =
   let compare (k, s, _) (k', s', _) =
     if k <> k' then Int.compare k k' else Int.compare s s'
   in
-  let h = Heap.create ~dummy:(-1) () in
+  let h = Heap.create () in
   let model = ref [] and next = ref 0 and ok = ref true in
   let expect b = if not b then ok := false in
   let same got want =
@@ -504,14 +459,17 @@ let prop_rng_int_bounds =
 (* --- Fixed-delay lanes against the heap alone --- *)
 
 type lane_op =
-  | Fixed of int  (** [schedule_fixed] (the reference: [schedule]) *)
+  | Fixed of int  (** [timer ~fixed:true] (the reference: [~fixed:false]) *)
   | Burst of int * int
       (** [n] [Fixed i] at once: a lane's ring wraps and grows *)
-  | Jittered of int  (** [schedule ~after] a drawn delay *)
-  | At of int  (** [schedule_at] a drawn instant *)
-  | Cancel of int  (** the [i]-th newest one-shot handle *)
+  | Every_lane
+      (** one [Fixed i] for each of the first [max_lanes] delays: all
+          eight lanes exist, and most of them soon idle *)
+  | Jittered of int  (** [timer ~fixed:false] a drawn delay *)
+  | At of int  (** [schedule_at] a drawn instant, not cancellable *)
+  | Cancel of int  (** the [i]-th newest one-shot handle, fired or not *)
   | Every of int * int  (** [every ~period ~jitter] *)
-  | Stop of int  (** the [i]-th newest recurrence *)
+  | Stop of int  (** the [i]-th newest recurrence, stopped or not *)
 
 (* Eleven delays in ns, more than the lane table holds, so some fixed
    delays fall back to the heap. Small and overlapping, so ties are
@@ -521,6 +479,7 @@ let lane_delays = [| 0; 1; 3; 5; 10; 20; 50; 100; 7; 13; 2 |]
 let print_lane_op = function
   | Fixed i -> Printf.sprintf "F%d" lane_delays.(i)
   | Burst (i, n) -> Printf.sprintf "F%dx%d" lane_delays.(i) n
+  | Every_lane -> "L"
   | Jittered n -> Printf.sprintf "J%d" n
   | At n -> Printf.sprintf "A%d" n
   | Cancel i -> Printf.sprintf "C%d" i
@@ -537,30 +496,49 @@ let gen_lane_ops =
             (fun i n -> Burst (i, n))
             (int_bound (Array.length lane_delays - 1))
             (int_range 2 40));
+         (1, return Every_lane);
          (3, map (fun n -> Jittered n) (int_bound 60));
          (1, map (fun n -> At n) (int_bound 60));
-         (2, map (fun i -> Cancel i) (int_bound 6));
+         (3, map (fun i -> Cancel i) (int_bound 6));
          (1, map2 (fun p j -> Every (p, j)) (int_range 1 40) (int_bound 10));
          (1, map (fun i -> Stop i) (int_bound 2)) ])
 
+(* Where a cancellable event stands, as the engine's handle must say. *)
+type fate = Pending | Fired | Cancelled
+
 (* Runs [ops] and prints what it observed: every firing with its
-   instant and the pending count there, every tie the chooser saw,
-   and the executed count, pending count and clock at three points.
-   Each firing applies the next one or two ops, so events schedule
-   and cancel others as the run goes. With [lanes = false] every
-   [Fixed] goes through [schedule]: the heap-only reference. *)
+   instant and the pending count there, every cancel with [is_pending]
+   before and after it, every tie the chooser saw, and the executed
+   count, pending count and clock at three points. Each firing applies
+   the next one or two ops, so events schedule and cancel others as the
+   run goes. With [lanes = false] every [Fixed] goes to the heap: the
+   reference. A cancel picks any recent handle, so it also hits events
+   that fired (their slots long reused) and ones already cancelled.
+   Every handle's [is_pending] is checked against its [fate], and a
+   cancelled event or stopped chain that runs, or an uncancelled event
+   that never runs, prints a [!]. *)
 let run_lane_ops ~lanes ~choose ops =
   let e = Engine.create ~seed:3 () in
   let out = Buffer.create 1024 in
   let ops = Array.of_list ops in
   let next = ref 0 and ids = ref 0 in
   let handles = ref [] and chains = ref [] in
+  let fates = Hashtbl.create 64 in
+  let fate id = Hashtbl.find fates id in
   let mark what =
     Printf.bprintf out "%s@%d/%d " what
       (Time.to_ns (Engine.now e))
       (Engine.pending_events e)
   in
   let nth l i = List.nth_opt l (i mod max 1 (List.length l)) in
+  let cancel (id, h) =
+    let before = Engine.is_pending e h in
+    if before <> (fate id = Pending) then mark "!pending";
+    Engine.cancel e h;
+    if fate id = Pending then Hashtbl.replace fates id Cancelled;
+    if Engine.is_pending e h then mark "!cancelled";
+    mark (Printf.sprintf "C%d:%b" id before)
+  in
   let rec apply_next n =
     if n > 0 && !next < Array.length ops then begin
       let op = ops.(!next) in
@@ -571,36 +549,43 @@ let run_lane_ops ~lanes ~choose ops =
   and one_shot () =
     let id = !ids in
     incr ids;
-    fun () ->
-      mark (string_of_int id);
-      apply_next (1 + (id land 1))
+    Hashtbl.replace fates id Pending;
+    ( id,
+      fun () ->
+        if fate id <> Pending then mark "!ran";
+        Hashtbl.replace fates id Fired;
+        mark (string_of_int id);
+        apply_next (1 + (id land 1)) )
+  and cancellable ~fixed ~after =
+    let id, f = one_shot () in
+    handles := (id, Engine.timer e Footprint.opaque ~fixed ~after f) :: !handles
   and apply = function
-    | Fixed i ->
-        let after = Time.ns lane_delays.(i) in
-        let h =
-          if lanes then Engine.schedule_fixed e ~after (one_shot ())
-          else Engine.schedule e ~after (one_shot ())
-        in
-        handles := h :: !handles
+    | Fixed i -> cancellable ~fixed:lanes ~after:(Time.ns lane_delays.(i))
     | Burst (i, n) ->
         for _ = 1 to n do
           apply (Fixed i)
         done
-    | Jittered n ->
-        handles := Engine.schedule e ~after:(Time.ns n) (one_shot ()) :: !handles
+    | Every_lane ->
+        for i = 0 to 7 do
+          apply (Fixed i)
+        done
+    | Jittered n -> cancellable ~fixed:false ~after:(Time.ns n)
     | At n ->
         let at = Time.add (Engine.now e) (Time.ns n) in
-        handles := Engine.schedule_at e ~at (one_shot ()) :: !handles
-    | Cancel i -> Option.iter Engine.cancel (nth !handles i)
+        Engine.schedule_at e ~at (snd (one_shot ()))
+    | Cancel i -> Option.iter cancel (nth !handles i)
     | Every (p, j) ->
         let id = !ids in
         incr ids;
+        Hashtbl.replace fates id Pending;
         chains :=
-          Engine.every e ~period:(Time.ns p) ~jitter:(Time.ns j) (fun () ->
-              mark (Printf.sprintf "c%d" id);
-              apply_next 1)
+          ( id,
+            Engine.every e ~period:(Time.ns p) ~jitter:(Time.ns j) (fun () ->
+                if fate id <> Pending then mark "!ran";
+                mark (Printf.sprintf "c%d" id);
+                apply_next 1) )
           :: !chains
-    | Stop i -> Option.iter Engine.cancel (nth !chains i)
+    | Stop i -> Option.iter cancel (nth !chains i)
   in
   Engine.set_chooser e
     (Option.map
@@ -624,9 +609,10 @@ let run_lane_ops ~lanes ~choose ops =
   totals "step";
   (* No op is left to start a new recurrence once the chains stop. *)
   next := Array.length ops;
-  List.iter Engine.cancel !chains;
+  List.iter cancel !chains;
   Engine.run e;
   totals "end";
+  List.iter (fun (id, _) -> if fate id = Pending then mark "!lost") !handles;
   Buffer.contents out
 
 let prop_lanes_match_heap =
@@ -637,7 +623,7 @@ let prop_lanes_match_heap =
         (fun choose ->
           let lanes = run_lane_ops ~lanes:true ~choose ops in
           let heap = run_lane_ops ~lanes:false ~choose ops in
-          String.equal lanes heap
+          (String.equal lanes heap && not (String.contains lanes '!'))
           || QCheck.Test.fail_reportf "lanes:\n%s\nheap:\n%s" lanes heap)
         [ None;
           Some (fun _ -> 0);
@@ -657,9 +643,12 @@ let test_engine_fixed_lane_basics () =
       (Engine.schedule_fixed e ~after:(Time.ms 2) (fun () -> log := i :: !log))
   done;
   ignore (Engine.schedule e ~after:(Time.ms 2) (fun () -> log := 4 :: !log));
-  let h = Engine.schedule_fixed e ~after:(Time.ms 1) (fun () -> log := 0 :: !log) in
+  let h =
+    Engine.timer e Footprint.opaque ~fixed:true ~after:(Time.ms 1) (fun () ->
+        log := 0 :: !log)
+  in
   check_int "lane events pending" 5 (Engine.pending_events e);
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run e ~until:(Time.ms 1);
   check_int "a cancelled lane event drains where it sits" 1
     (Engine.executed_events e);
@@ -669,13 +658,13 @@ let test_engine_fixed_lane_basics () =
     (List.rev !log);
   check_int "clock" 2_000_000 (Time.to_ns (Engine.now e))
 
-(* A lane adds nothing to what scheduling allocates: the event's
-   four-word record, plus the two-word [Some] a caller's [~footprint]
-   is passed in. A pop allocates nothing. Measured after a warm-up
-   round has grown both queues to size. *)
+(* Scheduling allocates nothing beyond the caller's closure, whether
+   the event has a footprint, waits on a lane or returns a handle, and
+   a pop allocates nothing. Measured after a warm-up round has grown
+   the queues and the slot pool to size. *)
 let test_schedule_allocation () =
-  let fp = Footprint.touches [ Footprint.switch 1 ] and f () = () in
-  let per_event name ~budget schedule =
+  let fp = Footprint.one (Footprint.switch 1) and f () = () in
+  let per_event name schedule =
     let e = Engine.create () in
     let round () =
       for _ = 1 to 1000 do
@@ -688,17 +677,181 @@ let test_schedule_allocation () =
     round ();
     let words = (Gc.minor_words () -. before) /. 1000. in
     check_bool
-      (Printf.sprintf "%s: %.2f words per event, budget %g" name words budget)
-      true (words < budget)
+      (Printf.sprintf "%s: %.2f words per event, budget 0.5" name words)
+      true (words < 0.5)
   in
   let after = Time.us 5 in
-  per_event "schedule" ~budget:4.5 (fun e f -> Engine.schedule e ~after f);
-  per_event "schedule_fixed" ~budget:4.5 (fun e f ->
-      Engine.schedule_fixed e ~after f);
-  per_event "schedule ~footprint" ~budget:6.5 (fun e f ->
-      Engine.schedule e ~footprint:fp ~after f);
-  per_event "schedule_fixed ~footprint" ~budget:6.5 (fun e f ->
-      Engine.schedule_fixed e ~footprint:fp ~after f)
+  per_event "schedule" (fun e f -> Engine.schedule e ~after f);
+  per_event "schedule_fixed" (fun e f -> Engine.schedule_fixed e ~after f);
+  per_event "schedule_on" (fun e f -> Engine.schedule_on e fp ~after f);
+  per_event "schedule_on_at" (fun e f ->
+      Engine.schedule_on_at e fp ~at:(Time.add (Engine.now e) after) f);
+  per_event "timer" (fun e f -> Engine.timer e fp ~fixed:false ~after f);
+  per_event "timer ~fixed" (fun e f -> Engine.timer e fp ~fixed:true ~after f)
+
+(* Schedules [n] events whose closures alone capture fresh payloads,
+   tracked by [weak] from index [base]: one on the heap, one on a lane
+   and one cancellable, in turn. Not inlined, so no stack slot of the
+   caller keeps a payload alive. *)
+let[@inline never] schedule_payloads e weak ~base n =
+  for i = base to base + n - 1 do
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    let f () = incr payload in
+    match i mod 3 with
+    | 0 -> Engine.schedule e ~after:(Time.us 1) f
+    | 1 -> Engine.schedule_fixed e ~after:(Time.us 2) f
+    | _ -> ignore (timer e ~after:(Time.us 1) f)
+  done
+
+let pinned weak =
+  Gc.full_major ();
+  let n = ref 0 in
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then incr n
+  done;
+  !n
+
+(* An event's slot lets go of its closure when the event runs, on the
+   plain pop and on the chooser's, though the engine and its pool stay
+   live: a slot that kept a fired closure would pin all it captured
+   until the slot was reused. *)
+let test_engine_pop_releases () =
+  let e = Engine.create () in
+  let weak = Weak.create 96 in
+  schedule_payloads e weak ~base:0 48;
+  check_int "queued payloads pinned" 48 (pinned weak);
+  Engine.run e;
+  check_int "plain pop releases" 0 (pinned weak);
+  Engine.set_chooser e (Some (fun cands -> Array.length cands - 1));
+  schedule_payloads e weak ~base:48 48;
+  Engine.run e;
+  check_int "chosen pop releases" 0 (pinned weak);
+  check_int "every event ran" 96 (Engine.executed_events e)
+
+(* The footprint's list model: [touches] as the sorted distinct ids,
+   [None] for opaque. *)
+module Fp_model = struct
+  let touches ids = Some (List.sort_uniq compare ids)
+
+  let independent a b =
+    match (a, b) with
+    | Some xs, Some ys -> not (List.exists (fun x -> List.mem x ys) xs)
+    | _ -> false
+
+  let union a b =
+    match (a, b) with
+    | Some xs, Some ys -> touches (xs @ ys)
+    | _ -> None
+
+  let stride = 1 lsl 20
+
+  let pp = function
+    | None -> "opaque"
+    | Some ids ->
+        "{"
+        ^ String.concat ","
+            (List.map
+               (fun id ->
+                 let name =
+                   match id / stride with
+                   | 1 -> "sw"
+                   | 2 -> "host"
+                   | 3 -> "ctl"
+                   | 4 -> "store"
+                   | 5 -> "shard"
+                   | 6 -> "trig"
+                   | 7 -> "res"
+                   | _ -> "?"
+                 in
+                 Printf.sprintf "%s:%d" name (id mod stride))
+               ids)
+        ^ "}"
+end
+
+(* Ids at the namespaces' edges: each namespace's first and last index,
+   the 2^17 boundary a triple packs below, [named] hashes, and a few
+   ids outside every namespace. *)
+let gen_fp_id =
+  let open QCheck.Gen in
+  let space =
+    oneofl
+      [ Footprint.switch; Footprint.host; Footprint.controller; Footprint.store;
+        Footprint.trigger ]
+  in
+  let edge =
+    oneofl [ 0; 1; 2; (1 lsl 17) - 1; 1 lsl 17; (1 lsl 20) - 1; 1 lsl 20 ]
+  in
+  frequency
+    [ (4, map2 (fun f i -> f i) space edge);
+      (3, map2 (fun f i -> f i) space (int_bound 40));
+      (2, map Footprint.named (string_size ~gen:printable (int_range 0 6)));
+      (1, oneofl [ 0; 5; (1 lsl 23) - 1; 1 lsl 23; -1; max_int; min_int ]) ]
+
+let gen_fp =
+  QCheck.Gen.(
+    frequency
+      [ (1, return None);
+        (8, map (fun ids -> Some ids) (list_size (int_bound 3) gen_fp_id)) ])
+
+let fp_of = function
+  | None -> Footprint.opaque
+  | Some ids -> Footprint.touches ids
+
+let print_fp = function
+  | None -> "opaque"
+  | Some ids -> "[" ^ String.concat ";" (List.map string_of_int ids) ^ "]"
+
+let show fp = Format.asprintf "%a" Footprint.pp fp
+
+(* Up to two distinct in-namespace ids, every answer is the model's;
+   beyond that [independent] may only err towards dependence, and [pp]
+   is the model's or a summary's. [one] and [two] are [touches]. *)
+let prop_footprint_model =
+  QCheck.Test.make ~name:"footprint agrees with the list model" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair print_fp print_fp)
+       QCheck.Gen.(pair gen_fp gen_fp))
+    (fun (a, b) ->
+      let exact = function
+        | None -> true
+        | Some ids ->
+            let ids = List.sort_uniq compare ids in
+            List.length ids <= 2
+            && List.for_all (fun id -> id >= 0 && id < 1 lsl 23) ids
+      in
+      let ma = Option.map (List.sort_uniq compare) a
+      and mb = Option.map (List.sort_uniq compare) b in
+      let fa = fp_of a and fb = fp_of b in
+      let agrees m f =
+        if exact m then show f = Fp_model.pp m
+        else
+          show f = Fp_model.pp m
+          || String.length (show f) >= 2 && String.contains (show f) '*'
+      in
+      let dep_ok got want =
+        got = want || ((not got) && not (exact ma && exact mb))
+      in
+      let union = Fp_model.union ma mb in
+      let lists =
+        match a with
+        | Some [ x ] -> Footprint.one x = fa
+        | Some [ x; y ] -> Footprint.two x y = fa
+        | _ -> true
+      in
+      lists && agrees ma fa && agrees mb fb
+      && Footprint.is_opaque fa = (a = None)
+      && dep_ok (Footprint.independent fa fb) (Fp_model.independent ma mb)
+      && Footprint.independent fa fb = Footprint.independent fb fa
+      && agrees union (Footprint.union fa fb)
+      && (exact union = false
+         || show (Footprint.union fa fb) = Fp_model.pp union)
+      && List.for_all
+           (fun c ->
+             let mc = Option.map (List.sort_uniq compare) c in
+             let got = Footprint.independent (Footprint.union fa fb) (fp_of c)
+             and want = Fp_model.independent union mc in
+             got = want || not got)
+           [ a; b; Some [ Footprint.switch 1 ] ])
 
 let suite =
   [ ("time units", `Quick, test_time_units);
@@ -715,8 +868,7 @@ let suite =
     ("rng choice and shuffle", `Quick, test_rng_choice_shuffle);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo on ties", `Quick, test_heap_fifo_ties);
-    ("heap pop releases payloads", `Quick, test_heap_pop_releases);
-    ("engine ordering", `Quick, test_engine_ordering);
+        ("engine ordering", `Quick, test_engine_ordering);
     ("engine cancel", `Quick, test_engine_cancel);
     ("engine cancel releases the closure", `Quick, test_engine_cancel_releases);
     ("engine run until", `Quick, test_engine_until);
@@ -727,6 +879,8 @@ let suite =
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
     ("engine fixed-delay lanes", `Quick, test_engine_fixed_lane_basics);
     ("engine scheduling allocation budget", `Quick, test_schedule_allocation);
+    ("engine pop releases closures", `Quick, test_engine_pop_releases);
+    QCheck_alcotest.to_alcotest prop_footprint_model;
     QCheck_alcotest.to_alcotest prop_lanes_match_heap;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_model_fifo;

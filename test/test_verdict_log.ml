@@ -180,20 +180,18 @@ let test_validator_retention () =
     true (words <= 8.1)
 
 (* A cancelled timer holds no more than one scheduled with no footprint:
-   its [Touches] list is dropped with its closure. *)
+   its footprint is dropped with its closure. *)
 let test_cancelled_footprint () =
-  let engine = Engine.create () in
-  let touches = Footprint.touches [ Footprint.trigger 5; Footprint.store 1 ] in
-  let declared =
-    Engine.schedule engine ~footprint:touches ~after:(Time.ms 50) ignore
+  let cancelled fp =
+    let engine = Engine.create () in
+    Engine.cancel engine
+      (Engine.timer engine fp ~fixed:false ~after:(Time.ms 50) ignore);
+    Obj.reachable_words (Obj.repr engine)
   in
-  let plain = Engine.schedule engine ~after:(Time.ms 50) ignore in
-  Engine.cancel declared;
-  Engine.cancel plain;
   Alcotest.(check int)
-    "words a cancelled handle retains"
-    (Obj.reachable_words (Obj.repr plain))
-    (Obj.reachable_words (Obj.repr declared))
+    "words an engine with a cancelled timer retains"
+    (cancelled Footprint.opaque)
+    (cancelled (Footprint.touches [ Footprint.trigger 5; Footprint.store 1 ]))
 
 let suite =
   [ QCheck_alcotest.to_alcotest round_trip;
