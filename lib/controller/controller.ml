@@ -19,6 +19,70 @@ let null_observer =
     on_applied = (fun _ _ -> ());
     on_write_failed = (fun _ _ _ -> ()) }
 
+(* One read a plan made, with the answer it got: a point read of the
+   replica's store, the host table's attachment point for a MAC, or one
+   of the view's memoized readers. *)
+type read =
+  | Store of Names.t * string * string option
+  | Host of Mac.t * (Of_types.Dpid.t * int)
+  | No_host of Mac.t
+  | First_hop of Of_types.Dpid.t * Of_types.Dpid.t * int
+  | Link_ports of Of_types.Dpid.t * int list
+  | Flood of Of_types.Dpid.t * int * Of_action.t list
+
+(* One plan per trigger, shared by a deployment's controllers. *)
+module Plans = struct
+  let slots = 64
+
+  type slot = {
+    mutable taint : Types.Taint.t;
+    mutable as_id : int;
+    mutable trigger : Types.trigger;
+    mutable plan : Types.action list;
+    mutable reads : read array;
+    mutable n : int;  (* reads recorded; [-1]: the plan was not recorded *)
+  }
+
+  type t = {
+    table : slot array;
+    mutable lookups : int;
+    mutable claims : int;
+    mutable reused : int;
+  }
+
+  (* No trigger is minted with a negative serial. *)
+  let vacant () =
+    { taint = Types.Taint.internal_trigger ~origin:(-1) ~seq:(-1);
+      as_id = -1;
+      trigger = Types.Internal { app = ""; work = Types.Emit_lldp };
+      plan = [];
+      reads = [||];
+      n = -1 }
+
+  let create () =
+    { table = Array.init slots (fun _ -> vacant ());
+      lookups = 0;
+      claims = 0;
+      reused = 0 }
+
+  let lookups t = t.lookups
+  let claims t = t.claims
+  let reused t = t.reused
+
+  let slot t taint = t.table.(Types.Taint.hash taint land (slots - 1))
+
+  let note slot read =
+    if slot.n >= 0 then begin
+      if slot.n = Array.length slot.reads then begin
+        let bigger = Array.make (max 8 (2 * slot.n)) read in
+        Array.blit slot.reads 0 bigger 0 slot.n;
+        slot.reads <- bigger
+      end;
+      slot.reads.(slot.n) <- read;
+      slot.n <- slot.n + 1
+    end
+end
+
 (* One switch's flood, read off the view. *)
 type flood = {
   ports : int list;  (* spanning-tree plus host ports, sorted, unique *)
@@ -58,6 +122,9 @@ type t = {
      the next read rebuilds it from the table. *)
   hosts : (Mac.t, Of_types.Dpid.t * int) Hashtbl.t;
   mutable hosts_dirty : bool;
+  mutable plans : Plans.t option;  (* the deployment's, if any *)
+  mutable recording : bool;  (* whether planning notes its reads *)
+  mutable into : Plans.slot;  (* where, while [recording] *)
 }
 
 (* Forward reference: the proactive host-rule app needs planning and
@@ -76,6 +143,24 @@ let note_host t ~key value =
       match Option.bind value Values.Host.parse with
       | Some (dpid, port, _) -> Hashtbl.replace t.hosts mac (dpid, port)
       | None -> Hashtbl.remove t.hosts mac)
+
+(* --- The reads a plan makes ---
+
+   While a replica records a plan ([recording]), each read planning
+   makes is noted with its answer. The view's and host table's own
+   rebuilds and memos read the store unnoted: their answers are what
+   planning reads off them. *)
+
+let read t cache key =
+  let answer = Fabric.read t.fabric ~node:t.id ~cache ~key in
+  if t.recording then Plans.note t.into (Store (cache, key, answer));
+  answer
+
+(* A whole table is too large an answer to check in place, so a plan
+   that reads one is not recorded. *)
+let entries t cache =
+  if t.recording then t.into.n <- -1;
+  Fabric.entries t.fabric ~node:t.id ~cache
 
 let rec create engine ~id ~profile ~fabric ~flow_memo =
   let pipeline =
@@ -110,7 +195,10 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
       links = DpidMap.empty;
       floods = DpidMap.empty;
       hosts = Hashtbl.create 64;
-      hosts_dirty = true }
+      hosts_dirty = true;
+      plans = None;
+      recording = false;
+      into = Plans.vacant () }
   in
   Fabric.subscribe fabric ~node:id (fun ~local ev ->
       if not local then begin
@@ -159,10 +247,7 @@ and delegate_flow_event t (ev : Event.t) =
 and masters t dpid = master_of t dpid = Some t.id
 
 and master_of t dpid =
-  match
-    Fabric.read t.fabric ~node:t.id ~cache:Names.masterdb
-      ~key:(Values.Master.key dpid)
-  with
+  match read t Names.masterdb (Values.Master.key dpid) with
   | Some v -> Values.Master.parse v
   | None -> None
 
@@ -193,11 +278,9 @@ let invalidate_view t =
 
 (* --- Shared-state reads --- *)
 
-let read t cache key = Fabric.read t.fabric ~node:t.id ~cache ~key
-let entries t cache = Fabric.entries t.fabric ~node:t.id ~cache
-
 let switch_ports t dpid =
-  match read t Names.switchdb (Values.Switch.key dpid) with
+  match Fabric.read t.fabric ~node:t.id ~cache:Names.switchdb
+          ~key:(Values.Switch.key dpid) with
   | None -> []
   | Some v -> (
       match Values.Switch.parse v with
@@ -218,7 +301,7 @@ let rebuild_view t =
       match Values.parse_dpid_key k with
       | Some dpid -> Graph.add_switch g dpid
       | None -> ())
-    (entries t Names.switchdb);
+    (Fabric.entries t.fabric ~node:t.id ~cache:Names.switchdb);
   List.iter
     (fun (k, v) ->
       if v = Values.Link.value_up then
@@ -226,7 +309,7 @@ let rebuild_view t =
         | Some ((d1, p1), (d2, p2)) ->
             Graph.add_link g { dpid = d1; port = p1 } { dpid = d2; port = p2 }
         | None -> ())
-    (entries t Names.linksdb);
+    (Fabric.entries t.fabric ~node:t.id ~cache:Names.linksdb);
   t.view <- g;
   t.view_dirty <- false;
   t.trees <- DpidMap.empty;
@@ -326,14 +409,41 @@ let host t mac =
     t.hosts_dirty <- false;
     List.iter
       (fun (key, value) -> note_host t ~key (Some value))
-      (entries t Names.hostdb)
+      (Fabric.entries t.fabric ~node:t.id ~cache:Names.hostdb)
   end;
   Hashtbl.find t.hosts mac
+
+(* Planning's reads of the view and the host table, noted while a plan
+   is recorded. *)
+
+let noted_link_ports t dpid =
+  let ports = link_ports t dpid in
+  if t.recording then Plans.note t.into (Link_ports (dpid, ports));
+  ports
+
+let noted_first_hop t src dst =
+  let port = first_hop t src dst in
+  if t.recording then Plans.note t.into (First_hop (src, dst, port));
+  port
+
+let noted_flood_actions t dpid ~in_port =
+  let actions = flood_actions t dpid ~in_port in
+  if t.recording then Plans.note t.into (Flood (dpid, in_port, actions));
+  actions
+
+let noted_host t mac =
+  match host t mac with
+  | at ->
+      if t.recording then Plans.note t.into (Host (mac, at));
+      at
+  | exception Not_found ->
+      if t.recording then Plans.note t.into (No_host mac);
+      raise Not_found
 
 (* --- Planning --- *)
 
 let plan_flood t dpid ~in_port ~buffer_id frame =
-  match flood_actions t dpid ~in_port with
+  match noted_flood_actions t dpid ~in_port with
   | [] -> []
   | actions ->
       [ Types.Network_send
@@ -400,7 +510,7 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
 
 let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     (dst_dpid, dst_port) =
-  let out = first_hop t src_dpid dst_dpid in
+  let out = noted_first_hop t src_dpid dst_dpid in
   if out < 0 then plan_flood t src_dpid ~in_port ~buffer_id frame
   else
     (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
@@ -418,12 +528,15 @@ let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     let out_port =
       if Of_types.Dpid.equal src_dpid dst_dpid then
         dst_port (* destination host on this switch *)
-      else if t.profile.Profile.ecmp then
+      else if t.profile.Profile.ecmp then begin
         (* Load-balance across equal-cost next hops: an
-           intentionally non-deterministic application. *)
+           intentionally non-deterministic application, whose plan
+           is not recorded. *)
+        if t.recording then t.into.n <- -1;
         match next_hop_choices t src_dpid dst_dpid with
         | [] -> out
         | choices -> fst (Rng.choice t.rng (Array.of_list choices))
+      end
       else out
     in
     flow_rule_actions t ~dpid:src_dpid ~rule ~priority:100 ~idle ~out_port
@@ -456,7 +569,7 @@ let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
          arriving over an inter-switch link must not move the host's
          attachment point. *)
       let learn =
-        if List.mem pi.in_port (link_ports t dpid) then []
+        if List.mem pi.in_port (noted_link_ports t dpid) then []
         else
           learn_host_actions t dpid ~port:pi.in_port ~mac:arp.Frame.sha
             ~ip:arp.Frame.spa
@@ -467,7 +580,7 @@ let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
             plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame
         | Frame.Reply -> (
             (* Unicast reply: forward toward the target if known. *)
-            match host t frame.Frame.dl_dst with
+            match noted_host t frame.Frame.dl_dst with
             | ddpid, dport when Of_types.Dpid.equal ddpid dpid ->
                 [ Types.Network_send
                     { dpid;
@@ -492,7 +605,7 @@ let plan_packet_in t ~as_id dpid (pi : Of_message.packet_in) =
       if Jury_packet.Addr.Mac.is_broadcast frame.Frame.dl_dst then
         plan_flood t dpid ~in_port:pi.in_port ~buffer_id:pi.buffer_id frame
       else
-        match host t frame.Frame.dl_dst with
+        match noted_host t frame.Frame.dl_dst with
         | dst ->
             plan_path_install t ~src_dpid:dpid ~in_port:pi.in_port
               ~buffer_id:pi.buffer_id frame dst
@@ -670,9 +783,83 @@ let plan_as t ~as_id (trigger : Types.trigger) =
 
 let plan t trigger = plan_as t ~as_id:t.id trigger
 
-let shadow_execute t ?as_id trigger =
-  let as_id = Option.value as_id ~default:t.id in
-  let actions = plan_as t ~as_id trigger in
+(* --- One plan per trigger --- *)
+
+let set_plans t plans = t.plans <- Some plans
+
+(* Whether [read] gets the answer it got, on this replica now. Allocates
+   nothing once the view's memos hold the answer. *)
+let holds t = function
+  | Store (cache, key, answer) ->
+      Fabric.holds t.fabric ~node:t.id ~cache ~key answer
+  | Host (mac, (dpid, port)) -> (
+      match host t mac with
+      | d, p -> p = port && Of_types.Dpid.equal d dpid
+      | exception Not_found -> false)
+  | No_host mac -> (
+      match host t mac with _ -> false | exception Not_found -> true)
+  | First_hop (src, dst, port) -> first_hop t src dst = port
+  | Link_ports (dpid, ports) ->
+      let held = link_ports t dpid in
+      held == ports || List.equal Int.equal held ports
+  | Flood (dpid, in_port, actions) ->
+      let held = flood_actions t dpid ~in_port in
+      held == actions || held = actions
+
+let rec reads_hold t (slot : Plans.slot) i =
+  i >= slot.n || (holds t slot.reads.(i) && reads_hold t slot (i + 1))
+
+(* Plans [trigger] into [slot], noting every read, and keeps the plan
+   there unless it read a whole table or drew from the RNG. *)
+let record t (slot : Plans.slot) ~as_id ~taint trigger =
+  slot.taint <- taint;
+  slot.as_id <- as_id;
+  slot.trigger <- trigger;
+  slot.plan <- [];
+  slot.n <- 0;
+  t.recording <- true;
+  t.into <- slot;
+  let plan =
+    match plan_as t ~as_id trigger with
+    | plan ->
+        t.recording <- false;
+        plan
+    | exception e ->
+        t.recording <- false;
+        slot.n <- -1;
+        raise e
+  in
+  if slot.n >= 0 then slot.plan <- plan;
+  plan
+
+(* A plan is a function of its trigger, its [as_id] and the answers of
+   the reads it made, so a slot's plan is this replica's plan whenever
+   each of those reads gets the same answer here. *)
+let planned t (plans : Plans.t) ~as_id ~taint trigger =
+  plans.lookups <- plans.lookups + 1;
+  let slot = Plans.slot plans taint in
+  if not (Types.Taint.equal slot.taint taint) then begin
+    plans.claims <- plans.claims + 1;
+    record t slot ~as_id ~taint trigger
+  end
+  else if
+    slot.as_id <> as_id
+    || not (slot.trigger == trigger || slot.trigger = trigger)
+  then record t slot ~as_id ~taint trigger
+  else if slot.n < 0 then plan_as t ~as_id trigger
+  else if reads_hold t slot 0 then begin
+    plans.reused <- plans.reused + 1;
+    slot.plan
+  end
+  else record t slot ~as_id ~taint trigger
+
+let shadow_execute t ~as_id ~taint trigger =
+  let actions =
+    match t.plans with
+    | Some plans when Types.Taint.is_external taint ->
+        planned t plans ~as_id ~taint trigger
+    | Some _ | None -> plan_as t ~as_id trigger
+  in
   match t.mutator with None -> actions | Some m -> m trigger actions
 
 (* --- Application --- *)
@@ -721,22 +908,25 @@ let apply_action t taint ~delay (action : Types.action) =
          | _ -> ());
       delay
 
+let execute t some_taint taint trigger =
+  let actions = shadow_execute t ~as_id:t.id ~taint trigger in
+  t.observer.on_response some_taint trigger actions;
+  ignore
+    (List.fold_left
+       (fun delay action -> apply_action t some_taint ~delay action)
+       Time.zero actions)
+
 let process t taint trigger =
   (* JURY's controller module stamps internal triggers with a taint of
      their own so every ensuing cache event is attributable. *)
-  let taint =
-    match taint with
-    | Some _ -> taint
-    | None ->
-        t.next_internal <- t.next_internal + 1;
-        Some (Types.Taint.internal_trigger ~origin:t.id ~seq:t.next_internal)
-  in
-  let actions = shadow_execute t trigger in
-  t.observer.on_response taint trigger actions;
-  ignore
-    (List.fold_left
-       (fun delay action -> apply_action t taint ~delay action)
-       Time.zero actions)
+  match taint with
+  | Some tainted -> execute t taint tainted trigger
+  | None ->
+      t.next_internal <- t.next_internal + 1;
+      let tainted =
+        Types.Taint.internal_trigger ~origin:t.id ~seq:t.next_internal
+      in
+      execute t (Some tainted) tainted trigger
 
 let submit t ?taint trigger =
   (* Tainted submissions get a pipeline-service span (queue wait +

@@ -67,7 +67,13 @@ val run_internal : t -> app:string -> Types.internal_work -> unit
 (** Run an internal trigger (administrator action, proactive app). *)
 
 val plan : t -> Types.trigger -> Types.action list
-(** Read-only planning: what would this replica do right now? *)
+(** Read-only planning: what would this replica do right now? A plan
+    is a function of the trigger, the controller it is planned as, the
+    cluster's profile and the answers of the reads it makes of this
+    replica's state: point reads of the store, the host table, and the
+    view's first hops, link ports and flood actions. Only a plan that
+    reads a whole table or draws from the RNG (ECMP) depends on
+    more. *)
 
 val plan_as : t -> as_id:int -> Types.trigger -> Types.action list
 (** Plan from the perspective of controller [as_id]: replicated
@@ -75,10 +81,49 @@ val plan_as : t -> as_id:int -> Types.trigger -> Types.action list
     id-dependent logic (e.g. the link-liveness election) evaluates as
     the primary would, on this replica's state. *)
 
-val shadow_execute : t -> ?as_id:int -> Types.trigger -> Types.action list
+(** One plan per trigger: a deployment's table of recorded plans,
+    direct-mapped on the taint's hash. A slot holds the last plan
+    recorded for one external taint, with its trigger, its [as_id] and,
+    in order, every read it made and the answer it got. *)
+module Plans : sig
+  type t
+
+  val slots : int
+  (** 64: slot [Taint.hash taint land (slots - 1)]. *)
+
+  val create : unit -> t
+
+  val lookups : t -> int
+  (** Executions of external taints looked up so far. *)
+
+  val claims : t -> int
+  (** Lookups that found their slot holding another taint, or none. *)
+
+  val reused : t -> int
+  (** Lookups answered with the slot's plan. *)
+end
+
+val set_plans : t -> Plans.t -> unit
+(** The table {!shadow_execute} looks external taints up in; every
+    controller of one deployment gets the same one. *)
+
+val shadow_execute :
+  t -> as_id:int -> taint:Types.Taint.t -> Types.trigger -> Types.action list
 (** {!plan_as} with this replica's fault mutator applied — JURY's
     replicated execution: a faulty replica is faulty in replicated
-    execution too, but nothing is written or sent. *)
+    execution too, but nothing is written or sent. The primary's own
+    execution is [shadow_execute t ~as_id:(id t)].
+
+    An external [taint] is looked up in the {!set_plans} table first.
+    When the slot holds [taint], [as_id] and the same trigger, and each
+    read the recorded plan made gets the same answer on this replica
+    now, the recorded list is the answer, and the lookup allocates
+    nothing. Otherwise the replica plans and records its own plan in
+    the slot, noting its reads; a plan that read a whole table or drew
+    from the RNG is not kept, and later executions of its taint plan
+    directly. Either way the answer is [=] to [plan_as t ~as_id
+    trigger] on this replica at this instant, and the mutator runs on
+    it afterwards, per replica. *)
 
 val sample_response_fate : t -> [ `Respond of Jury_sim.Time.t | `Omit ]
 (** Draw the fate of one response from this replica: delivered after

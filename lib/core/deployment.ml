@@ -33,38 +33,6 @@ let replication_jitter_us = 80.
 let chatter_cost = Time.us 13
 let chatter_size = 96
 
-(* One plan per trigger. The k+1 executions of a trigger usually agree,
-   and the validator keeps every one until it decides, so each reporter
-   looks its plan up here first: a plan equal to the one its trigger's
-   slot holds is reported as that list, which the executions then share.
-   The table is direct-mapped on the taint's hash. A taint whose slot
-   holds another taint claims it; an unequal plan for the same taint
-   keeps its own list. The answer is always [=] to the plan given, so
-   sharing changes no output, and a lookup allocates nothing. *)
-module Plans = struct
-  let slots = 256
-
-  type t = { taints : Taint.t array; plans : Types.action list array }
-
-  let create () =
-    (* No trigger is minted with a negative serial. Made here, not at
-       module initialisation, so that a process that installs no
-       deployment allocates nothing for it. *)
-    let vacant = Taint.internal_trigger ~origin:(-1) ~seq:(-1) in
-    { taints = Array.make slots vacant; plans = Array.make slots [] }
-
-  let share t taint plan =
-    let i = Taint.hash taint land (slots - 1) in
-    if Taint.equal t.taints.(i) taint then
-      let held = t.plans.(i) in
-      if held == plan || held = plan then held else plan
-    else begin
-      t.taints.(i) <- taint;
-      t.plans.(i) <- plan;
-      plan
-    end
-end
-
 type node_module = {
   mutable snapshot : Snapshot.t;
   shadow : Pipeline.t;
@@ -92,7 +60,7 @@ type t = {
       (* interception point → secondary i, one per node *)
   validator_links : Channel.t array;
       (* replica i → out-of-band validator *)
-  plans : Plans.t;  (* one per deployment: [Pool] runs several *)
+  plans : Controller.Plans.t;  (* one per deployment: [Pool] runs several *)
   inflight : inflight Taint.Table.t;
       (* taint → what a retransmission or a failover re-drive needs,
          including the current primary; kept only when retransmission
@@ -112,6 +80,7 @@ type t = {
 }
 
 let validator t = t.validator
+let plans t = t.plans
 let cluster t = t.cluster
 let cfg t = t.cfg
 
@@ -279,12 +248,6 @@ let install_node_module t node =
                 match Controller.sample_response_fate ctrl with
                 | `Omit -> ()
                 | `Respond latency ->
-                    (* Only replicated triggers have plans to share. *)
-                    let actions =
-                      if Taint.is_external taint then
-                        Plans.share t.plans taint actions
-                      else actions
-                    in
                     send_to_validator t ~delay:latency
                       (make_response t ~node ~taint
                          (Response.Execution { role = `Primary; actions })));
@@ -340,7 +303,9 @@ let run_shadow t ~secondary ~primary ~taint trigger =
         (Controller.pipeline (Cluster.controller t.cluster primary))
         chatter_cost;
       t.chatter_bytes_total <- t.chatter_bytes_total + chatter_size;
-      let actions = Controller.shadow_execute ctrl ~as_id:primary trigger in
+      let actions =
+        Controller.shadow_execute ctrl ~as_id:primary ~taint trigger
+      in
       (* Standalone (Ryu-style) instances share no store: validation
          replicates the *action stream* instead. Each secondary applies
          its own planned cache writes, untainted, to its own local
@@ -362,7 +327,6 @@ let run_shadow t ~secondary ~primary ~taint trigger =
       match Controller.sample_response_fate ctrl with
       | `Omit -> ()
       | `Respond latency ->
-          let actions = Plans.share t.plans taint actions in
           send_to_validator t ~delay:latency
             (make_response t ~node:secondary ~taint
                (Response.Execution { role = `Secondary; actions })))
@@ -598,7 +562,7 @@ let install cluster (cfg : config) =
             Channel.create engine ~rng
               ~name:(Printf.sprintf "validator/%d" i)
               cfg.channel);
-      plans = Plans.create ();
+      plans = Controller.Plans.create ();
       inflight = Taint.Table.create 256;
       batch_buf = [];
       batch_flush = false;
@@ -621,6 +585,7 @@ let install cluster (cfg : config) =
     Validator.on_verdict t.validator (fun alarm ->
         Taint.Table.remove t.inflight alarm.Alarm.taint);
   for node = 0 to n - 1 do
+    Controller.set_plans (Cluster.controller cluster node) t.plans;
     install_node_module t node
   done;
   (* The replicator: southbound interception. *)

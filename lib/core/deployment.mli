@@ -52,25 +52,6 @@ type config = {
 
 type t
 
-(** One plan per trigger: the table each deployment looks its
-    executions' action lists up in before reporting them. *)
-module Plans : sig
-  type t
-
-  val slots : int
-  (** 256: slot [Taint.hash taint land (slots - 1)] holds one taint and
-      the first plan reported for it. *)
-
-  val create : unit -> t
-
-  val share :
-    t -> Types.Taint.t -> Types.action list -> Types.action list
-  (** [share t taint plan] is the list the slot holds when it holds
-      [taint] with a plan [==] or [=] to [plan], and [plan] otherwise;
-      a different taint in the slot is replaced by [taint] and [plan].
-      The answer is always [=] to [plan], and it allocates nothing. *)
-end
-
 val install : Cluster.t -> config -> t
 (** Interpose on the cluster. Install before {!Cluster.start} so that
     bootstrap triggers are validated too, or after for workload-only
@@ -78,6 +59,10 @@ val install : Cluster.t -> config -> t
 
 val validator : t -> Validator.t
 (** The deployment's validator — verdicts and counters are read here. *)
+
+val plans : t -> Jury_controller.Controller.Plans.t
+(** The table the cluster's controllers look their executions of
+    external triggers up in ({!Jury_controller.Controller.shadow_execute}). *)
 
 val cluster : t -> Cluster.t
 (** The cluster being interposed on. *)

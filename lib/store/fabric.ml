@@ -185,12 +185,25 @@ let write t ~node ?taint ~cache op ~key ~value =
     Ok ev
   end
 
+(* The cache table is found with [Hashtbl.find], which allocates
+   nothing where [find_opt] would box its answer. *)
 let read t ~node ~cache ~key =
   check_node t node;
-  let st = t.node_states.(node) in
-  match Hashtbl.find_opt st.caches cache with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl key
+  match Hashtbl.find t.node_states.(node).caches cache with
+  | tbl -> Hashtbl.find_opt tbl key
+  | exception Not_found -> None
+
+let holds t ~node ~cache ~key answer =
+  check_node t node;
+  match Hashtbl.find t.node_states.(node).caches cache with
+  | tbl -> (
+      match answer with
+      | None -> not (Hashtbl.mem tbl key)
+      | Some value -> (
+          match Hashtbl.find tbl key with
+          | held -> held == value || String.equal held value
+          | exception Not_found -> false))
+  | exception Not_found -> Option.is_none answer
 
 let entries t ~node ~cache =
   check_node t node;

@@ -62,6 +62,13 @@ val write :
     the event as seen on the wire. *)
 
 val read : t -> node:int -> cache:Cache_names.t -> key:string -> string option
+(** Allocates only its answer's [Some]. *)
+
+val holds :
+  t -> node:int -> cache:Cache_names.t -> key:string -> string option -> bool
+(** [holds t ~node ~cache ~key answer] is [read t ~node ~cache ~key =
+    answer], compared in place: it allocates nothing. *)
+
 val entries : t -> node:int -> cache:Cache_names.t -> (string * string) list
 (** Sorted by key. *)
 

@@ -827,10 +827,11 @@ let test_mutator_and_fates () =
          { dpid = Dpid.of_int 1;
            flow = Of_message.flow_mod m [ Of_action.Output 1 ] })
   in
-  Alcotest.(check int) "mutated to nothing" 0
-    (List.length (Controller.shadow_execute ctrl trigger));
+  let taint = Types.Taint.external_trigger ~primary:0 ~serial:1 in
+  let execute () = Controller.shadow_execute ctrl ~as_id:0 ~taint trigger in
+  Alcotest.(check int) "mutated to nothing" 0 (List.length (execute ()));
   Controller.set_mutator ctrl None;
-  check_bool "restored" true (Controller.shadow_execute ctrl trigger <> []);
+  check_bool "restored" true (execute () <> []);
   Controller.set_omit_probability ctrl 1.0;
   (match Controller.sample_response_fate ctrl with
   | `Omit -> ()

@@ -65,11 +65,17 @@ let test_flow_memo_per_deployment () =
   let b = deploy () in
   let memo c = Cluster.flow_memo c in
   check_bool "one memo per cluster" true (memo a != memo b);
-  (* The primary and both secondaries render each rule: one miss,
-     two hits. *)
+  (* The first execution of a trigger renders its rule; the later ones
+     reuse its plan and render nothing, so only a replica that plans
+     again (a read gave another answer, or a colliding trigger took
+     the plan's slot) finds a rule already rendered. *)
   let hits = Memo.hits (memo a) and lookups = Memo.lookups (memo a) in
   check_bool "some lookups" true (lookups > 0);
-  check_int "hits are two thirds of lookups" (2 * lookups) (3 * hits);
+  check_bool
+    (Printf.sprintf "hits are under a tenth of lookups (%d of %d)" hits
+       lookups)
+    true
+    (10 * hits < lookups);
   let flows c =
     Jury_store.Fabric.entries (Cluster.fabric c) ~node:0
       ~cache:Jury_store.Cache_names.flowsdb

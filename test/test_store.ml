@@ -56,6 +56,46 @@ let test_update_delete () =
   check_str_opt "deleted everywhere" None
     (Fabric.read f ~node:2 ~cache:Names.arpdb ~key:"ip")
 
+(* A read allocates only the [Some] it answers with, and [holds]
+   compares a stored value in place, allocating nothing, with the
+   answer [read] gives. *)
+let test_read_allocation () =
+  let _, f = mk () in
+  ignore
+    (write_ok f ~node:0 ~cache:Names.flowsdb Event.Create ~key:"k" ~value:"v");
+  let words what budget call =
+    call ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      call ()
+    done;
+    let words = (Gc.minor_words () -. before) /. 1000. in
+    check_bool (Printf.sprintf "%s: %.2f words" what words) true
+      (words <= budget)
+  in
+  let read cache key () =
+    ignore (Sys.opaque_identity (Fabric.read f ~node:0 ~cache ~key))
+  in
+  words "a hit" 2. (read Names.flowsdb "k");
+  words "a missing key" 0. (read Names.flowsdb "j");
+  words "a cache never written" 0. (read Names.masterdb "k");
+  let v = String.make 1 'v' in
+  List.iter
+    (fun (cache, key, answer) ->
+      check_bool "holds is read = answer"
+        (Fabric.read f ~node:0 ~cache ~key = answer)
+        (Fabric.holds f ~node:0 ~cache ~key answer);
+      words "holds" 0. (fun () ->
+          ignore
+            (Sys.opaque_identity (Fabric.holds f ~node:0 ~cache ~key answer))))
+    [ (Names.flowsdb, "k", Some v);
+      (Names.flowsdb, "k", Some "w");
+      (Names.flowsdb, "k", None);
+      (Names.flowsdb, "j", None);
+      (Names.flowsdb, "j", Some v);
+      (Names.masterdb, "k", None);
+      (Names.masterdb, "k", Some v) ]
+
 let test_entries_sorted () =
   let _, f = mk () in
   ignore (write_ok f ~node:0 ~cache:Names.hostdb Event.Create ~key:"b" ~value:"2");
@@ -279,6 +319,7 @@ let suite =
     ("strong replication", `Quick, test_strong_replication);
     ("update and delete", `Quick, test_update_delete);
     ("entries sorted", `Quick, test_entries_sorted);
+    ("read and holds allocation budget", `Quick, test_read_allocation);
     ("listeners", `Quick, test_listeners);
     ("sequence numbers", `Quick, test_sequence_numbers);
     ("taint carried", `Quick, test_taint_carried);
