@@ -802,9 +802,10 @@ let micro ~full:_ () =
    full major collection. An owner's figure is the words reachable from
    its own tables and nothing else: a walk that started from a closure
    would reach nearly the whole heap, which CI catches as an owner, or
-   the owners' sum, larger than the live total. Owners share only the
-   mirror's strings, which the store holds too, so the rest (live less
-   the owners' sum) is a lower bound. *)
+   the owners' sum, larger than the live total. Owners share only
+   strings the store holds too (the mirror's values and the views'
+   LINKSDB keys), so the rest (live less the owners' sum) is a lower
+   bound. *)
 let live_heap ~full:_ () =
   section
     "Live heap by owner: ONOS k=6, controlled mix at 5.5k/s, end of the 2 s \
@@ -833,6 +834,8 @@ let live_heap ~full:_ () =
       ( "store replicas' caches",
         Jury_store.Fabric.cache_words
           (Jury_controller.Cluster.fabric env.Setup.cluster) );
+      ( "controller views",
+        Jury_controller.Cluster.view_words env.Setup.cluster );
       ("validator FLOWSDB mirror", Jury.Validator.mirror_words validator);
       ("validator pending triggers", Jury.Validator.pending_words validator) ]
   in

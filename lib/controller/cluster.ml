@@ -42,6 +42,7 @@ type t = {
   network : Network.t;
   controllers : Controller.t array;
   flow_memo : Values.Flow.Memo.t;
+  views : Controller.Views.t;
   mutable masters : (Of_types.Dpid.t * int) list;
   mutable failed : int list;
   mutable election : election option;
@@ -56,6 +57,7 @@ let profile t = t.profile
 let nodes t = Array.length t.controllers
 let controllers t = t.controllers
 let flow_memo t = t.flow_memo
+let view_words t = Controller.Views.words t.views
 
 let controller t i =
   if i < 0 || i >= nodes t then invalid_arg "Cluster.controller: bad id";
@@ -120,9 +122,10 @@ let create engine ~profile ~nodes:n ~network =
       ~profile:profile.Profile.store_profile ()
   in
   let flow_memo = Values.Flow.Memo.create () in
+  let views = Controller.Views.create () in
   let controllers =
     Array.init n (fun id ->
-        Controller.create engine ~id ~profile ~fabric ~flow_memo)
+        Controller.create engine ~id ~profile ~fabric ~flow_memo ~views)
   in
   let t =
     { engine;
@@ -131,6 +134,7 @@ let create engine ~profile ~nodes:n ~network =
       network;
       controllers;
       flow_memo;
+      views;
       masters = [];
       failed = [];
       election = None;

@@ -46,7 +46,7 @@ val create :
     [clustered]), the [nodes] controller replicas and the control
     channels (150 µs one way). Election is off until
     {!enable_election}. The replicas share one fresh
-    {!Values.Flow.Memo.t}. *)
+    {!Values.Flow.Memo.t} and one fresh {!Controller.Views.t}. *)
 
 val engine : t -> Jury_sim.Engine.t
 val fabric : t -> Jury_store.Fabric.t
@@ -57,6 +57,9 @@ val controllers : t -> Controller.t array
 val flow_memo : t -> Values.Flow.Memo.t
 val controller : t -> int -> Controller.t
 val master_of : t -> Of_types.Dpid.t -> int
+
+val view_words : t -> int
+(** {!Controller.Views.words} of the replicas' topology views. *)
 
 val start : t -> unit
 (** Assign mastership (round-robin over switches for clustered

@@ -19,16 +19,37 @@ let null_observer =
     on_applied = (fun _ _ -> ());
     on_write_failed = (fun _ _ _ -> ()) }
 
+(* One switch's flood, read off the view. *)
+type flood = {
+  ports : int list;  (* spanning-tree plus host ports, sorted, unique *)
+  mutable outputs : (int * Of_action.t list) list;
+      (* per ingress port planned so far: [Output] to the other ports *)
+}
+
+(* A topology view: the content it was built from, the graph and every
+   memo planning reads off it, each memo computed on first use. Every
+   answer a view gives is a function of its content, so replicas whose
+   tables hold equal content share one view, memos included. *)
+type view = {
+  digest : int;  (* of the content; narrows the search, never decides *)
+  switches : (Of_types.Dpid.t * int list) array;
+      (* SWITCHDB's switches in table order, each with the ports
+         [switch_ports] gave *)
+  links : string array;  (* LINKSDB's up keys, in table order *)
+  graph : Graph.t;
+  mutable trees : Graph.tree DpidMap.t;  (* BFS tree per root *)
+  mutable link_ports : int list DpidMap.t;  (* per switch: its link ports *)
+  mutable floods : flood DpidMap.t;
+}
+
 (* One read a plan made, with the answer it got: a point read of the
-   replica's store, the host table's attachment point for a MAC, or one
-   of the view's memoized readers. *)
+   replica's store, the host table's attachment point for a MAC, or the
+   view every answer the plan read off the view came from. *)
 type read =
   | Store of Names.t * string * string option
   | Host of Mac.t * (Of_types.Dpid.t * int)
   | No_host of Mac.t
-  | First_hop of Of_types.Dpid.t * Of_types.Dpid.t * int
-  | Link_ports of Of_types.Dpid.t * int list
-  | Flood of Of_types.Dpid.t * int * Of_action.t list
+  | View of view
 
 (* One plan per trigger, shared by a deployment's controllers. *)
 module Plans = struct
@@ -83,12 +104,95 @@ module Plans = struct
     end
 end
 
-(* One switch's flood, read off the view. *)
-type flood = {
-  ports : int list;  (* spanning-tree plus host ports, sorted, unique *)
-  mutable outputs : (int * Of_action.t list) list;
-      (* per ingress port planned so far: [Output] to the other ports *)
-}
+(* A cluster's views: the one each replica holds, by replica id. A
+   replica that rebuilds its view adopts a held one with equal content,
+   so one view serves every replica whose tables agree, and a view that
+   no replica holds any more is garbage. *)
+module Views = struct
+  type t = { mutable held : view option array }
+
+  let create () = { held = [||] }
+
+  let digest switches links =
+    let h =
+      Array.fold_left
+        (fun h (dpid, ports) -> (h * 31) + Hashtbl.hash (dpid, ports))
+        0 switches
+    in
+    Array.fold_left (fun h key -> (h * 31) + Hashtbl.hash key) h links
+
+  let same_content v switches links =
+    Array.length v.switches = Array.length switches
+    && Array.for_all2
+         (fun (d, ports) (d', ports') ->
+           Of_types.Dpid.equal d d' && List.equal Int.equal ports ports')
+         v.switches switches
+    && Array.length v.links = Array.length links
+    && Array.for_all2 String.equal v.links links
+
+  let find t ~digest switches links =
+    let rec go i =
+      if i = Array.length t.held then None
+      else
+        match t.held.(i) with
+        | Some v when v.digest = digest && same_content v switches links ->
+            Some v
+        | Some _ | None -> go (i + 1)
+    in
+    go 0
+
+  let hold t ~id v =
+    let n = Array.length t.held in
+    if id >= n then begin
+      let bigger = Array.make (id + 1) None in
+      Array.blit t.held 0 bigger 0 n;
+      t.held <- bigger
+    end;
+    t.held.(id) <- Some v
+
+  (* A view of [switches] (dpid, ports) and [links] (up key, parsed
+     key), both in table order; [keys] are the links' keys. *)
+  let make ~digest switches keys links =
+    let graph = Graph.create () in
+    Array.iter (fun (dpid, _) -> Graph.add_switch graph dpid) switches;
+    List.iter
+      (fun (_, ((d1, p1), (d2, p2))) ->
+        Graph.add_link graph { dpid = d1; port = p1 } { dpid = d2; port = p2 })
+      links;
+    { digest;
+      switches;
+      links = keys;
+      graph;
+      trees = DpidMap.empty;
+      link_ports = DpidMap.empty;
+      floods = DpidMap.empty }
+
+  (* The view of [switches] and [links], as [make] takes them: one that
+     a replica holds if its content is equal, else a new one. Replica
+     [id] holds it from now on. *)
+  let intern t ~id switches links =
+    let switches = Array.of_list switches in
+    let keys = Array.of_list (List.map fst links) in
+    let digest = digest switches keys in
+    let v =
+      match find t ~digest switches keys with
+      | Some v -> v
+      | None -> make ~digest switches keys links
+    in
+    hold t ~id v;
+    v
+
+  let words t =
+    let distinct =
+      Array.fold_left
+        (fun acc -> function
+          | Some v when not (List.memq v acc) -> v :: acc
+          | Some _ | None -> acc)
+        [] t.held
+    in
+    (* less the list's own cons cells *)
+    Obj.reachable_words (Obj.repr distinct) - (3 * List.length distinct)
+end
 
 type t = {
   engine : Engine.t;
@@ -107,15 +211,11 @@ type t = {
     (Types.trigger -> Types.action list -> Types.action list) option;
   mutable response_delay : Time.t;
   mutable omit_probability : float;
-  (* Cached topology view, rebuilt lazily when LINKSDB/SWITCHDB move. *)
-  mutable view : Graph.t;
+  views : Views.t;  (* shared by the cluster's replicas *)
+  (* The topology view, replaced lazily when LINKSDB/SWITCHDB move. A
+     replica starts dirty, on an empty view no replica holds. *)
+  mutable view : view;
   mutable view_dirty : bool;
-  (* What planning reads off [view], each computed on first use and
-     dropped with the view by [rebuild_view]. They live here, not in
-     [Graph.t], so that reading a graph never writes to it. *)
-  mutable trees : Graph.tree DpidMap.t;  (* BFS tree per root *)
-  mutable links : int list DpidMap.t;  (* per switch: its link ports *)
-  mutable floods : flood DpidMap.t;
   (* HOSTDB decoded, keyed by MAC: the attachment point of every host
      whose key [Values.Host.key] renders and whose value parses. The
      store listener keeps it in step; [invalidate_view] dirties it and
@@ -125,6 +225,7 @@ type t = {
   mutable plans : Plans.t option;  (* the deployment's, if any *)
   mutable recording : bool;  (* whether planning notes its reads *)
   mutable into : Plans.slot;  (* where, while [recording] *)
+  mutable view_noted : bool;  (* whether [into] holds its [View] read *)
 }
 
 (* Forward reference: the proactive host-rule app needs planning and
@@ -162,7 +263,7 @@ let entries t cache =
   if t.recording then t.into.n <- -1;
   Fabric.entries t.fabric ~node:t.id ~cache
 
-let rec create engine ~id ~profile ~fabric ~flow_memo =
+let rec create engine ~id ~profile ~fabric ~flow_memo ~views =
   let pipeline =
     (* Completion events run controller application code: they touch
        this replica's state (caches' local views, private RNGs) and its
@@ -189,16 +290,15 @@ let rec create engine ~id ~profile ~fabric ~flow_memo =
       mutator = None;
       response_delay = Time.zero;
       omit_probability = 0.;
-      view = Graph.create ();
+      views;
+      view = Views.make ~digest:0 [||] [||] [];
       view_dirty = true;
-      trees = DpidMap.empty;
-      links = DpidMap.empty;
-      floods = DpidMap.empty;
       hosts = Hashtbl.create 64;
       hosts_dirty = true;
       plans = None;
       recording = false;
-      into = Plans.vacant () }
+      into = Plans.vacant ();
+      view_noted = false }
   in
   Fabric.subscribe fabric ~node:id (fun ~local ev ->
       if not local then begin
@@ -294,46 +394,56 @@ let mastered_switches t =
          | Some dpid, Some m when m = t.id -> Some dpid
          | _ -> None)
 
+(* The replica's view of its SWITCHDB and LINKSDB now: a view another
+   replica holds when their content is equal. *)
 let rebuild_view t =
-  let g = Graph.create () in
-  List.iter
-    (fun (k, _) ->
-      match Values.parse_dpid_key k with
-      | Some dpid -> Graph.add_switch g dpid
-      | None -> ())
-    (Fabric.entries t.fabric ~node:t.id ~cache:Names.switchdb);
-  List.iter
-    (fun (k, v) ->
-      if v = Values.Link.value_up then
-        match Values.Link.parse_key k with
-        | Some ((d1, p1), (d2, p2)) ->
-            Graph.add_link g { dpid = d1; port = p1 } { dpid = d2; port = p2 }
-        | None -> ())
-    (Fabric.entries t.fabric ~node:t.id ~cache:Names.linksdb);
-  t.view <- g;
-  t.view_dirty <- false;
-  t.trees <- DpidMap.empty;
-  t.links <- DpidMap.empty;
-  t.floods <- DpidMap.empty
+  let switches =
+    List.filter_map
+      (fun (k, _) ->
+        match Values.parse_dpid_key k with
+        | Some dpid -> Some (dpid, switch_ports t dpid)
+        | None -> None)
+      (Fabric.entries t.fabric ~node:t.id ~cache:Names.switchdb)
+  in
+  let links =
+    List.filter_map
+      (fun (k, v) ->
+        if v = Values.Link.value_up then
+          Option.map (fun link -> (k, link)) (Values.Link.parse_key k)
+        else None)
+      (Fabric.entries t.fabric ~node:t.id ~cache:Names.linksdb)
+  in
+  t.view <- Views.intern t.views ~id:t.id switches links;
+  t.view_dirty <- false
 
-let view t =
+(* The memo readers below take the view [current] returns, so a dirty
+   view is replaced before a memo is consulted. They find with
+   [DpidMap.find], which allocates nothing on a hit where [find_opt]
+   would box its answer. *)
+let current t =
   if t.view_dirty then rebuild_view t;
   t.view
 
-(* The memo readers below find with [DpidMap.find], which allocates
-   nothing on a hit where [find_opt] would box its answer. *)
-let link_ports t dpid =
-  let g = view t in
-  match DpidMap.find dpid t.links with
+let view t = (current t).graph
+
+let view_link_ports v dpid =
+  match DpidMap.find dpid v.link_ports with
   | ports -> ports
   | exception Not_found ->
-      let ports = List.map fst (Graph.neighbors g dpid) in
-      t.links <- DpidMap.add dpid ports t.links;
+      let ports = List.map fst (Graph.neighbors v.graph dpid) in
+      v.link_ports <- DpidMap.add dpid ports v.link_ports;
       ports
 
-let host_ports t dpid =
-  let links = link_ports t dpid in
-  List.filter (fun p -> not (List.mem p links)) (switch_ports t dpid)
+let link_ports t dpid = view_link_ports (current t) dpid
+
+(* The ports the view captured for [dpid], less its link ports. *)
+let host_ports v dpid =
+  let links = view_link_ports v dpid in
+  match
+    Array.find_opt (fun (d, _) -> Of_types.Dpid.equal d dpid) v.switches
+  with
+  | Some (_, ports) -> List.filter (fun p -> not (List.mem p links)) ports
+  | None -> []
 
 let liveness_master_for_link t d1 d2 =
   match (master_of t d1, master_of t d2) with
@@ -343,55 +453,52 @@ let liveness_master_for_link t d1 d2 =
 
 (* --- Routes, memoized per view --- *)
 
-(* [view] comes first in each reader: a dirty view rebuilds and drops
-   the memo before it is consulted. *)
-let tree t root =
-  let g = view t in
-  match DpidMap.find root t.trees with
+let tree v root =
+  match DpidMap.find root v.trees with
   | tree -> tree
   | exception Not_found ->
-      let tree = Graph.bfs_tree g root in
-      t.trees <- DpidMap.add root tree t.trees;
+      let tree = Graph.bfs_tree v.graph root in
+      v.trees <- DpidMap.add root tree v.trees;
       tree
 
 let first_hop t src dst =
-  let g = view t in
-  Graph.first_hop g (tree t src) dst
+  let v = current t in
+  Graph.first_hop v.graph (tree v src) dst
 
 let next_hop_choices t src dst =
-  let g = view t in
-  Graph.next_hops g (tree t dst) src
+  let v = current t in
+  Graph.next_hops v.graph (tree v dst) src
 
-let flood t dpid =
+let flood v dpid =
   (* Loop-free flood: ports on the cluster-wide spanning tree plus all
      host ports, minus the ingress. The tree must be rooted identically
      at every switch (the STP root bridge — lowest dpid), otherwise
      differently-rooted trees disagree on which cycle edge to cut and
      broadcasts loop. *)
-  let g = view t in
-  match DpidMap.find dpid t.floods with
+  match DpidMap.find dpid v.floods with
   | f -> f
   | exception Not_found ->
+      let g = v.graph in
       let tree_ports =
         match Graph.switches g with
         | root :: _ when Graph.has_switch g dpid ->
             (* Graph.switches is sorted, so the head is the lowest
                dpid. *)
-            Graph.tree_ports (tree t root) dpid
+            Graph.tree_ports (tree v root) dpid
         | _ -> []
       in
       let f =
-        { ports = List.sort_uniq compare (tree_ports @ host_ports t dpid);
+        { ports = List.sort_uniq compare (tree_ports @ host_ports v dpid);
           outputs = [] }
       in
-      t.floods <- DpidMap.add dpid f t.floods;
+      v.floods <- DpidMap.add dpid f v.floods;
       f
 
 let flood_ports t dpid ~in_port =
-  List.filter (fun p -> p <> in_port) (flood t dpid).ports
+  List.filter (fun p -> p <> in_port) (flood (current t) dpid).ports
 
 let flood_actions t dpid ~in_port =
-  let f = flood t dpid in
+  let f = flood (current t) dpid in
   match List.assoc in_port f.outputs with
   | actions -> actions
   | exception Not_found ->
@@ -414,21 +521,28 @@ let host t mac =
   Hashtbl.find t.hosts mac
 
 (* Planning's reads of the view and the host table, noted while a plan
-   is recorded. *)
+   is recorded. A plan reads one view, so its first answer off the view
+   notes that view and the rest note nothing. *)
+
+let note_view t =
+  if t.recording && not t.view_noted then begin
+    t.view_noted <- true;
+    Plans.note t.into (View t.view)
+  end
 
 let noted_link_ports t dpid =
   let ports = link_ports t dpid in
-  if t.recording then Plans.note t.into (Link_ports (dpid, ports));
+  note_view t;
   ports
 
 let noted_first_hop t src dst =
   let port = first_hop t src dst in
-  if t.recording then Plans.note t.into (First_hop (src, dst, port));
+  note_view t;
   port
 
 let noted_flood_actions t dpid ~in_port =
   let actions = flood_actions t dpid ~in_port in
-  if t.recording then Plans.note t.into (Flood (dpid, in_port, actions));
+  note_view t;
   actions
 
 let noted_host t mac =
@@ -788,7 +902,7 @@ let plan t trigger = plan_as t ~as_id:t.id trigger
 let set_plans t plans = t.plans <- Some plans
 
 (* Whether [read] gets the answer it got, on this replica now. Allocates
-   nothing once the view's memos hold the answer. *)
+   nothing unless the view is rebuilt. *)
 let holds t = function
   | Store (cache, key, answer) ->
       Fabric.holds t.fabric ~node:t.id ~cache ~key answer
@@ -798,13 +912,7 @@ let holds t = function
       | exception Not_found -> false)
   | No_host mac -> (
       match host t mac with _ -> false | exception Not_found -> true)
-  | First_hop (src, dst, port) -> first_hop t src dst = port
-  | Link_ports (dpid, ports) ->
-      let held = link_ports t dpid in
-      held == ports || List.equal Int.equal held ports
-  | Flood (dpid, in_port, actions) ->
-      let held = flood_actions t dpid ~in_port in
-      held == actions || held = actions
+  | View v -> current t == v
 
 let rec reads_hold t (slot : Plans.slot) i =
   i >= slot.n || (holds t slot.reads.(i) && reads_hold t slot (i + 1))
@@ -819,6 +927,7 @@ let record t (slot : Plans.slot) ~as_id ~taint trigger =
   slot.n <- 0;
   t.recording <- true;
   t.into <- slot;
+  t.view_noted <- false;
   let plan =
     match plan_as t ~as_id trigger with
     | plan ->
@@ -974,13 +1083,21 @@ let start_discovery t =
        (fun () -> run_internal t ~app:"lldp-discovery" Types.Emit_lldp))
 
 let response_latency_sample t =
-  let util = Pipeline.utilization_hint t.pipeline in
+  (* Backlog in multiples of the base service time, clamped to
+     [0, 1000], computed here in unboxed floats. *)
+  let util =
+    let backlog = float_of_int (Time.to_ns (Pipeline.backlog t.pipeline))
+    and base = float_of_int (Time.to_ns t.profile.Profile.base_service) in
+    let backlog = backlog /. 1e3 and base = base /. 1e3 in
+    let u = backlog /. (if base > 1. then base else 1.) in
+    if u < 1000. then u else 1000.
+  in
   (* Response latency inflates with pipeline load (GC pressure, thread
      contention), clamped: queueing delay is modelled separately by the
      pipeline itself. *)
   let median =
     t.profile.Profile.response_jitter_median_us
-    *. (1. +. (Float.min 24. util /. 8.))
+    *. (1. +. ((if util < 24. then util else 24.) /. 8.))
   in
   let jitter =
     Rng.lognormal t.rng ~mu:(log median)
@@ -988,7 +1105,14 @@ let response_latency_sample t =
   in
   Time.add t.profile.Profile.response_latency_base (Time.of_float_us jitter)
 
+type fate = int
+
 let sample_response_fate t =
-  if t.omit_probability > 0. && Rng.bernoulli t.rng t.omit_probability then
-    `Omit
-  else `Respond (Time.add (response_latency_sample t) t.response_delay)
+  if t.omit_probability > 0. && Rng.bernoulli t.rng t.omit_probability then -1
+  else Time.to_ns (Time.add (response_latency_sample t) t.response_delay)
+
+let omitted fate = fate < 0
+
+let fate_latency fate =
+  if fate < 0 then invalid_arg "Controller.fate_latency: omitted";
+  Time.ns fate

@@ -36,11 +36,28 @@ type observer = {
 
 val null_observer : observer
 
+(** A cluster's topology views: the one each replica holds. A replica
+    that rebuilds its view ({!view}) adopts a view another replica holds
+    when their content is equal: the switches SWITCHDB lists, each with
+    its port list, and LINKSDB's up links, in table order. So replicas
+    whose tables agree share one view and every memo it keeps. *)
+module Views : sig
+  type t
+
+  val create : unit -> t
+
+  val words : t -> int
+  (** Heap words reachable from the distinct views the replicas hold,
+      each view counted once. *)
+end
+
 val create :
   Jury_sim.Engine.t -> id:int -> profile:Profile.t ->
-  fabric:Jury_store.Fabric.t -> flow_memo:Values.Flow.Memo.t -> t
-(** [flow_memo] renders this replica's FLOWSDB keys and values; every
-    controller of one cluster gets the same memo. *)
+  fabric:Jury_store.Fabric.t -> flow_memo:Values.Flow.Memo.t ->
+  views:Views.t -> t
+(** [flow_memo] renders this replica's FLOWSDB keys and values, and
+    [views] holds its topology view; every controller of one cluster
+    gets the same memo and the same views. *)
 
 val id : t -> int
 val profile : t -> Profile.t
@@ -71,7 +88,8 @@ val plan : t -> Types.trigger -> Types.action list
     is a function of the trigger, the controller it is planned as, the
     cluster's profile and the answers of the reads it makes of this
     replica's state: point reads of the store, the host table, and the
-    view's first hops, link ports and flood actions. Only a plan that
+    first hops, link ports and flood actions of its topology view, each
+    of which is a function of the view's content. Only a plan that
     reads a whole table or draws from the RNG (ECMP) depends on
     more. *)
 
@@ -115,20 +133,33 @@ val shadow_execute :
     execution is [shadow_execute t ~as_id:(id t)].
 
     An external [taint] is looked up in the {!set_plans} table first.
-    When the slot holds [taint], [as_id] and the same trigger, and each
-    read the recorded plan made gets the same answer on this replica
-    now, the recorded list is the answer, and the lookup allocates
-    nothing. Otherwise the replica plans and records its own plan in
-    the slot, noting its reads; a plan that read a whole table or drew
-    from the RNG is not kept, and later executions of its taint plan
-    directly. Either way the answer is [=] to [plan_as t ~as_id
-    trigger] on this replica at this instant, and the mutator runs on
-    it afterwards, per replica. *)
+    When the slot holds [taint], [as_id] and the same trigger, each
+    point store and host-table read the recorded plan made gets the
+    same answer on this replica now, and this replica holds the very
+    view the plan read off (one pointer comparison, as replicas with
+    equal view content share one view), the recorded list is the
+    answer, and the lookup allocates nothing. Otherwise the replica
+    plans and records its own plan in the slot, noting its reads; a
+    plan that read a whole table or drew from the RNG is not kept, and
+    later executions of its taint plan directly. Either way the answer
+    is [=] to [plan_as t ~as_id trigger] on this replica at this
+    instant, and the mutator runs on it afterwards, per replica. *)
 
-val sample_response_fate : t -> [ `Respond of Jury_sim.Time.t | `Omit ]
+type fate = private int
+(** A response's fate: the nanoseconds until it is delivered, or a
+    negative value when it is omitted. An immediate, so drawing one
+    allocates nothing. *)
+
+val sample_response_fate : t -> fate
 (** Draw the fate of one response from this replica: delivered after
     the sampled latency (response-delay faults included), or omitted
     (response-omission faults). *)
+
+val omitted : fate -> bool
+
+val fate_latency : fate -> Jury_sim.Time.t
+(** The latency of a delivered response; raises [Invalid_argument] on
+    an omitted one. *)
 
 val start_discovery : t -> unit
 (** Begin periodic LLDP emission on mastered switches. *)
@@ -163,12 +194,18 @@ val invalidate_view : t -> unit
 
 (** {1 Topology view}
 
-    The replica's graph of switches and live links, rebuilt from
-    SWITCHDB and LINKSDB on the first read after either changes or
-    after {!invalidate_view}. The routes and flood sets below are
-    computed once per view and reused until it is rebuilt. *)
+    The replica's graph of switches and live links, read from SWITCHDB
+    and LINKSDB on the first read after either changes or after
+    {!invalidate_view}. When another replica of the cluster holds a
+    view of equal content ({!Views}), this replica adopts it. The
+    routes and flood sets below are computed once per view, by
+    whichever replica reads them first, and serve every replica that
+    holds the view. *)
 
 val view : t -> Jury_topo.Graph.t
+
+val link_ports : t -> Of_types.Dpid.t -> int list
+(** The ports of a switch that carry a link in {!view}. *)
 
 val first_hop : t -> Of_types.Dpid.t -> Of_types.Dpid.t -> int
 (** [first_hop t src dst]: {!Jury_topo.Graph.first_hop} on {!view}'s
@@ -183,7 +220,8 @@ val next_hop_choices :
 val flood_ports : t -> Of_types.Dpid.t -> in_port:int -> int list
 (** Where a flood out of this switch goes, sorted: its ports on the
     spanning tree rooted at the lowest dpid, plus its host ports (those
-    SWITCHDB lists that carry no link), minus [in_port]. *)
+    SWITCHDB listed when the view was read that carry no link), minus
+    [in_port]. *)
 
 val flood_actions : t -> Of_types.Dpid.t -> in_port:int -> Of_action.t list
 (** [List.map (fun p -> Output p) (flood_ports t dpid ~in_port)], built

@@ -167,11 +167,6 @@ let add_load t cost =
   t.busy_until <- Time.add start cost;
   update_overload t
 
-let utilization_hint t =
-  let b = Time.to_float_us (backlog t) in
-  let base = Float.max 1. (Time.to_float_us t.cfg.base_service) in
-  Float.min 1000. (b /. base)
-
 let overloaded t = t.overloaded || t.collapsed
 let completed t = t.completed
 let dropped t = t.dropped

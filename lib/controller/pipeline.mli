@@ -48,10 +48,6 @@ val add_load : t -> Jury_sim.Time.t -> unit
 val backlog : t -> Jury_sim.Time.t
 (** Work currently queued ahead of a new arrival. *)
 
-val utilization_hint : t -> float
-(** Backlog expressed in multiples of the base service time, clamped to
-    [0, 1000]; feeds load-dependent response-latency models. *)
-
 val overloaded : t -> bool
 val completed : t -> int
 val dropped : t -> int

@@ -245,12 +245,11 @@ let install_node_module t node =
                     | None -> true (* internal: the origin reports *))
               in
               if is_mine then
-                match Controller.sample_response_fate ctrl with
-                | `Omit -> ()
-                | `Respond latency ->
-                    send_to_validator t ~delay:latency
-                      (make_response t ~node ~taint
-                         (Response.Execution { role = `Primary; actions })));
+                let fate = Controller.sample_response_fate ctrl in
+                if not (Controller.omitted fate) then
+                  send_to_validator t ~delay:(Controller.fate_latency fate)
+                    (make_response t ~node ~taint
+                       (Response.Execution { role = `Primary; actions })));
       on_applied =
         (fun taint action ->
           match action with
@@ -324,12 +323,11 @@ let run_shadow t ~secondary ~primary ~taint trigger =
                      ~node:secondary ~cache op ~key ~value)
             | Types.Network_send _ -> ())
           actions;
-      match Controller.sample_response_fate ctrl with
-      | `Omit -> ()
-      | `Respond latency ->
-          send_to_validator t ~delay:latency
-            (make_response t ~node:secondary ~taint
-               (Response.Execution { role = `Secondary; actions })))
+      let fate = Controller.sample_response_fate ctrl in
+      if not (Controller.omitted fate) then
+        send_to_validator t ~delay:(Controller.fate_latency fate)
+          (make_response t ~node:secondary ~taint
+             (Response.Execution { role = `Secondary; actions })))
 
 let pick_secondaries t ~primary =
   let n = Cluster.nodes t.cluster in

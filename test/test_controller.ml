@@ -833,13 +833,13 @@ let test_mutator_and_fates () =
   Controller.set_mutator ctrl None;
   check_bool "restored" true (execute () <> []);
   Controller.set_omit_probability ctrl 1.0;
-  (match Controller.sample_response_fate ctrl with
-  | `Omit -> ()
-  | `Respond _ -> Alcotest.fail "must omit at p=1");
+  check_bool "must omit at p=1" true
+    (Controller.omitted (Controller.sample_response_fate ctrl));
   Controller.set_omit_probability ctrl 0.;
-  (match Controller.sample_response_fate ctrl with
-  | `Respond latency -> check_bool "positive latency" true Time.(latency > Time.zero)
-  | `Omit -> Alcotest.fail "must respond at p=0")
+  let fate = Controller.sample_response_fate ctrl in
+  check_bool "must respond at p=0" false (Controller.omitted fate);
+  check_bool "positive latency" true
+    Time.(Controller.fate_latency fate > Time.zero)
 
 let test_flow_removed_cleans_store () =
   let engine, network, cluster = mk_cluster () in
@@ -1085,6 +1085,7 @@ let fresh_controller fabric ~node =
     Names.all;
   Controller.create engine ~id:0 ~profile:Profile.onos ~fabric:copy
     ~flow_memo:(Values.Flow.Memo.create ())
+    ~views:(Controller.Views.create ())
 
 let packet_in ~in_port dpid frame =
   Types.Packet_in
@@ -1146,6 +1147,7 @@ let test_route_memo_matches_graph () =
       let c =
         Controller.create engine ~id:0 ~profile:Profile.onos ~fabric
           ~flow_memo:(Values.Flow.Memo.create ())
+          ~views:(Controller.Views.create ())
       in
       let g = Controller.view c in
       check_int (plan.Builder.name ^ ": view edges")
@@ -1208,6 +1210,7 @@ let test_route_memo_invalidation () =
   let c =
     Controller.create engine ~id:1 ~profile:Profile.onos ~fabric
       ~flow_memo:(Values.Flow.Memo.create ())
+      ~views:(Controller.Views.create ())
   in
   let same_as_fresh what =
     check_bool what true
@@ -1238,6 +1241,181 @@ let test_route_memo_invalidation () =
     (Jury_topo.Graph.edge_count (Controller.view c));
   same_as_fresh "after a state transfer"
 
+(* --- One view per distinct topology --- *)
+
+(* Writes to SWITCHDB and LINKSDB over four switches and five candidate
+   links, two of which close cycles. *)
+type topo_op =
+  | Join of int * int * int list  (* switch, master, ports *)
+  | Leave of int  (* SWITCHDB delete *)
+  | Link of int * bool  (* candidate link, up or down *)
+  | Unlink of int  (* LINKSDB delete *)
+
+type topo_step =
+  | Apply of topo_op * int list  (* to these replicas, in this order *)
+  | Sync of int * int
+      (* the first replica takes the second's SWITCHDB and LINKSDB,
+         written in reverse key order *)
+
+let view_switches = Array.init 4 (fun i -> Dpid.of_int (i + 1))
+
+let view_links =
+  [| ((0, 2), (1, 1)); ((1, 2), (2, 1)); ((2, 2), (3, 1)); ((3, 2), (0, 1));
+     ((0, 3), (2, 3)) |]
+
+let view_link_key l =
+  let (a, pa), (b, pb) = view_links.(l) in
+  Values.Link.key (view_switches.(a), pa) (view_switches.(b), pb)
+
+let gen_topo_step =
+  let open QCheck.Gen in
+  let switch = int_bound 3 and link = int_bound 4 in
+  let ports =
+    map (List.sort_uniq compare) (list_size (int_bound 4) (int_range 1 4))
+  in
+  let op =
+    frequency
+      [ (3, map3 (fun s m ps -> Join (s, m, ps)) switch (int_bound 1) ports);
+        (1, map (fun s -> Leave s) switch);
+        (4, map2 (fun l up -> Link (l, up)) link bool);
+        (1, map (fun l -> Unlink l) link) ]
+  in
+  let targets =
+    oneofl
+      [ [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ]; [ 0; 1; 2 ];
+        [ 2; 1; 0 ] ]
+  in
+  frequency
+    [ (6, map2 (fun o ts -> Apply (o, ts)) op targets);
+      (1, map2 (fun r s -> Sync (r, s)) (int_bound 2) (int_bound 2)) ]
+
+let print_topo_step = function
+  | Apply (op, ts) ->
+      let op =
+        match op with
+        | Join (s, m, ps) ->
+            Printf.sprintf "join(%d, master %d, [%s])" s m
+              (String.concat ";" (List.map string_of_int ps))
+        | Leave s -> Printf.sprintf "leave(%d)" s
+        | Link (l, up) ->
+            Printf.sprintf "link(%d, %s)" l (if up then "up" else "down")
+        | Unlink l -> Printf.sprintf "unlink(%d)" l
+      in
+      Printf.sprintf "%s@[%s]" op
+        (String.concat ";" (List.map string_of_int ts))
+  | Sync (r, s) -> Printf.sprintf "sync(%d from %d)" r s
+
+(* What a view's answers are a function of, read off [node]'s tables:
+   the switches SWITCHDB lists with their port lists, and LINKSDB's up
+   keys, in table order. *)
+let view_content fabric ~node =
+  ( List.filter_map
+      (fun (k, v) ->
+        Option.map
+          (fun dpid ->
+            ( dpid,
+              match Values.Switch.parse v with
+              | Some (_, ports) -> ports
+              | None -> [] ))
+          (Values.parse_dpid_key k))
+      (Fabric.entries fabric ~node ~cache:Names.switchdb),
+    List.filter_map
+      (fun (k, v) -> if v = Values.Link.value_up then Some k else None)
+      (Fabric.entries fabric ~node ~cache:Names.linksdb) )
+
+(* Every answer planning reads off a view: each first hop between two of
+   the four switches, each switch's link ports and its flood actions at
+   every ingress port. *)
+let view_answers c =
+  let switches = Array.to_list view_switches in
+  ( List.concat_map
+      (fun s -> List.map (fun d -> Controller.first_hop c s d) switches)
+      switches,
+    List.map (Controller.link_ports c) switches,
+    List.concat_map
+      (fun s ->
+        List.init 5 (fun in_port -> Controller.flood_actions c s ~in_port))
+      switches )
+
+(* Three replicas of one cluster share a table of views; each replica's
+   tables move on their own (a standalone fabric replicates nothing).
+   After every step each replica answers as a controller built fresh,
+   with a table of its own, on a copy of its tables, and two replicas
+   hold one view exactly when their content is equal. The plan tests
+   compare a reused plan with a replan on the same replica, which reads
+   the same view, so only a fresh controller catches a wrongly shared
+   one. *)
+let prop_views_shared_by_content =
+  QCheck.Test.make ~name:"replicas share a view exactly when content agrees"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list print_topo_step)
+       QCheck.Gen.(list_size (int_range 1 40) gen_topo_step))
+    (fun steps ->
+      let engine = Engine.create ~seed:5 () in
+      let fabric =
+        Fabric.create engine ~consistency:Fabric.Eventual ~nodes:3
+          ~standalone:true ()
+      in
+      let views = Controller.Views.create () in
+      let ctrls =
+        Array.init 3 (fun id ->
+            Controller.create engine ~id ~profile:Profile.onos ~fabric
+              ~flow_memo:(Values.Flow.Memo.create ()) ~views)
+      in
+      let write node cache key value =
+        let op =
+          match Fabric.read fabric ~node ~cache ~key with
+          | Some _ when value = "" -> Jury_store.Event.Delete
+          | Some _ -> Jury_store.Event.Update
+          | None -> Jury_store.Event.Create
+        in
+        if not (op = Jury_store.Event.Create && value = "") then
+          ignore (Fabric.write fabric ~node ~cache op ~key ~value)
+      in
+      let apply node = function
+        | Join (s, master, ports) ->
+            write node Names.switchdb
+              (Values.Switch.key view_switches.(s))
+              (Values.Switch.value_connected ~master ~ports)
+        | Leave s ->
+            write node Names.switchdb (Values.Switch.key view_switches.(s)) ""
+        | Link (l, up) ->
+            write node Names.linksdb (view_link_key l)
+              (if up then Values.Link.value_up else Values.Link.value_down)
+        | Unlink l -> write node Names.linksdb (view_link_key l) ""
+      in
+      let sync r s =
+        List.iter
+          (fun cache ->
+            let theirs = Fabric.entries fabric ~node:s ~cache in
+            List.iter
+              (fun (k, _) ->
+                if not (List.mem_assoc k theirs) then write r cache k "")
+              (Fabric.entries fabric ~node:r ~cache);
+            List.iter (fun (k, v) -> write r cache k v) (List.rev theirs))
+          [ Names.switchdb; Names.linksdb ]
+      in
+      let agree () =
+        Array.for_all
+          (fun c ->
+            let node = Controller.id c in
+            view_answers c = view_answers (fresh_controller fabric ~node))
+          ctrls
+        && List.for_all
+             (fun (a, b) ->
+               Controller.view ctrls.(a) == Controller.view ctrls.(b)
+               = (view_content fabric ~node:a = view_content fabric ~node:b))
+             [ (0, 1); (1, 2); (0, 2) ]
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Apply (op, targets) -> List.iter (fun r -> apply r op) targets
+          | Sync (r, s) -> if r <> s then sync r s);
+          agree ())
+        steps)
+
 (* --- Decoded host table --- *)
 
 let test_host_table_follows_hostdb () =
@@ -1254,6 +1432,7 @@ let test_host_table_follows_hostdb () =
   let c =
     Controller.create engine ~id:1 ~profile:Profile.onos ~fabric
       ~flow_memo:(Values.Flow.Memo.create ())
+      ~views:(Controller.Views.create ())
   in
   let switches = Jury_topo.Graph.switches plan.Builder.graph in
   let hosts = plan.Builder.hosts in
@@ -1336,6 +1515,7 @@ let test_plan_allocation () =
   let c =
     Controller.create engine ~id:0 ~profile:Profile.onos ~fabric
       ~flow_memo:(Values.Flow.Memo.create ())
+      ~views:(Controller.Views.create ())
   in
   let first = List.hd plan.Builder.hosts
   and last = List.nth plan.Builder.hosts 23 in
@@ -1378,6 +1558,36 @@ let test_plan_allocation () =
        (function Types.Cache_write _ -> false | _ -> true)
        (Controller.plan c (arp_on first.port)));
   within "ARP flood from a known host" 66. (arp_on first.port)
+
+(* A response's fate is an immediate, and the load factor that scales
+   its latency is computed in unboxed floats, so a draw allocates no
+   more than its lognormal jitter and that jitter's conversion to a
+   time do when measured on their own (a boxed float each where the
+   build does not inline across modules). A release build allocates
+   nothing per fate. Returning the fate as a [`Respond] block, with the
+   load factor boxed, cost 5 words per fate in a release build and 13
+   in a dev build. *)
+let test_fate_allocation () =
+  let engine, _, cluster = mk_cluster () in
+  settle engine;
+  let ctrl = Cluster.controller cluster 0 in
+  let draw =
+    let rng = Rng.create 1 and us = Sys.opaque_identity 80. in
+    words_per_call (fun () -> Rng.lognormal rng ~mu:3. ~sigma:0.5)
+    +. words_per_call (fun () -> Time.of_float_us (us *. 1.5))
+  in
+  List.iter
+    (fun p ->
+      Controller.set_omit_probability ctrl p;
+      let words =
+        words_per_call (fun () -> Controller.sample_response_fate ctrl)
+      in
+      check_bool
+        (Printf.sprintf "omission %.2f: %.2f words per fate, budget %.2f" p
+           words (draw +. 0.5))
+        true
+        (words < draw +. 0.5))
+    [ 0.; 0.05 ]
 
 (* [value_is] against [String.equal] on the rendering: the rendering
    itself, the rendering of a value one field apart, and near misses
@@ -1488,6 +1698,8 @@ let suite =
     ("route memo = fresh graph", `Quick, test_route_memo_matches_graph);
     ("route memo dropped with the view", `Quick,
      test_route_memo_invalidation);
+    QCheck_alcotest.to_alcotest prop_views_shared_by_content;
     ("host table follows HOSTDB", `Quick, test_host_table_follows_hostdb);
     ("plan allocation budget", `Quick, test_plan_allocation);
+    ("response fate allocation budget", `Quick, test_fate_allocation);
     QCheck_alcotest.to_alcotest prop_values_in_place ]

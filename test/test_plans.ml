@@ -322,7 +322,8 @@ let test_differential_links_dropped () =
 
 (* Three replicas of one 4-switch line, each store written on its own
    (a standalone fabric replicates nothing), every switch mastered by
-   node 0, every host known; the controllers share one table. *)
+   node 0, every host known; the controllers share one plan table and
+   one table of views, as a cluster's do. *)
 let topology = Builder.linear ~switches:4 ~hosts_per_switch:1
 
 let replicas () =
@@ -336,10 +337,12 @@ let replicas () =
   done;
   let plans = Plans.create () in
   let flow_memo = Values.Flow.Memo.create () in
+  let views = Controller.Views.create () in
   let ctrls =
     Array.init 3 (fun id ->
         let c =
           Controller.create engine ~id ~profile:Profile.onos ~fabric ~flow_memo
+            ~views
         in
         Controller.set_plans c plans;
         c)
